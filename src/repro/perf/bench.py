@@ -36,6 +36,7 @@ on a collapse.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -411,7 +412,10 @@ def bench_measurement_cold(quick: bool) -> Dict[str, Dict[str, Any]]:
         assert mp.record is not None
         return elapsed
 
-    repeats = 3 if quick else 5
+    # a quick traversal lasts about a millisecond, so with a handful of
+    # samples one scheduler hiccup moves the min-over-repeats ratio
+    # past the gate
+    repeats = 9
     run(True)  # warm the interned reference image + audits
     off_samples = [run(False) for _ in range(repeats)]
     on_samples = [run(True) for _ in range(repeats)]
@@ -471,6 +475,45 @@ def bench_fleet_incremental(
             "runs": len(specs),
             "gate_threshold": GATE_RATIO,
             "primary": "hit_fraction",
+            "direction": "higher",
+        }
+    }
+
+
+def bench_fleet_parallel(workdir: Path) -> Dict[str, Dict[str, Any]]:
+    """The qoa campaign through :func:`repro.fleet.run_pipeline`, serial
+    vs a two-worker process pool.
+
+    A wall-clock speedup, so it is a bench row rather than a test: it
+    needs two free cores (a one-core host reads about 1x), and the
+    byte-identity of the two runs' artifacts is pinned by the parity
+    tests, not here.
+    """
+    from repro import fleet
+
+    # the whole 54-run campaign even in quick mode: a smaller one is
+    # dominated by pool start-up and reads about 1x on any host
+    campaign = fleet.qoa_fleet_campaign()
+    workers = 2
+
+    def run(backend: Any, name: str) -> float:
+        report = fleet.run_pipeline(
+            campaign, out_dir=workdir / name, backend=backend
+        )
+        return report.wall_clock
+
+    serial = run(fleet.SerialBackend(), "bench-serial")
+    parallel = run(fleet.ProcessPoolBackend(workers=workers), "bench-pool")
+    return {
+        "fleet.parallel": {
+            "speedup": serial / parallel if parallel else float("inf"),
+            "serial_ms": serial * 1e3,
+            "parallel_ms": parallel * 1e3,
+            "runs": len(campaign.plan()),
+            "workers": workers,
+            "cpus": os.cpu_count() or 1,
+            "gate_threshold": GATE_RATIO,
+            "primary": "speedup",
             "direction": "higher",
         }
     }
@@ -679,8 +722,8 @@ def bench_lint_selfscan(
     ``repro`` package in full mode): parse, lexical rules, summary
     extraction, call-graph build and taint fixpoint.  A warm
     ``--cache`` run must skip all of that -- the ``speedup`` primary
-    is the whole point of the cache, and
-    ``tests/test_staticlint_interproc.py`` pins it at >= 3x.
+    is the whole point of the cache (well above 3x; the gate fails it
+    against the committed baseline).
     """
     from repro.staticlint.engine import analyze_project
     from repro.staticlint.registry import LintConfig
@@ -868,6 +911,7 @@ def run_suite(quick: bool = False, workdir: Optional[Any] = None) -> Dict[str, A
     benches.update(bench_erasmus_cache(quick))
     benches.update(bench_measurement_cold(quick))
     benches.update(bench_fleet_incremental(quick, workdir))
+    benches.update(bench_fleet_parallel(workdir))
     benches.update(bench_fleet_stream(quick, workdir))
     benches.update(bench_verifier_batch(quick))
     benches.update(bench_verifier_storm(quick))

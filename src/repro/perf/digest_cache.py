@@ -26,9 +26,9 @@ feeds the content into the HMAC stream (nonce/counter prefixes make
 the final digest per-measurement) and still charges the calibrated
 ODROID hash time in sim-time.  Only the redundant Python-side
 ``read_block`` copy and SHA-256 audit hash are skipped -- plus, via
-``Compute(..., coalesce=True)``, the per-block event-queue round-trip
-that dominates wall clock.  Golden-equality tests pin cache-on runs
-byte-identical to cache-off runs.
+coalesced windows (``Simulator.coalesce_steps``), the per-block
+event-queue round-trip that dominates wall clock.  Golden-equality
+tests pin cache-on runs byte-identical to cache-off runs.
 """
 
 from __future__ import annotations

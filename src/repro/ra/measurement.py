@@ -37,7 +37,6 @@ from repro.ra.locking import LockingPolicy, NoLock
 from repro.ra.report import MeasurementRecord, audit_hash
 from repro.sim.device import Device
 from repro.sim.process import Atomic, Compute, Process
-from repro.sim.trace import TraceRecord
 
 
 @dataclass
@@ -228,7 +227,9 @@ class MeasurementProcess:
         # Regions are static for the lifetime of a measurement, so the
         # per-block mutability answers are precomputed once by marking
         # each mutable region's range into a flat array -- no per-block
-        # region-table scan on the traversal hot loop.
+        # region-table scan on the traversal hot loop.  Blocks are only
+        # marked when a mutable treatment is configured, so an unmarked
+        # block always MACs its content as read.
         mutable_lookup = [False] * device.block_count
         if config.normalize_mutable or config.attach_mutable:
             for marked_region in device.memory.regions.values():
@@ -236,19 +237,17 @@ class MeasurementProcess:
                     for marked_index in marked_region.blocks():
                         mutable_lookup[marked_index] = True
 
-        def digest_content(block_index: int, content: bytes) -> bytes:
-            if config.normalize_mutable and mutable_lookup[block_index]:
+        def mutable_content(block_index: int, content: bytes) -> bytes:
+            if config.normalize_mutable:
                 return zero_block
-            if config.attach_mutable and mutable_lookup[block_index]:
-                # Ship the measured data verbatim (Section 2.3's
-                # "accompanied by a copy of D").
-                data_copy.append((block_index, content))
+            # Ship the measured data verbatim (Section 2.3's
+            # "accompanied by a copy of D").
+            data_copy.append((block_index, content))
             return content
 
-        # Digest-cache plumbing (None = seed-identical path).  Hits
-        # reuse the frozen content snapshot and audit hash for an
-        # unchanged (block, generation) and mark the Compute as
-        # coalescible; the HMAC stream and sim-time charges are
+        # Digest-cache plumbing (None = no cache).  Hits reuse the
+        # frozen content snapshot and audit hash for an unchanged
+        # (block, generation); the HMAC stream and sim-time charges are
         # untouched either way.
         memory = device.memory
         cache = device.digest_cache
@@ -256,45 +255,23 @@ class MeasurementProcess:
             generations = memory.generations
             algorithm = config.algorithm
             key_fp = device.key_fingerprint
+            cache_lookup, cache_store = cache.lookup, cache.store
             hits_before, misses_before = cache.hits, cache.misses
 
-        # A run of consecutive cache hits OR misses can bypass the
-        # generator/event-queue round-trip entirely: per block the
-        # engine proves no event (hence no preemption, no interleaved
-        # writer) can land inside the compute window
-        # (Simulator.can_coalesce), so the clock is advanced inline
-        # with identical trace records, block timestamps and CPU
-        # accounting.  Miss fills read, audit and store inline -- and
-        # still-benign content (recognised by identity against the
-        # interned ReferenceStore block in the common case) reuses the
-        # precomputed reference audit instead of re-hashing.  Requires
-        # the inert NoLock policy -- real locking policies have
-        # per-block MPU side effects that must keep their own Compute
-        # yields -- and no span instrumentation (spans want one
-        # begin/end pair per yield-delimited block).
+        # With a cache, a window of blocks is measured inline, without
+        # a Compute yield each, when the engine proves no event can
+        # land inside it (Simulator.coalesce_steps).  Real locking
+        # policies keep their yields for their per-block MPU side
+        # effects, and spans want one begin/end pair per yielded block.
+        # A registered malware agent shrinks the window to one block:
+        # its on_progress may schedule events or write memory.
         inline_ok = (
             cache is not None
             and spans is None
             and type(self.policy) is NoLock
         )
-        # Burst mode tightens the inline path further: when no malware
-        # agent is registered, nothing inside a run can schedule an
-        # event or observe the clock, so the engine's coalesce window
-        # is computed ONCE per burst (instead of per block) and
-        # ``sim.now``/``_seq``/counters are written back in one batch.
-        # The per-step float accumulation (``now += d``) matches
-        # ``coalesce_advance`` exactly, and intermediate ``_seq`` values
-        # are unobservable, so traces stay byte-identical.  Ring-buffer
-        # traces need :meth:`Trace.record`'s dropped-count bookkeeping,
-        # hence the ``max_records is None`` gate on the direct-append.
-        trace = device.trace
-        burst_ok = inline_ok and trace.max_records is None
-        normalize = config.normalize_mutable
-        plain_content = not (normalize or config.attach_mutable)
-        records_append = trace.records.append
+        trace_record = device.trace.record
         mac_update = mac.update
-        cache_lookup = cache.lookup if cache is not None else None
-        cache_store = cache.store if cache is not None else None
         read_block = memory.read_block
         benign = memory.reference_blocks()
         benign_audit = memory.benign_audit
@@ -303,10 +280,32 @@ class MeasurementProcess:
         notify = config.notify_malware
         total = len(order)
         position = 0
-        looked_up = False  # cache_key/cached already hold order[position]
         while position < total:
-            block_index = order[position]
-            if not looked_up:
+            steps = 0
+            if inline_ok:
+                steps = sim.coalesce_steps(
+                    block_hash_time,
+                    1 if device.malware_agents else total - position,
+                )
+            if not steps:
+                block_index = order[position]
+                if spans is not None:
+                    # Mirror the Section 3.2 adversary model in the
+                    # trace: when the order is a secret permutation the
+                    # span says how far along MP is, never which block
+                    # it touched.
+                    block_args = {"position": position + 1}
+                    if config.order != "shuffled":
+                        block_args["block"] = block_index
+                    block_span = spans.begin_span(
+                        "ra.block", category="ra.measurement", **block_args
+                    )
+                pre_ops = self.policy.before_block(block_index)
+                if pre_ops:
+                    yield Compute(self._lock_cost(pre_ops))
+            now = sim.now
+            cpu_time = proc.cpu_time
+            for block_index in order[position:position + (steps or 1)]:
                 cached = None
                 if cache is not None:
                     cache_key = (
@@ -314,172 +313,44 @@ class MeasurementProcess:
                         algorithm, key_fp,
                     )
                     cached = cache_lookup(cache_key)
-            looked_up = False
-            if inline_ok and sim.can_coalesce(block_hash_time):
-                if burst_ok and not device.malware_agents:
-                    # can_coalesce just proved now + d is inside both
-                    # bounds; freeze them for the whole burst.  The
-                    # cache's OrderedDict is driven directly here (same
-                    # get / move_to_end / counter discipline as
-                    # DigestCache.lookup) to shed a call per block, and
-                    # the running clock / CPU-time / hit-and-miss
-                    # counters live in locals -- identical
-                    # one-add-per-block float sequences, written back
-                    # before anything else can observe them.  Misses
-                    # read + audit + fill the cache inline; with no
-                    # agents registered nothing can have dirtied memory
-                    # mid-burst, so the benign-identity fast path takes
-                    # the interned reference audit whenever the block
-                    # really is pristine.
-                    head = sim._live_head()
-                    head_time = head.time if head is not None else None
-                    until_bound = sim._until
-                    entries_get = cache._entries.get
-                    entries_move = cache._entries.move_to_end
-                    now = sim.now
-                    cpu_time = proc.cpu_time
-                    steps = 0
-                    burst_hits = 0
-                    burst_misses = 0
-                    while True:
-                        if cached is None:
-                            content = read_block(block_index)
-                            reference = benign[block_index]
-                            if content is reference or content == reference:
-                                audit = benign_audit(block_index)
-                            else:
-                                audit = audit_hash(content)  # repro: allow[perf-uncached-digest]
-                            cache_store(cache_key, content, audit)
-                        else:
-                            content, audit = cached
-                        block_times[block_index] = now
-                        block_hashes[block_index] = audit
-                        if plain_content:
-                            mac_update(content)
-                        elif normalize:
-                            mac_update(
-                                zero_block if mutable_lookup[block_index]
-                                else content
-                            )
-                        else:
-                            mac_update(digest_content(block_index, content))
-                        records_append(TraceRecord(
-                            now, "compute", proc_name,
-                            {"duration": block_hash_time},
-                        ))
-                        now += block_hash_time
-                        cpu_time += block_hash_time
-                        steps += 1
-                        position += 1
-                        # notify_block_measured is skipped: no agents
-                        # are registered, so it would be a no-op.
-                        if position >= total:
-                            break
-                        target = now + block_hash_time
-                        if (
-                            until_bound is not None
-                            and target > until_bound
-                        ) or (
-                            head_time is not None and target >= head_time
-                        ):
-                            # Window exhausted: the next block re-enters
-                            # the outer loop un-looked-up and lands on
-                            # the generic path (can_coalesce fails for
-                            # the same frozen bounds).
-                            break
-                        block_index = order[position]
-                        cache_key = (
-                            block_index, generations[block_index],
-                            algorithm, key_fp,
-                        )
-                        cached = entries_get(cache_key)
-                        if cached is None:
-                            burst_misses += 1
-                        else:
-                            entries_move(cache_key)
-                            burst_hits += 1
-                    sim.now = now
-                    sim._seq += steps
-                    proc.cpu_time = cpu_time
-                    cache.hits += burst_hits
-                    cache.misses += burst_misses
-                    if sim._m_scheduled is not None:
-                        sim._m_scheduled.inc(steps)
-                        sim._m_fired.inc(steps)
-                    continue
-                while True:
-                    if cached is None:
-                        content = read_block(block_index)
-                        reference = benign[block_index]
-                        if content is reference or content == reference:
-                            audit = benign_audit(block_index)
-                        else:
-                            audit = audit_hash(content)  # repro: allow[perf-uncached-digest]
-                        cache_store(cache_key, content, audit)
-                    else:
-                        content, audit = cached
-                    block_times[block_index] = sim.now
-                    block_hashes[block_index] = audit
-                    mac.update(digest_content(block_index, content))
-                    trace.record(
-                        sim.now, "compute", proc.name,
-                        duration=block_hash_time,
-                    )
-                    sim.coalesce_advance(block_hash_time)
-                    proc.cpu_time += block_hash_time
-                    position += 1
-                    if notify:
-                        device.notify_block_measured(
-                            position, total, interruptible, region_name
-                        )
-                    if position >= total:
-                        break
-                    block_index = order[position]
-                    cache_key = (
-                        block_index, generations[block_index],
-                        algorithm, key_fp,
-                    )
-                    cached = cache.lookup(cache_key)
-                    if not sim.can_coalesce(block_hash_time):
-                        # Hand order[position] -- lookup already done --
-                        # to the generic path below.
-                        looked_up = True
-                        break
-                continue
-            if spans is not None:
-                # Mirror the Section 3.2 adversary model in the trace:
-                # when the order is a secret permutation the span says
-                # how far along MP is, never which block it touched.
-                block_args = {"position": position + 1}
-                if config.order != "shuffled":
-                    block_args["block"] = block_index
-                block_span = spans.begin_span(
-                    "ra.block", category="ra.measurement", **block_args
-                )
-            pre_ops = self.policy.before_block(block_index)
-            if pre_ops:
-                yield Compute(self._lock_cost(pre_ops))
-            if cached is None:
-                content = memory.read_block(block_index)
-                # Miss path doubles as the cache fill; still-benign
-                # content reuses the interned reference audit, anything
-                # else is hashed -- exactly what the next visit skips.
-                # The cache-off (seed) path keeps its unconditional
-                # hash so it stays byte-for-byte untouched.
-                if cache is not None:
+                if cached is None:
+                    content = read_block(block_index)
+                    # Still-benign content (an identity check against
+                    # the interned reference in the common case) reuses
+                    # the precomputed reference audit; anything else is
+                    # hashed.
                     reference = benign[block_index]
                     if content is reference or content == reference:
                         audit = benign_audit(block_index)
                     else:
                         audit = audit_hash(content)  # repro: allow[perf-uncached-digest]
-                    cache.store(cache_key, content, audit)
+                    if cache is not None:
+                        cache_store(cache_key, content, audit)
                 else:
-                    audit = audit_hash(content)  # repro: allow[perf-uncached-digest]
-            else:
-                content, audit = cached
-            block_times[block_index] = sim.now
-            block_hashes[block_index] = audit
-            mac.update(digest_content(block_index, content))
+                    content, audit = cached
+                block_times[block_index] = now
+                block_hashes[block_index] = audit
+                mac_update(
+                    mutable_content(block_index, content)
+                    if mutable_lookup[block_index] else content
+                )
+                if steps:
+                    trace_record(
+                        now, "compute", proc_name, duration=block_hash_time
+                    )
+                    now += block_hash_time
+                    cpu_time += block_hash_time
+            if steps:
+                sim.coalesce_advance(block_hash_time, steps)
+                proc.cpu_time = cpu_time
+                position += steps
+                # A window of more than one block means no agent is
+                # registered, so one notification per window suffices.
+                if notify:
+                    device.notify_block_measured(
+                        position, total, interruptible, region_name
+                    )
+                continue
             yield Compute(block_hash_time, coalesce=cached is not None)
             post_ops = self.policy.after_block(block_index)
             if post_ops:

@@ -14,7 +14,6 @@ a strictly increasing monotonic counter (Section 3.3).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -29,22 +28,6 @@ from repro.ra.report import (
     VerificationResult,
 )
 from repro.sim.engine import Simulator
-
-#: deprecated-entry-point names already warned about (warn once per
-#: process, not once per call -- shims stay quiet in loops)
-_DEPRECATION_WARNED: set = set()
-
-
-def _warn_deprecated(old: str) -> None:
-    if old in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(old)
-    warnings.warn(
-        f"Verifier.{old} is deprecated; use Verifier.enroll(device, "
-        f"*, signing=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -157,9 +140,6 @@ class Verifier:
         profile is returned (reference state is *not* refreshed), with
         ``signing`` applied when given -- so attaching a signing
         identity after enrollment is just a second ``enroll`` call.
-
-        Replaces the deprecated ``register_device`` /
-        ``register_from_device`` / ``register_signing_identity`` trio.
         """
         if isinstance(device, str):
             name = device
@@ -221,40 +201,6 @@ class Verifier:
         self.devices[name] = profile
         self._seen_nonces[name] = set()
         return profile
-
-    # -- deprecated registry shims (pre-enroll API) -----------------------
-
-    def register_device(
-        self,
-        name: str,
-        key: bytes,
-        reference: Sequence[bytes],
-        region_map: Optional[Dict[str, List[int]]] = None,
-        mutable_blocks: Optional[frozenset] = None,
-    ) -> DeviceProfile:
-        """Deprecated: use :meth:`enroll`.  Kept (with the historical
-        duplicate-registration error) for old call sites."""
-        _warn_deprecated("register_device")
-        if name in self.devices:
-            raise ConfigurationError(f"device {name!r} already registered")
-        return self._new_profile(
-            name, key, reference, region_map, mutable_blocks
-        )
-
-    def register_from_device(self, device) -> DeviceProfile:
-        """Deprecated: use :meth:`enroll`."""
-        _warn_deprecated("register_from_device")
-        if device.name in self.devices:
-            raise ConfigurationError(
-                f"device {device.name!r} already registered"
-            )
-        return self.enroll(device)
-
-    def register_signing_identity(self, device_name: str,
-                                  public_identity) -> None:
-        """Deprecated: use ``enroll(device, signing=...)``."""
-        _warn_deprecated("register_signing_identity")
-        self.profile(device_name).public_identity = public_identity
 
     def profile(self, device_name: str) -> DeviceProfile:
         profile = self.devices.get(device_name)

@@ -56,9 +56,6 @@ class LintConfig:
         "repro/vserver/",
         "repro/fleet/",
     )
-    #: modules allowed to reference deprecated API shims (the module
-    #: that defines them, so its docstrings/tests stay honest)
-    deprecated_api_allowlist: Tuple[str, ...] = ("repro/ra/verifier.py",)
     #: subset of rule ids to run (None = all registered rules)
     select: Optional[Tuple[str, ...]] = None
 
@@ -211,7 +208,6 @@ def override_severity(rule_id: str, severity: Severity) -> None:
 def _load_rule_modules() -> None:
     """Import the rule modules so their decorators run (idempotent)."""
     from repro.staticlint import (  # noqa: F401
-        api_rules,
         atomicity,
         crypto_rules,
         determinism,

@@ -262,17 +262,3 @@ class TestParallel:
         assert [r.run_id for r in report.results] == [
             s.run_id for s in specs
         ]
-
-    @pytest.mark.skipif(
-        (os.cpu_count() or 1) < 2,
-        reason="speedup needs >= 2 physical cores",
-    )
-    def test_parallel_speedup_on_multicore(self):
-        from repro.fleet import qoa_fleet_campaign
-
-        specs = qoa_fleet_campaign().plan()
-        serial = execute_campaign(specs, ExecutorConfig(workers=0))
-        parallel = execute_campaign(
-            specs, ExecutorConfig(workers=max(2, os.cpu_count() or 2))
-        )
-        assert serial.wall_clock / parallel.wall_clock > 1.5

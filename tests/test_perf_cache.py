@@ -25,7 +25,9 @@ from repro.core.tradeoff import ScenarioConfig
 from repro.errors import ConfigurationError, MemoryFault
 from repro.perf.digest_cache import DigestCache
 from repro.ra.erasmus import CollectorVerifier, ErasmusService
-from repro.ra.measurement import MeasurementConfig
+from repro.ra.locking import make_policy
+from repro.ra.measurement import MeasurementConfig, MeasurementProcess
+from repro.ra.report import audit_hash
 from repro.ra.service import OnDemandVerifier
 from repro.ra.verifier import Verifier
 from repro.scenario import Scenario
@@ -33,6 +35,7 @@ from repro.sim.device import Device
 from repro.sim.engine import Simulator
 from repro.sim.memory import Memory
 from repro.sim.network import Channel
+from repro.sim.trace import Trace
 
 
 # -- DigestCache unit semantics -------------------------------------------
@@ -178,7 +181,75 @@ def verdicts(scenario):
     return [result.verdict for result in scenario.verifier.results]
 
 
+#: direct-MP cases: clean memory, a dirty code block plus a mid-run
+#: data write, then that on a ring-buffer trace, under each treatment
+#: of the mutable region, and under a real locking policy
+RECORD_CASES = [
+    "clean", "dirty", "ring-trace", "normalize", "attach", "inc-lock",
+]
+
+
+def measure_twice(case, cache):
+    """Two back-to-back measurements on one device; the second one
+    re-walks the blocks the first filled into the cache."""
+    sim = Simulator()
+    device = Device(
+        sim, block_count=16, block_size=32,
+        trace=Trace(max_records=40) if case == "ring-trace" else None,
+        digest_cache=DigestCache() if cache else None,
+    )
+    device.standard_layout()
+    if case != "clean":
+        device.memory.write(2, b"\x5a" * 32, actor="malware")
+        # lands mid-traversal, on a data block not yet measured
+        block_time = device.hash_time("blake2s", device.memory.sim_block_size)
+        sim.schedule_at(
+            5.5 * block_time, device.memory.try_write, 12, b"\x11" * 32, "app"
+        )
+    records = []
+    for counter in (1, 2):
+        config = MeasurementConfig(
+            normalize_mutable=case == "normalize",
+            attach_mutable=case == "attach",
+            locking=make_policy("inc-lock") if case == "inc-lock" else None,
+        )
+        mp = MeasurementProcess(
+            device, config, nonce=b"golden", counter=counter
+        )
+        device.cpu.spawn(f"mp{counter}", mp.run, priority=config.priority)
+        sim.run(until=sim.now + 100.0)
+        records.append(mp.record)
+    return device, records
+
+
 class TestGoldenEquality:
+    @pytest.mark.parametrize("case", RECORD_CASES)
+    def test_measurement_records_identical(self, case):
+        off_device, off = measure_twice(case, cache=False)
+        on_device, on = measure_twice(case, cache=True)
+        for rec_off, rec_on in zip(off, on):
+            assert rec_off.digest == rec_on.digest
+            assert rec_off.audit_block_times == rec_on.audit_block_times
+            assert rec_off.audit_block_hashes == rec_on.audit_block_hashes
+            assert rec_off.data_copy == rec_on.data_copy
+        assert off == on  # every other MeasurementRecord field too
+        assert off_device.trace.render() == on_device.trace.render()
+        assert off_device.trace.dropped == on_device.trace.dropped
+        assert on_device.digest_cache.hits > 0
+        if case == "ring-trace":
+            assert on_device.trace.dropped > 0
+        if case == "attach":
+            assert off[0].data_copy
+        if case == "clean":
+            # an independent reference: hash the benign image here
+            # instead of trusting the interned audits the step reuses
+            expected = tuple(
+                audit_hash(block)
+                for block in off_device.memory.benign_image()
+            )
+            for record in off + on:
+                assert record.audit_block_hashes == expected
+
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_trace_and_verdicts_identical(self, mechanism):
         off = run_scenario(mechanism, cache=False)

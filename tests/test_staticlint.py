@@ -913,78 +913,12 @@ class TestPerfUnboundedQueueRule:
                 assert found == [], (path, found)
 
 
-class TestDeprecatedRegisterRule:
-    RULE = "api-deprecated-register"
-
-    def test_register_from_device_flagged(self):
-        src = (
-            "def setup(verifier, device):\n"
-            "    return verifier.register_from_device(device)\n"
-        )
-        found = live(findings_for(src, path=FLEET_PATH, rule=self.RULE))
-        assert [f.rule_id for f in found] == [self.RULE]
-        assert found[0].line == 2
-        assert "register_from_device" in found[0].message
-        assert "enroll" in found[0].hint
-
-    def test_all_three_shims_flagged(self):
-        src = (
-            "def setup(v, d):\n"
-            "    v.register_device(d.name, key=b'k', reference=[])\n"
-            "    v.register_from_device(d)\n"
-            "    v.register_signing_identity(d.name, 'pub')\n"
-        )
-        found = live(findings_for(src, path=FLEET_PATH, rule=self.RULE))
-        assert [f.line for f in found] == [2, 3, 4]
-
-    def test_enroll_not_flagged(self):
-        src = (
-            "def setup(verifier, device):\n"
-            "    verifier.enroll(device, signing='pub')\n"
-        )
-        assert live(findings_for(src, path=FLEET_PATH, rule=self.RULE)) == []
-
-    def test_defining_module_allowlisted(self):
-        # the shim bodies live in ra/verifier.py; the rule must not
-        # flag the module that implements the deprecation itself
-        src = (
-            "def migrate(v, d):\n"
-            "    v.register_from_device(d)\n"
-        )
-        found = live(findings_for(
-            src, path="src/repro/ra/verifier.py", rule=self.RULE
-        ))
-        assert found == []
-
-    def test_suppression_comment_respected(self):
-        src = (
-            "def setup(v, d):\n"
-            "    v.register_from_device(d)"
-            "  # repro: allow[api-deprecated-register]\n"
-        )
-        findings = findings_for(src, path=FLEET_PATH, rule=self.RULE)
-        assert len(findings) == 1 and findings[0].suppressed
-        assert not live(findings)
-
-    def test_shipped_sources_clean(self):
-        import pathlib
-
-        config = LintConfig(select=(self.RULE,))
-        for path in sorted(pathlib.Path("src/repro").rglob("*.py")):
-            found = live(findings_for(
-                path.read_text(encoding="utf-8"),
-                path=str(path),
-                config=config,
-            ))
-            assert found == [], (path, found)
-
-
 class TestRegistry:
-    def test_catalogue_covers_six_families(self):
+    def test_catalogue_covers_five_families(self):
         families = {rule.family for rule in all_rules()}
         assert families == {
             "determinism", "crypto", "atomicity", "observability",
-            "performance", "api",
+            "performance",
         }
 
     def test_every_rule_has_rationale_and_hint(self):

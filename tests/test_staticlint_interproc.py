@@ -728,22 +728,3 @@ class TestCliWholeProgram:
         code = main([str(src), "--no-baseline", "--changed", "HEAD"])
         assert code == 0
         assert "nothing to lint" in capsys.readouterr().out
-
-
-class TestSelfscanBench:
-    def test_cached_selfscan_at_least_3x_faster(self, tmp_path):
-        # the ISSUE-level acceptance bar for the cache: a warm
-        # content-hash run must beat the cold parse+fixpoint by >= 3x.
-        # Quick mode scans the staticlint package itself, so the cold
-        # side is real work, not fixture noise.
-        from repro.perf.bench import bench_lint_selfscan
-
-        result = bench_lint_selfscan(True, tmp_path)
-        payload = result["lint.selfscan"]
-        assert payload["primary"] == "speedup"
-        assert payload["direction"] == "higher"
-        assert payload["speedup"] >= 3.0, (
-            f"cached self-scan only {payload['speedup']:.1f}x faster "
-            f"(cold {payload['cold_ms']:.1f}ms, "
-            f"cached {payload['cached_ms']:.1f}ms)"
-        )

@@ -61,15 +61,10 @@ class TestSelfScan:
             # one-shot benign-reference build at analyzer construction;
             # never on a traversal hot path.
             ("consistency.py", "perf-uncached-digest"),
-            # the cache-miss fills themselves -- burst, per-block
-            # inline, cached generic and seed-path generic -- are the
-            # four places that compute what the cache (or the report)
-            # serves afterwards; still-benign content short-circuits
-            # to the interned ReferenceStore audit before any of them
-            # actually hash.
-            ("measurement.py", "perf-uncached-digest"),
-            ("measurement.py", "perf-uncached-digest"),
-            ("measurement.py", "perf-uncached-digest"),
+            # the measurement step's audit of a read block: the one
+            # place that computes what the cache (or the report) serves
+            # afterwards; still-benign content short-circuits to the
+            # interned ReferenceStore audit before it actually hashes.
             ("measurement.py", "perf-uncached-digest"),
             # t_r release timer: the extended locking policies hold the
             # lock past the atomic section by design (Section 3.1).

@@ -1,7 +1,5 @@
 """The verifier: reference database, verdicts, replay defenses."""
 
-import warnings
-
 import pytest
 
 from repro.errors import ConfigurationError
@@ -47,28 +45,6 @@ class TestRegistry:
         again = verifier.enroll(device, signing=marker)
         assert again is first
         assert first.public_identity is marker
-
-    def test_register_shims_still_work_and_warn(self):
-        """Coverage for the deprecated registry trio: same profile as
-        enroll, plus the historical duplicate-registration error."""
-        import repro.ra.verifier as verifier_module
-
-        sim = Simulator()
-        device = Device(sim, block_count=8, block_size=32)
-        device.standard_layout()
-        verifier = Verifier(sim)
-        verifier_module._DEPRECATION_WARNED.discard("register_from_device")
-        with pytest.warns(DeprecationWarning):
-            profile = verifier.register_from_device(device)
-        assert profile.key == device.attestation_key
-        # warn-once: a second deprecated call stays quiet but still
-        # enforces the old duplicate-registration contract
-        with pytest.raises(ConfigurationError):
-            verifier.register_from_device(device)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            verifier.register_signing_identity(device.name, "pub")
-        assert verifier.profile(device.name).public_identity == "pub"
 
     def test_unknown_device_rejected(self):
         sim = Simulator()
