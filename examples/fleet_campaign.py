@@ -4,20 +4,23 @@ A single `Simulator` answers one question about one prover.  The fleet
 layer answers distribution-level questions -- "how does detection
 probability scale with T_M?", "what does each locking policy cost a
 writer workload?" -- by planning a deterministic grid of independent
-runs, executing them (serially here; `workers=N` shards them over a
-process pool), and aggregating the structured telemetry.
+runs, executing them through the campaign pipeline (serially here;
+`backend=ProcessPoolBackend(workers=N)` shards them over a process
+pool), and aggregating the structured telemetry.
 
 This walkthrough builds a small custom campaign from scratch; the
 canned ones (`repro fleet run --campaign qoa`) are the same thing at
 larger scale.
 """
 
+import tempfile
+from pathlib import Path
+
 from repro.fleet import (
     CampaignSpec,
-    ExecutorConfig,
-    execute_campaign,
-    pending_specs,
-    summarize,
+    PipelineConfig,
+    read_results_jsonl,
+    run_pipeline,
 )
 from repro.units import MiB
 
@@ -50,13 +53,21 @@ def main() -> None:
     # same IDs, which is what makes campaigns resumable.
     assert [s.run_id for s in campaign.plan()] == [s.run_id for s in specs]
 
-    # 2. Execute.  Serial here; ExecutorConfig(workers=4) uses a pool.
-    report = execute_campaign(specs, ExecutorConfig(workers=0))
+    with tempfile.TemporaryDirectory() as scratch:
+        run_steps(campaign, Path(scratch))
+
+
+def run_steps(campaign: CampaignSpec, scratch: Path) -> None:
+    # 2. Execute.  Serial here; backend=ProcessPoolBackend(workers=4)
+    # uses a pool.  The pipeline writes runs.jsonl, summary.json/.txt
+    # and manifest.json under <out_dir>/<campaign name>/.
+    report = run_pipeline(campaign, out_dir=scratch / "first")
     print(f"\n{report.summary_line()}")
-    assert all(result.ok for result in report.results)
+    assert report.status_counts == {"ok": report.total_runs}
 
     # 3. Every run folds into one structured RunResult.
-    sample = report.results[0]
+    results = read_results_jsonl(report.paths.runs)
+    sample = results[0]
     print(f"\none result ({sample.run_id}):")
     print(f"  verdicts            : {sample.verdict_counts}")
     print(f"  measurements        : {sample.measurements} "
@@ -65,8 +76,8 @@ def main() -> None:
           f"in {sample.hash_ops} block ops")
     print(f"  deadline miss rate  : {sample.miss_rate:.1%}")
 
-    # 4. Aggregate across the grid.
-    summary = summarize(report.results)
+    # 4. Aggregate across the grid (the pipeline already folded it).
+    summary = report.summary
     print(f"\n{summary.render()}")
 
     # The 5-second-resident malware spans at least one measurement of
@@ -79,15 +90,17 @@ def main() -> None:
 
     # 5. Determinism: re-executing the same plan reproduces the same
     # telemetry byte for byte (this is also the serial/parallel parity
-    # guarantee the executor tests enforce).
-    again = execute_campaign(specs, ExecutorConfig(workers=0))
-    assert [r.to_json_line() for r in again.results] == [
-        r.to_json_line() for r in report.results
-    ]
+    # guarantee the backend tests enforce).
+    again = run_pipeline(campaign, out_dir=scratch / "second")
+    assert again.paths.runs.read_bytes() == report.paths.runs.read_bytes()
 
-    # 6. Resume support: completed runs drop out of the pending set.
-    assert pending_specs(specs, report.results) == []
-    assert len(pending_specs(specs, report.results[:-2])) == 2
+    # 6. Resume support: a resumed pass over a finished campaign finds
+    # every run already done and executes nothing.
+    resumed = run_pipeline(
+        campaign, out_dir=scratch / "first",
+        config=PipelineConfig(resume=True),
+    )
+    assert resumed.executed == 0 and resumed.restored == report.total_runs
     print("\nparity + resume checks passed")
 
 

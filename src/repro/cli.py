@@ -134,14 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_campaign_options(run)
     run.add_argument(
-        "--backend", default=None,
-        help="execution backend: serial, process[:N], spool:DIR "
-             "(overrides --workers/--mode)",
+        "--backend", default="serial",
+        help="execution backend: serial, process[:N], spool:DIR",
     )
-    run.add_argument("--workers", type=int, default=0,
-                     help="worker processes (0/1 = serial)")
-    run.add_argument("--mode", default="auto",
-                     choices=["auto", "serial", "parallel"])
     run.add_argument("--shard-size", type=int, default=8)
     run.add_argument("--retries", type=int, default=1,
                      help="extra attempts for a raising run")
@@ -359,12 +354,7 @@ def _run_fleet(args: argparse.Namespace) -> str:
     if args.timeout > 0:
         specs = [spec.with_overrides(timeout=args.timeout) for spec in specs]
     lines = []
-    if args.backend:
-        backend = fleet.resolve_backend(args.backend)
-    elif args.mode == "parallel" or (args.mode == "auto" and args.workers > 1):
-        backend = fleet.ProcessPoolBackend(workers=args.workers)
-    else:
-        backend = fleet.SerialBackend()
+    backend = fleet.resolve_backend(args.backend)
     config = fleet.PipelineConfig(
         shard_size=args.shard_size,
         retries=args.retries,

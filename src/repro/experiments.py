@@ -640,20 +640,28 @@ def fleet_qoa(seed_count: int = 6, workers: int = 0) -> FleetQoAResult:
     ``workers > 1`` shards the campaign over a process pool; the
     default stays serial so the driver works everywhere.
     """
+    import tempfile
+
     from repro.fleet import (
-        ExecutorConfig,
-        execute_campaign,
+        ProcessPoolBackend,
+        SerialBackend,
         qoa_fleet_campaign,
-        summarize,
+        read_results_jsonl,
+        run_pipeline,
     )
 
     campaign = qoa_fleet_campaign(seed_count=seed_count)
-    specs = campaign.plan()
-    report = execute_campaign(specs, ExecutorConfig(workers=workers))
+    backend = (
+        ProcessPoolBackend(workers=workers) if workers > 1
+        else SerialBackend()
+    )
+    with tempfile.TemporaryDirectory() as out_dir:
+        report = run_pipeline(campaign, out_dir=out_dir, backend=backend)
+        results = read_results_jsonl(report.paths.runs)
 
     buckets: Dict[Tuple[float, float], List[bool]] = {}
     analytic: Dict[Tuple[float, float], float] = {}
-    for result in report.results:
+    for result in results:
         if not result.ok:
             continue
         key = (result.spec["t_m"], result.spec["dwell"])
@@ -668,13 +676,12 @@ def fleet_qoa(seed_count: int = 6, workers: int = 0) -> FleetQoAResult:
         )
         for key, hits in buckets.items()
     }
-    summary = summarize(report.results, campaign=campaign.name)
     return FleetQoAResult(
         campaign_name=campaign.name,
-        run_count=len(report.results),
+        run_count=report.total_runs,
         execution_summary=report.summary_line(),
         curves=curves,
-        summary_text=summary.render(),
+        summary_text=report.summary.render(),
     )
 
 

@@ -8,11 +8,9 @@ axes or heterogeneous :class:`Cohort` populations -- into deterministic
 Execution is pluggable via :class:`ExecutorBackend` (in-process serial,
 process pool, or a file-spool of remote workers); completed shards
 checkpoint to disk for kill-safe ``--resume``; and results stream
-through a memory-bounded :class:`StreamingAggregator` whose artifacts
-are byte-identical to the legacy in-RAM batch path
-(:func:`execute_campaign` + :func:`write_artifacts`, both still
-supported for small sweeps).  See docs/fleet.md for the artifact
-layout and the migration guide.
+through a memory-bounded :class:`StreamingAggregator`, so the
+artifacts are byte-identical whichever backend ran the shards.  See
+docs/fleet.md for the artifact layout.
 """
 
 from repro.fleet.backends import (
@@ -40,11 +38,8 @@ from repro.fleet.campaign import (
 )
 from repro.fleet.clock import ClockFn, monotonic_time, perf_time, wall_time
 from repro.fleet.executor import (
-    ExecutionReport,
-    ExecutorConfig,
     FleetTimeout,
     InjectedFailure,
-    execute_campaign,
     execute_run,
     run_one,
 )
@@ -60,13 +55,10 @@ from repro.fleet.results import (
     GroupSummary,
     StreamingAggregator,
     artifact_paths,
-    pending_specs,
     percentile,
     read_manifest,
     read_results_jsonl,
     summarize,
-    write_artifacts,
-    write_results_jsonl,
 )
 from repro.fleet.store import (
     RunResultStore,
@@ -95,9 +87,7 @@ __all__ = [
     "CampaignSummary",
     "Cohort",
     "ExchangeSketch",
-    "ExecutionReport",
     "ExecutorBackend",
-    "ExecutorConfig",
     "FleetTimeout",
     "GroupSummary",
     "InjectedFailure",
@@ -120,7 +110,6 @@ __all__ = [
     "ValueSketch",
     "artifact_paths",
     "canned_campaign",
-    "execute_campaign",
     "execute_run",
     "failure_result",
     "hetero_fleet_campaign",
@@ -128,7 +117,6 @@ __all__ = [
     "make_shards",
     "matrix_fleet_campaign",
     "monotonic_time",
-    "pending_specs",
     "perf_time",
     "percentile",
     "plan_hash",
@@ -142,6 +130,4 @@ __all__ = [
     "summarize",
     "verdict_histogram",
     "wall_time",
-    "write_artifacts",
-    "write_results_jsonl",
 ]

@@ -153,12 +153,12 @@ def _default_pool_factory(workers: int) -> ProcessPoolExecutor:
 class ProcessPoolBackend:
     """Shards over a local ``ProcessPoolExecutor``.
 
-    Failure containment mirrors the historical executor exactly: a
-    shard whose worker crashes (``BrokenProcessPool``) re-runs
-    in-process and is marked degraded; once the pool breaks, every
-    remaining shard degrades without waiting on dead futures; and if
-    no pool can be created at all the whole campaign runs serially
-    (``mode`` reports ``"serial"`` and every shard counts degraded).
+    Failure containment: a shard whose worker crashes
+    (``BrokenProcessPool``) re-runs in-process and is marked degraded;
+    once the pool breaks, every remaining shard degrades without
+    waiting on dead futures; and if no pool can be created at all the
+    whole campaign runs serially (``mode`` reports ``"serial"`` and
+    every shard counts degraded).
     ``runner`` must be module-level (picklable) for pool dispatch.
     """
 

@@ -7,12 +7,11 @@ nothing: each worker builds its own :class:`~repro.sim.engine.Simulator`,
 from the spec, so shards can execute in any process in any order and
 still produce byte-identical deterministic telemetry.
 
-Execution modes:
-
-* **serial** -- in-process loop; the debugging/test baseline;
-* **parallel** -- shards dispatched over a ``ProcessPoolExecutor``;
-  degrades per-shard to in-process execution when a worker crashes,
-  and degrades wholesale to serial mode when no pool can be created.
+This module is the per-run layer: :func:`execute_run` builds and runs
+one scenario, and :func:`run_one` wraps it in failure containment.
+Where shards run (in-process, a process pool, spooled workers) is the
+job of :mod:`repro.fleet.backends`; the campaign driver is
+:func:`repro.fleet.pipeline.run_pipeline`.
 
 Failure containment, per run: a wall-clock timeout (``RunSpec.timeout``,
 enforced with ``SIGALRM`` where available), bounded retries for raising
@@ -28,10 +27,7 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.apps.metrics import summarize_tasks
@@ -39,7 +35,6 @@ from repro.core.qoa import QoAParameters
 from repro.core.tradeoff import ScenarioConfig
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.timing import OdroidXU4Model
-from repro.errors import ConfigurationError
 from repro.fleet.campaign import RunSpec
 from repro.fleet.clock import perf_time
 from repro.fleet.telemetry import (
@@ -532,163 +527,3 @@ def _run_shard(
 ) -> List[RunResult]:
     """Worker entry point: execute a shard sequentially in-process."""
     return [run_one(spec, retries=retries, runner=runner) for spec in specs]
-
-
-# ---------------------------------------------------------------------------
-# The executor
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExecutorConfig:
-    """Knobs for one campaign execution."""
-
-    workers: int = 0  # 0/1 = serial
-    mode: str = "auto"  # "auto" | "serial" | "parallel"
-    shard_size: int = 8
-    retries: int = 1
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("auto", "serial", "parallel"):
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.shard_size <= 0:
-            raise ConfigurationError("shard_size must be positive")
-        if self.retries < 0:
-            raise ConfigurationError("retries must be >= 0")
-
-
-@dataclass
-class ExecutionReport:
-    """Everything the executor did, results in plan order."""
-
-    results: List[RunResult]
-    mode: str
-    workers: int
-    shard_count: int
-    degraded_shards: int
-    wall_clock: float
-
-    @property
-    def status_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for result in self.results:
-            counts[result.status] = counts.get(result.status, 0) + 1
-        return counts
-
-    @property
-    def by_id(self) -> Dict[str, RunResult]:
-        return {result.run_id: result for result in self.results}
-
-    def summary_line(self) -> str:
-        counts = self.status_counts
-        breakdown = " ".join(
-            f"{status}={count}" for status, count in sorted(counts.items())
-        )
-        return (
-            f"{len(self.results)} runs in {self.wall_clock:.2f}s "
-            f"({self.mode}, workers={self.workers}, "
-            f"shards={self.shard_count}, degraded={self.degraded_shards}): "
-            f"{breakdown or 'nothing to do'}"
-        )
-
-
-def make_shards(
-    specs: Sequence[RunSpec], shard_size: int
-) -> List[List[RunSpec]]:
-    """Partition ``specs`` into plan-order shards of ``shard_size``."""
-    return [
-        list(specs[index:index + shard_size])
-        for index in range(0, len(specs), shard_size)
-    ]
-
-
-def _default_pool_factory(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=workers)
-
-
-def execute_campaign(
-    specs: Sequence[RunSpec],
-    config: Optional[ExecutorConfig] = None,
-    runner: Runner = execute_run,
-    pool_factory: Callable[[int], ProcessPoolExecutor] = _default_pool_factory,
-    log: Optional[Callable[[str], None]] = None,
-) -> ExecutionReport:
-    """Execute every spec; never raises for per-run failures.
-
-    In parallel mode shards are submitted to a process pool; a shard
-    whose worker crashes (``BrokenProcessPool``) is re-executed
-    in-process, and if no pool can be created at all the whole campaign
-    gracefully degrades to serial mode.  ``runner`` must be a
-    module-level (picklable) callable for parallel execution.
-    """
-    config = config or ExecutorConfig()
-    emit = log or (lambda message: None)
-    start = perf_time()
-    specs = list(specs)
-
-    want_parallel = config.mode == "parallel" or (
-        config.mode == "auto" and config.workers > 1
-    )
-    if not specs:
-        want_parallel = False
-
-    if not want_parallel:
-        results = _run_shard(specs, config.retries, runner)
-        return ExecutionReport(
-            results=results,
-            mode="serial",
-            workers=1,
-            shard_count=1 if specs else 0,
-            degraded_shards=0,
-            wall_clock=perf_time() - start,
-        )
-
-    workers = max(2, config.workers)
-    shards = make_shards(specs, config.shard_size)
-    pool = None
-    try:
-        pool = pool_factory(workers)
-    except Exception as exc:  # no pool available: degrade to serial
-        emit(f"process pool unavailable ({exc!r}); running serially")
-        results = _run_shard(specs, config.retries, runner)
-        return ExecutionReport(
-            results=results,
-            mode="serial",
-            workers=1,
-            shard_count=len(shards),
-            degraded_shards=len(shards),
-            wall_clock=perf_time() - start,
-        )
-
-    results = []
-    degraded = 0
-    pool_broken = False
-    try:
-        futures = [
-            pool.submit(_run_shard, shard, config.retries, runner)
-            for shard in shards
-        ]
-        for index, (shard, future) in enumerate(zip(shards, futures)):
-            try:
-                if pool_broken:
-                    raise BrokenProcessPool("pool already broken")
-                results.extend(future.result())
-            except (BrokenProcessPool, OSError) as exc:
-                pool_broken = True
-                degraded += 1
-                emit(
-                    f"shard {index} lost its worker ({exc!r}); "
-                    "re-running in-process"
-                )
-                results.extend(_run_shard(shard, config.retries, runner))
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    return ExecutionReport(
-        results=results,
-        mode="parallel",
-        workers=workers,
-        shard_count=len(shards),
-        degraded_shards=degraded,
-        wall_clock=perf_time() - start,
-    )

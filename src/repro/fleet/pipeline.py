@@ -1,9 +1,9 @@
 """The staged campaign pipeline: plan -> shard -> execute -> stream -> reduce.
 
-This is the fleet's scale-out path.  The historical executor collected
-every :class:`~repro.fleet.telemetry.RunResult` in one list and handed
-it to the aggregator; at a million provers that list *is* the OOM.
-The pipeline keeps results moving instead:
+This is the one way a campaign runs and writes its artifacts.  No
+stage holds the campaign's :class:`~repro.fleet.telemetry.RunResult`
+list in memory -- at a million provers that list *is* the OOM; the
+pipeline keeps results moving instead:
 
 1. **plan** -- :meth:`CampaignSpec.plan` expands the declarative sweep
    (cohorts, device classes, firmware versions included) into an
@@ -23,10 +23,10 @@ The pipeline keeps results moving instead:
    ``runs.jsonl`` incrementally.
 
 Peak aggregator memory is O(groups + shards), never O(runs), and the
-reduce fold visits results in exactly the order the batch path
-(:func:`~repro.fleet.results.write_artifacts`) does -- which is why a
-streamed, resumed, or remote-executed campaign produces *byte-identical*
-artifacts to an uninterrupted in-memory run.
+reduce fold visits results in run_id-sorted order whatever the backend,
+shard completion order or resume history -- which is why a streamed,
+resumed, or remote-executed campaign produces *byte-identical*
+artifacts to an uninterrupted serial run.
 """
 
 from __future__ import annotations
@@ -125,13 +125,6 @@ class PipelineReport:
         )
 
 
-def plan_shards(
-    specs: Sequence[RunSpec], shard_size: int
-) -> List[Shard]:
-    """Stage 2: slice an ordered plan into dispatchable shards."""
-    return make_shards(specs, shard_size)
-
-
 # ---------------------------------------------------------------------------
 # Prior-result discovery (resume / incremental)
 # ---------------------------------------------------------------------------
@@ -195,11 +188,11 @@ def _reduce_stream(
     """Write ``runs.jsonl`` incrementally while folding the canonical
     summary -- one pass, one result in memory at a time.
 
-    The bytes match :func:`~repro.fleet.results.write_results_jsonl`
-    exactly (every line newline-terminated, empty file for an empty
-    campaign), and the fold order matches the batch path's
-    run_id-sorted ``summarize``, so streaming changes *where* results
-    live, never what the artifacts say.
+    Every line is newline-terminated (an empty campaign writes an
+    empty file), and the fold order is the run_id-sorted order
+    :func:`~repro.fleet.results.summarize` would see over the whole
+    result list, so streaming changes *where* results live, never
+    what the artifacts say.
     """
     aggregator = StreamingAggregator(campaign.name)
     with open(paths.runs, "w", encoding="utf-8") as handle:
@@ -306,7 +299,7 @@ def run_pipeline(
     paths.root.mkdir(parents=True, exist_ok=True)
 
     # -- stage 2: shard -------------------------------------------------
-    shards = plan_shards(specs, config.shard_size)
+    shards = make_shards(specs, config.shard_size)
 
     checkpoints = ShardCheckpointStore(
         out_dir,

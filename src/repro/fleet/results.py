@@ -29,8 +29,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.fleet.campaign import CampaignSpec, RunSpec
-from repro.fleet.clock import ClockFn, wall_time
 from repro.fleet.telemetry import ExchangeSketch, RunResult, ValueSketch
 
 MANIFEST_VERSION = 1
@@ -55,23 +53,8 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# JSONL round-trip
+# JSONL read-back
 # ---------------------------------------------------------------------------
-
-
-def write_results_jsonl(path: Any, results: Iterable[RunResult]) -> int:
-    """Write deterministic JSONL; returns the number of lines.
-
-    The whole file is serialized in memory and written with a single
-    buffered ``write`` -- thousands of per-line syscalls were a
-    measurable share of large-campaign artifact time, and one join
-    produces the identical bytes.
-    """
-    lines = [result.to_json_line() for result in results]
-    body = "\n".join(lines) + "\n" if lines else ""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(body)
-    return len(lines)
 
 
 def read_results_jsonl(path: Any) -> List[RunResult]:
@@ -82,15 +65,6 @@ def read_results_jsonl(path: Any) -> List[RunResult]:
             if line:
                 results.append(RunResult.from_json_line(line))
     return results
-
-
-def pending_specs(
-    specs: Sequence[RunSpec], done: Iterable[RunResult]
-) -> List[RunSpec]:
-    """The subset of ``specs`` with no successful result yet -- the
-    resume set.  Failed/timed-out runs are retried on resume."""
-    finished = {result.run_id for result in done if result.ok}
-    return [spec for spec in specs if spec.run_id not in finished]
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +342,9 @@ class StreamingAggregator:
     aggregators combine via :meth:`merge` -- the unit of cross-shard
     (or cross-host) reduction.
 
-    :func:`summarize` is this class applied to an in-RAM batch, which
-    is what makes the streaming and batch paths byte-identical when
-    fed the same result order.
+    :func:`summarize` is this class applied to an in-RAM result list,
+    so a summary folded over a stream and one folded over a list are
+    identical when fed the same result order.
     """
 
     def __init__(self, campaign: str = "") -> None:
@@ -483,74 +457,6 @@ def artifact_paths(out_dir: Any, campaign_name: str) -> ArtifactPaths:
         summary_json=root / "summary.json",
         summary_txt=root / "summary.txt",
     )
-
-
-def write_artifacts(
-    out_dir: Any,
-    campaign_spec: CampaignSpec,
-    results: Sequence[RunResult],
-    execution: Optional[Any] = None,
-    clock: Optional[ClockFn] = None,
-    code_fingerprint: Optional[str] = None,
-) -> ArtifactPaths:
-    """Write the full artifact set for one executed campaign.
-
-    ``execution`` is an :class:`~repro.fleet.executor.ExecutionReport`
-    (or None when summarizing pre-existing results); only the manifest
-    consumes it.  ``clock`` overrides the telemetry wall clock that
-    stamps the manifest's ``created_at`` (tests inject a fixed one;
-    the stamp is volatile and never part of canonical artifacts).
-    ``code_fingerprint`` identifies the source tree that produced the
-    results; when ``None`` it is computed here, so *every* artifact
-    directory is eligible for a later ``--incremental`` pass, not only
-    ones written by an incremental run.
-    """
-    paths = artifact_paths(out_dir, campaign_spec.name)
-    paths.root.mkdir(parents=True, exist_ok=True)
-
-    ordered = sorted(results, key=lambda r: r.run_id)
-    write_results_jsonl(paths.runs, ordered)
-
-    summary = summarize(ordered, campaign=campaign_spec.name)
-    paths.summary_txt.write_text(summary.render() + "\n", encoding="utf-8")
-    paths.summary_json.write_text(
-        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-    if code_fingerprint is None:
-        from repro.fleet.store import source_fingerprint
-
-        code_fingerprint = source_fingerprint()
-
-    status_counts: Dict[str, int] = {}
-    for result in ordered:
-        status_counts[result.status] = status_counts.get(result.status, 0) + 1
-    manifest = CampaignManifest(
-        version=MANIFEST_VERSION,
-        campaign=campaign_spec.name,
-        spec_hash=campaign_spec.spec_hash,
-        run_count=len(ordered),
-        status_counts=status_counts,
-        mode=getattr(execution, "mode", "external"),
-        workers=getattr(execution, "workers", 0),
-        shard_count=getattr(execution, "shard_count", 0),
-        degraded_shards=getattr(execution, "degraded_shards", 0),
-        wall_clock=getattr(execution, "wall_clock", 0.0),
-        created_at=(clock or wall_time)(),
-        artifacts={
-            "runs": paths.runs.name,
-            "summary_json": paths.summary_json.name,
-            "summary_txt": paths.summary_txt.name,
-        },
-        code_fingerprint=code_fingerprint,
-        cache_hits=sum(1 for result in ordered if result.cache_hit),
-    )
-    paths.manifest.write_text(
-        json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return paths
 
 
 def read_manifest(path: Any) -> CampaignManifest:

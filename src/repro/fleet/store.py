@@ -34,6 +34,11 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.fleet.campaign import RunSpec
+from repro.fleet.results import (
+    artifact_paths,
+    read_manifest,
+    read_results_jsonl,
+)
 from repro.fleet.telemetry import RunResult
 
 
@@ -69,15 +74,6 @@ class RunResultStore:
     """
 
     def __init__(self, out_dir: Any, campaign_name: str) -> None:
-        # Deferred import: results.py imports this module inside
-        # write_artifacts, so the top-level dependency must point one
-        # way only.
-        from repro.fleet.results import (
-            artifact_paths,
-            read_manifest,
-            read_results_jsonl,
-        )
-
         self.paths = artifact_paths(out_dir, campaign_name)
         self.results: Dict[str, RunResult] = {}
         self.code_fingerprint: str = ""

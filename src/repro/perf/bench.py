@@ -445,31 +445,22 @@ def bench_fleet_incremental(
     if quick:
         specs = specs[:3]
     out_dir = workdir / "bench-fleet"
-    config = fleet.ExecutorConfig(mode="serial")
-    fingerprint = fleet.source_fingerprint()
 
     start = perf_time()
-    report = fleet.execute_campaign(specs, config)
-    fleet.write_artifacts(
-        out_dir, campaign, report.results, report,
-        code_fingerprint=fingerprint,
-    )
+    fleet.run_pipeline(campaign, specs, out_dir=out_dir)
     full = perf_time() - start
 
     start = perf_time()
-    store = fleet.RunResultStore(out_dir, campaign.name)
-    hits, pending = store.cached(specs, fingerprint)
-    report2 = fleet.execute_campaign(pending, config)
-    fleet.write_artifacts(
-        out_dir, campaign, hits + report2.results, report2,
-        code_fingerprint=fingerprint,
+    report = fleet.run_pipeline(
+        campaign, specs, out_dir=out_dir,
+        config=fleet.PipelineConfig(incremental=True),
     )
     incremental = perf_time() - start
 
     return {
         "fleet.incremental": {
             "speedup": full / incremental if incremental else float("inf"),
-            "hit_fraction": len(hits) / len(specs) if specs else 0.0,
+            "hit_fraction": report.cache_hits / len(specs) if specs else 0.0,
             "full_ms": full * 1e3,
             "incremental_ms": incremental * 1e3,
             "runs": len(specs),

@@ -119,25 +119,6 @@ class Scenario:
     # -- the factory -------------------------------------------------------
 
     @classmethod
-    def build_service(
-        cls,
-        config: Optional[Any] = None,
-        *,
-        obs: Optional[Any] = None,
-        **overrides: Any,
-    ) -> Any:
-        """Back-compat alias for ``build(service=...)``.
-
-        Kept thin so existing callers keep working; new code should
-        call :meth:`build` with the ``service=`` parameter.
-        """
-        return cls.build(
-            service=config if config is not None else "smoke",
-            obs=obs,
-            service_options=overrides or None,
-        )
-
-    @classmethod
     def _build_service(
         cls,
         service: Any,

@@ -11,10 +11,11 @@ attestation responses.  This module provides:
 * :class:`DropAdversary` / :class:`DelayAdversary` / :class:`ReplayAdversary`
   -- in-path filters used by the failure-injection tests.
 
-Filters historically had three incompatible contracts (return ``None``
-to drop, a float to override the delay, or a list to duplicate); they
-now all speak :class:`FilterVerdict`, and :meth:`Channel.add_filter`
-wraps legacy callables in an adapter so old code keeps working.
+Filters speak :class:`FilterVerdict`.  A plain callable may instead
+return ``None`` (drop), a number (the delivery delay) or a list of
+``(delay, message)`` pairs (the replacement fan-out);
+:meth:`Channel.send` normalizes every return through
+:meth:`FilterVerdict.coerce`.
 """
 
 from __future__ import annotations
@@ -209,11 +210,11 @@ class FilterVerdict:
 
     @classmethod
     def coerce(cls, raw: Any) -> "FilterVerdict":
-        """Normalize a legacy filter return value.
+        """Normalize a filter's return value.
 
-        The pre-unification contracts: ``None`` dropped the message, a
-        list of ``(delay, message)`` pairs replaced the delivery, any
-        number replaced the delivery delay.
+        ``None`` drops the message, a list of ``(delay, message)``
+        pairs replaces the delivery, any number replaces the delivery
+        delay; a :class:`FilterVerdict` passes through.
         """
         if isinstance(raw, FilterVerdict):
             return raw
@@ -227,24 +228,13 @@ class FilterVerdict:
 class ChannelFilter:
     """Base class for in-path filters: ``__call__(Message) -> FilterVerdict``.
 
-    Adversaries and fault injectors both subclass this; anything else
-    handed to :meth:`Channel.add_filter` is wrapped in
-    :class:`LegacyFilterAdapter`.
+    Adversaries and fault injectors both subclass this.  Any other
+    callable handed to :meth:`Channel.add_filter` works too, as long as
+    it returns something :meth:`FilterVerdict.coerce` accepts.
     """
 
     def __call__(self, message: Message) -> FilterVerdict:
         raise NotImplementedError
-
-
-class LegacyFilterAdapter(ChannelFilter):
-    """Adapts a legacy callable (None/number/list contract) to
-    :class:`FilterVerdict`."""
-
-    def __init__(self, fn: Callable[[Message], Any]) -> None:
-        self.fn = fn
-
-    def __call__(self, message: Message) -> FilterVerdict:
-        return FilterVerdict.coerce(self.fn(message))
 
 
 class Channel:
@@ -252,8 +242,8 @@ class Channel:
 
     ``latency`` may be a constant (seconds) or a callable
     ``latency(message) -> float``.  Filters see each message before
-    delivery and return a :class:`FilterVerdict`; legacy callables
-    using the old None/number/list contract are adapted transparently.
+    delivery and return a :class:`FilterVerdict`, or a value
+    :meth:`FilterVerdict.coerce` normalizes (None/number/list).
     """
 
     def __init__(
@@ -288,8 +278,6 @@ class Channel:
         return self.attach(Endpoint(self.sim, name))
 
     def add_filter(self, filter_fn: Callable[[Message], Any]) -> None:
-        if not isinstance(filter_fn, ChannelFilter):
-            filter_fn = LegacyFilterAdapter(filter_fn)
         self.filters.append(filter_fn)
 
     def _base_latency(self, message: Message) -> float:

@@ -60,7 +60,7 @@ _NONDET_SOURCES: Tuple[str, ...] = WALL_CLOCK_CALLS + (
 )
 
 #: deterministic artifacts: the event queue, content digests, and the
-#: canonical JSONL writers
+#: canonical JSONL line serializer
 _DET_SINK_TERMINALS: Tuple[str, ...] = (
     "schedule",
     "schedule_at",
@@ -68,7 +68,6 @@ _DET_SINK_TERMINALS: Tuple[str, ...] = (
     "hmac_digest",
     "content_fingerprint",
     "to_json_line",
-    "write_results_jsonl",
 )
 
 #: the sanctioned telemetry envelope: RunResult separates volatile

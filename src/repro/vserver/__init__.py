@@ -14,7 +14,7 @@ Entry points:
 * :class:`~repro.vserver.loadgen.LoadGenerator` /
   :class:`~repro.vserver.loadgen.SimProver` -- seeded traffic;
 * :func:`~repro.vserver.service.build_service_scenario` /
-  ``Scenario.build_service(...)`` -- one-call wiring;
+  ``Scenario.build(service=...)`` -- one-call wiring;
 * ``repro serve`` -- the load-test CLI (:mod:`repro.vserver.cli`).
 """
 

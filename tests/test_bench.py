@@ -208,8 +208,12 @@ class TestMicroBenches:
         result = bench_memory_fill(quick=True)
         (name, payload), = result.items()
         assert name == "memory.fill"
-        # interned construction must beat per-byte regeneration
-        assert payload["speedup"] > 1.0
+        # the speedup itself is gated by the memory.fill row of
+        # benchmarks/baseline/BENCH_gate.json, not by a wall-clock
+        # bound here
+        assert payload["primary"] == "speedup"
+        assert isinstance(payload["speedup"], float)
+        assert payload["speedup"] > 0.0
         assert payload["median_ms"] > 0.0
         assert payload["gate_threshold"] == bench.GATE_RATIO
 

@@ -129,6 +129,25 @@ class TestFig5:
         assert "infection 2: DETECTED" in text
 
 
+class TestFleetQoA:
+    def test_one_seed_grid(self):
+        from repro.core.qoa import QoAParameters
+
+        result = experiments.fleet_qoa(seed_count=1)
+        assert result.run_count == 9
+        assert sorted(result.curves) == [
+            (t_m, dwell)
+            for t_m in (2.0, 4.0, 8.0)
+            for dwell in (1.0, 3.0, 6.0)
+        ]
+        for (t_m, dwell), (analytic, empirical) in result.curves.items():
+            assert analytic == QoAParameters(
+                t_m, t_c=12.0
+            ).detection_probability(dwell)
+            assert 0.0 <= empirical <= 1.0
+        assert "qoa-fleet: 9 runs" in result.summary_text
+
+
 class TestSec24:
     def test_anchors(self):
         anchors = experiments.sec24_anchors()

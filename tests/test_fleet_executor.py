@@ -1,4 +1,5 @@
-"""Executor behaviour: serial, parallel, and every failure path."""
+"""Per-run execution and every failure path, alone and through the
+pipeline's serial and process-pool backends."""
 
 import os
 import signal
@@ -6,12 +7,15 @@ import signal
 import pytest
 
 from repro.fleet import (
-    ExecutorConfig,
+    CampaignSpec,
+    PipelineConfig,
+    ProcessPoolBackend,
     RunSpec,
-    execute_campaign,
+    SerialBackend,
     execute_run,
-    make_shards,
+    read_results_jsonl,
     run_one,
+    run_pipeline,
 )
 from repro.units import MiB
 
@@ -51,6 +55,16 @@ def parity_specs():
             )
         )
     return specs
+
+
+def run_campaign(specs, out_dir, backend=None, runner=execute_run,
+                 **config):
+    """``specs`` through :func:`run_pipeline` as one ad-hoc campaign."""
+    return run_pipeline(
+        CampaignSpec(name="executor-test"), specs,
+        out_dir=out_dir, backend=backend, runner=runner,
+        config=PipelineConfig(**config),
+    )
 
 
 def die_in_pool_worker(spec: RunSpec):
@@ -198,67 +212,47 @@ class TestFailurePaths:
         result = run_one(fast_spec(timeout=30.0))
         assert result.ok
 
-    def test_campaign_isolates_bad_runs(self):
+    def test_campaign_isolates_bad_runs(self, tmp_path):
         specs = [
             fast_spec(),
             fast_spec(mechanism="crashtest"),
             fast_spec(seed=8),
         ]
-        report = execute_campaign(specs, ExecutorConfig(retries=0))
+        report = run_campaign(specs, tmp_path, retries=0)
         assert report.status_counts == {"ok": 2, "error": 1}
-        # plan order is preserved around the failure
-        assert [r.run_id for r in report.results] == [
+        results = read_results_jsonl(report.paths.runs)
+        assert sorted(r.run_id for r in results) == sorted(
             s.run_id for s in specs
-        ]
-
-
-class TestSharding:
-    def test_make_shards_partitions_in_order(self):
-        specs = [fast_spec(seed=i) for i in range(7)]
-        shards = make_shards(specs, 3)
-        assert [len(s) for s in shards] == [3, 3, 1]
-        assert [s.run_id for shard in shards for s in shard] == [
-            s.run_id for s in specs
-        ]
+        )
+        assert [r.status for r in results].count("error") == 1
 
 
 class TestParallel:
-    def test_serial_parallel_parity_byte_identical(self):
+    def test_serial_parallel_parity_byte_identical(self, tmp_path):
         specs = parity_specs()
-        serial = execute_campaign(specs, ExecutorConfig(workers=0))
-        parallel = execute_campaign(
-            specs, ExecutorConfig(workers=2, shard_size=2)
+        serial = run_campaign(
+            specs, tmp_path / "serial", SerialBackend(), shard_size=2
+        )
+        parallel = run_campaign(
+            specs, tmp_path / "pool", ProcessPoolBackend(workers=2),
+            shard_size=2,
         )
         assert serial.mode == "serial"
         assert parallel.mode == "parallel"
-        assert [r.to_json_line() for r in serial.results] == [
-            r.to_json_line() for r in parallel.results
-        ]
+        for name in ("runs", "summary_json"):
+            assert getattr(parallel.paths, name).read_bytes() == getattr(
+                serial.paths, name
+            ).read_bytes()
 
-    def test_pool_unavailable_degrades_to_serial(self):
-        def no_pool(workers):
-            raise OSError("no processes for you")
-
-        specs = [fast_spec(seed=i) for i in range(3)]
-        report = execute_campaign(
-            specs,
-            ExecutorConfig(workers=4, shard_size=2),
-            pool_factory=no_pool,
-        )
-        assert report.mode == "serial"
-        assert report.degraded_shards == report.shard_count == 2
-        assert report.status_counts == {"ok": 3}
-
-    def test_worker_crash_degrades_shard_in_process(self):
+    def test_worker_crash_degrades_shard_in_process(self, tmp_path):
         specs = [fast_spec(seed=i) for i in range(4)]
-        report = execute_campaign(
-            specs,
-            ExecutorConfig(workers=2, shard_size=2),
-            runner=die_in_pool_worker,
+        report = run_campaign(
+            specs, tmp_path, ProcessPoolBackend(workers=2),
+            runner=die_in_pool_worker, shard_size=2,
         )
         assert report.mode == "parallel"
         assert report.degraded_shards >= 1
         assert report.status_counts == {"ok": 4}
-        assert [r.run_id for r in report.results] == [
-            s.run_id for s in specs
-        ]
+        assert sorted(
+            r.run_id for r in read_results_jsonl(report.paths.runs)
+        ) == sorted(s.run_id for s in specs)

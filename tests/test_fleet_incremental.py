@@ -16,10 +16,8 @@ from repro import fleet
 from repro.fleet.campaign import RunSpec
 from repro.fleet.results import (
     CampaignManifest,
-    artifact_paths,
     read_manifest,
     summarize,
-    write_artifacts,
 )
 from repro.fleet.store import RunResultStore, source_fingerprint
 from repro.fleet.telemetry import (
@@ -72,6 +70,15 @@ def result_for(spec, status="ok"):
     return RunResult(run_id=spec.run_id, spec=spec.to_dict(), status=status)
 
 
+def write_campaign(out_dir, specs, runner=result_for):
+    """Artifacts for ``specs`` as the pipeline writes them, stamped
+    with the current source fingerprint."""
+    return fleet.run_pipeline(
+        fleet.CampaignSpec(name="inc-test"), specs,
+        out_dir=out_dir, runner=runner,
+    )
+
+
 @pytest.fixture
 def specs():
     return [
@@ -82,18 +89,14 @@ def specs():
 
 @pytest.fixture
 def campaign_dir(tmp_path, specs):
-    campaign = fleet.canned_campaign("faults", seed_count=1)
-    campaign.name = "inc-test"
-    results = [result_for(spec) for spec in specs]
-    write_artifacts(tmp_path, campaign, results,
-                    code_fingerprint="fp-current")
+    write_campaign(tmp_path, specs)
     return tmp_path
 
 
 class TestRunResultStore:
     def test_empty_store_runs_everything(self, tmp_path, specs):
         store = RunResultStore(tmp_path, "inc-test")
-        hits, pending = store.cached(specs, "fp-current")
+        hits, pending = store.cached(specs, source_fingerprint())
         assert hits == [] and pending == specs
         assert len(store) == 0
 
@@ -110,20 +113,19 @@ class TestRunResultStore:
     def test_matching_store_hits_and_marks(self, campaign_dir, specs):
         store = RunResultStore(campaign_dir, "inc-test")
         assert len(store) == 3
-        assert store.code_fingerprint == "fp-current"
-        hits, pending = store.cached(specs, "fp-current")
+        assert store.code_fingerprint == source_fingerprint()
+        hits, pending = store.cached(specs, source_fingerprint())
         assert len(hits) == 3 and pending == []
         assert all(hit.cache_hit for hit in hits)
 
     def test_failed_results_rerun(self, tmp_path, specs):
-        campaign = fleet.canned_campaign("faults", seed_count=1)
-        campaign.name = "inc-test"
-        results = [result_for(specs[0]),
-                   result_for(specs[1], status=STATUS_ERROR)]
-        write_artifacts(tmp_path, campaign, results,
-                        code_fingerprint="fp-current")
+        def fail_second(spec):
+            failed = spec.run_id == specs[1].run_id
+            return result_for(spec, STATUS_ERROR if failed else "ok")
+
+        write_campaign(tmp_path, specs[:2], runner=fail_second)
         store = RunResultStore(tmp_path, "inc-test")
-        hits, pending = store.cached(specs, "fp-current")
+        hits, pending = store.cached(specs, source_fingerprint())
         assert [hit.run_id for hit in hits] == [specs[0].run_id]
         # the failed run and the never-run spec both re-execute
         assert {spec.run_id for spec in pending} == {
@@ -176,37 +178,30 @@ class TestEndToEnd:
     def test_incremental_rerun_is_identical_and_skips_all(self, tmp_path):
         campaign = fleet.canned_campaign("faults", seed_count=1)
         specs = campaign.plan()[:2]
-        config = fleet.ExecutorConfig(mode="serial")
-        fingerprint = fleet.source_fingerprint()
 
-        report = fleet.execute_campaign(specs, config)
-        paths = fleet.write_artifacts(tmp_path, campaign, report.results,
-                                      report, code_fingerprint=fingerprint)
+        report = fleet.run_pipeline(campaign, specs, out_dir=tmp_path)
+        paths = report.paths
         runs_before = paths.runs.read_bytes()
         summary_before = paths.summary_json.read_bytes()
 
-        store = RunResultStore(tmp_path, campaign.name)
-        hits, pending = store.cached(specs, fingerprint)
-        assert len(hits) == len(specs) and pending == []
-        report2 = fleet.execute_campaign(pending, config)
-        fleet.write_artifacts(tmp_path, campaign, hits + report2.results,
-                              report2, code_fingerprint=fingerprint)
+        report2 = fleet.run_pipeline(
+            campaign, specs, out_dir=tmp_path,
+            config=fleet.PipelineConfig(incremental=True),
+        )
+        assert report2.cache_hits == len(specs)
+        assert report2.executed == 0
 
         assert paths.runs.read_bytes() == runs_before
         assert paths.summary_json.read_bytes() == summary_before
         manifest = read_manifest(paths.manifest)
         assert manifest.cache_hits == len(specs)
-        assert manifest.code_fingerprint == fingerprint
+        assert manifest.code_fingerprint == fleet.source_fingerprint()
 
     def test_manifest_always_carries_fingerprint(self, tmp_path):
-        """Plain (non-incremental) artifact writes stamp the fingerprint
+        """Plain (non-incremental) pipeline passes stamp the fingerprint
         too, so any prior out-dir seeds a later --incremental pass."""
         campaign = fleet.canned_campaign("faults", seed_count=1)
         specs = campaign.plan()[:1]
-        report = fleet.execute_campaign(
-            specs, fleet.ExecutorConfig(mode="serial")
-        )
-        paths = fleet.write_artifacts(tmp_path, campaign, report.results,
-                                      report)
+        paths = fleet.run_pipeline(campaign, specs, out_dir=tmp_path).paths
         manifest = read_manifest(paths.manifest)
         assert manifest.code_fingerprint == fleet.source_fingerprint()

@@ -8,18 +8,17 @@ from repro.apps.metrics import AvailabilityReport
 from repro.errors import ConfigurationError
 from repro.fleet import (
     CampaignSpec,
-    ExecutorConfig,
+    PipelineConfig,
     RunResult,
     RunSpec,
-    execute_campaign,
+    execute_run,
     failure_result,
-    pending_specs,
     percentile,
     read_manifest,
     read_results_jsonl,
+    run_one,
+    run_pipeline,
     summarize,
-    write_artifacts,
-    write_results_jsonl,
 )
 from repro.sim.task import TaskStats
 from repro.units import MiB
@@ -92,7 +91,10 @@ class TestRunResultSerialization:
     def test_jsonl_file_round_trip(self, tmp_path):
         results = [make_result(seed=i) for i in range(4)]
         path = tmp_path / "runs.jsonl"
-        assert write_results_jsonl(path, results) == 4
+        path.write_text(
+            "".join(r.to_json_line() + "\n" for r in results),
+            encoding="utf-8",
+        )
         loaded = read_results_jsonl(path)
         assert [r.to_json_line() for r in loaded] == [
             r.to_json_line() for r in results
@@ -131,8 +133,7 @@ class TestAvailabilityReportRoundTrip:
 
     def test_real_run_round_trip(self):
         spec = RunSpec(block_count=8, sim_block_size=MiB, horizon=8.0)
-        report = execute_campaign([spec], ExecutorConfig())
-        availability = report.results[0].availability_report
+        availability = run_one(spec).availability_report
         assert availability is not None
         assert availability.jobs_released > 0
         assert AvailabilityReport.from_dict(
@@ -194,10 +195,7 @@ class TestArtifacts:
 
     def test_full_artifact_layout(self, tmp_path):
         campaign = self.campaign()
-        execution = execute_campaign(campaign.plan(), ExecutorConfig())
-        paths = write_artifacts(
-            tmp_path, campaign, execution.results, execution
-        )
+        paths = run_pipeline(campaign, out_dir=tmp_path).paths
         assert paths.runs.exists()
         assert paths.summary_txt.exists()
         assert json.loads(paths.summary_json.read_text())["total_runs"] == 4
@@ -210,29 +208,38 @@ class TestArtifacts:
 
     def test_runs_jsonl_sorted_and_reloadable(self, tmp_path):
         campaign = self.campaign()
-        execution = execute_campaign(campaign.plan(), ExecutorConfig())
-        paths = write_artifacts(
-            tmp_path, campaign, execution.results, execution
-        )
+        paths = run_pipeline(campaign, out_dir=tmp_path).paths
         loaded = read_results_jsonl(paths.runs)
         assert [r.run_id for r in loaded] == sorted(
-            r.run_id for r in execution.results
+            s.run_id for s in campaign.plan()
         )
+
+
+def fail_seed_one(spec: RunSpec) -> RunResult:
+    if spec.seed == 1:
+        raise RuntimeError("injected failure")
+    return execute_run(spec)
 
 
 class TestResume:
-    def test_pending_excludes_only_successes(self):
-        specs = [RunSpec(seed=i) for i in range(3)]
-        done = [
-            make_result(seed=0),
-            failure_result(
-                specs[1].run_id, specs[1].to_dict(), "error", "boom"
-            ),
-        ]
-        pending = pending_specs(specs, done)
-        assert [s.seed for s in pending] == [1, 2]
+    def test_resume_reruns_only_failures(self, tmp_path):
+        campaign = CampaignSpec(
+            name="resume-test",
+            base={"block_count": 8, "sim_block_size": MiB, "horizon": 8.0},
+            seeds=range(3),
+        )
+        first = run_pipeline(
+            campaign, out_dir=tmp_path, runner=fail_seed_one,
+            config=PipelineConfig(retries=0),
+        )
+        assert first.status_counts == {"ok": 2, "error": 1}
 
-    def test_pending_empty_when_all_done(self):
-        specs = [RunSpec(seed=i) for i in range(2)]
-        done = [make_result(seed=0), make_result(seed=1)]
-        assert pending_specs(specs, done) == []
+        resumed = run_pipeline(
+            campaign, out_dir=tmp_path, config=PipelineConfig(resume=True)
+        )
+        assert resumed.executed == 1
+        assert resumed.restored == 2
+        assert resumed.status_counts == {"ok": 1}
+        assert read_manifest(resumed.paths.manifest).status_counts == {
+            "ok": 3
+        }

@@ -3,8 +3,9 @@
 The contracts under test are the tentpole guarantees of the pipeline
 API (docs/fleet.md):
 
-* streaming artifacts are byte-identical to the legacy in-RAM batch
-  path, campaign by campaign;
+* streaming artifacts are byte-identical to a reference serialized
+  in the test from the run_id-sorted result list, campaign by
+  campaign;
 * a campaign killed mid-shard resumes from its checkpoints and
   finalizes artifacts byte-identical to an uninterrupted pass
   (manifest included, given an injected clock);
@@ -26,10 +27,10 @@ from repro.fleet import (
     StreamingAggregator,
     artifact_paths,
     canned_campaign,
-    execute_campaign,
+    run_one,
     run_pipeline,
+    source_fingerprint,
     summarize,
-    write_artifacts,
 )
 from repro.fleet.pipeline import _reduce_stream
 from repro.units import MiB
@@ -99,11 +100,12 @@ class TestStreamingEqualsBatch:
         campaign = canned_campaign(name, seed_count=1)
         specs = campaign.plan()[:6]
 
-        report = execute_campaign(specs)
-        write_artifacts(
-            tmp_path / "batch", campaign, report.results, report,
-            clock=FIXED_CLOCK,
+        # the reference: every result in memory, run_id-sorted, and
+        # serialized without going through the pipeline's reduce
+        ordered = sorted(
+            (run_one(spec) for spec in specs), key=lambda r: r.run_id
         )
+        reference = summarize(ordered, campaign=campaign.name)
         run_pipeline(
             campaign, specs,
             out_dir=tmp_path / "stream",
@@ -111,19 +113,27 @@ class TestStreamingEqualsBatch:
             clock=FIXED_CLOCK,
         )
 
-        batch = artifact_bytes(tmp_path / "batch", campaign.name)
         stream = artifact_bytes(tmp_path / "stream", campaign.name)
         # canonical artifacts: byte-for-byte
-        assert stream["runs"] == batch["runs"]
-        assert stream["summary_json"] == batch["summary_json"]
-        assert stream["summary_txt"] == batch["summary_txt"]
-        # the manifest's volatile/topology fields legitimately differ
-        # (wall clock, legacy shard accounting); everything else holds
-        batch_manifest = json.loads(batch["manifest"])
-        stream_manifest = json.loads(stream["manifest"])
-        for key in ("campaign", "spec_hash", "run_count",
-                    "status_counts", "code_fingerprint", "cache_hits"):
-            assert stream_manifest[key] == batch_manifest[key]
+        assert stream["runs"] == "".join(
+            result.to_json_line() + "\n" for result in ordered
+        ).encode("utf-8")
+        assert stream["summary_json"] == (
+            json.dumps(reference.to_dict(), indent=2, sort_keys=True)
+            + "\n"
+        ).encode("utf-8")
+        assert stream["summary_txt"] == (
+            reference.render() + "\n"
+        ).encode("utf-8")
+        # the manifest's canonical fields; wall clock and shard
+        # topology are volatile
+        manifest = json.loads(stream["manifest"])
+        assert manifest["campaign"] == campaign.name
+        assert manifest["spec_hash"] == campaign.spec_hash
+        assert manifest["run_count"] == len(specs)
+        assert manifest["status_counts"] == {"ok": len(specs)}
+        assert manifest["code_fingerprint"] == source_fingerprint()
+        assert manifest["cache_hits"] == 0
 
     def test_summarize_is_the_streaming_fold(self):
         specs = [fast_spec(seed=i) for i in range(8)]

@@ -9,6 +9,7 @@ from repro.sim.network import (
     DelayAdversary,
     DropAdversary,
     Endpoint,
+    FilterVerdict,
     ReplayAdversary,
 )
 
@@ -86,6 +87,29 @@ class TestDelivery:
         a.send("b", "x", None)
         b.send("a", "y", None)
         assert [m.kind for m in channel.log] == ["x", "y"]
+
+
+    @pytest.mark.parametrize("verdict_of, arrivals", [
+        (lambda msg: None, []),
+        (lambda msg: 0.4, [0.4]),
+        (lambda msg: [(0.1, msg), (0.3, msg)], [0.1, 0.3]),
+        (lambda msg: FilterVerdict.deliver(extra=0.2), [0.45]),
+    ], ids=["none-drops", "number-sets-delay", "list-replaces",
+            "verdict-passes-through"])
+    def test_plain_callable_filter(self, verdict_of, arrivals):
+        sim, channel, a, b = rig(latency=0.25)
+        channel.add_filter(verdict_of)
+        seen = []
+
+        def on_rx(msg):
+            b.rx_signal.wait(on_rx)
+            seen.append(sim.now)
+
+        b.rx_signal.wait(on_rx)
+        a.send("b", "x", None)
+        sim.run()
+        assert seen == [pytest.approx(t) for t in arrivals]
+        assert len(channel.dropped) == (0 if arrivals else 1)
 
 
 class TestDropAdversary:

@@ -6,7 +6,13 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.fleet import ExecutorConfig, RunSpec, execute_campaign, execute_run
+from repro.fleet import (
+    ProcessPoolBackend,
+    RunSpec,
+    SerialBackend,
+    execute_run,
+    make_shards,
+)
 from repro.fleet.results import summarize
 from repro.obs.core import NULL_OBS, Observability
 from repro.sim.engine import Simulator
@@ -108,15 +114,19 @@ class TestFleetTelemetry:
     def test_serial_and_parallel_telemetry_identical(self):
         specs = [spec(), spec(mechanism="smart"),
                  spec(mechanism="erasmus", horizon=20.0)]
-        serial = execute_campaign(
-            specs, ExecutorConfig(mode="serial")
-        ).results
-        parallel = execute_campaign(
-            specs, ExecutorConfig(mode="parallel", workers=2)
-        ).results
-        by_id = lambda rs: {r.run_id: r.telemetry for r in rs}  # noqa: E731
-        assert by_id(serial) == by_id(parallel)
-        assert all(t for t in by_id(serial).values())
+        shards = make_shards(specs, 2)
+
+        def telemetry_by_id(backend):
+            return {
+                result.run_id: result.telemetry
+                for outcome in backend.execute(shards)
+                for result in outcome.results
+            }
+
+        serial = telemetry_by_id(SerialBackend())
+        parallel = telemetry_by_id(ProcessPoolBackend(workers=2))
+        assert serial == parallel
+        assert all(t for t in serial.values())
 
     def test_summarize_folds_telemetry_totals(self):
         results = [execute_run(spec()), execute_run(spec())]

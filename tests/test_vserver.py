@@ -336,14 +336,16 @@ class TestBuildService:
         assert snapshot["vserver.epochs"] > 0
 
     def test_scenario_build_service_entry_point(self):
-        scenario = Scenario.build_service("smoke", provers=12)
+        scenario = Scenario.build(
+            service="smoke", service_options={"provers": 12}
+        )
         assert scenario.config.provers == 12
         stats = scenario.run()
         assert stats["unaccounted"] == 0
 
     def test_scenario_build_service_accepts_config_object(self):
         config = ServiceConfig.parse("smoke;provers=10")
-        scenario = Scenario.build_service(config)
+        scenario = Scenario.build(service=config)
         assert scenario.config.provers == 10
 
     def test_unified_build_service_parameter(self):
