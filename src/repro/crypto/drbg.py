@@ -10,12 +10,20 @@ the prover's permutation / schedule from the shared key).
 This is the SP 800-90A HMAC-DRBG update/generate core without the
 reseed-counter ceremony (no prediction-resistance requests in a
 simulation).
+
+The generator holds one keyed :class:`~repro.crypto.hmac.Hmac` for
+its current key ``K`` and re-keys only when :meth:`HmacDrbg._update`
+sets a new ``K``; every PRF call under that key is a
+:meth:`~repro.crypto.hmac.Hmac.mac` on the cached keyed state.  A
+one-byte draw therefore keys one HMAC, not three, and the output
+stream is byte-identical to re-keying on every call.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, TypeVar
 
+from repro.crypto.hashes import get_algorithm
 from repro.crypto.hmac import Hmac
 from repro.errors import ParameterError
 
@@ -33,26 +41,28 @@ class HmacDrbg:
 
     def __init__(self, seed: bytes, algorithm: str = "sha256") -> None:
         self.algorithm = algorithm
-        digest_size = Hmac(b"\x00", algorithm).digest_size
-        self._key = b"\x00" * digest_size
+        digest_size = get_algorithm(algorithm).digest_size
+        self._rekey(b"\x00" * digest_size)
         self._value = b"\x01" * digest_size
         self._update(seed)
         self.bytes_generated = 0
 
     # -- core ------------------------------------------------------------
 
-    def _hmac(self, key: bytes, *chunks: bytes) -> bytes:
-        mac = Hmac(key, self.algorithm)
-        for chunk in chunks:
-            mac.update(chunk)
-        return mac.digest()
+    def _rekey(self, key: bytes) -> None:
+        """Set ``K``: the only place this generator keys an HMAC."""
+        self._mac = Hmac(key, self.algorithm)
+
+    def _hmac(self, *chunks: bytes) -> bytes:
+        """HMAC(K, concatenated ``chunks``) under the current key."""
+        return self._mac.mac(b"".join(chunks))
 
     def _update(self, provided: bytes = b"") -> None:
-        self._key = self._hmac(self._key, self._value, b"\x00", provided)
-        self._value = self._hmac(self._key, self._value)
+        self._rekey(self._hmac(self._value, b"\x00", provided))
+        self._value = self._hmac(self._value)
         if provided:
-            self._key = self._hmac(self._key, self._value, b"\x01", provided)
-            self._value = self._hmac(self._key, self._value)
+            self._rekey(self._hmac(self._value, b"\x01", provided))
+            self._value = self._hmac(self._value)
 
     def reseed(self, entropy: bytes) -> None:
         """Mix new seed material into the state."""
@@ -64,7 +74,7 @@ class HmacDrbg:
             raise ParameterError("num_bytes must be non-negative")
         output = bytearray()
         while len(output) < num_bytes:
-            self._value = self._hmac(self._key, self._value)
+            self._value = self._hmac(self._value)
             output.extend(self._value)
         self._update()
         self.bytes_generated += num_bytes

@@ -148,6 +148,62 @@ def bench_block_hash(quick: bool) -> Dict[str, Dict[str, Any]]:
     return out
 
 
+def bench_crypto_hmac_setup(quick: bool) -> Dict[str, Dict[str, Any]]:
+    """Short-MAC cost, dominated by keying: a fresh key, one 64-byte
+    update and a digest, averaged over the four algorithms."""
+    from repro.crypto.hmac import Hmac
+
+    keys = [bytes([i]) * 32 for i in range(256)]
+    rounds = 4 if quick else 16
+    data = bytes(64)
+    algorithms = ("sha256", "sha512", "blake2b", "blake2s")
+
+    def work() -> None:
+        for _ in range(rounds):
+            for algorithm in algorithms:
+                for key in keys:
+                    mac = Hmac(key, algorithm)
+                    mac.update(data)
+                    mac.digest()
+
+    samples = _samples_of(work, repeats=3 if quick else 5)
+    macs = rounds * len(algorithms) * len(keys)
+    return {
+        "crypto.hmac_setup": {
+            "us_per_mac": min(samples) * 1e6 / macs,
+            "macs": macs,
+            "gate_threshold": GATE_ABSOLUTE,
+            **timing_stats(samples),
+            "primary": "us_per_mac",
+            "direction": "lower",
+        }
+    }
+
+
+def bench_crypto_drbg_draw(quick: bool) -> Dict[str, Dict[str, Any]]:
+    """DRBG sampling cost: ``randbelow(64)``, the SMARM shuffle's draw."""
+    from repro.crypto.drbg import HmacDrbg
+
+    draws = 2_000 if quick else 10_000
+
+    def work() -> None:
+        drbg = HmacDrbg(b"bench-drbg")
+        for _ in range(draws):
+            drbg.randbelow(64)
+
+    samples = _samples_of(work, repeats=3 if quick else 5)
+    return {
+        "crypto.drbg_draw": {
+            "us_per_draw": min(samples) * 1e6 / draws,
+            "draws": draws,
+            "gate_threshold": GATE_ABSOLUTE,
+            **timing_stats(samples),
+            "primary": "us_per_draw",
+            "direction": "lower",
+        }
+    }
+
+
 def bench_engine_events(quick: bool) -> Dict[str, Dict[str, Any]]:
     """Raw event-loop throughput: schedule + fire no-op events."""
     from repro.sim.engine import Simulator
@@ -894,6 +950,8 @@ def run_suite(quick: bool = False, workdir: Optional[Any] = None) -> Dict[str, A
 
     benches: Dict[str, Dict[str, Any]] = {}
     benches.update(bench_block_hash(quick))
+    benches.update(bench_crypto_hmac_setup(quick))
+    benches.update(bench_crypto_drbg_draw(quick))
     benches.update(bench_engine_events(quick))
     benches.update(bench_engine_dispatch(quick))
     benches.update(bench_digest_cache(quick))

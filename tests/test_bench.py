@@ -13,6 +13,8 @@ import pytest
 from repro.perf import bench
 from repro.perf.bench import (
     BENCH_VERSION,
+    bench_crypto_drbg_draw,
+    bench_crypto_hmac_setup,
     bench_digest_cache,
     bench_engine_dispatch,
     bench_memory_fill,
@@ -216,6 +218,17 @@ class TestMicroBenches:
         assert payload["speedup"] > 0.0
         assert payload["median_ms"] > 0.0
         assert payload["gate_threshold"] == bench.GATE_RATIO
+
+    def test_crypto_bench_shapes(self):
+        # shape only: no speed assertion (the rows stay out of the gate
+        # baseline until one is recorded on a quiet host)
+        result = {**bench_crypto_hmac_setup(quick=True),
+                  **bench_crypto_drbg_draw(quick=True)}
+        assert set(result) == {"crypto.hmac_setup", "crypto.drbg_draw"}
+        for payload in result.values():
+            value = payload[payload["primary"]]
+            assert isinstance(value, float) and value > 0.0
+            assert payload["direction"] == "lower"
 
     def test_git_revision_is_short_string(self):
         revision = git_revision()

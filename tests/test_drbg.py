@@ -1,10 +1,14 @@
 """HMAC-DRBG: determinism and sampler correctness."""
 
+import hashlib
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ParameterError
+from repro.ra.smarm import escape_probability
 
 
 class TestDeterminism:
@@ -137,3 +141,29 @@ class TestPermutations:
         for i in range(120):
             seen.add(HmacDrbg(b"seed%d" % i).permutation(8)[0])
         assert seen == set(range(8))
+
+
+class TestStreamGolden:
+    """Pins the long-run output stream byte for byte, so a faster
+    keying path can never change a SMARM permutation or a nonce."""
+
+    STREAM_SHA256 = (
+        "49d4e13e0904af73ca4a9ed39b31c5e6bff5cecff24717202d79a2d34a0ac7d0"
+    )
+
+    def test_long_stream_golden(self):
+        # generate(i % 70) covers 0 bytes, under one digest, exactly one
+        # digest and several blocks; reseeds (b"" included) interleave
+        stream = hashlib.sha256()
+        for algorithm in ("sha256", "sha512", "blake2s", "blake2b"):
+            drbg = HmacDrbg(b"drbg-golden", algorithm)
+            for i in range(300):
+                stream.update(drbg.generate(i % 70))
+                if i % 7 == 3:
+                    drbg.reseed(b"x" * (i % 5))
+            stream.update(bytes(drbg.permutation(64)))
+        assert stream.hexdigest() == self.STREAM_SHA256
+
+    def test_escape_probability_golden(self):
+        estimate = escape_probability(64, trials=512, seed=b"smarm-golden")
+        assert Fraction(estimate) == Fraction(178, 512)

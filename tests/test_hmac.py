@@ -5,6 +5,7 @@ import hmac as stdlib_hmac
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.crypto.hashes import get_algorithm
 from repro.crypto.hmac import (
     Hmac,
     constant_time_equal,
@@ -108,6 +109,56 @@ class TestStreaming:
     def test_digest_size(self):
         assert Hmac(b"k", "sha256").digest_size == 32
         assert Hmac(b"k", "sha512").digest_size == 64
+
+
+ALGORITHMS = ["sha256", "sha512", "blake2b", "blake2s"]
+
+
+def key_of_length(algorithm, kind):
+    """Keys around the padding edge: empty, short, exactly one block,
+    and longer than a block (hashed down first)."""
+    block = get_algorithm(algorithm).block_size
+    length = {"empty": 0, "short": 10, "block": block, "3block": 3 * block}
+    return bytes((7 * i + 1) & 0xFF for i in range(length[kind]))
+
+
+class TestKeyedState:
+    """The keyed inner/outer states are built once and reused by
+    copy; every use must still be HMAC(key, data)."""
+
+    @pytest.mark.parametrize("kind", ["empty", "short", "block", "3block"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_key_lengths_match_stdlib(self, algorithm, kind):
+        key = key_of_length(algorithm, kind)
+        data = b"attested memory " * 9
+        expected = stdlib_hmac.new(key, data, algorithm).digest()
+        mac = Hmac(key, algorithm)
+        mac.update(data)
+        assert mac.digest() == expected
+        assert mac.mac(data) == expected
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_mac_is_one_shot_and_leaves_stream_alone(self, algorithm):
+        mac = Hmac(b"secret-key", algorithm)
+        mac.update(b"half-")
+        assert mac.mac(b"other") == hmac_digest(
+            b"secret-key", b"other", algorithm
+        )
+        mac.update(b"fed")
+        assert mac.digest() == hmac_digest(
+            b"secret-key", b"half-fed", algorithm
+        )
+
+    def test_shared_outer_state_stays_independent(self):
+        mac = Hmac(b"key")
+        mac.update(b"data")
+        first = mac.digest()
+        assert mac.digest() == first
+        fork = mac.copy()
+        fork.update(b"-fork")
+        assert mac.digest() == first == hmac_digest(b"key", b"data")
+        assert fork.digest() == hmac_digest(b"key", b"data-fork")
+        assert fork.mac(b"x") == mac.mac(b"x") == hmac_digest(b"key", b"x")
 
 
 class TestConstantTimeEqual:
