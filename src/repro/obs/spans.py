@@ -12,7 +12,8 @@ Two recording styles, matching how the intervals arise in the code:
 * ``begin_span`` / ``end_span`` -- stack-nested, for intervals opened
   and closed in the same process body (a measurement run, a request
   dispatch).  The static analyzer's ``obs-span-leak`` rule checks that
-  a function body balances these calls.
+  a function body balances these calls, counting a call to a helper
+  that returns an open span as a begin.
 * ``add_span`` -- retrospective, for intervals whose endpoints live in
   different callbacks (a network delivery, a lock released by a timer,
   fire-to-alarm latency).  The start time is carried by the caller.

@@ -767,7 +767,8 @@ def bench_lint_selfscan(
 
     The workload is the analyzer's own package tree (the full
     ``repro`` package in full mode): parse, lexical rules, summary
-    extraction, call-graph build and taint fixpoint.  A warm
+    extraction, call-graph build and the whole-program rules (taint
+    fixpoint, atomic windows, span ownership).  A warm
     ``--cache`` run must skip all of that -- the ``speedup`` primary
     is the whole point of the cache (well above 3x; the gate fails it
     against the committed baseline).

@@ -41,6 +41,10 @@ from repro.sim.device import Device
 from repro.sim.network import Channel, Message
 from repro.sim.process import Process, Sleep
 
+#: the ERASMUS collection counter stream (one monotonic sequence per
+#: prover, independent of SeED pushes on the same device)
+COLLECT_STREAM = "erasmus-collect"
+
 
 class ErasmusService:
     """Prover-side self-measurement.
@@ -416,7 +420,7 @@ class CollectorVerifier:
                 requested_at: float,
                 ctx: Optional[TraceContext] = None) -> None:
         result = self.verifier.verify_report(
-            report, enforce_counter=True, counter_stream="erasmus-collect"
+            report, enforce_counter=True, counter_stream=COLLECT_STREAM
         )
         collection = CollectionResult(
             device=report.device,
@@ -451,27 +455,3 @@ class CollectorVerifier:
         if on_result is not None:
             on_result(collection)
 
-
-#: the ERASMUS collection counter stream (one monotonic sequence per
-#: prover, independent of SeED pushes on the same device)
-COLLECT_STREAM = "erasmus-collect"
-
-
-def verify_collections_batch(verifier, reports):
-    """Epoch-batch verify ERASMUS collection replies.
-
-    The served-verifier entry point: all same-epoch collection reports
-    share one expected-digest precomputation pass
-    (:meth:`~repro.ra.verifier.Verifier.verify_batch`), with the
-    per-report counter-replay defense applied in arrival order exactly
-    as :class:`CollectorVerifier` does one report at a time.
-    """
-    return verifier.verify_batch(
-        [
-            (
-                report,
-                {"enforce_counter": True, "counter_stream": COLLECT_STREAM},
-            )
-            for report in reports
-        ]
-    )

@@ -38,6 +38,9 @@ from repro.ra.verifier import Verifier
 from repro.sim.device import Device
 from repro.sim.network import Channel, Message
 
+#: the SeED push counter stream (independent of ERASMUS collections)
+PUSH_STREAM = "seed-push"
+
 
 def trigger_schedule(shared_seed: bytes, min_gap: float, max_gap: float,
                      count: int, start: float = 0.0) -> List[float]:
@@ -257,7 +260,7 @@ class SeedMonitor:
             return
         if self.replay_defense == "counter":
             result = self.verifier.verify_report(
-                report, enforce_counter=True, counter_stream="seed-push"
+                report, enforce_counter=True, counter_stream=PUSH_STREAM
             )
         else:
             result = self.verifier.verify_report(report)
@@ -373,26 +376,3 @@ class SeedMonitor:
             for slot in self.expected
         ]
 
-
-#: the SeED push counter stream (independent of ERASMUS collections)
-PUSH_STREAM = "seed-push"
-
-
-def verify_pushes_batch(verifier, reports):
-    """Epoch-batch verify SeED prover-initiated pushes.
-
-    Mirrors :class:`SeedMonitor`'s counter replay defense
-    (``enforce_counter`` on the per-device ``"seed-push"`` stream) but
-    amortizes the expected-digest recomputation across every
-    same-epoch report via
-    :meth:`~repro.ra.verifier.Verifier.verify_batch`.
-    """
-    return verifier.verify_batch(
-        [
-            (
-                report,
-                {"enforce_counter": True, "counter_stream": PUSH_STREAM},
-            )
-            for report in reports
-        ]
-    )

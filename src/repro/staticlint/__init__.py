@@ -13,6 +13,8 @@ provably has.
 Rule families (see :mod:`repro.staticlint.determinism`,
 :mod:`repro.staticlint.crypto_rules`,
 :mod:`repro.staticlint.atomicity`,
+:mod:`repro.staticlint.obs_rules`,
+:mod:`repro.staticlint.perf_rules`,
 :mod:`repro.staticlint.taint_rules`)::
 
     determinism  det-wall-clock, det-module-random,
@@ -20,16 +22,16 @@ Rule families (see :mod:`repro.staticlint.determinism`,
                  det-mutable-default, det-taint-flow*
     crypto       crypto-digest-eq, crypto-random-module,
                  crypto-secret-leak*
-    atomicity    ra-atomic-gap, ra-naked-send,
-                 ra-atomic-gap-interproc*
-    observability  obs-span-leak, obs-span-leak-interproc*
+    atomicity    ra-atomic-gap*, ra-naked-send
+    observability  obs-span-leak*, obs-ctx-drop
     performance  perf-uncached-digest, perf-unbounded-queue
 
 Rules marked ``*`` are whole-program: they run once over the project
 symbol table / call graph / taint engine (:mod:`repro.staticlint.
 symbols`, :mod:`repro.staticlint.callgraph`,
-:mod:`repro.staticlint.dataflow`) instead of per module, and their
-findings carry a source->sink ``trace``.
+:mod:`repro.staticlint.dataflow`) instead of per module; a finding that
+crosses a function boundary carries a ``trace`` (the source->sink
+path or the call chain).
 
 Usage::
 
@@ -60,7 +62,6 @@ from repro.staticlint.dataflow import TaintSpec, run_taint
 from repro.staticlint.engine import (
     ProjectAnalysis,
     ProjectContext,
-    analyze_paths,
     analyze_project,
     analyze_source,
     iter_python_files,
@@ -97,7 +98,6 @@ __all__ = [
     "Rule",
     "TaintSpec",
     "all_rules",
-    "analyze_paths",
     "analyze_project",
     "analyze_source",
     "apply_baseline",

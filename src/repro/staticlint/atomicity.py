@@ -8,71 +8,55 @@ declares atomicity by yielding ``Atomic(True)`` and ends the section
 with ``Atomic(False)``; inside that window the only legitimate yields
 are ``Compute(...)`` (simulated instruction time, uninterruptible
 while atomic) and the closing ``Atomic(False)`` itself.
+
+``ra-atomic-gap`` reads the window, the calls and the preemptible
+yields from the symbol index (:mod:`repro.staticlint.symbols` is the
+only parser of windows), so one rule covers the window body and every
+callee it reaches.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
-from repro.staticlint.engine import ModuleContext, walk_scope
+from repro.staticlint.engine import ModuleContext, ProjectContext
 from repro.staticlint.findings import Finding, Severity
-from repro.staticlint.registry import get_rule, rule
+from repro.staticlint.registry import get_rule, project_rule, rule
+from repro.staticlint.symbols import CallRecord, FunctionInfo
 
-#: yield payloads that keep the atomic claim honest
-_ALLOWED_YIELD_CALLS = ("Atomic", "Compute")
 #: scheduler entry points that enqueue interleaved events
-_SCHEDULER_CALLS = ("schedule", "schedule_at")
+_SCHEDULER_TERMINALS = ("schedule", "schedule_at")
+#: yield payloads that keep the atomic claim honest
+_YIELD_PAYLOADS = ("Atomic", "Compute")
 #: message kinds that belong to the attestation protocol proper
 _ATT_KIND_PREFIX = "att_"
 
 
-def _atomic_marker(node: ast.AST) -> Optional[bool]:
-    """True/False for a ``yield Atomic(True/False)``, else None."""
-    if not isinstance(node, (ast.Expr, ast.Yield)):
-        return None
-    value = node.value if isinstance(node, ast.Expr) else node
-    if not isinstance(value, ast.Yield):
-        return None
-    call = value.value
-    if (
-        isinstance(call, ast.Call)
-        and isinstance(call.func, ast.Name)
-        and call.func.id == "Atomic"
-        and len(call.args) == 1
-        and isinstance(call.args[0], ast.Constant)
-        and isinstance(call.args[0].value, bool)
-    ):
-        return call.args[0].value
+def _schedules(func: FunctionInfo) -> Optional[CallRecord]:
+    for call in func.calls:
+        if call.terminal in _SCHEDULER_TERMINALS:
+            return call
     return None
 
 
-def _atomic_window(
-    func: ast.AST,
-) -> Optional[Tuple[int, int]]:
-    """(first Atomic(True) line, last Atomic(False) line or body end)."""
-    opens: List[int] = []
-    closes: List[int] = []
-    for node in walk_scope(func):
-        marker = _atomic_marker(node)
-        if marker is True:
-            opens.append(node.lineno)
-        elif marker is False:
-            closes.append(node.lineno)
-    if not opens:
-        return None
-    end = max(closes) if closes else getattr(
-        func, "end_lineno", opens[0]
-    )
-    return min(opens), end
+def _hazard_site(func: FunctionInfo) -> Optional[Tuple[int, str]]:
+    """(line, description) of this function's own hazard, if any."""
+    call = _schedules(func)
+    if call is not None:
+        return call.line, f"calls {call.terminal}()"
+    if func.bad_yields:
+        line, _col, desc = func.bad_yields[0]
+        return line, f"yields {desc!r}"
+    return None
 
 
-@rule(
+@project_rule(
     id="ra-atomic-gap",
     family="atomicity",
     severity=Severity.ERROR,
     summary="scheduler call or preemptible yield inside a declared-"
-            "atomic measurement section",
+            "atomic measurement section, directly or through a callee",
     rationale=(
         "A measurement that yields Atomic(True) is claiming SMART-style "
         "uninterruptibility between locking and unlocking the attested "
@@ -80,55 +64,95 @@ def _atomic_window(
         "anything but Compute()/Atomic() inside that window reintroduces "
         "the interleaving the claim rules out -- the verifier would "
         "accept a digest whose consistency guarantee silently no longer "
-        "holds (the Section 2 hazard)."
+        "holds (the Section 2 hazard).  The hazard does not stop at the "
+        "function boundary: a helper called inside the window that "
+        "reaches sim.schedule(), or a delegated (yield from) generator "
+        "that yields anything but Compute()/Atomic(), counts too."
     ),
     hint=(
-        "move the schedule()/yield outside the Atomic(True)..."
-        "Atomic(False) window, or drop the atomic declaration and use a "
-        "locking policy that tolerates interruption"
+        "move the schedule()/yield -- or the call that reaches one -- "
+        "outside the Atomic(True)...Atomic(False) window, or drop the "
+        "atomic declaration and use a locking policy that tolerates "
+        "interruption; run repro lint --explain ra-atomic-gap for the "
+        "call chain"
     ),
 )
-def check_atomic_gap(ctx: ModuleContext) -> Iterable[Finding]:
+def check_atomic_gap(ctx: ProjectContext) -> Iterable[Finding]:
     this = get_rule("ra-atomic-gap")
-    for func in ast.walk(ctx.tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    index = ctx.index
+    for qual in sorted(index.functions):
+        func = index.functions[qual]
+        if func.window is None:
             continue
-        window = _atomic_window(func)
-        if window is None:
-            continue
-        start, end = window
-        for node in walk_scope(func):
-            line = getattr(node, "lineno", None)
-            if line is None or not (start < line <= end):
+        start, end = func.window
+        for line, col, _desc in func.bad_yields:
+            if start < line <= end:
+                yield ctx.finding(
+                    this, func.path, line, col,
+                    f"yield inside the atomic section of "
+                    f"{func.name}() cedes the CPU",
+                )
+        for call in func.calls:
+            if not (start < call.line <= end):
                 continue
-            if isinstance(node, ast.Call):
-                func_name = node.func
-                attr = (
-                    func_name.attr
-                    if isinstance(func_name, ast.Attribute)
-                    else getattr(func_name, "id", "")
+            if call.terminal in _YIELD_PAYLOADS:
+                continue
+            if call.terminal in _SCHEDULER_TERMINALS:
+                yield ctx.finding(
+                    this, func.path, call.line, call.col,
+                    f"{call.terminal}() enqueues interleaved work "
+                    f"inside the atomic section of {func.name}()",
                 )
-                if attr in _SCHEDULER_CALLS:
-                    yield this.finding(
-                        ctx, node,
-                        f"{attr}() enqueues interleaved work inside "
-                        f"the atomic section of {func.name}()",
-                    )
-            elif isinstance(node, ast.Yield):
-                if _atomic_marker(node) is not None:
-                    continue
-                value = node.value
-                allowed = (
-                    isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Name)
-                    and value.func.id in _ALLOWED_YIELD_CALLS
+                continue
+            callee = index.resolve_call(func, call)
+            if callee is None:
+                continue
+            if call.yield_from:
+                # a delegated generator runs inside the window: its
+                # own yields and anything its callees schedule count
+                chain = index.transitively_calls(
+                    callee,
+                    lambda f: _hazard_site(f) is not None,
+                    plain_only=False,
                 )
-                if not allowed:
-                    yield this.finding(
-                        ctx, node,
-                        f"yield inside the atomic section of "
-                        f"{func.name}() cedes the CPU",
-                    )
+            else:
+                # a plain call runs the callee body (and its callees)
+                # but never executes yields in generators it merely
+                # instantiates -- only transitive scheduling counts
+                chain = index.transitively_calls(
+                    callee,
+                    lambda f: _schedules(f) is not None,
+                    plain_only=True,
+                )
+            if chain is None:
+                continue
+            guilty = index.functions[chain[-1]]
+            hazard_line, hazard_desc = _hazard_site(guilty)
+            trace = [
+                f"{func.path}:{call.line}: {func.display}(): calls "
+                f"{callee.display}() inside its "
+                f"Atomic(True)...Atomic(False) window "
+                f"(lines {start}..{end})"
+            ]
+            for step_qual in chain[1:]:
+                step = index.functions[step_qual]
+                trace.append(
+                    f"{step.path}:{step.line}: reaches {step.display}()"
+                )
+            trace.append(
+                f"{guilty.path}:{hazard_line}: {guilty.display}() "
+                f"{hazard_desc} -- interleaving re-enters the window"
+            )
+            yield ctx.finding(
+                this,
+                func.path,
+                call.line,
+                call.col,
+                f"{callee.display}() called inside the atomic "
+                f"section of {func.display}() reaches "
+                f"{guilty.display}(), which {hazard_desc}",
+                trace=trace,
+            )
 
 
 @rule(

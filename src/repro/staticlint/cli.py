@@ -206,7 +206,7 @@ def _explain(report: LintReport, token: str) -> None:
             for index, step in enumerate(finding.trace, start=1):
                 print(f"      {index}. {step}")
         else:
-            print("    (lexical finding: no interprocedural path)")
+            print("    (single-function finding: no cross-function path)")
 
 
 def _run_lint(args: argparse.Namespace) -> int:

@@ -240,8 +240,7 @@ class TaintEngine:
 
     @staticmethod
     def _step(func: FunctionInfo, line: int, text: str) -> str:
-        name = f"{func.cls}.{func.name}" if func.cls else func.name
-        return f"{func.path}:{line}: {name}(): {text}"
+        return f"{func.path}:{line}: {func.display}(): {text}"
 
     # -- the worklist --------------------------------------------------
 
@@ -333,14 +332,10 @@ class TaintEngine:
                 if recv_hit is not None:
                     arg_trace = tainted[recv_hit]
             if callee is not None:
-                callee_name = (
-                    f"{callee.cls}.{callee.name}" if callee.cls
-                    else callee.name
-                )
                 for param, trace in tainted_params:
                     step = self._step(
                         func, call.line,
-                        f"passes tainted value into {callee_name}()",
+                        f"passes tainted value into {callee.display}()",
                     )
                     if self._mark(
                         callee.qual, f"param:{param}", trace + (step,)
@@ -351,7 +346,7 @@ class TaintEngine:
                     step = self._step(
                         func, call.line,
                         f"receives tainted return value from "
-                        f"{callee_name}()",
+                        f"{callee.display}()",
                     )
                     if self._mark(
                         func.qual, call.node, ret_trace + (step,)

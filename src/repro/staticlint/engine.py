@@ -3,8 +3,9 @@
 One :class:`ModuleContext` per analyzed file carries the parsed tree,
 the raw lines, an import-alias table (so ``from time import
 perf_counter as pc`` is still seen as ``time.perf_counter``), and the
-scoping helpers rules use.  :func:`analyze_source` runs the selected
-rules over one module; :func:`analyze_paths` walks files and
+scoping helpers rules use.  :func:`analyze_source` runs every selected
+rule over one module (the whole-program rules see it as a one-module
+project); :func:`analyze_project` runs them over files and
 directories.
 
 Suppressions
@@ -25,7 +26,11 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.staticlint.findings import Finding, Severity
-from repro.staticlint.registry import LintConfig, selected_rules
+from repro.staticlint.registry import (
+    LintConfig,
+    selected_project_rules,
+    selected_rules,
+)
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]+)\]")
 
@@ -141,9 +146,10 @@ def build_import_map(tree: ast.AST) -> Dict[str, str]:
 def walk_scope(root: ast.AST) -> Iterable[ast.AST]:
     """Walk ``root`` without descending into nested function bodies.
 
-    Used by rules that reason about one function's control flow (the
-    atomicity family): code inside a nested ``def``/``lambda`` runs at
-    some other time and must not be attributed to the outer window.
+    Used by the summary extractor and the lexical rules that reason
+    about one function body: code inside a nested ``def``/``lambda``
+    runs at some other time and must not be attributed to the outer
+    function (an atomic window, a span balance, a taint path).
     """
     stack = list(ast.iter_child_nodes(root))
     while stack:
@@ -267,12 +273,30 @@ def analyze_source(
     path: str = "<string>",
     config: Optional[LintConfig] = None,
 ) -> List[Finding]:
-    """Run the selected lexical rules over one module's source text."""
+    """Run every selected rule over one module's source text.
+
+    The whole-program rules see the module as a one-module project;
+    that pass is skipped when no selected rule is whole-program.
+    """
+    from repro.staticlint.callgraph import ProjectIndex
+    from repro.staticlint.symbols import extract_module_summary
+
     config = config or LintConfig()
     ctx, parse_error = _parse_module(source, path, config)
     if parse_error is not None:
         return [parse_error]
-    return _lexical_findings(ctx)
+    findings = _lexical_findings(ctx)
+    if selected_project_rules(config):
+        summary = extract_module_summary(
+            ctx.tree, path, import_map=ctx.import_map
+        )
+        findings += _project_findings(ProjectContext(
+            summaries={path: summary},
+            index=ProjectIndex.build([summary]),
+            config=config,
+            lines={path: ctx.lines},
+        ))
+    return sorted(findings, key=lambda f: (f.line, f.col, f.rule_id))
 
 
 def iter_python_files(paths: Sequence[str]) -> List[Path]:
@@ -287,27 +311,6 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
         elif path.suffix == ".py" and path.exists():
             found.append(path)
     return sorted(set(found))
-
-
-def analyze_paths(
-    paths: Sequence[str], config: Optional[LintConfig] = None
-) -> List[Finding]:
-    """Run the lexical rules over every ``.py`` file under ``paths``.
-
-    Whole-program rules need the project view; use
-    :func:`analyze_project` (or :func:`repro.staticlint.cli.
-    build_report`) to run those as well.
-    """
-    findings: List[Finding] = []
-    for path in iter_python_files(paths):
-        findings.extend(
-            analyze_source(
-                path.read_text(encoding="utf-8"),
-                path=str(path),
-                config=config,
-            )
-        )
-    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +331,19 @@ class ProjectAnalysis:
     context: Optional[ProjectContext] = None
 
 
-def _finish_project_findings(
-    findings: List[Finding], lines_by_path: Dict[str, List[str]]
-) -> List[Finding]:
-    """Occurrence-number and suppression-mark interproc findings."""
+def _project_findings(context: ProjectContext) -> List[Finding]:
+    """Run the selected whole-program rules, finished
+    (occurrence-numbered and suppression-marked)."""
+    findings: List[Finding] = []
+    for prule in selected_project_rules(context.config):
+        findings.extend(prule.check(context))
     findings = _number_occurrences(findings)
     by_path: Dict[str, List[Finding]] = {}
     for finding in findings:
         by_path.setdefault(finding.path, []).append(finding)
     out: List[Finding] = []
     for path in sorted(by_path):
-        allowed = suppressed_lines(lines_by_path.get(path, []))
+        allowed = suppressed_lines(context.lines.get(path, []))
         out.extend(_apply_suppressions(by_path[path], allowed))
     return out
 
@@ -365,10 +370,7 @@ def analyze_project(
         schema_hash,
     )
     from repro.staticlint.callgraph import ProjectIndex
-    from repro.staticlint.registry import (
-        all_rules,
-        selected_project_rules,
-    )
+    from repro.staticlint.registry import all_rules
     from repro.staticlint.symbols import (
         ModuleSummary,
         extract_module_summary,
@@ -436,12 +438,7 @@ def analyze_project(
             lines=lines_by_path,
         )
         if project_findings is None:
-            raw_findings: List[Finding] = []
-            for prule in selected_project_rules(config):
-                raw_findings.extend(prule.check(context))
-            project_findings = _finish_project_findings(
-                raw_findings, lines_by_path
-            )
+            project_findings = _project_findings(context)
             if cache is not None:
                 cache.put_project(project_key, project_findings)
     if cache is not None:

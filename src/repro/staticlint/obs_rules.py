@@ -11,122 +11,193 @@ endpoints legitimately live in different callbacks (a network delivery,
 a deferred lock release) must use the retrospective
 ``add_span(name, t_start, t_end)`` form instead, which never touches
 the stack -- so inside any single function body the begin/end calls
-are expected to balance.
+are expected to balance.  A helper that *returns* its ``begin_span``
+handle hands the open span to its caller, where the balance is then
+checked.  ``obs-span-leak`` reads both from the symbol index and its
+per-function dataflow, so it covers one body and every span-opening
+helper it calls.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List
+from typing import Iterable, Optional, Set, Tuple
 
-from repro.staticlint.engine import ModuleContext, walk_scope
-from repro.staticlint.findings import Severity
-from repro.staticlint.registry import get_rule, rule
+from repro.staticlint.engine import ModuleContext, ProjectContext, walk_scope
+from repro.staticlint.findings import Finding, Severity
+from repro.staticlint.registry import get_rule, project_rule, rule
+from repro.staticlint.symbols import CallRecord, FunctionInfo
 
 _BEGIN = "begin_span"
 _END = "end_span"
 
 
-def _span_calls(func: ast.AST, attr: str) -> List[ast.Call]:
-    """``.begin_span(...)``/``.end_span(...)`` calls in one body."""
-    calls = []
-    for node in walk_scope(func):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == attr
-        ):
-            calls.append(node)
-    calls.sort(key=lambda call: (call.lineno, call.col_offset))
-    return calls
+def _direct_opener_call(func: FunctionInfo) -> Optional[CallRecord]:
+    for call in func.calls:
+        if call.terminal == _BEGIN:
+            return call
+    return None
 
 
-def _transferred_begins(func: ast.AST) -> List[ast.Call]:
-    """Begin calls whose handle the function *returns* -- ownership
-    moves to the caller, so the local body legitimately never ends
-    them (obs-span-leak-interproc polices the caller instead)."""
-    returned_names = set()
-    returned_call_ids = set()
-    for node in walk_scope(func):
-        if not isinstance(node, ast.Return) or node.value is None:
-            continue
-        if isinstance(node.value, ast.Name):
-            returned_names.add(node.value.id)
-        elif isinstance(node.value, ast.Call):
-            returned_call_ids.add(id(node.value))
-    transferred = []
-    for node in walk_scope(func):
-        if isinstance(node, ast.Assign) and isinstance(
-            node.value, ast.Call
-        ):
-            call = node.value
-            if (
-                isinstance(call.func, ast.Attribute)
-                and call.func.attr == _BEGIN
-                and any(
-                    isinstance(target, ast.Name)
-                    and target.id in returned_names
-                    for target in node.targets
-                )
-            ):
-                transferred.append(call)
-        elif isinstance(node, ast.Call):
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == _BEGIN
-                and id(node) in returned_call_ids
-            ):
-                transferred.append(node)
-    return transferred
+def _compute_openers(index) -> Set[str]:
+    """Functions whose return value is a begin_span handle -- i.e.
+    they transfer span ownership to their caller."""
+    openers: Set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for qual in sorted(index.functions):
+            if qual in openers:
+                continue
+            func = index.functions[qual]
+            for call in func.calls:
+                is_open = call.terminal == _BEGIN
+                if not is_open:
+                    callee = index.resolve_call(func, call)
+                    is_open = (
+                        callee is not None and callee.qual in openers
+                    )
+                if not is_open:
+                    continue
+                if "ret" in func.reachable_from([call.node]):
+                    openers.add(qual)
+                    changed = True
+                    break
+    return openers
 
 
-@rule(
+def _compute_enders(index) -> Set[str]:
+    """Functions that (transitively, via plain calls) pop a span."""
+    enders: Set[str] = set()
+    for qual in sorted(index.functions):
+        func = index.functions[qual]
+        if any(call.terminal == _END for call in func.calls):
+            enders.add(qual)
+    changed = True
+    while changed:
+        changed = False
+        for qual in sorted(index.functions):
+            if qual in enders:
+                continue
+            func = index.functions[qual]
+            for call in func.calls:
+                callee = index.resolve_call(func, call)
+                if callee is not None and callee.qual in enders:
+                    enders.add(qual)
+                    changed = True
+                    break
+    return enders
+
+
+def _begin_site(index, opener_qual: str) -> Optional[Tuple[str, int]]:
+    """(path, line) of the underlying begin_span call of an opener."""
+    seen: Set[str] = set()
+    qual = opener_qual
+    while qual not in seen:
+        seen.add(qual)
+        func = index.functions[qual]
+        direct = _direct_opener_call(func)
+        if direct is not None:
+            return func.path, direct.line
+        for call in func.calls:
+            callee = index.resolve_call(func, call)
+            if callee is not None and callee.qual not in seen:
+                qual = callee.qual
+                break
+        else:
+            return None
+    return None
+
+
+@project_rule(
     id="obs-span-leak",
     family="observability",
     severity=Severity.WARNING,
-    summary="begin_span/end_span imbalance within one function body",
+    summary="a function body opens more spans than it ends (directly "
+            "or via a span-opening helper), or ends more than it opens",
     rationale=(
         "begin_span() pushes onto the tracker's nesting stack and "
         "end_span() pops; a body that begins more spans than it ends "
         "leaks an open span that every later span erroneously nests "
         "under (the exporter clamps it with a 'truncated' marker), "
         "while surplus end_span() calls close a span another call "
-        "site still holds.  Cross-callback intervals belong to the "
-        "retrospective add_span() form, which never touches the stack."
+        "site still holds.  A helper may return its begin_span() "
+        "handle -- that transfers ownership of the open span to the "
+        "caller, which must then end it, store it, or re-return it.  "
+        "Cross-callback intervals belong to the retrospective "
+        "add_span() form, which never touches the stack."
     ),
     hint=(
-        "end every span begun in the same function body, or switch to "
+        "end every span opened in the same function body (or return "
+        "the handle to pass ownership up), or switch to "
         "add_span(name, t_start, t_end) for intervals whose endpoints "
         "live in different callbacks"
     ),
 )
-def check_span_leak(ctx: ModuleContext) -> Iterable:
+def check_span_leak(ctx: ProjectContext) -> Iterable[Finding]:
     this = get_rule("obs-span-leak")
-    for func in ast.walk(ctx.tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        begins = _span_calls(func, _BEGIN)
-        ends = _span_calls(func, _END)
-        transferred = {id(call) for call in _transferred_begins(func)}
-        begins = [call for call in begins if id(call) not in transferred]
-        if len(begins) == len(ends):
-            continue
-        if len(begins) > len(ends):
-            # anchor on the begin calls past the last matched one
-            for call in begins[len(ends):]:
-                yield this.finding(
-                    ctx, call,
-                    f"{func.name}() begins {len(begins)} span(s) but "
+    index = ctx.index
+    openers = _compute_openers(index)
+    enders = _compute_enders(index)
+    for qual in sorted(index.functions):
+        func = index.functions[qual]
+        # (call, opener callee or None for a direct begin_span, reach)
+        opened = []
+        ends = []
+        for call in func.calls:
+            if call.terminal == _END:
+                ends.append(call)
+                continue
+            callee = None
+            if call.terminal != _BEGIN:
+                callee = index.resolve_call(func, call)
+                if callee is None or callee.qual not in openers:
+                    continue
+            reach = func.reachable_from([call.node])
+            if "ret" in reach:
+                continue  # ownership moves to our caller
+            opened.append((call, callee, reach))
+        # anchor on the opens past the last matched end
+        for call, callee, reach in opened[len(ends):]:
+            if callee is None:
+                yield ctx.finding(
+                    this, func.path, call.line, call.col,
+                    f"{func.name}() begins {len(opened)} span(s) but "
                     f"ends only {len(ends)} -- this span leaks open",
                 )
-        else:
-            for call in ends[len(begins):]:
-                yield this.finding(
-                    ctx, call,
-                    f"{func.name}() ends {len(ends)} span(s) but "
-                    f"begins only {len(begins)} -- this pop closes a "
-                    f"span owned elsewhere",
-                )
+                continue
+            if qual in enders:
+                continue  # a callee pops the span for us
+            if any(node.startswith("attr:") for node in reach):
+                continue  # handle stored for a later callback
+            site = _begin_site(index, callee.qual)
+            trace = [
+                f"{func.path}:{call.line}: {func.display}(): calls "
+                f"{callee.display}(), which returns an open span",
+            ]
+            if site is not None:
+                trace.insert(0, (
+                    f"{site[0]}:{site[1]}: the span is begun here "
+                    f"and ownership is returned to the caller"
+                ))
+            trace.append(
+                f"{func.path}:{func.line}: {func.display}() never "
+                f"calls end_span() (directly or transitively), "
+                f"stores, or re-returns the handle"
+            )
+            yield ctx.finding(
+                this, func.path, call.line, call.col,
+                f"{func.display}() receives an open span from "
+                f"{callee.display}() and never ends it",
+                trace=trace,
+            )
+        for call in ends[len(opened):]:
+            yield ctx.finding(
+                this, func.path, call.line, call.col,
+                f"{func.name}() ends {len(ends)} span(s) but "
+                f"begins only {len(opened)} -- this pop closes a "
+                f"span owned elsewhere",
+            )
 
 
 # ---------------------------------------------------------------------------

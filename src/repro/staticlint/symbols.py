@@ -8,8 +8,10 @@ file -- a deliberately abstract, JSON-serializable artifact so the
 content-hash cache (:mod:`repro.staticlint.cache`) can persist it and
 incremental runs skip re-parsing unchanged modules entirely.
 
-Each function (top-level or method; nested ``def``/``lambda`` bodies
-are excluded, matching ``walk_scope``) is summarized as a small
+Every function is summarized -- top-level, method, or nested ``def``
+(qualified ``<outer>.<locals>.<name>``, like ``__qualname__``).  Each
+body excludes the nested ``def``/``lambda`` bodies inside it, matching
+``walk_scope``: they run at some other time.  A summary is a small
 dataflow graph over abstract *nodes*:
 
 ``param:<name>``
@@ -51,7 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.staticlint.engine import build_import_map, walk_scope
 
 #: bump when the summary shape changes so stale caches self-invalidate
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
 
 
 def module_name(path: str, roots: Sequence[str] = ()) -> str:
@@ -144,8 +146,8 @@ class FunctionInfo:
     fstrings: List[Tuple[int, int, List[str]]] = field(default_factory=list)
     #: Atomic(True)..Atomic(False) window, (start, end) lines
     window: Optional[Tuple[int, int]] = None
-    #: non-Atomic/Compute yields: (line, description)
-    bad_yields: List[Tuple[int, str]] = field(default_factory=list)
+    #: non-Atomic/Compute yields: (line, col, description)
+    bad_yields: List[Tuple[int, int, str]] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -171,6 +173,11 @@ class FunctionInfo:
             window=tuple(data["window"]) if data["window"] else None,
             bad_yields=[tuple(item) for item in data["bad_yields"]],
         )
+
+    @property
+    def display(self) -> str:
+        """``Class.name`` for methods, ``name`` otherwise."""
+        return f"{self.cls}.{self.name}" if self.cls else self.name
 
     # -- flow helpers (used by the whole-program rules) ----------------
 
@@ -493,7 +500,9 @@ class _FunctionExtractor:
             if isinstance(node, ast.Yield):
                 if not _allowed_yield(node.value):
                     desc = ast.unparse(node.value) if node.value else "yield"
-                    self.info.bad_yields.append((node.lineno, desc))
+                    self.info.bad_yields.append(
+                        (node.lineno, node.col_offset + 1, desc)
+                    )
         if opens:
             end = max(closes) if closes else getattr(
                 self.func, "end_lineno", opens[0]
@@ -507,7 +516,7 @@ def extract_module_summary(
     roots: Sequence[str] = (),
     import_map: Optional[Dict[str, str]] = None,
 ) -> ModuleSummary:
-    """Summarize every top-level function and method in ``tree``."""
+    """Summarize every function in ``tree``, nested ones included."""
     mod = module_name(path, roots)
     summary = ModuleSummary(path=path, module=mod)
     import_map = (
@@ -526,8 +535,12 @@ def extract_module_summary(
         parts.append(root)
         return ".".join(reversed(parts))
 
-    def add_function(func: ast.AST, cls: str) -> None:
-        qual = ".".join(p for p in (mod, cls, func.name) if p)
+    def add_function(
+        func: ast.AST, scope: Tuple[str, ...], cls: str
+    ) -> None:
+        qual = ".".join((mod,) + scope + (func.name,))
+        if qual in summary.functions:  # a conditional redefinition
+            qual = f"{qual}@{func.lineno}"
         # drop the implicit receiver (``self``/``cls``) so positional
         # argument -> parameter mapping lines up at call sites
         params = [
@@ -545,12 +558,17 @@ def extract_module_summary(
         _FunctionExtractor(func, info, resolve).run()
         summary.functions[qual] = info
 
-    body = getattr(tree, "body", [])
-    for node in body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            add_function(node, "")
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    add_function(item, node.name)
+    def visit(node: ast.AST, scope: Tuple[str, ...], cls: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                add_function(child, scope, cls)
+                # a nested def belongs to no class: it is a closure,
+                # never a method the call graph may resolve by name
+                visit(child, scope + (child.name, "<locals>"), "")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,), child.name)
+            else:
+                visit(child, scope, cls)
+
+    visit(tree, (), "")
     return summary

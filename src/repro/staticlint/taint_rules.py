@@ -2,12 +2,13 @@
 
 These rules close the laundering gap the lexical families leave open:
 a wall-clock read wrapped in a helper, a DRBG key threaded through two
-calls into a log line, a ``sim.schedule`` buried in a callee of an
-``Atomic(True)`` window, a span begun in a helper and never ended by
-the caller.  Each runs once over the :class:`~repro.staticlint.engine.
-ProjectContext` (summaries + call graph) instead of per module, and
-each finding carries the source->sink ``trace`` that ``repro lint
---explain`` prints.
+calls into a log line.  Each runs the taint engine once over the
+:class:`~repro.staticlint.engine.ProjectContext` (summaries + call
+graph) instead of per module, and each finding carries the
+source->sink ``trace`` that ``repro lint --explain`` prints.  The
+atomicity and span-ownership hazards are whole-program rules too, but
+live with their families (:mod:`repro.staticlint.atomicity`,
+:mod:`repro.staticlint.obs_rules`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Iterable, List, Optional, Set, Tuple
 from repro.staticlint.dataflow import (
     TaintSpec,
     call_matcher,
-    dotted_matches,
     run_taint,
 )
 from repro.staticlint.determinism import WALL_CLOCK_CALLS
@@ -32,10 +32,6 @@ _TOKEN_RE = re.compile(r"[^a-z0-9]+")
 
 def _tokens(name: str) -> Set[str]:
     return {t for t in _TOKEN_RE.split(name.lower()) if t}
-
-
-def _display(func: FunctionInfo) -> str:
-    return f"{func.cls}.{func.name}" if func.cls else func.name
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +117,7 @@ def check_det_taint_flow(ctx: ProjectContext) -> Iterable[Finding]:
             hit.line,
             hit.col,
             f"wall-clock/unseeded-random value reaches "
-            f"{hit.sink_desc} in {_display(hit.function)}()",
+            f"{hit.sink_desc} in {hit.function.display}()",
             trace=hit.trace,
         )
 
@@ -282,281 +278,6 @@ def check_crypto_secret_leak(ctx: ProjectContext) -> Iterable[Finding]:
             hit.line,
             hit.col,
             f"key/DRBG material reaches {hit.sink_desc} in "
-            f"{_display(hit.function)}()",
+            f"{hit.function.display}()",
             trace=hit.trace,
         )
-
-
-# ---------------------------------------------------------------------------
-# ra-atomic-gap-interproc
-# ---------------------------------------------------------------------------
-
-_SCHEDULER_TERMINALS = ("schedule", "schedule_at")
-_YIELD_PAYLOADS = ("Atomic", "Compute")
-
-
-def _schedules(func: FunctionInfo) -> Optional[CallRecord]:
-    for call in func.calls:
-        if call.terminal in _SCHEDULER_TERMINALS:
-            return call
-    return None
-
-
-def _hazard_site(func: FunctionInfo) -> Optional[Tuple[int, str]]:
-    """(line, description) of this function's own hazard, if any."""
-    call = _schedules(func)
-    if call is not None:
-        return call.line, f"calls {call.terminal}()"
-    if func.bad_yields:
-        line, desc = func.bad_yields[0]
-        return line, f"yields {desc!r}"
-    return None
-
-
-@project_rule(
-    id="ra-atomic-gap-interproc",
-    family="atomicity",
-    severity=Severity.ERROR,
-    summary="callee of a declared-atomic window transitively "
-            "schedules work or cedes the CPU",
-    rationale=(
-        "ra-atomic-gap checks the measurement body itself, but the "
-        "Section 2 hazard does not stop at the function boundary: a "
-        "helper called between Atomic(True) and Atomic(False) that "
-        "reaches sim.schedule(), or a delegated (yield from) "
-        "generator that yields anything but Compute()/Atomic(), "
-        "reintroduces exactly the interleaving the atomic claim rules "
-        "out -- the verifier would accept a digest whose consistency "
-        "guarantee no longer holds."
-    ),
-    hint=(
-        "hoist the scheduling/yielding work out of the "
-        "Atomic(True)...Atomic(False) window, or pass results out and "
-        "schedule after Atomic(False); run repro lint --explain "
-        "ra-atomic-gap-interproc for the call chain"
-    ),
-)
-def check_atomic_gap_interproc(
-    ctx: ProjectContext,
-) -> Iterable[Finding]:
-    this = get_rule("ra-atomic-gap-interproc")
-    index = ctx.index
-    for qual in sorted(index.functions):
-        func = index.functions[qual]
-        if func.window is None:
-            continue
-        start, end = func.window
-        for call in func.calls:
-            if not (start < call.line <= end):
-                continue
-            if call.terminal in _YIELD_PAYLOADS:
-                continue
-            if call.terminal in _SCHEDULER_TERMINALS:
-                continue  # the lexical ra-atomic-gap already flags it
-            callee = index.resolve_call(func, call)
-            if callee is None:
-                continue
-            if call.yield_from:
-                # a delegated generator runs inside the window: its
-                # own yields and anything its callees schedule count
-                chain = index.transitively_calls(
-                    callee,
-                    lambda f: _hazard_site(f) is not None,
-                    plain_only=False,
-                )
-            else:
-                # a plain call runs the callee body (and its callees)
-                # but never executes yields in generators it merely
-                # instantiates -- only transitive scheduling counts
-                chain = index.transitively_calls(
-                    callee,
-                    lambda f: _schedules(f) is not None,
-                    plain_only=True,
-                )
-            if chain is None:
-                continue
-            guilty = index.functions[chain[-1]]
-            site = _hazard_site(guilty)
-            if site is None:  # pragma: no cover -- predicate said yes
-                continue
-            hazard_line, hazard_desc = site
-            trace = [
-                f"{func.path}:{call.line}: {_display(func)}(): calls "
-                f"{_display(callee)}() inside its "
-                f"Atomic(True)...Atomic(False) window "
-                f"(lines {start}..{end})"
-            ]
-            for step_qual in chain[1:]:
-                step = index.functions[step_qual]
-                trace.append(
-                    f"{step.path}:{step.line}: reaches "
-                    f"{_display(step)}()"
-                )
-            trace.append(
-                f"{guilty.path}:{hazard_line}: {_display(guilty)}() "
-                f"{hazard_desc} -- interleaving re-enters the window"
-            )
-            yield ctx.finding(
-                this,
-                func.path,
-                call.line,
-                call.col,
-                f"{_display(callee)}() called inside the atomic "
-                f"section of {_display(func)}() reaches "
-                f"{_display(guilty)}(), which {hazard_desc}",
-                trace=trace,
-            )
-
-
-# ---------------------------------------------------------------------------
-# obs-span-leak-interproc
-# ---------------------------------------------------------------------------
-
-_BEGIN = "begin_span"
-_END = "end_span"
-
-
-def _direct_opener_call(func: FunctionInfo) -> Optional[CallRecord]:
-    for call in func.calls:
-        if call.terminal == _BEGIN:
-            return call
-    return None
-
-
-def _compute_openers(index) -> Set[str]:
-    """Functions whose return value is a begin_span handle -- i.e.
-    they transfer span ownership to their caller."""
-    openers: Set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for qual in sorted(index.functions):
-            if qual in openers:
-                continue
-            func = index.functions[qual]
-            for call in func.calls:
-                is_open = call.terminal == _BEGIN
-                if not is_open:
-                    callee = index.resolve_call(func, call)
-                    is_open = (
-                        callee is not None and callee.qual in openers
-                    )
-                if not is_open:
-                    continue
-                if "ret" in func.reachable_from([call.node]):
-                    openers.add(qual)
-                    changed = True
-                    break
-    return openers
-
-
-def _compute_enders(index) -> Set[str]:
-    """Functions that (transitively, via plain calls) pop a span."""
-    enders: Set[str] = set()
-    for qual in sorted(index.functions):
-        func = index.functions[qual]
-        if any(call.terminal == _END for call in func.calls):
-            enders.add(qual)
-    changed = True
-    while changed:
-        changed = False
-        for qual in sorted(index.functions):
-            if qual in enders:
-                continue
-            func = index.functions[qual]
-            for call in func.calls:
-                callee = index.resolve_call(func, call)
-                if callee is not None and callee.qual in enders:
-                    enders.add(qual)
-                    changed = True
-                    break
-    return enders
-
-
-def _begin_site(index, opener_qual: str) -> Optional[Tuple[str, int]]:
-    """(path, line) of the underlying begin_span call of an opener."""
-    seen: Set[str] = set()
-    qual = opener_qual
-    while qual not in seen:
-        seen.add(qual)
-        func = index.functions[qual]
-        direct = _direct_opener_call(func)
-        if direct is not None:
-            return func.path, direct.line
-        for call in func.calls:
-            callee = index.resolve_call(func, call)
-            if callee is not None and callee.qual not in seen:
-                qual = callee.qual
-                break
-        else:
-            return None
-    return None
-
-
-@project_rule(
-    id="obs-span-leak-interproc",
-    family="observability",
-    severity=Severity.WARNING,
-    summary="caller obtains an open span from a helper and never "
-            "ends it",
-    rationale=(
-        "A helper may legitimately return its begin_span() handle -- "
-        "that transfers ownership of the open span to the caller "
-        "(the lexical obs-span-leak rule exempts exactly that shape). "
-        "But ownership is an obligation: a caller that invokes such "
-        "an opener and neither ends a span, stores the handle, nor "
-        "re-returns it leaks an open span across the call boundary, "
-        "and every later span in the run erroneously nests under it."
-    ),
-    hint=(
-        "call end_span() after the opener returns, re-return the "
-        "handle to pass ownership further up, or use add_span() for "
-        "retrospective intervals"
-    ),
-)
-def check_span_leak_interproc(
-    ctx: ProjectContext,
-) -> Iterable[Finding]:
-    this = get_rule("obs-span-leak-interproc")
-    index = ctx.index
-    openers = _compute_openers(index)
-    enders = _compute_enders(index)
-    for qual in sorted(index.functions):
-        func = index.functions[qual]
-        if qual in enders:
-            continue  # this body (transitively) pops a span: balanced
-        for call in func.calls:
-            if call.terminal == _BEGIN:
-                continue  # direct begins belong to the lexical rule
-            callee = index.resolve_call(func, call)
-            if callee is None or callee.qual not in openers:
-                continue
-            reach = func.reachable_from([call.node])
-            if "ret" in reach:
-                continue  # ownership re-transferred to our caller
-            if any(node.startswith("attr:") for node in reach):
-                continue  # handle stored for a later callback
-            site = _begin_site(index, callee.qual)
-            trace = [
-                f"{func.path}:{call.line}: {_display(func)}(): calls "
-                f"{_display(callee)}(), which returns an open span",
-            ]
-            if site is not None:
-                trace.insert(0, (
-                    f"{site[0]}:{site[1]}: the span is begun here "
-                    f"and ownership is returned to the caller"
-                ))
-            trace.append(
-                f"{func.path}:{func.line}: {_display(func)}() never "
-                f"calls end_span() (directly or transitively), "
-                f"stores, or re-returns the handle"
-            )
-            yield ctx.finding(
-                this,
-                func.path,
-                call.line,
-                call.col,
-                f"{_display(func)}() receives an open span from "
-                f"{_display(callee)}() and never ends it",
-                trace=trace,
-            )

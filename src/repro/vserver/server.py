@@ -33,7 +33,9 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional
 
 from repro.errors import ConfigurationError
+from repro.ra.erasmus import COLLECT_STREAM
 from repro.ra.report import AttestationReport
+from repro.ra.seed import PUSH_STREAM
 from repro.ra.service import listen
 from repro.ra.verifier import Verifier, VerifyCostModel
 from repro.resilience.outcome import (
@@ -47,10 +49,8 @@ from repro.sim.network import Endpoint, Message
 #: message kinds the server consumes, with the per-kind verify kwargs
 #: (the same replay defenses SeedMonitor / CollectorVerifier apply)
 KIND_VERIFY_KWARGS: Dict[str, Dict[str, Any]] = {
-    "seed_report": {"enforce_counter": True, "counter_stream": "seed-push"},
-    "collect_reply": {
-        "enforce_counter": True, "counter_stream": "erasmus-collect",
-    },
+    "seed_report": {"enforce_counter": True, "counter_stream": PUSH_STREAM},
+    "collect_reply": {"enforce_counter": True, "counter_stream": COLLECT_STREAM},
     "att_report": {},
 }
 

@@ -335,6 +335,35 @@ class TestAtomicGapRule:
         )
         assert found == []
 
+    def test_nested_def_window_flagged(self):
+        src = (
+            "def arm(self):\n"
+            "    def inner(proc):\n"
+            "        yield Atomic(True)\n"
+            "        proc.sim.schedule(0.0, self.notify)\n"
+            "        yield Atomic(False)\n"
+            "    return inner\n"
+        )
+        found = live(
+            findings_for(src, path="src/repro/ra/fake.py", rule=self.RULE)
+        )
+        assert [(f.line, f.col) for f in found] == [(4, 9)]
+        assert "atomic section of inner()" in found[0].message
+
+    def test_method_preemptible_yield_flagged(self):
+        src = (
+            "class Measure:\n"
+            "    def run(self, proc):\n"
+            "        yield Atomic(True)\n"
+            "        yield Sleep(1.0)\n"
+            "        yield Atomic(False)\n"
+        )
+        found = live(
+            findings_for(src, path="src/repro/ra/fake.py", rule=self.RULE)
+        )
+        assert [f.line for f in found] == [4]
+        assert "cedes the CPU" in found[0].message
+
 
 SPAN_LEAK_BAD = """\
 def handle(self, request):
@@ -422,6 +451,20 @@ class TestObsSpanLeakRule:
             src, path="src/repro/ra/fake.py", rule=self.RULE
         )
         assert found == []
+
+    def test_nested_def_leak_flagged(self):
+        src = (
+            "def arm(self):\n"
+            "    def fire():\n"
+            "        span = self.obs.spans.begin_span('x')\n"
+            "        self.reply(span)\n"
+            "    self.sim.schedule(1.0, fire)\n"
+        )
+        found = live(
+            findings_for(src, path="src/repro/ra/fake.py", rule=self.RULE)
+        )
+        assert [f.line for f in found] == [3]
+        assert "leaks open" in found[0].message
 
     def test_loop_balanced_begin_end_not_flagged(self):
         src = (

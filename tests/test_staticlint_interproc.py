@@ -13,13 +13,12 @@ import ast
 import json
 import subprocess
 
-import pytest
-
 from repro.staticlint import (
     LintConfig,
     ProjectIndex,
     TaintSpec,
     analyze_project,
+    analyze_source,
     build_report,
     extract_module_summary,
     run_taint,
@@ -397,7 +396,7 @@ class TestCryptoSecretLeak:
 
 
 # ---------------------------------------------------------------------------
-# ra-atomic-gap-interproc (cross-file)
+# ra-atomic-gap (cross-file)
 # ---------------------------------------------------------------------------
 
 ATOMIC_HELPERS = (
@@ -407,7 +406,7 @@ ATOMIC_HELPERS = (
 
 
 class TestAtomicGapInterproc:
-    RULE = "ra-atomic-gap-interproc"
+    RULE = "ra-atomic-gap"
 
     def test_helper_scheduling_inside_window_flagged(self, tmp_path):
         found = live_findings(tmp_path, {
@@ -426,8 +425,10 @@ class TestAtomicGapInterproc:
         assert len(gaps) == 1
         assert gaps[0].path.endswith("repro/ra/proc.py")
         assert gaps[0].line == 5
-        # the direct lexical rule cannot see through the call
-        assert not any(f.rule_id == "ra-atomic-gap" for f in found)
+        # one rule per hazard: exactly one finding at this site
+        assert [
+            f for f in found if (f.path, f.line) == (gaps[0].path, 5)
+        ] == gaps
 
     def test_inline_suppression_honored(self, tmp_path):
         found = all_findings(tmp_path, {
@@ -437,7 +438,7 @@ class TestAtomicGapInterproc:
                 "\n"
                 "def run(self, proc):\n"
                 "    yield Atomic(True)\n"
-                "    prep(proc)  # repro: allow[ra-atomic-gap-interproc]\n"
+                "    prep(proc)  # repro: allow[ra-atomic-gap]\n"
                 "    yield Compute(0.5)\n"
                 "    yield Atomic(False)\n"
             ),
@@ -459,6 +460,24 @@ class TestAtomicGapInterproc:
         }, rule=self.RULE)
         assert found == []
 
+    def test_same_module_helper_reported_by_analyze_source(self):
+        source = (
+            "def prep(proc):\n"
+            "    proc.sim.schedule(0.0, None)\n"
+            "\n"
+            "def run(self, proc):\n"
+            "    yield Atomic(True)\n"
+            "    prep(proc)\n"
+            "    yield Atomic(False)\n"
+        )
+        found = analyze_source(
+            source, path="src/repro/ra/proc.py",
+            config=LintConfig(select=(self.RULE,)),
+        )
+        assert [(f.rule_id, f.line) for f in found] == [(self.RULE, 6)]
+        assert "prep() called inside the atomic section" in found[0].message
+        assert found[0].trace
+
     def test_pure_helper_inside_window_not_flagged(self, tmp_path):
         found = live_findings(tmp_path, {
             "repro/ra/helpers.py": (
@@ -479,7 +498,7 @@ class TestAtomicGapInterproc:
 
 
 # ---------------------------------------------------------------------------
-# obs-span-leak-interproc (cross-file)
+# obs-span-leak (cross-file)
 # ---------------------------------------------------------------------------
 
 SPAN_OPENER = (
@@ -490,7 +509,7 @@ SPAN_OPENER = (
 
 
 class TestSpanLeakInterproc:
-    RULE = "obs-span-leak-interproc"
+    RULE = "obs-span-leak"
 
     def test_unbalanced_opener_call_flagged(self, tmp_path):
         found = live_findings(tmp_path, {
@@ -506,9 +525,12 @@ class TestSpanLeakInterproc:
         leaks = [f for f in found if f.rule_id == self.RULE]
         assert len(leaks) == 1
         assert leaks[0].path.endswith("repro/core/work.py")
-        # the opener itself transfers ownership via return: the
-        # lexical obs-span-leak rule must stay silent on it
-        assert not any(f.rule_id == "obs-span-leak" for f in found)
+        # the opener itself transfers ownership via return; one rule
+        # per hazard: exactly one finding at the caller's site
+        assert [
+            f for f in found
+            if (f.path, f.line) == (leaks[0].path, leaks[0].line)
+        ] == leaks
 
     def test_inline_suppression_honored(self, tmp_path):
         found = all_findings(tmp_path, {
@@ -518,7 +540,7 @@ class TestSpanLeakInterproc:
                 "\n"
                 "def work(obs):\n"
                 "    span = open_phase(obs)"
-                "  # repro: allow[obs-span-leak-interproc]\n"
+                "  # repro: allow[obs-span-leak]\n"
                 "    use(span)\n"
             ),
         }, rule=self.RULE)

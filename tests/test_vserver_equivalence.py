@@ -24,8 +24,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.tradeoff import ScenarioConfig
-from repro.ra.erasmus import COLLECT_STREAM, verify_collections_batch
-from repro.ra.seed import PUSH_STREAM, verify_pushes_batch
+from repro.ra.erasmus import COLLECT_STREAM
+from repro.ra.seed import PUSH_STREAM
 from repro.ra.verifier import Verifier
 from repro.resilience.retry import RetryPolicy
 from repro.scenario import Scenario
@@ -127,14 +127,9 @@ def assert_equivalent(scenario):
         serial.verify_report(report, **kwargs) for report in reports
     ]
     batched = fresh_verifier(scenario.verifier)
-    if scenario.seed_service is not None:
-        batched_results = verify_pushes_batch(batched, reports)
-    elif scenario.collector is not None:
-        batched_results = verify_collections_batch(batched, reports)
-    else:
-        batched_results = batched.verify_batch(
-            [(report, kwargs) for report in reports]
-        )
+    batched_results = batched.verify_batch(
+        [(report, kwargs) for report in reports]
+    )
     assert signature(batched_results) == signature(serial_results)
     return serial_results
 
@@ -181,7 +176,9 @@ class TestMechanismEquivalence:
             serial.verify_report(report, **kwargs) for report in doubled
         ]
         batched = fresh_verifier(scenario.verifier)
-        batched_results = verify_pushes_batch(batched, doubled)
+        batched_results = batched.verify_batch(
+            [(report, kwargs) for report in doubled]
+        )
         assert signature(batched_results) == signature(serial_results)
         assert any(
             result.verdict.value == "replay" for result in batched_results
