@@ -25,7 +25,7 @@ faults / blocked time).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.device import Device
@@ -102,6 +102,9 @@ class FireAlarmApp:
         self.alarm_at: Optional[float] = None
         self.samples = 0
         self.readings: List[float] = []
+        # ``app.samples`` handle, resolved on the first sample so a run
+        # that takes none registers no series.
+        self._m_samples: Optional[Any] = None
         self.task = PeriodicTask(
             device.cpu,
             name=f"{device.name}.firealarm",
@@ -136,9 +139,12 @@ class FireAlarmApp:
         self.readings.append(reading)
         obs = self.device.obs
         if obs.enabled:
-            obs.metrics.counter(
-                "app.samples", "temperature samples taken",
-            ).inc()
+            m_samples = self._m_samples
+            if m_samples is None:
+                m_samples = self._m_samples = obs.metrics.counter(
+                    "app.samples", "temperature samples taken",
+                )
+            m_samples.inc()
         if self.data_block is not None:
             record = task.jobs[-1]
             encoded = int(reading * 100).to_bytes(4, "big")

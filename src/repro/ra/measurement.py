@@ -175,8 +175,11 @@ class MeasurementProcess:
             nonce=self.nonce.hex()[:8], counter=self.counter,
         )
 
+        # Spans and metrics are gated apart: a metrics-only bundle (the
+        # fleet default) pays no per-block span work.
         obs = device.obs
-        spans = obs.spans if obs.enabled else None
+        spans = obs.spans if obs.spans.enabled else None
+        metrics = obs.metrics if obs.metrics.enabled else None
         if spans is not None:
             span_args = dict(
                 mechanism=self.mechanism, order=config.order,
@@ -187,17 +190,16 @@ class MeasurementProcess:
             measurement_span = spans.begin_span(
                 "ra.measurement", category="ra.measurement", **span_args
             )
-            m_blocks = obs.metrics.counter(
+        if metrics is not None:
+            m_blocks = metrics.counter(
                 "ra.blocks.measured", "attested blocks traversed",
                 mechanism=self.mechanism,
             )
-            m_bytes = obs.metrics.counter(
+            m_bytes = metrics.counter(
                 "ra.bytes.measured", "simulated bytes hashed",
                 mechanism=self.mechanism,
             )
-        else:
-            measurement_span = None
-            m_blocks = m_bytes = None
+            sim_block_size = device.memory.sim_block_size
 
         if config.atomic:
             yield Atomic(True)
@@ -268,6 +270,7 @@ class MeasurementProcess:
         inline_ok = (
             cache is not None
             and spans is None
+            and metrics is None
             and type(self.policy) is NoLock
         )
         trace_record = device.trace.record
@@ -351,14 +354,15 @@ class MeasurementProcess:
                         position, total, interruptible, region_name
                     )
                 continue
-            yield Compute(block_hash_time, coalesce=cached is not None)
+            yield Compute(block_hash_time)
             post_ops = self.policy.after_block(block_index)
             if post_ops:
                 yield Compute(self._lock_cost(post_ops))
             if spans is not None:
                 spans.end_span(block_span)
+            if metrics is not None:
                 m_blocks.inc()
-                m_bytes.inc(device.memory.sim_block_size)
+                m_bytes.inc(sim_block_size)
             if notify:
                 device.notify_block_measured(
                     position + 1, total, interruptible, region_name
@@ -422,7 +426,8 @@ class MeasurementProcess:
                 interruptions=self.record.interruptions,
                 digest=digest.hex()[:8],
             )
-            obs.metrics.histogram(
+        if metrics is not None:
+            metrics.histogram(
                 "ra.measurement.duration",
                 "wall-to-wall measurement window t_e - t_s (sim s)",
                 mechanism=self.mechanism,
@@ -435,12 +440,12 @@ class MeasurementProcess:
             if cache is not None:
                 # Cache-off runs never register these series, so the
                 # seed metric snapshot is untouched by default.
-                obs.metrics.counter(
+                metrics.counter(
                     "perf.digest_cache.hits",
                     "measurement blocks served from the digest cache",
                     mechanism=self.mechanism,
                 ).inc(cache.hits - hits_before)
-                obs.metrics.counter(
+                metrics.counter(
                     "perf.digest_cache.misses",
                     "measurement blocks hashed and cached",
                     mechanism=self.mechanism,

@@ -33,6 +33,7 @@ simulation time -- the standard discrete-event coroutine convention.
 from __future__ import annotations
 
 import enum
+import heapq
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.errors import ProcessError
@@ -42,22 +43,20 @@ from repro.sim.engine import EventHandle, Signal, Simulator
 class Compute:
     """Occupy the CPU for ``duration`` seconds of work.
 
-    ``coalesce=True`` marks the compute as a candidate for the engine's
-    inline fast path: when the completion event would provably be the
-    next event to fire anyway (see
-    :meth:`repro.sim.engine.Simulator.can_coalesce`), the clock advances
-    without a heap round-trip.  Purely a wall-clock optimisation --
-    sim-time, trace records and preemption behavior are identical --
-    used by the measurement hot loop on digest-cache hits.
+    Every compute is a candidate for the engine's inline fast path
+    (see :meth:`CPU._advance`): when its completion event would provably
+    be the next event to fire and nothing ready would preempt the
+    runner, the clock advances without a heap round-trip.  Purely a
+    wall-clock optimisation -- sim-time, trace records and preemption
+    behavior are identical.
     """
 
-    __slots__ = ("duration", "coalesce")
+    __slots__ = ("duration",)
 
-    def __init__(self, duration: float, coalesce: bool = False) -> None:
+    def __init__(self, duration: float) -> None:
         if duration < 0:
             raise ProcessError(f"negative compute duration {duration!r}")
         self.duration = duration
-        self.coalesce = coalesce
 
 
 class Sleep:
@@ -174,7 +173,9 @@ class Process:
     def _became_ready(self, now: float) -> None:
         self.state = ProcState.READY
         self._ready_since = now
-        self._ready_seq = self.cpu._next_seq()
+        cpu = self.cpu
+        seq = self._ready_seq = cpu._next_seq()
+        heapq.heappush(cpu._ready, (-self.priority, seq, self))
 
     def _record_dispatch(self, now: float) -> None:
         self.dispatch_count += 1
@@ -205,9 +206,12 @@ class CPU:
         self.trace = trace
         self.current: Optional[Process] = None
         self.processes: List[Process] = []
+        #: heap of (-priority, ready_seq, process), one entry per
+        #: transition to READY; an entry is stale once its process has
+        #: left READY or become ready again (see :meth:`_pick_next`)
+        self._ready: List[tuple] = []
         self._seq = 0
         self._in_advance = False
-        self._dispatch_pending = False
 
     # -- public API ------------------------------------------------------
 
@@ -299,19 +303,21 @@ class CPU:
         self._emit("ready", proc)
         self._dispatch()
 
-    def _ready_processes(self) -> List[Process]:
-        return [p for p in self.processes if p.state is ProcState.READY]
-
     def _pick_next(self) -> Optional[Process]:
-        ready = self._ready_processes()
-        if not ready:
-            return None
-        return min(ready, key=lambda p: (-p.priority, p._ready_seq))
+        """The ready process that runs next: highest priority, then
+        earliest ready.  Stale heap heads are discarded; the live head
+        stays queued until it runs."""
+        ready = self._ready
+        while ready:
+            _, seq, proc = ready[0]
+            if proc.state is ProcState.READY and proc._ready_seq == seq:
+                return proc
+            heapq.heappop(ready)
+        return None
 
     def _dispatch(self) -> None:
         """Ensure the highest-priority ready/running process holds the CPU."""
         if self._in_advance:
-            self._dispatch_pending = True
             return
         candidate = self._pick_next()
         if self.current is not None:
@@ -371,22 +377,27 @@ class CPU:
     def _advance(self, proc: Process, send_value: Any) -> None:
         """Step the generator until it blocks (Compute/Sleep/Wait) or ends."""
         self._in_advance = True
+        send = proc._generator.send
+        can_coalesce = self.sim.can_coalesce
         try:
             while True:
                 try:
-                    command = proc._generator.send(send_value)
+                    command = send(send_value)
                 except StopIteration as stop:
                     self._finish(proc, getattr(stop, "value", None))
                     return
                 send_value = None
                 if isinstance(command, Compute):
                     duration = command.duration
-                    if command.coalesce and self.sim.can_coalesce(duration):
+                    if can_coalesce(duration) and (
+                        proc.atomic or not self._outranked(proc)
+                    ):
                         # Inline fast path: the completion event would
-                        # be the very next event the engine fires, so
-                        # skip the heap round-trip.  The trace record is
-                        # emitted at the pre-advance instant, exactly as
-                        # the scheduling path does.
+                        # be the very next event the engine fires, and
+                        # the dispatch after scheduling it would not
+                        # preempt, so skip the heap round-trip.  The
+                        # trace record is emitted at the pre-advance
+                        # instant, exactly as the scheduling path does.
                         self._emit("compute", proc, duration=duration)
                         self.sim.coalesce_advance(duration)
                         proc.cpu_time += duration
@@ -436,8 +447,13 @@ class CPU:
                 )
         finally:
             self._in_advance = False
-            self._dispatch_pending = False
             self._dispatch()
+
+    def _outranked(self, proc: Process) -> bool:
+        """Whether a ready process would preempt ``proc`` at the next
+        dispatch (ignoring ``proc.atomic``)."""
+        candidate = self._pick_next()
+        return candidate is not None and candidate.priority > proc.priority
 
     def _wake(self, proc: Process) -> None:
         proc._wake_event = None

@@ -8,13 +8,11 @@ legal, when it must be refused, and that traces and firing order never
 change.
 """
 
-import pytest
-
 from repro.errors import SchedulingError
 from repro.obs.core import Observability
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
-from repro.sim.process import Compute, Process
+from repro.sim.process import Compute
 
 
 class TestCanCoalesce:
@@ -263,18 +261,29 @@ class TestPeekAndBatchDrain:
         assert len(errors) == 1
 
 
+def oracle_sim(coalesce):
+    """A simulator with Compute coalescing on (the default) or off: the
+    sim-time-only profiler must see every event fire, so the engine
+    refuses to coalesce under it."""
+    if coalesce:
+        return Simulator()
+    return Simulator(obs=Observability.enabled(
+        spans=False, metrics=False, profile_events=True,
+    ))
+
+
 class TestComputeCoalesce:
-    """``Compute(d, coalesce=True)`` must be trace-identical to the
-    event-queue path -- it is a hint, never a semantic change."""
+    """Coalescing a ``Compute`` must be trace-identical to the
+    event-queue path -- a wall-clock move, never a semantic change."""
 
     def run_proc(self, coalesce):
-        sim = Simulator()
+        sim = oracle_sim(coalesce)
         device = Device(sim, block_count=4, block_size=32)
         device.standard_layout()
 
         def body(proc):
             for _ in range(6):
-                yield Compute(0.25, coalesce=coalesce)
+                yield Compute(0.25)
 
         device.cpu.spawn("p", body, priority=10)
         sim.run(until=5.0)
@@ -290,14 +299,14 @@ class TestComputeCoalesce:
         """An interleaved timer forces the fallback path part-way."""
 
         def run(coalesce):
-            sim = Simulator()
+            sim = oracle_sim(coalesce)
             device = Device(sim, block_count=4, block_size=32)
             device.standard_layout()
             ticks = []
 
             def body(proc):
                 for _ in range(8):
-                    yield Compute(0.25, coalesce=coalesce)
+                    yield Compute(0.25)
 
             device.cpu.spawn("p", body, priority=10)
             sim.schedule_at(1.1, ticks.append, "tick")

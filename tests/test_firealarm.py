@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.firealarm import FireAlarmApp
 from repro.errors import ConfigurationError
+from repro.obs.core import Observability
 from repro.ra.measurement import MeasurementConfig, MeasurementProcess
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
@@ -40,6 +41,16 @@ class TestSensing:
         assert app.temperature() == app.ambient
         sim.run(until=2.6)
         assert app.temperature() == app.fire_temperature
+
+    def test_samples_counter_registered_on_first_sample(self):
+        sim = Simulator(obs=Observability.enabled(spans=False))
+        device = Device(sim, block_count=16, block_size=32)
+        device.standard_layout()
+        app = FireAlarmApp(device, period=1.0, sample_wcet=0.001)
+        sim.run(until=0.0005)
+        assert "app.samples" not in sim.obs.metrics.snapshot_flat()
+        sim.run(until=5.5)
+        assert sim.obs.metrics.snapshot_flat()["app.samples"] == 6.0
 
     def test_invalid_temperatures_rejected(self):
         sim, device = make_rig()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.malware.observer import MeasurementObserver
+from repro.obs.core import Observability
 from repro.ra.locking import AllLock
 from repro.ra.measurement import (
     MeasurementConfig,
@@ -215,6 +216,37 @@ class TestInterruption:
             device, MeasurementConfig(locking=AllLock())
         )
         assert locked.duration > plain.duration
+
+
+class TestMetricsWithoutSpans:
+    """A metrics-only bundle skips per-block span work but counts every
+    block exactly as a spans-on run does, brownout included."""
+
+    def run_with(self, spans, reset_at):
+        sim = Simulator(obs=Observability.enabled(spans=spans))
+        device = Device(sim, block_count=8, block_size=32,
+                        sim_block_size=4 * 1024 * 1024)
+        mp = MeasurementProcess(device, MeasurementConfig(),
+                                nonce=b"n", mechanism="test")
+        device.cpu.spawn("mp", mp.run, priority=50)
+        if reset_at is not None:
+            sim.schedule_at(reset_at, device.reset)
+        sim.run(until=100.0)
+        return (
+            device.trace.render(),
+            sim.obs.metrics.snapshot_flat(),
+            len(sim.obs.spans.spans) if spans else 0,
+        )
+
+    @pytest.mark.parametrize("reset_at", [None, 0.1])
+    def test_counts_match_spans_on(self, reset_at):
+        trace_off, flat_off, _ = self.run_with(False, reset_at)
+        trace_on, flat_on, span_count = self.run_with(True, reset_at)
+        assert trace_off == trace_on
+        assert flat_off == flat_on
+        assert span_count > 0
+        blocks = flat_off["ra.blocks.measured{mechanism=test}"]
+        assert (blocks < 8) == (reset_at is not None)
 
 
 class TestMalwareVisibility:

@@ -1,8 +1,10 @@
 """CPU scheduling: priorities, preemption, atomic sections."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProcessError
+from repro.obs.core import Observability
 from repro.sim.engine import Signal, Simulator
 from repro.sim.process import (
     CPU,
@@ -13,6 +15,7 @@ from repro.sim.process import (
     WaitSignal,
     Yield,
 )
+from repro.sim.trace import Trace
 
 
 def make_cpu():
@@ -397,3 +400,115 @@ class TestLifecycleEdgeCases:
         child_events = [entry for entry in log if entry[0] == "child"]
         # The child only ran once the atomic section ended at t=3.
         assert child_events == [("child", 3.0)]
+
+
+class TestAtomicUnmask:
+    def test_ready_higher_priority_preempts_at_unmask(self):
+        """A process that stays ready through an atomic section takes
+        the CPU the instant the section ends, even when the runner's
+        next Compute could otherwise be coalesced inline."""
+        sim = Simulator()
+        trace = Trace()
+        cpu = CPU(sim, trace=trace)
+
+        def low(proc):
+            yield Atomic(True)
+            yield Compute(1.0)
+            yield Atomic(False)
+            yield Compute(1.0)
+
+        def high(proc):
+            yield Compute(0.25)
+
+        cpu.spawn("low", low, priority=10)
+        cpu.spawn("high", high, priority=100, delay=0.5)
+        sim.run()
+        preempts = [(r.time, r.source) for r in trace.filter(kind="preempt")]
+        assert preempts == [(1.0, "low")]
+        runs = [(r.time, r.source) for r in trace.filter(kind="run")]
+        assert runs == [(0.0, "low"), (1.0, "high"), (1.25, "low")]
+        assert sim.now == 2.25
+
+
+DURATIONS = st.sampled_from([0.5, 0.25, 1.0, 0.1, 0.0])
+
+# An atomic section may end in a Compute: the step where a process kept
+# ready by the mask must preempt instead of letting the runner coalesce.
+OPS = st.one_of(
+    st.tuples(st.just("atomic"), st.tuples(
+        st.lists(DURATIONS, min_size=1, max_size=3),
+        st.one_of(DURATIONS, st.none()),
+    )),
+    st.tuples(st.just("compute"), DURATIONS),
+    st.tuples(st.just("sleep"), DURATIONS),
+    st.tuples(st.just("yield"), st.none()),
+    st.tuples(st.just("wait"), st.integers(min_value=0, max_value=1)),
+    st.tuples(st.just("fire"), st.integers(min_value=0, max_value=1)),
+)
+
+PROCESS_SETS = st.lists(
+    st.tuples(
+        st.sampled_from([1, 5, 10, 5]),
+        st.sampled_from([0.0, 0.25, 0.5, 1.5]),
+        st.lists(OPS, max_size=6),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def run_process_set(spec, until, coalesce):
+    """Run ``spec`` with Compute coalescing on (a plain simulator) or
+    off (the sim-time profiler sees every event, so the engine refuses
+    to coalesce); return everything scheduling can influence."""
+    obs = None if coalesce else Observability.enabled(
+        spans=False, metrics=False, profile_events=True,
+    )
+    sim = Simulator(obs=obs)
+    trace = Trace()
+    cpu = CPU(sim, trace=trace)
+    signals = [Signal(sim, f"s{k}") for k in range(2)]
+
+    def make_body(ops):
+        def body(proc):
+            for kind, arg in ops:
+                if kind == "compute":
+                    yield Compute(arg)
+                elif kind == "sleep":
+                    yield Sleep(arg)
+                elif kind == "yield":
+                    yield Yield()
+                elif kind == "atomic":
+                    inside, tail = arg
+                    yield Atomic(True)
+                    for duration in inside:
+                        yield Compute(duration)
+                    yield Atomic(False)
+                    if tail is not None:
+                        yield Compute(tail)
+                elif kind == "wait":
+                    yield WaitSignal(signals[arg])
+                else:
+                    signals[arg].fire(proc.name)
+        return body
+
+    procs = [
+        cpu.spawn(f"p{index}", make_body(ops), priority=priority,
+                  delay=delay)
+        for index, (priority, delay, ops) in enumerate(spec)
+    ]
+    end = sim.run(until=until)
+    return trace.render(), end, [
+        (p.state, p.cpu_time, p.preemption_count, p.dispatch_count,
+         p.response_total, p.response_max, p.response_samples,
+         p.started_at, p.finished_at)
+        for p in procs
+    ]
+
+
+class TestCoalescingDifferential:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spec=PROCESS_SETS, until=st.sampled_from([None, 3.0, 1.0]))
+    def test_coalescing_on_equals_off(self, spec, until):
+        assert run_process_set(spec, until, True) == \
+            run_process_set(spec, until, False)
