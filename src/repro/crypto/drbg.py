@@ -11,12 +11,14 @@ This is the SP 800-90A HMAC-DRBG update/generate core without the
 reseed-counter ceremony (no prediction-resistance requests in a
 simulation).
 
-The generator holds one keyed :class:`~repro.crypto.hmac.Hmac` for
-its current key ``K`` and re-keys only when :meth:`HmacDrbg._update`
-sets a new ``K``; every PRF call under that key is a
-:meth:`~repro.crypto.hmac.Hmac.mac` on the cached keyed state.  A
-one-byte draw therefore keys one HMAC, not three, and the output
-stream is byte-identical to re-keying on every call.
+The generator holds the two keyed hash states of its current key
+``K`` (:func:`~repro.crypto.hmac.keyed_states`) and re-keys only when
+:meth:`HmacDrbg._update` sets a new ``K``; every PRF call under that
+key copies the states instead of keying an HMAC.  One-byte draws --
+:meth:`HmacDrbg.randbelow` with ``upper <= 255``, every draw of a
+SMARM game up to 255 blocks -- run ``generate(1)``, ``_update()`` and the rejection
+loop in one frame on local copies of those states.  The output stream
+is byte-identical to the plain SP 800-90A loop either way.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from typing import List, Sequence, TypeVar
 
 from repro.crypto.hashes import get_algorithm
-from repro.crypto.hmac import Hmac
+from repro.crypto.hmac import keyed_states
 from repro.errors import ParameterError
 
 T = TypeVar("T")
@@ -41,21 +43,25 @@ class HmacDrbg:
 
     def __init__(self, seed: bytes, algorithm: str = "sha256") -> None:
         self.algorithm = algorithm
-        digest_size = get_algorithm(algorithm).digest_size
-        self._rekey(b"\x00" * digest_size)
-        self._value = b"\x01" * digest_size
+        self._hash = get_algorithm(algorithm)
+        self._rekey(b"\x00" * self._hash.digest_size)
+        self._value = b"\x01" * self._hash.digest_size
         self._update(seed)
         self.bytes_generated = 0
 
     # -- core ------------------------------------------------------------
 
     def _rekey(self, key: bytes) -> None:
-        """Set ``K``: the only place this generator keys an HMAC."""
-        self._mac = Hmac(key, self.algorithm)
+        """Set ``K``: the keyed inner and outer states of HMAC(K, .)."""
+        self._inner, self._outer = keyed_states(key, self._hash)
 
     def _hmac(self, *chunks: bytes) -> bytes:
         """HMAC(K, concatenated ``chunks``) under the current key."""
-        return self._mac.mac(b"".join(chunks))
+        inner = self._inner.copy()
+        inner.update(b"".join(chunks))
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def _update(self, provided: bytes = b"") -> None:
         self._rekey(self._hmac(self._value, b"\x00", provided))
@@ -91,14 +97,50 @@ class HmacDrbg:
         return value >> (num_bytes * 8 - bits)
 
     def randbelow(self, upper: int) -> int:
-        """A uniform integer in ``[0, upper)`` via rejection sampling."""
+        """A uniform integer in ``[0, upper)`` via rejection sampling.
+
+        Each attempt draws ``upper.bit_length()`` bits; up to 8 bits
+        that is one byte, taken on the fused path below.
+        """
         if upper <= 0:
             raise ParameterError("upper must be positive")
         bits = upper.bit_length()
+        if bits > 8:
+            while True:
+                candidate = self.randint_bits(bits)
+                if candidate < upper:
+                    return candidate
+        # One byte per attempt: generate(1) then _update(), fused onto
+        # local copies of the keyed states and written back once.
+        shift = 8 - bits
+        hash_ = self._hash
+        inner, outer, value = self._inner, self._outer, self._value
+        attempts = 0
         while True:
-            candidate = self.randint_bits(bits)
+            attempts += 1
+            # generate(1): V = HMAC(K, V), output its first byte
+            h = inner.copy()
+            h.update(value)
+            o = outer.copy()
+            o.update(h.digest())
+            value = o.digest()
+            candidate = value[0] >> shift
+            # _update(): K = HMAC(K, V || 0x00), then V = HMAC(K, V)
+            h = inner.copy()
+            h.update(value + b"\x00")
+            o = outer.copy()
+            o.update(h.digest())
+            inner, outer = keyed_states(o.digest(), hash_)
+            h = inner.copy()
+            h.update(value)
+            o = outer.copy()
+            o.update(h.digest())
+            value = o.digest()
             if candidate < upper:
-                return candidate
+                break
+        self._inner, self._outer, self._value = inner, outer, value
+        self.bytes_generated += attempts
+        return candidate
 
     def randrange(self, lower: int, upper: int) -> int:
         """A uniform integer in ``[lower, upper)``."""

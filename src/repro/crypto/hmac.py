@@ -10,19 +10,18 @@ is covered by the RFC 4231 test vectors in the test suite; only the
 timing-safe comparison, :func:`hmac.compare_digest`, comes from there.
 
 Keying is the expensive part of a short MAC, so it happens once per
-:class:`Hmac`: the padded key is XORed with ipad/opad through two
-precomputed 256-byte ``bytes.translate`` tables, and the result is
-kept as two *keyed hash states* -- the inner one the stream feeds,
-the outer one only ever ``copy()``-ed when a digest is finalised.
-:meth:`Hmac.mac` reuses both states for a one-shot HMAC of fresh data,
-which is how :class:`repro.crypto.drbg.HmacDrbg` keys each ``K`` once
-and uses it for every PRF call under that key.
+key in :func:`keyed_states`: the padded key is XORed with ipad/opad
+through two precomputed 256-byte ``bytes.translate`` tables, and the
+result is two *keyed hash states*.  :class:`Hmac` feeds the inner one
+and only ever ``copy()``-s the outer one when a digest is finalised;
+:class:`repro.crypto.drbg.HmacDrbg` holds both for its current ``K``
+and copies them for every PRF call under that key.
 """
 
 from __future__ import annotations
 
 import hmac as _stdlib_hmac
-from typing import Iterable
+from typing import Any, Iterable, Tuple
 
 from repro.crypto.hashes import HashAlgorithm, get_algorithm
 
@@ -30,6 +29,25 @@ from repro.crypto.hashes import HashAlgorithm, get_algorithm
 #: key becomes ipad/opad with one ``bytes.translate`` call.
 _IPAD_TABLE = bytes(x ^ 0x36 for x in range(256))
 _OPAD_TABLE = bytes(x ^ 0x5C for x in range(256))
+
+
+def keyed_states(key: bytes, algorithm: HashAlgorithm) -> Tuple[Any, Any]:
+    """The keyed inner and outer hash states of HMAC(``key``, .).
+
+    ``H(K ^ ipad)`` and ``H(K ^ opad)``, the key hashed down when it is
+    longer than a block and zero-padded to one.  HMAC(key, data) feeds
+    ``data`` to a copy of the inner state and that digest to a copy of
+    the outer one, so a caller that only copies the pair can reuse it
+    for every MAC under ``key``.
+    """
+    block_size = algorithm.block_size
+    if len(key) > block_size:
+        key = algorithm.factory(key).digest()
+    key = key.ljust(block_size, b"\x00")
+    return (
+        algorithm.factory(key.translate(_IPAD_TABLE)),
+        algorithm.factory(key.translate(_OPAD_TABLE)),
+    )
 
 
 class Hmac:
@@ -43,15 +61,9 @@ class Hmac:
 
     def __init__(self, key: bytes, algorithm: str = "sha256") -> None:
         self.algorithm: HashAlgorithm = get_algorithm(algorithm)
-        block_size = self.algorithm.block_size
-        if len(key) > block_size:
-            key = self.algorithm.new(key).digest()
-        key = key.ljust(block_size, b"\x00")
-        # the two keyed states are only ever copied, never updated, so
-        # copies of this MAC share them by reference
-        self._keyed_inner = self.algorithm.new(key.translate(_IPAD_TABLE))
-        self._outer = self.algorithm.new(key.translate(_OPAD_TABLE))
-        self._inner = self._keyed_inner.copy()
+        # the outer state is only ever copied, never updated, so copies
+        # of this MAC share it by reference
+        self._inner, self._outer = keyed_states(key, self.algorithm)
 
     def update(self, data: bytes) -> None:
         """Feed attested bytes to the inner hash."""
@@ -61,7 +73,6 @@ class Hmac:
         """A snapshot sharing no mutable state with the original."""
         clone = object.__new__(Hmac)
         clone.algorithm = self.algorithm
-        clone._keyed_inner = self._keyed_inner
         clone._outer = self._outer
         clone._inner = self._inner.copy()
         return clone
@@ -70,18 +81,6 @@ class Hmac:
         """Finalize (non-destructively): outer hash over the inner digest."""
         outer = self._outer.copy()
         outer.update(self._inner.digest())
-        return outer.digest()
-
-    def mac(self, data: bytes) -> bytes:
-        """HMAC(key, ``data``) under this MAC's key, without re-keying.
-
-        Independent of the streamed state: neither reads nor advances
-        what :meth:`update` has fed so far.
-        """
-        inner = self._keyed_inner.copy()
-        inner.update(data)
-        outer = self._outer.copy()
-        outer.update(inner.digest())
         return outer.digest()
 
     def hexdigest(self) -> str:

@@ -181,7 +181,8 @@ def bench_crypto_hmac_setup(quick: bool) -> Dict[str, Dict[str, Any]]:
 
 
 def bench_crypto_drbg_draw(quick: bool) -> Dict[str, Dict[str, Any]]:
-    """DRBG sampling cost: ``randbelow(64)``, the SMARM shuffle's draw."""
+    """DRBG sampling cost: ``randbelow(64)``, the SMARM shuffle's draw,
+    which takes ``randbelow``'s fused one-byte path."""
     from repro.crypto.drbg import HmacDrbg
 
     draws = 2_000 if quick else 10_000
@@ -199,6 +200,31 @@ def bench_crypto_drbg_draw(quick: bool) -> Dict[str, Dict[str, Any]]:
             "gate_threshold": GATE_ABSOLUTE,
             **timing_stats(samples),
             "primary": "us_per_draw",
+            "direction": "lower",
+        }
+    }
+
+
+def bench_crypto_drbg_generate(quick: bool) -> Dict[str, Dict[str, Any]]:
+    """DRBG stream cost: ``generate(32)``, the nonce draw of the verifier
+    service and the fleet -- the generic SP 800-90A path."""
+    from repro.crypto.drbg import HmacDrbg
+
+    calls = 2_000 if quick else 10_000
+
+    def work() -> None:
+        drbg = HmacDrbg(b"bench-drbg")
+        for _ in range(calls):
+            drbg.generate(32)
+
+    samples = _samples_of(work, repeats=3 if quick else 5)
+    return {
+        "crypto.drbg_generate": {
+            "us_per_call": min(samples) * 1e6 / calls,
+            "calls": calls,
+            "gate_threshold": GATE_ABSOLUTE,
+            **timing_stats(samples),
+            "primary": "us_per_call",
             "direction": "lower",
         }
     }
@@ -953,6 +979,7 @@ def run_suite(quick: bool = False, workdir: Optional[Any] = None) -> Dict[str, A
     benches.update(bench_block_hash(quick))
     benches.update(bench_crypto_hmac_setup(quick))
     benches.update(bench_crypto_drbg_draw(quick))
+    benches.update(bench_crypto_drbg_generate(quick))
     benches.update(bench_engine_events(quick))
     benches.update(bench_engine_dispatch(quick))
     benches.update(bench_digest_cache(quick))

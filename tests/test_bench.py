@@ -14,6 +14,7 @@ from repro.perf import bench
 from repro.perf.bench import (
     BENCH_VERSION,
     bench_crypto_drbg_draw,
+    bench_crypto_drbg_generate,
     bench_crypto_hmac_setup,
     bench_digest_cache,
     bench_engine_dispatch,
@@ -223,8 +224,11 @@ class TestMicroBenches:
         # shape only: no speed assertion (the rows stay out of the gate
         # baseline until one is recorded on a quiet host)
         result = {**bench_crypto_hmac_setup(quick=True),
-                  **bench_crypto_drbg_draw(quick=True)}
-        assert set(result) == {"crypto.hmac_setup", "crypto.drbg_draw"}
+                  **bench_crypto_drbg_draw(quick=True),
+                  **bench_crypto_drbg_generate(quick=True)}
+        assert set(result) == {
+            "crypto.hmac_setup", "crypto.drbg_draw", "crypto.drbg_generate"
+        }
         for payload in result.values():
             value = payload[payload["primary"]]
             assert isinstance(value, float) and value > 0.0

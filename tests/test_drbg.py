@@ -167,3 +167,74 @@ class TestStreamGolden:
     def test_escape_probability_golden(self):
         estimate = escape_probability(64, trials=512, seed=b"smarm-golden")
         assert Fraction(estimate) == Fraction(178, 512)
+
+
+ALGORITHMS = ("sha256", "sha512", "blake2b", "blake2s")
+
+
+def generic_randbelow(drbg, upper):
+    """The plain rejection loop over ``randint_bits``: the oracle the
+    fused one-byte path of ``randbelow`` must match draw for draw."""
+    while True:
+        candidate = drbg.randint_bits(upper.bit_length())
+        if candidate < upper:
+            return candidate
+
+
+OPS = st.one_of(
+    st.tuples(st.just("randbelow"), st.integers(1, 300)),
+    st.tuples(st.just("generate"), st.integers(0, 70)),
+    st.tuples(st.just("reseed"), st.binary(max_size=8)),
+    st.tuples(st.just("randint_bits"), st.integers(1, 80)),
+    st.tuples(st.just("uniform"), st.none()),
+)
+
+
+def play(drbg, ops, randbelow):
+    """Run ``ops``; return the outputs, the byte count and the tail."""
+    outputs = []
+    for name, arg in ops:
+        if name == "randbelow":
+            outputs.append(randbelow(drbg, arg))
+        elif name == "reseed":
+            drbg.reseed(arg)
+        elif name == "uniform":
+            outputs.append(drbg.uniform())
+        else:
+            outputs.append(getattr(drbg, name)(arg))
+    return outputs, drbg.bytes_generated, drbg.generate(64)
+
+
+class TestFusedDrawDifferential:
+    """``randbelow`` fuses one-byte draws (``upper <= 255``) onto the
+    keyed states; every stream must equal the generic loop's."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.binary(max_size=16), ops=st.lists(OPS, max_size=30))
+    def test_matches_generic_loop(self, algorithm, seed, ops):
+        fused = play(HmacDrbg(seed, algorithm), ops, HmacDrbg.randbelow)
+        generic = play(HmacDrbg(seed, algorithm), ops, generic_randbelow)
+        assert fused == generic
+
+    @pytest.mark.parametrize("upper", [1, 255, 256, 257])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_width_boundaries(self, algorithm, upper):
+        ops = [("randbelow", upper)] * 40 + [("generate", 5)]
+        fused = play(HmacDrbg(b"edge", algorithm), ops, HmacDrbg.randbelow)
+        generic = play(HmacDrbg(b"edge", algorithm), ops, generic_randbelow)
+        assert fused == generic
+
+    def test_upper_one_still_consumes_a_byte_per_attempt(self):
+        drbg = HmacDrbg(b"edge")
+        assert [drbg.randbelow(1) for _ in range(40)] == [0] * 40
+        # top bit 1 is rejected, so about two attempts per draw
+        assert 40 < drbg.bytes_generated < 120
+
+    def test_256_takes_the_two_byte_path(self):
+        drbg = HmacDrbg(b"edge")
+        for _ in range(40):
+            before = drbg.bytes_generated
+            assert 0 <= drbg.randbelow(256) < 256
+            assert (drbg.bytes_generated - before) % 2 == 0
+        assert drbg.bytes_generated > 80

