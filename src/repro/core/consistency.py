@@ -60,9 +60,7 @@ class ConsistencyAnalyzer:
     def __init__(self, memory: Memory) -> None:
         self.memory = memory
         self._benign = [
-            # one-shot reference build at construction; never on a
-            # traversal hot path
-            content_fingerprint(memory.benign_block(i))  # repro: allow[perf-uncached-digest]
+            content_fingerprint(memory.benign_block(i))
             for i in range(memory.block_count)
         ]
 

@@ -1,9 +1,7 @@
-"""Hot-path performance layer: caching and benchmarking.
+"""Performance layer: interned reference data and benchmarking.
 
-Wall-clock optimisations that are *provably inert* in sim-time:
-
-* :class:`DigestCache` -- generation-aware per-block content/digest
-  cache consulted by the measurement process (golden-equality pinned);
+* :mod:`repro.perf.reference_store` -- process-wide interning of
+  benign block contents and their precomputed audit hashes;
 * :mod:`repro.perf.bench` -- the seeded ``repro bench`` micro/macro
   suite that records throughput numbers in ``BENCH_<rev>.json`` and
   fails comparisons on >20% regression.
@@ -11,7 +9,3 @@ Wall-clock optimisations that are *provably inert* in sim-time:
 Run-level caching (skipping whole fleet runs) lives in
 :mod:`repro.fleet.store`; this package covers within-run hot paths.
 """
-
-from repro.perf.digest_cache import DEFAULT_CAPACITY, DigestCache
-
-__all__ = ["DEFAULT_CAPACITY", "DigestCache"]

@@ -39,7 +39,7 @@ import json
 import os
 import subprocess
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.fleet.clock import perf_time, wall_time
 
@@ -47,7 +47,7 @@ BENCH_VERSION = 1
 DEFAULT_THRESHOLD = 0.20
 
 #: per-bench blocking-gate thresholds.  Absolute throughput numbers
-#: (events/s, lookups/s, ...) depend on the machine that wrote the
+#: (events/s, records/s, ...) depend on the machine that wrote the
 #: baseline, so their gate only trips on a collapse (below ~1/2 of
 #: baseline); dimensionless ratios compare like-for-like on any box
 #: and trip below ~2/3 of baseline -- still far above the ~1.0x a
@@ -291,36 +291,6 @@ def bench_engine_dispatch(quick: bool) -> Dict[str, Dict[str, Any]]:
     }
 
 
-def bench_digest_cache(quick: bool) -> Dict[str, Dict[str, Any]]:
-    """Hit-path lookup throughput on a warmed cache."""
-    from repro.perf.digest_cache import DigestCache
-
-    entries = 512
-    lookups = 50_000 if quick else 200_000
-    cache = DigestCache(capacity=entries)
-    content = bytes(64)
-    for index in range(entries):
-        cache.store((index, 0, "blake2s", b"k" * 8), content, b"a" * 8)
-    keys = [(i % entries, 0, "blake2s", b"k" * 8) for i in range(lookups)]
-
-    def work() -> None:
-        lookup = cache.lookup
-        for key in keys:
-            lookup(key)
-
-    samples = _samples_of(work, repeats=3)
-    return {
-        "digest_cache.lookup": {
-            "lookups_per_sec": lookups / min(samples),
-            "lookups": lookups,
-            "gate_threshold": GATE_ABSOLUTE,
-            **timing_stats(samples),
-            "primary": "lookups_per_sec",
-            "direction": "higher",
-        }
-    }
-
-
 def bench_memory_fill(quick: bool) -> Dict[str, Dict[str, Any]]:
     """Device memory construction through the interned ReferenceStore
     vs regenerating the benign image per device.
@@ -400,120 +370,6 @@ def bench_trace_serialize(quick: bool, workdir: Path) -> Dict[str, Dict[str, Any
 # ---------------------------------------------------------------------------
 # Macro benches
 # ---------------------------------------------------------------------------
-
-
-def bench_erasmus_cache(quick: bool) -> Dict[str, Dict[str, Any]]:
-    """The headline macro bench: ERASMUS self-measurement over unchanged
-    memory, digest cache off vs on.
-
-    50 periods (10 in quick mode) of a 256-block prover with no malware
-    and no workload writes -- the steady state the cache is built for.
-    Reports the off/on speedup and the achieved hit rate; the golden
-    equality of the two runs' traces is pinned separately by the test
-    suite, so this bench only times them.
-    """
-    from repro.core.tradeoff import ScenarioConfig
-    from repro.scenario import Scenario
-
-    periods = 10 if quick else 50
-    block_count = 64 if quick else 256
-    period = 2.0
-    horizon = 2.0 + period * periods
-    config = ScenarioConfig(
-        block_count=block_count,
-        erasmus_period=period,
-        erasmus_collect_at=horizon - 1.0,
-        horizon=horizon,
-    )
-
-    def run(cache: bool) -> Any:
-        scenario = Scenario.build(
-            "erasmus", digest_cache=cache, config=config
-        )
-        start = perf_time()
-        scenario.sim.run(until=horizon)
-        return perf_time() - start, scenario
-
-    repeats = 2 if quick else 3
-    best_off = min(run(False)[0] for _ in range(repeats))
-    best_on = float("inf")
-    scenario_on = None
-    for _ in range(repeats):
-        elapsed, scenario = run(True)
-        if elapsed < best_on:
-            best_on, scenario_on = elapsed, scenario
-    stats = scenario_on.device.digest_cache.stats()
-    return {
-        "erasmus.digest_cache": {
-            "speedup": best_off / best_on,
-            "off_ms": best_off * 1e3,
-            "on_ms": best_on * 1e3,
-            "hit_rate": stats["hit_rate"],
-            "periods": periods,
-            "block_count": block_count,
-            "gate_threshold": GATE_RATIO,
-            "primary": "speedup",
-            "direction": "higher",
-        }
-    }
-
-
-def bench_measurement_cold(quick: bool) -> Dict[str, Dict[str, Any]]:
-    """Macro: one complete all-miss traversal of a fresh prover.
-
-    The cold path every device pays on its first measurement (and a
-    fleet pays per cohort member): every block misses the digest
-    cache.  ``cache=True`` runs the batched miss path -- read, audit
-    (interned reference audit for still-benign content), fill, advance
-    inline; ``cache=False`` is the generic event-per-block traversal.
-    A fresh ``Device`` + ``DigestCache`` per repeat keeps every run
-    all-miss; the speedup primary is machine-independent, and
-    ``cold_on_ms`` is the absolute number the acceptance table tracks.
-    """
-    from repro.perf.digest_cache import DigestCache
-    from repro.ra.measurement import MeasurementConfig, MeasurementProcess
-    from repro.sim.device import Device
-    from repro.sim.engine import Simulator
-
-    block_count = 256 if quick else 1024
-    config = MeasurementConfig()
-
-    def run(cache_on: bool) -> float:
-        sim = Simulator()
-        device = Device(
-            sim, block_count=block_count, block_size=32,
-            digest_cache=DigestCache() if cache_on else None,
-        )
-        mp = MeasurementProcess(
-            device, config, nonce=b"bench", counter=1, mechanism="bench"
-        )
-        device.cpu.spawn("mp", mp.run, priority=config.priority)
-        start = perf_time()
-        sim.run()
-        elapsed = perf_time() - start
-        assert mp.record is not None
-        return elapsed
-
-    # a quick traversal lasts about a millisecond, so with a handful of
-    # samples one scheduler hiccup moves the min-over-repeats ratio
-    # past the gate
-    repeats = 9
-    run(True)  # warm the interned reference image + audits
-    off_samples = [run(False) for _ in range(repeats)]
-    on_samples = [run(True) for _ in range(repeats)]
-    best_off, best_on = min(off_samples), min(on_samples)
-    return {
-        "measurement.cold": {
-            "speedup": best_off / best_on if best_on else float("inf"),
-            "cold_on_ms": best_on * 1e3,
-            "cold_off_ms": best_off * 1e3,
-            "block_count": block_count,
-            "gate_threshold": GATE_RATIO,
-            **timing_stats(on_samples),
-            "primary": "speedup",
-            "direction": "higher",
-        }
-    }
 
 
 def bench_fleet_incremental(
@@ -982,11 +838,8 @@ def run_suite(quick: bool = False, workdir: Optional[Any] = None) -> Dict[str, A
     benches.update(bench_crypto_drbg_generate(quick))
     benches.update(bench_engine_events(quick))
     benches.update(bench_engine_dispatch(quick))
-    benches.update(bench_digest_cache(quick))
     benches.update(bench_memory_fill(quick))
     benches.update(bench_trace_serialize(quick, workdir))
-    benches.update(bench_erasmus_cache(quick))
-    benches.update(bench_measurement_cold(quick))
     benches.update(bench_fleet_incremental(quick, workdir))
     benches.update(bench_fleet_parallel(workdir))
     benches.update(bench_fleet_stream(quick, workdir))

@@ -15,10 +15,9 @@ hashes once per process, keyed by ``(seed, block_size, block_index)``:
   into its mutable blocks instead of regenerating them, and hands out
   the interned objects themselves for ``benign_block`` /
   ``benign_image`` / ``dirty_blocks``;
-* the measurement process's cache-miss fill recognises still-benign
-  content (an O(1) identity check against the interned block in the
-  common case) and reuses the precomputed audit hash instead of
-  re-hashing;
+* the measurement process recognises still-benign content (an O(1)
+  identity check against the interned block in the common case) and
+  reuses the precomputed audit hash instead of re-hashing;
 * :meth:`repro.ra.verifier.Verifier.enroll` reference images share the
   interned blocks structurally (``bytes(b)`` of an exact ``bytes``
   returns the same object), so N identical enrolled provers hold one

@@ -247,113 +247,43 @@ class MeasurementProcess:
             data_copy.append((block_index, content))
             return content
 
-        # Digest-cache plumbing (None = no cache).  Hits reuse the
-        # frozen content snapshot and audit hash for an unchanged
-        # (block, generation); the HMAC stream and sim-time charges are
-        # untouched either way.
         memory = device.memory
-        cache = device.digest_cache
-        if cache is not None:
-            generations = memory.generations
-            algorithm = config.algorithm
-            key_fp = device.key_fingerprint
-            cache_lookup, cache_store = cache.lookup, cache.store
-            hits_before, misses_before = cache.hits, cache.misses
-
-        # With a cache, a window of blocks is measured inline, without
-        # a Compute yield each, when the engine proves no event can
-        # land inside it (Simulator.coalesce_steps).  Real locking
-        # policies keep their yields for their per-block MPU side
-        # effects, and spans want one begin/end pair per yielded block.
-        # A registered malware agent shrinks the window to one block:
-        # its on_progress may schedule events or write memory.
-        inline_ok = (
-            cache is not None
-            and spans is None
-            and metrics is None
-            and type(self.policy) is NoLock
-        )
-        trace_record = device.trace.record
         mac_update = mac.update
         read_block = memory.read_block
         benign = memory.reference_blocks()
         benign_audit = memory.benign_audit
-        proc_name = proc.name
         region_name = config.region or ""
         notify = config.notify_malware
         total = len(order)
-        position = 0
-        while position < total:
-            steps = 0
-            if inline_ok:
-                steps = sim.coalesce_steps(
-                    block_hash_time,
-                    1 if device.malware_agents else total - position,
+        for position, block_index in enumerate(order):
+            if spans is not None:
+                # Mirror the Section 3.2 adversary model in the trace:
+                # when the order is a secret permutation the span says
+                # how far along MP is, never which block it touched.
+                block_args = {"position": position + 1}
+                if config.order != "shuffled":
+                    block_args["block"] = block_index
+                block_span = spans.begin_span(
+                    "ra.block", category="ra.measurement", **block_args
                 )
-            if not steps:
-                block_index = order[position]
-                if spans is not None:
-                    # Mirror the Section 3.2 adversary model in the
-                    # trace: when the order is a secret permutation the
-                    # span says how far along MP is, never which block
-                    # it touched.
-                    block_args = {"position": position + 1}
-                    if config.order != "shuffled":
-                        block_args["block"] = block_index
-                    block_span = spans.begin_span(
-                        "ra.block", category="ra.measurement", **block_args
-                    )
-                pre_ops = self.policy.before_block(block_index)
-                if pre_ops:
-                    yield Compute(self._lock_cost(pre_ops))
-            now = sim.now
-            cpu_time = proc.cpu_time
-            for block_index in order[position:position + (steps or 1)]:
-                cached = None
-                if cache is not None:
-                    cache_key = (
-                        block_index, generations[block_index],
-                        algorithm, key_fp,
-                    )
-                    cached = cache_lookup(cache_key)
-                if cached is None:
-                    content = read_block(block_index)
-                    # Still-benign content (an identity check against
-                    # the interned reference in the common case) reuses
-                    # the precomputed reference audit; anything else is
-                    # hashed.
-                    reference = benign[block_index]
-                    if content is reference or content == reference:
-                        audit = benign_audit(block_index)
-                    else:
-                        audit = audit_hash(content)  # repro: allow[perf-uncached-digest]
-                    if cache is not None:
-                        cache_store(cache_key, content, audit)
-                else:
-                    content, audit = cached
-                block_times[block_index] = now
-                block_hashes[block_index] = audit
-                mac_update(
-                    mutable_content(block_index, content)
-                    if mutable_lookup[block_index] else content
-                )
-                if steps:
-                    trace_record(
-                        now, "compute", proc_name, duration=block_hash_time
-                    )
-                    now += block_hash_time
-                    cpu_time += block_hash_time
-            if steps:
-                sim.coalesce_advance(block_hash_time, steps)
-                proc.cpu_time = cpu_time
-                position += steps
-                # A window of more than one block means no agent is
-                # registered, so one notification per window suffices.
-                if notify:
-                    device.notify_block_measured(
-                        position, total, interruptible, region_name
-                    )
-                continue
+            pre_ops = self.policy.before_block(block_index)
+            if pre_ops:
+                yield Compute(self._lock_cost(pre_ops))
+            content = read_block(block_index)
+            # Still-benign content (an identity check against the
+            # interned reference in the common case) reuses the
+            # precomputed reference audit; anything else is hashed.
+            reference = benign[block_index]
+            if content is reference or content == reference:
+                audit = benign_audit(block_index)
+            else:
+                audit = audit_hash(content)
+            block_times[block_index] = sim.now
+            block_hashes[block_index] = audit
+            mac_update(
+                mutable_content(block_index, content)
+                if mutable_lookup[block_index] else content
+            )
             yield Compute(block_hash_time)
             post_ops = self.policy.after_block(block_index)
             if post_ops:
@@ -367,7 +297,6 @@ class MeasurementProcess:
                 device.notify_block_measured(
                     position + 1, total, interruptible, region_name
                 )
-            position += 1
 
         # Outer HMAC hash over the fixed-size inner digest.
         yield Compute(timing.hash_time(config.algorithm, mac.digest_size))
@@ -437,19 +366,6 @@ class MeasurementProcess:
                     self.ctx.trace_id if self.ctx is not None else None
                 ),
             )
-            if cache is not None:
-                # Cache-off runs never register these series, so the
-                # seed metric snapshot is untouched by default.
-                metrics.counter(
-                    "perf.digest_cache.hits",
-                    "measurement blocks served from the digest cache",
-                    mechanism=self.mechanism,
-                ).inc(cache.hits - hits_before)
-                metrics.counter(
-                    "perf.digest_cache.misses",
-                    "measurement blocks hashed and cached",
-                    mechanism=self.mechanism,
-                ).inc(cache.misses - misses_before)
         return self.record
 
     def _do_release(self) -> None:

@@ -16,7 +16,6 @@ assumes:
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Any, Callable, List, Optional
 
@@ -103,11 +102,6 @@ class Device:
         ODROID-XU4 model from Figure 2.
     attestation_key:
         Secret MAC key; generated from ``seed`` if not given.
-    digest_cache:
-        Optional :class:`repro.perf.digest_cache.DigestCache`.  When
-        set, the measurement process skips re-hashing blocks whose
-        generation is unchanged -- a wall-clock-only optimisation;
-        ``None`` (the default) is the seed-identical path.
     """
 
     def __init__(
@@ -122,7 +116,6 @@ class Device:
         fault_policy: FaultPolicy = FaultPolicy.RAISE,
         seed: int = 7,
         trace: Optional[Trace] = None,
-        digest_cache: Optional[Any] = None,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -142,8 +135,6 @@ class Device:
             rng = random.Random(seed ^ 0xA77E57)
             attestation_key = bytes(rng.getrandbits(8) for _ in range(32))
         self.attestation_key = attestation_key
-        self.digest_cache = digest_cache
-        self._key_fingerprint: Optional[bytes] = None
         self.nic: Optional[Endpoint] = None
         self.malware_agents: List[Any] = []
         self.reset_count = 0
@@ -211,12 +202,6 @@ class Device:
         """
         self.cpu.reset()
         self.mpu.reset()
-        # Brownout hygiene for the digest-cache layer: bump every block
-        # generation so nothing pre-computed about the surviving RAM
-        # image is trusted, and drop the now-unreachable entries.
-        self.memory.bump_all_generations()
-        if self.digest_cache is not None:
-            self.digest_cache.invalidate()
         if self.nic is not None:
             self.nic.inbox.clear()
             self.nic.rx_signal.clear()
@@ -259,20 +244,6 @@ class Device:
     def obs(self) -> Any:
         """The simulator's observability bundle (``NULL_OBS`` when off)."""
         return self.sim.obs
-
-    @property
-    def key_fingerprint(self) -> bytes:
-        """Truncated SHA-256 of the attestation key.
-
-        Scopes :class:`~repro.perf.digest_cache.DigestCache` entries to
-        this device's keyed measurement context without ever exposing
-        the key itself.  Computed lazily and cached.
-        """
-        if self._key_fingerprint is None:
-            self._key_fingerprint = hashlib.sha256(
-                self.attestation_key
-            ).digest()[:8]
-        return self._key_fingerprint
 
     @property
     def block_count(self) -> int:

@@ -310,55 +310,20 @@ class Simulator:
         head = self._live_head()
         return head is None or head.time > target
 
-    def coalesce_steps(self, duration: float, limit: int) -> int:
-        """How many back-to-back ``duration`` advances, at most
-        ``limit``, may be coalesced one after another.
-
-        Step ``k`` is legal when :meth:`can_coalesce` would admit it
-        after the ``k - 1`` before it: its target (the running clock
-        plus ``duration``, the one-add-per-step sequence
-        :meth:`coalesce_advance` applies) stays within the ``until``
-        bound and strictly before the earliest live event.  Returns 0
-        wherever :meth:`can_coalesce` refuses.  The answer holds only
-        until something is scheduled.
-        """
-        if not self._running or self._stopped or self._profiler is not None:
-            return 0
-        head = self._live_head()
-        head_time = None if head is None else head.time
-        until = self._until
-        if head_time is None and until is None:
-            return limit
-        now = self.now
-        steps = 0
-        while steps < limit:
-            now += duration
-            if (until is not None and now > until) or (
-                head_time is not None and now >= head_time
-            ):
-                break
-            steps += 1
-        return steps
-
-    def coalesce_advance(self, duration: float, steps: int = 1) -> None:
-        """Advance the clock inline by ``steps`` consecutive
-        ``duration`` increments, one float add per step.
+    def coalesce_advance(self, duration: float) -> None:
+        """Advance the clock inline by ``duration``.
 
         Only legal immediately after :meth:`can_coalesce` returned
-        ``True`` or :meth:`coalesce_steps` returned at least ``steps``
-        (same stack frame, nothing scheduled in between).  Each skipped
-        schedule/fire pair is accounted logically -- sequence number,
-        scheduled/fired counters -- so telemetry and any later
+        ``True`` (same stack frame, nothing scheduled in between).  The
+        skipped schedule/fire pair is accounted logically -- sequence
+        number, scheduled/fired counters -- so telemetry and any later
         tie-breaking are identical to the event-queue path.
         """
-        now = self.now
-        for _ in range(steps):
-            now += duration
-        self.now = now
-        self._seq += steps
+        self.now += duration
+        self._seq += 1
         if self._m_scheduled is not None:
-            self._m_scheduled.inc(steps)
-            self._m_fired.inc(steps)
+            self._m_scheduled.inc()
+            self._m_fired.inc()
 
     # -- introspection ------------------------------------------------
 

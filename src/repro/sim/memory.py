@@ -212,10 +212,8 @@ class Memory:
         self.write_log: List[WriteRecord] = []
         self._clock = None  # wired by Device: callable returning sim time
         #: monotonic per-block content generation: bumped on every
-        #: *applied* mutation (MPU-blocked writes leave it untouched).
-        #: ``(block, generation)`` therefore identifies block contents,
-        #: which is what :class:`repro.perf.digest_cache.DigestCache`
-        #: keys on to skip re-hashing unchanged blocks.
+        #: *applied* mutation (MPU-blocked writes leave it untouched),
+        #: so a write committed iff its block's generation moved.
         self.generations: List[int] = [0] * block_count
 
     # -- geometry --------------------------------------------------------
@@ -284,19 +282,6 @@ class Memory:
         """The block's current content generation (see ``generations``)."""
         self._check_index(block_index)
         return self.generations[block_index]
-
-    def bump_all_generations(self) -> None:
-        """Conservatively invalidate every cached content identity.
-
-        :meth:`repro.sim.device.Device.reset` calls this on a brownout:
-        the RAM image technically survives, but after a reset nothing
-        pre-computed about its contents should be trusted -- every
-        digest-cache entry keyed on the old generations becomes
-        unreachable and is re-derived from the actual bytes.  Mutates
-        in place so long-lived aliases of the list stay valid.
-        """
-        for index in range(self.block_count):
-            self.generations[index] += 1
 
     def write(self, block_index: int, data: bytes, actor: str = "?") -> None:
         """Overwrite a whole block.
@@ -397,8 +382,8 @@ class Memory:
         """Precomputed audit hash of the block's pristine contents.
 
         Equals ``content_fingerprint(self.benign_block(block_index))``
-        without re-hashing; the measurement process's cache-miss fill
-        uses it whenever the measured content is still benign.
+        without re-hashing; the measurement process uses it whenever
+        the measured content is still benign.
         """
         self._check_index(block_index)
         return self._reference.audit(block_index)

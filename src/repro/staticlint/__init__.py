@@ -24,7 +24,7 @@ Rule families (see :mod:`repro.staticlint.determinism`,
                  crypto-secret-leak*
     atomicity    ra-atomic-gap*, ra-naked-send
     observability  obs-span-leak*, obs-ctx-drop
-    performance  perf-uncached-digest, perf-unbounded-queue
+    performance  perf-unbounded-queue
 
 Rules marked ``*`` are whole-program: they run once over the project
 symbol table / call graph / taint engine (:mod:`repro.staticlint.

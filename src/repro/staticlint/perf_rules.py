@@ -1,21 +1,8 @@
 """Performance rules.
 
-The measurement hot loop is the repo's wall-clock center of gravity:
-every mechanism in Table 1 re-walks prover memory, and fleet campaigns
-multiply that by thousands of runs.  :mod:`repro.perf.digest_cache`
-exists so unchanged blocks are hashed once -- but only call sites that
-route through it benefit.  The ``perf-uncached-digest`` rule flags the
-anti-pattern of hashing freshly read block contents directly
-(``audit_hash(memory.read_block(i))`` and friends): on a traversal
-path this re-pays the read copy and digest for bytes whose generation
-has not changed.  Call sites that are deliberately cache-free -- cache
-*misses*, one-shot reference-image builds, verifier-side recomputation
--- carry a ``# repro: allow[perf-uncached-digest]`` suppression with
-the justification inline.
-
-The ``perf-unbounded-queue`` rule guards the other wall-clock (and
-memory) hazard the verifier service introduced: per-message
-accumulation on a hot path.  Inside :data:`LintConfig.queue_scope`
+The ``perf-unbounded-queue`` rule guards the wall-clock (and memory)
+hazard the verifier service introduced: per-message accumulation on a
+hot path.  Inside :data:`LintConfig.queue_scope`
 (the service and fleet packages, where one code path runs once per
 report across thousand-prover storms) a ``deque()`` without ``maxlen``
 or a ``self.x.append()`` with no visible bound in the same function
@@ -28,17 +15,11 @@ site.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Set
+from typing import Iterable, Set
 
 from repro.staticlint.engine import ModuleContext, walk_scope
 from repro.staticlint.findings import Severity
 from repro.staticlint.registry import get_rule, rule
-
-#: content-digest entry points whose input may be cacheable
-_HASH_NAMES = {"audit_hash", "content_fingerprint", "hmac_digest"}
-#: block-content producers: hashing their output re-derives what a
-#: generation-keyed cache entry already holds
-_SOURCE_NAMES = {"read_block", "benign_block"}
 
 
 def _called_name(call: ast.Call) -> str:
@@ -49,100 +30,6 @@ def _called_name(call: ast.Call) -> str:
     if isinstance(func, ast.Attribute):
         return func.attr
     return ""
-
-
-def _is_hashlib_call(call: ast.Call) -> bool:
-    func = call.func
-    return (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "hashlib"
-    )
-
-
-def _contains_source_call(node: ast.AST, tainted: Set[str]) -> bool:
-    """True when the expression reads block contents, directly or via a
-    name assigned from a block read in the same function body."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and _called_name(sub) in _SOURCE_NAMES:
-            return True
-        if isinstance(sub, ast.Name) and sub.id in tainted:
-            return True
-    return False
-
-
-def _tainted_names(func: ast.AST) -> Set[str]:
-    """Names assigned (one level, function scope) from a block read."""
-    tainted: Set[str] = set()
-    for node in walk_scope(func):
-        if not isinstance(node, ast.Assign):
-            continue
-        has_source = any(
-            isinstance(sub, ast.Call)
-            and _called_name(sub) in _SOURCE_NAMES
-            for sub in ast.walk(node.value)
-        )
-        if not has_source:
-            continue
-        for target in node.targets:
-            for name in ast.walk(target):
-                if isinstance(name, ast.Name):
-                    tainted.add(name.id)
-    return tainted
-
-
-def _hash_calls(func: ast.AST) -> List[ast.Call]:
-    calls = []
-    for node in walk_scope(func):
-        if isinstance(node, ast.Call) and (
-            _called_name(node) in _HASH_NAMES or _is_hashlib_call(node)
-        ):
-            calls.append(node)
-    return calls
-
-
-@rule(
-    id="perf-uncached-digest",
-    family="performance",
-    severity=Severity.WARNING,
-    summary="block contents read and hashed without the digest cache",
-    rationale=(
-        "Measurement traversals dominate wall clock, and most re-visit "
-        "blocks whose generation counter has not changed since the "
-        "previous round.  Hashing the output of read_block()/"
-        "benign_block() directly re-pays the content copy and the "
-        "digest for bytes the generation-keyed DigestCache already "
-        "identifies; at ERASMUS/fleet scale that is the difference "
-        "between seconds and minutes of pure reproduction overhead."
-    ),
-    hint=(
-        "consult repro.perf.digest_cache.DigestCache keyed on "
-        "(block, generation, algorithm, key_fingerprint) before "
-        "hashing, or suppress with "
-        "`# repro: allow[perf-uncached-digest]` where the call is "
-        "deliberately cache-free (cache-miss fill, one-shot reference "
-        "build, verifier-side recomputation)"
-    ),
-)
-def check_uncached_digest(ctx: ModuleContext) -> Iterable:
-    this = get_rule("perf-uncached-digest")
-    for func in ast.walk(ctx.tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        hash_calls = _hash_calls(func)
-        if not hash_calls:
-            continue
-        tainted = _tainted_names(func)
-        for call in hash_calls:
-            if any(
-                _contains_source_call(arg, tainted) for arg in call.args
-            ):
-                yield this.finding(
-                    ctx, call,
-                    f"{func.name}() hashes freshly read block contents "
-                    f"via {_called_name(call) or 'hashlib'}() without "
-                    f"consulting the digest cache",
-                )
 
 
 #: attribute mutators that grow a collection

@@ -16,7 +16,6 @@ from repro.perf.bench import (
     bench_crypto_drbg_draw,
     bench_crypto_drbg_generate,
     bench_crypto_hmac_setup,
-    bench_digest_cache,
     bench_engine_dispatch,
     bench_memory_fill,
     bench_trace_serialize,
@@ -187,12 +186,6 @@ class TestTimingStats:
 
 
 class TestMicroBenches:
-    def test_digest_cache_bench_shape(self):
-        result = bench_digest_cache(quick=True)
-        (name, payload), = result.items()
-        assert payload["primary"] in payload
-        assert payload[payload["primary"]] > 0
-
     def test_trace_serialize_bench_shape(self, tmp_path):
         result = bench_trace_serialize(True, tmp_path)
         (name, payload), = result.items()

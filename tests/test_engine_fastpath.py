@@ -1,7 +1,7 @@
 """Engine fast-path semantics: coalesced advances and batch draining.
 
-``can_coalesce``/``coalesce_steps``/``coalesce_advance`` let a process
-burn Compute delays inline instead of round-tripping the heap; ``run`` drains
+``can_coalesce``/``coalesce_advance`` let a process burn a Compute
+delay inline instead of round-tripping the heap; ``run`` drains
 co-scheduled same-instant events in a batch.  Both are pure wall-clock
 moves, so the tests pin the *observable* contract: when coalescing is
 legal, when it must be refused, and that traces and firing order never
@@ -88,101 +88,31 @@ class TestCanCoalesce:
         sim.run(until=10.0)
         assert seen == [False]
 
-    def test_steps_stop_at_until_bound(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_at(
-            4.0, lambda: seen.append(sim.coalesce_steps(2.0, 10))
-        )
-        sim.run(until=10.0)
-        # 6.0, 8.0 and exactly the 10.0 bound fit; 12.0 overshoots
-        assert seen == [3]
-
-    def test_steps_stop_before_equal_time_head(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_at(
-            1.0, lambda: seen.append(sim.coalesce_steps(0.5, 10))
-        )
-        sim.schedule_at(3.0, lambda: None)
-        sim.run(until=10.0)
-        # 1.5, 2.0, 2.5 fit; 3.0 ties the pending event, which fires first
-        assert seen == [3]
-
-    def test_steps_skip_cancelled_head(self):
-        sim = Simulator()
-        seen = []
-
-        def probe():
-            handle.cancel()
-            seen.append(sim.coalesce_steps(1.0, 10))
-
-        sim.schedule_at(1.0, probe)
-        handle = sim.schedule_at(3.0, lambda: None)
-        sim.schedule_at(5.0, lambda: None)
-        sim.run(until=10.0)
-        # bounded by the live event at 5.0, not the cancelled one at 3.0
-        assert seen == [3]
-
-    def test_steps_capped_by_limit_when_unbounded(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_at(1.0, lambda: seen.append(sim.coalesce_steps(1.0, 4)))
-        sim.run()
-        assert seen == [4]
-
-    def test_steps_refused_outside_run(self):
-        assert Simulator().coalesce_steps(1.0, 5) == 0
-
-    def test_steps_refused_after_stop(self):
-        sim = Simulator()
-        seen = []
-
-        def probe():
-            sim.stop()
-            seen.append(sim.coalesce_steps(1.0, 5))
-
-        sim.schedule_at(1.0, probe)
-        sim.run(until=10.0)
-        assert seen == [0]
-
-    def test_steps_refused_under_profiler(self):
+    def test_refused_under_profiler(self):
         sim = Simulator(obs=Observability.enabled(profile_events=True))
         seen = []
-        sim.schedule_at(1.0, lambda: seen.append(sim.coalesce_steps(1.0, 5)))
+        sim.schedule_at(1.0, lambda: seen.append(sim.can_coalesce(1.0)))
         sim.run(until=10.0)
-        assert seen == [0]
+        assert seen == [False]
 
 
 class TestCoalesceAdvance:
-    def test_batched_matches_single_steps(self):
-        """``coalesce_advance(d, steps=k)`` is k single advances: the
-        same clock bit for bit, the same seq and the same counters."""
+    def test_counts_one_schedule_fire_pair(self):
+        """Each coalesced advance is counted as the schedule/fire pair
+        the event-queue path would have recorded."""
+        sim = Simulator(obs=Observability.enabled(spans=False))
+        seen = []
 
-        def drive(batched):
-            sim = Simulator(obs=Observability.enabled(spans=False))
-            seen = []
+        def probe():
+            for _ in range(7):
+                sim.coalesce_advance(0.1)
+            seen.append((sim._m_scheduled.value, sim._m_fired.value))
 
-            def probe():
-                if batched:
-                    sim.coalesce_advance(0.1, steps=7)
-                else:
-                    for _ in range(7):
-                        sim.coalesce_advance(0.1)
-                seen.append((
-                    sim.now.hex(), sim._seq,
-                    sim._m_scheduled.value, sim._m_fired.value,
-                ))
-
-            sim.schedule_at(0.3, probe)
-            sim.run(until=10.0)
-            return seen, sim.obs.metrics.snapshot()
-
-        batched, single = drive(True), drive(False)
-        assert batched == single
-        # the probe's own schedule plus one pair per step; the probe's
-        # fire is counted only after it returns
-        assert batched[0][0][2:] == (8.0, 7.0)
+        sim.schedule_at(0.3, probe)
+        sim.run(until=10.0)
+        # the probe's own schedule plus one pair per advance; the
+        # probe's fire is counted only after it returns
+        assert seen == [(8.0, 7.0)]
 
     def test_burns_sequence_number(self):
         """A coalesced advance must consume a seq so later same-time

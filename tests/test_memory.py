@@ -181,6 +181,32 @@ class TestMpuIntegration:
         assert memory.write_log == []
 
 
+class TestGenerations:
+    """Per-block generations move exactly when a mutation is applied:
+    a write commits iff its block's generation moved."""
+
+    def test_write_patch_load_image_bump(self):
+        memory = make_memory(8, 32)
+        assert memory.generations == [0] * 8
+        memory.write(2, b"\xaa" * 32, actor="test")
+        assert memory.generation(2) == 1
+        memory.patch(2, 4, b"\xbb\xbb", actor="test")
+        assert memory.generation(2) == 2
+        memory.load_image(memory.snapshot())
+        assert all(g >= 1 for g in memory.generations)
+        assert memory.generation(2) == 3
+
+    def test_blocked_write_does_not_bump(self):
+        memory = make_memory(8, 32)
+        memory.mpu = MemoryProtectionUnit(Simulator(), 8, FaultPolicy.RAISE)
+        memory.mpu.lock(3)
+        with pytest.raises(MemoryFault):
+            memory.write(3, b"\xcc" * 32, actor="malware")
+        assert memory.generation(3) == 0
+        assert not memory.try_write(3, b"\xcc" * 32, actor="malware")
+        assert memory.generation(3) == 0
+
+
 class TestRegions:
     def test_add_and_lookup(self):
         memory = make_memory()

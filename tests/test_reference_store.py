@@ -1,12 +1,10 @@
-"""ReferenceStore + batched miss path: byte identity and sharing.
+"""ReferenceStore: byte identity and sharing.
 
 The cold-path layer is pure memoization: every byte and every audit
 hash the store hands out must equal what the uncached generators
 produce, the interned image must actually be *shared* (one copy per
 process, not per device), and none of it may leak across ``seed`` /
-``block_size`` or show up in simulated time.  The golden tests here
-focus on the cache-miss fill specifically -- the hit path is pinned by
-``tests/test_perf_cache.py``.
+``block_size`` or show up in simulated time.
 """
 
 import tracemalloc
@@ -15,7 +13,6 @@ import pytest
 
 from repro.core.tradeoff import ScenarioConfig
 from repro.errors import ConfigurationError
-from repro.perf.digest_cache import DigestCache
 from repro.perf.reference_store import (
     AUDIT_LEN,
     ReferenceStore,
@@ -165,7 +162,7 @@ class TestSharing:
         )
 
 
-# -- golden equality of the batched miss path -----------------------------
+# -- the measurement step's interned audit reuse -------------------------
 
 
 def run_measurement(device, config=None, until=100.0):
@@ -178,70 +175,25 @@ def run_measurement(device, config=None, until=100.0):
     return mp.record
 
 
-def make_device(cache, block_count=24, **kw):
-    sim = Simulator()
-    return Device(sim, block_count=block_count, block_size=32,
-                  digest_cache=DigestCache() if cache else None, **kw)
-
-
 class TestMissPathGolden:
-    """All-miss traversals take the batched miss path (cache on) vs the
-    generic event-per-block path (cache off / seed path); everything
-    observable must be byte-identical."""
-
-    def test_cold_traversal_identical_to_seed_path(self):
-        off = make_device(cache=False)
-        on = make_device(cache=True)
-        rec_off = run_measurement(off)
-        rec_on = run_measurement(on)
-        assert off.trace.render() == on.trace.render()
-        assert rec_off.digest == rec_on.digest
-        assert rec_off.audit_block_hashes == rec_on.audit_block_hashes
-        assert rec_off.audit_block_times == rec_on.audit_block_times
-        stats = on.digest_cache.stats()
-        assert stats["misses"] == on.block_count and stats["hits"] == 0
+    """A traversal reuses the interned audit for still-benign blocks and
+    hashes everything else; either way the record must match what an
+    independent hash of the measured content gives."""
 
     def test_dirty_blocks_do_not_reuse_benign_audit(self):
-        results = {}
-        for cache in (False, True):
-            device = make_device(cache=cache)
-            device.memory.write(5, b"\xee" * 32, actor="malware")
-            results[cache] = (run_measurement(device), device)
-        rec_off, rec_on = results[False][0], results[True][0]
-        assert rec_off.audit_block_hashes == rec_on.audit_block_hashes
-        assert rec_off.digest == rec_on.digest
-        dirty = results[True][1].memory
+        device = Device(Simulator(), block_count=24, block_size=32)
+        device.memory.write(5, b"\xee" * 32, actor="malware")
+        record = run_measurement(device)
+        memory = device.memory
         # the dirty block's audit is of the *measured* content, not the
         # interned reference
-        assert rec_on.audit_block_hashes[5] == \
-            content_fingerprint(dirty.read_block(5))
-        assert rec_on.audit_block_hashes[5] != dirty.benign_audit(5)
-
-    def test_shuffled_order_identical(self):
-        config = MeasurementConfig(order="shuffled")
-        off = make_device(cache=False)
-        on = make_device(cache=True)
-        rec_off = run_measurement(off, config)
-        rec_on = run_measurement(on, config)
-        assert off.trace.render() == on.trace.render()
-        assert rec_off.digest == rec_on.digest
-
-    def test_second_traversal_after_reset_refills(self):
-        def run_twice(cache):
-            device = make_device(cache=cache)
-            first = run_measurement(device, until=100.0)
-            device.reset()
-            second = run_measurement(device, until=300.0)
-            return device, first, second
-
-        off_dev, off1, off2 = run_twice(False)
-        on_dev, on1, on2 = run_twice(True)
-        assert off_dev.trace.render() == on_dev.trace.render()
-        assert (off1.digest, off2.digest) == (on1.digest, on2.digest)
-        # reset orphaned every entry: the second traversal is all-miss
-        stats = on_dev.digest_cache.stats()
-        assert stats["misses"] == 2 * on_dev.block_count
-        assert stats["invalidations"] == 1
+        assert record.audit_block_hashes[5] == \
+            content_fingerprint(memory.read_block(5))
+        assert record.audit_block_hashes[5] != memory.benign_audit(5)
+        # every clean block's reused audit equals a fresh hash of it
+        assert record.audit_block_hashes == tuple(
+            content_fingerprint(block) for block in memory.snapshot()
+        )
 
     def test_store_state_never_leaks_into_sim_time(self):
         """A warm process store and a cold one produce byte-identical
@@ -250,8 +202,7 @@ class TestMissPathGolden:
                                 erasmus_collect_at=20.0)
 
         def run_smarm():
-            scenario = Scenario.build("smarm", digest_cache=True,
-                                      config=config)
+            scenario = Scenario.build("smarm", config=config)
             scenario.run()
             return scenario.device.trace.render(), [
                 result.verdict for result in scenario.verifier.results

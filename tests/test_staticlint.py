@@ -735,84 +735,6 @@ class TestCliIntegration:
         assert json.loads(out)["counts"]["files"] == 1
 
 
-class TestPerfUncachedDigestRule:
-    RULE = "perf-uncached-digest"
-
-    def test_direct_hash_of_read_block_flagged(self):
-        src = (
-            "def measure(memory, i):\n"
-            "    return audit_hash(memory.read_block(i))\n"
-        )
-        found = live(findings_for(src, rule=self.RULE))
-        assert [f.rule_id for f in found] == [self.RULE]
-        assert found[0].line == 2
-        assert "audit_hash" in found[0].message
-        assert "digest cache" in found[0].message
-
-    def test_benign_block_source_flagged(self):
-        src = (
-            "def reference(memory, i):\n"
-            "    return content_fingerprint(memory.benign_block(i))\n"
-        )
-        assert len(live(findings_for(src, rule=self.RULE))) == 1
-
-    def test_hashlib_call_flagged(self):
-        src = (
-            "import hashlib\n"
-            "def measure(memory, i):\n"
-            "    return hashlib.sha256(memory.read_block(i)).digest()\n"
-        )
-        found = live(findings_for(src, rule=self.RULE))
-        assert len(found) == 1
-        assert "sha256" in found[0].message
-
-    def test_tainted_name_flagged(self):
-        src = (
-            "def measure(memory, i):\n"
-            "    content = memory.read_block(i)\n"
-            "    return audit_hash(content)\n"
-        )
-        found = live(findings_for(src, rule=self.RULE))
-        assert len(found) == 1
-        assert found[0].line == 3
-
-    def test_suppressed_inline(self):
-        src = (
-            "def fill_miss(memory, i):\n"
-            "    content = memory.read_block(i)\n"
-            "    return audit_hash(content)"
-            "  # repro: allow[perf-uncached-digest]\n"
-        )
-        findings = findings_for(src, rule=self.RULE)
-        assert len(findings) == 1 and findings[0].suppressed
-        assert not live(findings)
-
-    def test_hash_of_plain_argument_not_flagged(self):
-        src = (
-            "def fingerprint(data):\n"
-            "    return audit_hash(data)\n"
-        )
-        assert not live(findings_for(src, rule=self.RULE))
-
-    def test_taint_does_not_cross_functions(self):
-        src = (
-            "def reader(memory, i):\n"
-            "    content = memory.read_block(i)\n"
-            "    return content\n"
-            "def hasher(content):\n"
-            "    return audit_hash(content)\n"
-        )
-        assert not live(findings_for(src, rule=self.RULE))
-
-    def test_cache_lookup_call_not_flagged(self):
-        src = (
-            "def measure(cache, key):\n"
-            "    entry = cache.lookup(key)\n"
-            "    return audit_hash(entry[0])\n"
-        )
-        assert not live(findings_for(src, rule=self.RULE))
-
-
 VSERVER_PATH = "src/repro/vserver/fake_module.py"
 
 

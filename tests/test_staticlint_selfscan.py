@@ -58,14 +58,6 @@ class TestSelfScan:
             # cohort list on CampaignSpec: grows with the declared
             # spec (a handful of cohorts), never per-run.
             ("campaign.py", "perf-unbounded-queue"),
-            # one-shot benign-reference build at analyzer construction;
-            # never on a traversal hot path.
-            ("consistency.py", "perf-uncached-digest"),
-            # the measurement step's audit of a read block: the one
-            # place that computes what the cache (or the report) serves
-            # afterwards; still-benign content short-circuits to the
-            # interned ReferenceStore audit before it actually hashes.
-            ("measurement.py", "perf-uncached-digest"),
             # t_r release timer: the extended locking policies hold the
             # lock past the atomic section by design (Section 3.1).
             ("measurement.py", "ra-atomic-gap"),
