@@ -64,13 +64,18 @@ def content_fingerprint(content: bytes) -> bytes:
     return hashlib.sha256(content).digest()[:FINGERPRINT_LEN]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WriteRecord:
     """One committed write, for consistency auditing (Figure 4).
 
     ``fingerprint`` identifies the block's contents *after* the write,
     which lets the consistency analyzer reconstruct any block's content
     identity at any past instant from the log alone.
+
+    Treated as immutable by convention, like
+    :class:`~repro.sim.trace.TraceRecord`: every committed write builds
+    one, and a ``frozen`` ``__init__`` costs about four times a
+    ``slots`` one.
     """
 
     time: float

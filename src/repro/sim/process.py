@@ -213,6 +213,18 @@ class CPU:
         self._seq = 0
         self._in_advance = False
 
+    @property
+    def trace(self) -> Optional[Any]:
+        return self._trace
+
+    @trace.setter
+    def trace(self, trace: Optional[Any]) -> None:
+        self._trace = trace
+        #: ``trace.record`` resolved once (``None`` without a trace); the
+        #: hot emit sites call it directly instead of going through
+        #: :meth:`_emit`
+        self._record = trace.record if trace is not None else None
+
     # -- public API ------------------------------------------------------
 
     def spawn(
@@ -285,8 +297,8 @@ class CPU:
         return self._seq
 
     def _emit(self, kind: str, proc: Process, **data: Any) -> None:
-        if self.trace is not None:
-            self.trace.record(self.sim.now, kind, proc.name, **data)
+        if self._record is not None:
+            self._record(self.sim.now, kind, proc.name, **data)
 
     def _start(self, proc: Process) -> None:
         if proc.state is not ProcState.NEW:
@@ -299,8 +311,11 @@ class CPU:
         self._dispatch()
 
     def _make_ready(self, proc: Process) -> None:
-        proc._became_ready(self.sim.now)
-        self._emit("ready", proc)
+        now = self.sim.now
+        proc._became_ready(now)
+        record = self._record
+        if record is not None:
+            record(now, "ready", proc.name)
         self._dispatch()
 
     def _pick_next(self) -> Optional[Process]:
@@ -350,11 +365,14 @@ class CPU:
         """Give the CPU to ``proc`` (which must be READY)."""
         assert proc.state is ProcState.READY
         proc.state = ProcState.RUNNING
-        proc._record_dispatch(self.sim.now)
+        now = self.sim.now
+        proc._record_dispatch(now)
         self.current = proc
-        self._emit("run", proc)
+        record = self._record
+        if record is not None:
+            record(now, "run", proc.name)
         if proc._remaining > 0.0:
-            proc._run_start = self.sim.now
+            proc._run_start = now
             proc._completion = self.sim.schedule(
                 proc._remaining, self._compute_done, proc
             )
@@ -378,7 +396,8 @@ class CPU:
         """Step the generator until it blocks (Compute/Sleep/Wait) or ends."""
         self._in_advance = True
         send = proc._generator.send
-        can_coalesce = self.sim.can_coalesce
+        sim = self.sim
+        can_coalesce = sim.can_coalesce
         try:
             while True:
                 try:
@@ -398,16 +417,22 @@ class CPU:
                         # preempt, so skip the heap round-trip.  The
                         # trace record is emitted at the pre-advance
                         # instant, exactly as the scheduling path does.
-                        self._emit("compute", proc, duration=duration)
-                        self.sim.coalesce_advance(duration)
+                        record = self._record
+                        if record is not None:
+                            record(sim.now, "compute", proc.name,
+                                   duration=duration)
+                        sim.coalesce_advance(duration)
                         proc.cpu_time += duration
                         continue
                     proc._remaining = duration
-                    proc._run_start = self.sim.now
-                    proc._completion = self.sim.schedule(
+                    proc._run_start = sim.now
+                    proc._completion = sim.schedule(
                         duration, self._compute_done, proc
                     )
-                    self._emit("compute", proc, duration=duration)
+                    record = self._record
+                    if record is not None:
+                        record(sim.now, "compute", proc.name,
+                               duration=duration)
                     return
                 if isinstance(command, Sleep):
                     if proc.atomic:
@@ -416,10 +441,13 @@ class CPU:
                         )
                     self._release(proc)
                     proc.state = ProcState.SLEEPING
-                    proc._wake_event = self.sim.schedule(
+                    proc._wake_event = sim.schedule(
                         command.duration, self._wake, proc
                     )
-                    self._emit("sleep", proc, duration=command.duration)
+                    record = self._record
+                    if record is not None:
+                        record(sim.now, "sleep", proc.name,
+                               duration=command.duration)
                     return
                 if isinstance(command, WaitSignal):
                     if proc.atomic:
@@ -439,7 +467,7 @@ class CPU:
                     continue
                 if isinstance(command, Yield):
                     self._release(proc)
-                    proc._became_ready(self.sim.now)
+                    proc._became_ready(sim.now)
                     self._emit("yield", proc)
                     return
                 raise ProcessError(

@@ -65,25 +65,31 @@ class Trace:
 
     Unbounded (a plain append-only list) by default; pass
     ``max_records`` to keep only the newest records in a ring buffer --
-    older records are silently discarded and counted in ``dropped``.
+    older records are silently discarded and counted in ``dropped``,
+    so ``len(trace) + trace.dropped`` is the number of records emitted.
     """
 
     def __init__(self, max_records: Optional[int] = None) -> None:
         if max_records is not None and max_records <= 0:
             raise ValueError("max_records must be positive (or None)")
-        self.max_records = max_records
+        #: the ring cap, or -1 (a length a list never has) when unbounded
+        self._cap = -1 if max_records is None else max_records
         self.records: Any = (
             [] if max_records is None else deque(maxlen=max_records)
         )
         self.dropped = 0
 
+    @property
+    def max_records(self) -> Optional[int]:
+        return None if self._cap < 0 else self._cap
+
     def record(self, time: float, kind: str, source: str, **data: Any) -> None:
-        if (
-            self.max_records is not None
-            and len(self.records) == self.max_records
-        ):
+        # one length test per record: the CPU alone calls this about
+        # 170k times per canned ``qoa`` campaign pass
+        records = self.records
+        if len(records) == self._cap:
             self.dropped += 1
-        self.records.append(TraceRecord(time, kind, source, data))
+        records.append(TraceRecord(time, kind, source, data))
 
     def __len__(self) -> int:
         return len(self.records)

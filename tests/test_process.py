@@ -430,6 +430,34 @@ class TestAtomicUnmask:
         assert sim.now == 2.25
 
 
+class TestTraceBinding:
+    def test_reassigned_trace_receives_every_emit_site(self):
+        """The CPU resolves its recorder once; assigning ``cpu.trace``
+        must re-resolve it, so no emit site keeps writing to the old
+        trace (or to none)."""
+        sim = Simulator()
+        first, second = Trace(), Trace()
+        cpu = CPU(sim, trace=None)
+
+        def body(proc):
+            yield Compute(1.0)
+            yield Sleep(1.0)
+            cpu.trace = second
+            yield Compute(1.0)
+            yield Sleep(1.0)
+
+        cpu.spawn("p", body)
+        cpu.trace = first
+        sim.run()
+        assert cpu.trace is second
+        assert [r.kind for r in first] == [
+            "spawn", "run", "compute", "sleep", "ready", "run",
+        ]
+        assert [r.kind for r in second] == [
+            "compute", "sleep", "ready", "run", "done",
+        ]
+
+
 DURATIONS = st.sampled_from([0.5, 0.25, 1.0, 0.1, 0.0])
 
 # An atomic section may end in a Compute: the step where a process kept

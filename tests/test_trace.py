@@ -94,6 +94,27 @@ class TestRingBuffer:
         with pytest.raises(ValueError):
             Trace(max_records=0)
 
+    def test_accounting_across_the_wrap(self):
+        for cap in (1, 3, 4096):
+            trace = Trace(max_records=cap)
+            for emitted in range(1, 2 * cap + 6):
+                trace.record(float(emitted), "tick", "src", n=emitted)
+                assert len(trace) + trace.dropped == emitted
+                assert len(trace) == min(emitted, cap)
+            assert [r.data["n"] for r in trace] == list(
+                range(emitted - cap + 1, emitted + 1)
+            )
+
+    def test_max_records_is_read_only_truth(self):
+        import pytest
+
+        for cap in (None, 1, 3, 4096):
+            trace = Trace(max_records=cap)
+            assert trace.max_records == cap
+            with pytest.raises(AttributeError):
+                trace.max_records = 2
+            assert trace.max_records == cap
+
 
 class TestJsonlExport:
     def test_round_trips_through_json(self, tmp_path):
