@@ -536,8 +536,8 @@ def bench_verifier_batch(quick: bool) -> Dict[str, Dict[str, Any]]:
     The workload mirrors what an epoch drain sees in a storm: a cohort
     of provers sharing one reference image, each shipping an
     ERASMUS-style history ring, so consecutive reports re-carry the
-    same records.  Batch mode pays one keyed-digest pass per unique
-    record signature; serial re-walks the reference for every copy.
+    same records.  Batch mode digests each unique record once, over
+    one joined traversal per device; serial recomputes every copy.
     """
     from repro.ra.report import AttestationReport
     from repro.ra.verifier import Verifier

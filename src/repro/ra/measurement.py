@@ -103,6 +103,25 @@ def traversal_order(
     return HmacDrbg(order_seed).shuffle(list(blocks))
 
 
+def traversal_bytes(
+    reference_blocks: Sequence[bytes],
+    measured_blocks: Sequence[int],
+    order: str,
+    order_seed: bytes,
+    normalized_blocks: Optional[frozenset] = None,
+) -> bytes:
+    """The bytes MP MACs after ``nonce || counter``: the blocks in
+    visit order, zeros for ``normalized_blocks`` (Section 2.3)."""
+    visit = traversal_order(measured_blocks, order, order_seed)
+    if not normalized_blocks:
+        return b"".join([reference_blocks[index] for index in visit])
+    return b"".join([
+        bytes(len(reference_blocks[index]))
+        if index in normalized_blocks else reference_blocks[index]
+        for index in visit
+    ])
+
+
 class MeasurementProcess:
     """One run of MP on a device.
 
@@ -389,18 +408,14 @@ def expected_digest(
 ) -> bytes:
     """What the verifier expects MP to produce over a reference image.
 
-    Mirrors :meth:`MeasurementProcess.run`'s digest computation exactly;
-    any divergence between prover memory and the reference changes the
-    result.  ``normalized_blocks`` are the mutable blocks that
-    contribute zeros when the record is normalized (Section 2.3).
+    MP feeds the traversal one block per ``update``; one
+    :func:`traversal_bytes` buffer gives the same streaming HMAC, so
+    any divergence from the reference changes the result.
     """
-    visit = traversal_order(list(measured_blocks), order, order_seed)
     mac = Hmac(key, algorithm)
     mac.update(nonce + counter.to_bytes(8, "big"))
-    normalized = normalized_blocks or frozenset()
-    for block_index in visit:
-        if block_index in normalized:
-            mac.update(b"\x00" * len(reference_blocks[block_index]))
-        else:
-            mac.update(reference_blocks[block_index])
+    mac.update(traversal_bytes(
+        reference_blocks, measured_blocks, order, order_seed,
+        normalized_blocks,
+    ))
     return mac.digest()

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hmac import Hmac, constant_time_equal
 from repro.errors import ConfigurationError
-from repro.ra.measurement import expected_digest
+from repro.ra.measurement import expected_digest, traversal_bytes
 from repro.ra.report import (
     AttestationReport,
     MeasurementRecord,
@@ -411,12 +411,12 @@ class Verifier:
     ) -> Dict[tuple, bytes]:
         """Expected digests for every distinct record in ``entries``.
 
-        Sequential-order records without an attached data copy share
-        the per-device reference traversal: all their keyed MACs are
-        advanced together in one pass over the reference image, so a
-        batch of k same-epoch reports pays one block walk instead of
-        k.  Shuffled (SMARM) and data-copy records fall back to the
-        per-record recomputation, still deduplicated by memo key.
+        Sequential-order records without a data copy are grouped per
+        ``(device, algorithm, region, normalized)``; each group joins
+        its reference traversal once (:func:`traversal_bytes`) and
+        every member MAC takes ``nonce || counter`` and that buffer.
+        Shuffled (SMARM) and data-copy records fall back to
+        :meth:`expected_for`, still deduplicated by memo key.
         """
         memo: Dict[tuple, bytes] = {}
         groups: Dict[tuple, List[Tuple[tuple, MeasurementRecord]]] = {}
@@ -433,41 +433,28 @@ class Verifier:
                     except ConfigurationError:
                         pass  # surfaces identically at verify time
                     continue
-                sig = (
-                    record.device,
-                    record.algorithm,
-                    record.region,
-                    record.normalized,
-                )
-                members = groups.get(sig)
-                if members is None:
-                    members = groups[sig] = []
-                members.append((key, record))
-                memo[key] = b""  # claimed; overwritten by the pass
+                sig = (record.device, record.algorithm, record.region,
+                       record.normalized)
+                groups.setdefault(sig, []).append((key, record))
+                memo[key] = b""  # claimed; overwritten below
         for sig, members in groups.items():
             device, algorithm, _region, normalized = sig
             profile = self.devices[device]
             try:
-                blocks = self._measured_blocks(profile, members[0][1])
+                traversal = traversal_bytes(
+                    profile.reference,
+                    self._measured_blocks(profile, members[0][1]),
+                    "sequential", b"",
+                    profile.mutable_blocks if normalized else None,
+                )
             except ConfigurationError:
                 for key, _record in members:
                     del memo[key]
                 continue
-            macs: List[Hmac] = []
-            for _key, record in members:
+            for key, record in members:
                 mac = Hmac(profile.key, algorithm)
                 mac.update(record.nonce + record.counter.to_bytes(8, "big"))
-                macs.append(mac)
-            zeroed = profile.mutable_blocks if normalized else frozenset()
-            reference = profile.reference
-            for block_index in blocks:
-                if block_index in zeroed:
-                    chunk = b"\x00" * len(reference[block_index])
-                else:
-                    chunk = reference[block_index]
-                for mac in macs:
-                    mac.update(chunk)
-            for (key, _record), mac in zip(members, macs):
+                mac.update(traversal)
                 memo[key] = mac.digest()
         return memo
 
@@ -483,8 +470,8 @@ class Verifier:
         side effects are byte-identical to calling
         :meth:`verify_report` once per entry in the same order -- the
         batch only amortizes expected-digest recomputation by
-        precomputing one memo for the whole epoch (shared reference
-        traversals, duplicate records digested once).
+        precomputing one memo for the whole epoch (one traversal buffer
+        per device group, duplicate records digested once).
         """
         self._expected_memo = self._precompute_expected(entries)
         try:

@@ -100,14 +100,8 @@ class SimProver:
         nonce = b"push" + self.counter.to_bytes(8, "big")
         now = self.sim.now
         digest = expected_digest(
-            self.key,
-            self.image,
-            self.algorithm,
-            nonce,
-            self.counter,
-            list(range(len(self.image))),
-            "sequential",
-            b"",
+            self.key, self.image, self.algorithm, nonce, self.counter,
+            range(len(self.image)), "sequential", b"",
         )
         record = MeasurementRecord(
             device=self.name,

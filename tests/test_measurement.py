@@ -1,7 +1,12 @@
 """The measurement process MP: traversal, records, interruption."""
 
-import pytest
+import hmac
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.crypto.drbg import HmacDrbg
+from repro.crypto.hashes import HASH_ALGORITHMS, get_algorithm
 from repro.errors import ConfigurationError
 from repro.malware.observer import MeasurementObserver
 from repro.obs.core import Observability
@@ -11,6 +16,7 @@ from repro.ra.measurement import (
     MeasurementProcess,
     derive_order_seed,
     expected_digest,
+    traversal_bytes,
     traversal_order,
 )
 from repro.sim.device import Device
@@ -53,6 +59,65 @@ class TestOrderDerivation:
         assert base != derive_order_seed(b"other", b"nonce", 1)
         assert base != derive_order_seed(b"key", b"other", 1)
         assert base != derive_order_seed(b"key", b"nonce", 2)
+
+
+def spec_digest(key, image, algorithm, nonce, counter, measured, order,
+                order_seed, normalized):
+    """``expected_digest`` restated on the stdlib: one ``hmac.new`` over
+    ``nonce || counter || visited blocks`` (zeros where normalized)."""
+    visit = list(measured)
+    if order == "shuffled":
+        visit = HmacDrbg(order_seed).shuffle(visit)
+    covered = b"".join(
+        bytes(len(image[i])) if i in normalized else image[i] for i in visit
+    )
+    message = nonce + counter.to_bytes(8, "big") + covered
+    return hmac.new(
+        key, message, digestmod=get_algorithm(algorithm).factory
+    ).digest()
+
+
+@st.composite
+def digest_inputs(draw):
+    image = draw(st.lists(st.binary(max_size=300), min_size=1, max_size=10))
+    indices = range(len(image))
+    whole = draw(st.booleans())
+    measured = (
+        list(indices) if whole
+        else draw(st.lists(st.sampled_from(indices), unique=True))
+    )
+    return dict(
+        key=draw(st.binary(max_size=200)),
+        image=tuple(image),
+        algorithm=draw(st.sampled_from(sorted(HASH_ALGORITHMS))),
+        nonce=draw(st.binary(max_size=24)),
+        counter=draw(st.integers(0, 2**64 - 1)),
+        measured=measured,
+        order=draw(st.sampled_from(["sequential", "shuffled"])),
+        order_seed=draw(st.binary(min_size=1, max_size=16)),
+        normalized=frozenset(draw(st.sets(st.sampled_from(indices)))),
+    )
+
+
+class TestExpectedDigestDifferential:
+    """One traversal buffer must digest exactly like the spec HMAC."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(case=digest_inputs())
+    def test_matches_stdlib_spec(self, case):
+        digest = expected_digest(
+            case["key"], case["image"], case["algorithm"], case["nonce"],
+            case["counter"], case["measured"], case["order"],
+            case["order_seed"], normalized_blocks=case["normalized"],
+        )
+        assert digest == spec_digest(**case)
+
+    def test_traversal_bytes_visits_and_zeroes(self):
+        image = (b"aa", b"bbb", b"c")
+        assert traversal_bytes(image, [2, 0], "sequential", b"") == b"caa"
+        assert traversal_bytes(
+            image, [0, 1, 2], "sequential", b"", frozenset({1})
+        ) == b"aa\x00\x00\x00c"
 
 
 class TestRecordContents:

@@ -16,15 +16,24 @@ per-record verdict.  This file pins that contract three ways:
 * **golden** -- the smoke preset's canonical ledger is committed at
   ``tests/golden/vserver_ledger.jsonl``; both drain modes must
   reproduce it byte-for-byte (the CI load-test smoke job diffs the
-  same artifact).
+  same artifact);
+* **generated** -- hypothesis-built epochs mixing sequential, shuffled,
+  normalized, region and data-copy records with tampered digests, bad
+  tags, unknown regions and history records re-shipped across reports.
 """
 
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.tradeoff import ScenarioConfig
+from repro.crypto.drbg import HmacDrbg
+from repro.crypto.hashes import HASH_ALGORITHMS
+from repro.errors import ConfigurationError
 from repro.ra.erasmus import COLLECT_STREAM
+from repro.ra.measurement import derive_order_seed, expected_digest
+from repro.ra.report import AttestationReport, MeasurementRecord
 from repro.ra.seed import PUSH_STREAM
 from repro.ra.verifier import Verifier
 from repro.resilience.retry import RetryPolicy
@@ -217,3 +226,182 @@ class TestServiceLedgerIdentity:
             assert scenario.ledger_lines() == golden, (
                 f"smoke ledger diverged from golden (batch={batch})"
             )
+
+
+# -- generated mixed epochs ---------------------------------------------------
+
+BLOCKS = 10
+CODE = [0, 1, 2, 3, 4, 5, 7]
+DATA = [6, 8, 9]
+DEVICES = ["mix0", "mix1", "mix2"]
+
+#: record shapes a prover can ship; "written" images carry legitimate
+#: data-region writes, so only normalized, code-only and data-copy
+#: records of them verify healthy
+KINDS = [
+    "pristine", "written", "shuffled", "normalized",
+    "shuffled-normalized", "code", "data", "data-normalized",
+    "data-copy", "data-copy-code", "tampered", "unknown-region",
+]
+
+
+def mixed_population():
+    """Per device: key, reference image and a data-written image."""
+    population = {}
+    for name in DEVICES:
+        drbg = HmacDrbg(b"mixed-epochs|" + name.encode())
+        key = drbg.generate(32)
+        reference = tuple(drbg.generate(24) for _ in range(BLOCKS))
+        written = list(reference)
+        for block in DATA:
+            written[block] = drbg.generate(24)
+        population[name] = (key, reference, tuple(written))
+    return population
+
+
+POPULATION = mixed_population()
+
+
+def mixed_verifier():
+    verifier = Verifier(Simulator(), name="mixed")
+    for name, (key, reference, _written) in POPULATION.items():
+        verifier.enroll(
+            name, key=key, reference=reference,
+            region_map={"code": CODE, "data": DATA},
+            mutable_blocks=frozenset(DATA),
+        )
+    return verifier
+
+
+def build_record(device, kind, algorithm, slot):
+    """One honestly computed record of ``kind`` (then maybe tampered)."""
+    key, reference, written = POPULATION[device]
+    pristine = kind in ("pristine", "tampered", "unknown-region")
+    image = reference if pristine else written
+    nonce = b"mix" + slot.to_bytes(2, "big")
+    counter = slot + 1
+    region = {
+        "code": "code", "data": "data", "data-normalized": "data",
+        "unknown-region": "nope",
+    }.get(kind, "")
+    measured = {"code": CODE, "data": DATA}.get(region, range(BLOCKS))
+    order_seed = b""
+    if kind.startswith("shuffled"):
+        order_seed = derive_order_seed(key, nonce, counter)
+    normalized = kind.endswith("normalized")
+    data_copy = ()
+    if kind.startswith("data-copy"):
+        copied = DATA + [0] if kind == "data-copy-code" else DATA
+        data_copy = tuple(sorted((b, written[b]) for b in copied))
+    digest = expected_digest(
+        key, image, algorithm, nonce, counter, measured,
+        "shuffled" if order_seed else "sequential", order_seed,
+        normalized_blocks=frozenset(DATA) if normalized else None,
+    )
+    if kind == "tampered":
+        digest = bytes([digest[0] ^ 1]) + digest[1:]
+    return MeasurementRecord(
+        device=device, mechanism="mixed", algorithm=algorithm,
+        nonce=nonce, counter=counter, digest=digest,
+        t_start=float(slot), t_end=float(slot) + 0.5,
+        block_count=len(measured), order_seed=order_seed, region=region,
+        normalized=normalized, data_copy=data_copy,
+    )
+
+
+def build_epoch(pool, reports):
+    """``(report, kwargs)`` entries; equal pool slots of one device are
+    the same record object, so history re-ships are real duplicates."""
+    records = {}
+    entries = []
+    for device_index, slots, sent_counter, bad_tag, enforce in reports:
+        device = DEVICES[device_index]
+        chosen = []
+        for slot in slots:
+            slot %= len(pool)
+            if (device, slot) not in records:
+                kind, algorithm = pool[slot]
+                records[device, slot] = build_record(
+                    device, kind, algorithm, slot
+                )
+            chosen.append(records[device, slot])
+        key = POPULATION[device][0]
+        report = AttestationReport.authenticate(
+            b"wrong key" if bad_tag else key, device, chosen,
+            sent_counter=sent_counter,
+        )
+        kwargs = {"enforce_counter": True} if enforce else {}
+        entries.append((report, kwargs))
+    return entries
+
+
+def serial_outcome(entries):
+    verifier = mixed_verifier()
+    for report, kwargs in entries:
+        try:
+            verifier.verify_report(report, **kwargs)
+        except ConfigurationError as exc:
+            return signature(verifier.results), str(exc)
+    return signature(verifier.results), None
+
+
+def batched_outcome(entries):
+    verifier = mixed_verifier()
+    try:
+        results = verifier.verify_batch(entries)
+    except ConfigurationError as exc:
+        return signature(verifier.results), str(exc)
+    assert signature(results) == signature(verifier.results)
+    return signature(verifier.results), None
+
+
+POOL = st.lists(
+    st.tuples(st.sampled_from(KINDS), st.sampled_from(sorted(HASH_ALGORITHMS))),
+    min_size=1, max_size=12,
+)
+REPORTS = st.lists(
+    st.tuples(
+        st.integers(0, len(DEVICES) - 1),
+        st.lists(st.integers(0, 11), min_size=1, max_size=4),
+        st.integers(0, 4),
+        st.sampled_from([False, False, False, True]),  # bad tag
+        st.booleans(),
+    ),
+    min_size=1, max_size=10,
+)
+
+
+class TestGeneratedMixedEpochs:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(pool=POOL, reports=REPORTS)
+    def test_batch_equals_serial(self, pool, reports):
+        entries = build_epoch(pool, reports)
+        assert batched_outcome(entries) == serial_outcome(entries)
+
+    def test_every_kind_in_one_epoch(self):
+        pool = [(kind, "sha256") for kind in KINDS]
+        reports = [
+            (index % len(DEVICES), [index, (index + 1) % (len(KINDS) - 1)],
+             index, False, False)
+            for index in range(len(KINDS) - 1)  # no unknown region
+        ]
+        reports.append((0, [0, 1], 99, True, False))  # bad tag
+        entries = build_epoch(pool, reports)
+        results, raised = serial_outcome(entries)
+        assert raised is None
+        assert batched_outcome(entries) == (results, None)
+        verdicts = [verdict for _d, verdict, *_rest in results]
+        assert {"healthy", "compromised", "invalid"} <= set(verdicts)
+        per_record = [v for *_head, rv, _t in results for v in rv]
+        assert "healthy" in per_record and "compromised" in per_record
+
+    def test_unknown_region_raises_at_the_same_entry(self):
+        pool = [("pristine", "sha512"), ("unknown-region", "blake2s")]
+        entries = build_epoch(
+            pool, [(0, [0], 1, False, False), (1, [0, 1], 1, False, False),
+                   (2, [0], 1, False, False)],
+        )
+        outcome = serial_outcome(entries)
+        assert outcome[1] == "record references unknown region 'nope'"
+        assert len(outcome[0]) == 1
+        assert batched_outcome(entries) == outcome
