@@ -121,9 +121,6 @@ class WriterWorkload:
     def total_write_faults(self) -> int:
         return sum(task.stats().write_faults for task in self.tasks)
 
-    def total_deadline_misses(self) -> int:
-        return sum(task.stats().deadline_misses for task in self.tasks)
-
     def worst_response(self) -> float:
         if not self.tasks:
             return 0.0

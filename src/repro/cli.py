@@ -17,7 +17,6 @@ and the fleet campaign runner (docs/fleet.md)::
 
     repro fleet plan      # expand a campaign into its run list
     repro fleet run       # staged pipeline: shard / execute / stream
-    repro fleet worker    # claim spooled shards (remote-worker stub)
     repro fleet summarize # re-aggregate existing artifacts
 
 plus the in-tree static analyzer (docs/static_analysis.md)::
@@ -111,14 +110,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="the optimized adversary's speed factor")
 
     fleet = sub.add_parser(
-        "fleet", help="campaign runner: plan / run / worker / summarize"
+        "fleet", help="campaign runner: plan / run / summarize"
     )
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
 
     def add_campaign_options(p):
         p.add_argument("--campaign", default="qoa",
-                       help="canned campaign name "
-                            "(qoa, matrix, locking, hetero)")
+                       help="canned campaign name (qoa, matrix, locking, "
+                            "faults, vserver, hetero)")
         p.add_argument("--spec", default=None,
                        help="JSON campaign spec file (overrides --campaign)")
         p.add_argument("--seeds", type=int, default=None,
@@ -135,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_campaign_options(run)
     run.add_argument(
         "--backend", default="serial",
-        help="execution backend: serial, process[:N], spool:DIR",
+        help="execution backend: serial, process[:N]",
     )
     run.add_argument("--shard-size", type=int, default=8)
     run.add_argument("--retries", type=int, default=1,
@@ -162,22 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="keep the shards/ checkpoint directory after finalize "
              "(debugging aid)",
     )
-
-    worker = fleet_sub.add_parser(
-        "worker", help="spool worker: claim and execute spooled shards"
-    )
-    worker.add_argument(
-        "--spool", required=True,
-        help="spool directory shared with `fleet run --backend spool:DIR`",
-    )
-    worker.add_argument("--once", action="store_true",
-                        help="drain the current inbox and exit")
-    worker.add_argument(
-        "--idle-timeout", type=float, default=0.0,
-        help="exit after this many idle seconds (0 = run forever)",
-    )
-    worker.add_argument("--poll", type=float, default=0.05,
-                        help="inbox poll interval, seconds")
 
     summ = fleet_sub.add_parser(
         "summarize", help="re-aggregate an existing runs.jsonl"
@@ -304,26 +287,21 @@ def _run_fleet(args: argparse.Namespace) -> str:
     from repro import fleet
 
     if args.fleet_command == "summarize":
-        paths = fleet.artifact_paths(args.out, args.campaign)
-        if not paths.runs.exists():
+        # --campaign takes a campaign's own name or a canned key, whose
+        # artifacts live under the canned campaign's name
+        names = [args.campaign]
+        if args.campaign in fleet.CANNED_CAMPAIGNS:
+            names.append(fleet.canned_campaign(args.campaign).name)
+        tried = [fleet.artifact_paths(args.out, name).runs for name in names]
+        runs = next((path for path in tried if path.exists()), None)
+        if runs is None:
             raise SystemExit(
-                f"no artifacts at {paths.runs}; run "
-                f"`repro fleet run --campaign {args.campaign}` first"
+                "no artifacts at "
+                + " or ".join(str(path) for path in tried)
+                + f"; run `repro fleet run --campaign {args.campaign}` first"
             )
-        results = fleet.read_results_jsonl(paths.runs)
-        return fleet.summarize(results, campaign=args.campaign).render()
-
-    if args.fleet_command == "worker":
-        lines = []
-        spool_worker = fleet.SpoolWorker(args.spool)
-        processed = spool_worker.run(
-            once=args.once,
-            poll_interval=args.poll,
-            idle_timeout=args.idle_timeout,
-            log=lines.append,
-        )
-        lines.append(f"processed {processed} shard(s) from {args.spool}")
-        return "\n".join(lines)
+        results = fleet.read_results_jsonl(runs)
+        return fleet.summarize(results, campaign=runs.parent.name).render()
 
     campaign = _fleet_campaign(args)
     specs = campaign.plan()

@@ -31,8 +31,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.consistency import expected_consistency
 from repro.core.solution import Feature, solution_by_key
 from repro.errors import ConfigurationError
-from repro.malware.relocating import SelfRelocatingMalware
-from repro.malware.transient import TransientMalware
 from repro.ra.erasmus import ErasmusService
 from repro.ra.locking import make_policy
 from repro.ra.measurement import MeasurementConfig
@@ -195,23 +193,6 @@ class ScenarioOutcome:
             f"task_worst={self.task_worst_response * 1e3:7.1f}ms "
             f"probes={self.probe.succeeded}/{self.probe.attempted}"
         )
-
-
-def _install_adversary(device: Device, adversary: str,
-                       config: ScenarioConfig):
-    if adversary == "none":
-        return None
-    if adversary == "relocating":
-        return SelfRelocatingMalware(
-            device, target_block=config.malware_block,
-            infect_at=config.infect_at, strategy="to-measured",
-        )
-    if adversary == "transient":
-        return TransientMalware(
-            device, target_block=config.malware_block,
-            infect_at=config.infect_at, reactive=True, reappear=True,
-        )
-    raise ConfigurationError(f"unknown adversary {adversary!r}")
 
 
 def _schedule_probes(device: Device, config: ScenarioConfig,
@@ -378,11 +359,6 @@ class EvaluationMatrix:
             )
         return Feature.NO
 
-    def overhead_seconds(self, mechanism: str) -> float:
-        outcome = self.outcome(mechanism, "none")
-        rounds = max(1, len([v for v in outcome.verdicts]))
-        return outcome.mp_duration
-
     # -- rendering ---------------------------------------------------------------
 
     def render(self) -> str:
@@ -392,8 +368,6 @@ class EvaluationMatrix:
             f"{'task_worst[ms]':<15} {'consistency (claimed)'}"
         )
         lines = [header, "-" * len(header)]
-        for (mechanism, adversary), _ in sorted(self.outcomes.items()):
-            pass  # ordering handled below
         seen = []
         for mechanism, _adv in self.outcomes:
             if mechanism not in seen:

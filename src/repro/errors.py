@@ -110,9 +110,5 @@ class ReplayError(ProtocolError):
     """A message was recognized as a replay of an earlier one."""
 
 
-class StaleReportError(ProtocolError):
-    """A report refers to a measurement that is too old for the policy."""
-
-
 class ConfigurationError(ReproError):
     """A component was configured with invalid or inconsistent options."""

@@ -5,11 +5,11 @@ The fleet layer sits *above* the single-run stack (``sim``/``ra``/
 axes or heterogeneous :class:`Cohort` populations -- into deterministic
 :class:`RunSpec` plans and pushes them through a five-stage pipeline
 (:func:`run_pipeline`): plan -> shard -> execute -> stream -> reduce.
-Execution is pluggable via :class:`ExecutorBackend` (in-process serial,
-process pool, or a file-spool of remote workers); completed shards
-checkpoint to disk for kill-safe ``--resume``; and results stream
-through a memory-bounded :class:`StreamingAggregator`, so the
-artifacts are byte-identical whichever backend ran the shards.  See
+Execution is pluggable via :class:`ExecutorBackend` (in-process serial
+or a local process pool); completed shards checkpoint to disk for
+kill-safe ``--resume``; and results stream through a memory-bounded
+:class:`StreamingAggregator`, so the artifacts are byte-identical
+whichever backend ran the shards.  See
 docs/fleet.md for the artifact layout.
 """
 
@@ -19,8 +19,6 @@ from repro.fleet.backends import (
     SerialBackend,
     Shard,
     ShardOutcome,
-    SpoolBackend,
-    SpoolWorker,
     make_shards,
     resolve_backend,
 )
@@ -36,7 +34,7 @@ from repro.fleet.campaign import (
     matrix_fleet_campaign,
     qoa_fleet_campaign,
 )
-from repro.fleet.clock import ClockFn, monotonic_time, perf_time, wall_time
+from repro.fleet.clock import ClockFn, perf_time, wall_time
 from repro.fleet.executor import (
     FleetTimeout,
     InjectedFailure,
@@ -104,8 +102,6 @@ __all__ = [
     "Shard",
     "ShardCheckpointStore",
     "ShardOutcome",
-    "SpoolBackend",
-    "SpoolWorker",
     "StreamingAggregator",
     "ValueSketch",
     "artifact_paths",
@@ -116,7 +112,6 @@ __all__ = [
     "locking_availability_campaign",
     "make_shards",
     "matrix_fleet_campaign",
-    "monotonic_time",
     "perf_time",
     "percentile",
     "plan_hash",

@@ -33,9 +33,3 @@ def perf_time() -> float:
     """Monotonic high-resolution counter -- wall-clock telemetry only."""
     return time.perf_counter()
 
-
-def monotonic_time() -> float:
-    """Monotonic counter for wall-clock deadlines (spool polling,
-    worker idle timeouts) -- never for anything that lands in
-    canonical artifacts."""
-    return time.monotonic()

@@ -9,8 +9,8 @@ still produce byte-identical deterministic telemetry.
 
 This module is the per-run layer: :func:`execute_run` builds and runs
 one scenario, and :func:`run_one` wraps it in failure containment.
-Where shards run (in-process, a process pool, spooled workers) is the
-job of :mod:`repro.fleet.backends`; the campaign driver is
+Where shards run (in-process or a process pool) is the job of
+:mod:`repro.fleet.backends`; the campaign driver is
 :func:`repro.fleet.pipeline.run_pipeline`.
 
 Failure containment, per run: a wall-clock timeout (``RunSpec.timeout``,

@@ -11,8 +11,8 @@ pipeline keeps results moving instead:
 2. **shard** -- :func:`repro.fleet.backends.make_shards` slices the
    plan into fixed-size shards, the unit of dispatch and resume;
 3. **execute** -- an :class:`~repro.fleet.backends.ExecutorBackend`
-   (in-process, process pool, or spooled remote workers) yields each
-   shard's results as it completes;
+   (in-process or process pool) yields each shard's results as it
+   completes;
 4. **stream** -- every completed shard is immediately checkpointed to
    a run_id-sorted JSONL file (atomic rename) via
    :class:`~repro.fleet.store.ShardCheckpointStore`, so a killed
@@ -25,7 +25,7 @@ pipeline keeps results moving instead:
 Peak aggregator memory is O(groups + shards), never O(runs), and the
 reduce fold visits results in run_id-sorted order whatever the backend,
 shard completion order or resume history -- which is why a streamed,
-resumed, or remote-executed campaign produces *byte-identical*
+resumed, or process-pool campaign produces *byte-identical*
 artifacts to an uninterrupted serial run.
 """
 

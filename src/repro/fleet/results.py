@@ -99,9 +99,6 @@ class GroupSummary:
     write_faults: int = 0
     #: running sum/count + bounded distribution of MP durations
     mp_duration: ValueSketch = field(default_factory=ValueSketch)
-    #: running sum/count of QoA detection probabilities
-    detection_probability_sum: float = 0.0
-    detection_probability_count: int = 0
     #: summed sim-time metric snapshots (repro.obs) across ok runs
     telemetry_totals: Dict[str, float] = field(default_factory=dict)
     #: merged per-shard exchange sketches (span-enabled runs only);
@@ -144,10 +141,6 @@ class GroupSummary:
             self.write_faults += result.availability.get("write_faults", 0)
         if result.measurements:
             self.mp_duration.observe(result.mp_duration)
-        probability = result.qoa.get("detection_probability")
-        if probability is not None:
-            self.detection_probability_sum += probability
-            self.detection_probability_count += 1
         for name, value in result.telemetry.items():
             self.telemetry_totals[name] = (
                 self.telemetry_totals.get(name, 0.0) + value
@@ -172,8 +165,6 @@ class GroupSummary:
         self.worst_response = max(self.worst_response, other.worst_response)
         self.write_faults += other.write_faults
         self.mp_duration.merge(other.mp_duration)
-        self.detection_probability_sum += other.detection_probability_sum
-        self.detection_probability_count += other.detection_probability_count
         for name, value in other.telemetry_totals.items():
             self.telemetry_totals[name] = (
                 self.telemetry_totals.get(name, 0.0) + value
@@ -230,12 +221,6 @@ class GroupSummary:
     @property
     def mean_mp_duration(self) -> float:
         return self.mp_duration.mean
-
-    @property
-    def mean_detection_probability(self) -> float:
-        if not self.detection_probability_count:
-            return 0.0
-        return self.detection_probability_sum / self.detection_probability_count
 
     def latency_percentiles(self) -> Dict[str, float]:
         if not self.detection_latency.count:

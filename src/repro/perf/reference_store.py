@@ -194,13 +194,6 @@ class ReferenceStore:
 REFERENCE_STORE = ReferenceStore()
 
 
-def interned_image(
-    block_count: int, block_size: int, seed: int
-) -> Tuple[bytes, ...]:
-    """Shared tuple of the first ``block_count`` benign blocks."""
-    return REFERENCE_STORE.image(seed, block_size).blocks(block_count)
-
-
 def set_reference_store(store: ReferenceStore) -> ReferenceStore:
     """Swap the process-wide store (tests); returns the previous one."""
     global REFERENCE_STORE

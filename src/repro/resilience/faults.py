@@ -133,10 +133,6 @@ class FaultPlan:
     def empty(self) -> bool:
         return not (self.windows or self.resets or self.drifts)
 
-    @property
-    def channel_windows(self) -> List[FaultWindow]:
-        return self.windows
-
     # -- DSL --------------------------------------------------------------
 
     @classmethod

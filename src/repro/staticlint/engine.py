@@ -91,10 +91,6 @@ class ProjectContext:
     config: LintConfig
     lines: Dict[str, List[str]]  # display path -> source lines
 
-    def path_in_scope(self, path: str, patterns: Sequence[str]) -> bool:
-        norm = Path(path).as_posix()
-        return any(pattern in norm for pattern in patterns)
-
     def line_text(self, path: str, line: int) -> str:
         lines = self.lines.get(path, [])
         if 1 <= line <= len(lines):

@@ -9,7 +9,7 @@ the fix hint shown next to every finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -198,11 +198,6 @@ def _selected(config: LintConfig) -> List[Rule]:
         return rules
     chosen = {get_rule(rule_id).id for rule_id in config.select}
     return [r for r in rules if r.id in chosen]
-
-
-def override_severity(rule_id: str, severity: Severity) -> None:
-    """Re-register a rule at a different severity (config hook)."""
-    _REGISTRY[rule_id] = replace(get_rule(rule_id), severity=severity)
 
 
 def _load_rule_modules() -> None:

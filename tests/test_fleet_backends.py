@@ -1,6 +1,4 @@
-"""Executor backends: serial, process pool, and the worker spool."""
-
-import json
+"""Executor backends: serial and process pool, and backend resolution."""
 
 import pytest
 
@@ -10,12 +8,9 @@ from repro.fleet import (
     RunResult,
     RunSpec,
     SerialBackend,
-    SpoolBackend,
-    SpoolWorker,
     make_shards,
     resolve_backend,
 )
-from repro.fleet.backends import SpoolJob
 from repro.units import MiB
 
 
@@ -99,109 +94,6 @@ class TestProcessPoolBackend:
         ] == [r.to_json_line() for o in serial for r in o.results]
 
 
-class TestSpoolProtocol:
-    def test_job_round_trip(self):
-        specs = [fast_spec(seed=i) for i in range(2)]
-        job = SpoolJob(
-            shard_index=3, retries=2,
-            specs=[s.to_dict() for s in specs],
-        )
-        clone = SpoolJob.from_json(job.to_json())
-        assert clone == job
-
-    def test_worker_claims_and_produces_results(self, tmp_path):
-        worker = SpoolWorker(tmp_path, runner=synthetic_runner)
-        specs = [fast_spec(seed=i) for i in range(2)]
-        job = SpoolJob(
-            shard_index=0, retries=1,
-            specs=[s.to_dict() for s in specs],
-        )
-        (tmp_path / "inbox" / "shard-000000.json").write_text(
-            job.to_json(), encoding="utf-8"
-        )
-        assert worker.process_one() is True
-        assert worker.process_one() is False  # inbox drained
-        out = tmp_path / "outbox" / "shard-000000.jsonl"
-        lines = out.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 2
-        # the wire form is the NON-deterministic projection: volatile
-        # execution telemetry survives to the aggregating side
-        first = json.loads(lines[0])
-        assert first["run_id"] == specs[0].run_id
-        assert "attempts" in first and first["attempts"] >= 1
-        assert not (tmp_path / "claimed" / "shard-000000.json").exists()
-
-    def test_competing_worker_loses_the_rename(self, tmp_path):
-        first = SpoolWorker(tmp_path, runner=synthetic_runner)
-        second = SpoolWorker(tmp_path, runner=synthetic_runner)
-        job = SpoolJob(
-            shard_index=0, retries=1, specs=[fast_spec().to_dict()]
-        )
-        (tmp_path / "inbox" / "shard-000000.json").write_text(
-            job.to_json(), encoding="utf-8"
-        )
-        claimed = first.claim_one()
-        assert claimed is not None
-        assert second.claim_one() is None
-
-    def test_run_once_drains_inbox(self, tmp_path):
-        worker = SpoolWorker(tmp_path, runner=synthetic_runner)
-        for index in range(3):
-            job = SpoolJob(
-                shard_index=index, retries=1,
-                specs=[fast_spec(seed=index).to_dict()],
-            )
-            (tmp_path / "inbox" / f"shard-{index:06d}.json").write_text(
-                job.to_json(), encoding="utf-8"
-            )
-        assert worker.run(once=True) == 3
-        assert sorted(
-            p.name for p in (tmp_path / "outbox").glob("*.jsonl")
-        ) == [f"shard-{i:06d}.jsonl" for i in range(3)]
-
-
-class TestSpoolBackend:
-    def test_self_serve_end_to_end(self, tmp_path):
-        specs = [fast_spec(seed=i) for i in range(5)]
-        outcomes = run_backend(SpoolBackend(tmp_path), specs)
-        serial = run_backend(SerialBackend(), specs)
-        assert [o.shard.index for o in outcomes] == [0, 1, 2]
-        assert [
-            r.to_json_line() for o in outcomes for r in o.results
-        ] == [r.to_json_line() for o in serial for r in o.results]
-
-    def test_external_worker_results_are_consumed(self, tmp_path):
-        # simulate a remote worker completing a shard before the
-        # backend starts polling: the backend must pick up the file
-        backend = SpoolBackend(tmp_path, self_serve=False, timeout=5.0)
-        specs = [fast_spec(seed=1)]
-        worker = SpoolWorker(tmp_path, runner=synthetic_runner)
-        shards = make_shards(specs, 2)
-
-        iterator = backend.execute(shards, runner=synthetic_runner)
-        # jobs are spooled lazily on first next(); drive the worker
-        # from a pre-seeded inbox instead
-        job = SpoolJob(
-            shard_index=0, retries=1,
-            specs=[s.to_dict() for s in specs],
-        )
-        (tmp_path / "inbox" / "shard-000000.json").write_text(
-            job.to_json(), encoding="utf-8"
-        )
-        worker.run(once=True)
-        outcomes = list(iterator)
-        assert len(outcomes) == 1
-        assert outcomes[0].results[0].run_id == specs[0].run_id
-
-    def test_no_worker_times_out(self, tmp_path):
-        backend = SpoolBackend(
-            tmp_path, self_serve=False, poll_interval=0.01, timeout=0.05
-        )
-        shards = make_shards([fast_spec()], 2)
-        with pytest.raises(TimeoutError):
-            list(backend.execute(shards, runner=synthetic_runner))
-
-
 class TestResolveBackend:
     def test_serial(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
@@ -216,14 +108,14 @@ class TestResolveBackend:
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.workers >= 2
 
-    def test_spool_requires_directory(self, tmp_path):
-        backend = resolve_backend(f"spool:{tmp_path}")
-        assert isinstance(backend, SpoolBackend)
-        with pytest.raises(ConfigurationError):
-            resolve_backend("spool")
-
     def test_unknown_backend(self):
         with pytest.raises(ConfigurationError):
             resolve_backend("quantum")
         with pytest.raises(ConfigurationError):
             resolve_backend("serial:2")
+        for bad_count in ("process:abc", "process:0", "process:-3"):
+            with pytest.raises(ConfigurationError, match="positive"):
+                resolve_backend(bad_count)
+        with pytest.raises(ConfigurationError,
+                           match=r"known: serial, process\[:N\]$"):
+            resolve_backend("spool:/tmp/x")

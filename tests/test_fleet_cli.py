@@ -74,3 +74,35 @@ class TestRunAndSummarize:
         with pytest.raises(SystemExit):
             main(["fleet", "summarize", "--campaign", "ghost",
                   "--out", str(tmp_path)])
+
+
+class TestSummarizeCannedKey:
+    """`summarize --campaign <key>` finds what `run --campaign <key>` wrote."""
+
+    def test_default_campaign_finds_canned_artifacts(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "summarize", "--out", str(tmp_path)])
+        # the error names every path it checked
+        assert str(tmp_path / "qoa" / "runs.jsonl") in str(excinfo.value)
+        assert str(tmp_path / "qoa-fleet" / "runs.jsonl") in str(excinfo.value)
+        assert main(["fleet", "run", "--campaign", "qoa", "--seeds", "1",
+                     "--limit", "2", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["fleet", "summarize", "--out", str(tmp_path)]) == 0
+        assert "qoa-fleet: 2 runs" in capsys.readouterr().out
+
+    def test_spec_campaign_named_like_a_key_is_found(self, tmp_path, capsys):
+        spec_file = tmp_path / "campaign.json"
+        spec_file.write_text(json.dumps({
+            "name": "qoa",
+            "base": {"block_count": 8},
+            "axes": {"mechanism": ["smart"]},
+            "seeds": [0],
+        }))
+        out = tmp_path / "out"
+        assert main(["fleet", "run", "--spec", str(spec_file),
+                     "--out", str(out)]) == 0
+        assert (out / "qoa" / "runs.jsonl").exists()
+        capsys.readouterr()
+        assert main(["fleet", "summarize", "--out", str(out)]) == 0
+        assert "qoa: 1 runs" in capsys.readouterr().out
