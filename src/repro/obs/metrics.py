@@ -63,6 +63,41 @@ class Counter:
         return {"value": self.value, "updated_at": self.updated_at}
 
 
+class ReadCounter:
+    """A counter read from its ``sources`` when sampled, never stored.
+
+    ``value`` sums the sources (simulators sharing a registry add up);
+    ``updated_at`` is the registry clock at sample time; ``inc`` raises.
+    """
+
+    __slots__ = ("name", "labels", "sources", "_registry")
+
+    kind = "counter"
+
+    def __init__(self, name: str, labels: Dict[str, str], clock: TimeFn,
+                 registry: "MetricsRegistry") -> None:
+        self.name = name
+        self.labels = labels
+        self.sources: List[Callable[[], float]] = []
+        self._registry = registry
+
+    @property
+    def value(self) -> float:
+        return float(sum(source() for source in self.sources))
+
+    @property
+    def updated_at(self) -> float:
+        return self._registry.clock()
+
+    def inc(self, amount: float = 1.0) -> None:
+        raise ConfigurationError(
+            f"counter {self.name!r} is read from its source, not incremented"
+        )
+
+    def sample(self) -> Dict[str, Any]:
+        return {"value": self.value, "updated_at": self.updated_at}
+
+
 class Gauge:
     """A value that can go up and down (deadline slack, queue depth)."""
 
@@ -307,6 +342,14 @@ class MetricsRegistry:
                 **labels: str) -> Counter:
         return self._get(Counter, name, help_text, labels)
 
+    def read_counter(self, name: str, source: Callable[[], float],
+                     help_text: str = "", **labels: str) -> ReadCounter:
+        """Get-or-create a :class:`ReadCounter` and add ``source`` to it."""
+        counter = self._get(ReadCounter, name, help_text, labels,
+                            registry=self)
+        counter.sources.append(source)
+        return counter
+
     def gauge(self, name: str, help_text: str = "", **labels: str) -> Gauge:
         return self._get(Gauge, name, help_text, labels)
 
@@ -428,6 +471,9 @@ class NullMetricsRegistry:
     __slots__ = ()
 
     def counter(self, name, help_text="", **labels):
+        return _NULL_INSTRUMENT
+
+    def read_counter(self, name, source, help_text="", **labels):
         return _NULL_INSTRUMENT
 
     def gauge(self, name, help_text="", **labels):

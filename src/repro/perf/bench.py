@@ -263,10 +263,10 @@ def bench_engine_dispatch(quick: bool) -> Dict[str, Dict[str, Any]]:
     """Dispatch-only throughput: drain a pre-scheduled event queue.
 
     ``engine.events`` times schedule *and* fire together; this bench
-    isolates the dispatch inner loop -- the specialized no-obs path
-    that :meth:`Simulator.run` takes when neither metrics nor a
-    profiler are attached -- by building the full heap outside the
-    timed region.
+    isolates the dispatch inner loop -- the specialized path that
+    :meth:`Simulator.run` takes whenever no profiler is attached,
+    metrics or not -- by building the full heap outside the timed
+    region.
     """
     from repro.sim.engine import Simulator
 

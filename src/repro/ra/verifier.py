@@ -429,7 +429,11 @@ class Verifier:
                     continue
                 if record.order_seed or record.data_copy:
                     try:
-                        memo[key] = self.expected_for(record)
+                        # verify_record rejects a copy of a non-mutable
+                        # block before computing anything; so do we
+                        mutable = self.profile(record.device).mutable_blocks
+                        if all(i in mutable for i, _c in record.data_copy):
+                            memo[key] = self.expected_for(record)
                     except ConfigurationError:
                         pass  # surfaces identically at verify time
                     continue

@@ -75,9 +75,9 @@ class Simulator:
     queue or stops at ``until``; ``step`` executes exactly one event.
 
     ``obs`` attaches an :class:`repro.obs.core.Observability` bundle;
-    the default is the shared null bundle, and the hot loop skips
-    instrumentation entirely in that case (cached-handle ``None``
-    checks only).
+    the default is the shared null bundle.  The event counters are
+    plain ints read at sample time, so only a profiler changes the
+    dispatch loop.
     """
 
     def __init__(self, obs: Optional[Any] = None) -> None:
@@ -90,29 +90,19 @@ class Simulator:
         self._until: Optional[float] = None  # active run() bound
         self.obs = obs if obs is not None else NULL_OBS
         self.obs.bind_clock(lambda: self.now)
-        # Cache instrument handles once so the scheduling/firing hot
-        # paths pay a single `is None` test when observability is off.
+        self._fired = 0  # callbacks returned, coalesced steps included
+        self._cancelled = 0  # cancelled events discarded from the queue
+        # Read when sampled, so scheduling and dispatch never touch the
+        # registry; ``_seq`` advances wherever an event is scheduled.
         metrics = self.obs.metrics
-        if metrics.enabled:
-            self._m_scheduled = metrics.counter(
-                "sim.events.scheduled", "events pushed onto the queue"
-            )
-            self._m_fired = metrics.counter(
-                "sim.events.fired", "events popped and executed"
-            )
-            self._m_cancelled = metrics.counter(
-                "sim.events.cancelled", "events cancelled before firing"
-            )
-        else:
-            self._m_scheduled = None
-            self._m_fired = None
-            self._m_cancelled = None
+        metrics.read_counter("sim.events.scheduled", lambda: self._seq,
+                             "events pushed onto the queue")
+        metrics.read_counter("sim.events.fired", lambda: self._fired,
+                             "events popped and executed")
+        metrics.read_counter("sim.events.cancelled", lambda: self._cancelled,
+                             "events cancelled before firing")
         profiler = self.obs.profiler
         self._profiler = profiler if profiler.enabled else None
-        # Uninstrumented engines (the default) dispatch through a
-        # specialized inner loop in run() with no per-event counter or
-        # profiler checks; both flags are fixed at construction.
-        self._plain = self._m_fired is None and self._profiler is None
 
     # -- scheduling ---------------------------------------------------
 
@@ -127,8 +117,6 @@ class Simulator:
         self._seq = seq + 1
         handle = EventHandle(time, seq, callback, args)
         heapq.heappush(self._queue, (time, seq, handle))
-        if self._m_scheduled is not None:
-            self._m_scheduled.inc()
         return handle
 
     def schedule_at(
@@ -143,29 +131,23 @@ class Simulator:
         self._seq = seq + 1
         handle = EventHandle(time, seq, callback, args)
         heapq.heappush(self._queue, (time, seq, handle))
-        if self._m_scheduled is not None:
-            self._m_scheduled.inc()
         return handle
 
     # -- execution ----------------------------------------------------
 
     def step(self) -> bool:
         """Run the next pending event.  Return ``False`` if none remain."""
-        while self._queue:
-            handle = heapq.heappop(self._queue)[2]
-            if handle.cancelled:
-                if self._m_cancelled is not None:
-                    self._m_cancelled.inc()
-                continue
-            if self._profiler is not None:
-                self._fire_profiled(handle)
-            else:
-                self.now = handle.time
-                handle.callback(*handle.args)
-            if self._m_fired is not None:
-                self._m_fired.inc()
-            return True
-        return False
+        head = self._live_head()
+        if head is None:
+            return False
+        heapq.heappop(self._queue)
+        if self._profiler is not None:
+            self._fire_profiled(head)
+        else:
+            self.now = head.time
+            head.callback(*head.args)
+        self._fired += 1
+        return True
 
     def _fire_profiled(self, handle: EventHandle) -> None:
         """Fire one event under the profiler (cold path)."""
@@ -197,79 +179,49 @@ class Simulator:
         queue = self._queue
         pop = heapq.heappop
         try:
-            # Specialized dispatch loops for the uninstrumented engine
-            # (no metrics, no profiler -- the default): pop, advance,
-            # fire, with zero per-event branching on observability.
-            # Identical event order and stop()/until semantics to the
-            # instrumented loop below.
-            if self._plain:
+            # Every engine without a profiler: pop, advance, fire,
+            # count.  Same order, counts and stop()/until semantics as
+            # the profiled loop below.
+            if self._profiler is None:
                 if until is None:
                     while queue:
                         time, _seq, head = pop(queue)
                         if head.cancelled:
+                            self._cancelled += 1
                             continue
                         self.now = time
                         head.callback(*head.args)
+                        self._fired += 1
                         if self._stopped:
                             break
                     return self.now
                 while queue:
                     entry = queue[0]
+                    head = entry[2]
+                    if head.cancelled:
+                        pop(queue)
+                        self._cancelled += 1
+                        continue
                     if entry[0] > until:
                         self.now = until
                         return self.now
                     pop(queue)
-                    head = entry[2]
-                    if head.cancelled:
-                        continue
                     self.now = entry[0]
                     head.callback(*head.args)
+                    self._fired += 1
                     if self._stopped:
                         break
                 if self.now < until:
                     self.now = until
                 return self.now
-            while queue and not self._stopped:
-                head = queue[0][2]
-                if head.cancelled:
-                    pop(queue)
-                    if self._m_cancelled is not None:
-                        self._m_cancelled.inc()
-                    continue
+            while not self._stopped:
+                head = self._live_head()
+                if head is None:
+                    break
                 if until is not None and head.time > until:
                     self.now = until
                     return self.now
-                pop(queue)
-                if self._profiler is not None:
-                    self._fire_profiled(head)
-                else:
-                    self.now = head.time
-                    head.callback(*head.args)
-                if self._m_fired is not None:
-                    self._m_fired.inc()
-                # Batch: drain co-scheduled events at this same instant
-                # without re-checking the until bound (head.time <= until
-                # already held, and the clock cannot move backwards).
-                # Pop order is still (time, seq), so FIFO tie-breaking --
-                # and therefore trace parity -- is preserved.
-                when = head.time
-                while (
-                    queue
-                    and not self._stopped
-                    and queue[0][0] == when
-                    and self.now == when
-                ):
-                    nxt = pop(queue)[2]
-                    if nxt.cancelled:
-                        if self._m_cancelled is not None:
-                            self._m_cancelled.inc()
-                        continue
-                    if self._profiler is not None:
-                        self._fire_profiled(nxt)
-                    else:
-                        nxt.callback(*nxt.args)
-                    if self._m_fired is not None:
-                        self._m_fired.inc()
+                self.step()
             if until is not None and self.now < until:
                 self.now = until
         finally:
@@ -321,9 +273,7 @@ class Simulator:
         """
         self.now += duration
         self._seq += 1
-        if self._m_scheduled is not None:
-            self._m_scheduled.inc()
-            self._m_fired.inc()
+        self._fired += 1
 
     # -- introspection ------------------------------------------------
 
@@ -335,8 +285,7 @@ class Simulator:
             if not head.cancelled:
                 return head
             heapq.heappop(queue)
-            if self._m_cancelled is not None:
-                self._m_cancelled.inc()
+            self._cancelled += 1
         return None
 
     def pending_count(self) -> int:

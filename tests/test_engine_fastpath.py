@@ -100,13 +100,16 @@ class TestCoalesceAdvance:
     def test_counts_one_schedule_fire_pair(self):
         """Each coalesced advance is counted as the schedule/fire pair
         the event-queue path would have recorded."""
-        sim = Simulator(obs=Observability.enabled(spans=False))
+        obs = Observability.enabled(spans=False)
+        sim = Simulator(obs=obs)
         seen = []
 
         def probe():
             for _ in range(7):
                 sim.coalesce_advance(0.1)
-            seen.append((sim._m_scheduled.value, sim._m_fired.value))
+            flat = obs.metrics.snapshot_flat()
+            seen.append((flat["sim.events.scheduled"],
+                         flat["sim.events.fired"]))
 
         sim.schedule_at(0.3, probe)
         sim.run(until=10.0)

@@ -54,7 +54,7 @@ class TestEngineCounters:
     def test_default_simulator_attaches_null_bundle(self):
         sim = Simulator()
         assert sim.obs is NULL_OBS
-        assert sim._m_scheduled is None
+        assert sim.obs.metrics.snapshot_flat() == {}
         sim.schedule(1.0, lambda: None)
         sim.run()  # no instrumentation side effects
         assert sim.obs.metrics.snapshot_flat() == {}

@@ -33,7 +33,7 @@ from repro.crypto.hashes import HASH_ALGORITHMS
 from repro.errors import ConfigurationError
 from repro.ra.erasmus import COLLECT_STREAM
 from repro.ra.measurement import derive_order_seed, expected_digest
-from repro.ra.report import AttestationReport, MeasurementRecord
+from repro.ra.report import AttestationReport, MeasurementRecord, Verdict
 from repro.ra.seed import PUSH_STREAM
 from repro.ra.verifier import Verifier
 from repro.resilience.retry import RetryPolicy
@@ -237,11 +237,13 @@ DEVICES = ["mix0", "mix1", "mix2"]
 
 #: record shapes a prover can ship; "written" images carry legitimate
 #: data-region writes, so only normalized, code-only and data-copy
-#: records of them verify healthy
+#: records of them verify healthy; "data-copy-outside" copies a block
+#: the reference image does not have
 KINDS = [
     "pristine", "written", "shuffled", "normalized",
     "shuffled-normalized", "code", "data", "data-normalized",
-    "data-copy", "data-copy-code", "tampered", "unknown-region",
+    "data-copy", "data-copy-code", "data-copy-outside", "tampered",
+    "unknown-region",
 ]
 
 
@@ -291,8 +293,11 @@ def build_record(device, kind, algorithm, slot):
     normalized = kind.endswith("normalized")
     data_copy = ()
     if kind.startswith("data-copy"):
-        copied = DATA + [0] if kind == "data-copy-code" else DATA
-        data_copy = tuple(sorted((b, written[b]) for b in copied))
+        extra = {"data-copy-code": [0], "data-copy-outside": [BLOCKS + 89]}
+        copied = DATA + extra.get(kind, [])
+        data_copy = tuple(sorted(
+            (b, written[b] if b < BLOCKS else bytes(24)) for b in copied
+        ))
     digest = expected_digest(
         key, image, algorithm, nonce, counter, measured,
         "shuffled" if order_seed else "sequential", order_seed,
@@ -405,3 +410,35 @@ class TestGeneratedMixedEpochs:
         assert outcome[1] == "record references unknown region 'nope'"
         assert len(outcome[0]) == 1
         assert batched_outcome(entries) == outcome
+
+
+class TestDataCopyOutsideReference:
+    def test_batched_drain_matches_serial(self):
+        """A copy naming a block beyond the reference image is rejected
+        before any digest, batched as serially; it must not raise
+        IndexError out of the batch's expected-digest precompute."""
+        key = b"k" * 32
+        reference = tuple(bytes([index]) * 16 for index in range(4))
+        record = MeasurementRecord(
+            device="d", mechanism="m", algorithm="sha256", nonce=b"n",
+            counter=1, digest=b"x" * 32, t_start=0.0, t_end=0.5,
+            block_count=4, data_copy=((99, b"z" * 16),),
+        )
+        report = AttestationReport.authenticate(
+            key, "d", [record], sent_counter=1
+        )
+        verdicts = []
+        for batched in (False, True):
+            verifier = Verifier(Simulator(), name="v")
+            verifier.enroll(
+                "d", key=key, reference=reference,
+                mutable_blocks=frozenset({3}),
+            )
+            if batched:
+                result = verifier.verify_batch([(report, {})])[0]
+            else:
+                result = verifier.verify_report(report)
+            verdicts.append((result.verdict, result.detail,
+                             result.record_verdicts))
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0][0] is Verdict.COMPROMISED
