@@ -140,7 +140,7 @@ class RunSpec:
     #: their historical identities and golden artifacts byte-identical.
     faults: str = ""
     # -- served verifier -------------------------------------------------
-    #: ServiceConfig DSL ("preset=smoke;provers=100;batch=off") for the
+    #: ServiceConfig DSL ("preset=smoke;provers=100;epoch=0.5") for the
     #: ``vserver`` mechanism: the run drives a whole served-verifier
     #: scenario instead of a single prover/verifier pair.  Excluded
     #: from to_dict()/run_id when empty, same identity-stability rule
@@ -586,11 +586,10 @@ def fault_matrix_campaign(seed_count: int = 3) -> CampaignSpec:
 def vserver_service_campaign(seed_count: int = 2) -> CampaignSpec:
     """The served verifier under escalating storm load.
 
-    Sweeps the smoke storm against batch on/off (whose ledgers must
-    agree -- the campaign-scale restatement of the golden byte-identity
-    test) and a denser population with a tighter rate limit, so the
-    admission-control taxonomy shows up in fleet telemetry.  Seeds
-    fold into the service traffic seed, replicating the storm phase.
+    Sweeps the smoke storm and a denser population with a tighter
+    rate limit, so the admission-control taxonomy shows up in fleet
+    telemetry.  Seeds fold into the service traffic seed, replicating
+    the storm phase.
     """
     return CampaignSpec(
         name="vserver-service",
@@ -603,7 +602,6 @@ def vserver_service_campaign(seed_count: int = 2) -> CampaignSpec:
         axes={
             "service": [
                 "preset=smoke",
-                "preset=smoke;batch=off",
                 "preset=smoke;provers=48;rate_limit=8",
             ],
         },

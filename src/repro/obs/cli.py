@@ -112,9 +112,6 @@ def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
     timeline.add_argument("--service", default="smoke",
                           help="ServiceConfig DSL (default: smoke preset)")
-    timeline.add_argument("--batch", default="",
-                          choices=["", "on", "off"],
-                          help="override the preset's epoch batching")
     timeline.add_argument("--out", default="",
                           help="write the JSONL here instead of stdout")
 
@@ -223,14 +220,10 @@ def _run_report(args: argparse.Namespace) -> str:
 
 
 def _run_timeline(args: argparse.Namespace) -> str:
-    import dataclasses
-
     from repro.scenario import Scenario
     from repro.vserver.service import ServiceConfig
 
     config = ServiceConfig.parse(args.service)
-    if args.batch:
-        config = dataclasses.replace(config, batch=args.batch == "on")
     obs = Observability.enabled()
     scenario = Scenario.build(service=config, obs=obs)
     scenario.sim.run(until=config.horizon)

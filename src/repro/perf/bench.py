@@ -589,59 +589,6 @@ def bench_verifier_batch(quick: bool) -> Dict[str, Dict[str, Any]]:
     }
 
 
-def bench_verifier_storm(quick: bool) -> Dict[str, Dict[str, Any]]:
-    """Macro: the storm1k thundering herd through the served verifier,
-    epoch-batched vs serial drains.
-
-    Both runs produce byte-identical ledgers (pinned by the golden
-    test); the bench times only the verify stage through the injected
-    wall clock, so queueing/network sim overhead does not drown the
-    signal.  Queue latencies are sim-time service metrics, identical
-    across modes, reported alongside for the acceptance table.
-    """
-    import dataclasses
-
-    from repro.fleet.clock import perf_time as clock
-    from repro.scenario import Scenario
-    from repro.vserver.service import service_preset
-
-    config = service_preset("storm1k")
-    if quick:
-        config = dataclasses.replace(config, blocks=48)
-
-    def run(batch: bool) -> Any:
-        scenario = Scenario.build(
-            service=dataclasses.replace(config, batch=batch)
-        )
-        scenario.server.verify_wall_clock = clock
-        stats = scenario.run()
-        return scenario.server.verify_wall_time, stats
-
-    repeats = 1 if quick else 2
-    best_serial = min(run(False)[0] for _ in range(repeats))
-    best_batched = float("inf")
-    stats = None
-    for _ in range(repeats):
-        wall, run_stats = run(True)
-        if wall < best_batched:
-            best_batched, stats = wall, run_stats
-    verified = stats["verified"]
-    return {
-        "verifier.storm1k": {
-            "speedup": best_serial / best_batched,
-            "batched_reports_per_sec": verified / best_batched,
-            "serial_reports_per_sec": verified / best_serial,
-            "queue_latency_p50": stats["queue_latency_p50"],
-            "queue_latency_p99": stats["queue_latency_p99"],
-            "provers": config.provers,
-            "verified": verified,
-            "gate_threshold": GATE_RATIO,
-            "primary": "speedup",
-            "direction": "higher",
-        }
-    }
-
-
 def bench_lint_selfscan(
     quick: bool, workdir: Path
 ) -> Dict[str, Dict[str, Any]]:
@@ -844,7 +791,6 @@ def run_suite(quick: bool = False, workdir: Optional[Any] = None) -> Dict[str, A
     benches.update(bench_fleet_parallel(workdir))
     benches.update(bench_fleet_stream(quick, workdir))
     benches.update(bench_verifier_batch(quick))
-    benches.update(bench_verifier_storm(quick))
     benches.update(bench_obs_overhead(quick))
     benches.update(bench_slo_eval(quick))
     benches.update(bench_lint_selfscan(quick, workdir))

@@ -95,9 +95,9 @@ class Verifier:
         # creation order -- and snapshots -- unchanged
         self._verdict_counters: Dict[str, Any] = {}
         self._freshness_hist: Optional[Any] = None
-        #: batch-scoped expected-digest memo; populated only inside
-        #: :meth:`verify_batch` so one-by-one verification stays on the
-        #: seed-identical recomputation path
+        #: batch-scoped expected-digest memo; set only inside
+        #: :meth:`verify_batch`, so one-by-one verification recomputes
+        #: every digest
         self._expected_memo: Optional[Dict[tuple, bytes]] = None
 
     def verify_cost(self, report: AttestationReport) -> float:
@@ -251,9 +251,14 @@ class Verifier:
         When the record ships a copy of D (Section 2.3), the attached
         contents stand in for the reference's data blocks -- the code
         region must still match the golden image exactly.
+
+        Inside :meth:`verify_batch` each distinct record is digested
+        once: a hit returns the memoized digest, a miss stores it.
         """
-        if self._expected_memo is not None:
-            cached = self._expected_memo.get(self._memo_key(record))
+        memo = self._expected_memo
+        if memo is not None:
+            key = self._memo_key(record)
+            cached = memo.get(key)
             if cached is not None:
                 return cached
         profile = self.profile(record.device)
@@ -264,7 +269,7 @@ class Verifier:
             for block_index, content in record.data_copy:
                 blocks[block_index] = bytes(content)
             reference = tuple(blocks)
-        return expected_digest(
+        digest = expected_digest(
             profile.key,
             reference,
             record.algorithm,
@@ -277,6 +282,9 @@ class Verifier:
                 profile.mutable_blocks if record.normalized else None
             ),
         )
+        if memo is not None:
+            memo[key] = digest
+        return digest
 
     def verify_record(self, record: MeasurementRecord) -> Verdict:
         """HEALTHY iff the record's digest matches the reference state.
@@ -356,6 +364,11 @@ class Verifier:
             return conclude(Verdict.INVALID, "empty report")
         if not report.verify_tag(profile.key):
             return conclude(Verdict.INVALID, "bad authentication tag")
+        for record in report.records:
+            if record.device != report.device:
+                return conclude(
+                    Verdict.INVALID, f"record names device {record.device!r}"
+                )
 
         if report.scheme:
             from repro.ra.signing import verify_data
@@ -409,14 +422,14 @@ class Verifier:
     def _precompute_expected(
         self, entries: Sequence[Tuple[AttestationReport, Dict]]
     ) -> Dict[tuple, bytes]:
-        """Expected digests for every distinct record in ``entries``.
+        """Expected digests for the plain records in ``entries``.
 
         Sequential-order records without a data copy are grouped per
         ``(device, algorithm, region, normalized)``; each group joins
         its reference traversal once (:func:`traversal_bytes`) and
-        every member MAC takes ``nonce || counter`` and that buffer.
-        Shuffled (SMARM) and data-copy records fall back to
-        :meth:`expected_for`, still deduplicated by memo key.
+        every distinct member MAC takes ``nonce || counter`` and that
+        buffer.  Every other record is left to :meth:`expected_for`,
+        which digests it on first use and stores it in the same memo.
         """
         memo: Dict[tuple, bytes] = {}
         groups: Dict[tuple, List[Tuple[tuple, MeasurementRecord]]] = {}
@@ -424,23 +437,16 @@ class Verifier:
             if report.device not in self.devices:
                 continue  # verify_report raises at this entry's turn
             for record in report.records:
+                if (record.order_seed or record.data_copy
+                        or record.device != report.device):
+                    continue
                 key = self._memo_key(record)
                 if key in memo:
                     continue
-                if record.order_seed or record.data_copy:
-                    try:
-                        # verify_record rejects a copy of a non-mutable
-                        # block before computing anything; so do we
-                        mutable = self.profile(record.device).mutable_blocks
-                        if all(i in mutable for i, _c in record.data_copy):
-                            memo[key] = self.expected_for(record)
-                    except ConfigurationError:
-                        pass  # surfaces identically at verify time
-                    continue
+                memo[key] = b""  # claimed; overwritten below
                 sig = (record.device, record.algorithm, record.region,
                        record.normalized)
                 groups.setdefault(sig, []).append((key, record))
-                memo[key] = b""  # claimed; overwritten below
         for sig, members in groups.items():
             device, algorithm, _region, normalized = sig
             profile = self.devices[device]
@@ -473,9 +479,9 @@ class Verifier:
         ``counter_stream``).  Verdicts, details and result-history
         side effects are byte-identical to calling
         :meth:`verify_report` once per entry in the same order -- the
-        batch only amortizes expected-digest recomputation by
-        precomputing one memo for the whole epoch (one traversal buffer
-        per device group, duplicate records digested once).
+        batch only amortizes expected-digest recomputation through one
+        memo for the whole epoch (one traversal buffer per plain-record
+        group, each distinct record digested once).
         """
         self._expected_memo = self._precompute_expected(entries)
         try:

@@ -181,7 +181,7 @@ class Scenario:
         ``service`` switches to the population-scale served-verifier
         stack (the ``vserver`` layer): pass a
         :class:`~repro.vserver.service.ServiceConfig`, a preset/DSL
-        string (``"smoke"``, ``"preset=storm1k;batch=off"``), or
+        string (``"smoke"``, ``"preset=storm1k;provers=200"``), or
         ``True`` for the smoke preset, plus ``service_options`` to
         replace individual config fields.  That form returns a
         :class:`~repro.vserver.service.ServiceScenario` (a population

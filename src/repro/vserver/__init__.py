@@ -3,8 +3,9 @@
 The paper's verifier is a one-exchange peer; this package turns it
 into a *server* -- thousands of enrolled provers on one shared sim
 clock, a bounded request queue with admission control and per-tenant
-token-bucket rate limits, epoch-batched verification that amortizes
-expected-digest recomputation across same-epoch reports, and a seeded
+token-bucket rate limits, one epoch drain that verifies each epoch's
+reports in a single batch (each distinct record digested once, one
+reference traversal per plain-record group), and a seeded
 load generator that replays thundering-herd storms plus Poisson
 on-demand traffic (docs/verifier_service.md).
 

@@ -29,7 +29,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--service", default=None,
         help=(
             "DSL overrides on top of the preset, e.g. "
-            "'provers=200;batch=off;epoch=0.5'"
+            "'provers=200;epoch=0.5'"
         ),
     )
     parser.add_argument(
@@ -39,11 +39,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--horizon", type=float, default=None,
         help="override the sim horizon (seconds)",
-    )
-    parser.add_argument(
-        "--serial", action="store_true",
-        help="verify drains one-by-one instead of epoch-batched "
-             "(same ledger, different wall clock)",
     )
     parser.add_argument(
         "--ledger", default=None,
@@ -72,8 +67,6 @@ def _config_from_args(args: argparse.Namespace) -> ServiceConfig:
         overrides["provers"] = args.provers
     if args.horizon is not None:
         overrides["horizon"] = args.horizon
-    if args.serial:
-        overrides["batch"] = False
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config
@@ -95,8 +88,7 @@ def run_serve(args: argparse.Namespace) -> str:
     lines: List[str] = [
         (
             f"serve: preset {args.preset!r}, {config.provers} provers / "
-            f"{config.cohorts} cohorts, epoch {config.epoch}s, "
-            f"{'batched' if config.batch else 'serial'} drains"
+            f"{config.cohorts} cohorts, epoch {config.epoch}s"
         ),
         scenario.server.summary(),
     ]

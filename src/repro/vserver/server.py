@@ -6,9 +6,8 @@ over the network (a :class:`~repro.sim.network.MuxEndpoint` spanning
 the cohort channels) or via direct :meth:`VerifierServer.submit`
 calls, pass admission control (per-tenant token bucket, then bounded
 queue), and wait for the next *epoch tick*, which drains the whole
-queue and verifies it -- one-by-one or through
-:meth:`~repro.ra.verifier.Verifier.verify_batch` depending on
-``ServerConfig.batch``.
+queue and verifies it in one
+:meth:`~repro.ra.verifier.Verifier.verify_batch` call.
 
 Every submitted report ends in exactly one verdict-ledger entry:
 ``verified``, ``rejected-rate-limit`` or ``rejected-queue-full`` --
@@ -16,10 +15,10 @@ nothing is dropped without a verdict, and the CI smoke job asserts
 that invariant (``unaccounted 0``).
 
 Determinism: admission, queue depth, drain times and verdicts depend
-only on sim time and arrival order, and the batch path is a pure
-recomputation-amortization of the serial path, so the canonical
-ledger is byte-identical between ``batch`` on and off -- only the
-wall clock differs.  The SLO taxonomy (``deferred-ok`` past the
+only on sim time and arrival order.  ``verify_batch`` only amortizes
+expected-digest recomputation, so every verdict equals what
+:meth:`~repro.ra.verifier.Verifier.verify_report` gives the same
+report in the same order.  The SLO taxonomy (``deferred-ok`` past the
 queue-latency SLO, ``rejected`` at admission) lands in the shared
 :class:`~repro.resilience.outcome.OutcomeReport`.
 """
@@ -67,10 +66,7 @@ class ServerConfig:
     """Service knobs (docs/verifier_service.md lists the SLO math).
 
     ``epoch`` is the batching period: the queue drains every ``epoch``
-    sim-seconds starting at ``start_at + epoch``.  ``batch`` selects
-    epoch-batched vs one-by-one verification *inside* the drain; it
-    never changes admission or drain timing, so ledgers stay
-    byte-identical across the switch.  ``rate_limit`` is per-tenant
+    sim-seconds, first at ``epoch``.  ``rate_limit`` is per-tenant
     tokens/second (0 disables the bucket), ``rate_burst`` the bucket
     capacity.  ``slo_queue_latency`` is the deferred-ok threshold.
 
@@ -89,11 +85,9 @@ class ServerConfig:
 
     queue_capacity: int = 256
     epoch: float = 0.5
-    batch: bool = True
     slo_queue_latency: float = 1.0
     rate_limit: float = 0.0
     rate_burst: float = 8.0
-    start_at: float = 0.0
     verify_cost: float = 0.0
     verify_cost_record: float = 0.0
 
@@ -148,9 +142,9 @@ class TokenBucket:
 class LedgerEntry:
     """One report's fate, canonically serializable.
 
-    Every field is sim-time- or arrival-order-derived, so the line is
-    identical whether the epoch drain verified serially or batched --
-    the golden ledger test pins exactly that.
+    Every field is sim-time- or arrival-order-derived, so the line
+    does not depend on wall-clock speed -- the golden ledger test pins
+    exactly that.
     """
 
     seq: int
@@ -286,9 +280,7 @@ class VerifierServer:
         if self._running:
             return
         self._running = True
-        self.sim.schedule_at(
-            self.config.start_at + self.config.epoch, self._tick
-        )
+        self.sim.schedule_at(self.config.epoch, self._tick)
 
     def stop(self) -> None:
         """Stop rescheduling ticks after the next drain."""
@@ -480,24 +472,16 @@ class VerifierServer:
         if drained:
             clock = self.verify_wall_clock
             started = clock() if clock is not None else 0.0
-            if self.config.batch:
-                results = self.verifier.verify_batch(
-                    [(item.report, item.verify_kwargs) for item in drained]
-                )
-            else:
-                results = [
-                    self.verifier.verify_report(
-                        item.report, **item.verify_kwargs
-                    )
-                    for item in drained
-                ]
+            results = self.verifier.verify_batch(
+                [(item.report, item.verify_kwargs) for item in drained]
+            )
             if clock is not None:
                 self.verify_wall_time += clock() - started
-            # Verdicts are computed at the drain instant (batch and
-            # serial alike); the cost model only defers their
-            # *delivery*, cumulatively -- one verifier core working
-            # through the epoch's batch.  cost == 0 keeps the exact
-            # seed behavior: conclude inline, no extra events.
+            # Verdicts are computed at the drain instant; the cost
+            # model only defers their *delivery*, cumulatively -- one
+            # verifier core working through the epoch's batch.
+            # cost == 0 keeps the exact seed behavior: conclude
+            # inline, no extra events.
             cumulative = 0.0
             epoch = self.epochs
             for item, result in zip(drained, results):
@@ -654,7 +638,6 @@ class VerifierServer:
         verdict_text = ", ".join(
             f"{name} {count}" for name, count in sorted(verdicts.items())
         ) or "none"
-        mode = "batch" if self.config.batch else "serial"
         return "\n".join([
             (
                 f"verifier service {self.name!r}: "
@@ -667,7 +650,7 @@ class VerifierServer:
                 f"unaccounted {stats['unaccounted']}"
             ),
             (
-                f"  epochs {stats['epochs']} ({mode}), "
+                f"  epochs {stats['epochs']}, "
                 f"max queue depth {stats['max_queue_depth']}, "
                 f"queue latency p50 {stats['queue_latency_p50']:.3f}s "
                 f"p99 {stats['queue_latency_p99']:.3f}s"

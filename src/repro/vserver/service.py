@@ -9,10 +9,11 @@ for the service stack, with the same fixed wiring-order discipline
 
 Presets (:data:`SERVICE_PRESETS`) are named parameter bundles:
 ``smoke`` is the small CI storm whose canonical ledger is the golden
-artifact; ``storm1k`` is the >=1000-prover thundering herd the
-``verifier.*`` benches time.  :meth:`ServiceConfig.parse` accepts the
-fleet DSL form (``"preset=smoke;provers=100;batch=off"``) so campaign
-specs can sweep service knobs like they sweep fault plans.
+artifact; ``storm1k`` is the >=1000-prover thundering herd that
+perfbench's ``serve-storm1k`` workload times.
+:meth:`ServiceConfig.parse` accepts the fleet DSL form
+(``"preset=smoke;provers=100;epoch=0.5"``) so campaign specs can
+sweep service knobs like they sweep fault plans.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class ServiceConfig:
     # service
     epoch: float = 0.5
     queue_capacity: int = 256
-    batch: bool = True
     slo: float = 1.0
     rate_limit: float = 0.0
     rate_burst: float = 8.0
@@ -79,12 +79,19 @@ class ServiceConfig:
             raise ConfigurationError("need >= 1 prover and >= 1 cohort")
         if self.cohorts > self.provers:
             raise ConfigurationError("more cohorts than provers")
+        if self.blocks < 1 or self.block_size < 1:
+            raise ConfigurationError("blocks and block_size must be >= 1")
+        if not 0.0 <= self.compromised <= 1.0:
+            raise ConfigurationError("compromised must be in [0, 1]")
+        if self.latency < 0 or self.poisson_gap < 0:
+            raise ConfigurationError(
+                "latency and poisson_gap must be >= 0"
+            )
 
     def server_config(self) -> ServerConfig:
         return ServerConfig(
             queue_capacity=self.queue_capacity,
             epoch=self.epoch,
-            batch=self.batch,
             slo_queue_latency=self.slo,
             rate_limit=self.rate_limit,
             rate_burst=self.rate_burst,
@@ -94,7 +101,7 @@ class ServiceConfig:
 
     @classmethod
     def parse(cls, text: str) -> "ServiceConfig":
-        """Parse the fleet DSL: ``"preset=smoke;provers=100;batch=off"``.
+        """Parse the fleet DSL: ``"preset=smoke;provers=100;epoch=0.5"``.
 
         A bare preset name (``"smoke"``) is shorthand for
         ``preset=<name>``; remaining ``key=value`` pairs override the
@@ -129,24 +136,22 @@ class ServiceConfig:
 
 def _coerce(key: str, raw: str, type_name: Any) -> Any:
     type_name = str(type_name)
-    if "bool" in type_name:
-        lowered = raw.lower()
-        if lowered in ("1", "true", "on", "yes"):
-            return True
-        if lowered in ("0", "false", "off", "no"):
-            return False
-        raise ConfigurationError(
-            f"service field {key!r} wants on/off, got {raw!r}"
-        )
     if "int" in type_name:
-        return int(raw)
-    if "float" in type_name:
-        return float(raw)
-    return raw
+        convert: Any = int
+    elif "float" in type_name:
+        convert = float
+    else:
+        return raw
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"service field {key!r} wants {convert.__name__}, got {raw!r}"
+        ) from None
 
 
 #: named parameter bundles; ``smoke`` backs the golden ledger and the
-#: CI load-test smoke job, ``storm1k`` backs the verifier.* benches
+#: CI load-test smoke job, ``storm1k`` backs perfbench's serve-storm1k
 SERVICE_PRESETS: Dict[str, ServiceConfig] = {
     # small enough for CI, rich enough to exercise the whole taxonomy:
     # tight rate limit -> rate-limit rejections, tiny queue ->

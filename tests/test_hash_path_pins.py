@@ -46,7 +46,7 @@ class TestReducedStormPins:
     @pytest.mark.parametrize("algorithm", sorted(RECORD_DIGESTS_SHA256))
     def test_ledger_and_record_digests(self, algorithm):
         scenario = build_service_scenario(
-            ServiceConfig.parse(f"{STORM};algorithm={algorithm};batch=on")
+            ServiceConfig.parse(f"{STORM};algorithm={algorithm}")
         )
         scenario.run()
         assert scenario.server.unaccounted == 0

@@ -1,10 +1,9 @@
 """The causal-exchange read side: exchange records, the canonical
-timeline (serial vs batched byte-identity, pinned by a golden file),
-the mergeable ExchangeSketch, the fleet reducer fold, the per-exchange
-Perfetto regrouping, the verify-cost model, and the ``repro obs
-report`` / ``repro obs timeline`` CLI surface."""
+timeline (pinned by a golden file), the mergeable ExchangeSketch, the
+fleet reducer fold, the per-exchange Perfetto regrouping, the
+verify-cost model, and the ``repro obs report`` / ``repro obs
+timeline`` CLI surface."""
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -93,24 +92,15 @@ class TestCausalTimeline:
         assert json.loads(lines[0])["args"]["verdict"] == "compromised"
 
 
-def smoke_timeline(batch: bool):
-    config = dataclasses.replace(service_preset("smoke"), batch=batch)
-    obs = Observability.enabled()
-    scenario = build_service_scenario(config, obs=obs)
-    scenario.run()
-    return causal_timeline(obs.spans)
-
-
 class TestServedVerifierTimeline:
-    def test_serial_and_batched_drains_same_causal_timeline(self):
-        """Epoch batching reorders span *recording*, never causality:
-        the canonical timeline is byte-identical either way, and both
-        match the committed golden artifact."""
-        batched = smoke_timeline(batch=True)
-        serial = smoke_timeline(batch=False)
-        assert batched == serial
+    def test_smoke_causal_timeline_matches_golden(self):
+        """The smoke storm's canonical timeline matches the committed
+        golden artifact byte for byte."""
+        obs = Observability.enabled()
+        scenario = build_service_scenario(service_preset("smoke"), obs=obs)
+        scenario.run()
         golden = GOLDEN_TIMELINE.read_text(encoding="utf-8").splitlines()
-        assert batched == golden
+        assert causal_timeline(obs.spans) == golden
 
     def test_every_smoke_submission_is_one_trace(self):
         obs = Observability.enabled()

@@ -1,6 +1,6 @@
 """The verifier service: admission, batching, load generation, wiring.
 
-The byte-identity of serial vs epoch-batched verdict ledgers -- the
+That the epoch drain's verdicts equal one-by-one verification -- the
 subsystem's core determinism contract -- is pinned in
 ``test_vserver_equivalence.py``; this file covers the components:
 token buckets, admission control and the outcome taxonomy, the
@@ -286,9 +286,9 @@ class TestLoadGenerator:
 
 class TestServiceConfig:
     def test_parse_preset_with_overrides(self):
-        config = ServiceConfig.parse("preset=smoke;provers=100;batch=off")
+        config = ServiceConfig.parse("preset=smoke;provers=100;epoch=0.5")
         assert config.provers == 100
-        assert config.batch is False
+        assert config.epoch == 0.5
         assert config.seed == "smoke"
 
     def test_bare_preset_name(self):
@@ -299,7 +299,15 @@ class TestServiceConfig:
     @pytest.mark.parametrize("text", [
         "preset=nope",
         "no_such_field=1",
-        "batch=maybe",
+        # there is no drain-mode switch: batch= is an unknown field
+        *(f"batch={value}" for value in ("maybe", "on", "off")),
+        "provers=many",
+        "blocks=0",
+        "block_size=0",
+        "latency=-1",
+        "compromised=1.5",
+        "compromised=-0.1",
+        "poisson_gap=-1",
     ])
     def test_parse_rejects(self, text):
         with pytest.raises(ConfigurationError):
@@ -401,7 +409,7 @@ class TestFleetIntegration:
 
         campaign = canned_campaign("vserver", seed_count=2)
         specs = campaign.plan()
-        assert len(specs) == 6
+        assert len(specs) == 4
         assert all(spec.mechanism == "vserver" for spec in specs)
 
 
@@ -417,20 +425,6 @@ class TestServeCli:
         assert "deferred-ok" in out
         lines = ledger.read_text().splitlines()
         assert lines and all(json.loads(line)["seq"] >= 0 for line in lines)
-
-    def test_serial_flag_matches_batched_ledger(self, capsys, tmp_path):
-        batched = tmp_path / "batched.jsonl"
-        serial = tmp_path / "serial.jsonl"
-        assert main([
-            "serve", "--preset", "smoke", "--provers", "10",
-            "--ledger", str(batched),
-        ]) == 0
-        assert main([
-            "serve", "--preset", "smoke", "--provers", "10", "--serial",
-            "--ledger", str(serial),
-        ]) == 0
-        capsys.readouterr()
-        assert batched.read_bytes() == serial.read_bytes()
 
     def test_service_dsl_overrides(self, capsys):
         assert main([

@@ -1,25 +1,29 @@
-"""Serial vs epoch-batched verification: the byte-identity contract.
+"""Epoch-batched vs one-by-one verification: the byte-identity contract.
 
 ``Verifier.verify_batch`` must be a pure wall-clock optimization: for
 any sequence of reports, batching may only amortize the expected-digest
 recomputation, never change a verdict, a detail string, or a
-per-record verdict.  This file pins that contract three ways:
+per-record verdict.  ``Verifier.verify_report`` is the serial
+reference.  This file pins that contract these ways:
 
 * **per mechanism** -- reports captured from real Table-1 scenario
   runs (on-demand, ERASMUS collections, SeED pushes), re-verified
   against fresh verifiers serially and batched, including runs under a
   ``FaultPlan`` with loss + timer drift and a mid-run
   ``Device.reset()`` brownout;
-* **per algorithm** -- the served-verifier storm produces
-  byte-identical verdict ledgers with batch on and off for sha256,
-  sha512 and blake2b record digests;
+* **per algorithm** -- every epoch the served verifier drains, for
+  sha256, sha512 and blake2b record digests, re-verified report by
+  report on a fresh verifier;
 * **golden** -- the smoke preset's canonical ledger is committed at
-  ``tests/golden/vserver_ledger.jsonl``; both drain modes must
+  ``tests/golden/vserver_ledger.jsonl`` and the served drain must
   reproduce it byte-for-byte (the CI load-test smoke job diffs the
   same artifact);
 * **generated** -- hypothesis-built epochs mixing sequential, shuffled,
   normalized, region and data-copy records with tampered digests, bad
-  tags, unknown regions and history records re-shipped across reports.
+  tags, unknown regions, records naming another device and history
+  records re-shipped across reports;
+* **digest count** -- inside one batch each distinct record is
+  digested once, the property that makes the drain pay off.
 """
 
 from pathlib import Path
@@ -35,6 +39,7 @@ from repro.ra.erasmus import COLLECT_STREAM
 from repro.ra.measurement import derive_order_seed, expected_digest
 from repro.ra.report import AttestationReport, MeasurementRecord, Verdict
 from repro.ra.seed import PUSH_STREAM
+from repro.ra import verifier as verifier_module
 from repro.ra.verifier import Verifier
 from repro.resilience.retry import RetryPolicy
 from repro.scenario import Scenario
@@ -194,15 +199,24 @@ class TestMechanismEquivalence:
         )
 
 
-def service_ledger(algorithm, batch, provers=12):
-    config = ServiceConfig.parse(
-        f"preset=smoke;provers={provers};algorithm={algorithm};"
-        f"batch={'on' if batch else 'off'}"
-    )
-    scenario = build_service_scenario(config)
+def served_epochs(algorithm, provers=12):
+    """Run the smoke storm; return it and every drained epoch as
+    ``(entries, results)``."""
+    scenario = build_service_scenario(ServiceConfig.parse(
+        f"preset=smoke;provers={provers};algorithm={algorithm}"
+    ))
+    drain = scenario.verifier.verify_batch
+    epochs = []
+
+    def recording(entries):
+        results = drain(entries)
+        epochs.append((list(entries), results))
+        return results
+
+    scenario.verifier.verify_batch = recording
     scenario.run()
     assert scenario.server.unaccounted == 0
-    return scenario.ledger_lines()
+    return scenario, epochs
 
 
 class TestServiceLedgerIdentity:
@@ -210,22 +224,26 @@ class TestServiceLedgerIdentity:
         "algorithm", ["sha256", "sha512", "blake2b"]
     )
     def test_batched_equals_serial_per_algorithm(self, algorithm):
-        batched = service_ledger(algorithm, batch=True)
-        serial = service_ledger(algorithm, batch=False)
-        assert batched == serial
-        assert any('"status":"verified"' in line for line in batched)
+        scenario, epochs = served_epochs(algorithm)
+        serial = fresh_verifier(scenario.verifier)
+        batched_results, serial_results = [], []
+        for entries, results in epochs:
+            serial.sim.run(until=results[0].verified_at)
+            batched_results.extend(results)
+            serial_results.extend(
+                serial.verify_report(report, **kwargs)
+                for report, kwargs in entries
+            )
+        assert len(batched_results) == scenario.server.verified
+        assert signature(batched_results) == signature(serial_results)
+        verdicts = {result.verdict.value for result in batched_results}
+        assert {"healthy", "compromised"} <= verdicts
 
-    def test_golden_smoke_ledger_both_modes(self):
+    def test_golden_smoke_ledger(self):
         golden = GOLDEN_LEDGER.read_text(encoding="utf-8").splitlines()
-        for batch in (True, False):
-            config = ServiceConfig.parse(
-                f"preset=smoke;batch={'on' if batch else 'off'}"
-            )
-            scenario = build_service_scenario(config)
-            scenario.run()
-            assert scenario.ledger_lines() == golden, (
-                f"smoke ledger diverged from golden (batch={batch})"
-            )
+        scenario = build_service_scenario(ServiceConfig.parse("smoke"))
+        scenario.run()
+        assert scenario.ledger_lines() == golden
 
 
 # -- generated mixed epochs ---------------------------------------------------
@@ -238,12 +256,13 @@ DEVICES = ["mix0", "mix1", "mix2"]
 #: record shapes a prover can ship; "written" images carry legitimate
 #: data-region writes, so only normalized, code-only and data-copy
 #: records of them verify healthy; "data-copy-outside" copies a block
-#: the reference image does not have
+#: the reference image does not have; "other-device" is an honest
+#: record of the next enrolled device shipped in this device's report
 KINDS = [
     "pristine", "written", "shuffled", "normalized",
     "shuffled-normalized", "code", "data", "data-normalized",
     "data-copy", "data-copy-code", "data-copy-outside", "tampered",
-    "unknown-region",
+    "other-device", "unknown-region",
 ]
 
 
@@ -277,8 +296,12 @@ def mixed_verifier():
 
 def build_record(device, kind, algorithm, slot):
     """One honestly computed record of ``kind`` (then maybe tampered)."""
+    if kind == "other-device":
+        device = DEVICES[(DEVICES.index(device) + 1) % len(DEVICES)]
     key, reference, written = POPULATION[device]
-    pristine = kind in ("pristine", "tampered", "unknown-region")
+    pristine = kind in (
+        "pristine", "tampered", "other-device", "unknown-region"
+    )
     image = reference if pristine else written
     nonce = b"mix" + slot.to_bytes(2, "big")
     counter = slot + 1
@@ -397,6 +420,8 @@ class TestGeneratedMixedEpochs:
         assert batched_outcome(entries) == (results, None)
         verdicts = [verdict for _d, verdict, *_rest in results]
         assert {"healthy", "compromised", "invalid"} <= set(verdicts)
+        details = [detail for _d, _v, detail, *_rest in results]
+        assert any(d.startswith("record names device") for d in details)
         per_record = [v for *_head, rv, _t in results for v in rv]
         assert "healthy" in per_record and "compromised" in per_record
 
@@ -442,3 +467,73 @@ class TestDataCopyOutsideReference:
                              result.record_verdicts))
         assert verdicts[0] == verdicts[1]
         assert verdicts[0][0] is Verdict.COMPROMISED
+
+
+class TestRecordOfAnotherDevice:
+    @pytest.mark.parametrize("other", ["ghost", "mix1"])
+    def test_report_from_mix0_is_invalid(self, other):
+        """An authentic report from ``mix0`` carrying a record that names
+        another device -- unenrolled (``ghost``) or enrolled (``mix1``,
+        honestly computed against its reference) -- is invalid, batched
+        as serially, and the drain goes on to the next report."""
+        key, reference, _written = POPULATION["mix1"]
+        digest = expected_digest(
+            key, reference, "sha256", b"n", 1, range(BLOCKS),
+            "sequential", b"",
+        )
+        record = MeasurementRecord(
+            device=other, mechanism="m", algorithm="sha256", nonce=b"n",
+            counter=1, digest=digest, t_start=0.0, t_end=0.5,
+            block_count=BLOCKS,
+        )
+        report = AttestationReport.authenticate(
+            POPULATION["mix0"][0], "mix0", [record], sent_counter=1
+        )
+        entries = [(report, {})] + build_epoch(
+            [("pristine", "sha256")], [(1, [0], 1, False, False)]
+        )
+        outcome = serial_outcome(entries)
+        assert outcome[1] is None
+        assert [verdict for _d, verdict, *_rest in outcome[0]] == [
+            "invalid", "healthy",
+        ]
+        assert outcome[0][0][2] == f"record names device {other!r}"
+        assert batched_outcome(entries) == outcome
+
+
+class TestDigestOncePerBatch:
+    def test_each_distinct_record_digested_once(self, monkeypatch):
+        """Plain records are MACed once over their group's traversal;
+        shuffled and data-copy records go through ``expected_digest``
+        once each, however often the epoch re-ships them."""
+        calls = {"hmac": 0, "expected": 0}
+        real_hmac = verifier_module.Hmac
+        real_expected = verifier_module.expected_digest
+
+        def counting_hmac(*args, **kwargs):
+            calls["hmac"] += 1
+            return real_hmac(*args, **kwargs)
+
+        def counting_expected(*args, **kwargs):
+            calls["expected"] += 1
+            return real_expected(*args, **kwargs)
+
+        monkeypatch.setattr(verifier_module, "Hmac", counting_hmac)
+        monkeypatch.setattr(
+            verifier_module, "expected_digest", counting_expected
+        )
+        pool = [("pristine", "sha256"), ("normalized", "sha512"),
+                ("shuffled-normalized", "sha256"), ("data-copy", "blake2b")]
+        reports = [
+            (0, [0, 1, 2], 1, False, False),
+            (0, [1, 2, 3], 2, False, False),
+            (0, [0, 1, 2, 3], 3, False, False),
+            (1, [0, 1, 2, 3], 1, False, False),
+            (1, [2, 3, 0], 2, False, False),
+        ]
+        entries = build_epoch(pool, reports)
+        results = mixed_verifier().verify_batch(entries)
+        assert {result.verdict.value for result in results} == {"healthy"}
+        # two devices x (pristine + normalized) plain records, and two
+        # devices x (shuffled + data-copy) lazily memoized ones
+        assert calls == {"hmac": 4, "expected": 4}
