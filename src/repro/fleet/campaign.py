@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -231,14 +232,16 @@ class RunSpec:
             )
         return cls(**data)
 
-    @property
+    # cached per instance: the spec is frozen, so its identity cannot
+    # change (replace() builds a new instance with an empty cache)
+    @cached_property
     def spec_digest(self) -> str:
         canonical = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    @property
+    @cached_property
     def run_id(self) -> str:
         """Stable, human-scannable identity: mechanism, adversary, seed
         plus a content hash covering every field."""

@@ -21,6 +21,7 @@ exceptions -- one bad run never takes down a campaign.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import signal
@@ -289,7 +290,25 @@ def execute_run(spec: RunSpec, obs: Optional[Any] = None) -> RunResult:
     execution still produce byte-identical result lines.  Pass a
     span/profiler-enabled bundle (``repro obs`` / ``repro profile``)
     to capture the full timeline of a single run.
+
+    A run is one young generation: automatic cyclic collection is off
+    while it executes, so nothing it allocates is promoted, and one
+    ``gc.collect(0)`` on every way out (return, raise, timeout)
+    reclaims whatever of its cyclic scenario graph is dead.  A caller
+    that disabled the collector itself keeps it disabled and gets no
+    collection.
     """
+    if not gc.isenabled():
+        return _execute_run(spec, obs)
+    try:
+        gc.disable()
+        return _execute_run(spec, obs)
+    finally:
+        gc.enable()
+        gc.collect(0)
+
+
+def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
     if spec.mechanism == "crashtest":
         raise InjectedFailure("injected crashtest failure")
     if spec.mechanism == "vserver":

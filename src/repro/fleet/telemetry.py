@@ -16,7 +16,7 @@ machine -- which is what makes artifacts diffable and resumable.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 from repro.apps.metrics import AvailabilityReport
@@ -254,7 +254,9 @@ class RunResult:
     # -- serialization --------------------------------------------------
 
     def to_dict(self, deterministic: bool = False) -> Dict[str, Any]:
-        data = asdict(self)
+        # shallow: nested dicts are shared with this result, and the
+        # only consumer (to_json_line) serialises without mutating them
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["spec"] = dict(sorted(self.spec.items()))
         data["verdict_counts"] = dict(sorted(self.verdict_counts.items()))
         data["qoa"] = dict(sorted(self.qoa.items()))

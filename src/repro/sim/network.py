@@ -62,11 +62,10 @@ class Endpoint:
         self.rx_signal = Signal(sim, f"{name}.rx")
         self.channel: Optional["Channel"] = None
         self.received_count = 0
-        #: lazily resolved instrument handle -- deliver() runs once per
-        #: message, so the registry's get-or-create lookup is paid once
-        #: instead of per delivery (instrument creation order, and
-        #: therefore snapshots, are unchanged)
-        self._delivered_counter: Optional[Any] = None
+        #: ``net.messages.delivered`` reads ``received_count`` when
+        #: sampled; its source is registered on the first delivery, so
+        #: the series is absent from snapshots until a message arrives
+        self._delivered_read = False
 
     def send(self, dst: str, kind: str, payload: Any,
              ctx: Any = None) -> Message:
@@ -95,13 +94,12 @@ class Endpoint:
                     category="net", src=message.src, dst=message.dst,
                     kind=message.kind,
                 )
-            counter = self._delivered_counter
-            if counter is None:
-                counter = self._delivered_counter = obs.metrics.counter(
-                    "net.messages.delivered",
+            if not self._delivered_read:
+                self._delivered_read = True
+                obs.metrics.read_counter(
+                    "net.messages.delivered", lambda: self.received_count,
                     "messages handed to an endpoint",
                 )
-            counter.inc()
         self.rx_signal.fire(message)
 
     def receive(self) -> Optional[Message]:
@@ -260,9 +258,10 @@ class Channel:
         self.log: List[Message] = []
         self.dropped: List[Message] = []
         self._ids = itertools.count(1)
-        # lazily resolved instrument handles (see Endpoint.deliver)
-        self._sent_counter: Optional[Any] = None
-        self._dropped_counter: Optional[Any] = None
+        # ``net.messages.sent``/``dropped`` read ``log``/``dropped``,
+        # registered on the first send/drop (see Endpoint.deliver)
+        self._sent_read = False
+        self._dropped_read = False
 
     def attach(self, endpoint: Endpoint) -> Endpoint:
         if endpoint.name in self.endpoints:
@@ -294,13 +293,12 @@ class Channel:
         )
         self.log.append(message)
         obs = self.sim.obs
-        if obs.enabled:
-            counter = self._sent_counter
-            if counter is None:
-                counter = self._sent_counter = obs.metrics.counter(
-                    "net.messages.sent", "messages entering the channel"
-                )
-            counter.inc()
+        if obs.enabled and not self._sent_read:
+            self._sent_read = True
+            obs.metrics.read_counter(
+                "net.messages.sent", lambda: len(self.log),
+                "messages entering the channel",
+            )
         deliveries = [(self._base_latency(message), message)]
         for filter_fn in self.filters:
             next_deliveries = []
@@ -308,16 +306,12 @@ class Channel:
                 verdict = FilterVerdict.coerce(filter_fn(msg))
                 if verdict.action == "drop":
                     self.dropped.append(msg)
-                    if obs.enabled:
-                        counter = self._dropped_counter
-                        if counter is None:
-                            counter = self._dropped_counter = (
-                                obs.metrics.counter(
-                                    "net.messages.dropped",
-                                    "messages eaten by an in-path filter",
-                                )
-                            )
-                        counter.inc()
+                    if obs.enabled and not self._dropped_read:
+                        self._dropped_read = True
+                        obs.metrics.read_counter(
+                            "net.messages.dropped", lambda: len(self.dropped),
+                            "messages eaten by an in-path filter",
+                        )
                     if self.trace is not None:
                         self.trace.record(
                             self.sim.now, "net.drop", msg.src, msg_kind=msg.kind

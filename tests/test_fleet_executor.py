@@ -1,6 +1,7 @@
 """Per-run execution and every failure path, alone and through the
 pipeline's serial and process-pool backends."""
 
+import gc
 import os
 import signal
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.fleet import (
     CampaignSpec,
+    InjectedFailure,
     PipelineConfig,
     ProcessPoolBackend,
     RunSpec,
@@ -17,6 +19,7 @@ from repro.fleet import (
     run_one,
     run_pipeline,
 )
+from repro.fleet.campaign import canned_campaign
 from repro.units import MiB
 
 #: captured at import so forked pool workers see a different pid
@@ -257,3 +260,92 @@ class TestParallel:
         assert sorted(
             r.run_id for r in read_results_jsonl(report.paths.runs)
         ) == sorted(s.run_id for s in specs)
+
+
+def qoa_spec() -> RunSpec:
+    """The first run of the canned ``qoa`` campaign (cyclic scenario
+    graph, thousands of trace/write/job records)."""
+    return canned_campaign("qoa").plan()[0]
+
+
+def collections_during(call):
+    """``call()``'s value and the generation of every collection that
+    started while it ran, counted from an empty young generation."""
+    seen = []
+
+    def on_collect(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(on_collect)
+    try:
+        return call(), seen
+    finally:
+        gc.callbacks.remove(on_collect)
+
+
+class TestRunGeneration:
+    """``execute_run`` treats one run as one young generation: no
+    automatic collection while it runs, one ``collect(0)`` on the way
+    out, and the collector's state restored on every exit path."""
+
+    def test_ok_run_is_one_young_collection(self):
+        spec = qoa_spec()
+        result, seen = collections_during(lambda: execute_run(spec))
+        assert result.ok
+        assert seen == [0]
+        assert gc.isenabled()
+
+    def test_enabled_after_raise(self):
+        spec = fast_spec(mechanism="crashtest")
+
+        def crash():
+            with pytest.raises(InjectedFailure):
+                execute_run(spec)
+
+        _, seen = collections_during(crash)
+        assert seen == [0]
+        assert gc.isenabled()
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGALRM"), reason="needs SIGALRM"
+    )
+    def test_enabled_after_timeout(self):
+        result = run_one(
+            fast_spec(mechanism="sleeptest", horizon=30.0, timeout=0.2)
+        )
+        assert result.status == "timeout"
+        assert gc.isenabled()
+
+    def test_caller_disabled_gc_is_left_alone(self):
+        spec = qoa_spec()
+        gc.disable()
+        try:
+            result, seen = collections_during(lambda: execute_run(spec))
+            assert result.ok
+            assert seen == []
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_run_leaves_no_cyclic_garbage(self):
+        spec = qoa_spec()
+        execute_run(spec)  # warm process-wide caches
+        gc.collect()
+        assert execute_run(spec).ok
+        assert gc.collect() == 0
+
+    def test_tracked_objects_flat_in_run_count(self):
+        spec = qoa_spec()
+        execute_run(spec)  # warm process-wide caches
+        gc.collect()
+        baseline = len(gc.get_objects())
+        counts = []
+        for _ in range(10):
+            execute_run(spec)
+            counts.append(len(gc.get_objects()) - baseline)
+        # each run's graph is gone once it returns: no growth from the
+        # first run to the tenth beyond a small fixed slack
+        assert max(counts) <= 64, counts
+        assert counts[-1] - counts[0] <= 16, counts
