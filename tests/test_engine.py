@@ -137,6 +137,18 @@ class TestRunControl:
         assert sim.step() is True
         assert fired == ["a"]
 
+    def test_run_drains_every_scheduled_event(self):
+        sim = Simulator()
+        fired = [0]
+
+        def bump():
+            fired[0] += 1
+
+        for index in range(10_000):
+            sim.schedule(index * 1e-4, bump)
+        sim.run()
+        assert fired[0] == 10_000
+
     def test_step_on_empty_queue(self):
         assert Simulator().step() is False
 

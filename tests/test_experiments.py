@@ -181,15 +181,6 @@ class TestSec25:
 
 
 class TestSec32:
-    def test_numbers(self):
-        result = experiments.sec32_smarm(n_blocks=64, trials=1500)
-        assert result.mc_single == pytest.approx(result.exact_single,
-                                                 abs=0.04)
-        assert result.rounds_needed in (13, 14)
-        table = dict(result.rounds_table)
-        assert table[13] < 1e-5
-        assert table[1] == pytest.approx(0.365, abs=0.01)
-
     def test_render(self):
         text = experiments.sec32_smarm(n_blocks=32, trials=500).render()
         assert "e^-1" in text and "13" in text

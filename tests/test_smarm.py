@@ -19,11 +19,6 @@ from tests.conftest import make_stack
 
 
 class TestAbstractGame:
-    def test_single_round_near_analytic(self):
-        n = 64
-        estimate = escape_probability(n, trials=3000)
-        assert estimate == pytest.approx(single_round_escape(n), abs=0.03)
-
     def test_single_round_near_e_inverse(self):
         estimate = escape_probability(128, trials=3000)
         assert estimate == pytest.approx(math.exp(-1), abs=0.04)

@@ -47,6 +47,16 @@ class TestReleases:
         assert stats.worst_response == pytest.approx(0.25)
         assert stats.deadline_misses == 0
 
+    def test_preempting_task_set_finishes_every_job(self):
+        sim, device = make_cpu_device()
+        tasks = [
+            PeriodicTask(device.cpu, f"t{priority}", period=0.01,
+                         wcet=0.001, priority=priority, max_jobs=200)
+            for priority in range(1, 6)
+        ]
+        sim.run()
+        assert sum(task.stats().jobs_finished for task in tasks) == 1000
+
     def test_invalid_period_rejected(self):
         _, device = make_cpu_device()
         with pytest.raises(ConfigurationError):
