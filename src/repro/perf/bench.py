@@ -589,54 +589,6 @@ def bench_verifier_batch(quick: bool) -> Dict[str, Dict[str, Any]]:
     }
 
 
-def bench_lint_selfscan(
-    quick: bool, workdir: Path
-) -> Dict[str, Dict[str, Any]]:
-    """Cold vs content-hash-cached whole-program self-scan.
-
-    The workload is the analyzer's own package tree (the full
-    ``repro`` package in full mode): parse, lexical rules, summary
-    extraction, call-graph build and the whole-program rules (taint
-    fixpoint, atomic windows, span ownership).  A warm
-    ``--cache`` run must skip all of that -- the ``speedup`` primary
-    is the whole point of the cache (well above 3x; the gate fails it
-    against the committed baseline).
-    """
-    from repro.staticlint.engine import analyze_project
-    from repro.staticlint.registry import LintConfig
-
-    package_root = Path(__file__).resolve().parents[1]
-    target = package_root / "staticlint" if quick else package_root
-    config = LintConfig()
-    cache = workdir / "bench-lint-cache.json"
-
-    def cold() -> None:
-        if cache.exists():
-            cache.unlink()
-        analyze_project([str(target)], config, cache_path=str(cache))
-
-    def warm() -> None:
-        analyze_project([str(target)], config, cache_path=str(cache))
-
-    repeats = 2 if quick else 3
-    best_cold = _best_of(cold, repeats)
-    # cold() leaves a fully warm cache behind for the warm runs
-    best_warm = _best_of(warm, repeats)
-    return {
-        "lint.selfscan": {
-            "speedup": (
-                best_cold / best_warm if best_warm else float("inf")
-            ),
-            "cold_ms": best_cold * 1e3,
-            "cached_ms": best_warm * 1e3,
-            "target": str(target.relative_to(package_root.parent)),
-            "gate_threshold": GATE_RATIO,
-            "primary": "speedup",
-            "direction": "higher",
-        }
-    }
-
-
 #: advisory wall-clock budget for full tracing: the instrumented smoke
 #: storm may cost at most this much over the NULL_OBS run
 OBS_OVERHEAD_PIN_PCT = 15.0
@@ -793,7 +745,6 @@ def run_suite(quick: bool = False, workdir: Optional[Any] = None) -> Dict[str, A
     benches.update(bench_verifier_batch(quick))
     benches.update(bench_obs_overhead(quick))
     benches.update(bench_slo_eval(quick))
-    benches.update(bench_lint_selfscan(quick, workdir))
     return {
         "version": BENCH_VERSION,
         "revision": git_revision(),

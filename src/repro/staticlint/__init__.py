@@ -41,21 +41,11 @@ Usage::
     repro lint --format sarif src/  # SARIF 2.1.0 (code scanning)
     repro lint --call-graph src/    # the resolved call graph
     repro lint --explain det-taint-flow src/   # source->sink paths
-    repro lint --changed HEAD~1     # only files modified vs. a ref
-    repro lint --cache src/         # content-hash incremental runs
 
-Inline suppression: ``# repro: allow[rule-id]  -- justification``.
-Accepted legacy findings live in ``lint-baseline.json``.
+Inline suppression: ``# repro: allow[rule-id]  -- justification`` is
+the one way to accept a finding.
 """
 
-from repro.staticlint.baseline import (
-    Baseline,
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.staticlint.cache import LintCache
 from repro.staticlint.callgraph import ProjectIndex
 from repro.staticlint.cli import build_report, main, run_lint
 from repro.staticlint.dataflow import TaintSpec, run_taint
@@ -84,11 +74,8 @@ from repro.staticlint.symbols import (
 )
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "FunctionInfo",
-    "LintCache",
     "LintConfig",
     "LintReport",
     "ModuleSummary",
@@ -100,12 +87,10 @@ __all__ = [
     "all_rules",
     "analyze_project",
     "analyze_source",
-    "apply_baseline",
     "build_report",
     "extract_module_summary",
     "get_rule",
     "iter_python_files",
-    "load_baseline",
     "main",
     "render_sarif",
     "rule_catalogue",
@@ -113,6 +98,5 @@ __all__ = [
     "run_taint",
     "selected_project_rules",
     "selected_rules",
-    "write_baseline",
     "Severity",
 ]

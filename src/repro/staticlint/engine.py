@@ -320,11 +320,8 @@ class ProjectAnalysis:
 
     findings: List[Finding]
     files: List[Path]
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: set when the summaries/index were materialized (always on a
-    #: cold project pass; on a fully-cached run only if requested)
-    context: Optional[ProjectContext] = None
+    #: the summaries and call-graph index (drive --call-graph)
+    context: ProjectContext
 
 
 def _project_findings(context: ProjectContext) -> List[Finding]:
@@ -347,26 +344,11 @@ def _project_findings(context: ProjectContext) -> List[Finding]:
 def analyze_project(
     paths: Sequence[str],
     config: Optional[LintConfig] = None,
-    cache_path: Optional[str] = None,
-    need_context: bool = False,
 ) -> ProjectAnalysis:
     """Analyze ``paths`` as one project: the lexical rules per module
     plus the whole-program (interprocedural) rules over all of them.
-
-    With ``cache_path``, per-module results are keyed by content hash
-    (an unchanged file skips parsing and every lexical rule) and the
-    interprocedural findings are keyed by the hash of all module
-    hashes (an unchanged *tree* skips the taint fixpoint too).
-    ``need_context`` forces the summaries/call-graph index to be
-    materialized even on a fully-cached run (``--call-graph``).
     """
-    from repro.staticlint.cache import (
-        LintCache,
-        content_hash,
-        schema_hash,
-    )
     from repro.staticlint.callgraph import ProjectIndex
-    from repro.staticlint.registry import all_rules
     from repro.staticlint.symbols import (
         ModuleSummary,
         extract_module_summary,
@@ -378,71 +360,32 @@ def analyze_project(
     roots = sorted(
         Path(entry).as_posix() for entry in paths if Path(entry).is_dir()
     )
-    cache: Optional[LintCache] = None
-    if cache_path is not None:
-        cache = LintCache(
-            cache_path,
-            schema_hash(config, [r.id for r in all_rules()]),
-        )
 
     module_findings: List[Finding] = []
-    summaries_raw: Dict[str, Dict] = {}  # display path -> summary dict
+    summaries: Dict[str, ModuleSummary] = {}  # display path -> summary
     lines_by_path: Dict[str, List[str]] = {}
-    hashes: Dict[str, str] = {}
     for file in files:
         path = str(file)
-        norm = file.as_posix()
         source = file.read_text(encoding="utf-8")
-        stamp = content_hash(source)
-        hashes[norm] = stamp
         lines_by_path[path] = source.splitlines()
-        entry = cache.get_module(norm, stamp) if cache else None
-        if entry is not None:
-            findings, summary_dict = entry
+        ctx, parse_error = _parse_module(source, path, config)
+        if parse_error is not None:
+            module_findings.append(parse_error)
+            summaries[path] = ModuleSummary(path=path, module="<unparsed>")
         else:
-            ctx, parse_error = _parse_module(source, path, config)
-            if parse_error is not None:
-                findings = [parse_error]
-                summary_dict = ModuleSummary(
-                    path=path, module="<unparsed>"
-                ).to_dict()
-            else:
-                findings = _lexical_findings(ctx)
-                summary_dict = extract_module_summary(
-                    ctx.tree, path, roots=roots,
-                    import_map=ctx.import_map,
-                ).to_dict()
-            if cache is not None:
-                cache.put_module(norm, stamp, findings, summary_dict)
-        module_findings.extend(findings)
-        summaries_raw[path] = summary_dict
+            module_findings.extend(_lexical_findings(ctx))
+            summaries[path] = extract_module_summary(
+                ctx.tree, path, roots=roots, import_map=ctx.import_map,
+            )
 
-    project_key = cache.project_key(hashes) if cache else ""
-    project_findings = (
-        cache.get_project(project_key) if cache else None
+    context = ProjectContext(
+        summaries=summaries,
+        index=ProjectIndex.build(list(summaries.values())),
+        config=config,
+        lines=lines_by_path,
     )
-    context: Optional[ProjectContext] = None
-    if project_findings is None or need_context:
-        summaries = {
-            path: ModuleSummary.from_dict(raw)
-            for path, raw in summaries_raw.items()
-        }
-        context = ProjectContext(
-            summaries=summaries,
-            index=ProjectIndex.build(list(summaries.values())),
-            config=config,
-            lines=lines_by_path,
-        )
-        if project_findings is None:
-            project_findings = _project_findings(context)
-            if cache is not None:
-                cache.put_project(project_key, project_findings)
-    if cache is not None:
-        cache.save()
     return ProjectAnalysis(
-        findings=module_findings + project_findings,
+        findings=module_findings + _project_findings(context),
         files=files,
-        cache_hits=cache.hits if cache else 0,
-        cache_misses=cache.misses if cache else len(files),
         context=context,
     )

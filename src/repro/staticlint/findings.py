@@ -1,11 +1,11 @@
 """Finding and severity types shared by every lint rule.
 
 A :class:`Finding` is one rule violation at one source location.  Its
-:meth:`~Finding.fingerprint` is the identity used by the baseline file:
-it hashes the rule id, the file path, and the *text* of the offending
-line (plus an occurrence index for duplicates on identical lines), so
-baselined findings survive unrelated edits that only shift line
-numbers.
+:meth:`~Finding.fingerprint` is its stable identity (SARIF
+``partialFingerprints``, ``--explain``): it hashes the rule id, the
+file path, and the *text* of the offending line (plus an occurrence
+index for duplicates on identical lines), so it survives unrelated
+edits that only shift line numbers.
 """
 
 from __future__ import annotations
@@ -37,16 +37,14 @@ class Finding:
     message: str
     hint: str = ""
     severity: Severity = Severity.ERROR
-    #: stripped text of the offending source line (baseline identity)
+    #: stripped text of the offending source line (fingerprint identity)
     line_text: str = ""
     #: occurrence index among findings of the same (rule, path, text)
     occurrence: int = 0
     #: True when an inline ``# repro: allow[...]`` covers this finding
     suppressed: bool = field(default=False, compare=False)
-    #: True when the committed baseline covers this finding
-    baselined: bool = field(default=False, compare=False)
     #: interprocedural source->sink path (whole-program rules only);
-    #: excluded from the fingerprint so baselines stay stable
+    #: excluded from the fingerprint so it stays stable
     trace: Tuple[str, ...] = field(default=(), compare=False)
 
     @property
@@ -70,29 +68,10 @@ class Finding:
             "hint": self.hint,
             "fingerprint": self.fingerprint(),
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "line_text": self.line_text,
             "occurrence": self.occurrence,
             "trace": list(self.trace),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict` (the analysis cache round-trip)."""
-        return cls(
-            rule_id=data["rule"],
-            path=data["path"],
-            line=data["line"],
-            col=data["col"],
-            message=data["message"],
-            hint=data.get("hint", ""),
-            severity=Severity(data["severity"]),
-            line_text=data.get("line_text", ""),
-            occurrence=data.get("occurrence", 0),
-            suppressed=data.get("suppressed", False),
-            baselined=data.get("baselined", False),
-            trace=tuple(data.get("trace", ())),
-        )
 
     def render(self) -> str:
         text = (

@@ -2,8 +2,8 @@
 
 The exit-code policy lives here so the CLI and tests share it:
 
-* exit 0 -- no live errors (suppressed/baselined findings are fine,
-  warnings are fine unless ``--strict``);
+* exit 0 -- no live errors (suppressed findings are fine, warnings
+  are fine unless ``--strict``);
 * exit 1 -- at least one live error finding (or warning under strict);
 * exit 2 -- usage/configuration problems (raised upstream).
 """
@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.staticlint.baseline import BaselineEntry
+from repro.staticlint.engine import ProjectContext
 from repro.staticlint.findings import Finding, Severity
 
 
@@ -23,26 +23,18 @@ class LintReport:
     """Everything one lint run produced."""
 
     findings: List[Finding]
-    stale_baseline: List[BaselineEntry]
     files_checked: int
+    #: the whole-program view (summaries + call-graph index) -- drives
+    #: --call-graph
+    context: ProjectContext = field(compare=False)
     strict: bool = False
-    #: the whole-program view (summaries + call-graph index) when it
-    #: was materialized -- drives --call-graph and --explain
-    context: Optional[object] = field(default=None, compare=False)
-    #: analysis-cache hit/miss counters when a cache was active
-    cache_stats: Optional[Dict[str, int]] = field(
-        default=None, compare=False
-    )
 
     # -- verdict --------------------------------------------------------
 
     @property
     def live(self) -> List[Finding]:
-        """Findings that count: not suppressed, not baselined."""
-        return [
-            f for f in self.findings
-            if not f.suppressed and not f.baselined
-        ]
+        """Findings that count: not suppressed."""
+        return [f for f in self.findings if not f.suppressed]
 
     @property
     def failed(self) -> bool:
@@ -51,9 +43,7 @@ class LintReport:
             if self.strict
             else (Severity.ERROR,)
         )
-        if any(f.severity in blocking for f in self.live):
-            return True
-        return self.strict and bool(self.stale_baseline)
+        return any(f.severity in blocking for f in self.live)
 
     @property
     def exit_code(self) -> int:
@@ -70,8 +60,6 @@ class LintReport:
                 1 for f in live if f.severity is Severity.WARNING
             ),
             "suppressed": sum(1 for f in self.findings if f.suppressed),
-            "baselined": sum(1 for f in self.findings if f.baselined),
-            "stale_baseline": len(self.stale_baseline),
         }
 
     # -- rendering ------------------------------------------------------
@@ -81,28 +69,14 @@ class LintReport:
         for finding in sorted(
             self.findings, key=lambda f: (f.path, f.line, f.col, f.rule_id)
         ):
-            if finding.suppressed or finding.baselined:
-                continue
-            lines.append(finding.render())
-        for entry in self.stale_baseline:
-            lines.append(
-                f"{entry.path}: stale baseline entry for "
-                f"[{entry.rule}] ({entry.fingerprint}); remove it from "
-                "the baseline"
-            )
+            if not finding.suppressed:
+                lines.append(finding.render())
         counts = self.counts()
         lines.append(
             f"checked {counts['files']} file(s): "
             f"{counts['errors']} error(s), "
             f"{counts['warnings']} warning(s), "
-            f"{counts['suppressed']} suppressed, "
-            f"{counts['baselined']} baselined"
-            + (
-                f", {counts['stale_baseline']} stale baseline entr"
-                + ("y" if counts["stale_baseline"] == 1 else "ies")
-                if counts["stale_baseline"]
-                else ""
-            )
+            f"{counts['suppressed']} suppressed"
         )
         return "\n".join(lines)
 
@@ -117,9 +91,6 @@ class LintReport:
                         self.findings,
                         key=lambda f: (f.path, f.line, f.col, f.rule_id),
                     )
-                ],
-                "stale_baseline": [
-                    e.to_dict() for e in self.stale_baseline
                 ],
             },
             indent=2,

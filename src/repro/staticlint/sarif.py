@@ -1,8 +1,8 @@
 """SARIF 2.1.0 reporter (GitHub code scanning ingests this format).
 
 One run, one driver (``repro-lint``), one rule entry per registered
-rule, one result per finding.  Suppressed/baselined findings are
-emitted with a ``suppressions`` entry instead of being dropped, so
+rule, one result per finding.  Suppressed findings are emitted with
+an ``inSource`` ``suppressions`` entry instead of being dropped, so
 code-scanning shows them as dismissed rather than re-opening them on
 every push.  Interprocedural traces are carried as ``codeFlows`` so
 the source->sink path renders step by step in the UI.
@@ -113,19 +113,11 @@ def _result(finding: Finding) -> Dict[str, Any]:
     flow = _code_flow(finding)
     if flow is not None:
         result["codeFlows"] = [flow]
-    suppressions = []
     if finding.suppressed:
-        suppressions.append({
+        result["suppressions"] = [{
             "kind": "inSource",
             "justification": "inline # repro: allow[...] comment",
-        })
-    if finding.baselined:
-        suppressions.append({
-            "kind": "external",
-            "justification": "accepted in lint-baseline.json",
-        })
-    if suppressions:
-        result["suppressions"] = suppressions
+        }]
     return result
 
 

@@ -3,10 +3,9 @@
 The lexical rules see one module at a time; the whole-program rules
 (:mod:`repro.staticlint.taint_rules`) need a *project* view: which
 functions exist, what each one calls, and how values move through each
-body.  This module extracts that view as a :class:`ModuleSummary` per
-file -- a deliberately abstract, JSON-serializable artifact so the
-content-hash cache (:mod:`repro.staticlint.cache`) can persist it and
-incremental runs skip re-parsing unchanged modules entirely.
+body.  This module extracts that view as a deliberately abstract
+:class:`ModuleSummary` per file, which
+:meth:`~repro.staticlint.callgraph.ProjectIndex.build` indexes.
 
 Every function is summarized -- top-level, method, or nested ``def``
 (qualified ``<outer>.<locals>.<name>``, like ``__qualname__``).  Each
@@ -48,13 +47,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.staticlint.engine import build_import_map, walk_scope
-
-#: bump when the summary shape changes so stale caches self-invalidate
-SUMMARY_VERSION = 3
-
 
 def module_name(path: str, roots: Sequence[str] = ()) -> str:
     """Dotted module name for ``path``, best-effort.
@@ -108,22 +103,6 @@ class CallRecord:
     recv: List[str] = field(default_factory=list)  # receiver deps
     yield_from: bool = False
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "i": self.index, "r": self.resolved, "t": self.terminal,
-            "s": self.recv_self, "l": self.line, "c": self.col,
-            "a": self.args, "rv": self.recv, "yf": self.yield_from,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallRecord":
-        return cls(
-            index=data["i"], resolved=data["r"], terminal=data["t"],
-            recv_self=data["s"], line=data["l"], col=data["c"],
-            args=[list(a) for a in data["a"]],
-            recv=list(data["rv"]), yield_from=data["yf"],
-        )
-
     @property
     def node(self) -> str:
         return f"call:{self.index}"
@@ -148,31 +127,6 @@ class FunctionInfo:
     window: Optional[Tuple[int, int]] = None
     #: non-Atomic/Compute yields: (line, col, description)
     bad_yields: List[Tuple[int, int, str]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qual": self.qual, "name": self.name, "cls": self.cls,
-            "module": self.module, "path": self.path, "line": self.line,
-            "params": self.params,
-            "edges": [list(edge) for edge in self.edges],
-            "calls": [call.to_dict() for call in self.calls],
-            "fstrings": [[l, c, deps] for l, c, deps in self.fstrings],
-            "window": list(self.window) if self.window else None,
-            "bad_yields": [list(item) for item in self.bad_yields],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionInfo":
-        return cls(
-            qual=data["qual"], name=data["name"], cls=data["cls"],
-            module=data["module"], path=data["path"], line=data["line"],
-            params=list(data["params"]),
-            edges=[tuple(edge) for edge in data["edges"]],
-            calls=[CallRecord.from_dict(c) for c in data["calls"]],
-            fstrings=[(l, c, list(d)) for l, c, d in data["fstrings"]],
-            window=tuple(data["window"]) if data["window"] else None,
-            bad_yields=[tuple(item) for item in data["bad_yields"]],
-        )
 
     @property
     def display(self) -> str:
@@ -208,28 +162,6 @@ class ModuleSummary:
     path: str
     module: str
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": SUMMARY_VERSION,
-            "path": self.path,
-            "module": self.module,
-            "functions": {
-                qual: info.to_dict()
-                for qual, info in sorted(self.functions.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            functions={
-                qual: FunctionInfo.from_dict(info)
-                for qual, info in data["functions"].items()
-            },
-        )
 
 
 # ---------------------------------------------------------------------------

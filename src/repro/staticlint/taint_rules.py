@@ -164,8 +164,8 @@ _LEAK_SANITIZER_TERMINALS: Tuple[str, ...] = (
 )
 
 #: modules whose key-named call results are key material; a resolved
-#: prefix requirement keeps ``mapping.keys()``/``cache.project_key()``
-#: style helpers elsewhere from masquerading as key factories
+#: prefix requirement keeps ``mapping.keys()``-style helpers elsewhere
+#: from masquerading as key factories
 _SECRET_CALL_SCOPES = ("repro.crypto.", "repro.ra.", "repro.vserver.")
 
 

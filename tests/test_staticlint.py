@@ -3,7 +3,7 @@
 Each rule gets a fixture-snippet trio: a true positive, the same
 positive suppressed inline, and a near-miss that must NOT fire (the
 false-positive guard).  On top of that: suppression semantics,
-baseline round-trip, reporter output, and CLI exit codes.
+fingerprint stability, reporter output, and CLI exit codes.
 """
 
 import json
@@ -11,15 +11,11 @@ import json
 import pytest
 
 from repro.staticlint import (
-    Baseline,
     LintConfig,
     Severity,
     all_rules,
     analyze_source,
-    apply_baseline,
     build_report,
-    load_baseline,
-    write_baseline,
 )
 from repro.staticlint.engine import suppressed_lines
 
@@ -34,7 +30,7 @@ def findings_for(source, path=SIM_PATH, rule=None, config=None):
 
 
 def live(findings):
-    return [f for f in findings if not f.suppressed and not f.baselined]
+    return [f for f in findings if not f.suppressed]
 
 
 class TestWallClockRule:
@@ -519,42 +515,8 @@ class TestParseError:
         assert found[0].severity is Severity.ERROR
 
 
-class TestBaseline:
+class TestFingerprint:
     SRC = "import time\n\nstamp = time.time()\n"
-
-    def test_round_trip_accepts_finding(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        findings = findings_for(self.SRC, rule="det-wall-clock")
-        write_baseline(target, findings)
-        baseline = load_baseline(target)
-        assert len(baseline.entries) == 1
-        marked, stale = apply_baseline(findings, baseline)
-        assert stale == []
-        assert all(f.baselined for f in marked)
-
-    def test_missing_file_is_empty(self, tmp_path):
-        baseline = load_baseline(tmp_path / "absent.json")
-        assert baseline.entries == []
-
-    def test_stale_entries_surface(self):
-        findings = findings_for(self.SRC, rule="det-wall-clock")
-        write_target = findings[0]
-        baseline = Baseline.from_dict(
-            {
-                "version": 1,
-                "entries": [
-                    {
-                        "rule": write_target.rule_id,
-                        "path": write_target.path,
-                        "fingerprint": "0" * 16,
-                        "justification": "gone",
-                    }
-                ],
-            }
-        )
-        marked, stale = apply_baseline(findings, baseline)
-        assert len(stale) == 1
-        assert not marked[0].baselined
 
     def test_fingerprint_survives_line_moves(self):
         shifted = "import time\n\n\n\nstamp = time.time()\n"
@@ -614,21 +576,6 @@ class TestReportAndExitCodes:
         assert finding["rule"] == "det-wall-clock"
         assert finding["fingerprint"]
 
-    def test_baselined_finding_does_not_fail(self, tmp_path):
-        module = tmp_path / "repro" / "sim" / "legacy.py"
-        module.parent.mkdir(parents=True)
-        module.write_text(
-            "import time\nstamp = time.time()\n", encoding="utf-8"
-        )
-        baseline_path = tmp_path / "baseline.json"
-        first = build_report([str(tmp_path)])
-        write_baseline(baseline_path, first.findings)
-        second = build_report(
-            [str(tmp_path)], baseline_path=str(baseline_path)
-        )
-        assert second.exit_code == 0
-        assert second.counts()["baselined"] == 1
-
 
 class TestCliIntegration:
     def run_cli(self, argv, capsys):
@@ -644,7 +591,7 @@ class TestCliIntegration:
             "import time\nstamp = time.time()\n", encoding="utf-8"
         )
         code, out = self.run_cli(
-            ["lint", str(tmp_path), "--no-baseline"], capsys
+            ["lint", str(tmp_path)], capsys
         )
         assert code == 1
         assert "[det-wall-clock]" in out
@@ -655,7 +602,7 @@ class TestCliIntegration:
         module = tmp_path / "module.py"
         module.write_text("VALUE = 1\n", encoding="utf-8")
         code, out = self.run_cli(
-            ["lint", str(module), "--no-baseline"], capsys
+            ["lint", str(module)], capsys
         )
         assert code == 0
         assert "0 error(s)" in out
@@ -672,10 +619,7 @@ class TestCliIntegration:
         module = tmp_path / "module.py"
         module.write_text("VALUE = 1\n", encoding="utf-8")
         code = main(
-            [
-                "lint", str(module), "--no-baseline",
-                "--select", "no-such-rule",
-            ]
+            ["lint", str(module), "--select", "no-such-rule"]
         )
         captured = capsys.readouterr()
         assert code == 2
@@ -684,7 +628,7 @@ class TestCliIntegration:
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         from repro.cli import main
 
-        code = main(["lint", str(tmp_path / "absent"), "--no-baseline"])
+        code = main(["lint", str(tmp_path / "absent")])
         captured = capsys.readouterr()
         assert code == 2
         assert "no such path" in captured.err
@@ -696,31 +640,8 @@ class TestCliIntegration:
             "import time\nstamp = time.time()\n", encoding="utf-8"
         )
         code, out = self.run_cli(
-            [
-                "lint", str(tmp_path), "--no-baseline",
-                "--select", "det-mutable-default",
-            ],
+            ["lint", str(tmp_path), "--select", "det-mutable-default"],
             capsys,
-        )
-        assert code == 0
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        module = tmp_path / "repro" / "sim" / "legacy.py"
-        module.parent.mkdir(parents=True)
-        module.write_text(
-            "import time\nstamp = time.time()\n", encoding="utf-8"
-        )
-        baseline = tmp_path / "baseline.json"
-        code, out = self.run_cli(
-            [
-                "lint", str(tmp_path),
-                "--write-baseline", "--baseline", str(baseline),
-            ],
-            capsys,
-        )
-        assert code == 0 and "baselined 1" in out
-        code, out = self.run_cli(
-            ["lint", str(tmp_path), "--baseline", str(baseline)], capsys
         )
         assert code == 0
 
@@ -728,11 +649,35 @@ class TestCliIntegration:
         module = tmp_path / "module.py"
         module.write_text("VALUE = 1\n", encoding="utf-8")
         code, out = self.run_cli(
-            ["lint", str(module), "--no-baseline", "--format", "json"],
+            ["lint", str(module), "--format", "json"],
             capsys,
         )
         assert code == 0
         assert json.loads(out)["counts"]["files"] == 1
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--cache"],
+            ["--baseline", "x"],
+            ["--no-baseline"],
+            ["--write-baseline"],
+            ["--changed"],
+        ],
+        ids=lambda option: option[0],
+    )
+    def test_removed_option_is_usage_error(
+        self, option, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        module = tmp_path / "module.py"
+        module.write_text("VALUE = 1\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", str(module)] + option)
+        assert exc.value.code == 2
+        assert option[0] in capsys.readouterr().err
 
 
 VSERVER_PATH = "src/repro/vserver/fake_module.py"
@@ -863,20 +808,6 @@ class TestPerfUnboundedQueueRule:
         assert len(findings) == 1 and findings[0].suppressed
         assert not live(findings)
 
-    def test_shipped_vserver_and_fleet_sources_clean(self):
-        import pathlib
-
-        config = LintConfig(select=(self.RULE,))
-        for package in ("vserver", "fleet"):
-            root = pathlib.Path("src/repro") / package
-            for path in sorted(root.rglob("*.py")):
-                found = live(findings_for(
-                    path.read_text(encoding="utf-8"),
-                    path=str(path),
-                    config=config,
-                ))
-                assert found == [], (path, found)
-
 
 class TestRegistry:
     def test_catalogue_covers_five_families(self):
@@ -983,20 +914,3 @@ class TestObsCtxDropRule:
             src, path="src/repro/swarm/fake.py", rule=self.RULE
         )
         assert found == []
-
-    def test_self_scan_is_clean(self):
-        # the real protocol handlers all thread their contexts
-        from pathlib import Path
-
-        from repro.staticlint.engine import analyze_source
-
-        config = LintConfig(select=(self.RULE,))
-        root = Path("src/repro")
-        flagged = []
-        for path in sorted(root.rglob("*.py")):
-            found = analyze_source(
-                path.read_text(encoding="utf-8"),
-                path=str(path), config=config,
-            )
-            flagged.extend(f for f in found if not f.suppressed)
-        assert flagged == []

@@ -1,17 +1,15 @@
-"""Whole-program analyzer tests: symbols, call graph, taint, cache.
+"""Whole-program analyzer tests: symbols, call graph, taint.
 
 Each interprocedural rule gets a cross-file fixture trio: a true
 positive the lexical rules cannot see (the hazard spans two modules),
 the same positive suppressed inline, and a near-miss that must NOT
 fire.  On top of that: call-graph resolution, taint-engine unit
-semantics (injection, backflow, sanitizers, projections), the
-content-hash cache (hit/invalidate), SARIF output, ``--explain`` and
-``--changed``.
+semantics (injection, backflow, sanitizers, projections), SARIF
+output, ``--explain`` and ``--call-graph``.
 """
 
 import ast
 import json
-import subprocess
 
 from repro.staticlint import (
     LintConfig,
@@ -573,10 +571,10 @@ class TestSpanLeakInterproc:
 
 
 # ---------------------------------------------------------------------------
-# the content-hash cache
+# a two-module project: wall-clock taint crosses the module boundary
 # ---------------------------------------------------------------------------
 
-CACHE_FILES = {
+TAINT_PROJECT = {
     "repro/fleet/clock.py": DET_CLOCK,
     "repro/core/run.py": (
         "from repro.fleet.clock import wall_now\n"
@@ -588,49 +586,6 @@ CACHE_FILES = {
 }
 
 
-class TestLintCache:
-    def test_warm_run_hits_and_matches_cold(self, tmp_path):
-        src = write_project(tmp_path, CACHE_FILES)
-        cache = tmp_path / "cache.json"
-        cold = analyze_project([str(src)], cache_path=str(cache))
-        assert cold.cache_misses == 2 and cold.cache_hits == 0
-        warm = analyze_project([str(src)], cache_path=str(cache))
-        assert warm.cache_hits == 2 and warm.cache_misses == 0
-        assert [f.fingerprint() for f in warm.findings] == [
-            f.fingerprint() for f in cold.findings
-        ]
-        # the interprocedural trace survives the round-trip
-        tainted = [f for f in warm.findings if f.rule_id == "det-taint-flow"]
-        assert tainted and tainted[0].trace
-
-    def test_changed_file_invalidates_only_itself(self, tmp_path):
-        src = write_project(tmp_path, CACHE_FILES)
-        cache = tmp_path / "cache.json"
-        analyze_project([str(src)], cache_path=str(cache))
-        target = src / "repro/core/run.py"
-        target.write_text(
-            CACHE_FILES["repro/core/run.py"].replace(
-                "sim.schedule(t, None)", "sim.schedule(0.0, None)"
-            ),
-            encoding="utf-8",
-        )
-        after = analyze_project([str(src)], cache_path=str(cache))
-        assert after.cache_hits == 1 and after.cache_misses == 1
-        assert not any(
-            f.rule_id == "det-taint-flow" for f in after.findings
-        )
-
-    def test_schema_change_invalidates_everything(self, tmp_path):
-        src = write_project(tmp_path, CACHE_FILES)
-        cache = tmp_path / "cache.json"
-        analyze_project([str(src)], cache_path=str(cache))
-        narrowed = LintConfig(select=("det-taint-flow",))
-        again = analyze_project(
-            [str(src)], narrowed, cache_path=str(cache)
-        )
-        assert again.cache_misses == 2
-
-
 # ---------------------------------------------------------------------------
 # SARIF
 # ---------------------------------------------------------------------------
@@ -638,7 +593,7 @@ class TestLintCache:
 
 class TestSarif:
     def report(self, tmp_path, files=None):
-        src = write_project(tmp_path, files or CACHE_FILES)
+        src = write_project(tmp_path, files or TAINT_PROJECT)
         return build_report([str(src)])
 
     def test_envelope_and_rules(self, tmp_path):
@@ -665,7 +620,7 @@ class TestSarif:
         )
 
     def test_suppressed_finding_marked(self, tmp_path):
-        files = dict(CACHE_FILES)
+        files = dict(TAINT_PROJECT)
         files["repro/core/run.py"] = files["repro/core/run.py"].replace(
             "sim.schedule(t, None)",
             "sim.schedule(t, None)  # repro: allow[det-taint-flow] -- rig",
@@ -681,7 +636,7 @@ class TestSarif:
 
 
 # ---------------------------------------------------------------------------
-# CLI: --explain, --changed, --call-graph
+# CLI: --explain, --call-graph
 # ---------------------------------------------------------------------------
 
 
@@ -689,11 +644,9 @@ class TestCliWholeProgram:
     def test_explain_prints_source_to_sink_path(
         self, tmp_path, monkeypatch, capsys
     ):
-        src = write_project(tmp_path, CACHE_FILES)
+        src = write_project(tmp_path, TAINT_PROJECT)
         monkeypatch.chdir(tmp_path)
-        code = main([
-            str(src), "--no-baseline", "--explain", "det-taint-flow",
-        ])
+        code = main([str(src), "--explain", "det-taint-flow"])
         out = capsys.readouterr().out
         assert code == 1
         assert "source:" in out
@@ -701,52 +654,10 @@ class TestCliWholeProgram:
         assert "reaches sink" in out
 
     def test_call_graph_renders(self, tmp_path, monkeypatch, capsys):
-        src = write_project(tmp_path, CACHE_FILES)
+        src = write_project(tmp_path, TAINT_PROJECT)
         monkeypatch.chdir(tmp_path)
-        code = main([str(src), "--no-baseline", "--call-graph"])
+        code = main([str(src), "--call-graph"])
         out = capsys.readouterr().out
         assert code == 0
         assert "repro.core.run.kickoff" in out
         assert "repro.fleet.clock.wall_now" in out
-
-    def test_changed_filters_to_modified_files(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        src = write_project(tmp_path, {
-            "repro/sim/one.py": "import time\nx = time.time()\n",
-            "repro/sim/two.py": "import time\ny = time.time()\n",
-        })
-        monkeypatch.chdir(tmp_path)
-        git = ["git", "-c", "user.email=t@t", "-c", "user.name=t"]
-        subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
-        subprocess.run(git + ["add", "."], cwd=tmp_path, check=True)
-        subprocess.run(
-            git + ["commit", "-qm", "seed"], cwd=tmp_path, check=True
-        )
-        two = src / "repro/sim/two.py"
-        two.write_text(
-            "import time\ny = time.time()\nz = time.time()\n",
-            encoding="utf-8",
-        )
-        code = main([str(src), "--no-baseline", "--changed", "HEAD"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "two.py" in out
-        assert "one.py" not in out
-
-    def test_changed_with_no_modifications_exits_clean(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        src = write_project(tmp_path, {
-            "repro/sim/one.py": "VALUE = 1\n",
-        })
-        monkeypatch.chdir(tmp_path)
-        git = ["git", "-c", "user.email=t@t", "-c", "user.name=t"]
-        subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
-        subprocess.run(git + ["add", "."], cwd=tmp_path, check=True)
-        subprocess.run(
-            git + ["commit", "-qm", "seed"], cwd=tmp_path, check=True
-        )
-        code = main([str(src), "--no-baseline", "--changed", "HEAD"])
-        assert code == 0
-        assert "nothing to lint" in capsys.readouterr().out

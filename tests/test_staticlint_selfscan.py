@@ -1,7 +1,7 @@
 """Self-hosting: the analyzer must pass over its own repository.
 
 The acceptance contract from the linter's introduction: ``repro lint
-src/`` exits 0 against the committed baseline, and deliberately
+src/ --strict`` (the CI step) exits 0, and deliberately
 injecting a wall-clock call into the DES engine or a ``==`` digest
 comparison into the report layer makes it exit non-zero with a rule
 id, location and fix hint.  Ruff conformance is checked here too when
@@ -16,42 +16,39 @@ from pathlib import Path
 
 import pytest
 
-from repro.staticlint import Severity, analyze_source, build_report
+from repro.staticlint import analyze_source, build_report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_ROOT / "src"
-BASELINE = REPO_ROOT / "lint-baseline.json"
 
 
 def live(findings):
-    return [f for f in findings if not f.suppressed and not f.baselined]
+    return [f for f in findings if not f.suppressed]
+
+
+@pytest.fixture(scope="module")
+def self_scan():
+    """One strict scan of ``src/``, shared by the self-scan tests."""
+    return build_report([str(SRC_DIR)], strict=True)
 
 
 class TestSelfScan:
-    def test_src_tree_is_clean(self):
-        report = build_report(
-            [str(SRC_DIR)], baseline_path=str(BASELINE)
-        )
-        offending = [
-            f.render() for f in report.live
-            if f.severity is Severity.ERROR
-        ]
-        assert report.exit_code == 0, "\n".join(offending)
+    def test_src_tree_is_clean(self, self_scan):
+        offending = [f.render() for f in self_scan.live]
+        assert self_scan.exit_code == 0, "\n".join(offending)
 
-    def test_scan_covers_the_whole_tree(self):
-        report = build_report([str(SRC_DIR)])
-        assert report.files_checked >= 75
+    def test_scan_covers_the_whole_tree(self, self_scan):
+        assert self_scan.files_checked >= 75
 
-    def test_known_suppressions_are_intentional(self):
+    def test_known_suppressions_are_intentional(self, self_scan):
         """Every inline allow[] in src/ is accounted for here.
 
         Grows only deliberately: add the justification to this list
         when adding a suppression.
         """
-        report = build_report([str(SRC_DIR)])
         suppressed = sorted(
             (Path(f.path).name, f.rule_id)
-            for f in report.findings
+            for f in self_scan.findings
             if f.suppressed
         )
         assert suppressed == [
@@ -119,7 +116,7 @@ class TestInjectedViolations:
             "import time\n\n\ndef now():\n    return time.time()\n",
             encoding="utf-8",
         )
-        code = main(["lint", str(tmp_path), "--no-baseline"])
+        code = main(["lint", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
         assert "[det-wall-clock]" in out
