@@ -1,6 +1,6 @@
 """Experiment drivers: one function per paper artifact.
 
-Both the CLI (``python -m repro``) and the benchmark suite call these;
+Both the CLI (``python -m repro``) and the paper-claim tests call these;
 each returns a small result object with the raw numbers plus a
 ``render()`` producing the same rows/series the paper reports.
 
@@ -22,8 +22,9 @@ FLEET     :func:`fleet_qoa` -- Figure 5's QoA sweep at fleet scale
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.fig2_model import (
     anchor_report,
@@ -54,12 +55,16 @@ from repro.errors import ConfigurationError
 from repro.malware.transient import TransientMalware
 from repro.ra.locking import make_policy
 from repro.ra.measurement import MeasurementConfig, MeasurementProcess
+from repro.ra.report import Verdict
 from repro.ra.smarm import escape_probability
+from repro.ra.software import SoftwareAttestation, SoftwareVerifier
+from repro.ra.verifier import Verifier
+from repro.resilience import RetryPolicy
 from repro.scenario import Scenario
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
-from repro.sim.network import DelayAdversary
-from repro.units import GiB, MiB, format_time
+from repro.sim.network import Channel, DelayAdversary
+from repro.units import GiB, MiB, format_time, parse_size
 
 
 # ---------------------------------------------------------------------------
@@ -699,3 +704,241 @@ def sec32_smarm(n_blocks: int = 64, trials: int = 4000) -> Sec32Result:
         rounds_table=rounds_table,
         rounds_needed=rounds_for_confidence(n_blocks),
     )
+
+
+# ---------------------------------------------------------------------------
+# ARTIFACTS -- the paper artifacts as ``repro`` subcommands
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One paper artifact as a ``repro`` subcommand.
+
+    ``arguments`` are ``(flag, add_argument keywords)`` pairs, so each
+    CLI default lives here and nowhere else; ``run`` takes the parsed
+    namespace and returns the text the command prints.
+    """
+
+    name: str
+    help: str
+    #: the ``repro all`` section title; ``None`` keeps it out of ``all``
+    title: Optional[str]
+    arguments: Tuple[Tuple[str, Dict[str, Any]], ...]
+    run: Callable[[argparse.Namespace], str]
+
+
+def _run_faults(args: argparse.Namespace) -> str:
+    """Drive on-demand mechanisms through a seeded FaultPlan and print
+    the degradation ledger (docs/resilience.md)."""
+    spacing = 2.0
+    horizon = 1.0 + spacing * args.exchanges + 10.0
+    lines = [
+        f"fault plan: {args.plan!r}  "
+        f"({args.exchanges} exchanges per mechanism, seed {args.seed})",
+    ]
+    for mechanism in args.mechanisms:
+        scenario = Scenario.build(
+            mechanism=mechanism,
+            faults=args.plan,
+            config=ScenarioConfig(
+                block_count=8, sim_block_size=MiB, horizon=horizon,
+            ),
+            seed=args.seed,
+            retry=RetryPolicy(
+                timeout=1.0, max_retries=6, backoff=1.5,
+                max_timeout=4.0,
+                seed=f"faults-cli-{args.seed}".encode(),
+            ),
+            fault_seed=f"faults-cli-{args.seed}-{mechanism}".encode(),
+        )
+        for index in range(args.exchanges):
+            scenario.schedule_request(1.0 + spacing * index)
+        scenario.run()
+        false_alarms = sum(
+            1 for r in scenario.verifier.results
+            if r.verdict is Verdict.COMPROMISED
+        )
+        lines.append("")
+        lines.append(scenario.outcomes.render(title=f"{mechanism}:"))
+        if false_alarms:
+            lines.append(
+                f"  WARNING: {false_alarms} false 'compromised' "
+                "verdict(s) on a benign device"
+            )
+    return "\n".join(lines)
+
+
+def _run_swarm(args: argparse.Namespace) -> str:
+    from repro.swarm import SwarmAttestation, make_topology
+
+    sim = Simulator()
+    topology = make_topology(sim, count=args.count, shape=args.shape)
+    verifier = Verifier(sim)
+    swarm = SwarmAttestation(topology, verifier)
+    for index in args.infect:
+        if 0 <= index < args.count:
+            TransientMalware(
+                topology.devices[index], target_block=3, infect_at=0.0,
+                name=f"mal-{index}",
+            )
+    nonce = swarm.attest(timeout=60.0)
+    sim.run(until=120.0)
+    result = swarm.result_for(nonce)
+    lines = [
+        f"swarm of {args.count} devices ({args.shape})",
+        f"aggregate valid : {result.valid}",
+        f"healthy         : {result.healthy}/{result.total}",
+        f"dirty nodes     : {', '.join(result.dirty_nodes) or '(none)'}",
+        f"completed at    : t = {result.completed_at:.3f} s",
+    ]
+    return "\n".join(lines)
+
+
+def _run_swatt(args: argparse.Namespace) -> str:
+    def play(redirect_penalty, speedup, infected):
+        sim = Simulator()
+        device = Device(sim, block_count=16, block_size=32,
+                        sim_block_size=MiB)
+        channel = Channel(sim, latency=0.005)
+        device.attach_network(channel)
+        service = SoftwareAttestation(
+            device, redirect_penalty=redirect_penalty,
+            forgery_speedup=speedup,
+        )
+        service.install()
+        reads = device.block_count * service.iterations
+        honest = device.timing.hash_time(
+            "sha256", device.memory.sim_block_size * reads
+        )
+        swatt_verifier = SoftwareVerifier(
+            channel, list(device.memory.benign_image()), honest
+        )
+        if infected:
+            TransientMalware(device, target_block=5, infect_at=0.0)
+        sim.schedule_at(0.5, swatt_verifier.challenge, device.name)
+        sim.run(until=60)
+        return swatt_verifier.verdicts[0]
+
+    rows = [
+        ("honest device", play(0.0, 1.0, False)),
+        ("naive malware", play(0.0, 1.0, True)),
+        ("redirecting malware", play(args.penalty, 1.0, True)),
+        ("optimized adversary", play(args.penalty, args.speedup, True)),
+    ]
+    lines = ["software-based RA timing game"]
+    for label, verdict in rows:
+        mark = "ACCEPTED" if verdict.accepted else "rejected"
+        lines.append(
+            f"  {label:<22} checksum "
+            f"{'ok' if verdict.correct else 'BAD'}  "
+            f"elapsed {verdict.elapsed:7.4f}s "
+            f"(limit {verdict.threshold:.4f}s)  -> {mark}"
+        )
+    return "\n".join(lines)
+
+
+#: every paper artifact ``repro`` offers, in ``--help`` order
+ARTIFACTS: Tuple[Artifact, ...] = (
+    Artifact(
+        "fig1", "on-demand RA timeline", "FIG1",
+        (
+            ("--memory", dict(default="64MiB",
+                              help="attested memory size (default 64MiB)")),
+            ("--deferral", dict(type=float, default=0.05,
+                                help="request deferral on the prover, "
+                                     "seconds")),
+        ),
+        lambda args: fig1_timeline(
+            memory_mib=max(1, parse_size(args.memory) // MiB),
+            deferral=args.deferral,
+        ).render(),
+    ),
+    Artifact(
+        "fig2", "hash/signature timing curves", "FIG2",
+        (
+            ("--points", dict(type=int, default=1,
+                              help="points per decade in the size sweep")),
+        ),
+        lambda args: fig2_report(points_per_decade=args.points).render(),
+    ),
+    Artifact(
+        "fig3", "solution taxonomy and Table 1 text", "FIG3", (),
+        lambda args: fig3_overview().render(),
+    ),
+    Artifact(
+        "fig4", "consistency timeline per locking policy", "FIG4", (),
+        lambda args: fig4_consistency().render(),
+    ),
+    Artifact(
+        "fig5", "QoA timeline (self-measurement)", "FIG5",
+        (
+            ("--tm", dict(type=float, default=4.0, help="T_M seconds")),
+            ("--tc", dict(type=float, default=16.0, help="T_C seconds")),
+        ),
+        lambda args: fig5_qoa(t_m=args.tm, t_c=args.tc).render(),
+    ),
+    Artifact(
+        "table1", "empirical feature matrix vs claims", "TABLE1", (),
+        lambda args: table1().render(),
+    ),
+    Artifact(
+        "firealarm", "Section 2.5 fire alarm", "SEC25",
+        (
+            ("--memory", dict(default="1GiB",
+                              help="attested memory size (default 1GiB)")),
+        ),
+        lambda args: sec25_firealarm(
+            memory_bytes=parse_size(args.memory)
+        ).render(),
+    ),
+    Artifact(
+        "smarm", "SMARM escape probabilities", "SEC32",
+        (
+            ("--blocks", dict(type=int, default=64)),
+            ("--trials", dict(type=int, default=4000)),
+        ),
+        lambda args: sec32_smarm(
+            n_blocks=args.blocks, trials=args.trials
+        ).render(),
+    ),
+    Artifact(
+        "faults", "on-demand RA under an adversarial channel", None,
+        (
+            ("--plan", dict(default="loss=0.3@0:40;reset@6",
+                            help="FaultPlan DSL (docs/resilience.md)")),
+            ("--exchanges", dict(type=int, default=20,
+                                 help="attestation exchanges per "
+                                      "mechanism")),
+            ("--mechanisms", dict(nargs="*",
+                                  default=("smart", "inc-lock", "smarm"),
+                                  help="on-demand mechanisms to drive")),
+            ("--seed", dict(type=int, default=7)),
+        ),
+        _run_faults,
+    ),
+    Artifact(
+        "swarm", "collective attestation demo", None,
+        (
+            ("--count", dict(type=int, default=15,
+                             help="number of devices")),
+            ("--shape", dict(default="tree",
+                             choices=["tree", "star", "line", "random"])),
+            ("--infect", dict(type=int, nargs="*", default=(4, 9),
+                              help="node indices to infect")),
+        ),
+        _run_swarm,
+    ),
+    Artifact(
+        "swatt", "software-based RA timing game (legacy devices)", None,
+        (
+            ("--penalty", dict(type=float, default=2e-3,
+                               help="redirection penalty per read, "
+                                    "seconds")),
+            ("--speedup", dict(type=float, default=0.5,
+                               help="the optimized adversary's speed "
+                                    "factor")),
+        ),
+        _run_swatt,
+    ),
+)

@@ -367,13 +367,14 @@ def analyze_project(
     for file in files:
         path = str(file)
         source = file.read_text(encoding="utf-8")
-        lines_by_path[path] = source.splitlines()
         ctx, parse_error = _parse_module(source, path, config)
         if parse_error is not None:
             module_findings.append(parse_error)
+            lines_by_path[path] = source.splitlines()
             summaries[path] = ModuleSummary(path=path, module="<unparsed>")
         else:
             module_findings.extend(_lexical_findings(ctx))
+            lines_by_path[path] = ctx.lines
             summaries[path] = extract_module_summary(
                 ctx.tree, path, roots=roots, import_map=ctx.import_map,
             )
