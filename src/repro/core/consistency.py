@@ -7,9 +7,11 @@ write at B or C (inside the measurement) breaks consistency depends on
 the mechanism.
 
 The analyzer reconstructs any block's content identity at any past
-instant from the memory's write log (each committed write carries a
-content fingerprint) and compares with the fingerprints MP recorded
-when it snapshotted each block.  From that it derives:
+instant from the memory's write log (each committed write carries the
+block's contents after it) and compares with the fingerprints MP
+recorded when it snapshotted each block.  It fingerprints each logged
+write once, into a per-block timeline, and answers each probe with one
+bisection.  From that it derives:
 
 * :meth:`ConsistencyAnalyzer.consistent_at` -- is the measurement
   consistent with M at t?
@@ -25,12 +27,13 @@ when it snapshotted each block.  From that it derives:
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.ra.report import MeasurementRecord
-from repro.sim.memory import Memory, content_fingerprint
+from repro.sim.memory import Memory
 
 
 class ConsistencyVerdict(enum.Enum):
@@ -60,28 +63,46 @@ class ConsistencyAnalyzer:
     def __init__(self, memory: Memory) -> None:
         self.memory = memory
         self._benign = [
-            content_fingerprint(memory.benign_block(i))
-            for i in range(memory.block_count)
+            memory.benign_audit(i) for i in range(memory.block_count)
         ]
+        #: per block: commit times and content fingerprints of its
+        #: logged writes, in log order; extended from ``_indexed`` on
+        #: when the write log has grown since the last query
+        self._times: List[List[float]] = [
+            [] for _ in range(memory.block_count)
+        ]
+        self._fingerprints: List[List[bytes]] = [
+            [] for _ in range(memory.block_count)
+        ]
+        self._indexed = 0
 
     # -- content reconstruction -------------------------------------------
+
+    def _index_new_writes(self) -> None:
+        """Fingerprint each write the log gained since the last call,
+        once, into its block's timeline."""
+        log = self.memory.write_log
+        for record in log[self._indexed:]:
+            self._times[record.block].append(record.time)
+            self._fingerprints[record.block].append(record.fingerprint)
+        self._indexed = len(log)
 
     def fingerprint_at(self, block_index: int, time: float) -> bytes:
         """Content identity of ``block_index`` at instant ``time``.
 
         The last committed write at or before ``time`` determines the
         content; with no prior write the block still holds its benign
-        fill.  (Assumes memory was not re-flashed via ``load_image``
+        fill.  Log times are simulation times and never decrease, so
+        each block's timeline is sorted and one bisection finds that
+        write.  (Assumes memory was not re-flashed via ``load_image``
         mid-run, which bypasses the log.)
         """
-        fingerprint = self._benign[block_index]
-        for record in self.memory.write_log:
-            if record.block != block_index:
-                continue
-            if record.time > time:
-                break
-            fingerprint = record.fingerprint
-        return fingerprint
+        if self._indexed != len(self.memory.write_log):
+            self._index_new_writes()
+        position = bisect_right(self._times[block_index], time)
+        if position == 0:
+            return self._benign[block_index]
+        return self._fingerprints[block_index][position - 1]
 
     # -- consistency checks ---------------------------------------------------
 

@@ -17,6 +17,14 @@ in the timing model, so a device can represent a 1 GiB prover (the
 Section 2.5 fire-alarm scenario) while keeping only a few MiB of real
 Python bytearrays.  Digests depend only on the real bytes; latency
 depends only on the simulated size.  Both default to the same value.
+
+Write log
+---------
+Every committed write appends a :class:`WriteRecord` to
+``Memory.write_log`` holding the block's frozen contents after the
+write.  The write itself hashes nothing; a record's ``fingerprint`` is
+computed when an auditor reads it (the Figure 4 analyzer in
+:mod:`repro.core.consistency` reads each one once).
 """
 
 from __future__ import annotations
@@ -68,9 +76,12 @@ def content_fingerprint(content: bytes) -> bytes:
 class WriteRecord:
     """One committed write, for consistency auditing (Figure 4).
 
-    ``fingerprint`` identifies the block's contents *after* the write,
+    ``content`` is the block's contents *after* the write -- the
+    memory's own frozen ``bytes`` snapshot, shared rather than copied --
     which lets the consistency analyzer reconstruct any block's content
-    identity at any past instant from the log alone.
+    identity at any past instant from the log alone.  ``fingerprint``
+    is derived from it when read: a write costs no hash, and only an
+    auditor pays for one.
 
     Treated as immutable by convention, like
     :class:`~repro.sim.trace.TraceRecord`: every committed write builds
@@ -81,7 +92,12 @@ class WriteRecord:
     time: float
     block: int
     actor: str
-    fingerprint: bytes = b""
+    content: bytes
+
+    @property
+    def fingerprint(self) -> bytes:
+        """:func:`content_fingerprint` of ``content``."""
+        return content_fingerprint(self.content)
 
 
 class MemoryImage:
@@ -302,12 +318,10 @@ class Memory:
         if self.mpu is not None and not self.mpu.check_write(block_index, actor):
             return
         self.blocks[block_index].data[:] = data
-        self._frozen[block_index] = bytes(data)
+        content = self._frozen[block_index] = bytes(data)
         self.generations[block_index] += 1
         self.write_log.append(
-            WriteRecord(
-                self.now(), block_index, actor, content_fingerprint(data)
-            )
+            WriteRecord(self.now(), block_index, actor, content)
         )
 
     def try_write(self, block_index: int, data: bytes, actor: str = "?") -> bool:
@@ -332,10 +346,7 @@ class Memory:
         self._frozen[block_index] = patched
         self.generations[block_index] += 1
         self.write_log.append(
-            WriteRecord(
-                self.now(), block_index, actor,
-                content_fingerprint(patched),
-            )
+            WriteRecord(self.now(), block_index, actor, patched)
         )
 
     # -- snapshots -----------------------------------------------------------

@@ -5,6 +5,13 @@ start/end, lock release, infections, detections.  :class:`Trace`
 collects timestamped records from every component so the figure
 benchmarks can print the same timelines from simulation output.
 
+The device records raw events and readers interpret them: ``record``
+appends its four arguments to four parallel columns and builds no
+object, and a :class:`TraceRecord` exists only when a reader asks for
+one (iteration, ``records``, the queries, ``render``).  Fleet runs emit
+thousands of records per run and read back only the counts, so the
+per-record cost is paid once, by whoever looks.
+
 Long-running fleet campaigns (:mod:`repro.fleet`) keep thousands of
 simulations alive at once, so the trace also supports a bounded
 ring-buffer mode (``max_records``) and a JSONL export hook
@@ -16,7 +23,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 
 def _jsonable(value: Any) -> Any:
@@ -32,13 +39,26 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
+def _row(
+    time: float, kind: str, source: str, data: Dict[str, Any]
+) -> Dict[str, Any]:
+    """The JSON object of one record (``TraceRecord.to_dict``)."""
+    return {
+        "time": time,
+        "kind": kind,
+        "source": source,
+        "data": {k: _jsonable(v) for k, v in sorted(data.items())},
+    }
+
+
 @dataclass(slots=True)
 class TraceRecord:
-    """One timeline event.
+    """One timeline event, as a reader of a :class:`Trace` sees it.
 
-    Treated as immutable by convention; ``slots`` (rather than
-    ``frozen``) keeps construction cheap on the per-compute hot path,
-    where ``object.__setattr__`` overhead is measurable at fleet scale.
+    Built from the trace's columns on each read, so two reads give
+    equal but distinct objects.  Treated as immutable by convention;
+    ``slots`` (rather than ``frozen``) keeps the per-read construction
+    cheap.
     """
 
     time: float
@@ -52,21 +72,16 @@ class TraceRecord:
         return f"{text} {extra}" if extra else text
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "time": self.time,
-            "kind": self.kind,
-            "source": self.source,
-            "data": {k: _jsonable(v) for k, v in sorted(self.data.items())},
-        }
+        return _row(self.time, self.kind, self.source, self.data)
 
 
 class Trace:
-    """Timestamped :class:`TraceRecord` storage with query helpers.
+    """Timestamped event storage with :class:`TraceRecord` queries.
 
-    Unbounded (a plain append-only list) by default; pass
-    ``max_records`` to keep only the newest records in a ring buffer --
-    older records are silently discarded and counted in ``dropped``,
-    so ``len(trace) + trace.dropped`` is the number of records emitted.
+    Unbounded (append-only lists) by default; pass ``max_records`` to
+    keep only the newest records in a ring buffer -- older records are
+    silently discarded and counted in ``dropped``, so
+    ``len(trace) + trace.dropped`` is the number of records emitted.
     """
 
     def __init__(self, max_records: Optional[int] = None) -> None:
@@ -74,8 +89,9 @@ class Trace:
             raise ValueError("max_records must be positive (or None)")
         #: the ring cap, or -1 (a length a list never has) when unbounded
         self._cap = -1 if max_records is None else max_records
-        self.records: Any = (
+        self._times, self._kinds, self._sources, self._data = (
             [] if max_records is None else deque(maxlen=max_records)
+            for _ in range(4)
         )
         self.dropped = 0
 
@@ -84,18 +100,28 @@ class Trace:
         return None if self._cap < 0 else self._cap
 
     def record(self, time: float, kind: str, source: str, **data: Any) -> None:
-        # one length test per record: the CPU alone calls this about
-        # 170k times per canned ``qoa`` campaign pass
-        records = self.records
-        if len(records) == self._cap:
+        # one length test and four appends per record: the CPU alone
+        # calls this about 170k times per canned ``qoa`` campaign pass
+        times = self._times
+        if len(times) == self._cap:
             self.dropped += 1
-        records.append(TraceRecord(time, kind, source, data))
+        times.append(time)
+        self._kinds.append(kind)
+        self._sources.append(source)
+        self._data.append(data)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._times)
 
-    def __iter__(self):
-        return iter(self.records)
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(
+            TraceRecord, self._times, self._kinds, self._sources, self._data
+        )
+
+    @property
+    def records(self) -> List[TraceRecord]:
+        """The retained records, oldest first, built on each read."""
+        return list(self)
 
     # -- queries --------------------------------------------------------
 
@@ -107,7 +133,7 @@ class Trace:
     ) -> List[TraceRecord]:
         """Records matching all provided criteria, in time order."""
         out = []
-        for rec in self.records:
+        for rec in self:
             if kind is not None and rec.kind != kind:
                 continue
             if source is not None and rec.source != source:
@@ -126,14 +152,11 @@ class Trace:
         return matches[-1] if matches else None
 
     def between(self, t_start: float, t_end: float) -> List[TraceRecord]:
-        return [r for r in self.records if t_start <= r.time <= t_end]
+        return [r for r in self if t_start <= r.time <= t_end]
 
     def kinds(self) -> List[str]:
         """Distinct record kinds, in first-appearance order."""
-        seen: Dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.kind, None)
-        return list(seen)
+        return list(dict.fromkeys(self._kinds))
 
     # -- rendering / export ---------------------------------------------
 
@@ -144,7 +167,7 @@ class Trace:
         wanted = set(kinds) if kinds is not None else None
         lines = [
             str(rec)
-            for rec in self.records
+            for rec in self
             if wanted is None or rec.kind in wanted
         ]
         if limit is not None:
@@ -159,15 +182,17 @@ class Trace:
         complete export from a truncated one.  Returns the number of
         data records written (the meta line is not counted).
 
-        The export is serialized in memory and flushed with a single
-        buffered ``write``: per-record ``write`` calls dominated export
-        time for fleet-scale traces, and one join yields the identical
-        bytes."""
-        lines = [
-            json.dumps(rec.to_dict(), sort_keys=True,
-                       separators=(",", ":"))
-            for rec in self.records
-        ]
+        Each line is built straight from the columns (no
+        :class:`TraceRecord`), and the export is serialized in memory
+        and flushed with a single buffered ``write``: per-record
+        ``write`` calls dominated export time for fleet-scale traces,
+        and one join yields the identical bytes."""
+        dumps = json.JSONEncoder(
+            sort_keys=True, separators=(",", ":")
+        ).encode
+        lines = list(map(dumps, map(
+            _row, self._times, self._kinds, self._sources, self._data
+        )))
         count = len(lines)
         meta = {
             "kind": "trace.meta",
@@ -175,9 +200,7 @@ class Trace:
             "dropped": self.dropped,
             "max_records": self.max_records,
         }
-        lines.append(
-            json.dumps(meta, sort_keys=True, separators=(",", ":"))
-        )
+        lines.append(dumps(meta))
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
         return count

@@ -63,6 +63,23 @@ class TestFingerprintReconstruction:
         assert analyzer.fingerprint_at(1, 5.0) == after
         assert analyzer.fingerprint_at(1, 99.0) == after
 
+    def test_timeline_follows_writes_after_a_query(self):
+        sim = Simulator()
+        device = Device(sim, block_count=4, block_size=16)
+        analyzer = ConsistencyAnalyzer(device.memory)
+        benign = content_fingerprint(device.memory.benign_block(3))
+        sim.schedule_at(1.0, device.memory.write, 3, b"\x01" * 16, "w")
+        sim.run(until=2.0)
+        first = content_fingerprint(b"\x01" * 16)
+        assert analyzer.fingerprint_at(3, 5.0) == first
+        sim.schedule_at(3.0, device.memory.write, 3, b"\x02" * 16, "w")
+        sim.run()
+        assert analyzer.fingerprint_at(3, 0.5) == benign
+        assert analyzer.fingerprint_at(3, 2.0) == first
+        assert analyzer.fingerprint_at(3, 3.0) == content_fingerprint(
+            b"\x02" * 16
+        )
+
     def test_multiple_writes_latest_wins(self):
         sim = Simulator()
         device = Device(sim, block_count=4, block_size=16)
@@ -134,6 +151,40 @@ class TestMechanismGuarantees:
         record, profile, _ = self.profile_for("all-lock")
         assert profile.probed_times
         assert profile.any_consistent
+
+
+class TestFig4Profiles:
+    """Profiles of two Figure 4 runs, captured when the analyzer still
+    rescanned the whole write log for every (block, probe) pair; the
+    per-block timeline must reproduce them exactly."""
+
+    PINS = {
+        "inc-lock": (
+            ConsistencyVerdict.INTERVAL,
+            (1.2625384, 1.350069304308128, 1.4376002086162558,
+             1.4376007086162557, 1.4376012086162557),
+            (0.999999, 0.9999994999999999, 1.0, 1.1312692, 1.2625384,
+             1.350069304308128, 1.4376002086162558, 1.4376007086162557,
+             1.4376012086162557),
+        ),
+        "all-lock-ext": (
+            ConsistencyVerdict.INTERVAL,
+            (0.999999, 0.9999994999999999, 1.0, 1.2188001043081274,
+             1.437600208616255, 1.5469917086162548, 1.6563832086162549),
+            (0.999999, 0.9999994999999999, 1.0, 1.2188001043081274,
+             1.437600208616255, 1.5469917086162548, 1.6563832086162549),
+        ),
+    }
+
+    @pytest.mark.parametrize("policy", sorted(PINS))
+    def test_profile_unchanged(self, policy):
+        from repro.experiments import fig4_consistency
+
+        (case,) = fig4_consistency(policies=[policy]).cases
+        profile = case.profile
+        assert (
+            profile.verdict, profile.consistent_times, profile.probed_times
+        ) == self.PINS[policy]
 
 
 class TestAnalyzerValidation:

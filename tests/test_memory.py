@@ -135,6 +135,48 @@ class TestWriteLog:
         assert memory.write_log[-1].fingerprint == expected
 
 
+class TestWriteLogContents:
+    """Each logged write keeps the block's contents after it, and its
+    fingerprint, derived on read, is the fingerprint of that block as
+    read right after the write."""
+
+    def test_fingerprint_matches_block_read_after_each_write(self):
+        sim = Simulator()
+        memory = make_memory()
+        memory.mpu = MemoryProtectionUnit(sim, 8, FaultPolicy.DROP)
+        memory.mpu.lock(6)
+        seen = []
+
+        def read_back(block):
+            seen.append(content_fingerprint(memory.read_block(block)))
+
+        memory.write(2, b"\x11" * 16, "w")
+        read_back(2)
+        memory.patch(2, 3, b"\xEE\xEF", "p")
+        read_back(2)
+        memory.write(6, b"\x22" * 16, "denied")
+        memory.patch(5, 15, bytearray(b"\x01"), "p")
+        read_back(5)
+        memory.write(2, bytearray(b"\x33" * 16), "w")
+        read_back(2)
+
+        assert [rec.block for rec in memory.write_log] == [2, 2, 5, 2]
+        assert "denied" not in [rec.actor for rec in memory.write_log]
+        assert [rec.fingerprint for rec in memory.write_log] == seen
+
+    def test_content_is_the_frozen_snapshot(self):
+        memory = make_memory()
+        payload = bytearray(b"\x44" * 16)
+        memory.write(1, payload, "w")
+        payload[0] = 0  # the caller's buffer is not the record's
+        record = memory.write_log[-1]
+        assert record.content is memory.read_block(1)
+        assert record.content == b"\x44" * 16
+        memory.patch(1, 0, b"\x55", "p")
+        assert memory.write_log[-1].content is memory.read_block(1)
+        assert record.content == b"\x44" * 16
+
+
 class TestMpuIntegration:
     def make_locked(self):
         sim = Simulator()
