@@ -30,6 +30,19 @@ from repro.ra.report import (
 from repro.sim.engine import Simulator
 
 
+def frozen_blocks(blocks: Sequence[bytes]) -> Tuple[bytes, ...]:
+    """``blocks`` as a tuple of exact ``bytes``.
+
+    A tuple that already is one is returned as is, so every prover of a
+    cohort and every verifier profile enrolled under it share one
+    image; anything else (a list, a ``bytearray`` block, a ``bytes``
+    subclass) is copied.
+    """
+    if type(blocks) is tuple and all(type(b) is bytes for b in blocks):
+        return blocks
+    return tuple(bytes(b) for b in blocks)
+
+
 @dataclass
 class DeviceProfile:
     """Everything Vrf knows about one prover."""
@@ -194,7 +207,7 @@ class Verifier:
         profile = DeviceProfile(
             name=name,
             key=key,
-            reference=tuple(bytes(b) for b in reference),
+            reference=frozen_blocks(reference),
             region_map=dict(region_map or {}),
             mutable_blocks=mutable_blocks or frozenset(),
         )
@@ -425,11 +438,13 @@ class Verifier:
         """Expected digests for the plain records in ``entries``.
 
         Sequential-order records without a data copy are grouped per
-        ``(device, algorithm, region, normalized)``; each group joins
-        its reference traversal once (:func:`traversal_bytes`) and
-        every distinct member MAC takes ``nonce || counter`` and that
-        buffer.  Every other record is left to :meth:`expected_for`,
-        which digests it on first use and stores it in the same memo.
+        ``(device, algorithm, region, normalized)``.  Each distinct
+        ``(reference, measured blocks, normalized blocks)`` is joined
+        once (:func:`traversal_bytes`) -- devices enrolled under one
+        shared reference tuple share the buffer -- and every distinct
+        member MAC takes ``nonce || counter`` and that buffer.  Every
+        other record is left to :meth:`expected_for`, which digests it
+        on first use and stores it in the same memo.
         """
         memo: Dict[tuple, bytes] = {}
         groups: Dict[tuple, List[Tuple[tuple, MeasurementRecord]]] = {}
@@ -447,20 +462,27 @@ class Verifier:
                 sig = (record.device, record.algorithm, record.region,
                        record.normalized)
                 groups.setdefault(sig, []).append((key, record))
+        # keyed by the reference's identity: every profile in
+        # ``self.devices`` keeps its reference alive for this call
+        traversals: Dict[tuple, bytes] = {}
         for sig, members in groups.items():
             device, algorithm, _region, normalized = sig
             profile = self.devices[device]
             try:
-                traversal = traversal_bytes(
-                    profile.reference,
-                    self._measured_blocks(profile, members[0][1]),
-                    "sequential", b"",
-                    profile.mutable_blocks if normalized else None,
+                blocks = tuple(
+                    self._measured_blocks(profile, members[0][1])
                 )
             except ConfigurationError:
                 for key, _record in members:
                     del memo[key]
                 continue
+            zeroed = profile.mutable_blocks if normalized else None
+            shape = (id(profile.reference), blocks, zeroed)
+            traversal = traversals.get(shape)
+            if traversal is None:
+                traversal = traversals[shape] = traversal_bytes(
+                    profile.reference, blocks, "sequential", b"", zeroed
+                )
             for key, record in members:
                 mac = Hmac(profile.key, algorithm)
                 mac.update(record.nonce + record.counter.to_bytes(8, "big"))

@@ -314,7 +314,6 @@ class Signal:
         self.sim = sim
         self.name = name
         self.fire_count = 0
-        self.last_value: Any = None
         self._waiters: List[Callable[[Any], None]] = []
 
     def wait(self, callback: Callable[[Any], None]) -> None:
@@ -342,7 +341,6 @@ class Signal:
     def fire(self, value: Any = None) -> int:
         """Wake all current waiters with ``value``.  Returns waiter count."""
         self.fire_count += 1
-        self.last_value = value
         waiters, self._waiters = self._waiters, []
         for callback in waiters:
             self.sim.schedule(0.0, callback, value)

@@ -255,11 +255,13 @@ class Channel:
         self.trace = trace
         self.endpoints: Dict[str, Endpoint] = {}
         self.filters: List[Callable[[Message], Any]] = []
-        self.log: List[Message] = []
-        self.dropped: List[Message] = []
-        self._ids = itertools.count(1)
-        # ``net.messages.sent``/``dropped`` read ``log``/``dropped``,
+        # counts, not captured messages, so a message is freed once it
+        # is delivered (a caller that needs the traffic adds a filter
+        # that records it); ``net.messages.sent``/``dropped`` read them,
         # registered on the first send/drop (see Endpoint.deliver)
+        self.sent_count = 0
+        self.dropped_count = 0
+        self._ids = itertools.count(1)
         self._sent_read = False
         self._dropped_read = False
 
@@ -291,12 +293,12 @@ class Channel:
         message = Message(
             next(self._ids), src, dst, kind, payload, self.sim.now, ctx
         )
-        self.log.append(message)
+        self.sent_count += 1
         obs = self.sim.obs
         if obs.enabled and not self._sent_read:
             self._sent_read = True
             obs.metrics.read_counter(
-                "net.messages.sent", lambda: len(self.log),
+                "net.messages.sent", lambda: self.sent_count,
                 "messages entering the channel",
             )
         deliveries = [(self._base_latency(message), message)]
@@ -305,11 +307,12 @@ class Channel:
             for delay, msg in deliveries:
                 verdict = FilterVerdict.coerce(filter_fn(msg))
                 if verdict.action == "drop":
-                    self.dropped.append(msg)
+                    self.dropped_count += 1
                     if obs.enabled and not self._dropped_read:
                         self._dropped_read = True
                         obs.metrics.read_counter(
-                            "net.messages.dropped", lambda: len(self.dropped),
+                            "net.messages.dropped",
+                            lambda: self.dropped_count,
                             "messages eaten by an in-path filter",
                         )
                     if self.trace is not None:

@@ -28,7 +28,7 @@ from repro.errors import ConfigurationError
 from repro.obs.tracectx import TraceContext
 from repro.ra.measurement import expected_digest
 from repro.ra.report import AttestationReport, MeasurementRecord
-from repro.ra.verifier import Verifier
+from repro.ra.verifier import Verifier, frozen_blocks
 from repro.sim.engine import Simulator
 from repro.sim.network import Endpoint
 
@@ -74,7 +74,7 @@ class SimProver:
         self.history_size = history_size
         self.algorithm = algorithm
         self.compromised = compromised
-        image = tuple(bytes(b) for b in image)
+        image = frozen_blocks(image)
         if compromised:
             # honest compromise: the prover measures what it actually
             # holds, and what it holds diverges from the reference

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 import pytest
 
@@ -10,7 +11,25 @@ from repro.ra.service import OnDemandVerifier
 from repro.ra.verifier import Verifier
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
-from repro.sim.network import Channel
+from repro.sim.network import Channel, FilterVerdict, Message
+
+
+def tap(channel: Channel) -> List[Message]:
+    """Capture every message sent on ``channel`` and deliver it as is.
+
+    A channel only counts its traffic; a test that needs the messages
+    themselves taps the channel before adding any fault filter, so the
+    tap sees every send (in send order) before a filter drops,
+    delays or replays it.
+    """
+    sent: List[Message] = []
+
+    def record(message: Message) -> FilterVerdict:
+        sent.append(message)
+        return FilterVerdict.deliver()
+
+    channel.add_filter(record)
+    return sent
 
 
 @pytest.fixture

@@ -17,14 +17,16 @@ from repro.swarm import (
     make_topology,
 )
 
+from tests.conftest import tap
 from tests.paper.conftest import banner
 
 
-def hop_traffic(topology):
-    """Total link crossings: each logged message weighted by its hop
-    distance (the mesh's real radio/energy cost)."""
+def hop_traffic(topology, sent):
+    """Total link crossings: each message ``sent`` on the mesh weighted
+    by its hop distance (the mesh's real radio/energy cost)."""
+    assert sent and len(sent) == topology.channel.sent_count
     total = 0
-    for message in topology.channel.log:
+    for message in sent:
         def index_of(name):
             try:
                 return topology.device_index(name)
@@ -40,25 +42,27 @@ def hop_traffic(topology):
 def run_collective(count, shape="tree"):
     sim = Simulator()
     topology = make_topology(sim, count=count, shape=shape)
+    sent = tap(topology.channel)
     verifier = Verifier(sim)
     swarm = SwarmAttestation(topology, verifier)
     nonce = swarm.attest()
     sim.run(until=300)
     result = swarm.result_for(nonce)
     assert result is not None and result.all_healthy
-    return result.completed_at, hop_traffic(topology), 1
+    return result.completed_at, hop_traffic(topology, sent), 1
 
 
 def run_lisa(count, shape="tree"):
     sim = Simulator()
     topology = make_topology(sim, count=count, shape=shape)
+    sent = tap(topology.channel)
     verifier = Verifier(sim)
     lisa = LisaAlphaAttestation(topology, verifier)
     nonce = lisa.attest()
     sim.run(until=300)
     result = lisa.result_for(nonce)
     assert result.complete
-    return result.completed_at, hop_traffic(topology), count
+    return result.completed_at, hop_traffic(topology, sent), count
 
 
 def run_naive(count, shape="tree"):
@@ -66,6 +70,7 @@ def run_naive(count, shape="tree"):
     every device individually over the multi-hop channel."""
     sim = Simulator()
     topology = make_topology(sim, count=count, shape=shape)
+    sent = tap(topology.channel)
     verifier = Verifier(sim)
     for device in topology.devices:
         verifier.enroll(device)
@@ -78,7 +83,7 @@ def run_naive(count, shape="tree"):
         e.result is not None and e.result.healthy for e in exchanges
     )
     finished = max(e.result.verified_at for e in exchanges)
-    return finished, hop_traffic(topology), count
+    return finished, hop_traffic(topology, sent), count
 
 
 def test_ablation_swarm_scaling():

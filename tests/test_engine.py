@@ -1,5 +1,7 @@
 """Discrete-event engine: ordering, cancellation, signals."""
 
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -229,10 +231,17 @@ class TestSignal:
         sim = Simulator()
         Signal(sim, "s").unwait(lambda v: None)
 
-    def test_fire_count_and_last_value(self):
+    def test_fire_count_and_no_retained_value(self):
+        class Payload:
+            pass
+
         sim = Simulator()
         signal = Signal(sim, "s")
+        payload = Payload()
+        fired = weakref.ref(payload)
         signal.fire("a")
-        signal.fire("b")
+        signal.fire(payload)
+        del payload
         assert signal.fire_count == 2
-        assert signal.last_value == "b"
+        # an edge, not a level: with no waiter, nothing keeps the value
+        assert fired() is None

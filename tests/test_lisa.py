@@ -89,7 +89,7 @@ class TestQosaTrade:
         nonce_a = lisa.attest()
         sim_a.run(until=60)
         alpha_result = lisa.result_for(nonce_a)
-        alpha_messages = len(topo_a.channel.log)
+        alpha_messages = topo_a.channel.sent_count
 
         # aggregated
         sim_s = Simulator()
@@ -99,7 +99,7 @@ class TestQosaTrade:
         nonce_s = swarm.attest()
         sim_s.run(until=60)
         agg_result = swarm.result_for(nonce_s)
-        agg_messages = len(topo_s.channel.log)
+        agg_messages = topo_s.channel.sent_count
         return (alpha_result, alpha_messages), (agg_result, agg_messages)
 
     def test_alpha_carries_more_information(self):

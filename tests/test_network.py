@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.core import Observability
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.network import (
     Channel,
@@ -12,6 +14,8 @@ from repro.sim.network import (
     FilterVerdict,
     ReplayAdversary,
 )
+
+from tests.conftest import tap
 
 
 def rig(latency=0.01):
@@ -84,9 +88,11 @@ class TestDelivery:
 
     def test_log_records_all_sends(self):
         sim, channel, a, b = rig()
+        sent = tap(channel)
         a.send("b", "x", None)
         b.send("a", "y", None)
-        assert [m.kind for m in channel.log] == ["x", "y"]
+        assert [m.kind for m in sent] == ["x", "y"]
+        assert channel.sent_count == 2
 
 
     @pytest.mark.parametrize("verdict_of, arrivals", [
@@ -109,7 +115,7 @@ class TestDelivery:
         a.send("b", "x", None)
         sim.run()
         assert seen == [pytest.approx(t) for t in arrivals]
-        assert len(channel.dropped) == (0 if arrivals else 1)
+        assert channel.dropped_count == (0 if arrivals else 1)
 
 
 class TestDropAdversary:
@@ -122,7 +128,7 @@ class TestDropAdversary:
         sim.run()
         assert [m.kind for m in b.drain()] == ["other"]
         assert adversary.dropped_count == 1
-        assert len(channel.dropped) == 1
+        assert channel.dropped_count == 1
 
     def test_zero_probability_drops_nothing(self):
         sim, channel, a, b = rig()
@@ -135,6 +141,26 @@ class TestDropAdversary:
     def test_invalid_probability_rejected(self):
         with pytest.raises(ConfigurationError):
             DropAdversary(probability=1.5)
+
+    def test_counts_match_sends_and_drops(self):
+        sim = Simulator(obs=Observability(metrics=MetricsRegistry()))
+        channel = Channel(sim, latency=0.01)
+        a = channel.make_endpoint("a")
+        b = channel.make_endpoint("b")
+        sent = tap(channel)
+        channel.add_filter(DropAdversary(probability=1.0, kind="report"))
+        kinds = ["report", "other", "report", "other", "other"]
+        for kind in kinds:
+            a.send("b", kind, None)
+        b.send("a", "report", None)
+        sim.run()
+        assert [m.kind for m in sent] == kinds + ["report"]
+        assert channel.sent_count == len(sent) == 6
+        assert channel.dropped_count == 3
+        assert b.received_count + a.received_count == 3
+        flat = sim.obs.metrics.snapshot_flat()
+        assert flat["net.messages.sent"] == 6
+        assert flat["net.messages.dropped"] == 3
 
 
 class TestDelayAdversary:

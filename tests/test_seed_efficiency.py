@@ -38,7 +38,7 @@ class TestCommunicationOverhead:
                     trigger_count=measurements, grace=1.0)
         service.start()
         sim.run(until=60)
-        seed_messages = len(channel.log)
+        seed_messages = channel.sent_count
         assert verifier.verdict_counts().get("healthy") == measurements
 
         # --- on-demand ------------------------------------------------
@@ -55,7 +55,7 @@ class TestCommunicationOverhead:
             sim2.schedule_at(index * 3.0 + 0.1, driver.request,
                              device2.name)
         sim2.run(until=60)
-        ondemand_messages = len(channel2.log)
+        ondemand_messages = channel2.sent_count
 
         assert seed_messages == measurements
         assert ondemand_messages == 2 * measurements

@@ -21,6 +21,8 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Channel
 from repro.units import MiB
 
+from tests.conftest import tap
+
 
 def run_soak(horizon=120.0):
     sim = Simulator()
@@ -28,6 +30,7 @@ def run_soak(horizon=120.0):
                     sim_block_size=MiB)
     device.standard_layout()
     channel = Channel(sim, latency=0.003, trace=device.trace)
+    sent = tap(channel)
     device.attach_network(channel)
     verifier = Verifier(sim)
     verifier.enroll(device)
@@ -87,6 +90,7 @@ def run_soak(horizon=120.0):
         "monitor": monitor,
         "driver": driver,
         "channel": channel,
+        "sent": sent,
     }
 
 
@@ -174,12 +178,14 @@ class TestDeterminism:
 
         log_1 = [
             (m.sent_at, m.src, m.dst, m.kind)
-            for m in first["channel"].log
+            for m in first["sent"]
         ]
         log_2 = [
             (m.sent_at, m.src, m.dst, m.kind)
-            for m in second["channel"].log
+            for m in second["sent"]
         ]
+        assert log_1
+        assert len(log_1) == first["channel"].sent_count
         assert log_1 == log_2
 
         trace_1 = [str(r) for r in first["device"].trace]

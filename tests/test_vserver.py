@@ -8,14 +8,18 @@ many-to-one mux endpoint, seeded load generation, the one-call
 service wiring, the fleet integration, and the ``repro serve`` CLI.
 """
 
+import gc
 import json
+import sys
+import types
 
 import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
-from repro.ra.report import AttestationReport
+from repro.ra import verifier as verifier_module
+from repro.ra.report import AttestationReport, VerificationResult
 from repro.ra.verifier import Verifier
 from repro.resilience.outcome import (
     COMPLETED_OUTCOMES,
@@ -25,7 +29,7 @@ from repro.resilience.outcome import (
 )
 from repro.scenario import Scenario
 from repro.sim.engine import Simulator
-from repro.sim.network import Channel, MuxEndpoint
+from repro.sim.network import Channel, Message, MuxEndpoint
 from repro.vserver import (
     LoadGenerator,
     ServerConfig,
@@ -373,6 +377,120 @@ class TestBuildService:
         assert "malware" in str(err.value)
         with pytest.raises(ConfigurationError):
             Scenario.build(service_options={"provers": 12})
+
+
+def reachable_counts(root, kinds):
+    """How many objects of each of ``kinds`` the object graph below
+    ``root`` reaches (``gc.get_referents``, not entering classes,
+    modules or module globals, which reach the whole process)."""
+    module_dicts = {
+        id(vars(module)) for module in list(sys.modules.values())
+        if module is not None
+    }
+    seen = {id(root)}
+    stack = [root]
+    counts = {kind: 0 for kind in kinds}
+    while stack:
+        obj = stack.pop()
+        for kind in kinds:
+            if isinstance(obj, kind):
+                counts[kind] += 1
+        for ref in gc.get_referents(obj):
+            if (isinstance(ref, (type, types.ModuleType))
+                    or id(ref) in module_dicts or id(ref) in seen):
+                continue
+            seen.add(id(ref))
+            stack.append(ref)
+    return counts
+
+
+class TestFootprint:
+    """What a served scenario holds: one image per cohort, and no
+    report or message once its verdict is in the ledger."""
+
+    def cohorts(self, scenario):
+        by_cohort = {}
+        for index, prover in enumerate(scenario.provers):
+            by_cohort.setdefault(
+                index % scenario.config.cohorts, []
+            ).append(prover)
+        return by_cohort
+
+    def test_cohort_shares_one_image(self):
+        scenario = build_service_scenario(ServiceConfig.parse("smoke"))
+        verifier = scenario.verifier
+        for members in self.cohorts(scenario).values():
+            honest = [p for p in members if not p.compromised]
+            assert len(honest) >= 2
+            image = honest[0].image
+            for prover in honest:
+                assert prover.image is image
+            for prover in members:
+                assert verifier.profile(prover.name).reference is image
+
+    def test_compromised_prover_holds_its_own_image(self):
+        scenario = build_service_scenario(ServiceConfig.parse("smoke"))
+        verifier = scenario.verifier
+        compromised = [p for p in scenario.provers if p.compromised]
+        assert compromised
+        for prover in compromised:
+            reference = verifier.profile(prover.name).reference
+            assert prover.image is not reference
+            assert prover.image[0] != reference[0]
+            assert prover.image[1:] == reference[1:]
+
+    def test_list_image_is_copied(self):
+        blocks = list(cohort_image("t", 4, 16))
+        profile = Verifier(Simulator()).enroll(
+            "prv1", key=prover_key("prv1"), reference=blocks
+        )
+        assert isinstance(profile.reference, tuple)
+        assert list(profile.reference) == blocks
+        blocks[0] = b"changed"
+        assert profile.reference[0] != b"changed"
+
+    def test_no_report_or_message_outlives_its_verdict(self):
+        scenario = build_service_scenario(ServiceConfig.parse("smoke"))
+        stats = scenario.run()
+        assert stats["verified"] > 0 and stats["unaccounted"] == 0
+        counts = reachable_counts(
+            scenario, (AttestationReport, Message, VerificationResult)
+        )
+        # the walk does reach the ledger side of the scenario
+        assert counts[VerificationResult] == len(scenario.verifier.results)
+        assert counts[VerificationResult] > 0
+        assert counts[AttestationReport] == 0
+        assert counts[Message] == 0
+
+    def test_one_traversal_per_cohort_reference(self, monkeypatch):
+        scenario = build_service_scenario(
+            ServiceConfig.parse("smoke;cohorts=3")
+        )
+        verifier = scenario.verifier
+        joins = []
+        real_traversal = verifier_module.traversal_bytes
+        real_batch = verifier.verify_batch
+
+        def counting_traversal(*args, **kwargs):
+            joins[-1][1] += 1
+            return real_traversal(*args, **kwargs)
+
+        def recording_batch(entries):
+            references = {
+                id(verifier.profile(report.device).reference)
+                for report, _kwargs in entries
+            }
+            joins.append([len(references), 0])
+            return real_batch(entries)
+
+        monkeypatch.setattr(
+            verifier_module, "traversal_bytes", counting_traversal
+        )
+        monkeypatch.setattr(verifier, "verify_batch", recording_batch)
+        scenario.run()
+        assert joins
+        assert max(references for references, _ in joins) == 3
+        assert all(count == references for references, count in joins)
 
 
 class TestFleetIntegration:
