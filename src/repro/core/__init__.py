@@ -28,11 +28,9 @@ from repro.core.scheduler_policy import (
     SlackSchedule,
 )
 from repro.core.tradeoff import (
-    MechanismSetup,
     ScenarioOutcome,
     EvaluationMatrix,
     evaluate_all,
-    standard_mechanisms,
 )
 
 __all__ = [
@@ -49,9 +47,7 @@ __all__ = [
     "FixedSchedule",
     "ContextAwareSchedule",
     "SlackSchedule",
-    "MechanismSetup",
     "ScenarioOutcome",
     "EvaluationMatrix",
     "evaluate_all",
-    "standard_mechanisms",
 ]

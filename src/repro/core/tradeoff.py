@@ -26,18 +26,12 @@ secretly-timed instants (its interruptibility cell is the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.consistency import expected_consistency
 from repro.core.solution import Feature, solution_by_key
 from repro.errors import ConfigurationError
-from repro.ra.erasmus import ErasmusService
-from repro.ra.locking import make_policy
-from repro.ra.measurement import MeasurementConfig
 from repro.ra.report import Verdict
-from repro.ra.service import AttestationService
-from repro.ra.smarm import SmarmAttestation
-from repro.ra.smart import SmartAttestation
 from repro.sim.device import Device
 from repro.units import MiB
 
@@ -77,81 +71,6 @@ class ScenarioConfig:
     malware_block: int = 5  # inside the code region
     infect_at: float = 0.5
     probe_count: int = 6  # mid-MP write probes across the data region
-
-
-@dataclass
-class MechanismSetup:
-    """How to instantiate one mechanism inside a scenario."""
-
-    key: str
-    kind: str  # "on-demand" | "self"
-    build: Callable[[Device, ScenarioConfig], object]
-    rounds: int = 1
-
-
-def _ondemand_builder(policy_name: Optional[str], atomic: bool):
-    def build(device: Device, config: ScenarioConfig):
-        mp_config = MeasurementConfig(
-            algorithm=config.algorithm,
-            order="sequential",
-            atomic=atomic,
-            locking=make_policy(policy_name) if policy_name else None,
-            priority=config.mp_priority,
-            normalize_mutable=True,
-        )
-        name = policy_name or ("smart" if atomic else "ondemand")
-        return AttestationService(device, mp_config, mechanism=name)
-
-    return build
-
-
-def standard_mechanisms() -> Dict[str, MechanismSetup]:
-    """The Table 1 rows as runnable setups."""
-
-    def build_smart(device: Device, config: ScenarioConfig):
-        service = SmartAttestation(device, algorithm=config.algorithm)
-        service.config.normalize_mutable = True
-        return service
-
-    def build_smarm(device: Device, config: ScenarioConfig):
-        service = SmarmAttestation(
-            device, algorithm=config.algorithm,
-            rounds=config.smarm_rounds, priority=config.mp_priority,
-        )
-        service.config.normalize_mutable = True
-        return service
-
-    def build_erasmus(device: Device, config: ScenarioConfig):
-        mp_config = MeasurementConfig(
-            algorithm=config.algorithm,
-            order="sequential",
-            atomic=True,  # ERASMUS runs SMART-style measurements, self-timed
-            priority=config.mp_priority,
-            normalize_mutable=True,
-        )
-        return ErasmusService(
-            device, period=config.erasmus_period, config=mp_config,
-        )
-
-    setups = {
-        "smart": MechanismSetup("smart", "on-demand", build_smart),
-        "all-lock": MechanismSetup(
-            "all-lock", "on-demand", _ondemand_builder("all-lock", False)
-        ),
-        "dec-lock": MechanismSetup(
-            "dec-lock", "on-demand", _ondemand_builder("dec-lock", False)
-        ),
-        "inc-lock": MechanismSetup(
-            "inc-lock", "on-demand", _ondemand_builder("inc-lock", False)
-        ),
-        "no-lock": MechanismSetup(
-            "no-lock", "on-demand", _ondemand_builder("no-lock", False)
-        ),
-        "smarm": MechanismSetup("smarm", "on-demand", build_smarm),
-        "erasmus": MechanismSetup("erasmus", "self", build_erasmus),
-    }
-    setups["smarm"].rounds = 13
-    return setups
 
 
 @dataclass
@@ -233,20 +152,22 @@ def _schedule_probes(device: Device, config: ScenarioConfig,
 
 
 def run_scenario(
-    setup: MechanismSetup,
+    mechanism: str,
     adversary: str,
     config: Optional[ScenarioConfig] = None,
     seed: int = 7,
 ) -> ScenarioOutcome:
     """Run one cell of the evaluation matrix."""
-    # Lazy: repro.scenario imports this module for ScenarioConfig and
-    # standard_mechanisms, so the factory can only be pulled in at
-    # call time.
-    from repro.scenario import Scenario
+    # Lazy: repro.scenario imports this module for ScenarioConfig, so
+    # the factory can only be pulled in at call time.
+    from repro.scenario import MECHANISMS, Scenario
 
+    if mechanism not in MECHANISMS:
+        raise ConfigurationError(f"unknown mechanism {mechanism!r}")
+    kind = MECHANISMS[mechanism].kind
     config = config or ScenarioConfig()
     scenario = Scenario.build(
-        mechanism=setup.key,
+        mechanism=mechanism,
         malware=adversary,
         workload="firealarm",
         config=config,
@@ -256,13 +177,12 @@ def run_scenario(
     device = scenario.device
     verifier = scenario.verifier
     app = scenario.app
-    service = scenario.service
-    collector = scenario.collector
-    if setup.kind == "on-demand":
-        scenario.schedule_request(config.request_at, rounds=setup.rounds)
-    else:
+    if kind == "on-demand":
+        scenario.schedule_request(config.request_at)
+    elif kind == "self":
         sim.schedule_at(
-            config.erasmus_collect_at, collector.collect, device.name
+            config.erasmus_collect_at, scenario.collector.collect,
+            device.name,
         )
 
     # Estimate the MP window for probe placement: first measurement
@@ -272,9 +192,7 @@ def run_scenario(
         config.algorithm, config.sim_block_size
     )
     mp_estimate = per_block * config.block_count
-    window_start = (
-        config.request_at + 0.01 if setup.kind == "on-demand" else 0.0
-    )
+    window_start = config.request_at + 0.01 if kind == "on-demand" else 0.0
     probe = ProbeResult()
     _schedule_probes(
         device, config, probe, (window_start, window_start + mp_estimate)
@@ -286,12 +204,7 @@ def run_scenario(
     detected = any(
         result.verdict is Verdict.COMPROMISED for result in verifier.results
     )
-    records = []
-    if setup.kind == "on-demand":
-        for report in service.reports_sent:
-            records.extend(report.records)
-    else:
-        records = list(service.history)
+    records, _ = scenario.produced()
     mp_duration = records[0].duration if records else 0.0
     mp_interruptions = max(
         (record.interruptions for record in records), default=0
@@ -301,7 +214,7 @@ def run_scenario(
     blocked = sum(getattr(agent, "blocked_actions", 0) for agent in agents)
 
     return ScenarioOutcome(
-        mechanism=setup.key,
+        mechanism=mechanism,
         adversary=adversary,
         detected=detected,
         verdicts=verdicts,
@@ -456,15 +369,11 @@ def evaluate_all(
 ) -> EvaluationMatrix:
     """Run the full mechanism x adversary matrix."""
     config = config or ScenarioConfig()
-    setups = standard_mechanisms()
     keys = mechanisms if mechanisms is not None else list(STANDARD_KEYS)
     outcomes: Dict[Tuple[str, str], ScenarioOutcome] = {}
     for key in keys:
-        setup = setups.get(key)
-        if setup is None:
-            raise ConfigurationError(f"unknown mechanism {key!r}")
         for adversary in adversaries:
             outcomes[(key, adversary)] = run_scenario(
-                setup, adversary, config
+                key, adversary, config
             )
     return EvaluationMatrix(outcomes=outcomes, config=config)

@@ -548,17 +548,15 @@ def sec25_firealarm(
             workload_options={"data_block": None},
         )
         app = scenario.app
-        service = scenario.service
         request_at = 2.0
-        mp_duration = 0.0
         if scenario.driver is not None:
-            scenario.schedule_request(request_at, rounds=1)
+            scenario.schedule_request(request_at)
         # Fire breaks out 100 ms after the request (i.e. just after MP
         # starts, the paper's worst case).
         app.start_fire(request_at + 0.1)
         scenario.run(until=60.0)
-        if service is not None and service.reports_sent:
-            mp_duration = service.reports_sent[0].records[0].duration
+        records, _ = scenario.produced()
+        mp_duration = records[0].duration if records else 0.0
         outcome = app.outcome()
         rows.append(
             Sec25Row(

@@ -37,7 +37,6 @@ from repro.fleet.campaign import (
 from repro.fleet.clock import ClockFn, perf_time, wall_time
 from repro.fleet.executor import (
     FleetTimeout,
-    InjectedFailure,
     execute_run,
     run_one,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "ExecutorBackend",
     "FleetTimeout",
     "GroupSummary",
-    "InjectedFailure",
     "PipelineConfig",
     "PipelineReport",
     "ProcessPoolBackend",

@@ -22,24 +22,12 @@ from functools import cached_property
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.scenario import MECHANISMS
 from repro.units import MiB
 
-#: mechanisms the fleet worker knows how to instantiate.  ``crashtest``
-#: and ``sleeptest`` are deliberate failure injectors for exercising
-#: the executor's retry/timeout paths (documented in docs/fleet.md).
-KNOWN_MECHANISMS = (
-    "smart",
-    "all-lock",
-    "dec-lock",
-    "inc-lock",
-    "no-lock",
-    "smarm",
-    "erasmus",
-    "seed",
-    "vserver",
-    "crashtest",
-    "sleeptest",
-)
+#: mechanisms the fleet worker knows how to instantiate: every
+#: single-device mechanism plus ``vserver``, the served-verifier stack
+KNOWN_MECHANISMS = (*MECHANISMS, "vserver")
 
 KNOWN_ADVERSARIES = ("none", "transient", "relocating")
 

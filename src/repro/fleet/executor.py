@@ -26,7 +26,6 @@ import hashlib
 import os
 import signal
 import threading
-import time
 import traceback
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
@@ -50,16 +49,12 @@ from repro.obs.core import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.ra.report import Verdict
 from repro.resilience.retry import RetryPolicy
-from repro.scenario import Scenario
+from repro.scenario import MECHANISMS, Scenario
 from repro.sim.trace import Trace
 
 
 class FleetTimeout(Exception):
     """A run exceeded its wall-clock budget."""
-
-
-class InjectedFailure(RuntimeError):
-    """Raised by the ``crashtest`` mechanism (executor test hook)."""
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +107,17 @@ def _effective_infect_at(spec: RunSpec) -> float:
     return spec.infect_at + drbg.uniform() * spec.infect_jitter
 
 
-def _retry_policy(spec: RunSpec) -> RetryPolicy:
+def _retry_policy(spec: RunSpec, rounds: int) -> RetryPolicy:
     """Retransmission budget for fault-injected runs, sized from the
-    device's timing model: the per-exchange timeout must cover a full
-    measurement pass (plus channel latency), else every exchange would
-    "time out" while the prover is still hashing."""
+    device's timing model: the per-exchange timeout must cover a
+    request's ``rounds`` measurement passes (plus channel latency),
+    else every exchange would "time out" while the prover is still
+    hashing."""
     measure = (
         OdroidXU4Model().hash_time(spec.algorithm, spec.sim_block_size)
         * spec.block_count
+        * max(1, rounds)
     )
-    if spec.mechanism == "smarm":
-        measure *= max(1, spec.rounds)
     timeout = max(0.5, 2.0 * measure)
     return RetryPolicy(
         timeout=timeout,
@@ -135,7 +130,7 @@ def _retry_policy(spec: RunSpec) -> RetryPolicy:
 
 
 def _qoa_stats(spec: RunSpec) -> Dict[str, float]:
-    if spec.mechanism not in ("erasmus", "seed"):
+    if MECHANISMS[spec.mechanism].kind == "on-demand":
         return {}
     params = QoAParameters(t_m=spec.t_m, t_c=spec.t_c)
     stats = {
@@ -309,16 +304,8 @@ def execute_run(spec: RunSpec, obs: Optional[Any] = None) -> RunResult:
 
 
 def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
-    if spec.mechanism == "crashtest":
-        raise InjectedFailure("injected crashtest failure")
     if spec.mechanism == "vserver":
         return _execute_service_run(spec, obs)
-    if spec.mechanism == "sleeptest":
-        # Burns *wall-clock* time equal to the simulated horizon --
-        # only useful for exercising the timeout path.
-        time.sleep(spec.horizon)
-        return RunResult(run_id=spec.run_id, spec=spec.to_dict(),
-                         sim_time=spec.horizon)
 
     if obs is None:
         obs = Observability(metrics=MetricsRegistry())
@@ -326,6 +313,8 @@ def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
     # All wiring goes through the one factory; the executor only maps
     # spec fields onto factory arguments and schedules the protocol.
     faults = spec.faults or None
+    config = _scenario_config(spec)
+    rounds = MECHANISMS[spec.mechanism].rounds(config)
     scenario = Scenario.build(
         mechanism=spec.mechanism,
         malware=spec.adversary,
@@ -334,9 +323,9 @@ def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
             spec.workload if spec.workload in ("firealarm", "writers")
             else None
         ),
-        config=_scenario_config(spec),
+        config=config,
         seed=_effective_seed(spec),
-        retry=_retry_policy(spec) if faults else None,
+        retry=_retry_policy(spec, rounds) if faults else None,
         obs=obs,
         trace=Trace(max_records=spec.trace_limit),
         fault_seed=f"fleet-faults-{spec.campaign}-{spec.seed}".encode(),
@@ -357,11 +346,9 @@ def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
     device = scenario.device
     verifier = scenario.verifier
     tasks = scenario.tasks
-    service: Any = scenario.service
 
     if scenario.driver is not None:
-        request_rounds = spec.rounds if spec.mechanism == "smarm" else 1
-        scenario.schedule_request(spec.request_at, rounds=request_rounds)
+        scenario.schedule_request(spec.request_at)
     elif scenario.collector is not None:
         scenario.schedule_collections(
             spec.t_c, max(1, int(spec.horizon / spec.t_c))
@@ -371,15 +358,7 @@ def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
     sim_time = sim.run(until=spec.horizon)
 
     # -- fold the scenario into telemetry -------------------------------
-    if scenario.seed_service is not None:
-        reports = list(scenario.seed_service.reports_sent)
-        records = [rec for report in reports for rec in report.records]
-    elif scenario.collector is not None:
-        records = list(service.history)
-        reports = list(scenario.collector.collections)
-    else:
-        reports = list(service.reports_sent)
-        records = [rec for report in reports for rec in report.records]
+    records, reports = scenario.produced()
 
     compromised = [
         r for r in verifier.results if r.verdict is Verdict.COMPROMISED

@@ -79,6 +79,8 @@ class SeedService:
             raise ConfigurationError("device needs a NIC for SeED")
         self.device = device
         self.shared_seed = shared_seed
+        self.min_gap = min_gap
+        self.max_gap = max_gap
         self.verifier_name = verifier_name
         self.config = config if config is not None else MeasurementConfig(
             algorithm="blake2s", order="sequential", atomic=False,

@@ -21,6 +21,11 @@ plus convenience methods for the common follow-ups::
     sc.run(until=40.0)
     print(sc.outcomes.render())
 
+Each mechanism is declared once, in :data:`MECHANISMS`: how a run
+is driven (on-demand, self-measurement or prover-pushed) and how its
+prover-side service is built.  ``Scenario.build``, the fleet and the
+Table 1 harness all read that table.
+
 ``experiments.py`` and the fleet executor route through this factory;
 hand-wiring the stack elsewhere is reserved for tests that probe a
 single layer.
@@ -30,21 +35,21 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.apps.firealarm import FireAlarmApp
 from repro.apps.workloads import WriterWorkload
-from repro.core.tradeoff import (
-    ScenarioConfig,
-    standard_mechanisms,
-)
+from repro.core.tradeoff import ScenarioConfig
 from repro.errors import ConfigurationError
 from repro.malware.relocating import SelfRelocatingMalware
 from repro.malware.transient import TransientMalware
 from repro.ra.erasmus import CollectorVerifier, ErasmusService
+from repro.ra.locking import make_policy
 from repro.ra.measurement import MeasurementConfig
 from repro.ra.seed import SeedMonitor, SeedService
 from repro.ra.service import AttestationService, OnDemandVerifier
+from repro.ra.smarm import SmarmAttestation
+from repro.ra.smart import SmartAttestation
 from repro.ra.verifier import Verifier
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.outcome import OutcomeReport
@@ -53,8 +58,120 @@ from repro.sim.device import Device
 from repro.sim.engine import Simulator
 from repro.sim.network import Channel
 
-#: mechanisms Scenario.build accepts, beyond standard_mechanisms()
-EXTRA_MECHANISMS = ("none", "seed")
+# ---------------------------------------------------------------------------
+# The mechanisms, each declared once
+# ---------------------------------------------------------------------------
+
+#: ``(device, config, options) -> service``; only SeED reads
+#: ``options`` (``Scenario.build``'s ``seed_options``)
+Builder = Callable[[Device, ScenarioConfig, Dict[str, Any]], Any]
+
+
+def _one_round(config: ScenarioConfig) -> int:
+    return 1
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    """How one attestation mechanism is driven and built.
+
+    ``kind`` is how a run is driven (Fig. 3): ``"on-demand"`` (the
+    verifier requests; a driver), ``"self"`` (the prover measures on
+    its own schedule; a collector) or ``"push"`` (the prover measures
+    and sends on a secret schedule; a monitor).  ``rounds`` is the
+    number of measurement passes per on-demand request."""
+
+    kind: str
+    build: Builder
+    rounds: Callable[[ScenarioConfig], int] = _one_round
+
+
+def _measurement(
+    config: ScenarioConfig, atomic: bool, locking: Optional[str] = None
+) -> MeasurementConfig:
+    return MeasurementConfig(
+        algorithm=config.algorithm,
+        order="sequential",
+        atomic=atomic,
+        locking=make_policy(locking) if locking else None,
+        priority=config.mp_priority,
+        normalize_mutable=True,
+    )
+
+
+def _build_smart(device: Device, config: ScenarioConfig,
+                 options: Dict[str, Any]) -> Any:
+    service = SmartAttestation(device, algorithm=config.algorithm)
+    service.config.normalize_mutable = True
+    return service
+
+
+def _build_locking(policy: str) -> Builder:
+    def build(device: Device, config: ScenarioConfig,
+              options: Dict[str, Any]) -> Any:
+        return AttestationService(
+            device, _measurement(config, atomic=False, locking=policy),
+            mechanism=policy,
+        )
+
+    return build
+
+
+def _build_smarm(device: Device, config: ScenarioConfig,
+                 options: Dict[str, Any]) -> Any:
+    service = SmarmAttestation(
+        device, algorithm=config.algorithm,
+        rounds=config.smarm_rounds, priority=config.mp_priority,
+    )
+    service.config.normalize_mutable = True
+    return service
+
+
+def _build_erasmus(device: Device, config: ScenarioConfig,
+                   options: Dict[str, Any]) -> Any:
+    # ERASMUS runs SMART-style measurements, self-timed
+    return ErasmusService(
+        device, period=config.erasmus_period,
+        config=_measurement(config, atomic=True),
+    )
+
+
+def _build_seed(device: Device, config: ScenarioConfig,
+                options: Dict[str, Any]) -> Any:
+    shared = options.get("shared")
+    if shared is None:
+        shared = hashlib.sha256(
+            f"scenario-seed-{device.name}".encode()
+        ).digest()[:16]
+    return SeedService(
+        device,
+        shared,
+        min_gap=options.get("min_gap", 0.5 * config.erasmus_period),
+        max_gap=options.get("max_gap", 1.5 * config.erasmus_period),
+        trigger_count=options.get(
+            "trigger_count",
+            max(1, int(config.horizon / config.erasmus_period)),
+        ),
+        config=_measurement(config, atomic=False),
+        serve_fetch=options.get("serve_fetch", False),
+    )
+
+
+#: every mechanism ``Scenario.build`` wires (besides ``"none"``), the
+#: fleet runs and ``evaluate_all`` accepts; adding one is one entry
+MECHANISMS: Dict[str, Mechanism] = {
+    "smart": Mechanism("on-demand", _build_smart),
+    "all-lock": Mechanism("on-demand", _build_locking("all-lock")),
+    "dec-lock": Mechanism("on-demand", _build_locking("dec-lock")),
+    "inc-lock": Mechanism("on-demand", _build_locking("inc-lock")),
+    "no-lock": Mechanism("on-demand", _build_locking("no-lock")),
+    "smarm": Mechanism(
+        "on-demand", _build_smarm,
+        rounds=lambda config: config.smarm_rounds,
+    ),
+    "erasmus": Mechanism("self", _build_erasmus),
+    "seed": Mechanism("push", _build_seed),
+}
 
 
 @dataclass
@@ -64,7 +181,7 @@ class Scenario:
     mechanism: str
     sim: Simulator
     device: Device
-    channel: Optional[Channel]
+    channel: Channel
     verifier: Verifier
     config: ScenarioConfig
     service: Any = None
@@ -114,17 +231,24 @@ class Scenario:
             until=self.config.horizon if until is None else until
         )
 
+    def produced(self) -> Tuple[List[Any], List[Any]]:
+        """The measurement records and the reports the run produced:
+        a self-measuring prover's history and its collections, else
+        every record of every report the prover sent."""
+        if self.collector is not None:
+            return (
+                list(self.service.history),
+                list(self.collector.collections),
+            )
+        if self.service is None:
+            return [], []
+        reports = list(self.service.reports_sent)
+        return [rec for report in reports for rec in report.records], reports
+
     # -- the factory -------------------------------------------------------
 
-    @classmethod
-    def _build_service(
-        cls,
-        service: Any,
-        obs: Optional[Any],
-        overrides: Dict[str, Any],
-    ) -> Any:
-        import dataclasses as _dataclasses
-
+    @staticmethod
+    def _build_service(service: Any, obs: Optional[Any]) -> Any:
         from repro.vserver.service import (
             ServiceConfig,
             build_service_scenario,
@@ -141,8 +265,6 @@ class Scenario:
                 "service must be a ServiceConfig, preset/DSL string, "
                 "or True for the smoke preset"
             )
-        if overrides:
-            built = _dataclasses.replace(built, **overrides)
         return build_service_scenario(built, obs=obs)
 
     @classmethod
@@ -156,34 +278,26 @@ class Scenario:
         config: Optional[ScenarioConfig] = None,
         seed: int = 7,
         retry: Optional[RetryPolicy] = None,
-        outcomes: Optional[OutcomeReport] = None,
-        sim: Optional[Simulator] = None,
         obs: Optional[Any] = None,
         trace: Optional[Any] = None,
-        network: bool = True,
         latency: float = 0.002,
         layout: Optional[str] = "standard",
-        code_fraction: float = 0.5,
-        measurement_config: Optional[MeasurementConfig] = None,
-        signing: Optional[Any] = None,
         fault_seed: Optional[bytes] = None,
         malware_options: Optional[Dict[str, Any]] = None,
         seed_options: Optional[Dict[str, Any]] = None,
         workload_options: Optional[Dict[str, Any]] = None,
         service: Optional[Any] = None,
-        service_options: Optional[Dict[str, Any]] = None,
     ) -> Any:
         """Wire one complete scenario; see the module docstring for the
         canonical order.  ``faults`` accepts a :class:`FaultPlan` or the
-        DSL string form; ``mechanism`` is any ``standard_mechanisms()``
-        key plus ``"none"`` and ``"seed"``.
+        DSL string form; ``mechanism`` is any :data:`MECHANISMS` key
+        or ``"none"``.
 
         ``service`` switches to the population-scale served-verifier
         stack (the ``vserver`` layer): pass a
         :class:`~repro.vserver.service.ServiceConfig`, a preset/DSL
-        string (``"smoke"``, ``"preset=storm1k;provers=200"``), or
-        ``True`` for the smoke preset, plus ``service_options`` to
-        replace individual config fields.  That form returns a
+        string (``"smoke"``, ``"smoke;provers=12"``), or ``True`` for
+        the smoke preset.  That form returns a
         :class:`~repro.vserver.service.ServiceScenario` (a population
         has no single device/channel), accepts only ``obs=`` from the
         single-device parameter set, and rejects the rest.
@@ -197,15 +311,9 @@ class Scenario:
                 "config": config is not None,
                 "seed": seed != 7,
                 "retry": retry is not None,
-                "outcomes": outcomes is not None,
-                "sim": sim is not None,
                 "trace": trace is not None,
-                "network": network is not True,
                 "latency": latency != 0.002,
                 "layout": layout != "standard",
-                "code_fraction": code_fraction != 0.5,
-                "measurement_config": measurement_config is not None,
-                "signing": signing is not None,
                 "fault_seed": fault_seed is not None,
                 "malware_options": malware_options is not None,
                 "seed_options": seed_options is not None,
@@ -215,15 +323,12 @@ class Scenario:
             if passed:
                 raise ConfigurationError(
                     "service= builds the population-scale vserver stack "
-                    "and takes only obs=/service_options=; incompatible "
+                    "and takes only obs=; incompatible "
                     f"argument(s): {', '.join(passed)}"
                 )
-            return cls._build_service(service, obs, service_options or {})
-        if service_options:
-            raise ConfigurationError("service_options= requires service=")
+            return cls._build_service(service, obs)
         config = config or ScenarioConfig()
-        setups = standard_mechanisms()
-        if mechanism not in setups and mechanism not in EXTRA_MECHANISMS:
+        if mechanism != "none" and mechanism not in MECHANISMS:
             raise ConfigurationError(f"unknown mechanism {mechanism!r}")
 
         # fault plan + degradation ledger (both inert when unused)
@@ -241,12 +346,12 @@ class Scenario:
             raise ConfigurationError(
                 "faults must be a FaultPlan or DSL string"
             )
-        if outcomes is None and (retry is not None or plan is not None):
+        outcomes = None
+        if retry is not None or plan is not None:
             outcomes = OutcomeReport()
 
         # sim -> device (+layout) -> channel -> attach -> enroll
-        if sim is None:
-            sim = Simulator(obs=obs) if obs is not None else Simulator()
+        sim = Simulator(obs=obs) if obs is not None else Simulator()
         device = Device(
             sim,
             block_count=config.block_count,
@@ -256,15 +361,13 @@ class Scenario:
             **({"trace": trace} if trace is not None else {}),
         )
         if layout == "standard":
-            device.standard_layout(code_fraction=code_fraction)
+            device.standard_layout()
         elif layout is not None:
             raise ConfigurationError(f"unknown layout {layout!r}")
-        channel = None
-        if network:
-            channel = Channel(sim, latency=latency, trace=device.trace)
-            device.attach_network(channel)
+        channel = Channel(sim, latency=latency, trace=device.trace)
+        device.attach_network(channel)
         verifier = Verifier(sim)
-        verifier.enroll(device, signing=signing)
+        verifier.enroll(device)
 
         scenario = cls(
             mechanism=mechanism,
@@ -283,9 +386,7 @@ class Scenario:
         scenario.malware = cls._install_malware(
             device, malware, config, malware_options or {}
         )
-        cls._install_mechanism(
-            scenario, setups, measurement_config, seed_options or {}
-        )
+        cls._install_mechanism(scenario, seed_options or {})
 
         # faults last: the injector filters a fully-wired channel, and
         # reset/drift events land after every service's own start events
@@ -361,90 +462,35 @@ class Scenario:
             )
         raise ConfigurationError(f"unknown malware {malware!r}")
 
-    @classmethod
+    @staticmethod
     def _install_mechanism(
-        cls, scenario: "Scenario", setups: Dict[str, Any],
-        measurement_config: Optional[MeasurementConfig],
-        seed_options: Dict[str, Any],
+        scenario: "Scenario", options: Dict[str, Any]
     ) -> None:
-        mechanism = scenario.mechanism
-        if mechanism == "none":
+        # service -> driver/collector/monitor -> install()/start(): the
+        # order fixes the event sequence numbers the goldens pin
+        entry = MECHANISMS.get(scenario.mechanism)
+        if entry is None:  # "none"
             return
-        device = scenario.device
-        config = scenario.config
-        if scenario.channel is None:
-            raise ConfigurationError(
-                f"mechanism {mechanism!r} needs network=True"
-            )
-        if mechanism == "seed":
-            cls._install_seed(scenario, measurement_config, seed_options)
-            return
-        setup = setups[mechanism]
-        if measurement_config is None:
-            scenario.service = setup.build(device, config)
-        elif setup.kind == "on-demand":
-            scenario.service = AttestationService(
-                device, measurement_config, mechanism=mechanism
-            )
-        else:
-            scenario.service = ErasmusService(
-                device, period=config.erasmus_period,
-                config=measurement_config,
-            )
-        if setup.kind == "on-demand":
-            scenario.rounds = setup.rounds
+        service = entry.build(scenario.device, scenario.config, options)
+        scenario.service = service
+        if entry.kind == "on-demand":
+            scenario.rounds = entry.rounds(scenario.config)
             scenario.driver = OnDemandVerifier(
                 scenario.verifier, scenario.channel,
                 retry=scenario.retry, outcomes=scenario.outcomes,
             )
-            scenario.service.install()
-        else:  # self-measurement (ERASMUS)
+            service.install()
+        elif entry.kind == "self":
             scenario.collector = CollectorVerifier(
                 scenario.verifier, scenario.channel, retry=scenario.retry
             )
-            scenario.service.start()
-
-    @staticmethod
-    def _install_seed(
-        scenario: "Scenario",
-        measurement_config: Optional[MeasurementConfig],
-        options: Dict[str, Any],
-    ) -> None:
-        device = scenario.device
-        config = scenario.config
-        shared = options.get("shared")
-        if shared is None:
-            shared = hashlib.sha256(
-                f"scenario-seed-{device.name}".encode()
-            ).digest()[:16]
-        min_gap = options.get("min_gap", 0.5 * config.erasmus_period)
-        max_gap = options.get("max_gap", 1.5 * config.erasmus_period)
-        triggers = options.get(
-            "trigger_count",
-            max(1, int(config.horizon / config.erasmus_period)),
-        )
-        mp_config = measurement_config
-        if mp_config is None:
-            mp_config = MeasurementConfig(
-                algorithm=config.algorithm,
-                order="sequential",
-                atomic=False,
-                priority=config.mp_priority,
-                normalize_mutable=True,
+            service.start()
+        else:  # push
+            scenario.seed_service = service
+            scenario.seed_monitor = SeedMonitor(
+                scenario.verifier, scenario.channel, scenario.device.name,
+                service.shared_seed, min_gap=service.min_gap,
+                max_gap=service.max_gap, trigger_count=len(service.schedule),
+                catch_up=options.get("catch_up", False),
             )
-        scenario.seed_service = SeedService(
-            device,
-            shared,
-            min_gap=min_gap,
-            max_gap=max_gap,
-            trigger_count=triggers,
-            config=mp_config,
-            serve_fetch=options.get("serve_fetch", False),
-        )
-        scenario.seed_monitor = SeedMonitor(
-            scenario.verifier, scenario.channel, device.name, shared,
-            min_gap=min_gap, max_gap=max_gap, trigger_count=triggers,
-            catch_up=options.get("catch_up", False),
-        )
-        scenario.seed_service.start()
-        scenario.service = scenario.seed_service
+            service.start()

@@ -4,14 +4,15 @@ pipeline's serial and process-pool backends."""
 import gc
 import os
 import signal
+import time
 
 import pytest
 
 from repro.fleet import (
     CampaignSpec,
-    InjectedFailure,
     PipelineConfig,
     ProcessPoolBackend,
+    RunResult,
     RunSpec,
     SerialBackend,
     execute_run,
@@ -20,6 +21,7 @@ from repro.fleet import (
     run_pipeline,
 )
 from repro.fleet.campaign import canned_campaign
+from repro.scenario import Scenario
 from repro.units import MiB
 
 #: captured at import so forked pool workers see a different pid
@@ -78,6 +80,34 @@ def die_in_pool_worker(spec: RunSpec):
     return execute_run(spec)
 
 
+class InjectedFailure(RuntimeError):
+    """Raised by the failing runners below."""
+
+
+def crash(*args, **kwargs):
+    """A runner (or a ``Scenario.build``) that always raises."""
+    raise InjectedFailure("injected failure")
+
+
+def sleep_for_horizon(spec: RunSpec):
+    """Burns *wall-clock* time equal to the simulated horizon; only a
+    shorter timeout ends it."""
+    time.sleep(spec.horizon)
+    return RunResult(run_id=spec.run_id, spec=spec.to_dict(),
+                     sim_time=spec.horizon)
+
+
+#: the run seed ``crash_one_seed`` fails on
+CRASH_SEED = 99
+
+
+def crash_one_seed(spec: RunSpec):
+    """Raises for the run seeded ``CRASH_SEED``; runs every other."""
+    if spec.seed == CRASH_SEED:
+        crash()
+    return execute_run(spec)
+
+
 class TestSingleRun:
     def test_healthy_run(self):
         result = run_one(fast_spec())
@@ -128,13 +158,13 @@ class TestSingleRun:
 
 class TestFailurePaths:
     def test_worker_raising_becomes_error_result(self):
-        result = run_one(fast_spec(mechanism="crashtest"), retries=0)
+        result = run_one(fast_spec(), retries=0, runner=crash)
         assert result.status == "error"
         assert "InjectedFailure" in result.error
         assert result.attempts == 1
 
     def test_retry_then_give_up(self):
-        result = run_one(fast_spec(mechanism="crashtest"), retries=2)
+        result = run_one(fast_spec(), retries=2, runner=crash)
         assert result.status == "error"
         assert result.attempts == 3  # 1 try + 2 retries
 
@@ -157,7 +187,7 @@ class TestFailurePaths:
     )
     def test_per_run_timeout(self):
         result = run_one(
-            fast_spec(mechanism="sleeptest", horizon=30.0, timeout=0.2)
+            fast_spec(horizon=30.0, timeout=0.2), runner=sleep_for_horizon
         )
         assert result.status == "timeout"
         assert "0.2" in result.error
@@ -169,8 +199,9 @@ class TestFailurePaths:
     )
     def test_timeout_not_retried(self):
         result = run_one(
-            fast_spec(mechanism="sleeptest", horizon=30.0, timeout=0.2),
+            fast_spec(horizon=30.0, timeout=0.2),
             retries=3,
+            runner=sleep_for_horizon,
         )
         assert result.status == "timeout"
         assert result.attempts == 1
@@ -219,10 +250,12 @@ class TestFailurePaths:
     def test_campaign_isolates_bad_runs(self, tmp_path):
         specs = [
             fast_spec(),
-            fast_spec(mechanism="crashtest"),
+            fast_spec(seed=CRASH_SEED),
             fast_spec(seed=8),
         ]
-        report = run_campaign(specs, tmp_path, retries=0)
+        report = run_campaign(
+            specs, tmp_path, runner=crash_one_seed, retries=0
+        )
         assert report.status_counts == {"ok": 2, "error": 1}
         results = read_results_jsonl(report.paths.runs)
         assert sorted(r.run_id for r in results) == sorted(
@@ -297,24 +330,27 @@ class TestRunGeneration:
         assert seen == [0]
         assert gc.isenabled()
 
-    def test_enabled_after_raise(self):
-        spec = fast_spec(mechanism="crashtest")
+    def test_enabled_after_raise(self, monkeypatch):
+        spec = fast_spec()
+        monkeypatch.setattr(Scenario, "build", crash)
 
-        def crash():
+        def raising_run():
             with pytest.raises(InjectedFailure):
                 execute_run(spec)
 
-        _, seen = collections_during(crash)
+        _, seen = collections_during(raising_run)
         assert seen == [0]
         assert gc.isenabled()
 
     @pytest.mark.skipif(
         not hasattr(signal, "SIGALRM"), reason="needs SIGALRM"
     )
-    def test_enabled_after_timeout(self):
-        result = run_one(
-            fast_spec(mechanism="sleeptest", horizon=30.0, timeout=0.2)
+    def test_enabled_after_timeout(self, monkeypatch):
+        # the sleep runs inside execute_run, with the collector off
+        monkeypatch.setattr(
+            Scenario, "build", lambda *args, **kwargs: time.sleep(30.0)
         )
+        result = run_one(fast_spec(horizon=30.0, timeout=0.2))
         assert result.status == "timeout"
         assert gc.isenabled()
 

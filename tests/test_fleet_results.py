@@ -167,14 +167,14 @@ class TestSummarize:
         assert summary.total_runs == 4
 
     def test_failures_counted_not_aggregated(self):
-        spec = RunSpec(mechanism="crashtest")
+        spec = RunSpec(mechanism="erasmus")
         results = [
             make_result(seed=0),
             failure_result(spec.run_id, spec.to_dict(), "error", "boom"),
             failure_result(spec.run_id, spec.to_dict(), "timeout", "slow"),
         ]
         summary = summarize(results)
-        cell = summary.group("crashtest", "none")
+        cell = summary.group("erasmus", "none")
         assert cell.errors == 1 and cell.timeouts == 1 and cell.ok == 0
         assert cell.detection_rate == 0.0
 

@@ -7,7 +7,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.tradeoff import ScenarioConfig, standard_mechanisms
+from repro.core.tradeoff import ScenarioConfig
 from repro.crypto import OdroidXU4Model
 from repro.ra.report import Verdict
 from repro.resilience import FaultPlan, RetryPolicy
@@ -16,7 +16,7 @@ from repro.resilience.outcome import (
     OUTCOME_RETRIED_OK,
     OUTCOME_TIMED_OUT,
 )
-from repro.scenario import Scenario
+from repro.scenario import MECHANISMS, Scenario
 from repro.sim.network import Message
 from repro.units import MiB
 
@@ -370,8 +370,8 @@ class TestSeedCatchUp:
 
 def on_demand_mechanisms():
     return [
-        name for name, setup in standard_mechanisms().items()
-        if setup.kind == "on-demand"
+        name for name, entry in MECHANISMS.items()
+        if entry.kind == "on-demand"
     ]
 
 
@@ -396,9 +396,8 @@ class TestAcceptance:
                 max_timeout=6.0, seed=f"accept-{mechanism}-r".encode(),
             ),
         )
-        rounds = 3 if mechanism == "smarm" else 1
         for i in range(self.EXCHANGES):
-            scenario.schedule_request(1.0 + spacing * i, rounds=rounds)
+            scenario.schedule_request(1.0 + spacing * i)
         scenario.run()
 
         outcomes = scenario.outcomes

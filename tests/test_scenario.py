@@ -8,14 +8,13 @@ import pytest
 
 from repro.core.tradeoff import ScenarioConfig
 from repro.errors import ConfigurationError
+from repro.fleet.campaign import KNOWN_MECHANISMS
 from repro.malware.relocating import SelfRelocatingMalware
 from repro.malware.transient import TransientMalware
-from repro.ra.erasmus import ErasmusService
-from repro.ra.measurement import MeasurementConfig
-from repro.ra.service import AttestationService
+from repro.obs.core import Observability
 from repro.resilience import FaultPlan, OutcomeReport, RetryPolicy
-from repro.scenario import Scenario
-from repro.sim import Simulator, Trace
+from repro.scenario import MECHANISMS, Scenario
+from repro.sim import Trace
 from repro.units import MiB
 
 
@@ -45,18 +44,6 @@ class TestValidation:
             Scenario.build(layout="exotic", config=small_config())
         with pytest.raises(ConfigurationError):
             Scenario.build(faults=42, config=small_config())
-
-    def test_mechanism_needs_a_network(self):
-        with pytest.raises(ConfigurationError):
-            Scenario.build(mechanism="smart", network=False)
-
-    def test_none_mechanism_without_network_is_fine(self):
-        scenario = Scenario.build(
-            mechanism="none", network=False, config=small_config()
-        )
-        assert scenario.channel is None
-        assert scenario.service is None
-        assert scenario.driver is None
 
     def test_request_and_collect_are_kind_checked(self):
         erasmus = Scenario.build(mechanism="erasmus", config=small_config())
@@ -92,16 +79,6 @@ class TestResilienceIsOptIn:
         )
         assert isinstance(scenario.outcomes, OutcomeReport)
         assert scenario.driver.outcomes is scenario.outcomes
-
-    def test_explicit_ledger_is_used(self):
-        ledger = OutcomeReport()
-        scenario = Scenario.build(
-            mechanism="smart",
-            faults="loss=0.1",
-            config=small_config(),
-            outcomes=ledger,
-        )
-        assert scenario.outcomes is ledger
 
     def test_reset_only_plan_installs_no_channel_filter(self):
         scenario = Scenario.build(
@@ -154,32 +131,90 @@ class TestWiring:
         assert scenario.service is scenario.seed_service
         assert scenario.driver is None and scenario.collector is None
 
-    def test_measurement_config_override_on_demand(self):
-        override = MeasurementConfig(algorithm="sha256", atomic=True)
-        scenario = Scenario.build(
-            mechanism="smart",
-            config=small_config(),
-            measurement_config=override,
-        )
-        assert isinstance(scenario.service, AttestationService)
-        assert scenario.service.config is override
-
-    def test_measurement_config_override_self_measurement(self):
-        override = MeasurementConfig(algorithm="sha256")
-        scenario = Scenario.build(
-            mechanism="erasmus",
-            config=small_config(),
-            measurement_config=override,
-        )
-        assert isinstance(scenario.service, ErasmusService)
-        assert scenario.service.config is override
-
     def test_injected_sim_trace_and_obs_are_honored(self):
-        sim = Simulator()
+        obs = Observability.enabled(spans=False, metrics=True)
         trace = Trace(max_records=10)
         scenario = Scenario.build(
-            mechanism="smart", sim=sim, trace=trace, config=small_config()
+            mechanism="smart", obs=obs, trace=trace, config=small_config()
         )
-        assert scenario.sim is sim
+        assert scenario.sim.obs is obs
         assert scenario.device.trace is trace
         assert scenario.channel.trace is trace
+
+    def test_smarm_rounds_reach_the_request(self):
+        # the report carries one record per round, from the config
+        scenario = Scenario.build(
+            mechanism="smarm", config=small_config(smarm_rounds=2)
+        )
+        scenario.schedule_request(2.0)
+        scenario.run()
+        (report,) = scenario.service.reports_sent
+        assert len(report.records) == 2
+        assert scenario.rounds == 2
+
+
+#: the pieces each kind fills; every other piece stays None
+KIND_PIECES = {
+    "on-demand": {"driver"},
+    "self": {"collector"},
+    "push": {"seed_service", "seed_monitor"},
+}
+PIECES = ("driver", "collector", "seed_service", "seed_monitor")
+
+
+class TestMechanismTable:
+    @pytest.mark.parametrize("key", list(MECHANISMS))
+    def test_entry_builds_and_fills_its_kind(self, key):
+        entry = MECHANISMS[key]
+        config = small_config(smarm_rounds=4)
+        scenario = Scenario.build(mechanism=key, config=config)
+        assert scenario.service is not None
+        filled = {name for name in PIECES if getattr(scenario, name)}
+        assert filled == KIND_PIECES[entry.kind]
+        if entry.kind == "push":
+            assert scenario.seed_service is scenario.service
+        assert scenario.rounds == entry.rounds(config)
+
+    def test_only_smarm_repeats_rounds(self):
+        config = small_config(smarm_rounds=4)
+        rounds = {
+            key: entry.rounds(config) for key, entry in MECHANISMS.items()
+        }
+        assert rounds.pop("smarm") == 4
+        assert set(rounds.values()) == {1}
+
+    def test_none_fills_nothing(self):
+        scenario = Scenario.build(mechanism="none", config=small_config())
+        assert scenario.service is None
+        assert not any(getattr(scenario, name) for name in PIECES)
+        assert scenario.produced() == ([], [])
+
+    def test_fleet_knows_the_table_plus_vserver(self):
+        assert KNOWN_MECHANISMS == (*MECHANISMS, "vserver")
+
+
+class TestProduced:
+    def test_on_demand_flattens_the_sent_reports(self):
+        scenario = Scenario.build(mechanism="smart", config=small_config())
+        scenario.schedule_request(1.0)
+        scenario.schedule_request(8.0)
+        scenario.run()
+        records, reports = scenario.produced()
+        assert reports == scenario.service.reports_sent
+        assert len(reports) == 2
+        assert records == [r for report in reports for r in report.records]
+
+    def test_self_measurement_reads_history_and_collections(self):
+        scenario = Scenario.build(mechanism="erasmus", config=small_config())
+        scenario.schedule_collections(8.0, 2)
+        scenario.run()
+        records, reports = scenario.produced()
+        assert records == scenario.service.history and records
+        assert reports == scenario.collector.collections and reports
+
+    def test_push_reads_the_pushed_reports(self):
+        scenario = Scenario.build(mechanism="seed", config=small_config())
+        scenario.run()
+        records, reports = scenario.produced()
+        assert reports == scenario.seed_service.reports_sent and reports
+        assert records == [r for report in reports for r in report.records]

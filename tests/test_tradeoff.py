@@ -7,7 +7,6 @@ from repro.core.tradeoff import (
     ScenarioConfig,
     evaluate_all,
     run_scenario,
-    standard_mechanisms,
 )
 from repro.errors import ConfigurationError
 from repro.units import MiB
@@ -121,14 +120,12 @@ class TestClaimComparison:
 
 class TestSingleScenario:
     def test_run_scenario_summary(self):
-        setups = standard_mechanisms()
-        outcome = run_scenario(setups["smart"], "none", FAST)
+        outcome = run_scenario("smart", "none", FAST)
         text = outcome.summary()
         assert "smart" in text and "detected=False" in text
 
     def test_lock_ops_counted_for_locking_mechanisms(self):
-        setups = standard_mechanisms()
-        locked = run_scenario(setups["all-lock"], "none", FAST)
-        unlocked = run_scenario(setups["smarm"], "none", FAST)
+        locked = run_scenario("all-lock", "none", FAST)
+        unlocked = run_scenario("smarm", "none", FAST)
         assert locked.lock_ops > 0
         assert unlocked.lock_ops == 0

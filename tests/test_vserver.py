@@ -348,9 +348,7 @@ class TestBuildService:
         assert snapshot["vserver.epochs"] > 0
 
     def test_scenario_build_service_entry_point(self):
-        scenario = Scenario.build(
-            service="smoke", service_options={"provers": 12}
-        )
+        scenario = Scenario.build(service="smoke;provers=12")
         assert scenario.config.provers == 12
         stats = scenario.run()
         assert stats["unaccounted"] == 0
@@ -363,9 +361,7 @@ class TestBuildService:
     def test_unified_build_service_parameter(self):
         # the collapsed entrypoint: build(service=...) returns the
         # population-scale ServiceScenario
-        scenario = Scenario.build(
-            service="smoke", service_options={"provers": 12}
-        )
+        scenario = Scenario.build(service="smoke;provers=12")
         assert scenario.config.provers == 12
         smoke = Scenario.build(service=True)
         assert smoke.config == ServiceConfig.parse("smoke")
@@ -376,7 +372,7 @@ class TestBuildService:
                            service="smoke")
         assert "malware" in str(err.value)
         with pytest.raises(ConfigurationError):
-            Scenario.build(service_options={"provers": 12})
+            Scenario.build(service=42)
 
 
 def reachable_counts(root, kinds):

@@ -80,9 +80,7 @@ def run_scenario(mechanism, malware="transient", faults=None, seed=5):
                          "rng_seed": seed},
     )
     if scenario.driver is not None:
-        scenario.schedule_request(
-            1.0, rounds=3 if mechanism == "smarm" else 1
-        )
+        scenario.schedule_request(1.0)
     elif scenario.collector is not None:
         scenario.schedule_collections(8.0, 2)
     scenario.sim.run(until=config.horizon)
@@ -91,17 +89,15 @@ def run_scenario(mechanism, malware="transient", faults=None, seed=5):
 
 def captured_reports(scenario):
     """The reports the run actually sent, plus their verify kwargs."""
+    _, reports = scenario.produced()
+    if scenario.collector is not None:
+        reports = [collection.report for collection in reports]
+        return reports, {"enforce_counter": True,
+                         "counter_stream": COLLECT_STREAM}
     if scenario.seed_service is not None:
-        reports = list(scenario.seed_service.reports_sent)
-        kwargs = {"enforce_counter": True, "counter_stream": PUSH_STREAM}
-    elif scenario.collector is not None:
-        reports = [c.report for c in scenario.collector.collections]
-        kwargs = {"enforce_counter": True,
-                  "counter_stream": COLLECT_STREAM}
-    else:
-        reports = list(scenario.service.reports_sent)
-        kwargs = {}
-    return reports, kwargs
+        return reports, {"enforce_counter": True,
+                         "counter_stream": PUSH_STREAM}
+    return reports, {}
 
 
 def fresh_verifier(source):
