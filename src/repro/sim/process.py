@@ -14,7 +14,9 @@ body is a generator that yields commands:
     a strictly higher-priority process -- unless the process holds the
     CPU atomically.
 ``Sleep(duration)``
-    Release the CPU and wake after ``duration``.
+    Release the CPU and wake after ``duration``.  When nothing else is
+    ready and the wake would be the engine's next event, the CPU wakes
+    the sleeper inline instead (see :meth:`CPU._advance`).
 ``WaitSignal(signal)``
     Release the CPU until ``signal`` fires; the fired value is sent
     back into the generator.
@@ -60,7 +62,15 @@ class Compute:
 
 
 class Sleep:
-    """Release the CPU; become ready again after ``duration`` seconds."""
+    """Release the CPU; become ready again after ``duration`` seconds.
+
+    Like a :class:`Compute`, a sleep on an otherwise idle CPU is a
+    candidate for the engine's inline fast path: when no other process
+    is ready and the wake would be the next event to fire, the clock
+    advances and the sleeper takes the CPU again without a heap
+    round-trip.  The ``sleep``/``ready``/``run`` records, sequence
+    numbers and dispatch accounting are those of the event path.
+    """
 
     __slots__ = ("duration",)
 
@@ -170,12 +180,18 @@ class Process:
 
     # -- internal accounting hooks ---------------------------------------
 
-    def _became_ready(self, now: float) -> None:
+    def _became_ready(self, now: float, queued: bool = True) -> None:
+        """READY at ``now`` with the CPU's next ready sequence number.
+
+        ``queued=False`` is for a process that takes the CPU at once
+        (an inline wake): it draws the same number but skips the ready
+        heap, where nothing would ever pick it."""
         self.state = ProcState.READY
         self._ready_since = now
         cpu = self.cpu
         seq = self._ready_seq = cpu._next_seq()
-        heapq.heappush(cpu._ready, (-self.priority, seq, self))
+        if queued:
+            heapq.heappush(cpu._ready, (-self.priority, seq, self))
 
     def _record_dispatch(self, now: float) -> None:
         self.dispatch_count += 1
@@ -207,8 +223,9 @@ class CPU:
         self.current: Optional[Process] = None
         self.processes: List[Process] = []
         #: heap of (-priority, ready_seq, process), one entry per
-        #: transition to READY; an entry is stale once its process has
-        #: left READY or become ready again (see :meth:`_pick_next`)
+        #: queued transition to READY; the head leaves when it runs,
+        #: and an entry is stale once its process has left READY some
+        #: other way or become ready again (see :meth:`_pick_next`)
         self._ready: List[tuple] = []
         self._seq = 0
         self._in_advance = False
@@ -310,18 +327,23 @@ class CPU:
         self._emit("spawn", proc)
         self._dispatch()
 
-    def _make_ready(self, proc: Process) -> None:
+    def _make_ready(self, proc: Process, queued: bool = True) -> None:
+        """Wake a sleeper: READY now, recorded as ``ready``.
+
+        The one definition of what a wake records, shared by the wake
+        event (:meth:`_wake`, which then dispatches) and the inline
+        wake in :meth:`_advance` (``queued=False``, which hands the
+        CPU straight back through :meth:`_take`)."""
         now = self.sim.now
-        proc._became_ready(now)
+        proc._became_ready(now, queued)
         record = self._record
         if record is not None:
             record(now, "ready", proc.name)
-        self._dispatch()
 
     def _pick_next(self) -> Optional[Process]:
         """The ready process that runs next: highest priority, then
         earliest ready.  Stale heap heads are discarded; the live head
-        stays queued until it runs."""
+        stays queued until :meth:`_dispatch` runs it."""
         ready = self._ready
         while ready:
             _, seq, proc = ready[0]
@@ -345,6 +367,9 @@ class CPU:
             self._preempt(self.current)
         if candidate is None:
             return
+        # the candidate leaves the heap as it runs (a preempted runner
+        # re-queues below it), so an empty heap means nothing is ready
+        heapq.heappop(self._ready)
         self._run(candidate)
 
     def _preempt(self, proc: Process) -> None:
@@ -362,7 +387,20 @@ class CPU:
         self._emit("preempt", proc, remaining=proc._remaining)
 
     def _run(self, proc: Process) -> None:
-        """Give the CPU to ``proc`` (which must be READY)."""
+        """Give the CPU to ``proc`` (which must be READY) and resume it."""
+        self._take(proc)
+        if proc._remaining > 0.0:
+            proc._run_start = self.sim.now
+            proc._completion = self.sim.schedule(
+                proc._remaining, self._compute_done, proc
+            )
+        else:
+            value, proc._pending_value = proc._pending_value, None
+            self._advance(proc, value)
+
+    def _take(self, proc: Process) -> None:
+        """Make READY ``proc`` the runner: dispatch accounting and the
+        ``run`` record, shared by :meth:`_run` and the inline wake."""
         assert proc.state is ProcState.READY
         proc.state = ProcState.RUNNING
         now = self.sim.now
@@ -371,14 +409,6 @@ class CPU:
         record = self._record
         if record is not None:
             record(now, "run", proc.name)
-        if proc._remaining > 0.0:
-            proc._run_start = now
-            proc._completion = self.sim.schedule(
-                proc._remaining, self._compute_done, proc
-            )
-        else:
-            value, proc._pending_value = proc._pending_value, None
-            self._advance(proc, value)
 
     def _compute_done(self, proc: Process) -> None:
         assert proc is self.current
@@ -439,15 +469,26 @@ class CPU:
                         raise ProcessError(
                             f"{proc.name}: Sleep inside atomic section"
                         )
-                    self._release(proc)
-                    proc.state = ProcState.SLEEPING
-                    proc._wake_event = sim.schedule(
-                        command.duration, self._wake, proc
-                    )
+                    duration = command.duration
                     record = self._record
                     if record is not None:
                         record(sim.now, "sleep", proc.name,
-                               duration=command.duration)
+                               duration=duration)
+                    if not self._ready and can_coalesce(duration):
+                        # Inline wake: nothing else is ready, so the CPU
+                        # would idle, and the wake event would be the
+                        # very next event the engine fires.  Advance the
+                        # clock and hand the CPU straight back, with the
+                        # records and accounting of _wake -> _run.
+                        sim.coalesce_advance(duration)
+                        self._make_ready(proc, queued=False)
+                        self._take(proc)
+                        continue
+                    self._release(proc)
+                    proc.state = ProcState.SLEEPING
+                    proc._wake_event = sim.schedule(
+                        duration, self._wake, proc
+                    )
                     return
                 if isinstance(command, WaitSignal):
                     if proc.atomic:
@@ -488,6 +529,7 @@ class CPU:
         if proc.state is not ProcState.SLEEPING:
             return
         self._make_ready(proc)
+        self._dispatch()
 
     def _signal_wake(self, proc: Process, value: Any) -> None:
         if proc.state is not ProcState.WAITING:

@@ -7,6 +7,7 @@ from typing import List
 
 import pytest
 
+from repro.obs.core import Observability
 from repro.ra.service import OnDemandVerifier
 from repro.ra.verifier import Verifier
 from repro.sim.device import Device
@@ -30,6 +31,17 @@ def tap(channel: Channel) -> List[Message]:
 
     channel.add_filter(record)
     return sent
+
+
+def oracle_sim(coalesce: bool) -> Simulator:
+    """A simulator with coalescing (of a ``Compute`` and of an idle
+    ``Sleep``) on, the default, or off: the sim-time-only profiler must
+    see every event fire, so the engine refuses to coalesce under it."""
+    if coalesce:
+        return Simulator()
+    return Simulator(obs=Observability.enabled(
+        spans=False, metrics=False, profile_events=True,
+    ))
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from repro.obs.core import Observability
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
 from repro.sim.process import Compute
+from tests.conftest import oracle_sim
 
 
 class TestCanCoalesce:
@@ -192,17 +193,6 @@ class TestPeekAndBatchDrain:
         sim.schedule_at(1.0, reenter)
         sim.run(until=10.0)
         assert len(errors) == 1
-
-
-def oracle_sim(coalesce):
-    """A simulator with Compute coalescing on (the default) or off: the
-    sim-time-only profiler must see every event fire, so the engine
-    refuses to coalesce under it."""
-    if coalesce:
-        return Simulator()
-    return Simulator(obs=Observability.enabled(
-        spans=False, metrics=False, profile_events=True,
-    ))
 
 
 class TestComputeCoalesce:
