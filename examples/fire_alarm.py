@@ -47,7 +47,7 @@ def run_scenario(mechanism: str) -> tuple:
     if mechanism == "smart":
         service = SmartAttestation(device)          # ...but atomic wins
     elif mechanism == "smarm":
-        service = SmarmAttestation(device, rounds=1, priority=50)
+        service = SmarmAttestation(device, priority=50)
     elif mechanism != "none":
         service = AttestationService(
             device,

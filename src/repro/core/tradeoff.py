@@ -61,6 +61,10 @@ class ScenarioConfig:
     algorithm: str = "blake2s"
     request_at: float = 2.0
     horizon: float = 40.0
+    #: passes per SMARM request: the residual escape probability drops
+    #: below 1e-6 when each pass is escaped with probability ~e^-1
+    #: (ceil(6 ln 10) = 14; the paper rounds to "13 checks" using the
+    #: exact finite-n probability)
     smarm_rounds: int = 13
     erasmus_period: float = 2.5
     erasmus_collect_at: float = 30.0

@@ -315,7 +315,8 @@ class OnDemandVerifier:
     exponentially with DRBG-seeded jitter, until the report verifies or
     the retry budget runs out.  An optional
     :class:`~repro.resilience.outcome.OutcomeReport` receives the
-    classified outcome of every exchange.
+    classified outcome of every exchange.  ``rounds`` is the number of
+    measurement passes a request asks for unless it names its own.
     """
 
     def __init__(
@@ -326,6 +327,7 @@ class OnDemandVerifier:
         verify_latency: float = 1e-3,
         retry: Optional[RetryPolicy] = None,
         outcomes: Optional["OutcomeReport"] = None,  # noqa: F821
+        rounds: int = 1,
     ) -> None:
         self.verifier = verifier
         self.channel = channel
@@ -333,6 +335,7 @@ class OnDemandVerifier:
         self.verify_latency = verify_latency
         self.retry = retry
         self.outcomes = outcomes
+        self.rounds = rounds
         self.exchanges: List[AttestationExchange] = []
         self._outstanding: Dict[bytes, AttestationExchange] = {}
         listen(self.endpoint, self._on_message,
@@ -341,11 +344,12 @@ class OnDemandVerifier:
     def request(
         self,
         device_name: str,
-        rounds: int = 1,
+        rounds: Optional[int] = None,
         on_result: Optional[Callable[[AttestationExchange], None]] = None,
     ) -> AttestationExchange:
-        """Send a challenge to ``device_name``; returns the exchange
-        object that will be filled in as the protocol completes."""
+        """Send a challenge for ``rounds`` passes (default: the
+        driver's) to ``device_name``; returns the exchange object that
+        will be filled in as the protocol completes."""
         nonce = self.verifier.new_nonce(device_name)
         # Minting is gated on obs so NULL_OBS runs stay allocation-free
         # and their traces byte-identical.
@@ -357,7 +361,7 @@ class OnDemandVerifier:
             device=device_name,
             nonce=nonce,
             requested_at=self.verifier.sim.now,
-            rounds=rounds,
+            rounds=self.rounds if rounds is None else rounds,
             ctx=ctx,
         )
         exchange._on_result = on_result  # type: ignore[attr-defined]

@@ -26,12 +26,6 @@ from repro.ra.measurement import MeasurementConfig
 from repro.ra.service import AttestationService
 from repro.sim.device import Device
 
-#: rounds after which the residual escape probability drops below 1e-6
-#: when each round is escaped with probability ~e^-1 (ceil(6 ln 10) = 14,
-#: the paper rounds to "13 checks" using the exact finite-n probability)
-DEFAULT_ROUNDS = 13
-
-
 class SmarmAttestation(AttestationService):
     """Interruptible shuffled-order on-demand RA."""
 
@@ -39,7 +33,6 @@ class SmarmAttestation(AttestationService):
         self,
         device: Device,
         algorithm: str = "blake2s",
-        rounds: int = DEFAULT_ROUNDS,
         priority: int = 40,
         inter_round_gap: float = 0.0,
     ) -> None:
@@ -54,7 +47,6 @@ class SmarmAttestation(AttestationService):
             device, config, mechanism="smarm",
             inter_round_gap=inter_round_gap,
         )
-        self.rounds = rounds
 
 
 def escape_trial(n_blocks: int, drbg: HmacDrbg,

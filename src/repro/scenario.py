@@ -120,8 +120,7 @@ def _build_locking(policy: str) -> Builder:
 def _build_smarm(device: Device, config: ScenarioConfig,
                  options: Dict[str, Any]) -> Any:
     service = SmarmAttestation(
-        device, algorithm=config.algorithm,
-        rounds=config.smarm_rounds, priority=config.mp_priority,
+        device, algorithm=config.algorithm, priority=config.mp_priority,
     )
     service.config.normalize_mutable = True
     return service
@@ -173,6 +172,40 @@ MECHANISMS: Dict[str, Mechanism] = {
     "seed": Mechanism("push", _build_seed),
 }
 
+#: every key some builder of each option axis reads.  ``build`` checks
+#: a dict against the union of its axis, not against the one builder
+#: it reaches: the fleet executor passes one dict for every adversary
+#: (and every mechanism).
+OPTION_KEYS: Dict[str, frozenset] = {
+    "malware_options": frozenset(
+        {"block", "infect_at", "dwell", "strategy", "rng_seed"}
+    ),
+    "seed_options": frozenset(
+        {"shared", "min_gap", "max_gap", "trigger_count", "serve_fetch",
+         "catch_up"}
+    ),
+    "workload_options": frozenset(
+        {"period", "wcet", "priority", "data_block", "tasks"}
+    ),
+}
+
+
+def _checked_options(
+    axis: str, options: Optional[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """``options`` (``{}`` for ``None``), or a ConfigurationError
+    naming each key no builder of ``axis`` reads."""
+    if options is None:
+        return {}
+    accepted = OPTION_KEYS[axis]
+    unknown = sorted(set(options) - accepted)
+    if unknown:
+        raise ConfigurationError(
+            f"{axis}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(sorted(accepted))}"
+        )
+    return options
+
 
 @dataclass
 class Scenario:
@@ -196,7 +229,6 @@ class Scenario:
     outcomes: Optional[OutcomeReport] = None
     fault_plan: Optional[FaultPlan] = None
     injector: Optional[FaultInjector] = None
-    rounds: int = 1
 
     # -- conveniences ------------------------------------------------------
 
@@ -207,14 +239,14 @@ class Scenario:
         on_result: Optional[Callable[[Any], None]] = None,
     ) -> None:
         """Schedule one on-demand attestation request at sim time
-        ``at`` (mechanism must be on-demand)."""
+        ``at`` (mechanism must be on-demand) for ``rounds`` passes
+        (default: the mechanism's)."""
         if self.driver is None:
             raise ConfigurationError(
                 f"mechanism {self.mechanism!r} takes no on-demand requests"
             )
         self.sim.schedule_at(
-            at, self.driver.request, self.device.name,
-            self.rounds if rounds is None else rounds, on_result,
+            at, self.driver.request, self.device.name, rounds, on_result,
         )
 
     def schedule_collections(self, period: float, count: int) -> None:
@@ -330,6 +362,11 @@ class Scenario:
         config = config or ScenarioConfig()
         if mechanism != "none" and mechanism not in MECHANISMS:
             raise ConfigurationError(f"unknown mechanism {mechanism!r}")
+        malware_options = _checked_options("malware_options", malware_options)
+        seed_options = _checked_options("seed_options", seed_options)
+        workload_options = _checked_options(
+            "workload_options", workload_options
+        )
 
         # fault plan + degradation ledger (both inert when unused)
         plan: Optional[FaultPlan] = None
@@ -382,11 +419,11 @@ class Scenario:
         )
 
         # workload -> malware -> mechanism
-        cls._install_workload(scenario, workload, workload_options or {})
+        cls._install_workload(scenario, workload, workload_options)
         scenario.malware = cls._install_malware(
-            device, malware, config, malware_options or {}
+            device, malware, config, malware_options
         )
-        cls._install_mechanism(scenario, seed_options or {})
+        cls._install_mechanism(scenario, seed_options)
 
         # faults last: the injector filters a fully-wired channel, and
         # reset/drift events land after every service's own start events
@@ -474,10 +511,10 @@ class Scenario:
         service = entry.build(scenario.device, scenario.config, options)
         scenario.service = service
         if entry.kind == "on-demand":
-            scenario.rounds = entry.rounds(scenario.config)
             scenario.driver = OnDemandVerifier(
                 scenario.verifier, scenario.channel,
                 retry=scenario.retry, outcomes=scenario.outcomes,
+                rounds=entry.rounds(scenario.config),
             )
             service.install()
         elif entry.kind == "self":

@@ -49,7 +49,7 @@ def test_sec32_full_stack_escape_rate():
     escapes = 0
     for seed in range(trials):
         stack = make_stack(block_count=24)
-        SmarmAttestation(stack.device, rounds=1).install()
+        SmarmAttestation(stack.device).install()
         SelfRelocatingMalware(
             stack.device, target_block=20, infect_at=0.1,
             strategy="uniform", rng_seed=seed,

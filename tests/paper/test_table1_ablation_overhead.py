@@ -72,7 +72,7 @@ def test_ablation_overhead_grades():
             duration, device.mpu.lock_ops + device.mpu.unlock_ops
         )
     smarm_time, _ = on_demand_total_time(
-        lambda d: SmarmAttestation(d, rounds=13), rounds=13
+        lambda d: SmarmAttestation(d), rounds=13
     )
     rows["smarm x13"] = (smarm_time, 0)
 

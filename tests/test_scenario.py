@@ -13,7 +13,7 @@ from repro.malware.relocating import SelfRelocatingMalware
 from repro.malware.transient import TransientMalware
 from repro.obs.core import Observability
 from repro.resilience import FaultPlan, OutcomeReport, RetryPolicy
-from repro.scenario import MECHANISMS, Scenario
+from repro.scenario import MECHANISMS, OPTION_KEYS, Scenario
 from repro.sim import Trace
 from repro.units import MiB
 
@@ -44,6 +44,54 @@ class TestValidation:
             Scenario.build(layout="exotic", config=small_config())
         with pytest.raises(ConfigurationError):
             Scenario.build(faults=42, config=small_config())
+
+    def test_misspelled_option_keys_raise(self):
+        with pytest.raises(ConfigurationError) as seed_error:
+            Scenario.build(mechanism="seed", config=small_config(),
+                           seed_options={"min-gap": 1.0})
+        message = str(seed_error.value)
+        assert "'min-gap'" in message
+        assert "min_gap" in message and "trigger_count" in message
+        with pytest.raises(ConfigurationError) as malware_error:
+            Scenario.build(malware="transient", config=small_config(),
+                           malware_options={"dwel": 3.0})
+        message = str(malware_error.value)
+        assert "'dwel'" in message and "dwell" in message
+        with pytest.raises(ConfigurationError, match="'task'"):
+            Scenario.build(workload="writers", config=small_config(),
+                           workload_options={"task": 2})
+
+    def test_option_keys_are_checked_against_the_axis(self):
+        # one dict serves every adversary, as the fleet executor passes
+        # it: a relocating-only key is fine on a transient build
+        scenario = Scenario.build(
+            malware="transient", config=small_config(),
+            malware_options={"dwell": 3.0, "strategy": "uniform"},
+        )
+        assert not scenario.malware.reactive  # the dwell was read
+
+    def test_option_keys_are_exactly_what_the_builders_read(self):
+        class Reads(dict):
+            """An empty options dict that remembers every key read."""
+
+            def __init__(self):
+                super().__init__()
+                self.seen = set()
+
+            def get(self, key, default=None):
+                self.seen.add(key)
+                return super().get(key, default)
+
+        read = {axis: Reads() for axis in OPTION_KEYS}
+        for mechanism in MECHANISMS:
+            for malware in ("transient", "relocating"):
+                for workload in ("firealarm", "writers"):
+                    Scenario.build(
+                        mechanism=mechanism, malware=malware,
+                        workload=workload,
+                        config=small_config(block_count=48), **read,
+                    )
+        assert {axis: r.seen for axis, r in read.items()} == OPTION_KEYS
 
     def test_request_and_collect_are_kind_checked(self):
         erasmus = Scenario.build(mechanism="erasmus", config=small_config())
@@ -122,7 +170,7 @@ class TestWiring:
 
     def test_smarm_carries_its_round_count(self):
         scenario = Scenario.build(mechanism="smarm", config=small_config())
-        assert scenario.rounds == 13
+        assert scenario.driver.rounds == 13
 
     def test_seed_mechanism_populates_the_seed_pieces(self):
         scenario = Scenario.build(mechanism="seed", config=small_config())
@@ -150,7 +198,26 @@ class TestWiring:
         scenario.run()
         (report,) = scenario.service.reports_sent
         assert len(report.records) == 2
-        assert scenario.rounds == 2
+        assert scenario.driver.rounds == 2
+
+    def test_bare_driver_request_takes_the_smarm_rounds(self):
+        # a request that names no rounds gets the mechanism's, as
+        # schedule_request does: one shuffled pass is not SMARM's check
+        scenario = Scenario.build(
+            mechanism="smarm", config=small_config(smarm_rounds=3)
+        )
+        exchanges = []
+        scenario.sim.schedule_at(
+            2.0, lambda: exchanges.append(
+                scenario.driver.request(scenario.device.name)
+            ),
+        )
+        scenario.run()
+        (exchange,) = exchanges
+        assert exchange.rounds == 3
+        (report,) = scenario.service.reports_sent
+        assert len(report.records) == 3
+        assert exchange.report is report
 
 
 #: the pieces each kind fills; every other piece stays None
@@ -173,7 +240,8 @@ class TestMechanismTable:
         assert filled == KIND_PIECES[entry.kind]
         if entry.kind == "push":
             assert scenario.seed_service is scenario.service
-        assert scenario.rounds == entry.rounds(config)
+        if entry.kind == "on-demand":
+            assert scenario.driver.rounds == entry.rounds(config)
 
     def test_only_smarm_repeats_rounds(self):
         config = small_config(smarm_rounds=4)

@@ -49,7 +49,7 @@ class TestAbstractGame:
 class TestFullStack:
     def run_once(self, rounds, seed, strategy="uniform"):
         stack = make_stack(block_count=24, seed=7)
-        service = SmarmAttestation(stack.device, rounds=rounds)
+        service = SmarmAttestation(stack.device)
         service.install()
         SelfRelocatingMalware(
             stack.device, target_block=20, infect_at=0.1,
@@ -88,7 +88,7 @@ class TestFullStack:
 
     def test_each_round_has_distinct_secret_order(self):
         stack = make_stack(block_count=16)
-        service = SmarmAttestation(stack.device, rounds=5)
+        service = SmarmAttestation(stack.device)
         service.install()
         exchanges = []
         stack.sim.schedule_at(
@@ -110,7 +110,7 @@ class TestFullStack:
         )
         PeriodicTask(stack.device.cpu, "app", period=0.05, wcet=0.001,
                      priority=100)
-        service = SmarmAttestation(stack.device, rounds=1)
+        service = SmarmAttestation(stack.device)
         service.install()
         exchanges = []
         stack.sim.schedule_at(
