@@ -27,11 +27,7 @@ from repro.core.scheduler_policy import (
     ContextAwareSchedule,
     SlackSchedule,
 )
-from repro.core.tradeoff import (
-    ScenarioOutcome,
-    EvaluationMatrix,
-    evaluate_all,
-)
+from repro.core.tradeoff import EvaluationMatrix, evaluate_all
 
 __all__ = [
     "Feature",
@@ -47,7 +43,6 @@ __all__ = [
     "FixedSchedule",
     "ContextAwareSchedule",
     "SlackSchedule",
-    "ScenarioOutcome",
     "EvaluationMatrix",
     "evaluate_all",
 ]

@@ -25,15 +25,16 @@ secretly-timed instants (its interruptibility cell is the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.consistency import expected_consistency
 from repro.core.solution import Feature, solution_by_key
-from repro.errors import ConfigurationError
-from repro.ra.report import Verdict
 from repro.sim.device import Device
 from repro.units import MiB
+
+if TYPE_CHECKING:
+    from repro.scenario import ScenarioOutcome
 
 ADVERSARIES = ("none", "relocating", "transient")
 
@@ -67,7 +68,9 @@ class ScenarioConfig:
     #: exact finite-n probability)
     smarm_rounds: int = 13
     erasmus_period: float = 2.5
-    erasmus_collect_at: float = 30.0
+    #: T_C, the ERASMUS collection period: ``Scenario.drive`` collects
+    #: at T_C, 2 T_C, ... (at least once) up to the horizon
+    erasmus_collect_period: float = 30.0
     task_period: float = 0.1
     task_wcet: float = 0.002
     task_priority: int = 100
@@ -89,33 +92,6 @@ class ProbeResult:
         if self.attempted == 0:
             return 0.0
         return self.succeeded / self.attempted
-
-
-@dataclass
-class ScenarioOutcome:
-    """Everything measured from one (mechanism, adversary) run."""
-
-    mechanism: str
-    adversary: str
-    detected: bool
-    verdicts: List[str]
-    mp_duration: float
-    mp_interruptions: int
-    task_worst_response: float
-    task_deadline_misses: int
-    probe: ProbeResult = field(default_factory=ProbeResult)
-    malware_blocked_actions: int = 0
-    lock_ops: int = 0
-
-    def summary(self) -> str:
-        return (
-            f"{self.mechanism:<10} vs {self.adversary:<10} "
-            f"detected={str(self.detected):<5} "
-            f"mp={self.mp_duration:.3f}s "
-            f"intr={self.mp_interruptions:<3} "
-            f"task_worst={self.task_worst_response * 1e3:7.1f}ms "
-            f"probes={self.probe.succeeded}/{self.probe.attempted}"
-        )
 
 
 def _schedule_probes(device: Device, config: ScenarioConfig,
@@ -160,15 +136,13 @@ def run_scenario(
     adversary: str,
     config: Optional[ScenarioConfig] = None,
     seed: int = 7,
-) -> ScenarioOutcome:
-    """Run one cell of the evaluation matrix."""
+) -> Tuple[ScenarioOutcome, ProbeResult]:
+    """Run one cell of the evaluation matrix: the run's outcome and
+    its mid-measurement write probes."""
     # Lazy: repro.scenario imports this module for ScenarioConfig, so
     # the factory can only be pulled in at call time.
-    from repro.scenario import MECHANISMS, Scenario
+    from repro.scenario import Scenario
 
-    if mechanism not in MECHANISMS:
-        raise ConfigurationError(f"unknown mechanism {mechanism!r}")
-    kind = MECHANISMS[mechanism].kind
     config = config or ScenarioConfig()
     scenario = Scenario.build(
         mechanism=mechanism,
@@ -177,66 +151,34 @@ def run_scenario(
         config=config,
         seed=seed,
     )
-    sim = scenario.sim
-    device = scenario.device
-    verifier = scenario.verifier
-    app = scenario.app
-    if kind == "on-demand":
-        scenario.schedule_request(config.request_at)
-    elif kind == "self":
-        sim.schedule_at(
-            config.erasmus_collect_at, scenario.collector.collect,
-            device.name,
-        )
+    scenario.drive()
 
     # Estimate the MP window for probe placement: first measurement
     # starts right after the request (plus network latency) or at t=0
     # for self-measurement; duration from the timing model.
+    device = scenario.device
     per_block = device.timing.hash_time(
         config.algorithm, config.sim_block_size
     )
     mp_estimate = per_block * config.block_count
-    window_start = config.request_at + 0.01 if kind == "on-demand" else 0.0
+    window_start = (
+        config.request_at + 0.01 if scenario.driver is not None else 0.0
+    )
     probe = ProbeResult()
     _schedule_probes(
         device, config, probe, (window_start, window_start + mp_estimate)
     )
 
-    sim.run(until=config.horizon)
-
-    verdicts = [result.verdict.value for result in verifier.results]
-    detected = any(
-        result.verdict is Verdict.COMPROMISED for result in verifier.results
-    )
-    records, _ = scenario.produced()
-    mp_duration = records[0].duration if records else 0.0
-    mp_interruptions = max(
-        (record.interruptions for record in records), default=0
-    )
-    stats = app.task.stats()
-    agents = device.malware_agents
-    blocked = sum(getattr(agent, "blocked_actions", 0) for agent in agents)
-
-    return ScenarioOutcome(
-        mechanism=mechanism,
-        adversary=adversary,
-        detected=detected,
-        verdicts=verdicts,
-        mp_duration=mp_duration,
-        mp_interruptions=mp_interruptions,
-        task_worst_response=stats.worst_response,
-        task_deadline_misses=stats.deadline_misses,
-        probe=probe,
-        malware_blocked_actions=blocked,
-        lock_ops=device.mpu.lock_ops + device.mpu.unlock_ops,
-    )
+    scenario.run()
+    return scenario.outcome(), probe
 
 
 @dataclass
 class EvaluationMatrix:
-    """All scenario outcomes plus the Table 1 distillation."""
+    """All scenario outcomes and probes plus the Table 1 distillation."""
 
     outcomes: Dict[Tuple[str, str], ScenarioOutcome]
+    probes: Dict[Tuple[str, str], ProbeResult]
     config: ScenarioConfig
 
     def outcome(self, mechanism: str, adversary: str) -> ScenarioOutcome:
@@ -254,7 +196,7 @@ class EvaluationMatrix:
         return self.outcome(mechanism, "none").detected
 
     def writable_availability(self, mechanism: str) -> Feature:
-        probe = self.outcome(mechanism, "none").probe
+        probe = self.probes[(mechanism, "none")]
         if probe.attempted == 0:
             return Feature.NO
         if probe.fraction >= 0.99:
@@ -270,7 +212,7 @@ class EvaluationMatrix:
         if outcome.mp_interruptions > 0:
             return (
                 Feature.YES
-                if outcome.task_worst_response
+                if outcome.availability.worst_response
                 < 0.05 * max(outcome.mp_duration, 1e-9)
                 else Feature.PARTIAL
             )
@@ -299,7 +241,7 @@ class EvaluationMatrix:
                 f"{self.writable_availability(mechanism).mark:<9} "
                 f"{self.interruptibility(mechanism).mark:<10} "
                 f"{none_outcome.mp_duration:<8.3f} "
-                f"{none_outcome.task_worst_response * 1e3:<15.1f} "
+                f"{none_outcome.availability.worst_response * 1e3:<15.1f} "
                 f"{expected_consistency(mechanism)}"
             )
         return "\n".join(lines)
@@ -375,9 +317,11 @@ def evaluate_all(
     config = config or ScenarioConfig()
     keys = mechanisms if mechanisms is not None else list(STANDARD_KEYS)
     outcomes: Dict[Tuple[str, str], ScenarioOutcome] = {}
+    probes: Dict[Tuple[str, str], ProbeResult] = {}
     for key in keys:
         for adversary in adversaries:
-            outcomes[(key, adversary)] = run_scenario(
+            cell = (key, adversary)
+            outcomes[cell], probes[cell] = run_scenario(
                 key, adversary, config
             )
-    return EvaluationMatrix(outcomes=outcomes, config=config)
+    return EvaluationMatrix(outcomes=outcomes, probes=probes, config=config)

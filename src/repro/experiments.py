@@ -418,12 +418,12 @@ def fig5_qoa(
         mechanism="erasmus",
         config=ScenarioConfig(
             block_count=16, block_size=32, sim_block_size=MiB,
-            algorithm="blake2s", erasmus_period=t_m, horizon=horizon,
+            algorithm="blake2s", erasmus_period=t_m,
+            erasmus_collect_period=t_c, horizon=horizon,
         ),
     )
     device = scenario.device
-    collector = scenario.collector
-    scenario.schedule_collections(t_c, int(horizon / t_c))
+    scenario.drive()
     block = 2  # in the code region
     TransientMalware(
         device, target_block=block, infect_at=infection1.start,
@@ -436,7 +436,7 @@ def fig5_qoa(
     scenario.run(until=horizon)
 
     detected: Dict[str, bool] = {"infection 1": False, "infection 2": False}
-    for collection in collector.collections:
+    for collection in scenario.collector.collections:
         for interval_start, interval_end in collection.dirty_intervals:
             for label, infection in (
                 ("infection 1", infection1),
@@ -548,22 +548,18 @@ def sec25_firealarm(
             workload_options={"data_block": None},
         )
         app = scenario.app
-        request_at = 2.0
-        if scenario.driver is not None:
-            scenario.schedule_request(request_at)
+        scenario.drive()
         # Fire breaks out 100 ms after the request (i.e. just after MP
         # starts, the paper's worst case).
-        app.start_fire(request_at + 0.1)
+        app.start_fire(scenario.config.request_at + 0.1)
         scenario.run(until=60.0)
-        records, _ = scenario.produced()
-        mp_duration = records[0].duration if records else 0.0
-        outcome = app.outcome()
+        alarm = app.outcome()
         rows.append(
             Sec25Row(
                 mechanism=mechanism,
-                mp_duration=mp_duration,
-                alarm_latency=outcome.alarm_latency,
-                deadline_misses=outcome.deadline_misses,
+                mp_duration=scenario.outcome().mp_duration,
+                alarm_latency=alarm.alarm_latency,
+                deadline_misses=alarm.deadline_misses,
             )
         )
     return Sec25Result(rows=rows, memory_bytes=memory_bytes)

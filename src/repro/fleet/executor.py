@@ -30,7 +30,6 @@ import traceback
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.apps.metrics import summarize_tasks
 from repro.core.qoa import QoAParameters
 from repro.core.tradeoff import ScenarioConfig
 from repro.crypto.drbg import HmacDrbg
@@ -47,9 +46,8 @@ from repro.fleet.telemetry import (
 )
 from repro.obs.core import Observability
 from repro.obs.metrics import MetricsRegistry
-from repro.ra.report import Verdict
 from repro.resilience.retry import RetryPolicy
-from repro.scenario import MECHANISMS, Scenario
+from repro.scenario import MECHANISMS, Scenario, first_detection
 from repro.sim.trace import Trace
 
 
@@ -72,6 +70,7 @@ def _scenario_config(spec: RunSpec) -> ScenarioConfig:
         horizon=spec.horizon,
         smarm_rounds=spec.rounds,
         erasmus_period=spec.t_m,
+        erasmus_collect_period=spec.t_c,
         task_period=spec.task_period,
         task_wcet=spec.task_wcet,
         task_priority=spec.task_priority,
@@ -177,6 +176,18 @@ def _attach_slo(
     return engine
 
 
+def _outcome_data(outcomes: Optional[Any]) -> Dict[str, Any]:
+    """An exchange-outcome ledger's aggregates, ``{}`` without one: the
+    per-exchange list stays in-process, out of the JSONL artifact."""
+    if outcomes is None:
+        return {}
+    return {
+        key: value
+        for key, value in outcomes.to_dict().items()
+        if key != "exchanges"
+    }
+
+
 def _trace_summary(obs: Any) -> Dict[str, Any]:
     """Fold a span-enabled run's capture into the mergeable shape the
     cross-shard reducer consumes; empty on metrics-only runs so the
@@ -231,28 +242,17 @@ def _execute_service_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
     server = scenario.server
     stats = server.stats()
 
-    compromised = [
-        r for r in scenario.verifier.results
-        if r.verdict is Verdict.COMPROMISED
-    ]
-    first_detection = (
-        min(r.verified_at for r in compromised) if compromised else None
-    )
+    detected_at = first_detection(scenario.verifier.results)
     verified_records = sum(
         entry.records for entry in server.ledger
         if entry.status == "verified"
     )
-    outcome_data = {
-        key: value
-        for key, value in scenario.outcomes.to_dict().items()
-        if key != "exchanges"
-    }
     return RunResult(
         run_id=spec.run_id,
         spec=spec.to_dict(),
         verdict_counts=verdict_histogram(scenario.verifier.results),
-        detected=bool(compromised),
-        first_detection_at=first_detection,
+        detected=detected_at is not None,
+        first_detection_at=detected_at,
         qoa={
             "service_submitted": float(stats["submitted"]),
             "service_verified": float(stats["verified"]),
@@ -268,7 +268,7 @@ def _execute_service_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
         hash_bytes=verified_records * config.blocks * config.block_size,
         auth_ops=stats["verified"],
         telemetry=obs.metrics.snapshot_flat(),
-        outcomes=outcome_data,
+        outcomes=_outcome_data(scenario.outcomes),
         trace_summary=_trace_summary(obs),
         slo=slo_engine.summary() if slo_engine else {},
         sim_time=sim_time,
@@ -310,8 +310,9 @@ def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
     if obs is None:
         obs = Observability(metrics=MetricsRegistry())
 
-    # All wiring goes through the one factory; the executor only maps
-    # spec fields onto factory arguments and schedules the protocol.
+    # All wiring goes through the one factory and the run is driven
+    # by its kind; the executor only maps spec fields onto factory
+    # arguments and the folded outcome onto a RunResult.
     faults = spec.faults or None
     config = _scenario_config(spec)
     rounds = MECHANISMS[spec.mechanism].rounds(config)
@@ -319,10 +320,7 @@ def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
         mechanism=spec.mechanism,
         malware=spec.adversary,
         faults=faults,
-        workload=(
-            spec.workload if spec.workload in ("firealarm", "writers")
-            else None
-        ),
+        workload=spec.workload,
         config=config,
         seed=_effective_seed(spec),
         retry=_retry_policy(spec, rounds) if faults else None,
@@ -342,76 +340,47 @@ def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
         },
         workload_options={"tasks": spec.writer_tasks},
     )
-    sim = scenario.sim
-    device = scenario.device
-    verifier = scenario.verifier
-    tasks = scenario.tasks
-
-    if scenario.driver is not None:
-        scenario.schedule_request(spec.request_at)
-    elif scenario.collector is not None:
-        scenario.schedule_collections(
-            spec.t_c, max(1, int(spec.horizon / spec.t_c))
-        )
-
-    slo_engine = _attach_slo(spec, obs, sim, spec.horizon, tasks=tasks)
-    sim_time = sim.run(until=spec.horizon)
-
-    # -- fold the scenario into telemetry -------------------------------
-    records, reports = scenario.produced()
-
-    compromised = [
-        r for r in verifier.results if r.verdict is Verdict.COMPROMISED
-    ]
-    first_detection = (
-        min(r.verified_at for r in compromised) if compromised else None
+    scenario.drive()
+    slo_engine = _attach_slo(
+        spec, obs, scenario.sim, spec.horizon, tasks=scenario.tasks
     )
+    sim_time = scenario.run()
+
+    outcome = scenario.outcome()
+    records, reports = outcome.records, outcome.reports
     detection_latency = None
-    if first_detection is not None and spec.adversary != "none":
-        detection_latency = first_detection - _effective_infect_at(spec)
-
-    availability = None
-    if tasks:
-        availability_report = summarize_tasks(device, tasks, elapsed=sim_time)
-        if scenario.outcomes is not None:
-            scenario.outcomes.fold_into(availability_report)
-        availability = availability_report.to_dict()
-
-    outcome_data: Dict[str, Any] = {}
-    if scenario.outcomes is not None:
-        # drop the per-exchange list: aggregates belong in the JSONL
-        # artifact, exchange detail stays in-process
-        outcome_data = {
-            key: value
-            for key, value in scenario.outcomes.to_dict().items()
-            if key != "exchanges"
-        }
-
+    if outcome.detected and spec.adversary != "none":
+        detection_latency = (
+            outcome.first_detection_at - _effective_infect_at(spec)
+        )
+    results = scenario.verifier.results
+    trace = scenario.device.trace
     return RunResult(
         run_id=spec.run_id,
         spec=spec.to_dict(),
-        verdict_counts=verdict_histogram(verifier.results),
-        detected=bool(compromised),
-        first_detection_at=first_detection,
+        verdict_counts=verdict_histogram(results),
+        detected=outcome.detected,
+        first_detection_at=outcome.first_detection_at,
         detection_latency=detection_latency,
         qoa=_qoa_stats(spec),
-        availability=availability,
-        measurements=len(records),
-        mp_duration=records[0].duration if records else 0.0,
-        mp_interruptions=max(
-            (rec.interruptions for rec in records), default=0
+        availability=(
+            None if outcome.availability is None
+            else outcome.availability.to_dict()
         ),
+        measurements=len(records),
+        mp_duration=outcome.mp_duration,
+        mp_interruptions=outcome.mp_interruptions,
         reports=len(reports),
         hash_ops=sum(rec.block_count for rec in records),
         hash_bytes=sum(
             rec.block_count * spec.sim_block_size for rec in records
         ),
-        auth_ops=len(reports) + len(verifier.results),
-        lock_ops=device.mpu.lock_ops + device.mpu.unlock_ops,
-        trace_events=len(device.trace),
-        trace_dropped=device.trace.dropped,
+        auth_ops=len(reports) + len(results),
+        lock_ops=outcome.lock_ops,
+        trace_events=len(trace),
+        trace_dropped=trace.dropped,
         telemetry=obs.metrics.snapshot_flat(),
-        outcomes=outcome_data,
+        outcomes=_outcome_data(scenario.outcomes),
         trace_summary=_trace_summary(obs),
         slo=slo_engine.summary() if slo_engine else {},
         sim_time=sim_time,

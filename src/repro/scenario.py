@@ -11,14 +11,15 @@ pin down.  :meth:`Scenario.build` is that order, written once:
         -> workload -> malware -> mechanism -> faults
 
 Callers get back a :class:`Scenario` holding every constructed piece
-plus convenience methods for the common follow-ups::
+plus the one way to drive a run and the one way to fold it::
 
     sc = Scenario.build(mechanism="smart", malware="transient",
                         faults="loss=0.3@0:30;reset@6",
                         workload="firealarm",
                         retry=RetryPolicy(timeout=0.5))
-    sc.schedule_request(at=2.0)
+    sc.drive()        # one request at config.request_at
     sc.run(until=40.0)
+    print(sc.outcome().availability.summary_line())
     print(sc.outcomes.render())
 
 Each mechanism is declared once, in :data:`MECHANISMS`: how a run
@@ -35,9 +36,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.apps.firealarm import FireAlarmApp
+from repro.apps.metrics import AvailabilityReport, summarize_tasks
 from repro.apps.workloads import WriterWorkload
 from repro.core.tradeoff import ScenarioConfig
 from repro.errors import ConfigurationError
@@ -46,6 +48,7 @@ from repro.malware.transient import TransientMalware
 from repro.ra.erasmus import CollectorVerifier, ErasmusService
 from repro.ra.locking import make_policy
 from repro.ra.measurement import MeasurementConfig
+from repro.ra.report import Verdict
 from repro.ra.seed import SeedMonitor, SeedService
 from repro.ra.service import AttestationService, OnDemandVerifier
 from repro.ra.smarm import SmarmAttestation
@@ -207,6 +210,36 @@ def _checked_options(
     return options
 
 
+def first_detection(results: Iterable[Any]) -> Optional[float]:
+    """When the verifier first said COMPROMISED (the earliest
+    ``verified_at`` of such a verdict in ``results``), or None."""
+    return min(
+        (r.verified_at for r in results if r.verdict is Verdict.COMPROMISED),
+        default=None,
+    )
+
+
+@dataclass(frozen=True)
+class ScenarioOutcome:
+    """One run folded into numbers (:meth:`Scenario.outcome`)."""
+
+    records: List[Any]
+    reports: List[Any]
+    first_detection_at: Optional[float]
+    #: the first record's duration, 0.0 when nothing was measured
+    mp_duration: float
+    #: the most preemptions any one record saw
+    mp_interruptions: int
+    lock_ops: int
+    #: the tasks' availability with the exchange outcomes folded in;
+    #: None when the run had no workload
+    availability: Optional[AvailabilityReport]
+
+    @property
+    def detected(self) -> bool:
+        return self.first_detection_at is not None
+
+
 @dataclass
 class Scenario:
     """Everything ``build`` wired together, ready to run."""
@@ -257,6 +290,21 @@ class Scenario:
             )
         self.collector.collect_every(self.device.name, period, count)
 
+    def drive(self) -> None:
+        """Schedule what the mechanism's kind needs to run (Fig. 3):
+        one request at ``config.request_at`` for an on-demand
+        mechanism, ``max(1, int(horizon / T_C))`` collections every T_C
+        (``config.erasmus_collect_period``) for a self-measuring one,
+        and nothing for a push mechanism or ``"none"``."""
+        config = self.config
+        if self.driver is not None:
+            self.schedule_request(config.request_at)
+        elif self.collector is not None:
+            period = config.erasmus_collect_period
+            self.schedule_collections(
+                period, max(1, int(config.horizon / period))
+            )
+
     def run(self, until: Optional[float] = None) -> float:
         """Run the simulation (default horizon: the config's)."""
         return self.sim.run(
@@ -276,6 +324,28 @@ class Scenario:
             return [], []
         reports = list(self.service.reports_sent)
         return [rec for report in reports for rec in report.records], reports
+
+    def outcome(self) -> ScenarioOutcome:
+        """Fold the run so far (:meth:`produced`, the verifier's
+        verdicts, the MPU and the tasks) into a :class:`ScenarioOutcome`."""
+        records, reports = self.produced()
+        availability = None
+        if self.tasks:
+            availability = summarize_tasks(self.device, self.tasks)
+            if self.outcomes is not None:
+                self.outcomes.fold_into(availability)
+        mpu = self.device.mpu
+        return ScenarioOutcome(
+            records=records,
+            reports=reports,
+            first_detection_at=first_detection(self.verifier.results),
+            mp_duration=records[0].duration if records else 0.0,
+            mp_interruptions=max(
+                (rec.interruptions for rec in records), default=0
+            ),
+            lock_ops=mpu.lock_ops + mpu.unlock_ops,
+            availability=availability,
+        )
 
     # -- the factory -------------------------------------------------------
 

@@ -1,8 +1,11 @@
 """Scenario.build: the one canonical wiring path.
 
 These tests pin the factory's contract -- validation of every axis,
-which pieces each mechanism kind populates, and the opt-in nature of
-the resilience layer (no retry, no faults => no extra machinery)."""
+which pieces each mechanism kind populates, the opt-in nature of
+the resilience layer (no retry, no faults => no extra machinery), and
+the one way a run is driven (``drive``) and folded (``outcome``)."""
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,8 +15,9 @@ from repro.fleet.campaign import KNOWN_MECHANISMS
 from repro.malware.relocating import SelfRelocatingMalware
 from repro.malware.transient import TransientMalware
 from repro.obs.core import Observability
+from repro.ra.report import Verdict
 from repro.resilience import FaultPlan, OutcomeReport, RetryPolicy
-from repro.scenario import MECHANISMS, OPTION_KEYS, Scenario
+from repro.scenario import MECHANISMS, OPTION_KEYS, Scenario, first_detection
 from repro.sim import Trace
 from repro.units import MiB
 
@@ -273,8 +277,11 @@ class TestProduced:
         assert records == [r for report in reports for r in report.records]
 
     def test_self_measurement_reads_history_and_collections(self):
-        scenario = Scenario.build(mechanism="erasmus", config=small_config())
-        scenario.schedule_collections(8.0, 2)
+        scenario = Scenario.build(
+            mechanism="erasmus",
+            config=small_config(erasmus_collect_period=8.0),
+        )
+        scenario.drive()  # collections at 8 and 16 of the 20 s horizon
         scenario.run()
         records, reports = scenario.produced()
         assert records == scenario.service.history and records
@@ -286,3 +293,168 @@ class TestProduced:
         records, reports = scenario.produced()
         assert reports == scenario.seed_service.reports_sent and reports
         assert records == [r for report in reports for r in report.records]
+
+
+def kinds(*wanted):
+    return [key for key, entry in MECHANISMS.items() if entry.kind in wanted]
+
+
+def record_calls(scenario, piece, method):
+    """Replace ``scenario.<piece>.<method>`` with a pass-through that
+    notes the sim time of every call; returns the list of times."""
+    target = getattr(scenario, piece)
+    real = getattr(target, method)
+    times = []
+
+    def recorded(*args):
+        times.append(scenario.sim.now)
+        return real(*args)
+
+    setattr(target, method, recorded)
+    return times
+
+
+class TestDrive:
+    @pytest.mark.parametrize("key", kinds("on-demand"))
+    def test_on_demand_requests_once_at_request_at(self, key):
+        config = small_config(smarm_rounds=3, request_at=1.5)
+        scenario = Scenario.build(mechanism=key, config=config)
+        requested = record_calls(scenario, "driver", "request")
+        pending = scenario.sim.pending_count()
+        scenario.drive()
+        assert scenario.sim.pending_count() == pending + 1
+        scenario.run()
+        assert requested == [1.5]
+        (exchange,) = scenario.driver.exchanges
+        assert exchange.requested_at == 1.5
+        assert exchange.rounds == MECHANISMS[key].rounds(config)
+        assert exchange.rounds == (3 if key == "smarm" else 1)
+
+    @pytest.mark.parametrize(
+        "horizon, period, times",
+        [
+            (20.0, 8.0, [8.0, 16.0]),
+            (20.0, 6.5, [6.5, 13.0, 19.5]),
+            (20.0, 20.0, [20.0]),
+            # a period past the horizon still collects once
+            (5.0, 8.0, [8.0]),
+        ],
+    )
+    def test_self_collects_every_period(self, horizon, period, times):
+        (key,) = kinds("self")
+        config = small_config(horizon=horizon, erasmus_collect_period=period)
+        scenario = Scenario.build(mechanism=key, config=config)
+        collected = record_calls(scenario, "collector", "collect")
+        pending = scenario.sim.pending_count()
+        scenario.drive()
+        assert scenario.sim.pending_count() == pending + len(times)
+        scenario.run(until=times[-1] + 1.0)
+        assert collected == times
+        assert len(scenario.collector.collections) == len(times)
+
+    @pytest.mark.parametrize("key", [*kinds("push"), "none"])
+    def test_push_and_none_schedule_nothing(self, key):
+        scenario = Scenario.build(mechanism=key, config=small_config())
+        pending = scenario.sim.pending_count()
+        scenario.drive()
+        assert scenario.sim.pending_count() == pending
+
+
+class TestOutcome:
+    def test_first_detection_is_the_earliest_compromised_verdict(self):
+        results = [
+            SimpleNamespace(verdict=verdict, verified_at=at)
+            for verdict, at in (
+                (Verdict.HEALTHY, 1.0),
+                (Verdict.COMPROMISED, 9.0),
+                (Verdict.COMPROMISED, 4.0),
+                (Verdict.HEALTHY, 2.0),
+            )
+        ]
+        assert first_detection(results) == 4.0
+        assert first_detection(results[:1]) is None
+        assert first_detection([]) is None
+
+    def test_detection_folds_the_verifier_results(self):
+        scenario = Scenario.build(
+            mechanism="smart", malware="transient",
+            malware_options={"infect_at": 0.5, "block": 2},  # code region
+            config=small_config(),
+        )
+        scenario.schedule_request(8.0)
+        scenario.schedule_request(1.0)
+        scenario.run()
+        outcome = scenario.outcome()
+        compromised = [
+            r.verified_at for r in scenario.verifier.results
+            if r.verdict is Verdict.COMPROMISED
+        ]
+        assert len(compromised) == 2
+        assert outcome.detected
+        assert outcome.first_detection_at == min(compromised)
+
+    def test_clean_run_detects_nothing(self):
+        scenario = Scenario.build(mechanism="smart", config=small_config())
+        scenario.drive()
+        scenario.run()
+        outcome = scenario.outcome()
+        assert scenario.verifier.results
+        assert not outcome.detected
+        assert outcome.first_detection_at is None
+
+    def test_measurement_fields_fold_the_produced_records(self):
+        scenario = Scenario.build(
+            mechanism="all-lock", workload="firealarm",
+            config=small_config(),
+        )
+        scenario.drive()
+        scenario.run()
+        outcome = scenario.outcome()
+        records, reports = scenario.produced()
+        assert (outcome.records, outcome.reports) == (records, reports)
+        assert outcome.mp_duration == records[0].duration > 0
+        assert outcome.mp_interruptions == max(
+            r.interruptions for r in records
+        )
+        mpu = scenario.device.mpu
+        assert outcome.lock_ops == mpu.lock_ops + mpu.unlock_ops > 0
+
+    def test_nothing_measured_folds_to_zero(self):
+        scenario = Scenario.build(mechanism="none", config=small_config())
+        scenario.run()
+        outcome = scenario.outcome()
+        assert outcome.records == [] and outcome.reports == []
+        assert outcome.mp_duration == 0.0
+        assert outcome.mp_interruptions == 0
+
+    def test_no_workload_no_availability(self):
+        scenario = Scenario.build(mechanism="smart", config=small_config())
+        scenario.drive()
+        scenario.run()
+        assert scenario.outcome().availability is None
+
+    def test_availability_summarizes_the_tasks(self):
+        scenario = Scenario.build(
+            mechanism="smart", workload="firealarm", config=small_config()
+        )
+        scenario.drive()
+        scenario.run()
+        availability = scenario.outcome().availability
+        stats = scenario.app.task.stats()
+        assert availability.jobs_released == stats.jobs_released > 0
+        assert availability.worst_response == stats.worst_response
+        assert availability.elapsed == scenario.sim.now
+        assert availability.exchange_outcomes == {}
+
+    def test_availability_carries_the_exchange_outcomes(self):
+        scenario = Scenario.build(
+            mechanism="smart", workload="firealarm",
+            faults="loss=0.5@0:20", retry=RetryPolicy(timeout=0.5),
+            config=small_config(),
+        )
+        scenario.drive()
+        scenario.run()
+        availability = scenario.outcome().availability
+        counts = scenario.outcomes.counts()
+        assert sum(counts.values()) == 1
+        assert availability.exchange_outcomes == counts
