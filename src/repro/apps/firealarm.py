@@ -25,7 +25,7 @@ faults / blocked time).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.device import Device
@@ -102,9 +102,6 @@ class FireAlarmApp:
         self.alarm_at: Optional[float] = None
         self.samples = 0
         self.readings: List[float] = []
-        # ``app.samples`` handle, resolved on the first sample so a run
-        # that takes none registers no series.
-        self._m_samples: Optional[Any] = None
         self.task = PeriodicTask(
             device.cpu,
             name=f"{device.name}.firealarm",
@@ -137,14 +134,13 @@ class FireAlarmApp:
         reading = self.temperature()
         self.samples += 1
         self.readings.append(reading)
-        obs = self.device.obs
-        if obs.enabled:
-            m_samples = self._m_samples
-            if m_samples is None:
-                m_samples = self._m_samples = obs.metrics.counter(
-                    "app.samples", "temperature samples taken",
-                )
-            m_samples.inc()
+        if self.samples == 1:
+            # ``app.samples`` reads ``samples`` when sampled; registered
+            # at the first sample, so a run that takes none has no series
+            self.device.obs.metrics.read_counter(
+                "app.samples", lambda: self.samples,
+                "temperature samples taken",
+            )
         if self.data_block is not None:
             record = task.jobs[-1]
             encoded = int(reading * 100).to_bytes(4, "big")
@@ -154,6 +150,7 @@ class FireAlarmApp:
                 actor=task.name, record=record,
             )
         if reading > self.threshold and self.alarm_at is None:
+            obs = self.device.obs
             self.alarm_at = self.device.sim.now
             self.device.trace.record(
                 self.alarm_at, "alarm.sound", task.name,

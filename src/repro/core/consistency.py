@@ -62,9 +62,7 @@ class ConsistencyAnalyzer:
 
     def __init__(self, memory: Memory) -> None:
         self.memory = memory
-        self._benign = [
-            memory.benign_audit(i) for i in range(memory.block_count)
-        ]
+        self._benign = memory.reference_audits()
         #: per block: commit times and content fingerprints of its
         #: logged writes, in log order; extended from ``_indexed`` on
         #: when the write log has grown since the last query

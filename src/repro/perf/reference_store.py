@@ -76,7 +76,8 @@ class ReferenceImage:
     lookups with no LRU traffic.
     """
 
-    __slots__ = ("seed", "block_size", "_blocks", "_audits", "_tuples")
+    __slots__ = ("seed", "block_size", "_blocks", "_audits", "_tuples",
+                 "_audit_tuples")
 
     def __init__(self, seed: int, block_size: int) -> None:
         self.seed = seed
@@ -85,6 +86,8 @@ class ReferenceImage:
         self._audits: Dict[int, bytes] = {}
         #: memoized per-block_count prefix tuples for image construction
         self._tuples: Dict[int, Tuple[bytes, ...]] = {}
+        #: the same, of the audit hashes (:meth:`audits`)
+        self._audit_tuples: Dict[int, Tuple[bytes, ...]] = {}
 
     def block(self, block_index: int) -> bytes:
         """Interned benign contents of one block (generated on first use)."""
@@ -115,6 +118,17 @@ class ReferenceImage:
             block = self.block
             cached = self._tuples[block_count] = tuple(
                 block(index) for index in range(block_count)
+            )
+        return cached
+
+    def audits(self, block_count: int) -> Tuple[bytes, ...]:
+        """Audit hashes of the first ``block_count`` blocks, one shared
+        tuple (the audit counterpart of :meth:`blocks`)."""
+        cached = self._audit_tuples.get(block_count)
+        if cached is None:
+            audit = self.audit
+            cached = self._audit_tuples[block_count] = tuple(
+                audit(index) for index in range(block_count)
             )
         return cached
 

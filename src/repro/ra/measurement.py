@@ -28,7 +28,7 @@ mechanism (any real malware is slower).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hmac import Hmac, hmac_digest
@@ -92,6 +92,14 @@ def derive_order_seed(key: bytes, nonce: bytes, counter: int) -> bytes:
     """
     material = b"smarm-order" + nonce + counter.to_bytes(8, "big")
     return hmac_digest(key, material, "sha256")[:16]
+
+
+def _overridden(policy: LockingPolicy, hook: str) -> Optional[Callable]:
+    """``policy``'s bound ``hook``, or ``None`` where its class keeps
+    :class:`LockingPolicy`'s no-op (the traversal then skips the call)."""
+    if getattr(type(policy), hook) is getattr(LockingPolicy, hook):
+        return None
+    return getattr(policy, hook)
 
 
 def traversal_order(
@@ -209,16 +217,22 @@ class MeasurementProcess:
             measurement_span = spans.begin_span(
                 "ra.measurement", category="ra.measurement", **span_args
             )
-        if metrics is not None:
-            m_blocks = metrics.counter(
-                "ra.blocks.measured", "attested blocks traversed",
-                mechanism=self.mechanism,
-            )
-            m_bytes = metrics.counter(
-                "ra.bytes.measured", "simulated bytes hashed",
-                mechanism=self.mechanism,
-            )
+        # ``ra.{blocks,bytes}.measured`` read the device's live count
+        # for this mechanism when sampled; the traversal bumps it.
+        measured = device.blocks_measured
+        mechanism = self.mechanism
+        if mechanism not in measured:
+            measured[mechanism] = 0
             sim_block_size = device.memory.sim_block_size
+            obs.metrics.read_counter(
+                "ra.blocks.measured", lambda: measured[mechanism],
+                "attested blocks traversed", mechanism=mechanism,
+            )
+            obs.metrics.read_counter(
+                "ra.bytes.measured",
+                lambda: measured[mechanism] * sim_block_size,
+                "simulated bytes hashed", mechanism=mechanism,
+            )
 
         if config.atomic:
             yield Atomic(True)
@@ -270,7 +284,9 @@ class MeasurementProcess:
         mac_update = mac.update
         read_block = memory.read_block
         benign = memory.reference_blocks()
-        benign_audit = memory.benign_audit
+        audits = memory.reference_audits()
+        before_block = _overridden(self.policy, "before_block")
+        after_block = _overridden(self.policy, "after_block")
         region_name = config.region or ""
         notify = config.notify_malware
         total = len(order)
@@ -285,16 +301,17 @@ class MeasurementProcess:
                 block_span = spans.begin_span(
                     "ra.block", category="ra.measurement", **block_args
                 )
-            pre_ops = self.policy.before_block(block_index)
-            if pre_ops:
-                yield Compute(self._lock_cost(pre_ops))
+            if before_block is not None:
+                pre_ops = before_block(block_index)
+                if pre_ops:
+                    yield Compute(self._lock_cost(pre_ops))
             content = read_block(block_index)
             # Still-benign content (an identity check against the
             # interned reference in the common case) reuses the
             # precomputed reference audit; anything else is hashed.
             reference = benign[block_index]
             if content is reference or content == reference:
-                audit = benign_audit(block_index)
+                audit = audits[block_index]
             else:
                 audit = audit_hash(content)
             block_times[block_index] = sim.now
@@ -304,14 +321,13 @@ class MeasurementProcess:
                 if mutable_lookup[block_index] else content
             )
             yield Compute(block_hash_time)
-            post_ops = self.policy.after_block(block_index)
-            if post_ops:
-                yield Compute(self._lock_cost(post_ops))
+            if after_block is not None:
+                post_ops = after_block(block_index)
+                if post_ops:
+                    yield Compute(self._lock_cost(post_ops))
             if spans is not None:
                 spans.end_span(block_span)
-            if metrics is not None:
-                m_blocks.inc()
-                m_bytes.inc(sim_block_size)
+            measured[mechanism] += 1
             if notify:
                 device.notify_block_measured(
                     position + 1, total, interruptible, region_name

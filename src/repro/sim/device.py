@@ -17,7 +17,7 @@ assumes:
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import EventHandle, Simulator
@@ -138,6 +138,9 @@ class Device:
         self.nic: Optional[Endpoint] = None
         self.malware_agents: List[Any] = []
         self.reset_count = 0
+        #: blocks measured on this device per mechanism, across resets;
+        #: ``ra.blocks.measured`` / ``ra.bytes.measured`` read it
+        self.blocks_measured: Dict[str, int] = {}
         self._reset_hooks: List[Callable[[], None]] = []
 
     # -- wiring ---------------------------------------------------------

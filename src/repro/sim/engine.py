@@ -235,14 +235,13 @@ class Simulator:
 
     # -- coalesced time advance ---------------------------------------
 
-    def can_coalesce(self, duration: float) -> bool:
-        """Whether a completion event ``duration`` from now may be
-        *coalesced*: executed inline instead of round-tripping through
-        the heap.
+    def try_coalesce(self, duration: float) -> bool:
+        """Advance the clock inline by ``duration`` when a completion
+        event that far ahead would provably be the next event to fire,
+        instead of round-tripping it through the heap.  Returns whether
+        it advanced; on ``False`` nothing but cancelled heads changed.
 
-        Coalescing is behavior-preserving only when the would-be event
-        is provably the next thing the engine would fire, so this
-        requires all of:
+        Coalescing is behavior-preserving only when all of these hold:
 
         * a ``run()`` is active (``step()`` drives events one at a
           time and must observe every one) and has not been stopped;
@@ -253,27 +252,31 @@ class Simulator:
         * the earliest live queued event is *strictly* later than the
           target -- an event at exactly the target time was scheduled
           earlier, holds a smaller sequence number, and must run first.
+
+        Cancelled heads met on the way are discarded and counted, as
+        :meth:`run` would.  The skipped schedule/fire pair is accounted
+        logically -- one sequence number, one fired count -- so
+        telemetry and later tie-breaking are identical to the
+        event-queue path.
         """
         if not self._running or self._stopped or self._profiler is not None:
             return False
         target = self.now + duration
         if self._until is not None and target > self._until:
             return False
-        head = self._live_head()
-        return head is None or head.time > target
-
-    def coalesce_advance(self, duration: float) -> None:
-        """Advance the clock inline by ``duration``.
-
-        Only legal immediately after :meth:`can_coalesce` returned
-        ``True`` (same stack frame, nothing scheduled in between).  The
-        skipped schedule/fire pair is accounted logically -- sequence
-        number, scheduled/fired counters -- so telemetry and any later
-        tie-breaking are identical to the event-queue path.
-        """
-        self.now += duration
+        queue = self._queue
+        while queue:
+            entry = queue[0]
+            if not entry[2].cancelled:
+                if entry[0] <= target:
+                    return False
+                break
+            heapq.heappop(queue)
+            self._cancelled += 1
+        self.now = target
         self._seq += 1
         self._fired += 1
+        return True
 
     # -- introspection ------------------------------------------------
 

@@ -291,7 +291,8 @@ class Memory:
         cached until the next applied mutation of the block, so hot
         measurement traversals stop paying a bytearray copy per access.
         """
-        self._check_index(block_index)
+        if not 0 <= block_index < self.block_count:
+            self._check_index(block_index)
         frozen = self._frozen[block_index]
         if frozen is None:
             frozen = self._frozen[block_index] = bytes(
@@ -310,7 +311,8 @@ class Memory:
         Raises :class:`MemoryFault` if the MPU has the block locked and
         is configured to raise; the write is then *not* applied.
         """
-        self._check_index(block_index)
+        if not 0 <= block_index < self.block_count:
+            self._check_index(block_index)
         if len(data) != self.block_size:
             raise AddressError(
                 f"write of {len(data)} bytes to block of {self.block_size}"
@@ -320,9 +322,10 @@ class Memory:
         self.blocks[block_index].data[:] = data
         content = self._frozen[block_index] = bytes(data)
         self.generations[block_index] += 1
-        self.write_log.append(
-            WriteRecord(self.now(), block_index, actor, content)
-        )
+        clock = self._clock
+        self.write_log.append(WriteRecord(
+            clock() if clock is not None else 0.0, block_index, actor, content
+        ))
 
     def try_write(self, block_index: int, data: bytes, actor: str = "?") -> bool:
         """Like :meth:`write` but returns ``False`` on an MPU fault."""
@@ -394,15 +397,14 @@ class Memory:
         """
         return self._reference.blocks(self.block_count)
 
-    def benign_audit(self, block_index: int) -> bytes:
-        """Precomputed audit hash of the block's pristine contents.
+    def reference_audits(self) -> Tuple[bytes, ...]:
+        """Audit hashes of :meth:`reference_blocks`, one shared tuple.
 
-        Equals ``content_fingerprint(self.benign_block(block_index))``
-        without re-hashing; the measurement process uses it whenever
-        the measured content is still benign.
+        Entry ``i`` equals ``content_fingerprint(self.benign_block(i))``
+        without re-hashing; the measurement process and the Figure 4
+        analyzer read it for still-benign content.
         """
-        self._check_index(block_index)
-        return self._reference.audit(block_index)
+        return self._reference.audits(self.block_count)
 
     def dirty_blocks(self) -> List[int]:
         """Indices of blocks that differ from the benign image.

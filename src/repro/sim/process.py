@@ -427,7 +427,7 @@ class CPU:
         self._in_advance = True
         send = proc._generator.send
         sim = self.sim
-        can_coalesce = sim.can_coalesce
+        try_coalesce = sim.try_coalesce
         try:
             while True:
                 try:
@@ -438,20 +438,19 @@ class CPU:
                 send_value = None
                 if isinstance(command, Compute):
                     duration = command.duration
-                    if can_coalesce(duration) and (
-                        proc.atomic or not self._outranked(proc)
-                    ):
+                    # recorded at the pre-advance instant on both paths
+                    record = self._record
+                    if record is not None:
+                        record(sim.now, "compute", proc.name,
+                               duration=duration)
+                    if (
+                        proc.atomic or not self._ready
+                        or not self._outranked(proc)
+                    ) and try_coalesce(duration):
                         # Inline fast path: the completion event would
                         # be the very next event the engine fires, and
                         # the dispatch after scheduling it would not
-                        # preempt, so skip the heap round-trip.  The
-                        # trace record is emitted at the pre-advance
-                        # instant, exactly as the scheduling path does.
-                        record = self._record
-                        if record is not None:
-                            record(sim.now, "compute", proc.name,
-                                   duration=duration)
-                        sim.coalesce_advance(duration)
+                        # preempt, so skip the heap round-trip.
                         proc.cpu_time += duration
                         continue
                     proc._remaining = duration
@@ -459,10 +458,6 @@ class CPU:
                     proc._completion = sim.schedule(
                         duration, self._compute_done, proc
                     )
-                    record = self._record
-                    if record is not None:
-                        record(sim.now, "compute", proc.name,
-                               duration=duration)
                     return
                 if isinstance(command, Sleep):
                     if proc.atomic:
@@ -474,13 +469,12 @@ class CPU:
                     if record is not None:
                         record(sim.now, "sleep", proc.name,
                                duration=duration)
-                    if not self._ready and can_coalesce(duration):
+                    if not self._ready and try_coalesce(duration):
                         # Inline wake: nothing else is ready, so the CPU
                         # would idle, and the wake event would be the
-                        # very next event the engine fires.  Advance the
-                        # clock and hand the CPU straight back, with the
-                        # records and accounting of _wake -> _run.
-                        sim.coalesce_advance(duration)
+                        # very next event the engine fires.  The clock
+                        # has advanced; hand the CPU straight back, with
+                        # the records and accounting of _wake -> _run.
                         self._make_ready(proc, queued=False)
                         self._take(proc)
                         continue

@@ -240,8 +240,7 @@ class EngineProgram:
         cont = self.new_id()
         if cont is None:
             return
-        if self.sim.can_coalesce(compute):
-            self.sim.coalesce_advance(compute)
+        if self.sim.try_coalesce(compute):
             self.scheduled += 1
             self.fired += 1
             self.coalesced += 1

@@ -1,11 +1,10 @@
 """Engine fast-path semantics: coalesced advances and batch draining.
 
-``can_coalesce``/``coalesce_advance`` let a process burn a Compute
-delay inline instead of round-tripping the heap; ``run`` drains
-co-scheduled same-instant events in a batch.  Both are pure wall-clock
-moves, so the tests pin the *observable* contract: when coalescing is
-legal, when it must be refused, and that traces and firing order never
-change.
+``try_coalesce`` lets a process burn a Compute delay inline instead of
+round-tripping the heap; ``run`` drains co-scheduled same-instant
+events in a batch.  Both are pure wall-clock moves, so the tests pin
+the *observable* contract: when coalescing is legal, when it must be
+refused, and that traces and firing order never change.
 """
 
 from repro.errors import SchedulingError
@@ -16,66 +15,68 @@ from repro.sim.process import Compute
 from tests.conftest import oracle_sim
 
 
+def probe_at(sim, time, duration, seen):
+    """At ``time``, try to coalesce ``duration`` and record
+    ``(advanced, now)``."""
+    sim.schedule_at(
+        time, lambda: seen.append((sim.try_coalesce(duration), sim.now))
+    )
+
+
 class TestCanCoalesce:
+    """When ``try_coalesce`` must refuse, and when it may advance."""
+
     def test_refused_outside_run(self):
         sim = Simulator()
-        assert not sim.can_coalesce(1.0)
+        assert not sim.try_coalesce(1.0)
+        assert sim.now == 0.0
 
     def test_refused_past_until_bound(self):
-        sim = Simulator()
         seen = []
-
-        def probe():
-            seen.append((sim.can_coalesce(3.0), sim.can_coalesce(6.0)))
-
-        sim.schedule_at(4.0, probe)
-        sim.run(until=10.0)
+        for duration in (3.0, 6.0, 7.0):
+            sim = Simulator()
+            probe_at(sim, 4.0, duration, seen)
+            sim.run(until=10.0)
         # 4.0+3.0=7.0 <= 10.0 ok; 4.0+6.0=10.0 is exactly the bound
-        # (allowed); past-the-bound refused below
-        assert seen == [(True, True)]
-        seen.clear()
-        sim2 = Simulator()
-        sim2.schedule_at(
-            4.0, lambda: seen.append(sim2.can_coalesce(7.0))
-        )
-        sim2.run(until=10.0)
-        assert seen == [False]
+        # (allowed); 4.0+7.0 overshoots it
+        assert seen == [(True, 7.0), (True, 10.0), (False, 4.0)]
 
     def test_refused_at_equal_time_head(self):
         sim = Simulator()
         seen = []
-
-        def probe():
-            # a pending event at exactly now+2.0 was scheduled earlier,
-            # so it holds the smaller seq and must fire first
-            seen.append(sim.can_coalesce(2.0))
-
-        sim.schedule_at(1.0, probe)
+        # a pending event at exactly now+2.0 was scheduled earlier, so
+        # it holds the smaller seq and must fire first
+        probe_at(sim, 1.0, 2.0, seen)
         sim.schedule_at(3.0, lambda: None)
         sim.run(until=10.0)
-        assert seen == [False]
+        assert seen == [(False, 1.0)]
 
     def test_allowed_when_head_strictly_later(self):
         sim = Simulator()
         seen = []
-        sim.schedule_at(1.0, lambda: seen.append(sim.can_coalesce(2.0)))
+        probe_at(sim, 1.0, 2.0, seen)
         sim.schedule_at(3.5, lambda: None)
         sim.run(until=10.0)
-        assert seen == [True]
+        assert seen == [(True, 3.0)]
 
     def test_cancelled_head_is_skipped(self):
-        sim = Simulator()
+        """A cancelled head is discarded and counted on the way, as the
+        dispatch loop would, and does not block the advance."""
+        obs = Observability.enabled(spans=False)
+        sim = Simulator(obs=obs)
         seen = []
 
         def probe():
             handle.cancel()
-            seen.append(sim.can_coalesce(2.0))
+            seen.append(sim.try_coalesce(2.0))
+            seen.append(obs.metrics.snapshot_flat()["sim.events.cancelled"])
 
         sim.schedule_at(1.0, probe)
         handle = sim.schedule_at(3.0, lambda: None)
         sim.schedule_at(5.0, lambda: None)
         sim.run(until=10.0)
-        assert seen == [True]
+        assert seen == [True, 1.0]
+        assert obs.metrics.snapshot_flat()["sim.events.cancelled"] == 1.0
 
     def test_refused_after_stop(self):
         sim = Simulator()
@@ -83,18 +84,18 @@ class TestCanCoalesce:
 
         def probe():
             sim.stop()
-            seen.append(sim.can_coalesce(1.0))
+            seen.append((sim.try_coalesce(1.0), sim.now))
 
         sim.schedule_at(1.0, probe)
         sim.run(until=10.0)
-        assert seen == [False]
+        assert seen == [(False, 1.0)]
 
     def test_refused_under_profiler(self):
         sim = Simulator(obs=Observability.enabled(profile_events=True))
         seen = []
-        sim.schedule_at(1.0, lambda: seen.append(sim.can_coalesce(1.0)))
+        probe_at(sim, 1.0, 1.0, seen)
         sim.run(until=10.0)
-        assert seen == [False]
+        assert seen == [(False, 1.0)]
 
 
 class TestCoalesceAdvance:
@@ -107,7 +108,7 @@ class TestCoalesceAdvance:
 
         def probe():
             for _ in range(7):
-                sim.coalesce_advance(0.1)
+                assert sim.try_coalesce(0.1)
             flat = obs.metrics.snapshot_flat()
             seen.append((flat["sim.events.scheduled"],
                          flat["sim.events.fired"]))
@@ -126,8 +127,7 @@ class TestCoalesceAdvance:
 
         def probe():
             before = sim._seq
-            assert sim.can_coalesce(2.0)
-            sim.coalesce_advance(2.0)
+            assert sim.try_coalesce(2.0)
             trail.append((sim.now, sim._seq - before))
 
         sim.schedule_at(1.0, probe)
@@ -139,7 +139,7 @@ class TestCoalesceAdvance:
         times = []
 
         def probe():
-            sim.coalesce_advance(0.5)
+            assert sim.try_coalesce(0.5)
             times.append(sim.now)
             sim.schedule_at(sim.now + 1.0, lambda: times.append(sim.now))
 
@@ -147,6 +147,52 @@ class TestCoalesceAdvance:
         end = sim.run(until=10.0)
         assert times == [2.5, 3.5]
         assert end == 10.0
+
+    @staticmethod
+    def engine_state(sim):
+        return sim.now, sim._seq, sim._fired
+
+    def test_refusal_leaves_clock_and_counts(self):
+        """Every refusal returns ``False`` with ``now``, seq and fired
+        exactly as they were."""
+        states = []
+
+        def refuse(sim, duration):
+            before = self.engine_state(sim)
+            assert not sim.try_coalesce(duration)
+            states.append(self.engine_state(sim) == before)
+
+        sim = Simulator()
+        refuse(sim, 1.0)  # no active run
+        sim.schedule_at(1.0, refuse, sim, 20.0)  # past until
+        sim.schedule_at(2.0, refuse, sim, 1.0)  # equal-time head
+        sim.schedule_at(3.0, lambda: None)
+        sim.run(until=10.0)
+        stopped = Simulator()
+        stopped.schedule_at(
+            1.0, lambda: (stopped.stop(), refuse(stopped, 1.0))
+        )
+        stopped.run(until=10.0)
+        profiled = Simulator(obs=Observability.enabled(profile_events=True))
+        profiled.schedule_at(1.0, refuse, profiled, 1.0)
+        profiled.run(until=10.0)
+        assert states == [True] * 5
+
+    def test_accepted_advance_bumps_seq_and_fired_by_one(self):
+        sim = Simulator()
+        deltas = []
+
+        def advance():
+            for duration in (0.25, 0.0, 1.5):
+                now, seq, fired = self.engine_state(sim)
+                assert sim.try_coalesce(duration)
+                deltas.append((sim.now - now, sim._seq - seq,
+                               sim._fired - fired))
+
+        sim.schedule_at(1.0, advance)
+        sim.schedule_at(5.0, lambda: None)
+        sim.run(until=10.0)
+        assert deltas == [(0.25, 1, 1), (0.0, 1, 1), (1.5, 1, 1)]
 
 
 class TestPeekAndBatchDrain:

@@ -52,6 +52,37 @@ class TestSensing:
         sim.run(until=5.5)
         assert sim.obs.metrics.snapshot_flat()["app.samples"] == 6.0
 
+    def test_samples_counter_reads_the_live_count(self):
+        """``app.samples`` is read from ``FireAlarmApp.samples`` when
+        sampled; two alarms on one registry add up."""
+        sim = Simulator(obs=Observability.enabled(spans=False))
+        apps = []
+        for name in ("a", "b"):
+            device = Device(sim, name=name, block_count=16, block_size=32)
+            device.standard_layout()
+            apps.append(FireAlarmApp(device, period=1.0, sample_wcet=0.001))
+        sim.run(until=2.5)
+        assert sim.obs.metrics.snapshot_flat()["app.samples"] == 6.0
+        apps[0].device.reset()
+        sim.run(until=5.5)
+        assert [app.samples for app in apps] == [3, 6]
+        assert sim.obs.metrics.snapshot_flat()["app.samples"] == 9.0
+
+    def test_no_sample_registers_no_series(self):
+        sim = Simulator(obs=Observability.enabled(spans=False))
+        device = Device(sim, block_count=16, block_size=32,
+                        sim_block_size=64 * MiB)
+        device.standard_layout()
+        mp = MeasurementProcess(device, MeasurementConfig(atomic=True),
+                                nonce=b"n", mechanism="smart")
+        device.cpu.spawn("mp", mp.run, priority=50)
+        app = FireAlarmApp(device, period=1.0, sample_wcet=0.001)
+        sim.run(until=0.9)
+        flat = sim.obs.metrics.snapshot_flat()
+        assert app.samples == 0
+        assert "app.samples" not in flat
+        assert flat["ra.blocks.measured{mechanism=smart}"] > 0
+
     def test_invalid_temperatures_rejected(self):
         sim, device = make_rig()
         with pytest.raises(ConfigurationError):

@@ -314,6 +314,64 @@ class TestMetricsWithoutSpans:
         assert (blocks < 8) == (reset_at is not None)
 
 
+class TestReadTimeCounters:
+    """``ra.blocks.measured`` / ``ra.bytes.measured`` read each device's
+    live per-mechanism block count when sampled, so a cut-off or killed
+    traversal shows exactly the blocks it finished."""
+
+    SIM_BLOCK = 4 * 1024 * 1024
+
+    def make(self, obs, name="prv"):
+        sim = obs if isinstance(obs, Simulator) else Simulator(obs=obs)
+        device = Device(sim, name=name, block_count=8, block_size=32,
+                        sim_block_size=self.SIM_BLOCK)
+        mp = MeasurementProcess(device, MeasurementConfig(),
+                                nonce=b"n", mechanism="test")
+        device.cpu.spawn("mp", mp.run, priority=50)
+        block_time = device.timing.hash_time("blake2s", self.SIM_BLOCK)
+        return device, block_time
+
+    def counts(self, sim):
+        flat = sim.obs.metrics.snapshot_flat()
+        return (flat["ra.blocks.measured{mechanism=test}"],
+                flat["ra.bytes.measured{mechanism=test}"])
+
+    def test_cut_off_traversal_counts_measured_blocks(self):
+        device, block_time = self.make(Observability.enabled(spans=False))
+        device.sim.run(until=2.5 * block_time)
+        assert self.counts(device.sim) == (2.0, 2.0 * self.SIM_BLOCK)
+        device.sim.run(until=100.0)
+        assert self.counts(device.sim) == (8.0, 8.0 * self.SIM_BLOCK)
+
+    def test_killed_measurement_keeps_its_count(self):
+        device, block_time = self.make(Observability.enabled(spans=False))
+        device.sim.schedule_at(3.5 * block_time, device.reset)
+        device.sim.run(until=100.0)
+        assert self.counts(device.sim) == (3.0, 3.0 * self.SIM_BLOCK)
+
+    def test_devices_sharing_a_registry_add_up(self):
+        sim = Simulator(obs=Observability.enabled(spans=False))
+        first, block_time = self.make(sim, "a")
+        self.make(sim, "b")
+        sim.run(until=2.5 * block_time)
+        assert self.counts(sim) == (4.0, 4.0 * self.SIM_BLOCK)
+        first.reset()
+        sim.run(until=100.0)
+        assert self.counts(sim) == (10.0, 10.0 * self.SIM_BLOCK)
+        # one series per mechanism, summed over the devices' counts
+        assert [first.blocks_measured, sim.obs.metrics.snapshot_flat()[
+            "ra.blocks.measured{mechanism=test}"]] == [{"test": 2}, 10.0]
+
+    def test_no_measurement_registers_no_series(self):
+        sim = Simulator(obs=Observability.enabled(spans=False))
+        device = Device(sim, block_count=8, block_size=32)
+        PeriodicTask(device.cpu, "app", period=1.0, wcet=0.01)
+        sim.run(until=5.0)
+        flat = sim.obs.metrics.snapshot_flat()
+        assert not [key for key in flat if key.startswith("ra.")]
+        assert device.blocks_measured == {}
+
+
 class TestMalwareVisibility:
     def test_observer_sees_progress_counts_only(self):
         device = make_device()

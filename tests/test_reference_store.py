@@ -189,7 +189,7 @@ class TestMissPathGolden:
         # interned reference
         assert record.audit_block_hashes[5] == \
             content_fingerprint(memory.read_block(5))
-        assert record.audit_block_hashes[5] != memory.benign_audit(5)
+        assert record.audit_block_hashes[5] != memory.reference_audits()[5]
         # every clean block's reused audit equals a fresh hash of it
         assert record.audit_block_hashes == tuple(
             content_fingerprint(block) for block in memory.snapshot()
