@@ -52,7 +52,9 @@ STANDARD_KEYS = (
 
 @dataclass
 class ScenarioConfig:
-    """Shared experiment geometry (one knob set for the whole matrix)."""
+    """The one typed description of a run: geometry, timing and the
+    settings each mechanism, malware and workload builder reads
+    (``repro.scenario``'s ``MECHANISMS``/``MALWARE``/``WORKLOADS``)."""
 
     block_count: int = 48
     block_size: int = 32
@@ -77,6 +79,21 @@ class ScenarioConfig:
     mp_priority: int = 50
     malware_block: int = 5  # inside the code region
     infect_at: float = 0.5
+    #: transient malware leaves after ``dwell`` s; 0 dodges reactively
+    dwell: float = 0.0
+    relocation_strategy: str = "to-measured"
+    relocation_seed: int = 99
+    writer_tasks: int = 4
+    #: the fire alarm logs each sample to the data region's last block
+    alarm_writes: bool = True
+    #: SeED; None derives the default from the device and T_M
+    seed_shared: Optional[bytes] = None
+    seed_min_gap: Optional[float] = None
+    seed_max_gap: Optional[float] = None
+    seed_triggers: Optional[int] = None
+    #: missed-push recovery over ``seed_fetch`` (prover, monitor)
+    seed_serve_fetch: bool = False
+    seed_catch_up: bool = False
     probe_count: int = 6  # mid-MP write probes across the data region
 
 

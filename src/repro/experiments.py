@@ -543,9 +543,9 @@ def sec25_firealarm(
                 sim_block_size=memory_bytes // block_count,
                 algorithm=algorithm, smarm_rounds=1,
                 task_period=1.0, task_wcet=0.002, task_priority=100,
+                alarm_writes=False,
             ),
             latency=0.005,
-            workload_options={"data_block": None},
         )
         app = scenario.app
         scenario.drive()

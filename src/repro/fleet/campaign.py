@@ -22,16 +22,16 @@ from functools import cached_property
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.scenario import MECHANISMS
+from repro.scenario import MALWARE, MECHANISMS, WORKLOADS
 from repro.units import MiB
 
 #: mechanisms the fleet worker knows how to instantiate: every
 #: single-device mechanism plus ``vserver``, the served-verifier stack
 KNOWN_MECHANISMS = (*MECHANISMS, "vserver")
 
-KNOWN_ADVERSARIES = ("none", "transient", "relocating")
+KNOWN_ADVERSARIES = ("none", *MALWARE)
 
-KNOWN_WORKLOADS = ("none", "firealarm", "writers")
+KNOWN_WORKLOADS = ("none", *WORKLOADS)
 
 #: device-class presets for heterogeneous populations: named geometry
 #: bundles applied at *plan* time (preset < base < axes precedence), so

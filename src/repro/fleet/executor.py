@@ -76,7 +76,13 @@ def _scenario_config(spec: RunSpec) -> ScenarioConfig:
         task_priority=spec.task_priority,
         mp_priority=spec.mp_priority,
         malware_block=spec.malware_block,
-        infect_at=spec.infect_at,
+        infect_at=_effective_infect_at(spec),
+        dwell=spec.dwell,
+        relocation_seed=spec.seed,
+        writer_tasks=spec.writer_tasks,
+        seed_shared=hashlib.sha256(
+            f"fleet-seed-{spec.campaign}-{spec.seed}".encode()
+        ).digest()[:16],
     )
 
 
@@ -327,18 +333,6 @@ def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
         obs=obs,
         trace=Trace(max_records=spec.trace_limit),
         fault_seed=f"fleet-faults-{spec.campaign}-{spec.seed}".encode(),
-        malware_options={
-            "block": spec.malware_block,
-            "infect_at": _effective_infect_at(spec),
-            "dwell": spec.dwell,
-            "rng_seed": spec.seed,
-        },
-        seed_options={
-            "shared": hashlib.sha256(
-                f"fleet-seed-{spec.campaign}-{spec.seed}".encode()
-            ).digest()[:16],
-        },
-        workload_options={"tasks": spec.writer_tasks},
     )
     scenario.drive()
     slo_engine = _attach_slo(
@@ -350,9 +344,7 @@ def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
     records, reports = outcome.records, outcome.reports
     detection_latency = None
     if outcome.detected and spec.adversary != "none":
-        detection_latency = (
-            outcome.first_detection_at - _effective_infect_at(spec)
-        )
+        detection_latency = outcome.first_detection_at - config.infect_at
     results = scenario.verifier.results
     trace = scenario.device.trace
     return RunResult(

@@ -173,10 +173,6 @@ class ReferenceStore:
         """Interned benign contents (``benign_fill`` argument order)."""
         return self.image(seed, block_size).block(block_index)
 
-    def audit(self, block_index: int, block_size: int, seed: int) -> bytes:
-        """Interned audit hash (``benign_fill`` argument order)."""
-        return self.image(seed, block_size).audit(block_index)
-
     def clear(self) -> int:
         """Drop every interned image (test isolation).  Returns count."""
         dropped = len(self._images)

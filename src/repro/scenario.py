@@ -22,10 +22,12 @@ plus the one way to drive a run and the one way to fold it::
     print(sc.outcome().availability.summary_line())
     print(sc.outcomes.render())
 
-Each mechanism is declared once, in :data:`MECHANISMS`: how a run
-is driven (on-demand, self-measurement or prover-pushed) and how its
-prover-side service is built.  ``Scenario.build``, the fleet and the
-Table 1 harness all read that table.
+Each axis of a run is declared once, as a table of builders:
+:data:`MECHANISMS` (how a run is driven -- on-demand, self-measurement
+or prover-pushed -- and how its prover-side service is built),
+:data:`MALWARE` and :data:`WORKLOADS`.  ``Scenario.build``, the fleet
+and the Table 1 harness all read them, and every builder reads its
+settings from the one :class:`~repro.core.tradeoff.ScenarioConfig`.
 
 ``experiments.py`` and the fleet executor route through this factory;
 hand-wiring the stack elsewhere is reserved for tests that probe a
@@ -62,12 +64,11 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Channel
 
 # ---------------------------------------------------------------------------
-# The mechanisms, each declared once
+# The axes of a run: mechanism, malware, workload; each declared once
 # ---------------------------------------------------------------------------
 
-#: ``(device, config, options) -> service``; only SeED reads
-#: ``options`` (``Scenario.build``'s ``seed_options``)
-Builder = Callable[[Device, ScenarioConfig, Dict[str, Any]], Any]
+#: ``(device, config) -> service``
+Builder = Callable[[Device, ScenarioConfig], Any]
 
 
 def _one_round(config: ScenarioConfig) -> int:
@@ -102,16 +103,14 @@ def _measurement(
     )
 
 
-def _build_smart(device: Device, config: ScenarioConfig,
-                 options: Dict[str, Any]) -> Any:
+def _build_smart(device: Device, config: ScenarioConfig) -> Any:
     service = SmartAttestation(device, algorithm=config.algorithm)
     service.config.normalize_mutable = True
     return service
 
 
 def _build_locking(policy: str) -> Builder:
-    def build(device: Device, config: ScenarioConfig,
-              options: Dict[str, Any]) -> Any:
+    def build(device: Device, config: ScenarioConfig) -> Any:
         return AttestationService(
             device, _measurement(config, atomic=False, locking=policy),
             mechanism=policy,
@@ -120,8 +119,7 @@ def _build_locking(policy: str) -> Builder:
     return build
 
 
-def _build_smarm(device: Device, config: ScenarioConfig,
-                 options: Dict[str, Any]) -> Any:
+def _build_smarm(device: Device, config: ScenarioConfig) -> Any:
     service = SmarmAttestation(
         device, algorithm=config.algorithm, priority=config.mp_priority,
     )
@@ -129,8 +127,7 @@ def _build_smarm(device: Device, config: ScenarioConfig,
     return service
 
 
-def _build_erasmus(device: Device, config: ScenarioConfig,
-                   options: Dict[str, Any]) -> Any:
+def _build_erasmus(device: Device, config: ScenarioConfig) -> Any:
     # ERASMUS runs SMART-style measurements, self-timed
     return ErasmusService(
         device, period=config.erasmus_period,
@@ -138,24 +135,27 @@ def _build_erasmus(device: Device, config: ScenarioConfig,
     )
 
 
-def _build_seed(device: Device, config: ScenarioConfig,
-                options: Dict[str, Any]) -> Any:
-    shared = options.get("shared")
+def _given(value: Any, default: Any) -> Any:
+    return default if value is None else value
+
+
+def _build_seed(device: Device, config: ScenarioConfig) -> Any:
+    shared = config.seed_shared
     if shared is None:
         shared = hashlib.sha256(
             f"scenario-seed-{device.name}".encode()
         ).digest()[:16]
+    period = config.erasmus_period
     return SeedService(
         device,
         shared,
-        min_gap=options.get("min_gap", 0.5 * config.erasmus_period),
-        max_gap=options.get("max_gap", 1.5 * config.erasmus_period),
-        trigger_count=options.get(
-            "trigger_count",
-            max(1, int(config.horizon / config.erasmus_period)),
+        min_gap=_given(config.seed_min_gap, 0.5 * period),
+        max_gap=_given(config.seed_max_gap, 1.5 * period),
+        trigger_count=_given(
+            config.seed_triggers, max(1, int(config.horizon / period))
         ),
         config=_measurement(config, atomic=False),
-        serve_fetch=options.get("serve_fetch", False),
+        serve_fetch=config.seed_serve_fetch,
     )
 
 
@@ -175,39 +175,70 @@ MECHANISMS: Dict[str, Mechanism] = {
     "seed": Mechanism("push", _build_seed),
 }
 
-#: every key some builder of each option axis reads.  ``build`` checks
-#: a dict against the union of its axis, not against the one builder
-#: it reaches: the fleet executor passes one dict for every adversary
-#: (and every mechanism).
-OPTION_KEYS: Dict[str, frozenset] = {
-    "malware_options": frozenset(
-        {"block", "infect_at", "dwell", "strategy", "rng_seed"}
-    ),
-    "seed_options": frozenset(
-        {"shared", "min_gap", "max_gap", "trigger_count", "serve_fetch",
-         "catch_up"}
-    ),
-    "workload_options": frozenset(
-        {"period", "wcet", "priority", "data_block", "tasks"}
-    ),
+
+def _transient(device: Device, config: ScenarioConfig) -> Any:
+    explicit_dwell = config.dwell > 0
+    return TransientMalware(
+        device,
+        target_block=config.malware_block,
+        infect_at=config.infect_at,
+        leave_at=config.infect_at + config.dwell if explicit_dwell else None,
+        reactive=not explicit_dwell,
+        reappear=not explicit_dwell,
+    )
+
+
+def _relocating(device: Device, config: ScenarioConfig) -> Any:
+    return SelfRelocatingMalware(
+        device,
+        target_block=config.malware_block,
+        infect_at=config.infect_at,
+        strategy=config.relocation_strategy,
+        rng_seed=config.relocation_seed,
+    )
+
+
+#: every adversary ``Scenario.build`` installs (besides ``"none"``):
+#: ``(device, config) -> agent``
+MALWARE: Dict[str, Callable[[Device, ScenarioConfig], Any]] = {
+    "transient": _transient,
+    "relocating": _relocating,
 }
 
 
-def _checked_options(
-    axis: str, options: Optional[Dict[str, Any]]
-) -> Dict[str, Any]:
-    """``options`` (``{}`` for ``None``), or a ConfigurationError
-    naming each key no builder of ``axis`` reads."""
-    if options is None:
-        return {}
-    accepted = OPTION_KEYS[axis]
-    unknown = sorted(set(options) - accepted)
-    if unknown:
-        raise ConfigurationError(
-            f"{axis}: unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"accepted: {', '.join(sorted(accepted))}"
-        )
-    return options
+def _firealarm(scenario: "Scenario") -> None:
+    config, device = scenario.config, scenario.device
+    app = FireAlarmApp(
+        device,
+        period=config.task_period,
+        sample_wcet=config.task_wcet,
+        priority=config.task_priority,
+        data_block=(
+            device.memory.regions["data"].end - 1
+            if config.alarm_writes else None
+        ),
+    )
+    scenario.app = app
+    scenario.tasks.append(app.task)
+
+
+def _writers(scenario: "Scenario") -> None:
+    config = scenario.config
+    scenario.tasks.extend(WriterWorkload(
+        scenario.device,
+        task_count=config.writer_tasks,
+        period=config.task_period,
+        wcet=config.task_wcet,
+        priority=config.task_priority,
+    ).build().tasks)
+
+
+#: every workload ``Scenario.build`` installs (besides ``"none"``):
+#: ``(scenario) -> None``, filling ``scenario.tasks`` (and ``app``)
+WORKLOADS: Dict[str, Callable[["Scenario"], None]] = {
+    "firealarm": _firealarm,
+    "writers": _writers,
+}
 
 
 def first_detection(results: Iterable[Any]) -> Optional[float]:
@@ -253,7 +284,6 @@ class Scenario:
     service: Any = None
     driver: Optional[OnDemandVerifier] = None
     collector: Optional[CollectorVerifier] = None
-    seed_service: Optional[SeedService] = None
     seed_monitor: Optional[SeedMonitor] = None
     app: Optional[FireAlarmApp] = None
     tasks: List[Any] = field(default_factory=list)
@@ -385,15 +415,14 @@ class Scenario:
         latency: float = 0.002,
         layout: Optional[str] = "standard",
         fault_seed: Optional[bytes] = None,
-        malware_options: Optional[Dict[str, Any]] = None,
-        seed_options: Optional[Dict[str, Any]] = None,
-        workload_options: Optional[Dict[str, Any]] = None,
         service: Optional[Any] = None,
     ) -> Any:
         """Wire one complete scenario; see the module docstring for the
         canonical order.  ``faults`` accepts a :class:`FaultPlan` or the
-        DSL string form; ``mechanism`` is any :data:`MECHANISMS` key
-        or ``"none"``.
+        DSL string form; ``mechanism``, ``malware`` and ``workload`` are
+        each a key of their table (:data:`MECHANISMS`, :data:`MALWARE`,
+        :data:`WORKLOADS`) or ``"none"``; every other setting is a
+        ``config`` field.
 
         ``service`` switches to the population-scale served-verifier
         stack (the ``vserver`` layer): pass a
@@ -417,9 +446,6 @@ class Scenario:
                 "latency": latency != 0.002,
                 "layout": layout != "standard",
                 "fault_seed": fault_seed is not None,
-                "malware_options": malware_options is not None,
-                "seed_options": seed_options is not None,
-                "workload_options": workload_options is not None,
             }
             passed = sorted(k for k, v in single_device_args.items() if v)
             if passed:
@@ -430,13 +456,14 @@ class Scenario:
                 )
             return cls._build_service(service, obs)
         config = config or ScenarioConfig()
-        if mechanism != "none" and mechanism not in MECHANISMS:
-            raise ConfigurationError(f"unknown mechanism {mechanism!r}")
-        malware_options = _checked_options("malware_options", malware_options)
-        seed_options = _checked_options("seed_options", seed_options)
-        workload_options = _checked_options(
-            "workload_options", workload_options
-        )
+        workload = workload or "none"
+        for axis, name, table in (
+            ("mechanism", mechanism, MECHANISMS),
+            ("malware", malware, MALWARE),
+            ("workload", workload, WORKLOADS),
+        ):
+            if name != "none" and name not in table:
+                raise ConfigurationError(f"unknown {axis} {name!r}")
 
         # fault plan + degradation ledger (both inert when unused)
         plan: Optional[FaultPlan] = None
@@ -489,11 +516,11 @@ class Scenario:
         )
 
         # workload -> malware -> mechanism
-        cls._install_workload(scenario, workload, workload_options)
-        scenario.malware = cls._install_malware(
-            device, malware, config, malware_options
-        )
-        cls._install_mechanism(scenario, seed_options)
+        if workload != "none":
+            WORKLOADS[workload](scenario)
+        if malware != "none":
+            scenario.malware = MALWARE[malware](device, config)
+        cls._install_mechanism(scenario)
 
         # faults last: the injector filters a fully-wired channel, and
         # reset/drift events land after every service's own start events
@@ -506,79 +533,13 @@ class Scenario:
     # -- wiring helpers ----------------------------------------------------
 
     @staticmethod
-    def _install_workload(
-        scenario: "Scenario", workload: Optional[str],
-        options: Dict[str, Any],
-    ) -> None:
-        config = scenario.config
-        device = scenario.device
-        if workload is None or workload == "none":
-            return
-        if workload == "firealarm":
-            app = FireAlarmApp(
-                device,
-                period=options.get("period", config.task_period),
-                sample_wcet=options.get("wcet", config.task_wcet),
-                priority=options.get("priority", config.task_priority),
-                data_block=options.get(
-                    "data_block", device.memory.regions["data"].end - 1
-                ),
-            )
-            scenario.app = app
-            scenario.tasks.append(app.task)
-            return
-        if workload == "writers":
-            built = WriterWorkload(
-                device,
-                task_count=options.get("tasks", 4),
-                period=options.get("period", config.task_period),
-                wcet=options.get("wcet", config.task_wcet),
-                priority=options.get("priority", config.task_priority),
-            ).build()
-            scenario.tasks.extend(built.tasks)
-            return
-        raise ConfigurationError(f"unknown workload {workload!r}")
-
-    @staticmethod
-    def _install_malware(
-        device: Device, malware: str, config: ScenarioConfig,
-        options: Dict[str, Any],
-    ) -> Any:
-        if malware == "none":
-            return None
-        block = options.get("block", config.malware_block)
-        infect_at = options.get("infect_at", config.infect_at)
-        if malware == "transient":
-            dwell = options.get("dwell", 0.0)
-            explicit_dwell = dwell > 0
-            return TransientMalware(
-                device,
-                target_block=block,
-                infect_at=infect_at,
-                leave_at=infect_at + dwell if explicit_dwell else None,
-                reactive=not explicit_dwell,
-                reappear=not explicit_dwell,
-            )
-        if malware == "relocating":
-            return SelfRelocatingMalware(
-                device,
-                target_block=block,
-                infect_at=infect_at,
-                strategy=options.get("strategy", "to-measured"),
-                rng_seed=options.get("rng_seed", 99),
-            )
-        raise ConfigurationError(f"unknown malware {malware!r}")
-
-    @staticmethod
-    def _install_mechanism(
-        scenario: "Scenario", options: Dict[str, Any]
-    ) -> None:
+    def _install_mechanism(scenario: "Scenario") -> None:
         # service -> driver/collector/monitor -> install()/start(): the
         # order fixes the event sequence numbers the goldens pin
         entry = MECHANISMS.get(scenario.mechanism)
         if entry is None:  # "none"
             return
-        service = entry.build(scenario.device, scenario.config, options)
+        service = entry.build(scenario.device, scenario.config)
         scenario.service = service
         if entry.kind == "on-demand":
             scenario.driver = OnDemandVerifier(
@@ -593,11 +554,10 @@ class Scenario:
             )
             service.start()
         else:  # push
-            scenario.seed_service = service
             scenario.seed_monitor = SeedMonitor(
                 scenario.verifier, scenario.channel, scenario.device.name,
                 service.shared_seed, min_gap=service.min_gap,
                 max_gap=service.max_gap, trigger_count=len(service.schedule),
-                catch_up=options.get("catch_up", False),
+                catch_up=scenario.config.seed_catch_up,
             )
             service.start()

@@ -110,7 +110,7 @@ class Simulator:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SchedulingError(f"negative delay {delay!r}")
         time = self.now + delay
         seq = self._seq
@@ -123,7 +123,7 @@ class Simulator:
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise SchedulingError(
                 f"cannot schedule at {time!r}, before current time {self.now!r}"
             )

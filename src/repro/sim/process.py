@@ -56,7 +56,7 @@ class Compute:
     __slots__ = ("duration",)
 
     def __init__(self, duration: float) -> None:
-        if duration < 0:
+        if not duration >= 0:  # also rejects NaN
             raise ProcessError(f"negative compute duration {duration!r}")
         self.duration = duration
 
@@ -75,7 +75,7 @@ class Sleep:
     __slots__ = ("duration",)
 
     def __init__(self, duration: float) -> None:
-        if duration < 0:
+        if not duration >= 0:  # also rejects NaN
             raise ProcessError(f"negative sleep duration {duration!r}")
         self.duration = duration
 

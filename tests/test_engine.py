@@ -41,6 +41,14 @@ class TestScheduling:
         with pytest.raises(SchedulingError):
             Simulator().schedule(-0.1, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        with pytest.raises(SchedulingError, match="negative"):
+            Simulator().schedule(float("nan"), lambda: None)
+
+    def test_nan_schedule_at_rejected(self):
+        with pytest.raises(SchedulingError):
+            Simulator().schedule_at(float("nan"), lambda: None)
+
     def test_schedule_at_past_rejected(self):
         sim = Simulator()
         sim.schedule(5.0, lambda: None)

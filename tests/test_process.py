@@ -292,6 +292,14 @@ class TestSignalsAndYield:
         with pytest.raises(ProcessError):
             Sleep(-1.0)
 
+    def test_nan_compute_rejected(self):
+        with pytest.raises(ProcessError, match="negative"):
+            Compute(float("nan"))
+
+    def test_nan_sleep_rejected(self):
+        with pytest.raises(ProcessError, match="negative"):
+            Sleep(float("nan"))
+
 
 class TestAccounting:
     def test_idle_fraction(self):

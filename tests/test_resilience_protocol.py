@@ -233,20 +233,20 @@ class TestResetRecovery:
         scenario = Scenario.build(
             mechanism="seed",
             faults=plan,
-            config=small_config(horizon=40.0),
-            seed_options={
-                "shared": b"seed-shared-0123",
-                "min_gap": 2.0,
-                "max_gap": 4.0,
-                "trigger_count": 3,
-                "serve_fetch": True,
-                "catch_up": True,
-            },
+            config=small_config(
+                horizon=40.0,
+                seed_shared=b"seed-shared-0123",
+                seed_min_gap=2.0,
+                seed_max_gap=4.0,
+                seed_triggers=3,
+                seed_serve_fetch=True,
+                seed_catch_up=True,
+            ),
         )
         scenario.run()
         assert scenario.device.reset_count == 1
         monitor = scenario.seed_monitor
-        assert scenario.seed_service.fetches_served == 3
+        assert scenario.service.fetches_served == 3
         assert all(slot.received for slot in monitor.expected)
         assert all(slot.result.healthy for slot in monitor.expected)
 
@@ -294,19 +294,19 @@ class TestSeedCatchUp:
         scenario = Scenario.build(
             mechanism="seed",
             faults=plan,
-            config=small_config(horizon=40.0),
-            seed_options={
-                "shared": b"seed-shared-0123",
-                "min_gap": 2.0,
-                "max_gap": 4.0,
-                "trigger_count": 4,
-                "serve_fetch": True,
-                "catch_up": True,
-            },
+            config=small_config(
+                horizon=40.0,
+                seed_shared=b"seed-shared-0123",
+                seed_min_gap=2.0,
+                seed_max_gap=4.0,
+                seed_triggers=4,
+                seed_serve_fetch=True,
+                seed_catch_up=True,
+            ),
         )
         scenario.run()
         monitor = scenario.seed_monitor
-        assert scenario.seed_service.fetches_served == 4
+        assert scenario.service.fetches_served == 4
         assert monitor.fetched == 4
         assert all(slot.received for slot in monitor.expected)
         assert all(slot.result.healthy for slot in monitor.expected)
@@ -316,13 +316,13 @@ class TestSeedCatchUp:
         scenario = Scenario.build(
             mechanism="seed",
             faults=plan,
-            config=small_config(horizon=40.0),
-            seed_options={
-                "shared": b"seed-shared-0123",
-                "min_gap": 2.0,
-                "max_gap": 4.0,
-                "trigger_count": 4,
-            },
+            config=small_config(
+                horizon=40.0,
+                seed_shared=b"seed-shared-0123",
+                seed_min_gap=2.0,
+                seed_max_gap=4.0,
+                seed_triggers=4,
+            ),
         )
         scenario.run()
         assert scenario.seed_monitor.fetched == 0
@@ -341,21 +341,21 @@ class TestSeedCatchUp:
         scenario = Scenario.build(
             mechanism="seed",
             faults=plan,
-            config=small_config(horizon=40.0),
-            seed_options={
-                "shared": b"seed-shared-0123",
-                "min_gap": 2.0,
-                "max_gap": 4.0,
-                "trigger_count": 3,
-                "serve_fetch": True,
-                "catch_up": True,
-            },
+            config=small_config(
+                horizon=40.0,
+                seed_shared=b"seed-shared-0123",
+                seed_min_gap=2.0,
+                seed_max_gap=4.0,
+                seed_triggers=3,
+                seed_serve_fetch=True,
+                seed_catch_up=True,
+            ),
         )
         scenario.run()
         monitor = scenario.seed_monitor
         # every push and every fetch reply was eaten
         assert not any(slot.received for slot in monitor.expected)
-        genuine = scenario.seed_service.reports_sent[0]  # counter 1
+        genuine = scenario.service.reports_sent[0]  # counter 1
         target = monitor.expected[2]  # slot counter 3
         monitor._on_fetch_reply(Message(
             999, scenario.device.name, "vrf", "seed_fetch_reply",

@@ -5,19 +5,30 @@ which pieces each mechanism kind populates, the opt-in nature of
 the resilience layer (no retry, no faults => no extra machinery), and
 the one way a run is driven (``drive``) and folded (``outcome``)."""
 
+import random
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core.tradeoff import ScenarioConfig
 from repro.errors import ConfigurationError
-from repro.fleet.campaign import KNOWN_MECHANISMS
+from repro.fleet.campaign import (
+    KNOWN_ADVERSARIES,
+    KNOWN_MECHANISMS,
+    KNOWN_WORKLOADS,
+)
 from repro.malware.relocating import SelfRelocatingMalware
 from repro.malware.transient import TransientMalware
 from repro.obs.core import Observability
 from repro.ra.report import Verdict
 from repro.resilience import FaultPlan, OutcomeReport, RetryPolicy
-from repro.scenario import MECHANISMS, OPTION_KEYS, Scenario, first_detection
+from repro.scenario import (
+    MALWARE,
+    MECHANISMS,
+    WORKLOADS,
+    Scenario,
+    first_detection,
+)
 from repro.sim import Trace
 from repro.units import MiB
 
@@ -38,64 +49,20 @@ class TestQuickstart:
 
 class TestValidation:
     def test_unknown_axes_raise(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="mechanism 'quantum'"):
             Scenario.build(mechanism="quantum")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="malware 'ransomware'"):
             Scenario.build(malware="ransomware", config=small_config())
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="workload 'mining'"):
             Scenario.build(workload="mining", config=small_config())
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="layout 'exotic'"):
             Scenario.build(layout="exotic", config=small_config())
         with pytest.raises(ConfigurationError):
             Scenario.build(faults=42, config=small_config())
 
-    def test_misspelled_option_keys_raise(self):
-        with pytest.raises(ConfigurationError) as seed_error:
-            Scenario.build(mechanism="seed", config=small_config(),
-                           seed_options={"min-gap": 1.0})
-        message = str(seed_error.value)
-        assert "'min-gap'" in message
-        assert "min_gap" in message and "trigger_count" in message
-        with pytest.raises(ConfigurationError) as malware_error:
-            Scenario.build(malware="transient", config=small_config(),
-                           malware_options={"dwel": 3.0})
-        message = str(malware_error.value)
-        assert "'dwel'" in message and "dwell" in message
-        with pytest.raises(ConfigurationError, match="'task'"):
-            Scenario.build(workload="writers", config=small_config(),
-                           workload_options={"task": 2})
-
-    def test_option_keys_are_checked_against_the_axis(self):
-        # one dict serves every adversary, as the fleet executor passes
-        # it: a relocating-only key is fine on a transient build
-        scenario = Scenario.build(
-            malware="transient", config=small_config(),
-            malware_options={"dwell": 3.0, "strategy": "uniform"},
-        )
-        assert not scenario.malware.reactive  # the dwell was read
-
-    def test_option_keys_are_exactly_what_the_builders_read(self):
-        class Reads(dict):
-            """An empty options dict that remembers every key read."""
-
-            def __init__(self):
-                super().__init__()
-                self.seen = set()
-
-            def get(self, key, default=None):
-                self.seen.add(key)
-                return super().get(key, default)
-
-        read = {axis: Reads() for axis in OPTION_KEYS}
-        for mechanism in MECHANISMS:
-            for malware in ("transient", "relocating"):
-                for workload in ("firealarm", "writers"):
-                    Scenario.build(
-                        mechanism=mechanism, malware=malware,
-                        workload=workload,
-                        config=small_config(block_count=48), **read,
-                    )
-        assert {axis: r.seen for axis, r in read.items()} == OPTION_KEYS
+    def test_misspelled_config_field_raises(self):
+        with pytest.raises(TypeError, match="'dwel'"):
+            ScenarioConfig(dwel=3.0)
 
     def test_request_and_collect_are_kind_checked(self):
         erasmus = Scenario.build(mechanism="erasmus", config=small_config())
@@ -154,7 +121,7 @@ class TestWiring:
         assert len(alarm.tasks) == 1
         writers = Scenario.build(
             mechanism="none", workload="writers",
-            workload_options={"tasks": 2}, config=small_config(),
+            config=small_config(writer_tasks=2),
         )
         assert writers.app is None
         assert len(writers.tasks) == 2
@@ -162,13 +129,12 @@ class TestWiring:
     def test_malware(self):
         transient = Scenario.build(
             mechanism="none", malware="transient",
-            malware_options={"infect_at": 1.5, "dwell": 2.0},
-            config=small_config(),
+            config=small_config(infect_at=1.5, dwell=2.0),
         )
         assert isinstance(transient.malware, TransientMalware)
         relocating = Scenario.build(
             mechanism="none", malware="relocating",
-            malware_options={"rng_seed": 3}, config=small_config(),
+            config=small_config(relocation_seed=3),
         )
         assert isinstance(relocating.malware, SelfRelocatingMalware)
 
@@ -178,9 +144,8 @@ class TestWiring:
 
     def test_seed_mechanism_populates_the_seed_pieces(self):
         scenario = Scenario.build(mechanism="seed", config=small_config())
-        assert scenario.seed_service is not None
+        assert scenario.service is not None
         assert scenario.seed_monitor is not None
-        assert scenario.service is scenario.seed_service
         assert scenario.driver is None and scenario.collector is None
 
     def test_injected_sim_trace_and_obs_are_honored(self):
@@ -224,13 +189,68 @@ class TestWiring:
         assert exchange.report is report
 
 
+def resident_at(at):
+    def probe(scenario):
+        scenario.run(until=at)
+        return scenario.malware.resident
+
+    return probe
+
+
+#: each config field an axis builder reads beside the geometry, with
+#: the build that reads it, a non-default value and where it shows
+CONFIG_FIELDS = [
+    # infected at 0.5, gone by 3.0; a dwell of 0 stays resident
+    ("dwell", 2.0, {"malware": "transient"}, resident_at(3.0), False),
+    ("relocation_strategy", "uniform", {"malware": "relocating"},
+     lambda sc: sc.malware.strategy, "uniform"),
+    ("relocation_seed", 3, {"malware": "relocating"},
+     lambda sc: sc.malware.rng.random(), random.Random(3).random()),
+    ("writer_tasks", 2, {"workload": "writers"},
+     lambda sc: len(sc.tasks), 2),
+    ("alarm_writes", False, {"workload": "firealarm"},
+     lambda sc: sc.app.data_block, None),
+    ("seed_shared", b"s" * 16, {"mechanism": "seed"},
+     lambda sc: sc.service.shared_seed, b"s" * 16),
+    ("seed_min_gap", 0.25, {"mechanism": "seed"},
+     lambda sc: sc.service.min_gap, 0.25),
+    ("seed_max_gap", 5.0, {"mechanism": "seed"},
+     lambda sc: sc.service.max_gap, 5.0),
+    ("seed_triggers", 3, {"mechanism": "seed"},
+     lambda sc: len(sc.service.schedule), 3),
+    ("seed_serve_fetch", True, {"mechanism": "seed"},
+     lambda sc: sc.service.serve_fetch, True),
+    ("seed_catch_up", True, {"mechanism": "seed"},
+     lambda sc: sc.seed_monitor.catch_up, True),
+]
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize(
+        "name, value, axes, probe, expected", CONFIG_FIELDS,
+        ids=[case[0] for case in CONFIG_FIELDS],
+    )
+    def test_field_reaches_the_built_object(
+        self, name, value, axes, probe, expected
+    ):
+        axes = {"mechanism": "none", **axes}
+        # 48 blocks leave the default four writers room
+        built = Scenario.build(
+            config=small_config(block_count=48, **{name: value}), **axes
+        )
+        default = Scenario.build(
+            config=small_config(block_count=48), **axes
+        )
+        assert probe(built) == expected != probe(default)
+
+
 #: the pieces each kind fills; every other piece stays None
 KIND_PIECES = {
     "on-demand": {"driver"},
     "self": {"collector"},
-    "push": {"seed_service", "seed_monitor"},
+    "push": {"seed_monitor"},
 }
-PIECES = ("driver", "collector", "seed_service", "seed_monitor")
+PIECES = ("driver", "collector", "seed_monitor")
 
 
 class TestMechanismTable:
@@ -242,8 +262,6 @@ class TestMechanismTable:
         assert scenario.service is not None
         filled = {name for name in PIECES if getattr(scenario, name)}
         assert filled == KIND_PIECES[entry.kind]
-        if entry.kind == "push":
-            assert scenario.seed_service is scenario.service
         if entry.kind == "on-demand":
             assert scenario.driver.rounds == entry.rounds(config)
 
@@ -263,6 +281,10 @@ class TestMechanismTable:
 
     def test_fleet_knows_the_table_plus_vserver(self):
         assert KNOWN_MECHANISMS == (*MECHANISMS, "vserver")
+
+    def test_fleet_knows_the_malware_and_workload_tables(self):
+        assert KNOWN_ADVERSARIES == ("none", *MALWARE)
+        assert KNOWN_WORKLOADS == ("none", *WORKLOADS)
 
 
 class TestProduced:
@@ -291,7 +313,7 @@ class TestProduced:
         scenario = Scenario.build(mechanism="seed", config=small_config())
         scenario.run()
         records, reports = scenario.produced()
-        assert reports == scenario.seed_service.reports_sent and reports
+        assert reports == scenario.service.reports_sent and reports
         assert records == [r for report in reports for r in report.records]
 
 
@@ -378,8 +400,7 @@ class TestOutcome:
     def test_detection_folds_the_verifier_results(self):
         scenario = Scenario.build(
             mechanism="smart", malware="transient",
-            malware_options={"infect_at": 0.5, "block": 2},  # code region
-            config=small_config(),
+            config=small_config(infect_at=0.5, malware_block=2),  # code region
         )
         scenario.schedule_request(8.0)
         scenario.schedule_request(1.0)

@@ -61,6 +61,10 @@ def run_scenario(mechanism, malware="transient", faults=None, seed=5):
         horizon=24.0,
         smarm_rounds=3,
         erasmus_period=4.0,
+        malware_block=2,
+        infect_at=2.0,
+        dwell=3.0,
+        relocation_seed=seed,
     )
     retry = None
     if faults:
@@ -76,8 +80,6 @@ def run_scenario(mechanism, malware="transient", faults=None, seed=5):
         seed=seed,
         retry=retry,
         fault_seed=b"equiv-faults",
-        malware_options={"block": 2, "infect_at": 2.0, "dwell": 3.0,
-                         "rng_seed": seed},
     )
     if scenario.driver is not None:
         scenario.schedule_request(1.0)
@@ -94,7 +96,7 @@ def captured_reports(scenario):
         reports = [collection.report for collection in reports]
         return reports, {"enforce_counter": True,
                          "counter_stream": COLLECT_STREAM}
-    if scenario.seed_service is not None:
+    if scenario.seed_monitor is not None:
         return reports, {"enforce_counter": True,
                          "counter_stream": PUSH_STREAM}
     return reports, {}
