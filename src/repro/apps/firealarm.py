@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MemoryFault
 from repro.sim.device import Device
-from repro.sim.process import Compute, Process
-from repro.sim.task import PeriodicTask, write_with_retry
+from repro.sim.process import Process
+from repro.sim.task import PeriodicTask, retry_after_fault
 
 
 @dataclass
@@ -130,7 +130,7 @@ class FireAlarmApp:
     # -- the sampling job --------------------------------------------------------
 
     def _job(self, proc: Process, task: PeriodicTask, index: int):
-        yield Compute(task.wcet)
+        yield task.compute
         reading = self.temperature()
         self.samples += 1
         self.readings.append(reading)
@@ -142,13 +142,15 @@ class FireAlarmApp:
                 "temperature samples taken",
             )
         if self.data_block is not None:
-            record = task.jobs[-1]
+            memory = self.device.memory
             encoded = int(reading * 100).to_bytes(4, "big")
-            data = encoded.ljust(self.device.memory.block_size, b"\x00")
-            yield from write_with_retry(
-                proc, self.device.memory, self.data_block, data,
-                actor=task.name, record=record,
-            )
+            data = encoded.ljust(memory.block_size, b"\x00")
+            try:
+                memory.write(self.data_block, data, task.name)
+            except MemoryFault:
+                yield from retry_after_fault(
+                    memory, self.data_block, data, task.name, task.jobs[-1]
+                )
         if reading > self.threshold and self.alarm_at is None:
             obs = self.device.obs
             self.alarm_at = self.device.sim.now

@@ -10,13 +10,17 @@ region.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MemoryFault
 from repro.sim.device import Device
-from repro.sim.process import Compute, Process
-from repro.sim.task import PeriodicTask, write_with_retry
+from repro.sim.process import Process
+from repro.sim.task import PeriodicTask, retry_after_fault
+
+#: a writer's 12-byte stamp: payload tag, job index, block index (big-endian)
+WRITER_STAMP = struct.Struct(">III")
 
 
 def make_compute_task(
@@ -49,22 +53,23 @@ def make_writer_task(
     """
     if not blocks:
         raise ConfigurationError("writer task needs at least one block")
-    block_size = device.memory.block_size
+    memory = device.memory
+    block_size = memory.block_size
+    # the stamp, padded with 0xA5 up to (or truncated to) the block size
+    padding = b"\xA5" * (block_size - WRITER_STAMP.size)
+    pack = WRITER_STAMP.pack
 
     def job(proc: Process, task: PeriodicTask, index: int):
-        yield Compute(task.wcet)
-        record = task.jobs[-1]
+        yield task.compute
+        write = memory.write
         for block_index in blocks:
-            stamp = (
-                payload_tag.to_bytes(4, "big")
-                + index.to_bytes(4, "big")
-                + block_index.to_bytes(4, "big")
-            )
-            data = stamp.ljust(block_size, b"\xA5")[:block_size]
-            yield from write_with_retry(
-                proc, device.memory, block_index, data,
-                actor=task.name, record=record,
-            )
+            data = (pack(payload_tag, index, block_index) + padding)[:block_size]
+            try:
+                write(block_index, data, name)
+            except MemoryFault:
+                yield from retry_after_fault(
+                    memory, block_index, data, name, task.jobs[-1]
+                )
 
     return PeriodicTask(
         device.cpu, name=name, period=period, wcet=wcet,

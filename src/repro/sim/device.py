@@ -127,7 +127,7 @@ class Device:
         )
         self.mpu = MemoryProtectionUnit(sim, block_count, policy=fault_policy)
         self.memory.mpu = self.mpu
-        self.memory._clock = lambda: sim.now
+        self.memory.sim = sim
         self.irq = InterruptController(self.cpu)
         self.secure_timer = SecureTimer(sim, f"{name}.timer")
         self.timing = timing if timing is not None else OdroidXU4Model()

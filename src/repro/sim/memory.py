@@ -229,9 +229,9 @@ class Memory:
         self._frozen: List[Optional[bytes]] = list(benign)
         self._benign_image: Optional[MemoryImage] = None
         self.regions: Dict[str, Region] = {}
-        self.mpu = None  # wired by Device; duck-typed check_write(block)
+        self.mpu = None  # wired by Device; writes read its lock_bits
         self.write_log: List[WriteRecord] = []
-        self._clock = None  # wired by Device: callable returning sim time
+        self.sim = None  # wired by Device; its now stamps the write log
         #: monotonic per-block content generation: bumped on every
         #: *applied* mutation (MPU-blocked writes leave it untouched),
         #: so a write committed iff its block's generation moved.
@@ -282,7 +282,8 @@ class Memory:
     # -- access ------------------------------------------------------------
 
     def now(self) -> float:
-        return self._clock() if self._clock is not None else 0.0
+        sim = self.sim
+        return sim.now if sim is not None else 0.0
 
     def read_block(self, block_index: int) -> bytes:
         """Read a block's current contents (reads are never blocked).
@@ -309,7 +310,8 @@ class Memory:
         """Overwrite a whole block.
 
         Raises :class:`MemoryFault` if the MPU has the block locked and
-        is configured to raise; the write is then *not* applied.
+        is configured to raise; the write is then *not* applied.  Only
+        a locked block's write asks the MPU (it records the fault).
         """
         if not 0 <= block_index < self.block_count:
             self._check_index(block_index)
@@ -317,14 +319,16 @@ class Memory:
             raise AddressError(
                 f"write of {len(data)} bytes to block of {self.block_size}"
             )
-        if self.mpu is not None and not self.mpu.check_write(block_index, actor):
-            return
+        mpu = self.mpu
+        if mpu is not None and mpu.lock_bits[block_index]:
+            if not mpu.check_write(block_index, actor):
+                return
         self.blocks[block_index].data[:] = data
         content = self._frozen[block_index] = bytes(data)
         self.generations[block_index] += 1
-        clock = self._clock
+        sim = self.sim
         self.write_log.append(WriteRecord(
-            clock() if clock is not None else 0.0, block_index, actor, content
+            sim.now if sim is not None else 0.0, block_index, actor, content
         ))
 
     def try_write(self, block_index: int, data: bytes, actor: str = "?") -> bool:
@@ -342,8 +346,10 @@ class Memory:
         self._check_index(block_index)
         if offset < 0 or offset + len(data) > self.block_size:
             raise AddressError("patch outside block bounds")
-        if self.mpu is not None and not self.mpu.check_write(block_index, actor):
-            return
+        mpu = self.mpu
+        if mpu is not None and mpu.lock_bits[block_index]:
+            if not mpu.check_write(block_index, actor):
+                return
         self.blocks[block_index].data[offset : offset + len(data)] = data
         patched = bytes(self.blocks[block_index].data)
         self._frozen[block_index] = patched

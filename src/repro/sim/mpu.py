@@ -74,7 +74,10 @@ class MemoryProtectionUnit:
         self.sim = sim
         self.block_count = block_count
         self.policy = policy
-        self._locked: List[bool] = [False] * block_count
+        #: per-block lock bits, read by :class:`~repro.sim.memory.Memory`
+        #: to skip :meth:`check_write` for an unlocked block; only
+        #: :meth:`lock` / :meth:`unlock` / :meth:`reset` assign them
+        self.lock_bits: List[bool] = [False] * block_count
         self._locked_since: List[Optional[float]] = [None] * block_count
         self.faults: List[FaultRecord] = []
         self.lock_history: List[LockInterval] = []
@@ -85,13 +88,13 @@ class MemoryProtectionUnit:
     # -- state ----------------------------------------------------------
 
     def is_locked(self, block_index: int) -> bool:
-        return self._locked[block_index]
+        return self.lock_bits[block_index]
 
     def locked_blocks(self) -> List[int]:
-        return [i for i, flag in enumerate(self._locked) if flag]
+        return [i for i, flag in enumerate(self.lock_bits) if flag]
 
     def locked_count(self) -> int:
-        return sum(self._locked)
+        return sum(self.lock_bits)
 
     # -- configuration ----------------------------------------------------
 
@@ -99,18 +102,18 @@ class MemoryProtectionUnit:
         """Make one block read-only.  Idempotent locking is an error:
         the mechanisms in the paper never double-lock, so a double lock
         indicates a policy bug and raises :class:`LockStateError`."""
-        if self._locked[block_index]:
+        if self.lock_bits[block_index]:
             raise LockStateError(f"block {block_index} already locked")
-        self._locked[block_index] = True
+        self.lock_bits[block_index] = True
         self._locked_since[block_index] = self.sim.now
         self.lock_ops += 1
 
     def unlock(self, block_index: int) -> None:
         """Release one block.  Fires :attr:`release_signal` so writers
         blocked on a fault can retry."""
-        if not self._locked[block_index]:
+        if not self.lock_bits[block_index]:
             raise LockStateError(f"block {block_index} not locked")
-        self._locked[block_index] = False
+        self.lock_bits[block_index] = False
         since = self._locked_since[block_index]
         self._locked_since[block_index] = None
         if since is not None:
@@ -130,12 +133,12 @@ class MemoryProtectionUnit:
 
     def lock_all(self) -> None:
         self.lock_many(
-            i for i in range(self.block_count) if not self._locked[i]
+            i for i in range(self.block_count) if not self.lock_bits[i]
         )
 
     def unlock_all(self) -> None:
         self.unlock_many(
-            i for i in range(self.block_count) if self._locked[i]
+            i for i in range(self.block_count) if self.lock_bits[i]
         )
 
     def reset(self) -> int:
@@ -152,9 +155,9 @@ class MemoryProtectionUnit:
         """
         cleared = 0
         for block_index in range(self.block_count):
-            if not self._locked[block_index]:
+            if not self.lock_bits[block_index]:
                 continue
-            self._locked[block_index] = False
+            self.lock_bits[block_index] = False
             since = self._locked_since[block_index]
             self._locked_since[block_index] = None
             if since is not None:
@@ -167,14 +170,15 @@ class MemoryProtectionUnit:
     # -- enforcement ------------------------------------------------------
 
     def check_write(self, block_index: int, actor: str) -> bool:
-        """Called by :class:`~repro.sim.memory.Memory` on every write.
+        """Called by :class:`~repro.sim.memory.Memory` on every write
+        to a locked block (an unlocked one needs no check).
 
         Returns ``True`` if the write may proceed.  For a locked block:
         under :attr:`FaultPolicy.RAISE` a :class:`MemoryFault` is raised
         to the writer; under :attr:`FaultPolicy.DROP` the method returns
         ``False`` and the memory silently discards the write.
         """
-        if not self._locked[block_index]:
+        if not self.lock_bits[block_index]:
             return True
         self.faults.append(FaultRecord(self.sim.now, block_index, actor))
         if self.policy is FaultPolicy.RAISE:

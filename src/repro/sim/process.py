@@ -189,17 +189,10 @@ class Process:
         self.state = ProcState.READY
         self._ready_since = now
         cpu = self.cpu
-        seq = self._ready_seq = cpu._next_seq()
+        cpu._seq += 1
+        seq = self._ready_seq = cpu._seq
         if queued:
             heapq.heappush(cpu._ready, (-self.priority, seq, self))
-
-    def _record_dispatch(self, now: float) -> None:
-        self.dispatch_count += 1
-        latency = now - self._ready_since
-        self.response_total += latency
-        self.response_samples += 1
-        if latency > self.response_max:
-            self.response_max = latency
 
     @property
     def response_mean(self) -> float:
@@ -284,7 +277,8 @@ class CPU:
         proc.state = ProcState.DONE
         proc.atomic = False
         proc.finished_at = self.sim.now
-        self._release(proc)
+        if self.current is proc:
+            self.current = None
         self._emit("killed", proc)
         return True
 
@@ -308,10 +302,6 @@ class CPU:
         return max(0.0, 1.0 - busy / elapsed)
 
     # -- internals -------------------------------------------------------
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     def _emit(self, kind: str, proc: Process, **data: Any) -> None:
         if self._record is not None:
@@ -353,24 +343,36 @@ class CPU:
         return None
 
     def _dispatch(self) -> None:
-        """Ensure the highest-priority ready/running process holds the CPU."""
+        """Ensure the highest-priority ready/running process holds the
+        CPU, resuming it if it was not running.  Peeks the ready head
+        as :meth:`_pick_next` does (dropping stale entries) in place."""
         if self._in_advance:
             return
-        candidate = self._pick_next()
-        if self.current is not None:
-            if candidate is None:
+        ready = self._ready
+        while ready:
+            _, seq, proc = ready[0]
+            if proc.state is ProcState.READY and proc._ready_seq == seq:
+                break
+            heapq.heappop(ready)
+        else:
+            return  # nothing ready
+        current = self.current
+        if current is not None:
+            if current.atomic or proc.priority <= current.priority:
                 return
-            if self.current.atomic:
-                return
-            if candidate.priority <= self.current.priority:
-                return
-            self._preempt(self.current)
-        if candidate is None:
-            return
+            self._preempt(current)
         # the candidate leaves the heap as it runs (a preempted runner
         # re-queues below it), so an empty heap means nothing is ready
-        heapq.heappop(self._ready)
-        self._run(candidate)
+        heapq.heappop(ready)
+        self._take(proc)
+        if proc._remaining > 0.0:
+            proc._run_start = self.sim.now
+            proc._completion = self.sim.schedule(
+                proc._remaining, self._compute_done, proc
+            )
+        else:
+            value, proc._pending_value = proc._pending_value, None
+            self._advance(proc, value)
 
     def _preempt(self, proc: Process) -> None:
         """Take the CPU away from ``proc`` mid-Compute."""
@@ -386,25 +388,18 @@ class CPU:
         self.current = None
         self._emit("preempt", proc, remaining=proc._remaining)
 
-    def _run(self, proc: Process) -> None:
-        """Give the CPU to ``proc`` (which must be READY) and resume it."""
-        self._take(proc)
-        if proc._remaining > 0.0:
-            proc._run_start = self.sim.now
-            proc._completion = self.sim.schedule(
-                proc._remaining, self._compute_done, proc
-            )
-        else:
-            value, proc._pending_value = proc._pending_value, None
-            self._advance(proc, value)
-
     def _take(self, proc: Process) -> None:
         """Make READY ``proc`` the runner: dispatch accounting and the
-        ``run`` record, shared by :meth:`_run` and the inline wake."""
+        ``run`` record, shared by :meth:`_dispatch` and the inline wake."""
         assert proc.state is ProcState.READY
         proc.state = ProcState.RUNNING
         now = self.sim.now
-        proc._record_dispatch(now)
+        proc.dispatch_count += 1
+        latency = now - proc._ready_since
+        proc.response_total += latency
+        proc.response_samples += 1
+        if latency > proc.response_max:
+            proc.response_max = latency
         self.current = proc
         record = self._record
         if record is not None:
@@ -417,13 +412,11 @@ class CPU:
         proc._completion = None
         self._advance(proc, None)
 
-    def _release(self, proc: Process) -> None:
-        """Remove ``proc`` from the CPU without making it ready."""
-        if self.current is proc:
-            self.current = None
-
     def _advance(self, proc: Process, send_value: Any) -> None:
-        """Step the generator until it blocks (Compute/Sleep/Wait) or ends."""
+        """Step the generator until it blocks (Compute/Sleep/Wait) or ends.
+
+        ``proc`` is the runner throughout (dispatch waits until this
+        returns), so blocking or ending just clears :attr:`current`."""
         self._in_advance = True
         send = proc._generator.send
         sim = self.sim
@@ -474,11 +467,11 @@ class CPU:
                         # would idle, and the wake event would be the
                         # very next event the engine fires.  The clock
                         # has advanced; hand the CPU straight back, with
-                        # the records and accounting of _wake -> _run.
+                        # the records and accounting of _wake -> _dispatch.
                         self._make_ready(proc, queued=False)
                         self._take(proc)
                         continue
-                    self._release(proc)
+                    self.current = None
                     proc.state = ProcState.SLEEPING
                     proc._wake_event = sim.schedule(
                         duration, self._wake, proc
@@ -489,7 +482,7 @@ class CPU:
                         raise ProcessError(
                             f"{proc.name}: WaitSignal inside atomic section"
                         )
-                    self._release(proc)
+                    self.current = None
                     proc.state = ProcState.WAITING
                     command.signal.wait(
                         lambda value, p=proc: self._signal_wake(p, value)
@@ -501,7 +494,7 @@ class CPU:
                     self._emit("atomic", proc, enabled=command.enabled)
                     continue
                 if isinstance(command, Yield):
-                    self._release(proc)
+                    self.current = None
                     proc._became_ready(sim.now)
                     self._emit("yield", proc)
                     return
@@ -538,6 +531,6 @@ class CPU:
         proc.atomic = False
         proc.result = result
         proc.finished_at = self.sim.now
-        self._release(proc)
+        self.current = None
         self._emit("done", proc)
         proc.done_signal.fire(result)

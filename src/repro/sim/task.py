@@ -18,9 +18,10 @@ from repro.sim.memory import Memory
 from repro.sim.process import CPU, Compute, Process, Sleep, WaitSignal
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
-    """Timing of one job instance of a periodic task."""
+    """Timing of one job instance of a periodic task; its response time
+    and deadline miss are derived in :meth:`PeriodicTask.stats`."""
 
     index: int
     release: float
@@ -28,18 +29,6 @@ class JobRecord:
     finish: Optional[float] = None
     deadline: float = 0.0
     write_faults: int = 0
-
-    @property
-    def response_time(self) -> Optional[float]:
-        if self.finish is None:
-            return None
-        return self.finish - self.release
-
-    @property
-    def missed_deadline(self) -> bool:
-        if self.finish is None:
-            return True  # never finished within the simulation
-        return self.finish > self.deadline
 
 
 @dataclass
@@ -93,10 +82,15 @@ class PeriodicTask:
         job: Optional[Callable[[Process, "PeriodicTask", int], Generator]] = None,
         max_jobs: Optional[int] = None,
     ) -> None:
-        if period <= 0:
-            raise ConfigurationError("period must be positive")
-        if wcet < 0 or wcet > period:
-            raise ConfigurationError("wcet must be within (0, period]")
+        # each bound is written so that NaN fails it
+        if not period > 0:
+            raise ConfigurationError("period must be within (0, inf)")
+        if not 0 <= wcet <= period:
+            raise ConfigurationError("wcet must be within [0, period]")
+        if deadline is not None and not deadline > 0:
+            raise ConfigurationError("deadline must be within (0, inf)")
+        if not offset >= 0:
+            raise ConfigurationError("offset must be within [0, inf)")
         self.cpu = cpu
         self.name = name
         self.period = period
@@ -106,6 +100,9 @@ class PeriodicTask:
         self.offset = offset
         self.max_jobs = max_jobs
         self.jobs: List[JobRecord] = []
+        #: ``Compute(wcet)``, built once: a job body yields this rather
+        #: than a fresh command per job
+        self.compute = Compute(wcet)
         self._job_body = job if job is not None else self._default_job
         self.process = cpu.spawn(name, self._run, priority=priority, delay=0.0)
 
@@ -113,17 +110,21 @@ class PeriodicTask:
 
     @staticmethod
     def _default_job(proc: Process, task: "PeriodicTask", index: int):
-        yield Compute(task.wcet)
+        yield task.compute
 
     def _run(self, proc: Process):
         sim = self.cpu.sim
         if self.offset > 0:
             yield Sleep(self.offset)
+        # one Sleep per task: the CPU reads its duration when it is
+        # yielded and keeps no reference, and release > now here
+        sleep = Sleep(0.0)
         index = 0
         while self.max_jobs is None or index < self.max_jobs:
             release = self.offset + index * self.period
             if sim.now < release:
-                yield Sleep(release - sim.now)
+                sleep.duration = release - sim.now
+                yield sleep
             record = JobRecord(
                 index=index, release=release, deadline=release + self.deadline
             )
@@ -148,16 +149,17 @@ class PeriodicTask:
         for record in self.jobs:
             stats.jobs_released += 1
             stats.write_faults += record.write_faults
-            if record.finish is None:
+            finish = record.finish
+            if finish is None:
                 if now > record.deadline:
                     stats.deadline_misses += 1
                 continue
             stats.jobs_finished += 1
-            response = record.response_time or 0.0
+            response = finish - record.release
             stats.total_response += response
             if response > stats.worst_response:
                 stats.worst_response = response
-            if record.missed_deadline:
+            if finish > record.deadline:
                 stats.deadline_misses += 1
         return stats
 
@@ -172,19 +174,34 @@ def write_with_retry(
 ) -> Generator:
     """Write a block, waiting on MPU release when the block is locked.
 
-    This is the canonical writer used by workload jobs: it attempts the
-    write; on a :class:`MemoryFault` it blocks on the MPU's release
-    signal and retries.  Each fault is counted on ``record`` so locking
-    mechanisms' availability damage is measurable.
+    The canonical writer for job bodies: it attempts the write and, on
+    a :class:`MemoryFault`, hands over to :func:`retry_after_fault`.  A
+    hot job body makes that first attempt itself as a plain call, so a
+    write that commits costs no generator.
     """
-    if memory.mpu is None:
+    try:
         memory.write(block_index, data, actor)
-        return
+    except MemoryFault:
+        yield from retry_after_fault(memory, block_index, data, actor, record)
+
+
+def retry_after_fault(
+    memory: Memory,
+    block_index: int,
+    data: bytes,
+    actor: str,
+    record: Optional[JobRecord] = None,
+) -> Generator:
+    """The fault path of :func:`write_with_retry`, entered after a write
+    raised :class:`MemoryFault`: count the fault on ``record`` (so
+    locking's availability damage is measurable), wait on the MPU's
+    release signal and retry, until a write commits."""
     while True:
+        if record is not None:
+            record.write_faults += 1
+        yield WaitSignal(memory.mpu.release_signal)
         try:
             memory.write(block_index, data, actor)
             return
         except MemoryFault:
-            if record is not None:
-                record.write_faults += 1
-            yield WaitSignal(memory.mpu.release_signal)
+            pass

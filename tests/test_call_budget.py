@@ -1,22 +1,35 @@
-"""A deterministic call budget for the ``fleet-qoa`` campaign.
+"""Deterministic call budgets for the ``fleet-qoa`` and ``fleet-locking``
+campaigns.
 
 Wall-clock gates drift with the host; the number of Python calls a run
-makes does not.  This test counts ``sys.setprofile`` ``"call"`` events
+makes does not.  These tests count ``sys.setprofile`` ``"call"`` events
 -- function entries and generator resumes -- in frames whose code lives
-in the ``repro`` package, over the nine runs of
-``canned_campaign("qoa", seed_count=1)``: ERASMUS self-measurement
-beside the 50 ms fire-alarm task, the campaign behind the ``fleet-qoa``
-benchmark workload.  A first pass over the same runs warms the
-process-wide ``ReferenceStore`` (and every other lazy cache), so the
-counted pass is the steady state and does not depend on test order.
+in the ``repro`` package, over the runs of a canned campaign at one
+seed:
 
-Measured on Python 3.11.7: 412,581 calls before the fused inline
-advance, the per-traversal measurement hoists and the read-time
-counters (``docs/performance.md`` §13), and 236,172 after.  The budget
-is the latter plus 5%, so a change that puts a helper hop back on the
-per-block or per-step path fails here, with no clock involved.  The
-list/dict/set comprehensions in the counted code make 186 of the
-calls; Python 3.12 inlines those (PEP 709) and counts that many fewer.
+* ``canned_campaign("qoa", seed_count=1)``, nine runs: ERASMUS
+  self-measurement beside the 50 ms fire-alarm task, the campaign
+  behind the ``fleet-qoa`` benchmark workload;
+* ``canned_campaign("locking", seed_count=1)``, eight runs: periodic
+  writer tasks racing lock-holding measurements, the campaign behind
+  ``fleet-locking``.
+
+A first pass over the same runs warms the process-wide
+``ReferenceStore`` (and every other lazy cache), so the counted pass is
+the steady state and does not depend on test order.
+
+Measured on Python 3.11.7 (``docs/performance.md`` §13 and §14):
+
+* ``qoa``: 412,581 calls before the fused inline advance, the
+  per-traversal measurement hoists and the read-time counters;
+  235,984 after them; 184,147 once a periodic job costs one wake.
+* ``locking``: 292,938 calls (36,617 per run) before a periodic job
+  cost one wake; 174,634 (21,829 per run) after.
+
+Each budget is the latest count plus 5%, so a change that puts a helper
+hop back on the per-block, per-step or per-job path fails here, with no
+clock involved.  Python 3.12 inlines list/dict/set comprehensions
+(PEP 709), so it counts a few hundred calls fewer.
 """
 
 import os
@@ -26,8 +39,11 @@ import repro
 from repro import fleet
 from repro.fleet.executor import execute_run
 
-#: 236,172 calls measured on Python 3.11.7, plus 5%
-CALL_BUDGET = 247_980
+#: 184,147 calls measured on Python 3.11.7, plus 5%
+CALL_BUDGET = 193_354
+
+#: 174,634 calls measured on Python 3.11.7, plus 5%
+LOCKING_CALL_BUDGET = 183_365
 
 
 def count_calls(specs):
@@ -49,13 +65,27 @@ def count_calls(specs):
     return calls
 
 
-def test_qoa_campaign_stays_within_its_call_budget():
-    specs = fleet.canned_campaign("qoa", seed_count=1).plan()
-    assert len(specs) == 9
+def warm_and_count(campaign, runs):
+    """Plan ``campaign`` at one seed, run it once to warm every cache,
+    and count the calls of a second pass."""
+    specs = fleet.canned_campaign(campaign, seed_count=1).plan()
+    assert len(specs) == runs
     for spec in specs:  # warm-up pass: interned images, audits, imports
         execute_run(spec)
-    calls = count_calls(specs)
+    return count_calls(specs)
+
+
+def test_qoa_campaign_stays_within_its_call_budget():
+    calls = warm_and_count("qoa", 9)
     assert calls <= CALL_BUDGET, (
         f"the qoa campaign made {calls:,} Python calls in repro, over "
         f"its budget of {CALL_BUDGET:,}"
+    )
+
+
+def test_locking_campaign_stays_within_its_call_budget():
+    calls = warm_and_count("locking", 8)
+    assert calls <= LOCKING_CALL_BUDGET, (
+        f"the locking campaign made {calls:,} Python calls in repro, "
+        f"over its budget of {LOCKING_CALL_BUDGET:,}"
     )

@@ -109,7 +109,7 @@ class TestWriteLog:
     def test_log_records_time_actor_fingerprint(self):
         sim = Simulator()
         memory = make_memory()
-        memory._clock = lambda: sim.now
+        memory.sim = sim
         sim.schedule(2.0, memory.write, 3, b"\xCD" * 16, "writer")
         sim.run()
         assert len(memory.write_log) == 1
@@ -122,7 +122,7 @@ class TestWriteLog:
     def test_writes_in_window(self):
         sim = Simulator()
         memory = make_memory()
-        memory._clock = lambda: sim.now
+        memory.sim = sim
         for t in (1.0, 2.0, 3.0):
             sim.schedule(t, memory.write, 0, b"\x00" * 16, "w")
         sim.run()

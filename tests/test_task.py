@@ -68,6 +68,59 @@ class TestReleases:
             PeriodicTask(device.cpu, "t", period=1.0, wcet=2.0)
 
 
+NAN = float("nan")
+
+
+class TestParameterBounds:
+    """Each bound is written so NaN fails it, and names its field and
+    interval."""
+
+    @pytest.mark.parametrize("period", [NAN, -1.0, 0.0])
+    def test_period_outside_bound_rejected(self, period):
+        _, device = make_cpu_device()
+        with pytest.raises(ConfigurationError,
+                           match=r"period must be within \(0, inf\)"):
+            PeriodicTask(device.cpu, "t", period=period, wcet=0.0)
+
+    @pytest.mark.parametrize("wcet", [NAN, -0.001, 1.001])
+    def test_wcet_outside_bound_rejected(self, wcet):
+        _, device = make_cpu_device()
+        with pytest.raises(ConfigurationError,
+                           match=r"wcet must be within \[0, period\]"):
+            PeriodicTask(device.cpu, "t", period=1.0, wcet=wcet)
+
+    @pytest.mark.parametrize("wcet", [0.0, 1.0])
+    def test_wcet_edges_accepted(self, wcet):
+        sim, device = make_cpu_device()
+        task = PeriodicTask(device.cpu, "t", period=1.0, wcet=wcet,
+                            max_jobs=2)
+        sim.run(until=5.0)
+        assert task.stats().jobs_finished == 2
+
+    @pytest.mark.parametrize("deadline", [NAN, -1.0, 0.0])
+    def test_deadline_outside_bound_rejected(self, deadline):
+        _, device = make_cpu_device()
+        with pytest.raises(ConfigurationError,
+                           match=r"deadline must be within \(0, inf\)"):
+            PeriodicTask(device.cpu, "t", period=1.0, wcet=0.1,
+                         deadline=deadline)
+
+    @pytest.mark.parametrize("offset", [NAN, -0.5])
+    def test_offset_outside_bound_rejected(self, offset):
+        _, device = make_cpu_device()
+        with pytest.raises(ConfigurationError,
+                           match=r"offset must be within \[0, inf\)"):
+            PeriodicTask(device.cpu, "t", period=1.0, wcet=0.1,
+                         offset=offset)
+
+    def test_zero_offset_accepted(self):
+        sim, device = make_cpu_device()
+        task = PeriodicTask(device.cpu, "t", period=1.0, wcet=0.1,
+                            offset=0.0, max_jobs=1)
+        sim.run(until=2.0)
+        assert task.jobs[0].release == 0.0
+
+
 class TestDeadlines:
     def test_atomic_hog_causes_misses(self):
         """An atomic 3-second measurement starves a 1s-period task."""
