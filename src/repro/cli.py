@@ -157,11 +157,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _fleet_campaign(args: argparse.Namespace):
     import json
 
+    from repro.errors import ConfigurationError
     from repro.fleet import CampaignSpec, canned_campaign
+
+    def reject(literal: str) -> None:
+        raise ConfigurationError(
+            f"{args.spec}: {literal} is not JSON; use a finite number"
+        )
 
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as handle:
-            return CampaignSpec.from_dict(json.load(handle))
+            return CampaignSpec.from_dict(
+                json.load(handle, parse_constant=reject)
+            )
     return canned_campaign(args.campaign, seed_count=args.seeds)
 
 

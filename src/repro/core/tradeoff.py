@@ -2,8 +2,9 @@
 
 For every mechanism in the solution landscape this harness runs three
 scenarios on an identical device/workload -- no adversary,
-self-relocating malware, reactive transient malware -- and distills the
-Table 1 columns from what actually happened:
+self-relocating malware, reactive transient malware -- as one-seed fleet
+runs (``execute_run``), and distills the Table 1 columns from their
+``RunResult``s:
 
 * the detection cells from the verifier's verdicts;
 * writable-memory availability from write probes fired mid-measurement;
@@ -30,11 +31,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.consistency import expected_consistency
 from repro.core.solution import Feature, solution_by_key
-from repro.sim.device import Device
+from repro.errors import ConfigurationError
 from repro.units import MiB
 
 if TYPE_CHECKING:
-    from repro.scenario import ScenarioOutcome
+    from repro.fleet.telemetry import RunResult
 
 ADVERSARIES = ("none", "relocating", "transient")
 
@@ -48,6 +49,10 @@ STANDARD_KEYS = (
     "erasmus",
     "no-lock",  # the strawman, shown for contrast
 )
+
+#: mid-measurement write probes per Table 1 run (the writable-memory
+#: column)
+TABLE1_PROBES = 6
 
 
 @dataclass
@@ -68,11 +73,12 @@ class ScenarioConfig:
     #: below 1e-6 when each pass is escaped with probability ~e^-1
     #: (ceil(6 ln 10) = 14; the paper rounds to "13 checks" using the
     #: exact finite-n probability)
-    smarm_rounds: int = 13
-    erasmus_period: float = 2.5
+    rounds: int = 13
+    #: T_M, the self-measurement period (ERASMUS; SeED's gap scale)
+    t_m: float = 2.5
     #: T_C, the ERASMUS collection period: ``Scenario.drive`` collects
     #: at T_C, 2 T_C, ... (at least once) up to the horizon
-    erasmus_collect_period: float = 30.0
+    t_c: float = 30.0
     task_period: float = 0.1
     task_wcet: float = 0.002
     task_priority: int = 100
@@ -94,111 +100,23 @@ class ScenarioConfig:
     #: missed-push recovery over ``seed_fetch`` (prover, monitor)
     seed_serve_fetch: bool = False
     seed_catch_up: bool = False
-    probe_count: int = 6  # mid-MP write probes across the data region
+    #: mid-MP write probes across the data region, installed by
+    #: ``Scenario.drive``; Table 1 fires 6, every other run none
+    probe_count: int = 0
 
 
-@dataclass
-class ProbeResult:
-    """Mid-measurement write probes into the data region."""
-
-    attempted: int = 0
-    succeeded: int = 0
-
-    @property
-    def fraction(self) -> float:
-        if self.attempted == 0:
-            return 0.0
-        return self.succeeded / self.attempted
-
-
-def _schedule_probes(device: Device, config: ScenarioConfig,
-                     probe: ProbeResult, window: Tuple[float, float]) -> None:
-    """Fire write attempts into the data region spread across a window.
-
-    A probe models a task trying to update state mid-measurement; it
-    runs as a maximum-priority one-shot job so the only obstacles are
-    atomicity (no CPU) and MPU locks.  A probe *succeeds* only if the
-    write commits promptly (within ``budget`` of its release): a write
-    that had to wait for the whole measurement to finish is exactly the
-    unavailability Table 1's column is about.
-    """
-    data_region = device.memory.regions["data"]
-    start, end = window
-    span = end - start
-    budget = 0.005
-    for index in range(config.probe_count):
-        fire_at = start + span * (index + 0.5) / config.probe_count
-        block = data_region.start + (index % data_region.length)
-
-        def probe_job(proc, block=block, released=fire_at):
-            from repro.sim.process import Compute
-
-            yield Compute(1e-6)
-            probe.attempted += 1
-            payload = b"\xEE" * device.memory.block_size
-            committed = device.memory.try_write(block, payload, "probe")
-            if committed and device.sim.now - released <= budget:
-                probe.succeeded += 1
-
-        device.sim.schedule_at(
-            fire_at,
-            lambda job=probe_job, i=index: device.cpu.spawn(
-                f"probe{i}", job, priority=10_000
-            ),
-        )
-
-
-def run_scenario(
-    mechanism: str,
-    adversary: str,
-    config: Optional[ScenarioConfig] = None,
-    seed: int = 7,
-) -> Tuple[ScenarioOutcome, ProbeResult]:
-    """Run one cell of the evaluation matrix: the run's outcome and
-    its mid-measurement write probes."""
-    # Lazy: repro.scenario imports this module for ScenarioConfig, so
-    # the factory can only be pulled in at call time.
-    from repro.scenario import Scenario
-
-    config = config or ScenarioConfig()
-    scenario = Scenario.build(
-        mechanism=mechanism,
-        malware=adversary,
-        workload="firealarm",
-        config=config,
-        seed=seed,
-    )
-    scenario.drive()
-
-    # Estimate the MP window for probe placement: first measurement
-    # starts right after the request (plus network latency) or at t=0
-    # for self-measurement; duration from the timing model.
-    device = scenario.device
-    per_block = device.timing.hash_time(
-        config.algorithm, config.sim_block_size
-    )
-    mp_estimate = per_block * config.block_count
-    window_start = (
-        config.request_at + 0.01 if scenario.driver is not None else 0.0
-    )
-    probe = ProbeResult()
-    _schedule_probes(
-        device, config, probe, (window_start, window_start + mp_estimate)
-    )
-
-    scenario.run()
-    return scenario.outcome(), probe
+def _detection(detected: bool) -> Feature:
+    return Feature.YES if detected else Feature.NO
 
 
 @dataclass
 class EvaluationMatrix:
-    """All scenario outcomes and probes plus the Table 1 distillation."""
+    """Every cell's fleet run result plus the Table 1 distillation."""
 
-    outcomes: Dict[Tuple[str, str], ScenarioOutcome]
-    probes: Dict[Tuple[str, str], ProbeResult]
+    outcomes: Dict[Tuple[str, str], RunResult]
     config: ScenarioConfig
 
-    def outcome(self, mechanism: str, adversary: str) -> ScenarioOutcome:
+    def outcome(self, mechanism: str, adversary: str) -> RunResult:
         return self.outcomes[(mechanism, adversary)]
 
     # -- Table 1 cell derivations ------------------------------------------
@@ -213,12 +131,14 @@ class EvaluationMatrix:
         return self.outcome(mechanism, "none").detected
 
     def writable_availability(self, mechanism: str) -> Feature:
-        probe = self.probes[(mechanism, "none")]
-        if probe.attempted == 0:
+        probes = self.outcome(mechanism, "none").probes
+        attempted = probes.get("attempted", 0)
+        if attempted == 0:
             return Feature.NO
-        if probe.fraction >= 0.99:
+        fraction = probes["succeeded"] / attempted
+        if fraction >= 0.99:
             return Feature.YES
-        if probe.fraction <= 0.01:
+        if fraction <= 0.01:
             return Feature.NO
         return Feature.PARTIAL
 
@@ -229,7 +149,7 @@ class EvaluationMatrix:
         if outcome.mp_interruptions > 0:
             return (
                 Feature.YES
-                if outcome.availability.worst_response
+                if outcome.availability_report.worst_response
                 < 0.05 * max(outcome.mp_duration, 1e-9)
                 else Feature.PARTIAL
             )
@@ -244,21 +164,18 @@ class EvaluationMatrix:
             f"{'task_worst[ms]':<15} {'consistency (claimed)'}"
         )
         lines = [header, "-" * len(header)]
-        seen = []
-        for mechanism, _adv in self.outcomes:
-            if mechanism not in seen:
-                seen.append(mechanism)
-        for mechanism in seen:
+        for mechanism in dict.fromkeys(m for m, _ in self.outcomes):
             none_outcome = self.outcome(mechanism, "none")
+            worst = none_outcome.availability_report.worst_response
             lines.append(
                 f"{mechanism:<10} "
-                f"{'Y' if self.detects_relocating(mechanism) else 'x':<6} "
-                f"{'Y' if self.detects_transient(mechanism) else 'x':<6} "
+                f"{_detection(self.detects_relocating(mechanism)).mark:<6} "
+                f"{_detection(self.detects_transient(mechanism)).mark:<6} "
                 f"{'!' if self.false_positive(mechanism) else '-':<4} "
                 f"{self.writable_availability(mechanism).mark:<9} "
                 f"{self.interruptibility(mechanism).mark:<10} "
                 f"{none_outcome.mp_duration:<8.3f} "
-                f"{none_outcome.availability.worst_response * 1e3:<15.1f} "
+                f"{worst * 1e3:<15.1f} "
                 f"{expected_consistency(mechanism)}"
             )
         return "\n".join(lines)
@@ -280,48 +197,24 @@ class EvaluationMatrix:
             solution = solution_by_key(mechanism)
             if solution is None:
                 continue
-            reloc = self.detects_relocating(mechanism)
-            rows.append(
-                (
-                    mechanism, "detects_relocating",
-                    solution.detects_relocating.mark,
-                    "Y" if reloc else "x",
-                    feature_match(
-                        solution.detects_relocating,
-                        Feature.YES if reloc else Feature.NO,
-                    ),
-                )
-            )
-            trans = self.detects_transient(mechanism)
-            rows.append(
-                (
-                    mechanism, "detects_transient",
-                    solution.detects_transient.mark,
-                    "Y" if trans else "x",
-                    feature_match(
-                        solution.detects_transient,
-                        Feature.YES if trans else Feature.NO,
-                    ),
-                )
-            )
-            writable = self.writable_availability(mechanism)
-            rows.append(
-                (
-                    mechanism, "writable_availability",
-                    solution.writable_availability.mark,
-                    writable.mark,
-                    feature_match(solution.writable_availability, writable),
-                )
-            )
-            interrupt = self.interruptibility(mechanism)
-            rows.append(
-                (
-                    mechanism, "interruptibility",
-                    solution.interruptibility.mark,
-                    interrupt.mark,
-                    feature_match(solution.interruptibility, interrupt),
-                )
-            )
+            observed = {
+                "detects_relocating": _detection(
+                    self.detects_relocating(mechanism)
+                ),
+                "detects_transient": _detection(
+                    self.detects_transient(mechanism)
+                ),
+                "writable_availability": self.writable_availability(
+                    mechanism
+                ),
+                "interruptibility": self.interruptibility(mechanism),
+            }
+            for column, feature in observed.items():
+                claim = getattr(solution, column)
+                rows.append((
+                    mechanism, column, claim.mark, feature.mark,
+                    feature_match(claim, feature),
+                ))
         return sorted(rows)
 
 
@@ -330,15 +223,38 @@ def evaluate_all(
     config: Optional[ScenarioConfig] = None,
     adversaries: Tuple[str, ...] = ADVERSARIES,
 ) -> EvaluationMatrix:
-    """Run the full mechanism x adversary matrix."""
+    """Run the mechanism x adversary matrix through ``execute_run``:
+    one seed-7 ``RunSpec`` per cell with ``config``'s fields of the
+    same name and ``config.probe_count`` (else :data:`TABLE1_PROBES`)
+    write probes.  A ``config`` field no ``RunSpec`` field sets must
+    keep its default, else this raises ``ConfigurationError``."""
+    # Lazy: repro.fleet imports repro.scenario, which imports this
+    # module for ScenarioConfig.
+    from repro.fleet.campaign import RunSpec
+    from repro.fleet.executor import (
+        SHARED_FIELDS, UNSHARED_FIELDS, execute_run,
+    )
+
     config = config or ScenarioConfig()
+    default = ScenarioConfig()
+    unreachable = [
+        name for name in UNSHARED_FIELDS
+        if getattr(config, name) != getattr(default, name)
+    ]
+    if unreachable:
+        raise ConfigurationError(
+            "Table 1 runs from a RunSpec, which cannot set "
+            f"{', '.join(unreachable)}"
+        )
+    shared = {name: getattr(config, name) for name in SHARED_FIELDS}
+    shared["probe_count"] = config.probe_count or TABLE1_PROBES
     keys = mechanisms if mechanisms is not None else list(STANDARD_KEYS)
-    outcomes: Dict[Tuple[str, str], ScenarioOutcome] = {}
-    probes: Dict[Tuple[str, str], ProbeResult] = {}
-    for key in keys:
-        for adversary in adversaries:
-            cell = (key, adversary)
-            outcomes[cell], probes[cell] = run_scenario(
-                key, adversary, config
-            )
-    return EvaluationMatrix(outcomes=outcomes, probes=probes, config=config)
+    outcomes = {
+        (key, adversary): execute_run(RunSpec(
+            campaign="table1", mechanism=key, adversary=adversary, seed=7,
+            **shared,
+        ))
+        for key in keys
+        for adversary in adversaries
+    }
+    return EvaluationMatrix(outcomes=outcomes, config=config)

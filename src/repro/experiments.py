@@ -418,8 +418,7 @@ def fig5_qoa(
         mechanism="erasmus",
         config=ScenarioConfig(
             block_count=16, block_size=32, sim_block_size=MiB,
-            algorithm="blake2s", erasmus_period=t_m,
-            erasmus_collect_period=t_c, horizon=horizon,
+            algorithm="blake2s", t_m=t_m, t_c=t_c, horizon=horizon,
         ),
     )
     device = scenario.device
@@ -541,7 +540,7 @@ def sec25_firealarm(
             config=ScenarioConfig(
                 block_count=block_count, block_size=32,
                 sim_block_size=memory_bytes // block_count,
-                algorithm=algorithm, smarm_rounds=1,
+                algorithm=algorithm, rounds=1,
                 task_period=1.0, task_wcet=0.002, task_priority=100,
                 alarm_writes=False,
             ),

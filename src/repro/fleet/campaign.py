@@ -119,6 +119,10 @@ class RunSpec:
     task_priority: int = 100
     mp_priority: int = 50
     writer_tasks: int = 2
+    #: mid-measurement write probes (Table 1's writable-memory column);
+    #: they are maximum-priority jobs and change the schedule, so 0
+    #: (none) is excluded from to_dict()/run_id, as an empty ``faults``
+    probe_count: int = 0
     # -- execution limits ----------------------------------------------
     timeout: float = 0.0  # wall-clock seconds per run; 0 = unlimited
     trace_limit: int = 4096  # ring-buffer bound on the device trace
@@ -173,8 +177,13 @@ class RunSpec:
                 f"unknown workload {self.workload!r}; "
                 f"known: {KNOWN_WORKLOADS}"
             )
-        if self.horizon <= 0:
-            raise ConfigurationError("horizon must be positive")
+        for name in ("horizon", "t_m", "t_c"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ConfigurationError(f"{name} must be positive")
+        if not (isinstance(self.probe_count, int) and self.probe_count >= 0):
+            raise ConfigurationError(
+                "probe_count must be an integer within [0, inf)"
+            )
         if self.faults:
             # Validate the DSL at plan time, not deep inside a worker.
             from repro.resilience.faults import FaultPlan
@@ -204,7 +213,7 @@ class RunSpec:
         data = asdict(self)
         for empty_excluded in (
             "faults", "service", "slo", "device_class", "firmware",
-            "cohort",
+            "cohort", "probe_count",
         ):
             if not data[empty_excluded]:
                 del data[empty_excluded]

@@ -28,6 +28,7 @@ import signal
 import threading
 import traceback
 from contextlib import contextmanager
+from dataclasses import fields
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.qoa import QoAParameters
@@ -60,30 +61,34 @@ class FleetTimeout(Exception):
 # ---------------------------------------------------------------------------
 
 
+#: the ``ScenarioConfig`` fields a ``RunSpec`` field of the same name
+#: sets, in ``ScenarioConfig`` order
+SHARED_FIELDS = tuple(
+    f.name for f in fields(ScenarioConfig)
+    if f.name in {g.name for g in fields(RunSpec)}
+)
+
+#: every other ``ScenarioConfig`` field: ``relocation_seed`` (the run's
+#: seed) and ``seed_shared`` (a per-run SeED secret) are derived per
+#: run, the rest keep their ``ScenarioConfig`` defaults.  A new
+#: ``ScenarioConfig`` field goes here or onto ``RunSpec``.
+UNSHARED_FIELDS = (
+    "relocation_strategy", "relocation_seed", "alarm_writes", "seed_shared",
+    "seed_min_gap", "seed_max_gap", "seed_triggers", "seed_serve_fetch",
+    "seed_catch_up",
+)
+
+
 def _scenario_config(spec: RunSpec) -> ScenarioConfig:
-    return ScenarioConfig(
-        block_count=spec.block_count,
-        block_size=spec.block_size,
-        sim_block_size=spec.sim_block_size,
-        algorithm=spec.algorithm,
-        request_at=spec.request_at,
-        horizon=spec.horizon,
-        smarm_rounds=spec.rounds,
-        erasmus_period=spec.t_m,
-        erasmus_collect_period=spec.t_c,
-        task_period=spec.task_period,
-        task_wcet=spec.task_wcet,
-        task_priority=spec.task_priority,
-        mp_priority=spec.mp_priority,
-        malware_block=spec.malware_block,
-        infect_at=_effective_infect_at(spec),
-        dwell=spec.dwell,
-        relocation_seed=spec.seed,
-        writer_tasks=spec.writer_tasks,
-        seed_shared=hashlib.sha256(
-            f"fleet-seed-{spec.campaign}-{spec.seed}".encode()
-        ).digest()[:16],
+    config = ScenarioConfig(
+        **{name: getattr(spec, name) for name in SHARED_FIELDS}
     )
+    config.infect_at = _effective_infect_at(spec)
+    config.relocation_seed = spec.seed
+    config.seed_shared = hashlib.sha256(
+        f"fleet-seed-{spec.campaign}-{spec.seed}".encode()
+    ).digest()[:16]
+    return config
 
 
 def _effective_seed(spec: RunSpec) -> int:
@@ -369,6 +374,11 @@ def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
         ),
         auth_ops=len(reports) + len(results),
         lock_ops=outcome.lock_ops,
+        probes=(
+            {"attempted": outcome.probes_attempted,
+             "succeeded": outcome.probes_succeeded}
+            if spec.probe_count > 0 else {}
+        ),
         trace_events=len(trace),
         trace_dropped=trace.dropped,
         telemetry=obs.metrics.snapshot_flat(),

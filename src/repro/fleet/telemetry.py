@@ -206,6 +206,10 @@ class RunResult:
     qoa: Dict[str, float] = field(default_factory=dict)
     # -- availability ---------------------------------------------------
     availability: Optional[Dict[str, Any]] = None
+    #: mid-measurement write probes, ``attempted`` and promptly
+    #: ``succeeded`` (``RunSpec.probe_count`` runs only); same empty-drop
+    #: rule as ``outcomes``
+    probes: Dict[str, int] = field(default_factory=dict)
     # -- measurement engine --------------------------------------------
     measurements: int = 0
     mp_duration: float = 0.0
@@ -267,6 +271,8 @@ class RunResult:
             del data["trace_summary"]
         if not data["slo"]:
             del data["slo"]
+        if not data["probes"]:
+            del data["probes"]
         if deterministic:
             for name in VOLATILE_FIELDS:
                 data.pop(name, None)

@@ -84,7 +84,7 @@ class ErasmusService:
         priority: int = 40,
         on_demand: bool = False,
     ) -> None:
-        if period <= 0:
+        if not period > 0:  # also rejects NaN
             raise ConfigurationError("T_M must be positive")
         self.device = device
         self.period = period

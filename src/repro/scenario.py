@@ -62,6 +62,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
 from repro.sim.network import Channel
+from repro.sim.process import Compute
 
 # ---------------------------------------------------------------------------
 # The axes of a run: mechanism, malware, workload; each declared once
@@ -130,7 +131,7 @@ def _build_smarm(device: Device, config: ScenarioConfig) -> Any:
 def _build_erasmus(device: Device, config: ScenarioConfig) -> Any:
     # ERASMUS runs SMART-style measurements, self-timed
     return ErasmusService(
-        device, period=config.erasmus_period,
+        device, period=config.t_m,
         config=_measurement(config, atomic=True),
     )
 
@@ -145,7 +146,7 @@ def _build_seed(device: Device, config: ScenarioConfig) -> Any:
         shared = hashlib.sha256(
             f"scenario-seed-{device.name}".encode()
         ).digest()[:16]
-    period = config.erasmus_period
+    period = config.t_m
     return SeedService(
         device,
         shared,
@@ -169,7 +170,7 @@ MECHANISMS: Dict[str, Mechanism] = {
     "no-lock": Mechanism("on-demand", _build_locking("no-lock")),
     "smarm": Mechanism(
         "on-demand", _build_smarm,
-        rounds=lambda config: config.smarm_rounds,
+        rounds=lambda config: config.rounds,
     ),
     "erasmus": Mechanism("self", _build_erasmus),
     "seed": Mechanism("push", _build_seed),
@@ -265,6 +266,9 @@ class ScenarioOutcome:
     #: the tasks' availability with the exchange outcomes folded in;
     #: None when the run had no workload
     availability: Optional[AvailabilityReport]
+    #: write probes released, and those that committed promptly
+    probes_attempted: int
+    probes_succeeded: int
 
     @property
     def detected(self) -> bool:
@@ -292,6 +296,9 @@ class Scenario:
     outcomes: Optional[OutcomeReport] = None
     fault_plan: Optional[FaultPlan] = None
     injector: Optional[FaultInjector] = None
+    #: write probes released and promptly committed (:meth:`drive`)
+    probes_attempted: int = 0
+    probes_succeeded: int = 0
 
     # -- conveniences ------------------------------------------------------
 
@@ -324,15 +331,60 @@ class Scenario:
         """Schedule what the mechanism's kind needs to run (Fig. 3):
         one request at ``config.request_at`` for an on-demand
         mechanism, ``max(1, int(horizon / T_C))`` collections every T_C
-        (``config.erasmus_collect_period``) for a self-measuring one,
-        and nothing for a push mechanism or ``"none"``."""
+        (``config.t_c``) for a self-measuring one, and nothing for a
+        push mechanism or ``"none"``; then ``config.probe_count``
+        write probes (:meth:`_install_probes`)."""
         config = self.config
         if self.driver is not None:
             self.schedule_request(config.request_at)
         elif self.collector is not None:
-            period = config.erasmus_collect_period
+            period = config.t_c
             self.schedule_collections(
                 period, max(1, int(config.horizon / period))
+            )
+        if config.probe_count > 0:
+            self._install_probes()
+
+    def _install_probes(self) -> None:
+        """Fire ``config.probe_count`` write attempts into the data
+        region, spread across the first measurement's estimated window
+        (from just after the request, or t=0 without a driver).
+
+        A probe models a task trying to update state mid-measurement;
+        it runs as a maximum-priority one-shot job so the only
+        obstacles are atomicity (no CPU) and MPU locks.  A probe
+        *succeeds* only if the write commits within ``budget`` of its
+        release: a write that had to wait for the whole measurement is
+        exactly the unavailability Table 1's column is about.
+        """
+        config, device = self.config, self.device
+        count = config.probe_count
+        mp_estimate = device.timing.hash_time(
+            config.algorithm, config.sim_block_size
+        ) * config.block_count
+        start = config.request_at + 0.01 if self.driver is not None else 0.0
+        # (start + estimate) - start, not the estimate itself: the
+        # rounded span fixes the probe instants the table1 golden pins
+        span = (start + mp_estimate) - start
+        budget = 0.005
+        data_region = device.memory.regions["data"]
+        for index in range(count):
+            fire_at = start + span * (index + 0.5) / count
+            block = data_region.start + (index % data_region.length)
+
+            def probe_job(proc, block=block, released=fire_at):
+                yield Compute(1e-6)
+                self.probes_attempted += 1
+                payload = b"\xEE" * device.memory.block_size
+                committed = device.memory.try_write(block, payload, "probe")
+                if committed and device.sim.now - released <= budget:
+                    self.probes_succeeded += 1
+
+            device.sim.schedule_at(
+                fire_at,
+                lambda job=probe_job, i=index: device.cpu.spawn(
+                    f"probe{i}", job, priority=10_000
+                ),
             )
 
     def run(self, until: Optional[float] = None) -> float:
@@ -375,6 +427,8 @@ class Scenario:
             ),
             lock_ops=mpu.lock_ops + mpu.unlock_ops,
             availability=availability,
+            probes_attempted=self.probes_attempted,
+            probes_succeeded=self.probes_succeeded,
         )
 
     # -- the factory -------------------------------------------------------

@@ -169,10 +169,15 @@ class Simulator:
         Returns the simulation time at which the run stopped.  When
         ``until`` is given and events remain beyond it, the clock is
         advanced exactly to ``until`` (so back-to-back ``run`` calls
-        compose).
+        compose).  ``until`` before the current time, or NaN, raises
+        :class:`SchedulingError`.
         """
         if self._running:
             raise SchedulingError("run() called re-entrantly")
+        if until is not None and not until >= self.now:  # also rejects NaN
+            raise SchedulingError(
+                f"cannot run until {until!r}, before current time {self.now!r}"
+            )
         self._running = True
         self._stopped = False
         self._until = until

@@ -91,6 +91,12 @@ class PeriodicTask:
             raise ConfigurationError("deadline must be within (0, inf)")
         if not offset >= 0:
             raise ConfigurationError("offset must be within [0, inf)")
+        if max_jobs is not None and not (
+            isinstance(max_jobs, int) and max_jobs >= 1
+        ):
+            raise ConfigurationError(
+                "max_jobs must be None or an integer within [1, inf)"
+            )
         self.cpu = cpu
         self.name = name
         self.period = period

@@ -18,8 +18,8 @@ def test_table1_features():
         block_count=32,
         sim_block_size=2 * MiB,
         horizon=40.0,
-        erasmus_period=2.5,
-        erasmus_collect_period=30.0,
+        t_m=2.5,
+        t_c=30.0,
     )
     result = table1(config=config)
     print(banner("Table 1: claimed vs simulated feature matrix"))
@@ -34,8 +34,8 @@ def test_table1_features():
     smarm = matrix.outcome("smarm", "none")
     # Atomic baseline blocks the critical task for ~ a full measurement;
     # SMARM keeps worst-case response ~ the task's own compute time.
-    assert smart.availability.worst_response > 0.5 * smart.mp_duration
-    assert smarm.availability.worst_response < 0.05 * smarm.mp_duration
+    assert smart.availability_report.worst_response > 0.5 * smart.mp_duration
+    assert smarm.availability_report.worst_response < 0.05 * smarm.mp_duration
     # Locking overhead exists but is small ("Low" in Table 1): the MPU
     # ops add well under 10% to the measurement.
     all_lock = matrix.outcome("all-lock", "none")

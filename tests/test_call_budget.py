@@ -22,11 +22,14 @@ Measured on Python 3.11.7 (``docs/performance.md`` §13 and §14):
 
 * ``qoa``: 412,581 calls before the fused inline advance, the
   per-traversal measurement hoists and the read-time counters;
-  235,984 after them; 184,147 once a periodic job costs one wake.
+  235,984 after them; 184,147 once a periodic job costs one wake;
+  184,156 once the executor maps a spec by field name (one
+  comprehension call per run).
 * ``locking``: 292,938 calls (36,617 per run) before a periodic job
-  cost one wake; 174,634 (21,829 per run) after.
+  cost one wake; 174,634 (21,829 per run) after; 174,642 with the
+  field-name mapping.
 
-Each budget is the latest count plus 5%, so a change that puts a helper
+Each budget is a recent count plus 5%, so a change that puts a helper
 hop back on the per-block, per-step or per-job path fails here, with no
 clock involved.  Python 3.12 inlines list/dict/set comprehensions
 (PEP 709), so it counts a few hundred calls fewer.
@@ -39,10 +42,10 @@ import repro
 from repro import fleet
 from repro.fleet.executor import execute_run
 
-#: 184,147 calls measured on Python 3.11.7, plus 5%
+#: 184,147 calls measured on Python 3.11.7, plus 5% (184,156 now)
 CALL_BUDGET = 193_354
 
-#: 174,634 calls measured on Python 3.11.7, plus 5%
+#: 174,634 calls measured on Python 3.11.7, plus 5% (174,642 now)
 LOCKING_CALL_BUDGET = 183_365
 
 

@@ -125,6 +125,34 @@ class TestRunControl:
         sim.run(until=7.0)
         assert sim.now == 7.0
 
+    def test_run_until_nan_rejected(self):
+        # a periodic event would otherwise keep the loop alive forever
+        sim = Simulator()
+
+        def tick():
+            sim.schedule(1.0, tick)
+
+        sim.schedule(1.0, tick)
+        with pytest.raises(SchedulingError, match="cannot run until nan"):
+            sim.run(until=float("nan"))
+        assert sim.now == 0.0
+
+    def test_run_until_past_time_rejected(self):
+        sim = Simulator()
+        sim.run(until=3.0)
+        with pytest.raises(SchedulingError,
+                           match="before current time 3.0"):
+            sim.run(until=1.0)
+        assert sim.now == 3.0
+
+    def test_run_until_now_accepted(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(3.0, fired.append, "x")
+        sim.run(until=3.0)
+        assert sim.run(until=3.0) == 3.0
+        assert fired == ["x"]
+
     def test_stop_halts_mid_run(self):
         sim = Simulator()
         fired = []

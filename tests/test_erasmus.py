@@ -68,6 +68,12 @@ class TestSelfMeasurement:
         with pytest.raises(ConfigurationError):
             ErasmusService(device, period=0.0)
 
+    def test_nan_period_rejected(self):
+        sim = Simulator()
+        device = Device(sim, block_count=4, block_size=16)
+        with pytest.raises(ConfigurationError, match="T_M must be positive"):
+            ErasmusService(device, period=float("nan"))
+
 
 class TestCollection:
     def test_collection_returns_history(self):

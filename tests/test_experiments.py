@@ -193,7 +193,7 @@ class TestTable1:
         result = experiments.table1(
             config=ScenarioConfig(
                 block_count=24, sim_block_size=MiB, horizon=35.0,
-                erasmus_period=2.0, erasmus_collect_period=25.0,
+                t_m=2.0, t_c=25.0,
             )
         )
         mismatches = [row for row in result.claims if not row[4]]

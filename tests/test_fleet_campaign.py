@@ -55,6 +55,27 @@ class TestRunSpec:
         with pytest.raises(ConfigurationError):
             RunSpec.from_dict({"mechanism": "smart", "bogus": 1})
 
+    @pytest.mark.parametrize("name", ["horizon", "t_m", "t_c"])
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+    def test_timing_outside_bound_rejected(self, name, value):
+        # rejected at plan time, not mid-run in a worker
+        with pytest.raises(ConfigurationError,
+                           match=f"^{name} must be positive$"):
+            RunSpec(mechanism="seed", **{name: value})
+
+    @pytest.mark.parametrize("probe_count", [-1, 2.5, float("nan")])
+    def test_probe_count_outside_bound_rejected(self, probe_count):
+        with pytest.raises(ConfigurationError, match="^probe_count must"):
+            RunSpec(probe_count=probe_count)
+
+    def test_zero_probe_count_stays_out_of_the_identity(self):
+        spec = RunSpec(mechanism="smart", seed=1)
+        assert "probe_count" not in spec.to_dict()
+        assert spec.run_id == RunSpec.from_dict(spec.to_dict()).run_id
+        probed = spec.with_overrides(probe_count=6)
+        assert probed.to_dict()["probe_count"] == 6
+        assert probed.run_id != spec.run_id
+
 
 class TestPlanner:
     def test_expansion_count(self):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.errors import ConfigurationError
 
 
 class TestPlan:
@@ -32,6 +33,24 @@ class TestPlan:
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["fleet"])
+
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_spec_file_non_json_number_rejected(
+        self, tmp_path, command, literal
+    ):
+        # json.load accepts these literals; a campaign file must not
+        spec_file = tmp_path / "campaign.json"
+        spec_file.write_text(
+            '{"name": "bad", "base": {"horizon": %s}}' % literal
+        )
+        argv = ["fleet", command, "--spec", str(spec_file)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        with pytest.raises(ConfigurationError,
+                           match=f"{literal} is not JSON"):
+            main(argv)
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunAndSummarize:

@@ -1,6 +1,7 @@
 """Per-run execution and every failure path, alone and through the
 pipeline's serial and process-pool backends."""
 
+import dataclasses
 import gc
 import os
 import signal
@@ -20,7 +21,9 @@ from repro.fleet import (
     run_one,
     run_pipeline,
 )
+from repro.core.tradeoff import ScenarioConfig
 from repro.fleet.campaign import canned_campaign
+from repro.fleet.executor import SHARED_FIELDS, UNSHARED_FIELDS
 from repro.scenario import Scenario
 from repro.units import MiB
 
@@ -154,6 +157,95 @@ class TestSingleRun:
         assert result.ok
         assert result.trace_events == 50
         assert result.trace_dropped > 0
+
+
+#: a value for every shared field that differs from both the
+#: ``RunSpec`` and the ``ScenarioConfig`` default
+NON_DEFAULT = {
+    "block_count": 12, "block_size": 64, "sim_block_size": 3 * MiB,
+    "algorithm": "sha256", "request_at": 1.5, "horizon": 22.0,
+    "rounds": 3, "t_m": 3.0, "t_c": 9.0, "task_period": 0.2,
+    "task_wcet": 0.003, "task_priority": 90, "mp_priority": 40,
+    "malware_block": 3, "infect_at": 1.25, "dwell": 2.0,
+    "writer_tasks": 3, "probe_count": 2,
+}
+
+
+class Captured(Exception):
+    """Raised in place of building the scenario, once its config is
+    captured."""
+
+
+def built_config(spec, monkeypatch):
+    """The ``ScenarioConfig`` that ``execute_run(spec)`` builds."""
+    seen = []
+
+    def capture(*args, config, **kwargs):
+        seen.append(config)
+        raise Captured
+
+    monkeypatch.setattr(Scenario, "build", capture)
+    with pytest.raises(Captured):
+        execute_run(spec)
+    (config,) = seen
+    return config
+
+
+class TestOneMapping:
+    """A ``RunSpec`` reaches its ``ScenarioConfig`` by field name."""
+
+    def test_every_scenario_config_field_is_placed(self):
+        # a new ScenarioConfig field is a RunSpec field of the same
+        # name or listed in UNSHARED_FIELDS, never silently neither
+        config_fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+        spec_fields = {f.name for f in dataclasses.fields(RunSpec)}
+        assert set(SHARED_FIELDS) == config_fields & spec_fields
+        assert set(UNSHARED_FIELDS) == config_fields - spec_fields
+        assert len(set(UNSHARED_FIELDS)) == len(UNSHARED_FIELDS)
+        assert set(NON_DEFAULT) == set(SHARED_FIELDS)
+
+    @pytest.mark.parametrize("name", SHARED_FIELDS)
+    def test_shared_field_reaches_the_scenario_config(
+        self, name, monkeypatch
+    ):
+        value = NON_DEFAULT[name]
+        assert value != getattr(RunSpec(), name)
+        assert value != getattr(ScenarioConfig(), name)
+        config = built_config(fast_spec(**{name: value}), monkeypatch)
+        assert getattr(config, name) == value
+
+    def test_derived_fields(self, monkeypatch):
+        spec = fast_spec(seed=11, infect_at=1.0, infect_jitter=2.0)
+        config = built_config(spec, monkeypatch)
+        assert config.relocation_seed == 11
+        assert 1.0 < config.infect_at < 3.0
+        assert len(config.seed_shared) == 16
+        other = built_config(spec.with_overrides(seed=12), monkeypatch)
+        assert other.seed_shared != config.seed_shared
+        default = ScenarioConfig()
+        for name in UNSHARED_FIELDS:
+            if name not in ("relocation_seed", "seed_shared"):
+                assert getattr(config, name) == getattr(default, name)
+
+    def test_no_probes_leave_no_probe_key(self):
+        spec = fast_spec()
+        assert "probe_count" not in spec.to_dict()
+        assert spec.run_id == fast_spec(probe_count=0).run_id
+        result = execute_run(spec)
+        assert result.probes == {}
+        assert "probe" not in result.to_json_line()
+
+    def test_probes_ride_in_the_result(self):
+        # atomic SMART holds the CPU through most probes; no-lock lets
+        # every write commit at once
+        atomic = execute_run(fast_spec(probe_count=4))
+        unlocked = execute_run(fast_spec(mechanism="no-lock", probe_count=4))
+        assert atomic.probes["attempted"] == 4
+        assert atomic.probes["succeeded"] < 4
+        assert unlocked.probes == {"attempted": 4, "succeeded": 4}
+        line = RunResult.from_json_line(atomic.to_json_line())
+        assert line.probes == atomic.probes
+        assert line.spec["probe_count"] == 4
 
 
 class TestFailurePaths:

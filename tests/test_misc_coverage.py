@@ -82,7 +82,7 @@ class TestMemoryClockDefault:
 
 
 class TestInterRoundGap:
-    def test_smarm_rounds_spaced_by_gap(self):
+    def test_smarm_passes_spaced_by_gap(self):
         from repro.ra.service import AttestationService, OnDemandVerifier
 
         sim = Simulator()

@@ -199,7 +199,7 @@ class TestMissPathGolden:
         """A warm process store and a cold one produce byte-identical
         runs: interning is invisible in simulated time."""
         config = ScenarioConfig(block_count=24, horizon=25.0,
-                                erasmus_collect_period=20.0)
+                                t_c=20.0)
 
         def run_smarm():
             scenario = Scenario.build("smarm", config=config)

@@ -208,7 +208,7 @@ class TestResetRecovery:
         scenario = Scenario.build(
             mechanism="erasmus",
             faults=FaultPlan(seed=b"t10").reset(at=3.0),
-            config=small_config(erasmus_period=2.0, horizon=20.0),
+            config=small_config(t_m=2.0, horizon=20.0),
             retry=RetryPolicy(timeout=1.0, max_retries=3, seed=b"t10-r"),
         )
         scenario.schedule_collections(6.0, 2)  # both after the reset
@@ -259,7 +259,7 @@ class TestErasmusResilience:
         scenario = Scenario.build(
             mechanism="erasmus",
             faults=plan,
-            config=small_config(erasmus_period=2.5, horizon=20.0),
+            config=small_config(t_m=2.5, horizon=20.0),
             retry=RetryPolicy(timeout=1.0, max_retries=5, seed=b"t5-r"),
         )
         scenario.schedule_collections(5.0, 2)
@@ -275,7 +275,7 @@ class TestErasmusResilience:
         scenario = Scenario.build(
             mechanism="erasmus",
             faults=plan,
-            config=small_config(erasmus_period=2.5, horizon=20.0),
+            config=small_config(t_m=2.5, horizon=20.0),
             retry=RetryPolicy(
                 timeout=0.5, max_retries=2, max_timeout=1.0, seed=b"t6-r"
             ),
@@ -390,7 +390,7 @@ class TestAcceptance:
             mechanism=mechanism,
             faults=f"loss=0.3@0:{horizon};reset@6",
             fault_seed=f"accept-{mechanism}".encode(),
-            config=small_config(horizon=horizon, smarm_rounds=3),
+            config=small_config(horizon=horizon, rounds=3),
             retry=RetryPolicy(
                 timeout=1.0, max_retries=6, backoff=1.5,
                 max_timeout=6.0, seed=f"accept-{mechanism}-r".encode(),

@@ -158,10 +158,10 @@ class TestWiring:
         assert scenario.device.trace is trace
         assert scenario.channel.trace is trace
 
-    def test_smarm_rounds_reach_the_request(self):
+    def test_config_rounds_reach_the_request(self):
         # the report carries one record per round, from the config
         scenario = Scenario.build(
-            mechanism="smarm", config=small_config(smarm_rounds=2)
+            mechanism="smarm", config=small_config(rounds=2)
         )
         scenario.schedule_request(2.0)
         scenario.run()
@@ -169,11 +169,11 @@ class TestWiring:
         assert len(report.records) == 2
         assert scenario.driver.rounds == 2
 
-    def test_bare_driver_request_takes_the_smarm_rounds(self):
+    def test_bare_driver_request_takes_the_config_rounds(self):
         # a request that names no rounds gets the mechanism's, as
         # schedule_request does: one shuffled pass is not SMARM's check
         scenario = Scenario.build(
-            mechanism="smarm", config=small_config(smarm_rounds=3)
+            mechanism="smarm", config=small_config(rounds=3)
         )
         exchanges = []
         scenario.sim.schedule_at(
@@ -257,7 +257,7 @@ class TestMechanismTable:
     @pytest.mark.parametrize("key", list(MECHANISMS))
     def test_entry_builds_and_fills_its_kind(self, key):
         entry = MECHANISMS[key]
-        config = small_config(smarm_rounds=4)
+        config = small_config(rounds=4)
         scenario = Scenario.build(mechanism=key, config=config)
         assert scenario.service is not None
         filled = {name for name in PIECES if getattr(scenario, name)}
@@ -266,7 +266,7 @@ class TestMechanismTable:
             assert scenario.driver.rounds == entry.rounds(config)
 
     def test_only_smarm_repeats_rounds(self):
-        config = small_config(smarm_rounds=4)
+        config = small_config(rounds=4)
         rounds = {
             key: entry.rounds(config) for key, entry in MECHANISMS.items()
         }
@@ -301,7 +301,7 @@ class TestProduced:
     def test_self_measurement_reads_history_and_collections(self):
         scenario = Scenario.build(
             mechanism="erasmus",
-            config=small_config(erasmus_collect_period=8.0),
+            config=small_config(t_c=8.0),
         )
         scenario.drive()  # collections at 8 and 16 of the 20 s horizon
         scenario.run()
@@ -339,7 +339,7 @@ def record_calls(scenario, piece, method):
 class TestDrive:
     @pytest.mark.parametrize("key", kinds("on-demand"))
     def test_on_demand_requests_once_at_request_at(self, key):
-        config = small_config(smarm_rounds=3, request_at=1.5)
+        config = small_config(rounds=3, request_at=1.5)
         scenario = Scenario.build(mechanism=key, config=config)
         requested = record_calls(scenario, "driver", "request")
         pending = scenario.sim.pending_count()
@@ -364,7 +364,7 @@ class TestDrive:
     )
     def test_self_collects_every_period(self, horizon, period, times):
         (key,) = kinds("self")
-        config = small_config(horizon=horizon, erasmus_collect_period=period)
+        config = small_config(horizon=horizon, t_c=period)
         scenario = Scenario.build(mechanism=key, config=config)
         collected = record_calls(scenario, "collector", "collect")
         pending = scenario.sim.pending_count()

@@ -120,6 +120,23 @@ class TestParameterBounds:
         sim.run(until=2.0)
         assert task.jobs[0].release == 0.0
 
+    @pytest.mark.parametrize("max_jobs", [NAN, -3, 0, 2.5, 2.0, "2"])
+    def test_max_jobs_outside_bound_rejected(self, max_jobs):
+        _, device = make_cpu_device()
+        with pytest.raises(ConfigurationError,
+                           match=r"max_jobs must be None or an integer "
+                                 r"within \[1, inf\)"):
+            PeriodicTask(device.cpu, "t", period=1.0, wcet=0.1,
+                         max_jobs=max_jobs)
+
+    @pytest.mark.parametrize("max_jobs,released", [(None, 4), (1, 1), (3, 3)])
+    def test_max_jobs_edges_accepted(self, max_jobs, released):
+        sim, device = make_cpu_device()
+        task = PeriodicTask(device.cpu, "t", period=1.0, wcet=0.1,
+                            max_jobs=max_jobs)
+        sim.run(until=3.5)
+        assert len(task.jobs) == released
+
 
 class TestDeadlines:
     def test_atomic_hog_causes_misses(self):

@@ -1,24 +1,27 @@
 """The cross-mechanism evaluation harness (empirical Table 1)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.solution import Feature
 from repro.core.tradeoff import (
     ScenarioConfig,
     evaluate_all,
-    run_scenario,
 )
 from repro.errors import ConfigurationError
+from repro.fleet.campaign import RunSpec
+from repro.fleet.executor import SHARED_FIELDS, execute_run
 from repro.units import MiB
 
 # One reduced-geometry config shared by the module (fast, same physics).
 FAST = ScenarioConfig(
     block_count=24,
     sim_block_size=MiB,
-    smarm_rounds=13,
+    rounds=13,
     horizon=35.0,
-    erasmus_period=2.0,
-    erasmus_collect_period=25.0,
+    t_m=2.0,
+    t_c=25.0,
 )
 
 
@@ -46,6 +49,28 @@ class TestMatrixStructure:
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(ConfigurationError):
             evaluate_all(mechanisms=["quantum"], config=FAST)
+
+    @pytest.mark.parametrize("name,value", [
+        ("relocation_strategy", "uniform"),
+        ("relocation_seed", 5),
+        ("alarm_writes", False),
+        ("seed_shared", b"k" * 16),
+    ])
+    def test_config_field_no_spec_sets_is_rejected(self, name, value):
+        # never dropped silently: a RunSpec cannot carry it
+        with pytest.raises(ConfigurationError, match=name):
+            evaluate_all(
+                mechanisms=["smart"], config=replace(FAST, **{name: value})
+            )
+
+    def test_probe_count_set_in_the_config_is_kept(self):
+        small = evaluate_all(
+            mechanisms=["no-lock"], adversaries=("none",),
+            config=replace(FAST, probe_count=3),
+        )
+        assert small.outcome("no-lock", "none").probes == {
+            "attempted": 3, "succeeded": 3,
+        }
 
 
 class TestNoFalsePositives:
@@ -99,8 +124,8 @@ class TestAvailabilityCells:
         smart = matrix.outcome("smart", "none")
         nolock = matrix.outcome("no-lock", "none")
         # Under SMART the fire-alarm task waits out whole measurements.
-        assert smart.availability.worst_response > (
-            10 * nolock.availability.worst_response
+        assert smart.availability_report.worst_response > (
+            10 * nolock.availability_report.worst_response
         )
         assert smart.mp_interruptions == 0
         assert nolock.mp_interruptions > 0
@@ -120,9 +145,20 @@ class TestClaimComparison:
         }  # no-lock is the strawman, not a Table 1 row
 
 
+def fast_run(mechanism, adversary):
+    """One Table 1 cell at the ``FAST`` config, as ``evaluate_all``
+    runs it."""
+    shared = {name: getattr(FAST, name) for name in SHARED_FIELDS}
+    shared["probe_count"] = 6
+    return execute_run(RunSpec(
+        campaign="table1", mechanism=mechanism, adversary=adversary,
+        **shared,
+    ))
+
+
 class TestSingleScenario:
     def test_lock_ops_counted_for_locking_mechanisms(self):
-        locked, _ = run_scenario("all-lock", "none", FAST)
-        unlocked, _ = run_scenario("smarm", "none", FAST)
+        locked = fast_run("all-lock", "none")
+        unlocked = fast_run("smarm", "none")
         assert locked.lock_ops > 0
         assert unlocked.lock_ops == 0

@@ -59,8 +59,8 @@ def run_scenario(mechanism, malware="transient", faults=None, seed=5):
         sim_block_size=MiB,
         request_at=1.0,
         horizon=24.0,
-        smarm_rounds=3,
-        erasmus_period=4.0,
+        rounds=3,
+        t_m=4.0,
         malware_block=2,
         infect_at=2.0,
         dwell=3.0,
