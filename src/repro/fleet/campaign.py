@@ -184,6 +184,10 @@ class RunSpec:
             raise ConfigurationError(
                 "probe_count must be an integer within [0, inf)"
             )
+        if not (isinstance(self.rounds, int) and self.rounds >= 1):
+            raise ConfigurationError(
+                "rounds must be an integer within [1, inf)"
+            )
         if self.faults:
             # Validate the DSL at plan time, not deep inside a worker.
             from repro.resilience.faults import FaultPlan

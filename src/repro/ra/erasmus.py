@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.tracectx import TraceContext
 from repro.ra.measurement import MeasurementConfig, MeasurementProcess
 from repro.ra.report import (
     AttestationReport,
@@ -34,7 +33,13 @@ from repro.ra.report import (
     Verdict,
     VerificationResult,
 )
-from repro.ra.service import listen, send_report
+from repro.ra.service import (
+    AttestationExchange,
+    ExchangeDriver,
+    NonceDedup,
+    listen,
+    send_report,
+)
 from repro.ra.verifier import Verifier
 from repro.resilience.retry import RetryPolicy
 from repro.sim.device import Device
@@ -104,7 +109,7 @@ class ErasmusService:
         self._index = 0
         self._hooked = False
         self.process: Optional[Process] = None
-        self._od_pending: List[Message] = []
+        self._dedup = NonceDedup(device, "erasmus-od")
 
     # -- lifecycle --------------------------------------------------------
 
@@ -135,7 +140,10 @@ class ErasmusService:
     def _on_reset(self) -> None:
         """Brownout: the history ring lives in RAM and survives; the
         loop process and listeners do not.  Come back up mid-schedule
-        (an interrupted measurement is simply redone at its slot)."""
+        (an interrupted measurement is simply redone at its slot).  The
+        on-demand dedup cache is volatile too: a measurement the reset
+        killed must not pin its nonce as in flight."""
+        self._dedup.clear()
         self.device.trace.record(
             self.device.sim.now, "erasmus.reboot", self.device.name
         )
@@ -168,9 +176,11 @@ class ErasmusService:
     def _on_challenge(self, message: Message) -> None:
         """On-demand coupling: answer a Vrf challenge with a fresh,
         challenge-bound measurement (maximum freshness), stored into
-        the history alongside the scheduled ones."""
-        payload = message.payload or {}
-        nonce = payload.get("nonce", b"")
+        the history alongside the scheduled ones.  A retransmitted
+        challenge is absorbed by the nonce dedup, never measured twice."""
+        if not self._dedup.admit(message):
+            return
+        nonce = (message.payload or {}).get("nonce", b"")
         self._counter += 1
         counter = self._counter
         device = self.device
@@ -184,7 +194,7 @@ class ErasmusService:
             priority=self.config.priority,
         )
 
-        def reply(_record, mp=mp, counter=counter,
+        def reply(_record, mp=mp, counter=counter, nonce=nonce,
                   src=message.src, ctx=message.ctx) -> None:
             self._store(mp.record)
             self.on_demand_served += 1
@@ -192,6 +202,7 @@ class ErasmusService:
                 device.attestation_key, device.name, [mp.record],
                 sent_counter=counter,
             )
+            self._dedup.settle(nonce, report)
             send_report(device.nic, src, report, ctx=ctx)
 
         proc.done_signal.wait(reply)
@@ -287,20 +298,7 @@ class CollectionResult:
         return gaps
 
 
-@dataclass
-class _PendingCollection:
-    """Book-keeping for one outstanding collect_request."""
-
-    device: str
-    on_result: Optional[Callable[[CollectionResult], None]]
-    requested_at: float
-    attempts: int = 1
-    drbg: Optional[object] = None
-    timeout: Optional[object] = None
-    ctx: Optional[TraceContext] = None
-
-
-class CollectorVerifier:
+class CollectorVerifier(ExchangeDriver):
     """Verifier-side collection driver (defines ``T_C`` when polled
     periodically; see the QoA benchmarks).
 
@@ -312,6 +310,8 @@ class CollectorVerifier:
     prover is stateless per collection, so catch-up simply serves the
     current history)."""
 
+    reply_kinds = frozenset({"collect_reply"})
+
     def __init__(
         self,
         verifier: Verifier,
@@ -320,17 +320,11 @@ class CollectorVerifier:
         verify_latency: float = 1e-3,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
-        self.verifier = verifier
-        self.channel = channel
-        self.endpoint = channel.make_endpoint(endpoint_name)
-        self.verify_latency = verify_latency
-        self.retry = retry
         self.collections: List[CollectionResult] = []
         self.missed = 0  # collections abandoned after the retry budget
         self._nonce_counter = 0
-        self._outstanding = {}
-        listen(self.endpoint, self._on_message,
-               kinds=frozenset({"collect_reply"}))
+        super().__init__(verifier, channel, endpoint_name, verify_latency,
+                         retry)
 
     def collect(self, device_name: str,
                 on_result: Optional[Callable[[CollectionResult], None]] = None
@@ -338,58 +332,10 @@ class CollectorVerifier:
         """Ask ``device_name`` for its stored measurements."""
         self._nonce_counter += 1
         nonce = b"collect" + self._nonce_counter.to_bytes(8, "big")
-        pending = _PendingCollection(
-            device=device_name,
-            on_result=on_result,
-            requested_at=self.verifier.sim.now,
-            ctx=(
-                TraceContext.mint("erasmus", device_name, nonce)
-                if self.verifier.sim.obs.enabled else None
-            ),
+        self._open(
+            device_name, nonce, ("collect_request", {"nonce": nonce}),
+            on_result=on_result, trace_kind="erasmus",
         )
-        if self.retry is not None:
-            pending.drbg = self.retry.drbg_for(nonce)
-        self._outstanding[nonce] = pending
-        self._transmit(nonce, pending)
-
-    def _transmit(self, nonce: bytes, pending: _PendingCollection) -> None:
-        self.endpoint.send(
-            pending.device, "collect_request", {"nonce": nonce},
-            ctx=pending.ctx,
-        )
-        if self.retry is not None:
-            wait = self.retry.wait_before(pending.attempts, pending.drbg)
-            pending.timeout = self.verifier.sim.schedule(
-                wait, self._on_timeout, nonce
-            )
-
-    def _on_timeout(self, nonce: bytes) -> None:
-        pending = self._outstanding.get(nonce)
-        if pending is None:
-            return  # reply arrived meanwhile
-        pending.timeout = None
-        obs = self.verifier.sim.obs
-        if pending.attempts >= self.retry.max_attempts:
-            del self._outstanding[nonce]
-            self.missed += 1
-            if obs.enabled:
-                obs.metrics.counter(
-                    "erasmus.collections.missed",
-                    "collections abandoned after the retry budget",
-                ).inc()
-                obs.metrics.counter(
-                    "ra.timeouts.total",
-                    "attestation exchanges abandoned after the retry budget",
-                ).inc()
-            if pending.on_result is not None:
-                pending.on_result(None)
-            return
-        pending.attempts += 1
-        if obs.enabled:
-            obs.metrics.counter(
-                "ra.retries.total", "attestation challenge retransmissions",
-            ).inc()
-        self._transmit(nonce, pending)
 
     def collect_every(self, device_name: str, period: float,
                       count: int) -> None:
@@ -399,26 +345,24 @@ class CollectorVerifier:
                 (index + 1) * period, self.collect, device_name
             )
 
-    def _on_message(self, message: Message) -> None:
-        if message.kind != "collect_reply":
-            return
+    def _reply(self, message: Message):
         payload = message.payload
-        nonce = payload.get("nonce", b"")
-        pending = self._outstanding.pop(nonce, None)
-        if pending is None:
-            return  # stale, replayed, or duplicate collection reply
-        if pending.timeout is not None:
-            pending.timeout.cancel()
-            pending.timeout = None
-        report: AttestationReport = payload["report"]
-        self.verifier.sim.schedule(
-            self.verify_latency, self._finish, report, pending.on_result,
-            pending.requested_at, pending.ctx,
-        )
+        return payload.get("nonce", b""), payload.get("report")
 
-    def _finish(self, report: AttestationReport, on_result,
-                requested_at: float,
-                ctx: Optional[TraceContext] = None) -> None:
+    def _abandon(self, exchange: AttestationExchange) -> None:
+        self.missed += 1
+        obs = self.verifier.sim.obs
+        if obs.enabled:
+            obs.metrics.counter(
+                "erasmus.collections.missed",
+                "collections abandoned after the retry budget",
+            ).inc()
+        if exchange.on_result is not None:
+            exchange.on_result(None)
+
+    def _finish(self, exchange: AttestationExchange) -> None:
+        self._settle(exchange, "verified")
+        report: AttestationReport = exchange.report
         result = self.verifier.verify_report(
             report, enforce_counter=True, counter_stream=COLLECT_STREAM
         )
@@ -433,6 +377,7 @@ class CollectorVerifier:
         obs = self.verifier.sim.obs
         if obs.enabled:
             now = self.verifier.sim.now
+            requested_at, ctx = exchange.requested_at, exchange.ctx
             span_args = dict(
                 device=report.device, records=len(report.records),
             )
@@ -452,6 +397,5 @@ class CollectorVerifier:
                 now - requested_at,
                 exemplar=ctx.trace_id if ctx is not None else None,
             )
-        if on_result is not None:
-            on_result(collection)
-
+        if exchange.on_result is not None:
+            exchange.on_result(collection)

@@ -3,11 +3,14 @@
 Prover side: :class:`AttestationService` -- a device process that waits
 for ``att_request`` messages, runs the configured measurement (one or
 more rounds), and replies with an authenticated report.
+:class:`NonceDedup` keeps retransmitted challenges from measuring twice.
 
-Verifier side: :class:`OnDemandVerifier` -- sends challenges, matches
-responses to outstanding nonces, verifies, and keeps the Figure 1
-timeline (request sent / received / t_s / t_e / report received /
-verified).
+Verifier side: :class:`ExchangeDriver` -- the one request/reply
+exchange with its retry state machine, configured by
+:class:`OnDemandVerifier` (challenges, with the Figure 1 timeline:
+request sent / received / t_s / t_e / report received / verified),
+:class:`~repro.ra.erasmus.CollectorVerifier` and
+:class:`~repro.ra.update.UpdateCoordinator`.
 
 The verifier host is not CPU-modelled (Vrf is a resource-rich machine);
 its verification latency is charged as a configurable engine delay.
@@ -16,7 +19,7 @@ its verification latency is charged as a configurable engine delay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.tracectx import TraceContext
@@ -79,6 +82,72 @@ def listen(
     endpoint.rx_signal.wait(on_rx)
 
 
+class NonceDedup:
+    """Prover-side challenge dedup, keyed by nonce.
+
+    An entry is ``None`` while that challenge's measurement is in
+    flight and the finished report once settled.  Retransmitted
+    challenges never double-measure: in-flight duplicates are dropped,
+    settled ones get the cached report resent.  The cache is volatile,
+    so the owning service clears it on a device reset and post-reset
+    retransmissions legitimately re-measure.
+    """
+
+    def __init__(self, device: Device, mechanism: str) -> None:
+        self.device = device
+        self.mechanism = mechanism
+        self._entries: Dict[bytes, Optional[AttestationReport]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def admit(self, message: Message) -> bool:
+        """True if ``message`` is a challenge to measure; False if it
+        duplicates a known nonce (then the cached report, if settled,
+        is resent)."""
+        nonce = (message.payload or {}).get("nonce", b"")
+        if not nonce:
+            return True
+        if nonce not in self._entries:
+            self._entries[nonce] = None
+            return True
+        cached = self._entries[nonce]
+        device = self.device
+        device.trace.record(
+            device.sim.now, "ra.dedup", device.name,
+            src=message.src, settled=cached is not None,
+        )
+        obs = device.obs
+        if obs.enabled:
+            obs.metrics.counter(
+                "ra.dedup.hits",
+                "retransmitted challenges absorbed without re-measuring",
+                mechanism=self.mechanism,
+            ).inc()
+        if cached is not None:
+            # Settled: the report (not the measurement) was lost.
+            send_report(device.nic, message.src, cached, ctx=message.ctx)
+        # In flight: the running measurement will answer.
+        return False
+
+    def settle(self, nonce: bytes, report: AttestationReport) -> None:
+        """Cache the report that answered ``nonce``, evicting the
+        oldest settled entries past :data:`DEDUP_CACHE_SIZE`."""
+        if not nonce:
+            return
+        self._entries[nonce] = report
+        while len(self._entries) > DEDUP_CACHE_SIZE:
+            for key, value in self._entries.items():
+                if value is not None:
+                    del self._entries[key]
+                    break
+            else:
+                return
+
+
 class AttestationService:
     """The prover-side RA service.
 
@@ -123,13 +192,7 @@ class AttestationService:
         self._request_signal = Signal(device.sim, f"{device.name}.ra.req")
         self._pending: List[Message] = []
         self.process: Optional[Process] = None
-        # Nonce dedup: None while that challenge's measurement is in
-        # flight, the finished report once settled.  Retransmitted
-        # challenges never double-measure -- in-flight duplicates are
-        # dropped, settled ones get the cached report resent.  The
-        # cache is volatile, so a Device.reset clears it and post-reset
-        # retransmissions legitimately re-measure.
-        self._dedup: Dict[bytes, Optional[AttestationReport]] = {}
+        self._dedup = NonceDedup(device, mechanism)
         self._hooked = False
 
     def install(self) -> Process:
@@ -164,40 +227,9 @@ class AttestationService:
     def _on_message(self, message: Message) -> None:
         if message.kind != "att_request":
             return
-        payload = message.payload or {}
-        nonce = payload.get("nonce", b"")
-        if nonce and nonce in self._dedup:
-            cached = self._dedup[nonce]
-            self.device.trace.record(
-                self.device.sim.now, "ra.dedup", self.device.name,
-                src=message.src, settled=cached is not None,
-            )
-            obs = self.device.obs
-            if obs.enabled:
-                obs.metrics.counter(
-                    "ra.dedup.hits",
-                    "retransmitted challenges absorbed without re-measuring",
-                    mechanism=self.mechanism,
-                ).inc()
-            if cached is not None:
-                # Settled: the report (not the measurement) was lost.
-                send_report(self.device.nic, message.src, cached,
-                            ctx=message.ctx)
-            # In flight: the running measurement will answer.
-            return
-        if nonce:
-            self._dedup[nonce] = None
-        self._pending.append(message)
-        self._request_signal.fire(message)
-
-    def _trim_dedup(self) -> None:
-        while len(self._dedup) > DEDUP_CACHE_SIZE:
-            for key, value in self._dedup.items():
-                if value is not None:
-                    del self._dedup[key]
-                    break
-            else:
-                return
+        if self._dedup.admit(message):
+            self._pending.append(message)
+            self._request_signal.fire(message)
 
     def _dispatcher(self, proc: Process):
         device = self.device
@@ -260,9 +292,7 @@ class AttestationService:
                 )
             self.reports_sent.append(report)
             self.requests_handled += 1
-            if nonce:
-                self._dedup[nonce] = report
-                self._trim_dedup()
+            self._dedup.settle(nonce, report)
             send_report(device.nic, message.src, report, ctx=message.ctx)
             device.trace.record(
                 device.sim.now, "ra.reply", device.name,
@@ -296,6 +326,14 @@ class AttestationExchange:
     result: Optional[VerificationResult] = None
     #: trace context minted for this exchange (None when obs disabled)
     ctx: Optional[TraceContext] = None
+    #: called once when the exchange concludes (with what: the driver's call)
+    on_result: Optional[Callable[[Any], None]] = None
+    #: the armed retry timer, if any
+    timeout: Any = None
+    #: the retry policy's jitter stream for this exchange
+    drbg: Any = None
+    #: ``(kind, payload)`` that every transmission of the request sends
+    request: Tuple[str, Any] = ("", None)
 
     @property
     def round_trip(self) -> Optional[float]:
@@ -304,72 +342,52 @@ class AttestationExchange:
         return self.result.verified_at - self.requested_at
 
 
-class OnDemandVerifier:
-    """Verifier-side driver for challenge/response attestation.
+class ExchangeDriver:
+    """The verifier side of a request/reply exchange: the reply
+    endpoint, the nonce -> exchange map and the retry state machine.
 
-    With ``retry=None`` (the default) behavior is exactly the classic
-    fire-and-forget exchange and *no* extra simulator events are
-    scheduled.  Passing a :class:`RetryPolicy` arms a per-exchange
-    timeout: unanswered challenges are retransmitted with the same
-    nonce (the prover's dedup cache keeps that idempotent), backing off
-    exponentially with DRBG-seeded jitter, until the report verifies or
-    the retry budget runs out.  An optional
-    :class:`~repro.resilience.outcome.OutcomeReport` receives the
-    classified outcome of every exchange.  ``rounds`` is the number of
-    measurement passes a request asks for unless it names its own.
+    With ``retry=None`` a request is sent once and no timer is
+    scheduled; a :class:`RetryPolicy` resends an unanswered request
+    with the same nonce on the policy's backoff until a reply arrives
+    or the budget is spent.  Subclasses supply :meth:`_reply`,
+    :meth:`_finish`, :meth:`_abandon` and :meth:`_unsolicited`.
     """
 
-    def __init__(
-        self,
-        verifier: Verifier,
-        channel: Channel,
-        endpoint_name: str = "vrf",
-        verify_latency: float = 1e-3,
-        retry: Optional[RetryPolicy] = None,
-        outcomes: Optional["OutcomeReport"] = None,  # noqa: F821
-        rounds: int = 1,
-    ) -> None:
+    #: message kinds the replies arrive as
+    reply_kinds: frozenset = frozenset()
+
+    def __init__(self, verifier: Verifier, channel: Channel,
+                 endpoint_name: str, verify_latency: float,
+                 retry: Optional[RetryPolicy]) -> None:
         self.verifier = verifier
         self.channel = channel
         self.endpoint = channel.make_endpoint(endpoint_name)
         self.verify_latency = verify_latency
         self.retry = retry
-        self.outcomes = outcomes
-        self.rounds = rounds
-        self.exchanges: List[AttestationExchange] = []
         self._outstanding: Dict[bytes, AttestationExchange] = {}
-        listen(self.endpoint, self._on_message,
-               kinds=frozenset({"att_report"}))
+        listen(self.endpoint, self._on_message, kinds=self.reply_kinds)
 
-    def request(
-        self,
-        device_name: str,
-        rounds: Optional[int] = None,
-        on_result: Optional[Callable[[AttestationExchange], None]] = None,
-    ) -> AttestationExchange:
-        """Send a challenge for ``rounds`` passes (default: the
-        driver's) to ``device_name``; returns the exchange object that
-        will be filled in as the protocol completes."""
-        nonce = self.verifier.new_nonce(device_name)
-        # Minting is gated on obs so NULL_OBS runs stay allocation-free
-        # and their traces byte-identical.
-        ctx = (
-            TraceContext.mint("ondemand", device_name, nonce)
-            if self.verifier.sim.obs.enabled else None
-        )
+    def _open(self, device_name: str, nonce: bytes,
+              request: Tuple[str, Any], on_result: Optional[Callable] = None,
+              trace_kind: Optional[str] = None,
+              rounds: int = 1) -> AttestationExchange:
+        """Register and send a new exchange.  ``trace_kind`` names the
+        trace context to mint (gated on obs, so NULL_OBS runs stay
+        allocation-free and their traces byte-identical)."""
+        sim = self.verifier.sim
         exchange = AttestationExchange(
             device=device_name,
             nonce=nonce,
-            requested_at=self.verifier.sim.now,
-            rounds=self.rounds if rounds is None else rounds,
-            ctx=ctx,
+            requested_at=sim.now,
+            rounds=rounds,
+            ctx=(
+                TraceContext.mint(trace_kind, device_name, nonce)
+                if trace_kind is not None and sim.obs.enabled else None
+            ),
+            on_result=on_result,
+            drbg=None if self.retry is None else self.retry.drbg_for(nonce),
+            request=request,
         )
-        exchange._on_result = on_result  # type: ignore[attr-defined]
-        exchange._timeout = None  # type: ignore[attr-defined]
-        exchange._drbg = (  # type: ignore[attr-defined]
-            None if self.retry is None else self.retry.drbg_for(nonce)
-        )
-        self.exchanges.append(exchange)
         self._outstanding[nonce] = exchange
         self._transmit(exchange)
         return exchange
@@ -377,14 +395,11 @@ class OnDemandVerifier:
     def _transmit(self, exchange: AttestationExchange) -> None:
         # Retransmissions reuse the same context: one exchange, one
         # trace_id, however many attempts it takes.
-        self.endpoint.send(
-            exchange.device, "att_request",
-            {"nonce": exchange.nonce, "rounds": exchange.rounds},
-            ctx=exchange.ctx,
-        )
+        kind, payload = exchange.request
+        self.endpoint.send(exchange.device, kind, payload, ctx=exchange.ctx)
         if self.retry is not None:
-            wait = self.retry.wait_before(exchange.attempts, exchange._drbg)
-            exchange._timeout = self.verifier.sim.schedule(
+            wait = self.retry.wait_before(exchange.attempts, exchange.drbg)
+            exchange.timeout = self.verifier.sim.schedule(
                 wait, self._on_timeout, exchange
             )
 
@@ -404,22 +419,139 @@ class OnDemandVerifier:
 
     def _on_timeout(self, exchange: AttestationExchange) -> None:
         if exchange.status != "pending" or exchange.report is not None:
-            return  # report arrived or exchange settled meanwhile
-        exchange._timeout = None
-        if exchange.attempts >= self.retry.max_attempts:
-            self._conclude_failure(exchange)
+            return  # reply arrived or exchange settled meanwhile
+        exchange.timeout = None
+        if self._can_retry(exchange):
+            self._retransmit(exchange)
             return
-        self._retransmit(exchange)
-
-    def _conclude_failure(self, exchange: AttestationExchange) -> None:
-        exchange.status = "timed-out"
-        self._outstanding.pop(exchange.nonce, None)
+        self._settle(exchange, "timed-out")
         obs = self.channel.sim.obs
         if obs.enabled:
             obs.metrics.counter(
                 "ra.timeouts.total",
                 "attestation exchanges abandoned after the retry budget",
             ).inc()
+        self._abandon(exchange)
+
+    def _can_retry(self, exchange: AttestationExchange) -> bool:
+        retry = self.retry
+        return retry is not None and exchange.attempts < retry.max_attempts
+
+    def _settle(self, exchange: AttestationExchange, status: str) -> None:
+        exchange.status = status
+        self._outstanding.pop(exchange.nonce, None)
+
+    def _on_message(self, message: Message) -> None:
+        nonce, report = self._reply(message)
+        exchange = self._outstanding.get(nonce)
+        if exchange is None:
+            self._unsolicited(report)
+            return
+        if exchange.report is not None:
+            return  # duplicate of a report already being verified
+        exchange.report = report
+        exchange.report_received_at = self.verifier.sim.now
+        if exchange.timeout is not None:
+            exchange.timeout.cancel()
+            exchange.timeout = None
+        self.verifier.sim.schedule(
+            self.verify_latency, self._finish, exchange
+        )
+
+    # -- what each driver supplies ----------------------------------------
+
+    def _reply(self, message: Message) -> Tuple[Optional[bytes], Any]:
+        """``(nonce, report)`` of a reply; a ``None`` nonce matches no
+        exchange.  Default: the payload is the report, and its newest
+        record names the nonce (an empty report names none)."""
+        report = message.payload
+        return (report.newest.nonce if report.records else None), report
+
+    def _finish(self, exchange: AttestationExchange) -> None:
+        """Verify the reply ``verify_latency`` after it arrived."""
+        raise NotImplementedError
+
+    def _abandon(self, exchange: AttestationExchange) -> None:
+        """The retry budget is spent and the exchange is settled
+        ``timed-out``; by default nothing more happens."""
+
+    def _unsolicited(self, report: Any) -> None:
+        """A reply matching no exchange; by default it is dropped."""
+
+
+def _check_rounds(rounds: Any) -> int:
+    if not (isinstance(rounds, int) and rounds >= 1):
+        raise ConfigurationError(
+            f"rounds must be an integer >= 1, got {rounds!r}"
+        )
+    return rounds
+
+
+class OnDemandVerifier(ExchangeDriver):
+    """Verifier-side driver for challenge/response attestation.
+
+    With ``retry=None`` (the default) behavior is exactly the classic
+    fire-and-forget exchange and *no* extra simulator events are
+    scheduled.  Passing a :class:`RetryPolicy` retransmits unanswered
+    challenges with the same nonce (the prover's dedup cache keeps
+    that idempotent), and an ``INVALID``/``REPLAY`` report spends a
+    retry instead of concluding.  An optional
+    :class:`~repro.resilience.outcome.OutcomeReport` receives the
+    classified outcome of every exchange.  ``rounds`` is the number of
+    measurement passes a request asks for unless it names its own.
+    """
+
+    reply_kinds = frozenset({"att_report"})
+
+    def __init__(
+        self,
+        verifier: Verifier,
+        channel: Channel,
+        endpoint_name: str = "vrf",
+        verify_latency: float = 1e-3,
+        retry: Optional[RetryPolicy] = None,
+        outcomes: Optional["OutcomeReport"] = None,  # noqa: F821
+        rounds: int = 1,
+    ) -> None:
+        self.outcomes = outcomes
+        self.rounds = _check_rounds(rounds)
+        self.exchanges: List[AttestationExchange] = []
+        super().__init__(verifier, channel, endpoint_name, verify_latency,
+                         retry)
+
+    def request(
+        self,
+        device_name: str,
+        rounds: Optional[int] = None,
+        on_result: Optional[Callable[[AttestationExchange], None]] = None,
+    ) -> AttestationExchange:
+        """Send a challenge for ``rounds`` passes (default: the
+        driver's) to ``device_name``; returns the exchange object that
+        will be filled in as the protocol completes."""
+        rounds = self.rounds if rounds is None else _check_rounds(rounds)
+        nonce = self.verifier.new_nonce(device_name)
+        exchange = self._open(
+            device_name, nonce,
+            ("att_request", {"nonce": nonce, "rounds": rounds}),
+            on_result=on_result, trace_kind="ondemand", rounds=rounds,
+        )
+        self.exchanges.append(exchange)
+        return exchange
+
+    def _abandon(self, exchange: AttestationExchange) -> None:
+        self._record_outcome(exchange, completed=False)
+        if exchange.on_result is not None:
+            exchange.on_result(exchange)
+
+    def _unsolicited(self, report: AttestationReport) -> None:
+        # Unsolicited, replayed or empty: verify anyway so it is logged.
+        self.verifier.sim.schedule(
+            self.verify_latency,
+            self.verifier.verify_report, report, b"\x00",
+        )
+
+    def _record_outcome(self, exchange: AttestationExchange,
+                        completed: bool, verdict: str = "") -> None:
         if self.outcomes is not None:
             self.outcomes.record(
                 device=exchange.device,
@@ -427,45 +559,16 @@ class OnDemandVerifier:
                 requested_at=exchange.requested_at,
                 concluded_at=self.channel.sim.now,
                 attempts=exchange.attempts,
-                completed=False,
+                completed=completed,
+                verdict=verdict,
             )
-        callback = getattr(exchange, "_on_result", None)
-        if callback is not None:
-            callback(exchange)
-
-    def _on_message(self, message: Message) -> None:
-        if message.kind != "att_report":
-            return
-        report: AttestationReport = message.payload
-        exchange = self._outstanding.get(report.newest.nonce)
-        if exchange is None:
-            # Unsolicited or replayed: verify anyway so replays are logged.
-            self.verifier.sim.schedule(
-                self.verify_latency,
-                self.verifier.verify_report, report, b"\x00",
-            )
-            return
-        if exchange.report is not None:
-            return  # duplicate of a report already being verified
-        exchange.report = report
-        exchange.report_received_at = self.verifier.sim.now
-        timeout = getattr(exchange, "_timeout", None)
-        if timeout is not None:
-            timeout.cancel()
-            exchange._timeout = None  # type: ignore[attr-defined]
-        self.verifier.sim.schedule(
-            self.verify_latency, self._finish, exchange
-        )
 
     def _finish(self, exchange: AttestationExchange) -> None:
         result = self.verifier.verify_report(
             exchange.report, expected_nonce=exchange.nonce
         )
-        if (
-            self.retry is not None
-            and result.verdict in (Verdict.INVALID, Verdict.REPLAY)
-            and exchange.attempts < self.retry.max_attempts
-        ):
+        verified = result.verdict not in (Verdict.INVALID, Verdict.REPLAY)
+        if not verified and self._can_retry(exchange):
             # The report was damaged or stale, not the device dishonest:
             # spend a retry instead of concluding.
             exchange.report = None
@@ -476,9 +579,7 @@ class OnDemandVerifier:
         # Concluding on an unverifiable report (budget exhausted, or no
         # retry layer armed) delivered nothing trustworthy: the exchange
         # is timed-out in the outcome taxonomy, not verified.
-        verified = result.verdict not in (Verdict.INVALID, Verdict.REPLAY)
-        exchange.status = "verified" if verified else "timed-out"
-        self._outstanding.pop(exchange.nonce, None)
+        self._settle(exchange, "verified" if verified else "timed-out")
         obs = self.channel.sim.obs
         if obs.enabled:
             now = self.channel.sim.now
@@ -499,16 +600,10 @@ class OnDemandVerifier:
                 "ra.round_trip.latency",
                 "challenge to verdict latency (sim s)",
             ).observe(now - exchange.requested_at, exemplar=exemplar)
-        if self.outcomes is not None:
-            self.outcomes.record(
-                device=exchange.device,
-                nonce=exchange.nonce,
-                requested_at=exchange.requested_at,
-                concluded_at=self.channel.sim.now,
-                attempts=exchange.attempts,
-                completed=verified,
-                verdict=exchange.result.verdict.value,
-            )
-        callback = getattr(exchange, "_on_result", None)
-        if callback is not None:
-            callback(exchange)
+        self._record_outcome(
+            exchange, completed=verified,
+            verdict=exchange.result.verdict.value,
+        )
+        if exchange.on_result is not None:
+            exchange.on_result(exchange)
+

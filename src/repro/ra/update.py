@@ -28,7 +28,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
 from repro.ra.measurement import MeasurementConfig, MeasurementProcess
 from repro.ra.report import AttestationReport, VerificationResult
-from repro.ra.service import listen
+from repro.ra.service import AttestationExchange, ExchangeDriver, listen
 from repro.ra.verifier import Verifier
 from repro.sim.device import Device
 from repro.sim.network import Channel, Message
@@ -147,8 +147,10 @@ class UpdateService:
         )
 
 
-class UpdateCoordinator:
+class UpdateCoordinator(ExchangeDriver):
     """Verifier side: ships updates/erasures and checks the receipts."""
+
+    reply_kinds = frozenset({"update_report", "erasure_report"})
 
     def __init__(
         self,
@@ -157,15 +159,10 @@ class UpdateCoordinator:
         endpoint_name: str = "vrf-update",
         verify_latency: float = 1e-3,
     ) -> None:
-        self.verifier = verifier
-        self.channel = channel
-        self.endpoint = channel.make_endpoint(endpoint_name)
-        self.verify_latency = verify_latency
         self.outcomes: List[UpdateOutcome] = []
-        self._outstanding: Dict[bytes, UpdateOutcome] = {}
         self._nonces = HmacDrbg(b"update-nonces")
-        listen(self.endpoint, self._on_message,
-               kinds=frozenset({"update_report", "erasure_report"}))
+        super().__init__(verifier, channel, endpoint_name, verify_latency,
+                         retry=None)
 
     # -- operations -----------------------------------------------------------
 
@@ -210,30 +207,24 @@ class UpdateCoordinator:
     def _send(self, device_name: str, msg_kind: str, payload: dict,
               kind: str) -> UpdateOutcome:
         nonce = self._nonces.generate(16)
-        payload = dict(payload)
-        payload["nonce"] = nonce
+        payload = dict(payload, nonce=nonce)
         outcome = UpdateOutcome(
             device=device_name, kind=kind,
             requested_at=self.verifier.sim.now,
         )
         self.outcomes.append(outcome)
-        self._outstanding[nonce] = outcome
-        self.endpoint.send(device_name, msg_kind, payload)
+
+        def confirm(exchange: AttestationExchange) -> None:
+            outcome.result = exchange.result
+            outcome.confirmed_at = self.verifier.sim.now
+
+        self._open(device_name, nonce, (msg_kind, payload),
+                   on_result=confirm)
         return outcome
 
-    def _on_message(self, message: Message) -> None:
-        report: AttestationReport = message.payload
-        nonce = report.newest.nonce
-        outcome = self._outstanding.pop(nonce, None)
-        if outcome is None:
-            return
-        self.verifier.sim.schedule(
-            self.verify_latency, self._finish, outcome, report, nonce
+    def _finish(self, exchange: AttestationExchange) -> None:
+        self._settle(exchange, "verified")
+        exchange.result = self.verifier.verify_report(
+            exchange.report, expected_nonce=exchange.nonce
         )
-
-    def _finish(self, outcome: UpdateOutcome,
-                report: AttestationReport, nonce: bytes) -> None:
-        outcome.result = self.verifier.verify_report(
-            report, expected_nonce=nonce
-        )
-        outcome.confirmed_at = self.verifier.sim.now
+        exchange.on_result(exchange)

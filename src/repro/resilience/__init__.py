@@ -13,8 +13,8 @@ provides the three pieces:
   channel filters and :meth:`repro.sim.device.Device.reset`;
 * :class:`RetryPolicy` -- per-exchange timeout with bounded
   retransmission, exponential backoff and DRBG-seeded jitter, consumed
-  by :class:`repro.ra.service.OnDemandVerifier` and
-  :class:`repro.ra.erasmus.CollectorVerifier`;
+  by the one verifier-side exchange,
+  :class:`repro.ra.service.ExchangeDriver`;
 * :class:`OutcomeReport` -- the degradation ledger classifying every
   exchange (``ok`` / ``retried-ok`` / ``timed-out`` /
   ``reset-aborted``) that folds into fire-alarm availability metrics

@@ -41,12 +41,15 @@ class RetryPolicy:
     seed: bytes = b"repro-retry"
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
+        # Negated comparisons, so NaN fails each check.
+        if not self.timeout > 0:
             raise ConfigurationError("timeout must be positive")
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if self.backoff < 1.0:
+        if not (isinstance(self.max_retries, int) and self.max_retries >= 0):
+            raise ConfigurationError("max_retries must be an integer >= 0")
+        if not self.backoff >= 1.0:
             raise ConfigurationError("backoff must be >= 1")
+        if not self.max_timeout > 0:
+            raise ConfigurationError("max_timeout must be positive")
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigurationError("jitter must be in [0, 1)")
 

@@ -552,6 +552,10 @@ class Scenario:
             device.standard_layout()
         elif layout is not None:
             raise ConfigurationError(f"unknown layout {layout!r}")
+        if config.probe_count > 0 and "data" not in device.memory.regions:
+            raise ConfigurationError(
+                "probe_count needs a layout with a data region"
+            )
         channel = Channel(sim, latency=latency, trace=device.trace)
         device.attach_network(channel)
         verifier = Verifier(sim)

@@ -167,11 +167,11 @@ def check_atomic_gap(ctx: ProjectContext) -> Iterable[Finding]:
         "machinery and the prover's nonce-dedup cache, so one lost "
         "datagram silently kills the exchange and a retransmitted one "
         "double-measures.  All att_* traffic goes through "
-        "repro.ra.service (send_report / OnDemandVerifier)."
+        "repro.ra.service (send_report / ExchangeDriver)."
     ),
     hint=(
         "route the message through repro.ra.service.send_report() or "
-        "the OnDemandVerifier retry layer instead of a raw .send()"
+        "an ExchangeDriver configuration instead of a raw .send()"
     ),
 )
 def check_naked_send(ctx: ModuleContext) -> Iterable[Finding]:

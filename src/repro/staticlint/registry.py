@@ -45,7 +45,7 @@ class LintConfig:
     crypto_scope: Tuple[str, ...] = ("repro/crypto/",)
     #: the only modules allowed to send ``att_*`` protocol messages
     #: directly -- everything else must go through the retry layer
-    #: (``send_report`` / ``OnDemandVerifier``)
+    #: (``send_report`` / ``ExchangeDriver``)
     retry_layer_allowlist: Tuple[str, ...] = (
         "repro/ra/service.py",
         "repro/resilience/",

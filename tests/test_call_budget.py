@@ -24,10 +24,12 @@ Measured on Python 3.11.7 (``docs/performance.md`` §13 and §14):
   per-traversal measurement hoists and the read-time counters;
   235,984 after them; 184,147 once a periodic job costs one wake;
   184,156 once the executor maps a spec by field name (one
-  comprehension call per run).
+  comprehension call per run); 184,237 once the three verifier-side
+  drivers share one exchange class (a few hook calls per collection).
 * ``locking``: 292,938 calls (36,617 per run) before a periodic job
   cost one wake; 174,634 (21,829 per run) after; 174,642 with the
-  field-name mapping.
+  field-name mapping; 174,706 with the one exchange class and the
+  prover's nonce-dedup object.
 
 Each budget is a recent count plus 5%, so a change that puts a helper
 hop back on the per-block, per-step or per-job path fails here, with no
@@ -42,10 +44,10 @@ import repro
 from repro import fleet
 from repro.fleet.executor import execute_run
 
-#: 184,147 calls measured on Python 3.11.7, plus 5% (184,156 now)
+#: 184,147 calls measured on Python 3.11.7, plus 5% (184,237 now)
 CALL_BUDGET = 193_354
 
-#: 174,634 calls measured on Python 3.11.7, plus 5% (174,642 now)
+#: 174,634 calls measured on Python 3.11.7, plus 5% (174,706 now)
 LOCKING_CALL_BUDGET = 183_365
 
 

@@ -8,6 +8,7 @@ from repro.ra.measurement import MeasurementConfig
 from repro.ra.report import Verdict
 from repro.ra.service import OnDemandVerifier
 from repro.ra.verifier import Verifier
+from repro.resilience import RetryPolicy
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
 from repro.sim.network import Channel
@@ -96,6 +97,52 @@ class TestOnDemandCoupling:
         exchange = driver.request(device.name)
         sim.run(until=10.0)
         assert exchange.result is None  # nobody answers challenges
+
+
+class TestRetransmittedChallenge:
+    """A retransmitted challenge is absorbed by the prover's nonce dedup
+    instead of starting another concurrent measurement."""
+
+    def rig(self, max_retries):
+        sim = Simulator()
+        device = Device(sim, block_count=16, block_size=32,
+                        sim_block_size=4 << 20)
+        device.standard_layout()
+        channel = Channel(sim, latency=0.002)
+        device.attach_network(channel)
+        verifier = Verifier(sim)
+        verifier.enroll(device)
+        service = ErasmusService(device, period=100.0, on_demand=True)
+        service.start()
+        driver = OnDemandVerifier(
+            verifier, channel, endpoint_name="vrf-od",
+            retry=RetryPolicy(timeout=0.05, max_retries=max_retries,
+                              jitter=0.0),
+        )
+        exchanges = []
+        sim.schedule_at(
+            5.0, lambda: exchanges.append(driver.request(device.name))
+        )
+        return sim, device, verifier, service, exchanges
+
+    def test_measures_once_and_verifies(self):
+        sim, device, verifier, service, exchanges = self.rig(3)
+        sim.run(until=10.0)
+        exchange = exchanges[0]
+        assert exchange.attempts == 4  # the measurement outlasts 3 waits
+        assert exchange.status == "verified"
+        assert service.on_demand_served == 1
+        assert [r.verdict for r in verifier.results] == [Verdict.HEALTHY]
+        assert len(device.trace.filter(kind="ra.dedup")) == 3
+
+    def test_reset_frees_the_nonce_of_a_killed_measurement(self):
+        sim, device, verifier, service, exchanges = self.rig(5)
+        sim.schedule_at(5.2, device.reset)  # mid-measurement brownout
+        sim.run(until=10.0)
+        exchange = exchanges[0]
+        assert exchange.status == "verified"
+        assert service.on_demand_served == 1
+        assert exchange.report.records[0].t_start > 5.2
 
 
 class TestHistoryDeletionAudit:

@@ -98,14 +98,19 @@ class TestRetryPolicy:
         "kwargs",
         [
             {"timeout": 0.0},
+            {"timeout": math.nan},
             {"max_retries": -1},
+            {"max_retries": 2.5},
             {"backoff": 0.5},
+            {"backoff": math.nan},
+            {"max_timeout": -1.0},
+            {"max_timeout": math.nan},
             {"jitter": 1.0},
             {"jitter": -0.1},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
             RetryPolicy(**kwargs)
 
     def test_unjittered_backoff_curve_caps(self):

@@ -60,6 +60,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Scenario.build(faults=42, config=small_config())
 
+    def test_probes_need_a_data_region(self):
+        with pytest.raises(ConfigurationError, match="data region"):
+            Scenario.build(layout=None, config=small_config(probe_count=2))
+        # the standard layout has one, and no probes need none
+        Scenario.build(config=small_config(probe_count=2)).drive()
+        Scenario.build(layout=None, config=small_config()).drive()
+
     def test_misspelled_config_field_raises(self):
         with pytest.raises(TypeError, match="'dwel'"):
             ScenarioConfig(dwel=3.0)
