@@ -9,9 +9,10 @@ the mechanism.
 The analyzer reconstructs any block's content identity at any past
 instant from the memory's write log (each committed write carries the
 block's contents after it) and compares with the fingerprints MP
-recorded when it snapshotted each block.  It fingerprints each logged
-write once, into a per-block timeline, and answers each probe with one
-bisection.  From that it derives:
+recorded when it snapshotted each block.  It reads the log's raw
+columns, fingerprints each logged write once, into a per-block
+timeline, and answers each probe with one bisection.  From that it
+derives:
 
 * :meth:`ConsistencyAnalyzer.consistent_at` -- is the measurement
   consistent with M at t?
@@ -33,7 +34,7 @@ from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.ra.report import MeasurementRecord
-from repro.sim.memory import Memory
+from repro.sim.memory import Memory, content_fingerprint
 
 
 class ConsistencyVerdict(enum.Enum):
@@ -79,11 +80,16 @@ class ConsistencyAnalyzer:
     def _index_new_writes(self) -> None:
         """Fingerprint each write the log gained since the last call,
         once, into its block's timeline."""
-        log = self.memory.write_log
-        for record in log[self._indexed:]:
-            self._times[record.block].append(record.time)
-            self._fingerprints[record.block].append(record.fingerprint)
-        self._indexed = len(log)
+        memory = self.memory
+        start = self._indexed
+        for time, block, content in zip(
+            memory.write_times[start:],
+            memory.write_blocks[start:],
+            memory.write_contents[start:],
+        ):
+            self._times[block].append(time)
+            self._fingerprints[block].append(content_fingerprint(content))
+        self._indexed = len(memory.write_times)
 
     def fingerprint_at(self, block_index: int, time: float) -> bytes:
         """Content identity of ``block_index`` at instant ``time``.
@@ -95,7 +101,7 @@ class ConsistencyAnalyzer:
         write.  (Assumes memory was not re-flashed via ``load_image``
         mid-run, which bypasses the log.)
         """
-        if self._indexed != len(self.memory.write_log):
+        if self._indexed != len(self.memory.write_times):
             self._index_new_writes()
         position = bisect_right(self._times[block_index], time)
         if position == 0:
@@ -144,9 +150,9 @@ class ConsistencyAnalyzer:
         ) + margin
         cuts = sorted(
             {
-                rec.time
-                for rec in self.memory.write_log
-                if horizon_start <= rec.time <= horizon_end
+                time
+                for time in self.memory.write_times
+                if horizon_start <= time <= horizon_end
             }
             | {record.t_start, record.t_end, horizon_start, horizon_end}
         )

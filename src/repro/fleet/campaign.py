@@ -125,7 +125,7 @@ class RunSpec:
     probe_count: int = 0
     # -- execution limits ----------------------------------------------
     timeout: float = 0.0  # wall-clock seconds per run; 0 = unlimited
-    trace_limit: int = 4096  # ring-buffer bound on the device trace
+    trace_limit: int = 4096  # cap on the reported device-trace count
     # -- fault injection ------------------------------------------------
     #: FaultPlan DSL string ("loss=0.3@0:30;reset@6"); empty = no faults.
     #: A non-empty plan also arms the worker's retry layer.  Excluded
@@ -188,6 +188,12 @@ class RunSpec:
             raise ConfigurationError(
                 "rounds must be an integer within [1, inf)"
             )
+        if not (isinstance(self.trace_limit, int) and self.trace_limit >= 1):
+            raise ConfigurationError(
+                "trace_limit must be an integer within [1, inf)"
+            )
+        if not self.timeout >= 0:  # also rejects NaN
+            raise ConfigurationError("timeout must be >= 0")
         if self.faults:
             # Validate the DSL at plan time, not deep inside a worker.
             from repro.resilience.faults import FaultPlan

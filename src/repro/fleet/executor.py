@@ -49,7 +49,7 @@ from repro.obs.core import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.retry import RetryPolicy
 from repro.scenario import MECHANISMS, Scenario, first_detection
-from repro.sim.trace import Trace
+from repro.sim.trace import CountingTrace
 
 
 class FleetTimeout(Exception):
@@ -326,6 +326,8 @@ def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
     # arguments and the folded outcome onto a RunResult.
     faults = spec.faults or None
     config = _scenario_config(spec)
+    # the run reports only how many device-trace records it emitted
+    trace = CountingTrace()
     rounds = MECHANISMS[spec.mechanism].rounds(config)
     scenario = Scenario.build(
         mechanism=spec.mechanism,
@@ -336,7 +338,7 @@ def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
         seed=_effective_seed(spec),
         retry=_retry_policy(spec, rounds) if faults else None,
         obs=obs,
-        trace=Trace(max_records=spec.trace_limit),
+        trace=trace,
         fault_seed=f"fleet-faults-{spec.campaign}-{spec.seed}".encode(),
     )
     scenario.drive()
@@ -351,7 +353,7 @@ def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
     if outcome.detected and spec.adversary != "none":
         detection_latency = outcome.first_detection_at - config.infect_at
     results = scenario.verifier.results
-    trace = scenario.device.trace
+    trace_events, trace_dropped = trace.ring_counts(spec.trace_limit)
     return RunResult(
         run_id=spec.run_id,
         spec=spec.to_dict(),
@@ -379,8 +381,8 @@ def _execute_run(spec: RunSpec, obs: Optional[Any]) -> RunResult:
              "succeeded": outcome.probes_succeeded}
             if spec.probe_count > 0 else {}
         ),
-        trace_events=len(trace),
-        trace_dropped=trace.dropped,
+        trace_events=trace_events,
+        trace_dropped=trace_dropped,
         telemetry=obs.metrics.snapshot_flat(),
         outcomes=_outcome_data(scenario.outcomes),
         trace_summary=_trace_summary(obs),

@@ -221,13 +221,14 @@ class RunResult:
     auth_ops: int = 0
     lock_ops: int = 0
     # -- trace ----------------------------------------------------------
-    #: device trace records *retained* at the end of the run, at most
-    #: ``RunSpec.trace_limit`` (the ring-buffer cap): a reading equal to
-    #: the cap means the ring wrapped, not that exactly that many were
+    #: device trace records emitted, capped at ``RunSpec.trace_limit``:
+    #: the count a ring buffer of that size would retain.  The run
+    #: counts its records and keeps none; a reading equal to the cap
+    #: means the cap was reached, not that exactly that many were
     #: emitted
     trace_events: int = 0
-    #: records the ring buffer discarded; ``trace_events +
-    #: trace_dropped`` is the number of records the run emitted
+    #: records past the cap; ``trace_events + trace_dropped`` is the
+    #: number of records the run emitted
     trace_dropped: int = 0
     # -- observability ---------------------------------------------------
     #: flat sim-time metric snapshot (repro.obs); deterministic because

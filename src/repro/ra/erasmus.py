@@ -232,6 +232,8 @@ class ErasmusService:
         # Collection is cheap (read + MAC over stored digests); answer
         # immediately from the event context, like a NIC-driven DMA reply.
         payload = message.payload or {}
+        if not isinstance(payload, dict):
+            return  # malformed request: dropped
         self._sent += 1
         report = AttestationReport.authenticate(
             self.device.attestation_key,
@@ -347,7 +349,12 @@ class CollectorVerifier(ExchangeDriver):
 
     def _reply(self, message: Message):
         payload = message.payload
-        return payload.get("nonce", b""), payload.get("report")
+        if not isinstance(payload, dict):
+            return None, None
+        report = payload.get("report")
+        if not isinstance(report, AttestationReport):
+            return None, None
+        return payload.get("nonce", b""), report
 
     def _abandon(self, exchange: AttestationExchange) -> None:
         self.missed += 1

@@ -107,8 +107,14 @@ class NonceDedup:
     def admit(self, message: Message) -> bool:
         """True if ``message`` is a challenge to measure; False if it
         duplicates a known nonce (then the cached report, if settled,
-        is resent)."""
-        nonce = (message.payload or {}).get("nonce", b"")
+        is resent) or is malformed (a payload that is not a dict is
+        dropped)."""
+        payload = message.payload
+        if payload is None:
+            return True
+        if not isinstance(payload, dict):
+            return False
+        nonce = payload.get("nonce", b"")
         if not nonce:
             return True
         if nonce not in self._entries:
@@ -443,6 +449,8 @@ class ExchangeDriver:
 
     def _on_message(self, message: Message) -> None:
         nonce, report = self._reply(message)
+        if report is None:
+            return  # malformed: carries no report
         exchange = self._outstanding.get(nonce)
         if exchange is None:
             self._unsolicited(report)
@@ -462,9 +470,12 @@ class ExchangeDriver:
 
     def _reply(self, message: Message) -> Tuple[Optional[bytes], Any]:
         """``(nonce, report)`` of a reply; a ``None`` nonce matches no
-        exchange.  Default: the payload is the report, and its newest
-        record names the nonce (an empty report names none)."""
+        exchange, and a ``None`` report (a malformed reply) is dropped.
+        Default: the payload is the report, and its newest record names
+        the nonce (an empty report names none)."""
         report = message.payload
+        if not isinstance(report, AttestationReport):
+            return None, None
         return (report.newest.nonce if report.records else None), report
 
     def _finish(self, exchange: AttestationExchange) -> None:

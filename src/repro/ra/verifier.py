@@ -328,9 +328,10 @@ class Verifier:
         challenge (on-demand mode).  ``enforce_counter``: require the
         report's ``sent_counter`` to strictly increase within
         ``counter_stream`` (SeED pushes and ERASMUS collections are
-        independent sequences on the same prover).
+        independent sequences on the same prover).  A report from a
+        device that was never enrolled is ``INVALID``.
         """
-        profile = self.profile(report.device)
+        profile = self.devices.get(report.device)
         now = self.sim.now
 
         def conclude(verdict: Verdict, detail: str,
@@ -373,6 +374,10 @@ class Verifier:
                     hist.observe(freshness)
             return result
 
+        if profile is None:
+            return conclude(
+                Verdict.INVALID, f"unknown device {report.device!r}"
+            )
         if not report.records:
             return conclude(Verdict.INVALID, "empty report")
         if not report.verify_tag(profile.key):
@@ -450,7 +455,7 @@ class Verifier:
         groups: Dict[tuple, List[Tuple[tuple, MeasurementRecord]]] = {}
         for report, _kwargs in entries:
             if report.device not in self.devices:
-                continue  # verify_report raises at this entry's turn
+                continue  # verify_report finds it invalid at its turn
             for record in report.records:
                 if (record.order_seed or record.data_copy
                         or record.device != report.device):

@@ -20,11 +20,16 @@ depends only on the simulated size.  Both default to the same value.
 
 Write log
 ---------
-Every committed write appends a :class:`WriteRecord` to
-``Memory.write_log`` holding the block's frozen contents after the
-write.  The write itself hashes nothing; a record's ``fingerprint`` is
-computed when an auditor reads it (the Figure 4 analyzer in
-:mod:`repro.core.consistency` reads each one once).
+Every committed write appends its time, block, actor and the block's
+frozen contents after the write to four parallel columns
+(``write_times``, ``write_blocks``, ``write_actors``,
+``write_contents``) and builds no object.  ``Memory.write_log`` is a
+read-only view that builds a :class:`WriteRecord` per write on each
+read, as :attr:`~repro.sim.trace.Trace.records` does; readers that
+query often (the Figure 4 analyzer in :mod:`repro.core.consistency`,
+:meth:`Memory.writes_in`) index the columns directly.  The write
+itself hashes nothing; a record's ``fingerprint`` is computed when an
+auditor reads it.
 """
 
 from __future__ import annotations
@@ -83,10 +88,10 @@ class WriteRecord:
     is derived from it when read: a write costs no hash, and only an
     auditor pays for one.
 
-    Treated as immutable by convention, like
-    :class:`~repro.sim.trace.TraceRecord`: every committed write builds
-    one, and a ``frozen`` ``__init__`` costs about four times a
-    ``slots`` one.
+    Built from the memory's write-log columns on each read of
+    ``Memory.write_log``, so two reads give equal but distinct objects;
+    treated as immutable by convention, like
+    :class:`~repro.sim.trace.TraceRecord`.
     """
 
     time: float
@@ -230,7 +235,12 @@ class Memory:
         self._benign_image: Optional[MemoryImage] = None
         self.regions: Dict[str, Region] = {}
         self.mpu = None  # wired by Device; writes read its lock_bits
-        self.write_log: List[WriteRecord] = []
+        #: the write log, one entry per committed write in commit order
+        #: (see ``write_log``); appended to only by ``write``/``patch``
+        self.write_times: List[float] = []
+        self.write_blocks: List[int] = []
+        self.write_actors: List[str] = []
+        self.write_contents: List[bytes] = []
         self.sim = None  # wired by Device; its now stamps the write log
         #: monotonic per-block content generation: bumped on every
         #: *applied* mutation (MPU-blocked writes leave it untouched),
@@ -327,9 +337,10 @@ class Memory:
         content = self._frozen[block_index] = bytes(data)
         self.generations[block_index] += 1
         sim = self.sim
-        self.write_log.append(WriteRecord(
-            sim.now if sim is not None else 0.0, block_index, actor, content
-        ))
+        self.write_times.append(sim.now if sim is not None else 0.0)
+        self.write_blocks.append(block_index)
+        self.write_actors.append(actor)
+        self.write_contents.append(content)
 
     def try_write(self, block_index: int, data: bytes, actor: str = "?") -> bool:
         """Like :meth:`write` but returns ``False`` on an MPU fault."""
@@ -354,9 +365,18 @@ class Memory:
         patched = bytes(self.blocks[block_index].data)
         self._frozen[block_index] = patched
         self.generations[block_index] += 1
-        self.write_log.append(
-            WriteRecord(self.now(), block_index, actor, patched)
-        )
+        self.write_times.append(self.now())
+        self.write_blocks.append(block_index)
+        self.write_actors.append(actor)
+        self.write_contents.append(patched)
+
+    @property
+    def write_log(self) -> List[WriteRecord]:
+        """Every committed write, oldest first, built on each read."""
+        return list(map(
+            WriteRecord, self.write_times, self.write_blocks,
+            self.write_actors, self.write_contents,
+        ))
 
     # -- snapshots -----------------------------------------------------------
 
@@ -428,5 +448,10 @@ class Memory:
     def writes_in(self, t_start: float, t_end: float) -> List[WriteRecord]:
         """All committed writes with ``t_start <= time <= t_end``."""
         return [
-            rec for rec in self.write_log if t_start <= rec.time <= t_end
+            WriteRecord(*row)
+            for row in zip(
+                self.write_times, self.write_blocks,
+                self.write_actors, self.write_contents,
+            )
+            if t_start <= row[0] <= t_end
         ]

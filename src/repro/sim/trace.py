@@ -8,14 +8,14 @@ benchmarks can print the same timelines from simulation output.
 The device records raw events and readers interpret them: ``record``
 appends its four arguments to four parallel columns and builds no
 object, and a :class:`TraceRecord` exists only when a reader asks for
-one (iteration, ``records``, the queries, ``render``).  Fleet runs emit
-thousands of records per run and read back only the counts, so the
-per-record cost is paid once, by whoever looks.
+one (iteration, ``records``, the queries, ``render``).
 
-Long-running fleet campaigns (:mod:`repro.fleet`) keep thousands of
-simulations alive at once, so the trace also supports a bounded
-ring-buffer mode (``max_records``) and a JSONL export hook
-(:meth:`Trace.to_jsonl`) for shipping timelines into run artifacts.
+A fleet run (:mod:`repro.fleet`) emits thousands of records and reads
+back only how many, so it passes a :class:`CountingTrace` instead: the
+same ``record`` call, and nothing kept but the count.  :class:`Trace`
+still offers a bounded ring-buffer mode (``max_records``) and a JSONL
+export hook (:meth:`Trace.to_jsonl`) for shipping timelines into
+files.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 
 def _jsonable(value: Any) -> Any:
@@ -73,6 +75,29 @@ class TraceRecord:
 
     def to_dict(self) -> Dict[str, Any]:
         return _row(self.time, self.kind, self.source, self.data)
+
+
+class CountingTrace:
+    """A trace sink that keeps no record, only how many were emitted.
+
+    ``record`` takes the arguments :meth:`Trace.record` takes, so any
+    component can write to either.  :meth:`ring_counts` gives the
+    ``(len, dropped)`` a :class:`Trace` ring fed the same records would
+    report, without keeping the ring.
+    """
+
+    __slots__ = ("emitted",)
+
+    def __init__(self) -> None:
+        self.emitted = 0
+
+    def record(self, time: float, kind: str, source: str, **data: Any) -> None:
+        self.emitted += 1
+
+    def ring_counts(self, max_records: int) -> Tuple[int, int]:
+        """``(len(ring), ring.dropped)`` of ``Trace(max_records)``."""
+        emitted = self.emitted
+        return min(emitted, max_records), max(0, emitted - max_records)
 
 
 class Trace:

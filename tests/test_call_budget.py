@@ -25,18 +25,37 @@ Measured on Python 3.11.7 (``docs/performance.md`` §13 and §14):
   235,984 after them; 184,147 once a periodic job costs one wake;
   184,156 once the executor maps a spec by field name (one
   comprehension call per run); 184,237 once the three verifier-side
-  drivers share one exchange class (a few hook calls per collection).
+  drivers share one exchange class (a few hook calls per collection);
+  184,174 once a run counts its trace records (no ring to build).
 * ``locking``: 292,938 calls (36,617 per run) before a periodic job
   cost one wake; 174,634 (21,829 per run) after; 174,642 with the
   field-name mapping; 174,706 with the one exchange class and the
-  prover's nonce-dedup object.
+  prover's nonce-dedup object; 174,658 with the counted trace.
 
 Each budget is a recent count plus 5%, so a change that puts a helper
 hop back on the per-block, per-step or per-job path fails here, with no
 clock involved.  Python 3.12 inlines list/dict/set comprehensions
 (PEP 709), so it counts a few hundred calls fewer.
+
+The same passes also have an allocation budget: the objects the
+collector tracks that the runs leave in the young generation, counted
+with ``gc.get_count()[0]`` around each run with the collector off
+(``docs/performance.md`` §15).  A run keeps what its scenario graph
+holds until the executor's one ``gc.collect(0)``, so a record kept per
+trace event or per committed write shows up here, where the call count
+does not see it (a dataclass ``__init__`` is a ``<string>`` frame).
+Measured on Python 3.11.7, the same under ``PYTHONHASHSEED`` 0, 1 and
+123:
+
+* ``qoa``: 45,894 objects (5,099 per run) while each run kept a
+  4096-record trace ring and a ``WriteRecord`` per write; 11,106
+  (1,234 per run) once the run counts its trace records and the memory
+  logs writes as raw columns.
+* ``locking``: 51,457 (6,432 per run) before; 10,718 (1,340 per run)
+  after.
 """
 
+import gc
 import os
 import sys
 
@@ -44,11 +63,17 @@ import repro
 from repro import fleet
 from repro.fleet.executor import execute_run
 
-#: 184,147 calls measured on Python 3.11.7, plus 5% (184,237 now)
+#: 184,147 calls measured on Python 3.11.7, plus 5% (184,174 now)
 CALL_BUDGET = 193_354
 
-#: 174,634 calls measured on Python 3.11.7, plus 5% (174,706 now)
+#: 174,634 calls measured on Python 3.11.7, plus 5% (174,658 now)
 LOCKING_CALL_BUDGET = 183_365
+
+#: 11,106 young objects measured on Python 3.11.7, plus 5%
+YOUNG_BUDGET = 11_661
+
+#: 10,718 young objects measured on Python 3.11.7, plus 5%
+LOCKING_YOUNG_BUDGET = 11_253
 
 
 def count_calls(specs):
@@ -70,14 +95,33 @@ def count_calls(specs):
     return calls
 
 
-def warm_and_count(campaign, runs):
+def count_young_objects(specs):
+    """Objects the collector tracks that ``specs`` leave in the young
+    generation, summed over the runs, with the collector off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    left = 0
+    try:
+        for spec in specs:
+            gc.collect()
+            before = gc.get_count()[0]
+            execute_run(spec)
+            left += gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+        gc.collect()
+    return left
+
+
+def warm_and_count(campaign, runs, count=count_calls):
     """Plan ``campaign`` at one seed, run it once to warm every cache,
-    and count the calls of a second pass."""
+    and ``count`` a second pass (by default, its calls)."""
     specs = fleet.canned_campaign(campaign, seed_count=1).plan()
     assert len(specs) == runs
     for spec in specs:  # warm-up pass: interned images, audits, imports
         execute_run(spec)
-    return count_calls(specs)
+    return count(specs)
 
 
 def test_qoa_campaign_stays_within_its_call_budget():
@@ -93,4 +137,20 @@ def test_locking_campaign_stays_within_its_call_budget():
     assert calls <= LOCKING_CALL_BUDGET, (
         f"the locking campaign made {calls:,} Python calls in repro, "
         f"over its budget of {LOCKING_CALL_BUDGET:,}"
+    )
+
+
+def test_qoa_campaign_stays_within_its_allocation_budget():
+    left = warm_and_count("qoa", 9, count=count_young_objects)
+    assert left <= YOUNG_BUDGET, (
+        f"the qoa campaign left {left:,} young objects, over its budget "
+        f"of {YOUNG_BUDGET:,}"
+    )
+
+
+def test_locking_campaign_stays_within_its_allocation_budget():
+    left = warm_and_count("locking", 8, count=count_young_objects)
+    assert left <= LOCKING_YOUNG_BUDGET, (
+        f"the locking campaign left {left:,} young objects, over its "
+        f"budget of {LOCKING_YOUNG_BUDGET:,}"
     )

@@ -4,7 +4,9 @@ The on-demand driver, the ERASMUS collector and the update coordinator
 are configurations of one request/reply state machine; every case here
 runs against each of them (the coordinator only where no retry policy
 is needed: it never arms one).  Also pinned: a report with no records
-matches no exchange, and ``rounds`` must be an integer >= 1.
+matches no exchange, a report from an unenrolled device is invalid, a
+frame whose payload has the wrong type is dropped on either side, and
+``rounds`` must be an integer >= 1.
 """
 
 from types import SimpleNamespace
@@ -207,6 +209,66 @@ class TestEmptyReport:
         rig.sim.run(until=5.0)
         assert len(rig.verifier.results) == 1
         assert rig.driver.outcomes[0].installed
+
+
+def verdicts(scenario):
+    return [(r.verdict, r.detail) for r in scenario.verifier.results]
+
+
+class TestUnenrolledDevice:
+    def test_unsolicited_report_is_invalid_and_the_run_completes(self):
+        scenario = Scenario.build("smart")
+        rogue = scenario.channel.make_endpoint("rogue")
+        report = AttestationReport(device="ghost", records=(), auth_tag=b"")
+        scenario.sim.schedule_at(
+            0.5, rogue.send, "vrf", "att_report", report
+        )
+        scenario.drive()
+        scenario.run()
+        assert verdicts(scenario)[0] == (
+            Verdict.INVALID, "unknown device 'ghost'"
+        )
+        assert scenario.driver.exchanges[0].status == "verified"
+
+
+class TestMalformedFrames:
+    """A payload of the wrong type is dropped where it lands; the run
+    goes on exactly as it would without it."""
+
+    @pytest.mark.parametrize("kind", ALL)
+    def test_driver_drops_a_malformed_reply(self, kind):
+        rig = make_rig(kind)
+        rogue = rig.driver.channel.make_endpoint("rogue")
+        for at in (0.5, 1.001):  # before and while an exchange is open
+            rig.sim.schedule_at(
+                at, rogue.send, rig.driver.endpoint.name,
+                REPLY_KINDS[kind], b"junk",
+            )
+        rig.sim.schedule_at(1.0, rig.open)
+        rig.sim.run(until=5.0)
+        assert len(rig.concluded()) == 1
+        assert [r.verdict for r in rig.verifier.results] == [
+            Verdict.HEALTHY
+        ]
+
+    @pytest.mark.parametrize("mechanism, kind", [
+        ("smart", "att_request"),
+        ("erasmus", "collect_request"),
+    ])
+    def test_prover_drops_a_malformed_request(self, mechanism, kind):
+        runs = []
+        for junk in (False, True):
+            scenario = Scenario.build(mechanism)
+            if junk:
+                rogue = scenario.channel.make_endpoint("rogue")
+                scenario.sim.schedule_at(
+                    0.5, rogue.send, scenario.device.name, kind, b"junk"
+                )
+            scenario.drive()
+            scenario.run()
+            runs.append(verdicts(scenario))
+        assert runs[1] == runs[0]
+        assert runs[1] and all(v is Verdict.HEALTHY for v, _ in runs[1])
 
 
 class TestRounds:

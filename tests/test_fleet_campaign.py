@@ -68,6 +68,21 @@ class TestRunSpec:
         with pytest.raises(ConfigurationError, match="^probe_count must"):
             RunSpec(probe_count=probe_count)
 
+    @pytest.mark.parametrize("trace_limit", [0, -5, 2.5, float("nan")])
+    def test_trace_limit_outside_bound_rejected(self, trace_limit):
+        with pytest.raises(ConfigurationError, match="^trace_limit must"):
+            RunSpec(trace_limit=trace_limit)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), -1.0])
+    def test_timeout_outside_bound_rejected(self, timeout):
+        with pytest.raises(ConfigurationError, match="^timeout must"):
+            RunSpec(timeout=timeout)
+
+    def test_limit_edges_accepted(self):
+        spec = RunSpec(trace_limit=1, timeout=0.0)
+        assert (spec.trace_limit, spec.timeout) == (1, 0.0)
+        assert RunSpec(timeout=2.5).timeout == 2.5
+
     def test_zero_probe_count_stays_out_of_the_identity(self):
         spec = RunSpec(mechanism="smart", seed=1)
         assert "probe_count" not in spec.to_dict()

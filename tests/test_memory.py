@@ -9,6 +9,7 @@ from repro.sim.memory import (
     Memory,
     MemoryImage,
     Region,
+    WriteRecord,
     benign_fill,
     content_fingerprint,
 )
@@ -175,6 +176,57 @@ class TestWriteLogContents:
         memory.patch(1, 0, b"\x55", "p")
         assert memory.write_log[-1].content is memory.read_block(1)
         assert record.content == b"\x44" * 16
+
+
+class TestWriteLogView:
+    """``write_log``, built from the raw columns on each read, is the
+    :class:`WriteRecord` sequence the memory used to append one per
+    committed write: same fields, and each ``content`` the very snapshot
+    ``read_block`` returned right after that write."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["write", "patch"]),
+            st.integers(0, 7),
+            st.integers(0, 15),
+            st.binary(min_size=1, max_size=4),
+            st.sampled_from([0.0, 0.25, 1.0]),
+        ),
+        max_size=40,
+    ))
+    def test_view_equals_the_appended_records(self, ops):
+        sim = Simulator()
+        memory = make_memory()
+        memory.sim = sim
+        memory.mpu = MemoryProtectionUnit(sim, 8, FaultPolicy.DROP)
+        memory.mpu.lock(6)  # writes to block 6 are dropped, not logged
+        expected = []
+
+        def apply(op, block, offset, data):
+            generation = memory.generations[block]
+            if op == "write":
+                memory.write(block, (data * 16)[:16], op)
+            else:
+                memory.patch(block, min(offset, 16 - len(data)), data, op)
+            if memory.generations[block] != generation:
+                expected.append(WriteRecord(
+                    sim.now, block, op, memory.read_block(block)
+                ))
+
+        time = 0.0
+        for op, block, offset, data, gap in ops:
+            time += gap
+            sim.schedule_at(time, apply, op, block, offset, data)
+        sim.run()
+
+        log = memory.write_log
+        assert log == expected
+        assert all(a.content is b.content for a, b in zip(log, expected))
+        for low, high in ((0.0, 0.0), (0.25, 2.0), (0.0, time)):
+            assert memory.writes_in(low, high) == [
+                rec for rec in expected if low <= rec.time <= high
+            ]
 
 
 class TestMpuIntegration:

@@ -52,6 +52,22 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             verifier.profile("ghost")
 
+    def test_report_from_unknown_device_is_invalid(self):
+        """Logged as a verdict, batched as serially, instead of raising
+        out of the verifier."""
+        _, device, verifier = fresh_stack()
+        record = measured_record(device)
+        report = AttestationReport.authenticate(
+            device.attestation_key, "ghost", [record], sent_counter=1
+        )
+        serial = verifier.verify_report(report)
+        batched = verifier.verify_batch([(report, {})])[0]
+        for result in (serial, batched):
+            assert (result.verdict, result.detail) == (
+                Verdict.INVALID, "unknown device 'ghost'"
+            )
+        assert verifier.results == [serial, batched]
+
     def test_nonces_unique(self):
         _, device, verifier = fresh_stack()
         nonces = {verifier.new_nonce(device.name) for _ in range(50)}
