@@ -184,7 +184,10 @@ class RunSpec:
             raise ConfigurationError(
                 "probe_count must be an integer within [0, inf)"
             )
-        if not (isinstance(self.rounds, int) and self.rounds >= 1):
+        if not (
+            isinstance(self.rounds, int)
+            and not isinstance(self.rounds, bool) and self.rounds >= 1
+        ):
             raise ConfigurationError(
                 "rounds must be an integer within [1, inf)"
             )

@@ -252,9 +252,11 @@ class MeasurementProcess:
 
         block_times = [-1.0] * device.block_count
         block_hashes = [b""] * device.block_count
-        block_hash_time = timing.hash_time(
+        # one command for every block: the CPU reads only its duration
+        # and keeps no reference, as with a periodic job's task.compute
+        block_compute = Compute(timing.hash_time(
             config.algorithm, device.memory.sim_block_size
-        )
+        ))
 
         zero_block = b"\x00" * device.memory.block_size
         data_copy = []
@@ -320,7 +322,7 @@ class MeasurementProcess:
                 mutable_content(block_index, content)
                 if mutable_lookup[block_index] else content
             )
-            yield Compute(block_hash_time)
+            yield block_compute
             if after_block is not None:
                 post_ops = after_block(block_index)
                 if post_ops:

@@ -233,6 +233,12 @@ class AttestationService:
     def _on_message(self, message: Message) -> None:
         if message.kind != "att_request":
             return
+        payload = message.payload
+        if (
+            isinstance(payload, dict) and "rounds" in payload
+            and not _valid_rounds(payload["rounds"])
+        ):
+            return  # malformed: dropped before its nonce is in flight
         if self._dedup.admit(message):
             self._pending.append(message)
             self._request_signal.fire(message)
@@ -246,7 +252,7 @@ class AttestationService:
             message = self._pending.pop(0)
             payload = message.payload or {}
             nonce = payload.get("nonce", b"")
-            rounds = int(payload.get("rounds", 1))
+            rounds = payload.get("rounds", 1)
             device.trace.record(
                 device.sim.now, "ra.request", device.name,
                 src=message.src, rounds=rounds,
@@ -490,8 +496,16 @@ class ExchangeDriver:
         """A reply matching no exchange; by default it is dropped."""
 
 
+def _valid_rounds(rounds: Any) -> bool:
+    """An integer >= 1 (a ``bool`` is not a round count)."""
+    return (
+        isinstance(rounds, int) and not isinstance(rounds, bool)
+        and rounds >= 1
+    )
+
+
 def _check_rounds(rounds: Any) -> int:
-    if not (isinstance(rounds, int) and rounds >= 1):
+    if not _valid_rounds(rounds):
         raise ConfigurationError(
             f"rounds must be an integer >= 1, got {rounds!r}"
         )

@@ -22,7 +22,7 @@ resident; the verifier then reflashes or re-trusts the device.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
@@ -85,10 +85,33 @@ class UpdateService:
     # -- handlers ----------------------------------------------------------
 
     def _on_message(self, message: Message) -> None:
+        if not self._well_formed(message.kind, message.payload):
+            return
         if message.kind == "update_request":
             self._spawn(self._apply_update, message)
         else:
             self._spawn(self._apply_erasure, message)
+
+    def _well_formed(self, kind: str, payload: Any) -> bool:
+        """Whether ``payload`` is a request this prover can apply: a
+        dict with a bytes ``nonce`` and, for an update, ``blocks``
+        mapping in-range block indices to block-sized bytes; for an
+        erasure, a bytes ``seed``.  Anything else is dropped."""
+        if not (
+            isinstance(payload, dict)
+            and isinstance(payload.get("nonce"), bytes)
+        ):
+            return False
+        if kind == "erase_request":
+            return isinstance(payload.get("seed"), bytes)
+        blocks = payload.get("blocks")
+        memory = self.device.memory
+        return isinstance(blocks, dict) and all(
+            isinstance(index, int) and 0 <= index < memory.block_count
+            and isinstance(content, bytes)
+            and len(content) == memory.block_size
+            for index, content in blocks.items()
+        )
 
     def _spawn(self, body, message: Message) -> None:
         self._counter += 1

@@ -40,6 +40,7 @@ from typing import Any, Callable, Generator, List, Optional
 
 from repro.errors import ProcessError
 from repro.sim.engine import EventHandle, Signal, Simulator
+from repro.sim.trace import CountingTrace
 
 
 class Compute:
@@ -230,10 +231,17 @@ class CPU:
     @trace.setter
     def trace(self, trace: Optional[Any]) -> None:
         self._trace = trace
-        #: ``trace.record`` resolved once (``None`` without a trace); the
-        #: hot emit sites call it directly instead of going through
-        #: :meth:`_emit`
-        self._record = trace.record if trace is not None else None
+        #: a :class:`CountingTrace` keeps only its count, so each emit
+        #: site bumps ``emitted`` in place instead of calling ``record``
+        #: (exact type: a subclass may override ``record``)
+        self._tally = trace if type(trace) is CountingTrace else None
+        #: ``trace.record`` resolved once for any other sink (``None``
+        #: without a trace or with a tally); the hot emit sites call it
+        #: directly instead of going through :meth:`_emit`
+        self._record = (
+            trace.record
+            if trace is not None and self._tally is None else None
+        )
 
     # -- public API ------------------------------------------------------
 
@@ -304,7 +312,10 @@ class CPU:
     # -- internals -------------------------------------------------------
 
     def _emit(self, kind: str, proc: Process, **data: Any) -> None:
-        if self._record is not None:
+        tally = self._tally
+        if tally is not None:
+            tally.emitted += 1
+        elif self._record is not None:
             self._record(self.sim.now, kind, proc.name, **data)
 
     def _start(self, proc: Process) -> None:
@@ -326,9 +337,11 @@ class CPU:
         CPU straight back through :meth:`_take`)."""
         now = self.sim.now
         proc._became_ready(now, queued)
-        record = self._record
-        if record is not None:
-            record(now, "ready", proc.name)
+        tally = self._tally
+        if tally is not None:
+            tally.emitted += 1
+        elif self._record is not None:
+            self._record(now, "ready", proc.name)
 
     def _pick_next(self) -> Optional[Process]:
         """The ready process that runs next: highest priority, then
@@ -401,9 +414,11 @@ class CPU:
         if latency > proc.response_max:
             proc.response_max = latency
         self.current = proc
-        record = self._record
-        if record is not None:
-            record(now, "run", proc.name)
+        tally = self._tally
+        if tally is not None:
+            tally.emitted += 1
+        elif self._record is not None:
+            self._record(now, "run", proc.name)
 
     def _compute_done(self, proc: Process) -> None:
         assert proc is self.current
@@ -432,10 +447,12 @@ class CPU:
                 if isinstance(command, Compute):
                     duration = command.duration
                     # recorded at the pre-advance instant on both paths
-                    record = self._record
-                    if record is not None:
-                        record(sim.now, "compute", proc.name,
-                               duration=duration)
+                    tally = self._tally
+                    if tally is not None:
+                        tally.emitted += 1
+                    elif self._record is not None:
+                        self._record(sim.now, "compute", proc.name,
+                                     duration=duration)
                     if (
                         proc.atomic or not self._ready
                         or not self._outranked(proc)
@@ -458,10 +475,12 @@ class CPU:
                             f"{proc.name}: Sleep inside atomic section"
                         )
                     duration = command.duration
-                    record = self._record
-                    if record is not None:
-                        record(sim.now, "sleep", proc.name,
-                               duration=duration)
+                    tally = self._tally
+                    if tally is not None:
+                        tally.emitted += 1
+                    elif self._record is not None:
+                        self._record(sim.now, "sleep", proc.name,
+                                     duration=duration)
                     if not self._ready and try_coalesce(duration):
                         # Inline wake: nothing else is ready, so the CPU
                         # would idle, and the wake event would be the

@@ -17,9 +17,10 @@ Rule families (see :mod:`repro.staticlint.determinism`,
 :mod:`repro.staticlint.perf_rules`,
 :mod:`repro.staticlint.taint_rules`)::
 
-    determinism  det-wall-clock, det-module-random,
-                 det-unseeded-random, det-set-iteration,
-                 det-mutable-default, det-taint-flow*
+    determinism  det-wall-clock, det-wall-clock-assert,
+                 det-module-random, det-unseeded-random,
+                 det-set-iteration, det-mutable-default,
+                 det-taint-flow*
     crypto       crypto-digest-eq, crypto-random-module,
                  crypto-secret-leak*
     atomicity    ra-atomic-gap*, ra-naked-send

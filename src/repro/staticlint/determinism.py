@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List, Set
 
-from repro.staticlint.engine import ModuleContext
+from repro.staticlint.engine import ModuleContext, walk_scope
 from repro.staticlint.findings import Finding, Severity
 from repro.staticlint.registry import get_rule, rule
 
@@ -77,6 +77,104 @@ def check_wall_clock(ctx: ModuleContext) -> Iterable[Finding]:
             yield this.finding(
                 ctx, node, f"call to {matched}() reads the wall clock"
             )
+
+
+@rule(
+    id="det-wall-clock-assert",
+    family="determinism",
+    severity=Severity.ERROR,
+    summary="assertion or comparison on a wall/CPU clock reading",
+    rationale=(
+        "A correctness test that asserts on elapsed host time passes or "
+        "fails with the host's load, not with the code: it flakes on a "
+        "busy 1-2 core box and lets a fast host hide a regression.  "
+        "Tier-1 must give the same answer on every run; wall time "
+        "belongs to repro bench and perfbench."
+    ),
+    hint=(
+        "assert on a deterministic proxy instead (a call or event "
+        "count, sim.now), and time the path in repro bench or perfbench"
+    ),
+)
+def check_wall_clock_assert(ctx: ModuleContext) -> Iterable[Finding]:
+    if ctx.is_telemetry_module():
+        return
+    this = get_rule("det-wall-clock-assert")
+    scopes = [ctx.tree] + [
+        node for node in ast.walk(ctx.tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda))
+    ]
+    for scope in scopes:
+        yield from _clock_assertions(ctx, this, list(walk_scope(scope)))
+
+
+def _clock_assertions(ctx: ModuleContext, this, nodes) -> Iterable[Finding]:
+    """Asserts, ``assert*`` calls and comparisons in one scope's
+    ``nodes`` that read a clock, directly or through a local assigned
+    (transitively) from a clock read."""
+    clocked: Set[str] = set()
+
+    def clock_read(expr: ast.AST) -> str:
+        """The clock ``expr`` reads (a suffix or a local's name)."""
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Call):
+                matched = _dotted_matches(
+                    ctx.resolve(node.func), WALL_CLOCK_CALLS
+                )
+                if matched:
+                    return f"{matched}()"
+            elif isinstance(node, ast.Name) and node.id in clocked:
+                return node.id
+        return ""
+
+    bindings = []
+    for node in nodes:
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign,
+                             ast.NamedExpr)) and node.value is not None:
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target]
+            )
+            names = [
+                name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+            bindings.append((names, node.value))
+    grown = True
+    while grown:  # to a fixpoint: ``dt = t1 - t0`` reads a clock too
+        grown = False
+        for names, value in bindings:
+            if not set(names) <= clocked and clock_read(value):
+                clocked.update(names)
+                grown = True
+
+    asserted: Set[int] = set()
+    for node in nodes:
+        if isinstance(node, ast.Assert):
+            checked = [node.test]
+        elif isinstance(node, ast.Call) and (
+            ctx.resolve(node.func).rpartition(".")[2].startswith("assert")
+        ):
+            checked = list(node.args) + [kw.value for kw in node.keywords]
+        else:
+            continue
+        asserted.update(id(inner) for expr in checked
+                        for inner in ast.walk(expr))
+        for expr in checked:
+            read = clock_read(expr)
+            if read:
+                yield this.finding(
+                    ctx, node, f"assertion reads the wall clock ({read})"
+                )
+                break
+    for node in nodes:
+        if isinstance(node, ast.Compare) and id(node) not in asserted:
+            read = clock_read(node)
+            if read:
+                yield this.finding(
+                    ctx, node, f"comparison reads the wall clock ({read})"
+                )
 
 
 @rule(

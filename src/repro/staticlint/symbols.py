@@ -187,12 +187,78 @@ def _atomic_marker(node: ast.AST) -> Optional[bool]:
     return None
 
 
-def _allowed_yield(value: Optional[ast.expr]) -> bool:
+def _is_call_to(value: Optional[ast.expr], names: Tuple[str, ...]) -> bool:
     return (
         isinstance(value, ast.Call)
         and isinstance(value.func, ast.Name)
-        and value.func.id in ("Atomic", "Compute")
+        and value.func.id in names
     )
+
+
+def _allowed_yield(
+    value: Optional[ast.expr], compute_names: Set[str]
+) -> bool:
+    """A literal ``Atomic(...)``/``Compute(...)``, or a local name in
+    ``compute_names`` (see :func:`_compute_locals`)."""
+    if isinstance(value, ast.Name):
+        return value.id in compute_names
+    return _is_call_to(value, ("Atomic", "Compute"))
+
+
+def _compute_locals(func: ast.AST) -> Set[str]:
+    """Local names every binding of which, in ``func``'s own body, is
+    ``name = Compute(...)``: yielding one is yielding a ``Compute``.
+
+    Any other binding disqualifies the name -- a parameter, another
+    assignment, an augmented or unpacking target, a loop, ``with`` or
+    ``except`` target, a walrus, an import, a nested ``def``/``class``,
+    a ``global``/``nonlocal`` declaration."""
+    args = func.args
+    other: Set[str] = {
+        arg.arg for arg in (
+            args.posonlyargs + args.args + args.kwonlyargs
+            + [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        )
+    }
+    computes: Set[str] = set()
+    compute_targets: Set[int] = set()
+    nodes = list(walk_scope(func))
+    for node in nodes:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_call_to(
+            node.value, ("Compute",)
+        ):
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target]
+            )
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    computes.add(target.id)
+                    compute_targets.add(id(target))
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            if not isinstance(node.ctx, ast.Load) and (
+                id(node) not in compute_targets
+            ):
+                other.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            other.update(node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            other.update(
+                (alias.asname or alias.name).split(".")[0]
+                for alias in node.names
+            )
+        elif isinstance(node, (
+            ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+        )):
+            other.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            other.add(node.name)
+        elif isinstance(node, (ast.MatchAs, ast.MatchStar)) and node.name:
+            other.add(node.name)
+        elif isinstance(node, ast.MatchMapping) and node.rest:
+            other.add(node.rest)
+    return computes - other
 
 
 class _FunctionExtractor:
@@ -420,6 +486,7 @@ class _FunctionExtractor:
     def _collect_atomicity(self) -> None:
         opens: List[int] = []
         closes: List[int] = []
+        compute_names = _compute_locals(self.func)
         for node in walk_scope(self.func):
             if isinstance(node, (ast.Expr, ast.Yield)):
                 marker = _atomic_marker(node)
@@ -430,7 +497,7 @@ class _FunctionExtractor:
                     closes.append(node.lineno)
                     continue
             if isinstance(node, ast.Yield):
-                if not _allowed_yield(node.value):
+                if not _allowed_yield(node.value, compute_names):
                     desc = ast.unparse(node.value) if node.value else "yield"
                     self.info.bad_yields.append(
                         (node.lineno, node.col_offset + 1, desc)

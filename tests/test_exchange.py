@@ -5,8 +5,10 @@ are configurations of one request/reply state machine; every case here
 runs against each of them (the coordinator only where no retry policy
 is needed: it never arms one).  Also pinned: a report with no records
 matches no exchange, a report from an unenrolled device is invalid, a
-frame whose payload has the wrong type is dropped on either side, and
-``rounds`` must be an integer >= 1.
+frame whose payload has the wrong type is dropped on either side (an
+update or erasure request that lacks a key or carries one of the wrong
+type included), and ``rounds`` must be an integer >= 1 -- a prover
+drops a challenge asking for anything else.
 """
 
 from types import SimpleNamespace
@@ -52,7 +54,9 @@ class Tap:
 
     def __call__(self, message):
         if message.kind == self.request_kind:
-            self.requests.append((message.sent_at, message.payload["nonce"]))
+            payload = message.payload
+            nonce = payload.get("nonce") if isinstance(payload, dict) else None
+            self.requests.append((message.sent_at, nonce))
             if self.drop_requests > 0:
                 self.drop_requests -= 1
                 return None
@@ -271,13 +275,71 @@ class TestMalformedFrames:
         assert runs[1] and all(v is Verdict.HEALTHY for v, _ in runs[1])
 
 
+    @pytest.mark.parametrize("kind, payload", [
+        ("update_request", b"junk"),
+        ("erase_request", b"junk"),
+        ("erase_request", {"seed": b"s" * 16}),  # no nonce
+        ("update_request", {"blocks": {0: b"x"}, "nonce": b"n" * 16}),
+        ("update_request", {"blocks": {99: b"\x00" * 32},
+                            "nonce": b"n" * 16}),
+        ("update_request", {"blocks": [b"\x00" * 32],
+                            "nonce": b"n" * 16}),
+    ], ids=["update-bytes", "erase-bytes", "erase-no-nonce",
+            "update-short-block", "update-block-out-of-range",
+            "update-blocks-not-a-dict"])
+    def test_update_service_drops_a_malformed_request(self, kind, payload):
+        rig = make_rig("coordinator")
+        rogue = rig.driver.channel.make_endpoint("rogue")
+        rig.sim.schedule_at(0.5, rogue.send, rig.device.name, kind, payload)
+        rig.sim.schedule_at(1.0, rig.open)
+        rig.sim.run(until=5.0)
+        assert rig.device.trace.filter(kind="update.applied") == []
+        assert len(rig.device.trace.filter(kind="erase.done")) == 1
+        assert [o.installed for o in rig.driver.outcomes] == [True]
+
+
+BAD_ROUNDS = ["many", 0, -1, True, 2.5]
+
+
 class TestRounds:
-    @pytest.mark.parametrize("rounds", [0, -1, 2.5])
+    @pytest.mark.parametrize("rounds", [0, -1, 2.5, True])
     def test_run_spec_rejects(self, rounds):
         with pytest.raises(ConfigurationError, match="rounds"):
             RunSpec(mechanism="smarm", rounds=rounds)
 
-    @pytest.mark.parametrize("rounds", [0, -1, 2.5])
+    @pytest.mark.parametrize("rounds", BAD_ROUNDS)
+    def test_prover_drops_a_request_with_bad_rounds(self, rounds):
+        """The prover drops the request before its nonce is in flight:
+        the same nonce with a valid ``rounds`` is then measured, not
+        absorbed as a retransmission."""
+        runs = []
+        for junk in (False, True):
+            scenario = Scenario.build("smart")
+            if junk:
+                rogue = scenario.channel.make_endpoint("rogue")
+                nonce = b"n" * 16
+                scenario.sim.schedule_at(
+                    0.5, rogue.send, scenario.device.name, "att_request",
+                    {"nonce": nonce, "rounds": rounds},
+                )
+                scenario.sim.schedule_at(
+                    0.6, rogue.send, scenario.device.name, "att_request",
+                    {"nonce": nonce, "rounds": 1},
+                )
+            scenario.drive()
+            scenario.run()
+            trace = scenario.device.trace
+            runs.append((
+                verdicts(scenario),
+                [r.data for r in trace.filter(kind="ra.request")
+                 if r.data["src"] == "rogue"],
+                trace.filter(kind="ra.dedup"),
+            ))
+        assert runs[1][0] == runs[0][0]
+        assert runs[1][1] == [{"src": "rogue", "rounds": 1}]
+        assert runs[1][2] == []
+
+    @pytest.mark.parametrize("rounds", [0, -1, 2.5, True])
     def test_driver_rejects(self, rounds):
         rig = make_rig("driver")
         with pytest.raises(ConfigurationError, match="rounds"):

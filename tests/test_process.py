@@ -15,7 +15,7 @@ from repro.sim.process import (
     WaitSignal,
     Yield,
 )
-from repro.sim.trace import Trace
+from repro.sim.trace import CountingTrace, Trace
 from tests.conftest import oracle_sim
 
 
@@ -439,32 +439,58 @@ class TestAtomicUnmask:
         assert sim.now == 2.25
 
 
+def run_with_reassigned_trace(first, second):
+    """Run one process that emits from every CPU emit site, with
+    ``cpu.trace`` set to ``first`` and swapped to ``second`` mid-run."""
+    sim = Simulator()
+    cpu = CPU(sim, trace=None)
+
+    def body(proc):
+        yield Compute(1.0)
+        yield Sleep(1.0)
+        cpu.trace = second
+        yield Compute(1.0)
+        yield Sleep(1.0)
+
+    cpu.spawn("p", body)
+    cpu.trace = first
+    sim.run()
+    assert cpu.trace is second
+
+
+FIRST_KINDS = ["spawn", "run", "compute", "sleep", "ready", "run"]
+SECOND_KINDS = ["compute", "sleep", "ready", "run", "done"]
+
+
 class TestTraceBinding:
     def test_reassigned_trace_receives_every_emit_site(self):
         """The CPU resolves its recorder once; assigning ``cpu.trace``
         must re-resolve it, so no emit site keeps writing to the old
         trace (or to none)."""
-        sim = Simulator()
         first, second = Trace(), Trace()
-        cpu = CPU(sim, trace=None)
+        run_with_reassigned_trace(first, second)
+        assert [r.kind for r in first] == FIRST_KINDS
+        assert [r.kind for r in second] == SECOND_KINDS
 
-        def body(proc):
-            yield Compute(1.0)
-            yield Sleep(1.0)
-            cpu.trace = second
-            yield Compute(1.0)
-            yield Sleep(1.0)
-
-        cpu.spawn("p", body)
-        cpu.trace = first
-        sim.run()
-        assert cpu.trace is second
-        assert [r.kind for r in first] == [
-            "spawn", "run", "compute", "sleep", "ready", "run",
-        ]
-        assert [r.kind for r in second] == [
-            "compute", "sleep", "ready", "run", "done",
-        ]
+    @pytest.mark.parametrize("first_sink, second_sink", [
+        (CountingTrace, Trace),
+        (Trace, CountingTrace),
+        (CountingTrace, CountingTrace),
+    ], ids=["tally-trace", "trace-tally", "tally-tally"])
+    def test_reassigned_counting_trace_counts_what_a_trace_holds(
+        self, first_sink, second_sink
+    ):
+        """A :class:`CountingTrace` is tallied in place rather than
+        called; swapping it in or out re-resolves that too, so each
+        sink counts exactly the records a :class:`Trace` in its place
+        would hold."""
+        first, second = first_sink(), second_sink()
+        run_with_reassigned_trace(first, second)
+        for sink, kinds in ((first, FIRST_KINDS), (second, SECOND_KINDS)):
+            if isinstance(sink, CountingTrace):
+                assert sink.emitted == len(kinds)
+            else:
+                assert [r.kind for r in sink] == kinds
 
 
 DURATIONS = st.sampled_from([0.5, 0.25, 1.0, 0.1, 0.0])

@@ -16,11 +16,14 @@ before the record path was optimised.  The malware payload is seeded
 independently of ``PYTHONHASHSEED``, so the write-log hash is the same
 in every process.
 
-Two differentials back the count-only record path: over every seed-1
-run of five canned campaigns, the counts a run reports equal those of
-``Trace`` rings at several caps fed the same records; and over the
-``locking`` pin run, ``Memory.write_log`` equals the ``WriteRecord``
-sequence that used to be appended one committed write at a time.
+Three differentials back the count-only record path: over every
+seed-1 run of five canned campaigns, the counts a run reports equal
+those of ``Trace`` rings at several caps fed the same records, and a
+run whose CPU tallies the counting trace in place writes the same
+result line as one whose every record is a ``record`` call; and over
+the ``locking`` pin run, ``Memory.write_log`` equals the
+``WriteRecord`` sequence that used to be appended one committed write
+at a time.
 """
 
 import dataclasses
@@ -31,7 +34,7 @@ import pytest
 from repro.fleet import executor
 from repro.fleet.campaign import RunSpec, canned_campaign
 from repro.sim.memory import Memory, WriteRecord
-from repro.sim.trace import Trace
+from repro.sim.trace import CountingTrace, Trace
 
 #: campaign, selecting fields, retained/dropped at the default cap,
 #: records emitted, committed writes, to_jsonl sha256, write-log sha256
@@ -186,6 +189,40 @@ def test_counted_trace_matches_rings(campaign, monkeypatch):
             len(ring), ring.dropped
         )
         assert len(rings[UNBOUNDED]) == fanout.sink.emitted > 0
+
+
+@pytest.mark.parametrize(
+    "campaign", ["matrix", "qoa", "locking", "hetero", "faults"]
+)
+def test_tallied_trace_matches_fanout(campaign, monkeypatch):
+    """A run whose device trace is the executor's own
+    :class:`~repro.sim.trace.CountingTrace` -- which the CPU tallies in
+    place instead of calling ``record`` -- writes the same result line
+    as the same run fed through :class:`RingFanOut`, where every record
+    is a call, and its tally equals the unbounded ring's length."""
+    specs = canned_campaign(campaign, seed_count=1).plan()
+    real_build = executor.Scenario.build
+    sinks = []
+
+    def plain(*args, trace, **kwargs):
+        sinks.append(trace)
+        return real_build(*args, trace=trace, **kwargs)
+
+    def fanned(*args, trace, **kwargs):
+        sinks.append(RingFanOut(trace))
+        return real_build(*args, trace=sinks[-1], **kwargs)
+
+    for spec in specs:
+        lines = []
+        for build in (plain, fanned):
+            with monkeypatch.context() as patch:
+                patch.setattr(executor.Scenario, "build", build)
+                lines.append(executor.execute_run(spec).to_json_line())
+        tally, fanout = sinks
+        sinks.clear()
+        assert type(tally) is CountingTrace
+        assert lines[0] == lines[1]
+        assert tally.emitted == len(fanout.rings[UNBOUNDED]) > 0
 
 
 def test_write_log_view_matches_appended_records(monkeypatch):

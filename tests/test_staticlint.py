@@ -82,6 +82,99 @@ class TestWallClockRule:
         assert findings_for(src, rule=self.RULE) == []
 
 
+TEST_PATH = "tests/test_fake_module.py"
+
+
+class TestWallClockAssertRule:
+    RULE = "det-wall-clock-assert"
+
+    def found(self, src, path=TEST_PATH):
+        return live(findings_for(src, path=path, rule=self.RULE))
+
+    def test_assert_on_elapsed_local_flagged(self):
+        src = (
+            "import time\n"
+            "def test_fast():\n"
+            "    start = time.perf_counter()\n"
+            "    work()\n"
+            "    elapsed = time.perf_counter() - start\n"
+            "    assert elapsed < 1.0\n"
+        )
+        found = self.found(src)
+        assert [(f.rule_id, f.line) for f in found] == [(self.RULE, 6)]
+        assert "elapsed" in found[0].message
+        assert found[0].hint
+
+    def test_direct_read_in_assert_flagged(self):
+        src = (
+            "from time import monotonic as mono\n"
+            "def test_clock(deadline):\n"
+            "    assert mono() < deadline\n"
+        )
+        found = self.found(src)
+        assert [f.line for f in found] == [3]
+        assert "time.monotonic()" in found[0].message
+
+    def test_local_derived_from_clock_locals_flagged(self):
+        src = (
+            "import time\n"
+            "def test_span():\n"
+            "    t0 = time.time()\n"
+            "    t1 = time.time()\n"
+            "    dt = t1 - t0\n"
+            "    if dt > 5:\n"
+            "        fail()\n"
+        )
+        found = self.found(src)
+        assert [f.line for f in found] == [6]
+        assert "comparison" in found[0].message
+
+    def test_unittest_assert_method_flagged(self):
+        src = (
+            "import datetime\n"
+            "class T:\n"
+            "    def test_today(self):\n"
+            "        day = datetime.date.today()\n"
+            "        self.assertEqual(day.year, 2026)\n"
+        )
+        assert [f.line for f in self.found(src)] == [5]
+
+    def test_suppressed_inline(self):
+        src = (
+            "import time\n"
+            "ok = time.time() > 0  # repro: allow[det-wall-clock-assert]\n"
+        )
+        found = findings_for(src, path=TEST_PATH, rule=self.RULE)
+        assert len(found) == 1 and found[0].suppressed
+
+    def test_sim_time_assertion_not_flagged(self):
+        src = (
+            "import time\n"
+            "def test_deadline(sim):\n"
+            "    start = sim.now\n"
+            "    sim.run()\n"
+            "    assert sim.now - start < 1.0\n"
+            "    stamp = time.time()\n"
+            "    log(stamp)\n"
+        )
+        assert self.found(src) == []
+
+    def test_clock_local_of_another_scope_not_flagged(self):
+        src = (
+            "import time\n"
+            "def stamp():\n"
+            "    now = time.time()\n"
+            "    return now\n"
+            "def test_now(now):\n"
+            "    assert now > 0\n"
+        )
+        assert self.found(src) == []
+
+    def test_telemetry_module_allowlisted(self):
+        src = "import time\n\nlate = time.time() > 1.0\n"
+        assert self.found(src, path="src/repro/fleet/clock.py") == []
+
+
 class TestModuleRandomRule:
     RULE = "det-module-random"
 
@@ -345,6 +438,63 @@ class TestAtomicGapRule:
         )
         assert [(f.line, f.col) for f in found] == [(4, 9)]
         assert "atomic section of inner()" in found[0].message
+
+    @pytest.mark.parametrize("src", [
+        # a local whose every binding is a Compute(...) call
+        "def run(self, proc):\n"
+        "    step = Compute(0.5)\n"
+        "    yield Atomic(True)\n"
+        "    for _ in range(3):\n"
+        "        yield step\n"
+        "    yield Atomic(False)\n",
+        "def run(self, proc):\n"
+        "    step: Compute = Compute(0.5)\n"
+        "    yield Atomic(True)\n"
+        "    yield step\n"
+        "    step = Compute(0.25)\n"
+        "    yield step\n"
+        "    yield Atomic(False)\n",
+    ], ids=["bound-once", "rebound-to-compute"])
+    def test_compute_bound_local_yield_not_flagged(self, src):
+        found = findings_for(
+            src, path="src/repro/ra/fake.py", rule=self.RULE
+        )
+        assert found == []
+
+    @pytest.mark.parametrize("src, line", [
+        ("def run(self, proc):\n"
+         "    pause = Sleep(1.0)\n"
+         "    yield Atomic(True)\n"
+         "    yield pause\n"
+         "    yield Atomic(False)\n", 4),
+        ("def run(self, proc, wait):\n"
+         "    step = Compute(0.5)\n"
+         "    step = wait\n"
+         "    yield Atomic(True)\n"
+         "    yield step\n"
+         "    yield Atomic(False)\n", 5),
+        ("def run(self, proc):\n"
+         "    step = Compute(0.5)\n"
+         "    yield Atomic(True)\n"
+         "    for step in self.commands:\n"
+         "        yield step\n"
+         "    yield Atomic(False)\n", 5),
+        ("def run(self, proc, step):\n"
+         "    yield Atomic(True)\n"
+         "    yield step\n"
+         "    yield Atomic(False)\n", 3),
+        ("def run(self, proc, step=Compute(0.5)):\n"
+         "    yield Atomic(True)\n"
+         "    yield step\n"
+         "    yield Atomic(False)\n", 3),
+    ], ids=["bound-to-sleep", "rebound-to-other", "loop-target",
+            "parameter", "parameter-with-compute-default"])
+    def test_non_compute_local_yield_flagged(self, src, line):
+        found = live(
+            findings_for(src, path="src/repro/ra/fake.py", rule=self.RULE)
+        )
+        assert [f.line for f in found] == [line]
+        assert "cedes the CPU" in found[0].message
 
     def test_method_preemptible_yield_flagged(self):
         src = (

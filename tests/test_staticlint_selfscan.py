@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.staticlint import analyze_source, build_report
+from repro.staticlint import LintConfig, analyze_source, build_report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_ROOT / "src"
@@ -36,6 +36,19 @@ class TestSelfScan:
     def test_src_tree_is_clean(self, self_scan):
         offending = [f.render() for f in self_scan.live]
         assert self_scan.exit_code == 0, "\n".join(offending)
+
+    def test_tests_tree_has_no_wall_clock_assertion(self):
+        """The CI step ``repro lint tests/ --select
+        det-wall-clock-assert --strict``: no test asserts on host time."""
+        report = build_report(
+            [str(REPO_ROOT / "tests")],
+            config=LintConfig(select=("det-wall-clock-assert",)),
+            strict=True,
+        )
+        assert report.files_checked >= 75
+        assert report.exit_code == 0, "\n".join(
+            f.render() for f in report.live
+        )
 
     def test_scan_covers_the_whole_tree(self, self_scan):
         assert self_scan.files_checked >= 75
