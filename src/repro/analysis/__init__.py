@@ -9,38 +9,19 @@
   (crossovers, anchor points, log-log slopes).
 """
 
-from repro.analysis.smarm_math import (
-    single_round_escape,
-    single_round_escape_limit,
-    rounds_for_confidence,
-    multi_round_escape,
-)
-from repro.analysis.qoa_math import (
-    detection_probability,
-    expected_detection_latency,
-    worst_detection_latency,
-)
-from repro.analysis.locking_math import (
-    expected_block_delay,
-    lock_exposure,
-)
-from repro.analysis.fig2_model import (
-    crossover_table,
-    anchor_report,
-    sweep_series,
-)
+from repro import export_lazily
 
-__all__ = [
-    "single_round_escape",
-    "single_round_escape_limit",
-    "rounds_for_confidence",
-    "multi_round_escape",
-    "detection_probability",
-    "expected_detection_latency",
-    "worst_detection_latency",
-    "expected_block_delay",
-    "lock_exposure",
-    "crossover_table",
-    "anchor_report",
-    "sweep_series",
-]
+__all__ = export_lazily(globals(), {
+    "repro.analysis.smarm_math": (
+        "single_round_escape", "single_round_escape_limit",
+        "rounds_for_confidence", "multi_round_escape",
+    ),
+    "repro.analysis.qoa_math": (
+        "detection_probability", "expected_detection_latency",
+        "worst_detection_latency",
+    ),
+    "repro.analysis.locking_math": ("expected_block_delay", "lock_exposure"),
+    "repro.analysis.fig2_model": (
+        "crossover_table", "anchor_report", "sweep_series",
+    ),
+})

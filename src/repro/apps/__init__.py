@@ -9,20 +9,12 @@
 * :mod:`repro.apps.metrics` -- availability metric aggregation.
 """
 
-from repro.apps.firealarm import FireAlarmApp, FireAlarmOutcome
-from repro.apps.workloads import (
-    make_compute_task,
-    make_writer_task,
-    WriterWorkload,
-)
-from repro.apps.metrics import AvailabilityReport, summarize_tasks
+from repro import export_lazily
 
-__all__ = [
-    "FireAlarmApp",
-    "FireAlarmOutcome",
-    "make_compute_task",
-    "make_writer_task",
-    "WriterWorkload",
-    "AvailabilityReport",
-    "summarize_tasks",
-]
+__all__ = export_lazily(globals(), {
+    "repro.apps.firealarm": ("FireAlarmApp", "FireAlarmOutcome"),
+    "repro.apps.workloads": (
+        "make_compute_task", "make_writer_task", "WriterWorkload",
+    ),
+    "repro.apps.metrics": ("AvailabilityReport", "summarize_tasks"),
+})

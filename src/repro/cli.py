@@ -3,22 +3,74 @@
 ``repro --help`` lists every command.  The paper artifacts (``fig1``
 ... ``swatt``) and their options come from
 :data:`repro.experiments.ARTIFACTS`; ``repro all`` prints the ones
-with a section title.  This module adds the tools: ``fleet``
-(docs/fleet.md), ``lint`` (docs/static_analysis.md), ``serve``
-(docs/verifier_service.md), ``bench`` (docs/performance.md), ``obs``
-and ``profile`` (docs/observability.md).
+with a section title.  This module adds the tools (:data:`TOOLS`):
+``fleet`` (docs/fleet.md), ``lint`` (docs/static_analysis.md),
+``serve`` (docs/verifier_service.md), ``bench``
+(docs/performance.md), ``obs`` and ``profile``
+(docs/observability.md).  A command imports its own module when it
+runs, so ``repro fig3`` loads neither the simulator nor any tool.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Any, List, Optional
 
-from repro.experiments import ARTIFACTS
+from repro.experiments.artifacts import ARTIFACTS
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@dataclass(frozen=True)
+class Tool:
+    """A ``repro`` tool subcommand.
+
+    ``arguments`` and ``run`` name ``"module:function"`` targets: the
+    first adds the command's options to its subparser, the second takes
+    the parsed namespace.  Neither is imported unless the command runs.
+    """
+
+    name: str
+    help: str
+    arguments: str
+    run: str
+
+
+#: every tool subcommand, in ``--help`` order after the paper artifacts
+TOOLS = (
+    Tool("fleet", "campaign runner: plan / run / summarize",
+         "repro.cli:add_fleet_arguments", "repro.cli:run_fleet"),
+    Tool("lint", "determinism & crypto-safety static analysis",
+         "repro.staticlint.cli:add_lint_arguments",
+         "repro.staticlint.cli:run_lint"),
+    Tool("serve", "served-verifier load test (docs/verifier_service.md)",
+         "repro.vserver.cli:add_serve_arguments",
+         "repro.vserver.cli:run_serve"),
+    Tool("bench", "wall-clock regression bench suite (docs/performance.md)",
+         "repro.cli:add_bench_arguments", "repro.perf.bench:run_bench"),
+    Tool("obs", "observability exports: trace / metrics",
+         "repro.obs.cli:add_obs_arguments", "repro.obs.cli:run_obs"),
+    Tool("profile", "event-loop hot-spot profiling",
+         "repro.obs.cli:add_profile_arguments", "repro.obs.cli:run_profile"),
+)
+
+#: tools whose ``run`` returns the exit code instead of text to print:
+#: lint exits 0 clean, 1 on findings, 2 on usage errors; bench exits 1
+#: on a regression against ``--against``
+OWN_EXIT_CODE = frozenset({"lint", "bench"})
+
+
+def _resolve(target: str) -> Any:
+    """The function a ``"module:function"`` target names."""
+    module, _, name = target.partition(":")
+    return getattr(importlib.import_module(module), name)
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser.  Every paper artifact gets its arguments;
+    a tool gets its arguments only when it is ``command``, so building
+    the parser for ``repro fig3`` imports no tool."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -29,15 +81,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for artifact in ARTIFACTS:
-        command = sub.add_parser(artifact.name, help=artifact.help)
+        subparser = sub.add_parser(artifact.name, help=artifact.help)
         for flag, options in artifact.arguments:
-            command.add_argument(flag, **options)
-        command.set_defaults(run=artifact.run)
+            subparser.add_argument(flag, **options)
+        subparser.set_defaults(run=artifact.run)
 
-    fleet = sub.add_parser(
-        "fleet", help="campaign runner: plan / run / summarize"
-    )
-    fleet.set_defaults(run=_run_fleet)
+    for tool in TOOLS:
+        subparser = sub.add_parser(tool.name, help=tool.help)
+        if tool.name == command:
+            _resolve(tool.arguments)(subparser)
+        subparser.set_defaults(run=tool.run)
+
+    sub.add_parser("all", help="run every experiment")
+    return parser
+
+
+def add_fleet_arguments(fleet: argparse.ArgumentParser) -> None:
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
 
     def add_campaign_options(p):
@@ -94,25 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
     summ.add_argument("--campaign", default="qoa")
     summ.add_argument("--out", default="fleet-artifacts")
 
-    lint = sub.add_parser(
-        "lint", help="determinism & crypto-safety static analysis"
-    )
-    from repro.staticlint.cli import add_lint_arguments
 
-    add_lint_arguments(lint)
-
-    serve = sub.add_parser(
-        "serve",
-        help="served-verifier load test (docs/verifier_service.md)",
-    )
-    from repro.vserver.cli import add_serve_arguments, run_serve
-
-    add_serve_arguments(serve)
-    serve.set_defaults(run=run_serve)
-
-    bench = sub.add_parser(
-        "bench", help="wall-clock regression bench suite (docs/performance.md)"
-    )
+def add_bench_arguments(bench: argparse.ArgumentParser) -> None:
     bench.add_argument("action", nargs="?", default="run",
                        choices=["run", "history"],
                        help="'run' the suite (default) or tabulate the "
@@ -130,28 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--dir", default="benchmarks",
                        help="artifact directory the 'history' action "
                             "tabulates (default: benchmarks/)")
-
-    obs = sub.add_parser(
-        "obs", help="observability exports: trace / metrics"
-    )
-    from repro.obs.cli import (
-        add_obs_arguments,
-        add_profile_arguments,
-        run_obs,
-        run_profile,
-    )
-
-    add_obs_arguments(obs)
-    obs.set_defaults(run=run_obs)
-
-    profile = sub.add_parser(
-        "profile", help="event-loop hot-spot profiling"
-    )
-    add_profile_arguments(profile)
-    profile.set_defaults(run=run_profile)
-
-    sub.add_parser("all", help="run every experiment")
-    return parser
 
 
 def _fleet_campaign(args: argparse.Namespace):
@@ -173,7 +193,7 @@ def _fleet_campaign(args: argparse.Namespace):
     return canned_campaign(args.campaign, seed_count=args.seeds)
 
 
-def _run_fleet(args: argparse.Namespace) -> str:
+def run_fleet(args: argparse.Namespace) -> str:
     from repro import fleet
 
     if args.fleet_command == "summarize":
@@ -248,26 +268,21 @@ def _run_fleet(args: argparse.Namespace) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
-    if args.command == "lint":
-        # lint owns its exit code: 0 clean, 1 findings, 2 usage errors
-        from repro.staticlint.cli import run_lint
-
-        return run_lint(args)
-    if args.command == "bench":
-        # bench owns its exit code: 0 clean, 1 regression vs --against
-        from repro.perf.bench import run_bench
-
-        return run_bench(args)
     if args.command == "all":
         for artifact in ARTIFACTS:
             if artifact.title is not None:
                 print(f"\n===== {artifact.title} =====")
-                print(artifact.run(parser.parse_args([artifact.name])))
+                section = parser.parse_args([artifact.name])
+                print(_resolve(artifact.run)(section))
         return 0
-    # every other command's subparser set ``run``
-    print(args.run(args))
+    result = _resolve(args.run)(args)
+    if args.command in OWN_EXIT_CODE:
+        return result
+    print(result)
     return 0
 
 

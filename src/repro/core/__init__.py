@@ -13,36 +13,16 @@ operation.
   that regenerates Table 1 empirically.
 """
 
-from repro.core.solution import (
-    Feature,
-    Solution,
-    SOLUTIONS,
-    solution_table,
-    taxonomy_tree,
-)
-from repro.core.consistency import ConsistencyAnalyzer, ConsistencyVerdict
-from repro.core.qoa import QoAParameters, QoATimeline, InfectionEvent
-from repro.core.scheduler_policy import (
-    FixedSchedule,
-    ContextAwareSchedule,
-    SlackSchedule,
-)
-from repro.core.tradeoff import EvaluationMatrix, evaluate_all
+from repro import export_lazily
 
-__all__ = [
-    "Feature",
-    "Solution",
-    "SOLUTIONS",
-    "solution_table",
-    "taxonomy_tree",
-    "ConsistencyAnalyzer",
-    "ConsistencyVerdict",
-    "QoAParameters",
-    "QoATimeline",
-    "InfectionEvent",
-    "FixedSchedule",
-    "ContextAwareSchedule",
-    "SlackSchedule",
-    "EvaluationMatrix",
-    "evaluate_all",
-]
+__all__ = export_lazily(globals(), {
+    "repro.core.solution": (
+        "Feature", "Solution", "SOLUTIONS", "solution_table", "taxonomy_tree",
+    ),
+    "repro.core.consistency": ("ConsistencyAnalyzer", "ConsistencyVerdict"),
+    "repro.core.qoa": ("QoAParameters", "QoATimeline", "InfectionEvent"),
+    "repro.core.scheduler_policy": (
+        "FixedSchedule", "ContextAwareSchedule", "SlackSchedule",
+    ),
+    "repro.core.tradeoff": ("EvaluationMatrix", "evaluate_all"),
+})

@@ -16,35 +16,18 @@ Everything Figure 2 of the paper measures is implemented functionally:
   that turns byte counts into simulated seconds (Figure 2's curves).
 """
 
-from repro.crypto.hashes import HASH_ALGORITHMS, digest, hash_new
-from repro.crypto.hmac import Hmac, hmac_digest
-from repro.crypto.drbg import HmacDrbg
-from repro.crypto.rsa import RsaKeyPair, rsa_generate, rsa_sign, rsa_verify
-from repro.crypto.ecdsa import (
-    CURVES,
-    EcdsaKeyPair,
-    ecdsa_generate,
-    ecdsa_sign,
-    ecdsa_verify,
-)
-from repro.crypto.timing import OdroidXU4Model, TimingModel
+from repro import export_lazily
 
-__all__ = [
-    "HASH_ALGORITHMS",
-    "digest",
-    "hash_new",
-    "Hmac",
-    "hmac_digest",
-    "HmacDrbg",
-    "RsaKeyPair",
-    "rsa_generate",
-    "rsa_sign",
-    "rsa_verify",
-    "CURVES",
-    "EcdsaKeyPair",
-    "ecdsa_generate",
-    "ecdsa_sign",
-    "ecdsa_verify",
-    "OdroidXU4Model",
-    "TimingModel",
-]
+__all__ = export_lazily(globals(), {
+    "repro.crypto.hashes": ("HASH_ALGORITHMS", "digest", "hash_new"),
+    "repro.crypto.hmac": ("Hmac", "hmac_digest"),
+    "repro.crypto.drbg": ("HmacDrbg",),
+    "repro.crypto.rsa": (
+        "RsaKeyPair", "rsa_generate", "rsa_sign", "rsa_verify",
+    ),
+    "repro.crypto.ecdsa": (
+        "CURVES", "EcdsaKeyPair", "ecdsa_generate", "ecdsa_sign",
+        "ecdsa_verify",
+    ),
+    "repro.crypto.timing": ("OdroidXU4Model", "TimingModel"),
+})

@@ -1,70 +1,37 @@
-"""Experiment drivers: one function per paper artifact.
+"""The artifacts that run the device simulator.
 
-Both the CLI (``python -m repro``) and the paper-claim tests call these;
-each returns a small result object with the raw numbers plus a
-``render()`` producing the same rows/series the paper reports.
-
-Index (see DESIGN.md section 3):
-
-========  ==========================================================
-FIG1      :func:`fig1_timeline` -- on-demand RA timeline
-FIG2      :func:`fig2_report` -- hash/signature timing curves
-FIG3      :func:`fig3_overview` -- solution taxonomy
-FIG4      :func:`fig4_consistency` -- consistency vs locking policy
-FIG5      :func:`fig5_qoa` -- self-measurement QoA timeline
-TAB1      :func:`table1` -- the feature matrix, empirically
-SEC24     :func:`sec24_anchors` -- in-text timing numbers
-SEC25     :func:`sec25_firealarm` -- fire-alarm latency per mechanism
-SEC32     :func:`sec32_smarm` -- SMARM escape probabilities
-FLEET     :func:`fleet_qoa` -- Figure 5's QoA sweep at fleet scale
-========  ==========================================================
+Figure 1's exchange, Figure 4's writes against each locking policy,
+Figure 5's ERASMUS run, Table 1's empirical matrix, the Section 2.5
+fire alarm and the fleet-scale QoA sweep each build scenarios.
 """
 
 from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.fig2_model import (
-    anchor_report,
-    crossover_table,
-    render_series,
-    sweep_series,
-)
-from repro.analysis.smarm_math import (
-    multi_round_escape,
-    rounds_for_confidence,
-    single_round_escape,
-    single_round_escape_limit,
-)
 from repro.core.consistency import (
     ConsistencyAnalyzer,
     ConsistencyProfile,
     expected_consistency,
 )
 from repro.core.qoa import InfectionEvent, QoAParameters, QoATimeline
-from repro.core.solution import render_taxonomy, solution_table
+from repro.core.solution import solution_table
 from repro.core.tradeoff import (
     EvaluationMatrix,
     ScenarioConfig,
     evaluate_all,
 )
-from repro.crypto.timing import figure2_sizes
 from repro.errors import ConfigurationError
 from repro.malware.transient import TransientMalware
 from repro.ra.locking import make_policy
 from repro.ra.measurement import MeasurementConfig, MeasurementProcess
-from repro.ra.report import Verdict
-from repro.ra.smarm import escape_probability
-from repro.ra.software import SoftwareAttestation, SoftwareVerifier
-from repro.ra.verifier import Verifier
-from repro.resilience import RetryPolicy
 from repro.scenario import Scenario
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
-from repro.sim.network import Channel, DelayAdversary
-from repro.units import GiB, MiB, format_time, parse_size
+from repro.sim.network import DelayAdversary
+from repro.units import GiB, MiB, parse_size
 
 
 # ---------------------------------------------------------------------------
@@ -152,71 +119,6 @@ def fig1_timeline(
         verdict=exchange.result.verdict.value,
         deferral=deferral,
     )
-
-
-# ---------------------------------------------------------------------------
-# FIG2 / SEC24 -- timing curves and anchors
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Fig2Result:
-    series: Dict[str, List[Tuple[int, float]]]
-    anchors: list
-    crossovers: Dict[Tuple[str, str], float]
-
-    def render(self) -> str:
-        lines = [render_series(self.series), "", "In-text anchors:"]
-        for anchor in self.anchors:
-            status = "OK " if anchor.holds else "OFF"
-            lines.append(
-                f"  [{status}] {anchor.description}: model says "
-                f"{format_time(anchor.observed)} "
-                f"(paper ~{format_time(anchor.expected)})"
-            )
-        lines.append("")
-        lines.append("hash-vs-signature crossover sizes (sha256):")
-        for (hash_name, signature), size in sorted(self.crossovers.items()):
-            if hash_name != "sha256":
-                continue
-            lines.append(
-                f"  {signature:>9}: hashing overtakes signing at "
-                f"{size / MiB:8.3f} MiB"
-            )
-        return "\n".join(lines)
-
-
-def fig2_report(points_per_decade: int = 1) -> Fig2Result:
-    """Reproduce Figure 2 from the calibrated timing model."""
-    sizes = figure2_sizes(points_per_decade)
-    return Fig2Result(
-        series=sweep_series(sizes=sizes),
-        anchors=anchor_report(),
-        crossovers=crossover_table(),
-    )
-
-
-def sec24_anchors() -> list:
-    """Just the Section 2.4 anchor checks."""
-    return anchor_report()
-
-
-# ---------------------------------------------------------------------------
-# FIG3 -- taxonomy
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Fig3Result:
-    tree: str
-    table: str
-
-    def render(self) -> str:
-        return self.tree + "\n\n" + self.table
-
-
-def fig3_overview() -> Fig3Result:
-    return Fig3Result(tree=render_taxonomy(), table=solution_table())
 
 
 # ---------------------------------------------------------------------------
@@ -565,39 +467,6 @@ def sec25_firealarm(
 
 
 # ---------------------------------------------------------------------------
-# SEC32 -- SMARM escape probabilities
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Sec32Result:
-    n_blocks: int
-    mc_single: float
-    exact_single: float
-    limit: float
-    rounds_table: List[Tuple[int, float]]
-    rounds_needed: int
-
-    def render(self) -> str:
-        lines = [
-            f"single-round escape, n={self.n_blocks}: "
-            f"Monte-Carlo {self.mc_single:.4f}, "
-            f"exact ((n-1)/n)^n = {self.exact_single:.4f}, "
-            f"limit e^-1 = {self.limit:.4f}",
-            "",
-            f"{'rounds':>7} {'P(escape all)':>15}",
-        ]
-        for rounds, escape in self.rounds_table:
-            lines.append(f"{rounds:>7} {escape:>15.3e}")
-        lines.append(
-            f"\nrounds needed for escape < 1e-6: {self.rounds_needed} "
-            "(the paper: 'after 13 checks that probability is below "
-            "10^-6')"
-        )
-        return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
 # FLEET -- the Figure 5 QoA story, hundreds of provers deep
 # ---------------------------------------------------------------------------
 
@@ -683,255 +552,29 @@ def fleet_qoa(seed_count: int = 6, workers: int = 0) -> FleetQoAResult:
     )
 
 
-def sec32_smarm(n_blocks: int = 64, trials: int = 4000) -> Sec32Result:
-    mc = escape_probability(n_blocks, trials=trials)
-    rounds_table = [
-        (rounds, multi_round_escape(n_blocks, rounds))
-        for rounds in (1, 2, 3, 5, 8, 13, 14)
-    ]
-    return Sec32Result(
-        n_blocks=n_blocks,
-        mc_single=mc,
-        exact_single=single_round_escape(n_blocks),
-        limit=single_round_escape_limit(),
-        rounds_table=rounds_table,
-        rounds_needed=rounds_for_confidence(n_blocks),
-    )
-
-
 # ---------------------------------------------------------------------------
-# ARTIFACTS -- the paper artifacts as ``repro`` subcommands
+# the ``repro`` commands (arguments in repro.experiments.ARTIFACTS)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Artifact:
-    """One paper artifact as a ``repro`` subcommand.
-
-    ``arguments`` are ``(flag, add_argument keywords)`` pairs, so each
-    CLI default lives here and nowhere else; ``run`` takes the parsed
-    namespace and returns the text the command prints.
-    """
-
-    name: str
-    help: str
-    #: the ``repro all`` section title; ``None`` keeps it out of ``all``
-    title: Optional[str]
-    arguments: Tuple[Tuple[str, Dict[str, Any]], ...]
-    run: Callable[[argparse.Namespace], str]
+def run_fig1(args: argparse.Namespace) -> str:
+    return fig1_timeline(
+        memory_mib=max(1, parse_size(args.memory) // MiB),
+        deferral=args.deferral,
+    ).render()
 
 
-def _run_faults(args: argparse.Namespace) -> str:
-    """Drive on-demand mechanisms through a seeded FaultPlan and print
-    the degradation ledger (docs/resilience.md)."""
-    spacing = 2.0
-    horizon = 1.0 + spacing * args.exchanges + 10.0
-    lines = [
-        f"fault plan: {args.plan!r}  "
-        f"({args.exchanges} exchanges per mechanism, seed {args.seed})",
-    ]
-    for mechanism in args.mechanisms:
-        scenario = Scenario.build(
-            mechanism=mechanism,
-            faults=args.plan,
-            config=ScenarioConfig(
-                block_count=8, sim_block_size=MiB, horizon=horizon,
-            ),
-            seed=args.seed,
-            retry=RetryPolicy(
-                timeout=1.0, max_retries=6, backoff=1.5,
-                max_timeout=4.0,
-                seed=f"faults-cli-{args.seed}".encode(),
-            ),
-            fault_seed=f"faults-cli-{args.seed}-{mechanism}".encode(),
-        )
-        for index in range(args.exchanges):
-            scenario.schedule_request(1.0 + spacing * index)
-        scenario.run()
-        false_alarms = sum(
-            1 for r in scenario.verifier.results
-            if r.verdict is Verdict.COMPROMISED
-        )
-        lines.append("")
-        lines.append(scenario.outcomes.render(title=f"{mechanism}:"))
-        if false_alarms:
-            lines.append(
-                f"  WARNING: {false_alarms} false 'compromised' "
-                "verdict(s) on a benign device"
-            )
-    return "\n".join(lines)
+def run_fig4(args: argparse.Namespace) -> str:
+    return fig4_consistency().render()
 
 
-def _run_swarm(args: argparse.Namespace) -> str:
-    from repro.swarm import SwarmAttestation, make_topology
-
-    sim = Simulator()
-    topology = make_topology(sim, count=args.count, shape=args.shape)
-    verifier = Verifier(sim)
-    swarm = SwarmAttestation(topology, verifier)
-    for index in args.infect:
-        if 0 <= index < args.count:
-            TransientMalware(
-                topology.devices[index], target_block=3, infect_at=0.0,
-                name=f"mal-{index}",
-            )
-    nonce = swarm.attest(timeout=60.0)
-    sim.run(until=120.0)
-    result = swarm.result_for(nonce)
-    lines = [
-        f"swarm of {args.count} devices ({args.shape})",
-        f"aggregate valid : {result.valid}",
-        f"healthy         : {result.healthy}/{result.total}",
-        f"dirty nodes     : {', '.join(result.dirty_nodes) or '(none)'}",
-        f"completed at    : t = {result.completed_at:.3f} s",
-    ]
-    return "\n".join(lines)
+def run_fig5(args: argparse.Namespace) -> str:
+    return fig5_qoa(t_m=args.tm, t_c=args.tc).render()
 
 
-def _run_swatt(args: argparse.Namespace) -> str:
-    def play(redirect_penalty, speedup, infected):
-        sim = Simulator()
-        device = Device(sim, block_count=16, block_size=32,
-                        sim_block_size=MiB)
-        channel = Channel(sim, latency=0.005)
-        device.attach_network(channel)
-        service = SoftwareAttestation(
-            device, redirect_penalty=redirect_penalty,
-            forgery_speedup=speedup,
-        )
-        service.install()
-        reads = device.block_count * service.iterations
-        honest = device.timing.hash_time(
-            "sha256", device.memory.sim_block_size * reads
-        )
-        swatt_verifier = SoftwareVerifier(
-            channel, list(device.memory.benign_image()), honest
-        )
-        if infected:
-            TransientMalware(device, target_block=5, infect_at=0.0)
-        sim.schedule_at(0.5, swatt_verifier.challenge, device.name)
-        sim.run(until=60)
-        return swatt_verifier.verdicts[0]
-
-    rows = [
-        ("honest device", play(0.0, 1.0, False)),
-        ("naive malware", play(0.0, 1.0, True)),
-        ("redirecting malware", play(args.penalty, 1.0, True)),
-        ("optimized adversary", play(args.penalty, args.speedup, True)),
-    ]
-    lines = ["software-based RA timing game"]
-    for label, verdict in rows:
-        mark = "ACCEPTED" if verdict.accepted else "rejected"
-        lines.append(
-            f"  {label:<22} checksum "
-            f"{'ok' if verdict.correct else 'BAD'}  "
-            f"elapsed {verdict.elapsed:7.4f}s "
-            f"(limit {verdict.threshold:.4f}s)  -> {mark}"
-        )
-    return "\n".join(lines)
+def run_table1(args: argparse.Namespace) -> str:
+    return table1().render()
 
 
-#: every paper artifact ``repro`` offers, in ``--help`` order
-ARTIFACTS: Tuple[Artifact, ...] = (
-    Artifact(
-        "fig1", "on-demand RA timeline", "FIG1",
-        (
-            ("--memory", dict(default="64MiB",
-                              help="attested memory size (default 64MiB)")),
-            ("--deferral", dict(type=float, default=0.05,
-                                help="request deferral on the prover, "
-                                     "seconds")),
-        ),
-        lambda args: fig1_timeline(
-            memory_mib=max(1, parse_size(args.memory) // MiB),
-            deferral=args.deferral,
-        ).render(),
-    ),
-    Artifact(
-        "fig2", "hash/signature timing curves", "FIG2",
-        (
-            ("--points", dict(type=int, default=1,
-                              help="points per decade in the size sweep")),
-        ),
-        lambda args: fig2_report(points_per_decade=args.points).render(),
-    ),
-    Artifact(
-        "fig3", "solution taxonomy and Table 1 text", "FIG3", (),
-        lambda args: fig3_overview().render(),
-    ),
-    Artifact(
-        "fig4", "consistency timeline per locking policy", "FIG4", (),
-        lambda args: fig4_consistency().render(),
-    ),
-    Artifact(
-        "fig5", "QoA timeline (self-measurement)", "FIG5",
-        (
-            ("--tm", dict(type=float, default=4.0, help="T_M seconds")),
-            ("--tc", dict(type=float, default=16.0, help="T_C seconds")),
-        ),
-        lambda args: fig5_qoa(t_m=args.tm, t_c=args.tc).render(),
-    ),
-    Artifact(
-        "table1", "empirical feature matrix vs claims", "TABLE1", (),
-        lambda args: table1().render(),
-    ),
-    Artifact(
-        "firealarm", "Section 2.5 fire alarm", "SEC25",
-        (
-            ("--memory", dict(default="1GiB",
-                              help="attested memory size (default 1GiB)")),
-        ),
-        lambda args: sec25_firealarm(
-            memory_bytes=parse_size(args.memory)
-        ).render(),
-    ),
-    Artifact(
-        "smarm", "SMARM escape probabilities", "SEC32",
-        (
-            ("--blocks", dict(type=int, default=64)),
-            ("--trials", dict(type=int, default=4000)),
-        ),
-        lambda args: sec32_smarm(
-            n_blocks=args.blocks, trials=args.trials
-        ).render(),
-    ),
-    Artifact(
-        "faults", "on-demand RA under an adversarial channel", None,
-        (
-            ("--plan", dict(default="loss=0.3@0:40;reset@6",
-                            help="FaultPlan DSL (docs/resilience.md)")),
-            ("--exchanges", dict(type=int, default=20,
-                                 help="attestation exchanges per "
-                                      "mechanism")),
-            ("--mechanisms", dict(nargs="*",
-                                  default=("smart", "inc-lock", "smarm"),
-                                  help="on-demand mechanisms to drive")),
-            ("--seed", dict(type=int, default=7)),
-        ),
-        _run_faults,
-    ),
-    Artifact(
-        "swarm", "collective attestation demo", None,
-        (
-            ("--count", dict(type=int, default=15,
-                             help="number of devices")),
-            ("--shape", dict(default="tree",
-                             choices=["tree", "star", "line", "random"])),
-            ("--infect", dict(type=int, nargs="*", default=(4, 9),
-                              help="node indices to infect")),
-        ),
-        _run_swarm,
-    ),
-    Artifact(
-        "swatt", "software-based RA timing game (legacy devices)", None,
-        (
-            ("--penalty", dict(type=float, default=2e-3,
-                               help="redirection penalty per read, "
-                                    "seconds")),
-            ("--speedup", dict(type=float, default=0.5,
-                               help="the optimized adversary's speed "
-                                    "factor")),
-        ),
-        _run_swatt,
-    ),
-)
+def run_firealarm(args: argparse.Namespace) -> str:
+    return sec25_firealarm(memory_bytes=parse_size(args.memory)).render()

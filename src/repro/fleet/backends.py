@@ -18,10 +18,9 @@ campaign in RAM.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Iterator,
@@ -35,6 +34,9 @@ from repro.errors import ConfigurationError
 from repro.fleet.campaign import RunSpec
 from repro.fleet.executor import Runner, _run_shard, execute_run
 from repro.fleet.telemetry import RunResult
+
+if TYPE_CHECKING:  # the serial backend never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
 LogFn = Callable[[str], None]
 
@@ -138,6 +140,8 @@ class SerialBackend:
 
 
 def _default_pool_factory(workers: int) -> ProcessPoolExecutor:
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(max_workers=workers)
 
 
@@ -170,6 +174,8 @@ class ProcessPoolBackend:
         runner: Runner = execute_run,
         log: Optional[LogFn] = None,
     ) -> Iterator[ShardOutcome]:
+        from concurrent.futures.process import BrokenProcessPool
+
         emit = log or (lambda message: None)
         pool = None
         try:

@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.ra.service import check_rounds
 from repro.scenario import MALWARE, MECHANISMS, WORKLOADS
 from repro.units import MiB
 
@@ -184,13 +185,7 @@ class RunSpec:
             raise ConfigurationError(
                 "probe_count must be an integer within [0, inf)"
             )
-        if not (
-            isinstance(self.rounds, int)
-            and not isinstance(self.rounds, bool) and self.rounds >= 1
-        ):
-            raise ConfigurationError(
-                "rounds must be an integer within [1, inf)"
-            )
+        check_rounds(self.rounds)
         if not (isinstance(self.trace_limit, int) and self.trace_limit >= 1):
             raise ConfigurationError(
                 "trace_limit must be an integer within [1, inf)"

@@ -4,61 +4,24 @@ See :mod:`repro.obs.core` for the façade and docs/observability.md for
 the span model and exporter formats.
 """
 
-from repro.obs.chrome import chrome_trace_events, write_chrome_trace
-from repro.obs.core import NULL_OBS, NullObservability, Observability
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    to_prometheus_text,
-)
-from repro.obs.profiler import (
-    NULL_PROFILER,
-    EventLoopProfiler,
-    NullProfiler,
-    SiteStats,
-    callback_site,
-)
-from repro.obs.slo import (
-    SLO_PRESETS,
-    SLOEngine,
-    SLObjective,
-    parse_objectives,
-)
-from repro.obs.spans import NULL_TRACKER, NullSpanTracker, Span, SpanTracker
-from repro.obs.tracectx import TraceContext, mint_trace_id
+from repro import export_lazily
 
-__all__ = [
-    "NULL_OBS",
-    "NULL_PROFILER",
-    "NULL_REGISTRY",
-    "NULL_TRACKER",
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "EventLoopProfiler",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NullObservability",
-    "NullProfiler",
-    "NullSpanTracker",
-    "Observability",
-    "SLO_PRESETS",
-    "SLOEngine",
-    "SLObjective",
-    "Span",
-    "SpanTracker",
-    "SiteStats",
-    "TraceContext",
-    "mint_trace_id",
-    "parse_objectives",
-    "callback_site",
-    "chrome_trace_events",
-    "to_prometheus_text",
-    "write_chrome_trace",
-]
+__all__ = export_lazily(globals(), {
+    "repro.obs.chrome": ("chrome_trace_events", "write_chrome_trace"),
+    "repro.obs.core": ("NULL_OBS", "NullObservability", "Observability"),
+    "repro.obs.metrics": (
+        "DEFAULT_BUCKETS", "NULL_REGISTRY", "Counter", "Gauge", "Histogram",
+        "MetricsRegistry", "NullMetricsRegistry", "to_prometheus_text",
+    ),
+    "repro.obs.profiler": (
+        "NULL_PROFILER", "EventLoopProfiler", "NullProfiler", "SiteStats",
+        "callback_site",
+    ),
+    "repro.obs.slo": (
+        "SLO_PRESETS", "SLOEngine", "SLObjective", "parse_objectives",
+    ),
+    "repro.obs.spans": (
+        "NULL_TRACKER", "NullSpanTracker", "Span", "SpanTracker",
+    ),
+    "repro.obs.tracectx": ("TraceContext", "mint_trace_id"),
+})

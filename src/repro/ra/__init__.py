@@ -5,7 +5,8 @@ One module per point in the solution landscape (Section 3):
 * :mod:`repro.ra.smart` -- the baseline: atomic on-demand RA (SMART);
 * :mod:`repro.ra.locking` -- No-Lock / All-Lock / All-Lock-Ext /
   Dec-Lock / Inc-Lock / Inc-Lock-Ext consistency mechanisms;
-* :mod:`repro.ra.smarm` -- interruptible shuffled measurements (SMARM);
+* :mod:`repro.ra.smarm_service` -- interruptible shuffled measurements
+  (SMARM); :mod:`repro.ra.smarm` is its abstract escape game;
 * :mod:`repro.ra.erasmus` -- periodic self-measurement (ERASMUS);
 * :mod:`repro.ra.seed` -- prover-initiated non-interactive RA (SeED);
 * :mod:`repro.ra.tytan` -- per-process measurement (TyTAN model);
@@ -20,65 +21,32 @@ supported by:
 * :mod:`repro.ra.report` -- measurement records and attestation reports;
 * :mod:`repro.ra.measurement` -- the block-traversal measurement engine;
 * :mod:`repro.ra.verifier` -- the trusted verifier.
+
+Every name below is exported lazily: ``from repro.ra import Verifier``
+imports :mod:`repro.ra.verifier` (and what it needs), no mechanism.
 """
 
-from repro.ra.report import (
-    AttestationReport,
-    MeasurementRecord,
-    VerificationResult,
-    Verdict,
-)
-from repro.ra.measurement import MeasurementConfig, MeasurementProcess
-from repro.ra.locking import (
-    LockingPolicy,
-    NoLock,
-    AllLock,
-    DecLock,
-    IncLock,
-    make_policy,
-    POLICY_NAMES,
-)
-from repro.ra.verifier import Verifier
-from repro.ra.smart import SmartAttestation
-from repro.ra.smarm import SmarmAttestation
-from repro.ra.erasmus import ErasmusService, CollectionResult
-from repro.ra.seed import SeedService
-from repro.ra.tytan import TytanAttestation, ProcessPartition
-from repro.ra.software import SoftwareAttestation, SoftwareVerifier
-from repro.ra.signing import (
-    PublicIdentity,
-    SigningIdentity,
-    make_signing_identity,
-)
-from repro.ra.update import UpdateCoordinator, UpdateService
+from repro import export_lazily
 
-__all__ = [
-    "AttestationReport",
-    "MeasurementRecord",
-    "VerificationResult",
-    "Verdict",
-    "MeasurementConfig",
-    "MeasurementProcess",
-    "LockingPolicy",
-    "NoLock",
-    "AllLock",
-    "DecLock",
-    "IncLock",
-    "make_policy",
-    "POLICY_NAMES",
-    "Verifier",
-    "SmartAttestation",
-    "SmarmAttestation",
-    "ErasmusService",
-    "CollectionResult",
-    "SeedService",
-    "TytanAttestation",
-    "ProcessPartition",
-    "SoftwareAttestation",
-    "SoftwareVerifier",
-    "PublicIdentity",
-    "SigningIdentity",
-    "make_signing_identity",
-    "UpdateCoordinator",
-    "UpdateService",
-]
+__all__ = export_lazily(globals(), {
+    "repro.ra.report": (
+        "AttestationReport", "MeasurementRecord", "VerificationResult",
+        "Verdict",
+    ),
+    "repro.ra.measurement": ("MeasurementConfig", "MeasurementProcess"),
+    "repro.ra.locking": (
+        "LockingPolicy", "NoLock", "AllLock", "DecLock", "IncLock",
+        "make_policy", "POLICY_NAMES",
+    ),
+    "repro.ra.verifier": ("Verifier",),
+    "repro.ra.smart": ("SmartAttestation",),
+    "repro.ra.smarm_service": ("SmarmAttestation",),
+    "repro.ra.erasmus": ("ErasmusService", "CollectionResult"),
+    "repro.ra.seed": ("SeedService",),
+    "repro.ra.tytan": ("TytanAttestation", "ProcessPartition"),
+    "repro.ra.software": ("SoftwareAttestation", "SoftwareVerifier"),
+    "repro.ra.signing": (
+        "PublicIdentity", "SigningIdentity", "make_signing_identity",
+    ),
+    "repro.ra.update": ("UpdateCoordinator", "UpdateService"),
+})

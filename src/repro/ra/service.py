@@ -35,6 +35,11 @@ from repro.sim.process import Compute, Process, Sleep, WaitSignal
 #: how many settled challenge nonces the prover remembers for dedup
 DEDUP_CACHE_SIZE = 64
 
+#: the most measurement passes one request may ask for: about five
+#: times the 13 rounds that push SMARM's escape odds below 10^-6
+#: (Section 3.2), so a request cannot keep the prover measuring
+MAX_ROUNDS = 64
+
 
 def send_report(endpoint: Endpoint, dst: str, report: Any,
                 kind: str = "att_report",
@@ -497,17 +502,21 @@ class ExchangeDriver:
 
 
 def _valid_rounds(rounds: Any) -> bool:
-    """An integer >= 1 (a ``bool`` is not a round count)."""
+    """An integer in ``[1, MAX_ROUNDS]`` (a ``bool`` is not a round
+    count)."""
     return (
         isinstance(rounds, int) and not isinstance(rounds, bool)
-        and rounds >= 1
+        and 1 <= rounds <= MAX_ROUNDS
     )
 
 
-def _check_rounds(rounds: Any) -> int:
+def check_rounds(rounds: Any) -> int:
+    """``rounds`` if it is a valid round count, else
+    :class:`ConfigurationError` (run specs and verifier drivers)."""
     if not _valid_rounds(rounds):
         raise ConfigurationError(
-            f"rounds must be an integer >= 1, got {rounds!r}"
+            f"rounds must be an integer within [1, {MAX_ROUNDS}], "
+            f"got {rounds!r}"
         )
     return rounds
 
@@ -539,7 +548,7 @@ class OnDemandVerifier(ExchangeDriver):
         rounds: int = 1,
     ) -> None:
         self.outcomes = outcomes
-        self.rounds = _check_rounds(rounds)
+        self.rounds = check_rounds(rounds)
         self.exchanges: List[AttestationExchange] = []
         super().__init__(verifier, channel, endpoint_name, verify_latency,
                          retry)
@@ -553,7 +562,7 @@ class OnDemandVerifier(ExchangeDriver):
         """Send a challenge for ``rounds`` passes (default: the
         driver's) to ``device_name``; returns the exchange object that
         will be filled in as the protocol completes."""
-        rounds = self.rounds if rounds is None else _check_rounds(rounds)
+        rounds = self.rounds if rounds is None else check_rounds(rounds)
         nonce = self.verifier.new_nonce(device_name)
         exchange = self._open(
             device_name, nonce,

@@ -12,41 +12,21 @@ measurements drive the escape probability down exponentially
 (about :math:`e^{-k}`; the paper: "after 13 checks that probability
 is below 10^-6").
 
-:class:`SmarmAttestation` configures the shared service for shuffled,
-interruptible, multi-round measurement.  The closed-form math lives in
-:mod:`repro.analysis.smarm_math`; the Monte-Carlo experiment that
-checks the simulation against it lives in
-:func:`repro.ra.smarm.escape_trial` / :func:`escape_probability`.
+This module is the abstract game: :func:`escape_trial` /
+:func:`escape_probability` play it by Monte Carlo against the closed
+forms in :mod:`repro.analysis.smarm_math`, and import nothing but the
+DRBG.  :class:`SmarmAttestation`, which configures the shared service
+for shuffled, interruptible, multi-round measurement, lives in
+:mod:`repro.ra.smarm_service`; it is still exported here, loaded on
+first use.
 """
 
 from __future__ import annotations
 
+from repro import export_lazily
 from repro.crypto.drbg import HmacDrbg
-from repro.ra.measurement import MeasurementConfig
-from repro.ra.service import AttestationService
-from repro.sim.device import Device
 
-class SmarmAttestation(AttestationService):
-    """Interruptible shuffled-order on-demand RA."""
-
-    def __init__(
-        self,
-        device: Device,
-        algorithm: str = "blake2s",
-        priority: int = 40,
-        inter_round_gap: float = 0.0,
-    ) -> None:
-        config = MeasurementConfig(
-            algorithm=algorithm,
-            order="shuffled",
-            atomic=False,
-            locking=None,
-            priority=priority,
-        )
-        super().__init__(
-            device, config, mechanism="smarm",
-            inter_round_gap=inter_round_gap,
-        )
+export_lazily(globals(), {"repro.ra.smarm_service": ("SmarmAttestation",)})
 
 
 def escape_trial(n_blocks: int, drbg: HmacDrbg,

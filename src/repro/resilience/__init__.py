@@ -26,25 +26,13 @@ faults-disabled fleet campaigns stay byte-identical to the golden
 artifacts.
 """
 
-from repro.resilience.faults import FaultInjector, FaultPlan
-from repro.resilience.outcome import (
-    OUTCOME_OK,
-    OUTCOME_RESET_ABORTED,
-    OUTCOME_RETRIED_OK,
-    OUTCOME_TIMED_OUT,
-    ExchangeOutcome,
-    OutcomeReport,
-)
-from repro.resilience.retry import RetryPolicy
+from repro import export_lazily
 
-__all__ = [
-    "FaultInjector",
-    "FaultPlan",
-    "RetryPolicy",
-    "OutcomeReport",
-    "ExchangeOutcome",
-    "OUTCOME_OK",
-    "OUTCOME_RETRIED_OK",
-    "OUTCOME_TIMED_OUT",
-    "OUTCOME_RESET_ABORTED",
-]
+__all__ = export_lazily(globals(), {
+    "repro.resilience.faults": ("FaultInjector", "FaultPlan"),
+    "repro.resilience.outcome": (
+        "OUTCOME_OK", "OUTCOME_RESET_ABORTED", "OUTCOME_RETRIED_OK",
+        "OUTCOME_TIMED_OUT", "ExchangeOutcome", "OutcomeReport",
+    ),
+    "repro.resilience.retry": ("RetryPolicy",),
+})

@@ -29,7 +29,7 @@ or prover-pushed -- and how its prover-side service is built),
 and the Table 1 harness all read them, and every builder reads its
 settings from the one :class:`~repro.core.tradeoff.ScenarioConfig`.
 
-``experiments.py`` and the fleet executor route through this factory;
+:mod:`repro.experiments` and the fleet executor route through this factory;
 hand-wiring the stack elsewhere is reserved for tests that probe a
 single layer.
 """
@@ -53,7 +53,7 @@ from repro.ra.measurement import MeasurementConfig
 from repro.ra.report import Verdict
 from repro.ra.seed import SeedMonitor, SeedService
 from repro.ra.service import AttestationService, OnDemandVerifier
-from repro.ra.smarm import SmarmAttestation
+from repro.ra.smarm_service import SmarmAttestation
 from repro.ra.smart import SmartAttestation
 from repro.ra.verifier import Verifier
 from repro.resilience.faults import FaultInjector, FaultPlan

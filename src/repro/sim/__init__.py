@@ -18,57 +18,20 @@ This subpackage provides the "hardware" the paper assumes:
   benchmarks.
 """
 
-from repro.sim.engine import Simulator, Signal, EventHandle
-from repro.sim.process import (
-    CPU,
-    Process,
-    Compute,
-    Sleep,
-    WaitSignal,
-    Atomic,
-    Yield,
-)
-from repro.sim.memory import Memory, MemoryBlock, Region, MemoryImage
-from repro.sim.mpu import MemoryProtectionUnit, FaultPolicy
-from repro.sim.task import PeriodicTask, TaskStats
-from repro.sim.device import Device, SecureTimer
-from repro.sim.network import (
-    Channel,
-    ChannelFilter,
-    DropAdversary,
-    Endpoint,
-    FilterVerdict,
-    Message,
-)
-from repro.sim.trace import Trace, TraceRecord
+from repro import export_lazily
 
-__all__ = [
-    "Simulator",
-    "Signal",
-    "EventHandle",
-    "CPU",
-    "Process",
-    "Compute",
-    "Sleep",
-    "WaitSignal",
-    "Atomic",
-    "Yield",
-    "Memory",
-    "MemoryBlock",
-    "Region",
-    "MemoryImage",
-    "MemoryProtectionUnit",
-    "FaultPolicy",
-    "PeriodicTask",
-    "TaskStats",
-    "Device",
-    "SecureTimer",
-    "Channel",
-    "ChannelFilter",
-    "FilterVerdict",
-    "Endpoint",
-    "Message",
-    "DropAdversary",
-    "Trace",
-    "TraceRecord",
-]
+__all__ = export_lazily(globals(), {
+    "repro.sim.engine": ("Simulator", "Signal", "EventHandle"),
+    "repro.sim.process": (
+        "CPU", "Process", "Compute", "Sleep", "WaitSignal", "Atomic", "Yield",
+    ),
+    "repro.sim.memory": ("Memory", "MemoryBlock", "Region", "MemoryImage"),
+    "repro.sim.mpu": ("MemoryProtectionUnit", "FaultPolicy"),
+    "repro.sim.task": ("PeriodicTask", "TaskStats"),
+    "repro.sim.device": ("Device", "SecureTimer"),
+    "repro.sim.network": (
+        "Channel", "ChannelFilter", "DropAdversary", "Endpoint",
+        "FilterVerdict", "Message",
+    ),
+    "repro.sim.trace": ("Trace", "TraceRecord"),
+})

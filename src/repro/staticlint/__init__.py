@@ -47,57 +47,24 @@ Inline suppression: ``# repro: allow[rule-id]  -- justification`` is
 the one way to accept a finding.
 """
 
-from repro.staticlint.callgraph import ProjectIndex
-from repro.staticlint.cli import build_report, main, run_lint
-from repro.staticlint.dataflow import TaintSpec, run_taint
-from repro.staticlint.engine import (
-    ProjectAnalysis,
-    ProjectContext,
-    analyze_project,
-    analyze_source,
-    iter_python_files,
-)
-from repro.staticlint.findings import Finding, Severity
-from repro.staticlint.registry import (
-    LintConfig,
-    Rule,
-    all_rules,
-    get_rule,
-    selected_project_rules,
-    selected_rules,
-)
-from repro.staticlint.reporters import LintReport, rule_catalogue
-from repro.staticlint.sarif import render_sarif
-from repro.staticlint.symbols import (
-    FunctionInfo,
-    ModuleSummary,
-    extract_module_summary,
-)
+from repro import export_lazily
 
-__all__ = [
-    "Finding",
-    "FunctionInfo",
-    "LintConfig",
-    "LintReport",
-    "ModuleSummary",
-    "ProjectAnalysis",
-    "ProjectContext",
-    "ProjectIndex",
-    "Rule",
-    "TaintSpec",
-    "all_rules",
-    "analyze_project",
-    "analyze_source",
-    "build_report",
-    "extract_module_summary",
-    "get_rule",
-    "iter_python_files",
-    "main",
-    "render_sarif",
-    "rule_catalogue",
-    "run_lint",
-    "run_taint",
-    "selected_project_rules",
-    "selected_rules",
-    "Severity",
-]
+__all__ = export_lazily(globals(), {
+    "repro.staticlint.callgraph": ("ProjectIndex",),
+    "repro.staticlint.cli": ("build_report", "main", "run_lint"),
+    "repro.staticlint.dataflow": ("TaintSpec", "run_taint"),
+    "repro.staticlint.engine": (
+        "ProjectAnalysis", "ProjectContext", "analyze_project",
+        "analyze_source", "iter_python_files",
+    ),
+    "repro.staticlint.findings": ("Finding", "Severity"),
+    "repro.staticlint.registry": (
+        "LintConfig", "Rule", "all_rules", "get_rule",
+        "selected_project_rules", "selected_rules",
+    ),
+    "repro.staticlint.reporters": ("LintReport", "rule_catalogue"),
+    "repro.staticlint.sarif": ("render_sarif",),
+    "repro.staticlint.symbols": (
+        "FunctionInfo", "ModuleSummary", "extract_module_summary",
+    ),
+})

@@ -14,28 +14,15 @@ device point-to-point.
   against physical attacks.
 """
 
-from repro.swarm.topology import SwarmTopology, make_topology
-from repro.swarm.collective import (
-    SwarmAttestation,
-    SwarmNodeService,
-    SwarmResult,
-)
-from repro.swarm.lisa import (
-    LisaAlphaAttestation,
-    LisaAlphaNode,
-    LisaAlphaResult,
-)
-from repro.swarm.darpa import AbsenceEvent, HeartbeatProtocol
+from repro import export_lazily
 
-__all__ = [
-    "SwarmTopology",
-    "make_topology",
-    "SwarmAttestation",
-    "SwarmNodeService",
-    "SwarmResult",
-    "LisaAlphaAttestation",
-    "LisaAlphaNode",
-    "LisaAlphaResult",
-    "AbsenceEvent",
-    "HeartbeatProtocol",
-]
+__all__ = export_lazily(globals(), {
+    "repro.swarm.topology": ("SwarmTopology", "make_topology"),
+    "repro.swarm.collective": (
+        "SwarmAttestation", "SwarmNodeService", "SwarmResult",
+    ),
+    "repro.swarm.lisa": (
+        "LisaAlphaAttestation", "LisaAlphaNode", "LisaAlphaResult",
+    ),
+    "repro.swarm.darpa": ("AbsenceEvent", "HeartbeatProtocol"),
+})

@@ -19,29 +19,15 @@ Entry points:
 * ``repro serve`` -- the load-test CLI (:mod:`repro.vserver.cli`).
 """
 
-from repro.vserver.loadgen import LoadGenerator, SimProver
-from repro.vserver.server import (
-    LedgerEntry,
-    ServerConfig,
-    TokenBucket,
-    VerifierServer,
-)
-from repro.vserver.service import (
-    SERVICE_PRESETS,
-    ServiceConfig,
-    ServiceScenario,
-    build_service_scenario,
-)
+from repro import export_lazily
 
-__all__ = [
-    "LedgerEntry",
-    "LoadGenerator",
-    "SERVICE_PRESETS",
-    "ServerConfig",
-    "ServiceConfig",
-    "ServiceScenario",
-    "SimProver",
-    "TokenBucket",
-    "VerifierServer",
-    "build_service_scenario",
-]
+__all__ = export_lazily(globals(), {
+    "repro.vserver.loadgen": ("LoadGenerator", "SimProver"),
+    "repro.vserver.server": (
+        "LedgerEntry", "ServerConfig", "TokenBucket", "VerifierServer",
+    ),
+    "repro.vserver.service": (
+        "SERVICE_PRESETS", "ServiceConfig", "ServiceScenario",
+        "build_service_scenario",
+    ),
+})

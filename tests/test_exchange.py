@@ -19,7 +19,7 @@ from repro.errors import ConfigurationError
 from repro.fleet.campaign import RunSpec
 from repro.ra.erasmus import CollectorVerifier, ErasmusService
 from repro.ra.report import AttestationReport, Verdict
-from repro.ra.service import OnDemandVerifier
+from repro.ra.service import MAX_ROUNDS, OnDemandVerifier
 from repro.ra.smart import SmartAttestation
 from repro.ra.update import UpdateCoordinator, UpdateService
 from repro.ra.verifier import Verifier
@@ -298,11 +298,11 @@ class TestMalformedFrames:
         assert [o.installed for o in rig.driver.outcomes] == [True]
 
 
-BAD_ROUNDS = ["many", 0, -1, True, 2.5]
+BAD_ROUNDS = ["many", 0, -1, True, 2.5, MAX_ROUNDS + 1]
 
 
 class TestRounds:
-    @pytest.mark.parametrize("rounds", [0, -1, 2.5, True])
+    @pytest.mark.parametrize("rounds", [0, -1, 2.5, True, MAX_ROUNDS + 1])
     def test_run_spec_rejects(self, rounds):
         with pytest.raises(ConfigurationError, match="rounds"):
             RunSpec(mechanism="smarm", rounds=rounds)
@@ -339,7 +339,26 @@ class TestRounds:
         assert runs[1][1] == [{"src": "rogue", "rounds": 1}]
         assert runs[1][2] == []
 
-    @pytest.mark.parametrize("rounds", [0, -1, 2.5, True])
+    def test_max_rounds_is_accepted(self):
+        assert RunSpec(mechanism="smarm", rounds=MAX_ROUNDS).rounds == 64
+        rig = make_rig("driver")
+        rig.driver.request(rig.device.name, rounds=MAX_ROUNDS)
+        assert len(rig.driver.exchanges) == 1
+
+    def test_a_rogue_request_cannot_keep_the_prover_measuring(self):
+        """200 rounds would measure until the horizon; the prover drops
+        the request and measures only the driver's own one."""
+        scenario = Scenario.build("smart")
+        rogue = scenario.channel.make_endpoint("rogue")
+        scenario.sim.schedule_at(
+            0.5, rogue.send, scenario.device.name, "att_request",
+            {"nonce": b"r" * 16, "rounds": 200},
+        )
+        scenario.drive()
+        scenario.run()
+        assert len(scenario.device.trace.filter(kind="mp.start")) == 1
+
+    @pytest.mark.parametrize("rounds", [0, -1, 2.5, True, MAX_ROUNDS + 1])
     def test_driver_rejects(self, rounds):
         rig = make_rig("driver")
         with pytest.raises(ConfigurationError, match="rounds"):
