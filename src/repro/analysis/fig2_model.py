@@ -115,19 +115,6 @@ def sweep_series(
     return series
 
 
-def loglog_slope(series: List[Tuple[int, float]],
-                 low: int, high: int) -> float:
-    """Log-log slope of a curve between two sizes (1.0 = linear)."""
-    import math
-
-    def value_at(target: int) -> float:
-        best = min(series, key=lambda point: abs(point[0] - target))
-        return best[1]
-
-    t_low, t_high = value_at(low), value_at(high)
-    return math.log(t_high / t_low) / math.log(high / low)
-
-
 def render_series(series: Dict[str, List[Tuple[int, float]]],
                   sizes: Optional[List[int]] = None) -> str:
     """Figure 2 as an aligned text table (sizes down, algorithms across)."""

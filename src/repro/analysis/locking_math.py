@@ -64,12 +64,3 @@ def expected_block_delay(policy: str, n_blocks: int, block_position: int,
     total = n_blocks * block_time
     locked = lock_exposure(policy, n_blocks, block_position, block_time)
     return locked * locked / (2.0 * total)
-
-
-def mean_delay_over_blocks(policy: str, n_blocks: int,
-                           block_time: float) -> float:
-    """Expected write delay averaged over a uniformly chosen block."""
-    return sum(
-        expected_block_delay(policy, n_blocks, position, block_time)
-        for position in range(n_blocks)
-    ) / n_blocks

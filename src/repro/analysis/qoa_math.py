@@ -56,12 +56,6 @@ def expected_detection_latency(dwell: float, t_m: float,
     return measurement_offset + t_c / 2.0
 
 
-def undetected_window_fraction(dwell: float, t_m: float) -> float:
-    """Fraction of infections that fit entirely between measurements
-    (Figure 5's 'Infection 1')."""
-    return 1.0 - detection_probability(dwell, t_m)
-
-
 def required_t_m(dwell: float, target_probability: float) -> float:
     """Largest T_M whose detection probability for ``dwell`` meets the
     target -- how the defender sizes the self-measurement period."""

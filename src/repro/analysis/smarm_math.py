@@ -92,8 +92,7 @@ def move_once_escape(n_blocks: int) -> float:
 
     which tends to 1/6 for large n -- strictly worse than the uniform
     per-block strategy's e^-1, illustrating why [7]'s optimal malware
-    moves every block.  Validated by Monte-Carlo in
-    :func:`repro.ra.smarm.move_once_escape_probability`.
+    moves every block.  Validated by Monte-Carlo in the tests.
     """
     if n_blocks < 2:
         raise ParameterError("need at least 2 blocks")

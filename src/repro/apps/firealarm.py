@@ -49,10 +49,6 @@ class FireAlarmOutcome:
             return None
         return self.alarm_at - self.fire_at
 
-    @property
-    def alarm_sounded(self) -> bool:
-        return self.alarm_at is not None
-
 
 class FireAlarmApp:
     """Periodic temperature sampling with a threshold alarm.

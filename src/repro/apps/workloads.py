@@ -123,9 +123,6 @@ class WriterWorkload:
             )
         return self
 
-    def total_write_faults(self) -> int:
-        return sum(task.stats().write_faults for task in self.tasks)
-
     def worst_response(self) -> float:
         if not self.tasks:
             return 0.0

@@ -39,12 +39,6 @@ class QoAParameters:
         return self.t_c / self.t_m
 
     @property
-    def max_transient_window(self) -> float:
-        """Longest residency a transient infection can have while
-        guaranteed to be missed (just under one measurement gap)."""
-        return self.t_m
-
-    @property
     def worst_detection_latency(self) -> float:
         """Worst case from infection start to verifier awareness: the
         infection must first span a measurement (up to T_M) and the

@@ -19,7 +19,7 @@ Everything Figure 2 of the paper measures is implemented functionally:
 from repro import export_lazily
 
 __all__ = export_lazily(globals(), {
-    "repro.crypto.hashes": ("HASH_ALGORITHMS", "digest", "hash_new"),
+    "repro.crypto.hashes": ("HASH_ALGORITHMS", "digest"),
     "repro.crypto.hmac": ("Hmac", "hmac_digest"),
     "repro.crypto.drbg": ("HmacDrbg",),
     "repro.crypto.rsa": (

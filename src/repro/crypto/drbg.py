@@ -23,7 +23,7 @@ is byte-identical to the plain SP 800-90A loop either way.
 
 from __future__ import annotations
 
-from typing import List, Sequence, TypeVar
+from typing import List, TypeVar
 
 from repro.crypto.hashes import get_algorithm
 from repro.crypto.hmac import keyed_states
@@ -162,11 +162,6 @@ class HmacDrbg:
     def permutation(self, n: int) -> List[int]:
         """A uniform permutation of ``range(n)`` -- SMARM's secret order."""
         return self.shuffle(list(range(n)))
-
-    def choice(self, items: Sequence[T]) -> T:
-        if not items:
-            raise ParameterError("cannot choose from an empty sequence")
-        return items[self.randbelow(len(items))]
 
     def exponential(self, mean: float) -> float:
         """An exponential variate (Poisson-process gaps for SeED triggers)."""

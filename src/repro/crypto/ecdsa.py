@@ -96,12 +96,6 @@ class Curve:
             scalar >>= 1
         return result
 
-    def negate(self, point: Point) -> Point:
-        if point is None:
-            return None
-        x, y = point
-        return (x, (-y) % self.p)
-
 
 def _make_curves() -> Dict[str, Curve]:
     secp160r1 = Curve(

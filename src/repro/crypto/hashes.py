@@ -49,19 +49,6 @@ def get_algorithm(name: str) -> HashAlgorithm:
         ) from None
 
 
-def hash_new(name: str, data: bytes = b""):
-    """A fresh hash object for ``name``, optionally pre-fed ``data``."""
-    return get_algorithm(name).new(data)
-
-
 def digest(name: str, data: bytes) -> bytes:
     """One-shot digest."""
     return get_algorithm(name).new(data).digest()
-
-
-def digest_chain(name: str, chunks) -> bytes:
-    """Digest of the concatenation of ``chunks`` without joining them."""
-    h = get_algorithm(name).new()
-    for chunk in chunks:
-        h.update(chunk)
-    return h.digest()

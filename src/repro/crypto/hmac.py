@@ -21,7 +21,7 @@ and copies them for every PRF call under that key.
 from __future__ import annotations
 
 import hmac as _stdlib_hmac
-from typing import Any, Iterable, Tuple
+from typing import Any, Tuple
 
 from repro.crypto.hashes import HashAlgorithm, get_algorithm
 
@@ -95,16 +95,6 @@ def hmac_digest(key: bytes, data: bytes, algorithm: str = "sha256") -> bytes:
     """One-shot HMAC."""
     mac = Hmac(key, algorithm)
     mac.update(data)
-    return mac.digest()
-
-
-def hmac_chain(
-    key: bytes, chunks: Iterable[bytes], algorithm: str = "sha256"
-) -> bytes:
-    """HMAC over the concatenation of ``chunks`` (block-wise measurement)."""
-    mac = Hmac(key, algorithm)
-    for chunk in chunks:
-        mac.update(chunk)
     return mac.digest()
 
 

@@ -100,15 +100,6 @@ def generate_prime(bits: int, drbg: HmacDrbg) -> int:
             return candidate
 
 
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Solve ``x = r1 (mod m1), x = r2 (mod m2)`` for coprime moduli."""
-    g, p, _ = egcd(m1, m2)
-    if g != 1:
-        raise ParameterError("CRT moduli must be coprime")
-    diff = (r2 - r1) % m2
-    return (r1 + m1 * ((diff * p) % m2)) % (m1 * m2)
-
-
 def int_to_bytes(value: int, length: Optional[int] = None) -> bytes:
     """Big-endian encoding, minimal length unless ``length`` is given."""
     if value < 0:

@@ -34,14 +34,6 @@ class ProcessError(SimulationError):
     """A simulated process misbehaved (bad yield, double start, ...)."""
 
 
-class DeadlockError(SimulationError):
-    """The simulation cannot make progress but work remains.
-
-    Raised when ``run()`` exhausts the event queue while processes are
-    still blocked waiting for signals that nothing can ever fire.
-    """
-
-
 # ---------------------------------------------------------------------------
 # Memory / MPU errors
 # ---------------------------------------------------------------------------
@@ -104,10 +96,6 @@ class ProtocolError(ReproError):
 
 class VerificationError(ProtocolError):
     """An attestation report failed verification."""
-
-
-class ReplayError(ProtocolError):
-    """A message was recognized as a replay of an earlier one."""
 
 
 class ConfigurationError(ReproError):

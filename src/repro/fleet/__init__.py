@@ -33,7 +33,7 @@ __all__ = export_lazily(globals(), {
     ),
     "repro.fleet.results": (
         "ArtifactPaths", "CampaignManifest", "CampaignSummary", "GroupSummary",
-        "StreamingAggregator", "artifact_paths", "percentile", "read_manifest",
+        "StreamingAggregator", "artifact_paths", "read_manifest",
         "read_results_jsonl", "summarize",
     ),
     "repro.fleet.store": (

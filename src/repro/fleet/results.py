@@ -22,34 +22,14 @@ rates, QoA detection probabilities, measurement durations.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
 from repro.fleet.telemetry import ExchangeSketch, RunResult, ValueSketch
 
 MANIFEST_VERSION = 1
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile (``q`` in [0, 100]); no numpy."""
-    if not values:
-        raise ConfigurationError("percentile of empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ConfigurationError("q must be within [0, 100]")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    position = (len(ordered) - 1) * q / 100.0
-    low = math.floor(position)
-    high = math.ceil(position)
-    if low == high:
-        return ordered[low]
-    fraction = position - low
-    return ordered[low] * (1 - fraction) + ordered[high] * fraction
 
 
 # ---------------------------------------------------------------------------

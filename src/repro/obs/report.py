@@ -50,16 +50,6 @@ def _canon(value: Any) -> Any:
     return str(value)
 
 
-def traced_spans(spans: Iterable[Any]) -> List[Any]:
-    """Every span carrying a ``trace_id`` arg."""
-    return [span for span in spans if span.args.get("trace_id")]
-
-
-def trace_ids(spans: Iterable[Any]) -> List[str]:
-    """Distinct trace ids present in a capture, sorted."""
-    return sorted({span.args["trace_id"] for span in traced_spans(spans)})
-
-
 def exchange_records(spans: Iterable[Any]) -> List[Dict[str, Any]]:
     """One row per completed exchange, ordered by (start, trace, name).
 

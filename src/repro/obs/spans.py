@@ -56,10 +56,6 @@ class Span:
         self.args = args or {}
 
     @property
-    def finished(self) -> bool:
-        return self.end is not None
-
-    @property
     def duration(self) -> float:
         """Span length in sim seconds (0.0 while still open)."""
         if self.end is None:
@@ -149,10 +145,6 @@ class SpanTracker:
 
     # -- queries --------------------------------------------------------
 
-    def open_spans(self) -> List[Span]:
-        """Spans begun but not yet ended, outermost first."""
-        return list(self._stack)
-
     def find(
         self, name: Optional[str] = None, category: Optional[str] = None
     ) -> List[Span]:
@@ -163,9 +155,6 @@ class SpanTracker:
             if (name is None or span.name == name)
             and (category is None or span.category == category)
         ]
-
-    def children_of(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -197,13 +186,7 @@ class NullSpanTracker:
                  **args: Any) -> Span:
         return self._NULL_SPAN
 
-    def open_spans(self) -> List[Span]:
-        return []
-
     def find(self, name=None, category=None) -> List[Span]:
-        return []
-
-    def children_of(self, span: Span) -> List[Span]:
         return []
 
     def __len__(self) -> int:

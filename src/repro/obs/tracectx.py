@@ -95,14 +95,6 @@ class TraceContext:
 
     # -- accessors ------------------------------------------------------
 
-    @property
-    def short(self) -> str:
-        """First 8 hex digits -- enough for log lines."""
-        return self.trace_id[:8]
-
-    def baggage_dict(self) -> Dict[str, Any]:
-        return dict(self.baggage)
-
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"trace_id": self.trace_id}
         if self.parent_span_id is not None:

@@ -202,11 +202,3 @@ class ReferenceStore:
 #: the process-wide store every Memory/measurement consults; tests that
 #: need isolation swap or clear it explicitly
 REFERENCE_STORE = ReferenceStore()
-
-
-def set_reference_store(store: ReferenceStore) -> ReferenceStore:
-    """Swap the process-wide store (tests); returns the previous one."""
-    global REFERENCE_STORE
-    previous = REFERENCE_STORE
-    REFERENCE_STORE = store
-    return previous

@@ -13,8 +13,6 @@ One module per point in the solution landscape (Section 3):
 * :mod:`repro.ra.software` -- software-only timing-based RA for legacy
   devices (Pioneer model, including its documented failure mode);
 * :mod:`repro.ra.signing` -- signed (non-repudiable) reports, §2.4;
-* :mod:`repro.ra.update` -- secure update and secure erasure services
-  built on attestation (§1's "other security services");
 
 supported by:
 
@@ -48,5 +46,4 @@ __all__ = export_lazily(globals(), {
     "repro.ra.signing": (
         "PublicIdentity", "SigningIdentity", "make_signing_identity",
     ),
-    "repro.ra.update": ("UpdateCoordinator", "UpdateService"),
 })

@@ -117,8 +117,9 @@ class LockingPolicy:
         if self.device is None:
             return
         mpu = self.device.mpu
-        for block_index in mpu.locked_blocks():
-            mpu.unlock(block_index)
+        for block_index, locked in enumerate(mpu.lock_bits):
+            if locked:
+                mpu.unlock(block_index)
 
 
 class NoLock(LockingPolicy):

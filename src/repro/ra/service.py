@@ -1,16 +1,16 @@
-"""On-demand attestation plumbing shared by SMART, locking and SMARM.
+"""On-demand attestation plumbing shared by SMART, locking, SMARM and TyTAN.
 
 Prover side: :class:`AttestationService` -- a device process that waits
 for ``att_request`` messages, runs the configured measurement (one or
-more rounds), and replies with an authenticated report.
+more rounds, each one pass per config of its tuple), and replies with
+an authenticated report.
 :class:`NonceDedup` keeps retransmitted challenges from measuring twice.
 
 Verifier side: :class:`ExchangeDriver` -- the one request/reply
 exchange with its retry state machine, configured by
 :class:`OnDemandVerifier` (challenges, with the Figure 1 timeline:
-request sent / received / t_s / t_e / report received / verified),
-:class:`~repro.ra.erasmus.CollectorVerifier` and
-:class:`~repro.ra.update.UpdateCoordinator`.
+request sent / received / t_s / t_e / report received / verified) and
+:class:`~repro.ra.erasmus.CollectorVerifier`.
 
 The verifier host is not CPU-modelled (Vrf is a resource-rich machine);
 its verification latency is charged as a configurable engine delay.
@@ -200,6 +200,10 @@ class AttestationService:
         #: optional SigningIdentity for non-repudiable reports (§2.4)
         self.signer = None
         self._counter = 0
+        #: the measurement passes of one round, run in order and packed
+        #: into one report: the whole config here, one per region in
+        #: :class:`~repro.ra.tytan.TytanAttestation`
+        self._passes: Tuple[MeasurementConfig, ...] = (config,)
         self._request_signal = Signal(device.sim, f"{device.name}.ra.req")
         self._pending: List[Message] = []
         self.process: Optional[Process] = None
@@ -278,19 +282,20 @@ class AttestationService:
             for round_index in range(rounds):
                 if round_index > 0 and self.inter_round_gap > 0:
                     yield Sleep(self.inter_round_gap)
-                self._counter += 1
-                mp = MeasurementProcess(
-                    device, self.config, nonce=nonce,
-                    counter=self._counter, mechanism=self.mechanism,
-                    ctx=message.ctx,
-                )
-                mp_proc = device.cpu.spawn(
-                    f"{device.name}.mp.{self._counter}",
-                    mp.run,
-                    priority=self.config.priority,
-                )
-                yield WaitSignal(mp_proc.done_signal)
-                records.append(mp.record)
+                for config in self._passes:
+                    self._counter += 1
+                    mp = MeasurementProcess(
+                        device, config, nonce=nonce,
+                        counter=self._counter, mechanism=self.mechanism,
+                        ctx=message.ctx,
+                    )
+                    mp_proc = device.cpu.spawn(
+                        f"{device.name}.mp.{self._counter}",
+                        mp.run,
+                        priority=config.priority,
+                    )
+                    yield WaitSignal(mp_proc.done_signal)
+                    records.append(mp.record)
             report = AttestationReport.authenticate(
                 device.attestation_key, device.name, records,
                 sent_counter=self._counter,
@@ -385,8 +390,8 @@ class ExchangeDriver:
         listen(self.endpoint, self._on_message, kinds=self.reply_kinds)
 
     def _open(self, device_name: str, nonce: bytes,
-              request: Tuple[str, Any], on_result: Optional[Callable] = None,
-              trace_kind: Optional[str] = None,
+              request: Tuple[str, Any], trace_kind: str,
+              on_result: Optional[Callable] = None,
               rounds: int = 1) -> AttestationExchange:
         """Register and send a new exchange.  ``trace_kind`` names the
         trace context to mint (gated on obs, so NULL_OBS runs stay
@@ -399,7 +404,7 @@ class ExchangeDriver:
             rounds=rounds,
             ctx=(
                 TraceContext.mint(trace_kind, device_name, nonce)
-                if trace_kind is not None and sim.obs.enabled else None
+                if sim.obs.enabled else None
             ),
             on_result=on_result,
             drbg=None if self.retry is None else self.retry.drbg_for(nonce),

@@ -81,60 +81,3 @@ def escape_probability(
             "smarm.escapes", "games the malware survived", game=game,
         ).inc(escapes)
     return escapes / trials
-
-
-def multi_round_escape_probability(
-    n_blocks: int,
-    rounds: int,
-    trials: int = 2000,
-    seed: bytes = b"smarm-mc-rounds",
-    metrics=None,
-) -> float:
-    """Monte-Carlo estimate that malware escapes ``rounds`` independent
-    measurements in a row."""
-    drbg = HmacDrbg(seed)
-    survived = 0
-    for _ in range(trials):
-        if all(escape_trial(n_blocks, drbg) for _ in range(rounds)):
-            survived += 1
-    if metrics is not None:
-        game = f"multi-{rounds}"
-        metrics.counter(
-            "smarm.trials", "Monte-Carlo escape games played", game=game,
-        ).inc(trials)
-        metrics.counter(
-            "smarm.escapes", "games the malware survived", game=game,
-        ).inc(survived)
-    return survived / trials
-
-
-def escape_trial_move_once(n_blocks: int, drbg: HmacDrbg) -> bool:
-    """The suboptimal single-move strategy, as a game.
-
-    Malware picks one random boundary (after ``j`` of ``n`` blocks are
-    measured) and one uniform destination, and relocates exactly once.
-    Used to validate :func:`repro.analysis.smarm_math.move_once_escape`
-    (~1/6 for large n, vs e^-1 for the per-block mover).
-    """
-    order = drbg.permutation(n_blocks)
-    position = drbg.randbelow(n_blocks)
-    move_after = drbg.randbelow(n_blocks)  # boundary index j
-    for step, measured_block in enumerate(order):
-        if step == move_after:
-            position = drbg.randbelow(n_blocks)
-        if position == measured_block:
-            return False
-    return True
-
-
-def move_once_escape_probability(
-    n_blocks: int,
-    trials: int = 2000,
-    seed: bytes = b"smarm-mc-once",
-) -> float:
-    """Monte-Carlo estimate for the single-move strategy."""
-    drbg = HmacDrbg(seed)
-    escapes = sum(
-        escape_trial_move_once(n_blocks, drbg) for _ in range(trials)
-    )
-    return escapes / trials

@@ -28,7 +28,7 @@ from typing import Optional
 
 from repro.ra.measurement import MeasurementConfig
 from repro.ra.service import AttestationService
-from repro.ra.signing import SigningIdentity, make_signing_identity
+from repro.ra.signing import make_signing_identity
 from repro.sim.device import Device
 
 #: priority above any application task: the HYDRA convention
@@ -56,8 +56,3 @@ class SmartAttestation(AttestationService):
         if signature is not None:
             seed = f"prv-key:{device.name}:{signature}".encode()
             self.signer = make_signing_identity(signature, seed)
-
-    @property
-    def signing_identity(self) -> Optional[SigningIdentity]:
-        """The prover's signing credential (None when MAC-only)."""
-        return self.signer

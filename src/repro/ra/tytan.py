@@ -11,9 +11,10 @@ partner can act on behalf of the measured one (at the cost of a
 process-isolation violation, e.g. an OS vulnerability).
 
 Implementation notes: regions registered on the device's memory stand
-in for per-process address spaces.  Each region is measured by its own
-:class:`~repro.ra.measurement.MeasurementProcess` run (sequential
-order, interruptible) producing a region-tagged record; the report
+in for per-process address spaces.  A request runs the shared
+on-demand dispatcher of :class:`~repro.ra.service.AttestationService`
+with one measurement pass per region (sequential order,
+interruptible), each producing a region-tagged record; the report
 carries one record per process.  Malware agents receive the region
 name with every progress notification and enforce the "may not
 interrupt own measurement" rule on themselves -- the honest-hardware
@@ -22,15 +23,13 @@ equivalent of the EA-MPU blocking them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.ra.measurement import MeasurementConfig, MeasurementProcess
-from repro.ra.report import AttestationReport
-from repro.ra.service import AttestationService, send_report
+from repro.ra.measurement import MeasurementConfig
+from repro.ra.service import AttestationService
 from repro.sim.device import Device
-from repro.sim.process import Process, WaitSignal
 
 
 @dataclass(frozen=True)
@@ -53,12 +52,8 @@ def install_partitions(device: Device,
 
 
 class TytanAttestation(AttestationService):
-    """Per-process on-demand attestation.
-
-    Overrides the dispatcher's measurement step: instead of one MP over
-    all of M, it runs one MP per region and packs all region records
-    into a single report.
-    """
+    """Per-process on-demand attestation: each round measures every
+    region in turn, one record per region, all in a single report."""
 
     def __init__(
         self,
@@ -79,41 +74,6 @@ class TytanAttestation(AttestationService):
         if not regions:
             raise ConfigurationError("TyTAN needs at least one region")
         self.regions = list(regions)
-
-    def _dispatcher(self, proc: Process):
-        device = self.device
-        while True:
-            if not self._pending:
-                yield WaitSignal(self._request_signal)
-                continue
-            message = self._pending.pop(0)
-            payload = message.payload or {}
-            nonce = payload.get("nonce", b"")
-            records = []
-            for region_name in self.regions:
-                self._counter += 1
-                region_config = MeasurementConfig(
-                    algorithm=self.config.algorithm,
-                    order="sequential",
-                    atomic=False,
-                    priority=self.config.priority,
-                    region=region_name,
-                )
-                mp = MeasurementProcess(
-                    device, region_config, nonce=nonce,
-                    counter=self._counter, mechanism="tytan",
-                )
-                mp_proc = device.cpu.spawn(
-                    f"{device.name}.tytan.{region_name}.{self._counter}",
-                    mp.run,
-                    priority=self.config.priority,
-                )
-                yield WaitSignal(mp_proc.done_signal)
-                records.append(mp.record)
-            report = AttestationReport.authenticate(
-                device.attestation_key, device.name, records,
-                sent_counter=self._counter,
-            )
-            self.reports_sent.append(report)
-            self.requests_handled += 1
-            send_report(device.nic, message.src, report)
+        self._passes = tuple(
+            replace(config, region=region) for region in self.regions
+        )

@@ -34,10 +34,10 @@ class SecureTimer:
     """A trigger source outside software's reach.
 
     Used by SeED to start attestation at pseudorandom times that
-    malware cannot predict or observe, and by ERASMUS for its
-    self-measurement schedule.  Events fire on the simulation engine
-    directly, bypassing the CPU scheduler until the callback spawns a
-    process -- like a hardware timer raising a non-maskable trigger.
+    malware cannot predict or observe.  Events fire on the simulation
+    engine directly, bypassing the CPU scheduler until the callback
+    spawns a process -- like a hardware timer raising a non-maskable
+    trigger.
     """
 
     def __init__(self, sim: Simulator, name: str = "securetimer") -> None:
@@ -50,7 +50,6 @@ class SecureTimer:
         #: passed through untouched, so drift-free runs schedule
         #: byte-identical events.
         self.drift = 0.0
-        self._pending: List[EventHandle] = []
 
     def _skewed(self, delay: float) -> float:
         if self.drift == 0.0:
@@ -63,25 +62,11 @@ class SecureTimer:
         if self.drift != 0.0:
             remaining = max(0.0, time - self.sim.now)
             time = self.sim.now + self._skewed(remaining)
-        handle = self.sim.schedule_at(time, self._fire, callback)
-        self._pending.append(handle)
-        return handle
-
-    def after(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        """Fire ``callback`` ``delay`` seconds from now (skewed by any
-        injected clock drift)."""
-        handle = self.sim.schedule(self._skewed(delay), self._fire, callback)
-        self._pending.append(handle)
-        return handle
+        return self.sim.schedule_at(time, self._fire, callback)
 
     def _fire(self, callback: Callable[[], None]) -> None:
         self.fired += 1
         callback()
-
-    def cancel_all(self) -> None:
-        for handle in self._pending:
-            handle.cancel()
-        self._pending.clear()
 
 
 class Device:

@@ -296,17 +296,6 @@ class Simulator:
             self._cancelled += 1
         return None
 
-    def pending_count(self) -> int:
-        """Number of not-yet-cancelled events in the queue."""
-        return sum(
-            1 for _, _, handle in self._queue if not handle.cancelled
-        )
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` if the queue is empty."""
-        head = self._live_head()
-        return None if head is None else head.time
-
 
 class Signal:
     """A broadcast condition: processes wait, someone fires.
@@ -327,13 +316,6 @@ class Signal:
     def wait(self, callback: Callable[[Any], None]) -> None:
         """Register ``callback(value)`` to run at the next fire."""
         self._waiters.append(callback)
-
-    def unwait(self, callback: Callable[[Any], None]) -> None:
-        """Remove a previously registered waiter (no-op if absent)."""
-        try:
-            self._waiters.remove(callback)
-        except ValueError:
-            pass
 
     def clear(self) -> int:
         """Forget every current waiter without waking it.

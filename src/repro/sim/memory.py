@@ -23,12 +23,9 @@ Write log
 Every committed write appends its time, block, actor and the block's
 frozen contents after the write to four parallel columns
 (``write_times``, ``write_blocks``, ``write_actors``,
-``write_contents``) and builds no object.  ``Memory.write_log`` is a
-read-only view that builds a :class:`WriteRecord` per write on each
-read, as :attr:`~repro.sim.trace.Trace.records` does; readers that
-query often (the Figure 4 analyzer in :mod:`repro.core.consistency`,
-:meth:`Memory.writes_in`) index the columns directly.  The write
-itself hashes nothing; a record's ``fingerprint`` is computed when an
+``write_contents``) and builds no object.  The Figure 4 analyzer in
+:mod:`repro.core.consistency` indexes the columns directly.  The write
+itself hashes nothing; a content's fingerprint is computed when an
 auditor reads it.
 """
 
@@ -75,34 +72,6 @@ FINGERPRINT_LEN = 8
 def content_fingerprint(content: bytes) -> bytes:
     """Truncated SHA-256 identifying block contents in audit records."""
     return hashlib.sha256(content).digest()[:FINGERPRINT_LEN]
-
-
-@dataclass(slots=True)
-class WriteRecord:
-    """One committed write, for consistency auditing (Figure 4).
-
-    ``content`` is the block's contents *after* the write -- the
-    memory's own frozen ``bytes`` snapshot, shared rather than copied --
-    which lets the consistency analyzer reconstruct any block's content
-    identity at any past instant from the log alone.  ``fingerprint``
-    is derived from it when read: a write costs no hash, and only an
-    auditor pays for one.
-
-    Built from the memory's write-log columns on each read of
-    ``Memory.write_log``, so two reads give equal but distinct objects;
-    treated as immutable by convention, like
-    :class:`~repro.sim.trace.TraceRecord`.
-    """
-
-    time: float
-    block: int
-    actor: str
-    content: bytes
-
-    @property
-    def fingerprint(self) -> bytes:
-        """:func:`content_fingerprint` of ``content``."""
-        return content_fingerprint(self.content)
 
 
 class MemoryImage:
@@ -235,8 +204,8 @@ class Memory:
         self._benign_image: Optional[MemoryImage] = None
         self.regions: Dict[str, Region] = {}
         self.mpu = None  # wired by Device; writes read its lock_bits
-        #: the write log, one entry per committed write in commit order
-        #: (see ``write_log``); appended to only by ``write``/``patch``
+        #: the write log, one entry per committed write in commit order;
+        #: appended to only by ``write``/``patch``
         self.write_times: List[float] = []
         self.write_blocks: List[int] = []
         self.write_actors: List[str] = []
@@ -248,16 +217,6 @@ class Memory:
         self.generations: List[int] = [0] * block_count
 
     # -- geometry --------------------------------------------------------
-
-    @property
-    def total_size(self) -> int:
-        """Real bytes stored."""
-        return self.block_count * self.block_size
-
-    @property
-    def total_sim_size(self) -> int:
-        """Simulated bytes, as seen by the timing model."""
-        return self.block_count * self.sim_block_size
 
     def _check_index(self, block_index: int) -> None:
         if not 0 <= block_index < self.block_count:
@@ -310,11 +269,6 @@ class Memory:
                 self.blocks[block_index].data
             )
         return frozen
-
-    def generation(self, block_index: int) -> int:
-        """The block's current content generation (see ``generations``)."""
-        self._check_index(block_index)
-        return self.generations[block_index]
 
     def write(self, block_index: int, data: bytes, actor: str = "?") -> None:
         """Overwrite a whole block.
@@ -369,14 +323,6 @@ class Memory:
         self.write_blocks.append(block_index)
         self.write_actors.append(actor)
         self.write_contents.append(patched)
-
-    @property
-    def write_log(self) -> List[WriteRecord]:
-        """Every committed write, oldest first, built on each read."""
-        return list(map(
-            WriteRecord, self.write_times, self.write_blocks,
-            self.write_actors, self.write_contents,
-        ))
 
     # -- snapshots -----------------------------------------------------------
 
@@ -443,15 +389,4 @@ class Memory:
         read = self.read_block
         return [
             i for i in range(self.block_count) if read(i) != benign[i]
-        ]
-
-    def writes_in(self, t_start: float, t_end: float) -> List[WriteRecord]:
-        """All committed writes with ``t_start <= time <= t_end``."""
-        return [
-            WriteRecord(*row)
-            for row in zip(
-                self.write_times, self.write_blocks,
-                self.write_actors, self.write_contents,
-            )
-            if t_start <= row[0] <= t_end
         ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.errors import LockStateError, MemoryFault
 from repro.sim.engine import Signal, Simulator
@@ -89,12 +89,6 @@ class MemoryProtectionUnit:
 
     def is_locked(self, block_index: int) -> bool:
         return self.lock_bits[block_index]
-
-    def locked_blocks(self) -> List[int]:
-        return [i for i, flag in enumerate(self.lock_bits) if flag]
-
-    def locked_count(self) -> int:
-        return sum(self.lock_bits)
 
     # -- configuration ----------------------------------------------------
 
@@ -190,14 +184,3 @@ class MemoryProtectionUnit:
     def total_locked_time(self) -> float:
         """Sum of completed per-block lock durations (block-seconds)."""
         return sum(interval.duration for interval in self.lock_history)
-
-    def mean_lock_duration(self) -> float:
-        if not self.lock_history:
-            return 0.0
-        return self.total_locked_time() / len(self.lock_history)
-
-    def fault_count_by_actor(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self.faults:
-            counts[record.actor] = counts.get(record.actor, 0) + 1
-        return counts

@@ -169,10 +169,6 @@ class Process:
 
     # -- introspection --------------------------------------------------
 
-    @property
-    def alive(self) -> bool:
-        return self.state not in (ProcState.NEW, ProcState.DONE)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Process {self.name!r} prio={self.priority} "
@@ -194,12 +190,6 @@ class Process:
         seq = self._ready_seq = cpu._seq
         if queued:
             heapq.heappush(cpu._ready, (-self.priority, seq, self))
-
-    @property
-    def response_mean(self) -> float:
-        if self.response_samples == 0:
-            return 0.0
-        return self.response_total / self.response_samples
 
 
 class CPU:

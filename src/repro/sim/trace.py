@@ -16,16 +16,13 @@ nothing kept but the count.  The CPU, which emits 99% of a fleet run's
 records, sees a counting sink when it is attached and bumps its count
 in place, with no call and no payload dict per record;
 :meth:`CountingTrace.record` serves the other emitters (``mp.*``,
-``net.send``, ``ra.*``, ``malware.*``, ``erasmus.collect``).  :class:`Trace`
-still offers a bounded ring-buffer mode (``max_records``) and a JSONL
-export hook (:meth:`Trace.to_jsonl`) for shipping timelines into
-files.
+``net.send``, ``ra.*``, ``malware.*``, ``erasmus.collect``).
+:meth:`Trace.to_jsonl` ships a kept timeline into a file.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
@@ -90,8 +87,8 @@ class CountingTrace:
     ``cpu.trace``, a counting sink (this exact type) is tallied in
     place, one ``emitted += 1`` per record, so ``record`` serves only
     the rare emitters outside the CPU.  :meth:`ring_counts` gives the
-    ``(len, dropped)`` a :class:`Trace` ring fed the same records would
-    report, without keeping the ring.
+    ``(kept, dropped)`` counts of a ring of the newest ``max_records``
+    records fed the same records, without keeping the ring.
     """
 
     __slots__ = ("emitted",)
@@ -103,42 +100,23 @@ class CountingTrace:
         self.emitted += 1
 
     def ring_counts(self, max_records: int) -> Tuple[int, int]:
-        """``(len(ring), ring.dropped)`` of ``Trace(max_records)``."""
+        """``(kept, dropped)`` of a ring of ``max_records`` records."""
         emitted = self.emitted
         return min(emitted, max_records), max(0, emitted - max_records)
 
 
 class Trace:
-    """Timestamped event storage with :class:`TraceRecord` queries.
+    """Timestamped event storage with :class:`TraceRecord` queries:
+    every record is kept, in four append-only columns."""
 
-    Unbounded (append-only lists) by default; pass ``max_records`` to
-    keep only the newest records in a ring buffer -- older records are
-    silently discarded and counted in ``dropped``, so
-    ``len(trace) + trace.dropped`` is the number of records emitted.
-    """
-
-    def __init__(self, max_records: Optional[int] = None) -> None:
-        if max_records is not None and max_records <= 0:
-            raise ValueError("max_records must be positive (or None)")
-        #: the ring cap, or -1 (a length a list never has) when unbounded
-        self._cap = -1 if max_records is None else max_records
-        self._times, self._kinds, self._sources, self._data = (
-            [] if max_records is None else deque(maxlen=max_records)
-            for _ in range(4)
-        )
-        self.dropped = 0
-
-    @property
-    def max_records(self) -> Optional[int]:
-        return None if self._cap < 0 else self._cap
+    def __init__(self) -> None:
+        self._times: List[float] = []
+        self._kinds: List[str] = []
+        self._sources: List[str] = []
+        self._data: List[Dict[str, Any]] = []
 
     def record(self, time: float, kind: str, source: str, **data: Any) -> None:
-        # one length test and four appends per record: the CPU alone
-        # calls this about 170k times per canned ``qoa`` campaign pass
-        times = self._times
-        if len(times) == self._cap:
-            self.dropped += 1
-        times.append(time)
+        self._times.append(time)
         self._kinds.append(kind)
         self._sources.append(source)
         self._data.append(data)
@@ -153,7 +131,7 @@ class Trace:
 
     @property
     def records(self) -> List[TraceRecord]:
-        """The retained records, oldest first, built on each read."""
+        """Every record, oldest first, built on each read."""
         return list(self)
 
     # -- queries --------------------------------------------------------
@@ -208,12 +186,8 @@ class Trace:
         return "\n".join(lines)
 
     def to_jsonl(self, path: Any) -> int:
-        """Write every retained record to ``path`` as one JSON object
-        per line, closed by a ``trace.meta`` line carrying the counts
-        -- in ring-buffer mode the *oldest* records are silently
-        discarded, so without the meta line a reader cannot tell a
-        complete export from a truncated one.  Returns the number of
-        data records written (the meta line is not counted).
+        """Write every record to ``path`` as one JSON object per line;
+        returns the number of records written.
 
         Each line is built straight from the columns (no
         :class:`TraceRecord`), and the export is serialized in memory
@@ -226,14 +200,6 @@ class Trace:
         lines = list(map(dumps, map(
             _row, self._times, self._kinds, self._sources, self._data
         )))
-        count = len(lines)
-        meta = {
-            "kind": "trace.meta",
-            "records": count,
-            "dropped": self.dropped,
-            "max_records": self.max_records,
-        }
-        lines.append(dumps(meta))
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-        return count
+            handle.write("\n".join(lines) + "\n" if lines else "")
+        return len(lines)

@@ -9,9 +9,7 @@ device point-to-point.
 * :mod:`repro.swarm.collective` -- a SEDA-style spanning-tree
   aggregation protocol over the simulated devices (LISA-s flavour);
 * :mod:`repro.swarm.lisa` -- LISA-alpha: per-device reports forwarded
-  to the verifier (higher QoSA, more traffic);
-* :mod:`repro.swarm.darpa` -- DARPA-style heartbeat absence detection
-  against physical attacks.
+  to the verifier (higher QoSA, more traffic).
 """
 
 from repro import export_lazily
@@ -24,5 +22,4 @@ __all__ = export_lazily(globals(), {
     "repro.swarm.lisa": (
         "LisaAlphaAttestation", "LisaAlphaNode", "LisaAlphaResult",
     ),
-    "repro.swarm.darpa": ("AbsenceEvent", "HeartbeatProtocol"),
 })

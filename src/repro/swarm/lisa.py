@@ -47,13 +47,6 @@ class LisaAlphaResult:
         return len(self.per_device) >= self.expected
 
     @property
-    def healthy_count(self) -> int:
-        return sum(
-            1 for verdict in self.per_device.values()
-            if verdict is Verdict.HEALTHY
-        )
-
-    @property
     def dirty_nodes(self) -> List[str]:
         return sorted(
             name for name, verdict in self.per_device.items()

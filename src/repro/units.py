@@ -98,13 +98,3 @@ def format_time(seconds: float) -> str:
     if seconds < 1.0:
         return f"{seconds * 1e3:.3f}ms"
     return f"{seconds:.3f}s"
-
-
-def format_rate(bytes_per_second: float) -> str:
-    """Render a throughput, e.g. ``format_rate(110 * MiB)`` -> ``'110.0MiB/s'``."""
-    return format_size(int(bytes_per_second)) + "/s"
-
-
-def mb_per_s(megabytes: float) -> float:
-    """Convert a throughput given in MiB/s to bytes/s (calibration helper)."""
-    return megabytes * MiB

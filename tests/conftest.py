@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import pytest
 
@@ -42,6 +42,23 @@ def oracle_sim(coalesce: bool) -> Simulator:
     return Simulator(obs=Observability.enabled(
         spans=False, metrics=False, profile_events=True,
     ))
+
+
+def pending_count(sim: Simulator) -> int:
+    """Number of not-yet-cancelled events in ``sim``'s queue."""
+    return sum(1 for _, _, handle in sim._queue if not handle.cancelled)
+
+
+def peek_time(sim: Simulator) -> Optional[float]:
+    """Time of ``sim``'s next live event, or ``None`` if there is none
+    (cancelled heads are discarded and counted, as a run would)."""
+    head = sim._live_head()
+    return None if head is None else head.time
+
+
+def children_of(tracker, span) -> list:
+    """The spans ``tracker`` recorded directly under ``span``."""
+    return [s for s in tracker if s.parent_id == span.span_id]
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
-"""Passive measurement observer.
+"""Passive measurement observer, a test instrument.
 
-Shares the malware hook interface but only records what it sees --
-used by tests to assert the adversary-visible information is exactly
-what Section 3.2 grants (progress counts, mechanism name, region) and
-by experiments to reconstruct measurement interleavings.
+Registers on a device like a malware agent and shares its hook
+interface, but only records what it sees: the tests use it to assert
+the adversary-visible information is exactly what Section 3.2 grants
+(progress counts, mechanism name, region) and to count measurements.
 """
 
 from __future__ import annotations

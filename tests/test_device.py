@@ -94,7 +94,9 @@ class TestSecureTimer:
         sim = Simulator()
         timer = SecureTimer(sim)
         fired = []
-        sim.schedule(1.0, lambda: timer.after(2.0, lambda: fired.append(sim.now)))
+        sim.schedule(
+            1.0, lambda: timer.at(sim.now + 2.0, lambda: fired.append(sim.now))
+        )
         sim.run()
         assert fired == [3.0]
 
@@ -102,9 +104,9 @@ class TestSecureTimer:
         sim = Simulator()
         timer = SecureTimer(sim)
         fired = []
-        timer.at(1.0, lambda: fired.append(1))
-        timer.at(2.0, lambda: fired.append(2))
-        timer.cancel_all()
+        handles = [timer.at(t, lambda t=t: fired.append(t)) for t in (1, 2)]
+        for handle in handles:
+            handle.cancel()
         sim.run()
         assert fired == []
 

@@ -30,6 +30,8 @@ from repro.obs.metrics import (
 )
 from repro.sim.engine import Simulator
 
+from tests.conftest import pending_count
+
 ENGINE_COUNTERS = (
     "sim.events.scheduled", "sim.events.fired", "sim.events.cancelled",
 )
@@ -258,7 +260,7 @@ class EngineProgram:
         # every schedule is fired, live in the queue, cancelled
         # (discarded or not yet), or the callback now running
         assert self.scheduled == (
-            self.fired + self.sim.pending_count() + len(self.cancelled)
+            self.fired + pending_count(self.sim) + len(self.cancelled)
             + in_flight
         )
         assert 0 <= flat["sim.events.cancelled"] <= len(self.cancelled)
@@ -276,7 +278,7 @@ class EngineProgram:
             else:
                 self.log.append(("run", self.sim.run()))
             self.check_counts(in_flight=0)
-        while self.sim.pending_count():  # a callback may stop run()
+        while pending_count(self.sim):  # a callback may stop run()
             self.log.append(("drain", self.sim.run()))
         self.sim.run()  # only cancelled entries remain: discard them
         self.check_counts(in_flight=0)

@@ -12,7 +12,7 @@ from repro.obs.core import Observability
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
 from repro.sim.process import Compute
-from tests.conftest import oracle_sim
+from tests.conftest import oracle_sim, peek_time, pending_count
 
 
 def probe_at(sim, time, duration, seen):
@@ -201,12 +201,12 @@ class TestPeekAndBatchDrain:
         first = sim.schedule_at(1.0, lambda: None)
         sim.schedule_at(2.0, lambda: None)
         first.cancel()
-        assert sim.peek_time() == 2.0
-        assert sim.pending_count() == 1
+        assert peek_time(sim) == 2.0
+        assert pending_count(sim) == 1
 
     def test_peek_time_empty(self):
         sim = Simulator()
-        assert sim.peek_time() is None
+        assert peek_time(sim) is None
 
     def test_same_instant_fifo_order(self):
         sim = Simulator()

@@ -1,14 +1,11 @@
 """The one verifier-side exchange (``repro.ra.service.ExchangeDriver``).
 
-The on-demand driver, the ERASMUS collector and the update coordinator
-are configurations of one request/reply state machine; every case here
-runs against each of them (the coordinator only where no retry policy
-is needed: it never arms one).  Also pinned: a report with no records
-matches no exchange, a report from an unenrolled device is invalid, a
-frame whose payload has the wrong type is dropped on either side (an
-update or erasure request that lacks a key or carries one of the wrong
-type included), and ``rounds`` must be an integer >= 1 -- a prover
-drops a challenge asking for anything else.
+The on-demand driver and the ERASMUS collector are configurations of
+one request/reply state machine; every case here runs against both.
+Also pinned: a report with no records matches no exchange, a report
+from an unenrolled device is invalid, a frame whose payload has the
+wrong type is dropped on either side, and ``rounds`` must be an
+integer >= 1 -- a prover drops a challenge asking for anything else.
 """
 
 from types import SimpleNamespace
@@ -21,7 +18,6 @@ from repro.ra.erasmus import CollectorVerifier, ErasmusService
 from repro.ra.report import AttestationReport, Verdict
 from repro.ra.service import MAX_ROUNDS, OnDemandVerifier
 from repro.ra.smart import SmartAttestation
-from repro.ra.update import UpdateCoordinator, UpdateService
 from repro.ra.verifier import Verifier
 from repro.resilience import RetryPolicy
 from repro.scenario import Scenario
@@ -29,16 +25,8 @@ from repro.sim.device import Device
 from repro.sim.engine import Simulator
 from repro.sim.network import Channel, FilterVerdict
 
-REQUEST_KINDS = {
-    "driver": "att_request",
-    "collector": "collect_request",
-    "coordinator": "erase_request",
-}
-REPLY_KINDS = {
-    "driver": "att_report",
-    "collector": "collect_reply",
-    "coordinator": "erasure_report",
-}
+REQUEST_KINDS = {"driver": "att_request", "collector": "collect_request"}
+REPLY_KINDS = {"driver": "att_report", "collector": "collect_reply"}
 
 
 class Tap:
@@ -92,7 +80,7 @@ def make_rig(kind, retry=None):
 
         def concluded():
             return [x for x in driver.exchanges if x.result is not None]
-    elif kind == "collector":
+    else:
         ErasmusService(device, period=100.0).start()
         driver = CollectorVerifier(verifier, channel, retry=retry)
 
@@ -101,27 +89,16 @@ def make_rig(kind, retry=None):
 
         def concluded():
             return list(driver.collections)
-    else:
-        assert retry is None
-        UpdateService(device).install()
-        driver = UpdateCoordinator(verifier, channel)
-
-        def open_exchange():
-            driver.push_erasure(device.name, seed=b"s" * 16)
-
-        def concluded():
-            return [o for o in driver.outcomes if o.result is not None]
     return SimpleNamespace(
         sim=sim, device=device, verifier=verifier, driver=driver, tap=tap,
         calls=calls, open=open_exchange, concluded=concluded,
     )
 
 
-RETRYING = ["driver", "collector"]
-ALL = ["driver", "collector", "coordinator"]
+KINDS = ["driver", "collector"]
 
 
-@pytest.mark.parametrize("kind", RETRYING)
+@pytest.mark.parametrize("kind", KINDS)
 def test_lost_request_is_resent_with_its_nonce_on_the_policy_schedule(kind):
     policy = RetryPolicy(timeout=0.05, max_retries=3, jitter=0.1,
                          seed=b"exchange")
@@ -141,7 +118,7 @@ def test_lost_request_is_resent_with_its_nonce_on_the_policy_schedule(kind):
     assert [r.data["attempt"] for r in retries] == [2, 3]
 
 
-@pytest.mark.parametrize("kind", ALL)
+@pytest.mark.parametrize("kind", KINDS)
 def test_duplicated_reply_is_verified_once(kind):
     rig = make_rig(kind)
     rig.tap.reply_copies = 2
@@ -152,7 +129,7 @@ def test_duplicated_reply_is_verified_once(kind):
     assert rig.verifier.results[0].verdict is Verdict.HEALTHY
 
 
-@pytest.mark.parametrize("kind", RETRYING)
+@pytest.mark.parametrize("kind", KINDS)
 def test_spent_budget_calls_on_result_exactly_once(kind):
     policy = RetryPolicy(timeout=0.05, max_retries=2, jitter=0.0)
     rig = make_rig(kind, retry=policy)
@@ -168,7 +145,7 @@ def test_spent_budget_calls_on_result_exactly_once(kind):
     assert rig.concluded() == []
 
 
-@pytest.mark.parametrize("kind", RETRYING)
+@pytest.mark.parametrize("kind", KINDS)
 def test_late_reply_after_abandonment_adds_no_result(kind):
     policy = RetryPolicy(timeout=0.05, max_retries=1, jitter=0.0)
     rig = make_rig(kind, retry=policy)
@@ -185,14 +162,11 @@ def test_late_reply_after_abandonment_adds_no_result(kind):
 class TestEmptyReport:
     """A report with no records names no nonce: it matches no exchange."""
 
-    def rogue_report(self, device):
-        return AttestationReport(device=device.name, records=(),
-                                 auth_tag=b"")
-
     def test_driver_logs_it_and_the_run_completes(self):
         scenario = Scenario.build("smart")
         rogue = scenario.channel.make_endpoint("rogue")
-        report = self.rogue_report(scenario.device)
+        report = AttestationReport(device=scenario.device.name, records=(),
+                                   auth_tag=b"")
         scenario.sim.schedule_at(
             0.5, rogue.send, "vrf", "att_report", report
         )
@@ -201,18 +175,6 @@ class TestEmptyReport:
         details = [(r.verdict, r.detail) for r in scenario.verifier.results]
         assert (Verdict.INVALID, "empty report") in details
         assert scenario.driver.exchanges[0].status == "verified"
-
-    def test_coordinator_drops_it(self):
-        rig = make_rig("coordinator")
-        rogue = rig.driver.channel.make_endpoint("rogue")
-        rig.sim.schedule_at(
-            0.5, rogue.send, "vrf-update", "erasure_report",
-            self.rogue_report(rig.device),
-        )
-        rig.sim.schedule_at(1.0, rig.open)
-        rig.sim.run(until=5.0)
-        assert len(rig.verifier.results) == 1
-        assert rig.driver.outcomes[0].installed
 
 
 def verdicts(scenario):
@@ -239,7 +201,7 @@ class TestMalformedFrames:
     """A payload of the wrong type is dropped where it lands; the run
     goes on exactly as it would without it."""
 
-    @pytest.mark.parametrize("kind", ALL)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_driver_drops_a_malformed_reply(self, kind):
         rig = make_rig(kind)
         rogue = rig.driver.channel.make_endpoint("rogue")
@@ -273,29 +235,6 @@ class TestMalformedFrames:
             runs.append(verdicts(scenario))
         assert runs[1] == runs[0]
         assert runs[1] and all(v is Verdict.HEALTHY for v, _ in runs[1])
-
-
-    @pytest.mark.parametrize("kind, payload", [
-        ("update_request", b"junk"),
-        ("erase_request", b"junk"),
-        ("erase_request", {"seed": b"s" * 16}),  # no nonce
-        ("update_request", {"blocks": {0: b"x"}, "nonce": b"n" * 16}),
-        ("update_request", {"blocks": {99: b"\x00" * 32},
-                            "nonce": b"n" * 16}),
-        ("update_request", {"blocks": [b"\x00" * 32],
-                            "nonce": b"n" * 16}),
-    ], ids=["update-bytes", "erase-bytes", "erase-no-nonce",
-            "update-short-block", "update-block-out-of-range",
-            "update-blocks-not-a-dict"])
-    def test_update_service_drops_a_malformed_request(self, kind, payload):
-        rig = make_rig("coordinator")
-        rogue = rig.driver.channel.make_endpoint("rogue")
-        rig.sim.schedule_at(0.5, rogue.send, rig.device.name, kind, payload)
-        rig.sim.schedule_at(1.0, rig.open)
-        rig.sim.run(until=5.0)
-        assert rig.device.trace.filter(kind="update.applied") == []
-        assert len(rig.device.trace.filter(kind="erase.done")) == 1
-        assert [o.installed for o in rig.driver.outcomes] == [True]
 
 
 BAD_ROUNDS = ["many", 0, -1, True, 2.5, MAX_ROUNDS + 1]

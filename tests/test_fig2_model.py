@@ -1,16 +1,30 @@
 """Figure 2 curve properties: anchors, crossovers, slopes, rendering."""
 
+import math
+from typing import List, Tuple
+
 import pytest
 
 from repro.analysis.fig2_model import (
     anchor_report,
     crossover_table,
-    loglog_slope,
     render_series,
     sweep_series,
 )
 from repro.crypto.timing import HASH_NAMES, SIGNATURE_NAMES, figure2_sizes
 from repro.units import GiB, KiB, MiB
+
+
+def loglog_slope(series: List[Tuple[int, float]],
+                 low: int, high: int) -> float:
+    """Log-log slope of a curve between two sizes (1.0 = linear)."""
+
+    def value_at(target: int) -> float:
+        best = min(series, key=lambda point: abs(point[0] - target))
+        return best[1]
+
+    t_low, t_high = value_at(low), value_at(high)
+    return math.log(t_high / t_low) / math.log(high / low)
 
 
 class TestAnchors:

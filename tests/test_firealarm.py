@@ -96,7 +96,7 @@ class TestAlarmLatency:
         app.start_fire(2.5)
         sim.run(until=10.0)
         outcome = app.outcome()
-        assert outcome.alarm_sounded
+        assert outcome.alarm_at is not None
         # Next sample after 2.5 is at t=3.
         assert outcome.alarm_latency == pytest.approx(0.501, abs=0.01)
 

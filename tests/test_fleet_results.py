@@ -1,6 +1,8 @@
 """Telemetry serialization, aggregation and artifact round-trips."""
 
 import json
+import math
+from typing import Sequence
 
 import pytest
 
@@ -13,7 +15,6 @@ from repro.fleet import (
     RunSpec,
     execute_run,
     failure_result,
-    percentile,
     read_manifest,
     read_results_jsonl,
     run_one,
@@ -22,6 +23,24 @@ from repro.fleet import (
 )
 from repro.sim.task import TaskStats
 from repro.units import MiB
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Linear-interpolation percentile (``q`` in [0, 100]); no numpy."""
+    if not values:
+        raise ConfigurationError("percentile of empty sequence")
+    if not 0.0 <= q <= 100.0:
+        raise ConfigurationError("q must be within [0, 100]")
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    position = (len(ordered) - 1) * q / 100.0
+    low = math.floor(position)
+    high = math.ceil(position)
+    if low == high:
+        return ordered[low]
+    fraction = position - low
+    return ordered[low] * (1 - fraction) + ordered[high] * fraction
 
 
 def make_result(**overrides) -> RunResult:

@@ -1,6 +1,7 @@
 """HMAC from scratch: RFC 4231 vectors and stdlib equivalence."""
 
 import hmac as stdlib_hmac
+from typing import Iterable
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,10 +10,19 @@ from repro.crypto.hashes import get_algorithm
 from repro.crypto.hmac import (
     Hmac,
     constant_time_equal,
-    hmac_chain,
     hmac_digest,
     keyed_states,
 )
+
+def hmac_chain(
+    key: bytes, chunks: Iterable[bytes], algorithm: str = "sha256"
+) -> bytes:
+    """HMAC over the concatenation of ``chunks`` (block-wise measurement)."""
+    mac = Hmac(key, algorithm)
+    for chunk in chunks:
+        mac.update(chunk)
+    return mac.digest()
+
 
 # RFC 4231 test cases (SHA-256 / SHA-512 expansions).
 RFC4231 = [

@@ -47,7 +47,7 @@ class TestNoLock:
         assert policy.before_block(0) == 0
         assert policy.after_block(0) == 0
         assert policy.on_end() == 0
-        assert device.mpu.locked_count() == 0
+        assert sum(device.mpu.lock_bits) == 0
 
 
 class TestAllLock:
@@ -57,7 +57,7 @@ class TestAllLock:
         policy.reset(device, range(6))
         ops = policy.on_start()
         assert ops == 6
-        assert device.mpu.locked_count() == 6
+        assert sum(device.mpu.lock_bits) == 6
 
     def test_releases_everything_at_end(self):
         device = make_device()
@@ -65,7 +65,7 @@ class TestAllLock:
         policy.reset(device, range(6))
         policy.on_start()
         policy.on_end()
-        assert device.mpu.locked_count() == 0
+        assert sum(device.mpu.lock_bits) == 0
 
     def test_extended_holds_until_release(self):
         device = make_device()
@@ -73,9 +73,9 @@ class TestAllLock:
         policy.reset(device, range(6))
         policy.on_start()
         assert policy.on_end() == 0
-        assert device.mpu.locked_count() == 6
+        assert sum(device.mpu.lock_bits) == 6
         policy.on_release()
-        assert device.mpu.locked_count() == 0
+        assert sum(device.mpu.lock_bits) == 0
 
 
 class TestDecLock:
@@ -84,12 +84,12 @@ class TestDecLock:
         policy = DecLock()
         policy.reset(device, range(6))
         policy.on_start()
-        assert device.mpu.locked_count() == 6
+        assert sum(device.mpu.lock_bits) == 6
         policy.after_block(0)
         assert not device.mpu.is_locked(0)
-        assert device.mpu.locked_count() == 5
+        assert sum(device.mpu.lock_bits) == 5
         policy.after_block(1)
-        assert device.mpu.locked_count() == 4
+        assert sum(device.mpu.lock_bits) == 4
 
     def test_fully_unlocked_after_traversal(self):
         device = make_device()
@@ -100,7 +100,7 @@ class TestDecLock:
             policy.before_block(block)
             policy.after_block(block)
         policy.on_end()
-        assert device.mpu.locked_count() == 0
+        assert sum(device.mpu.lock_bits) == 0
 
 
 class TestIncLock:
@@ -109,11 +109,11 @@ class TestIncLock:
         policy = IncLock()
         policy.reset(device, range(6))
         policy.on_start()
-        assert device.mpu.locked_count() == 0
+        assert sum(device.mpu.lock_bits) == 0
         policy.before_block(0)
         assert device.mpu.is_locked(0)
         policy.before_block(1)
-        assert device.mpu.locked_count() == 2
+        assert sum(device.mpu.lock_bits) == 2
 
     def test_all_locked_at_end_then_released(self):
         device = make_device()
@@ -123,9 +123,9 @@ class TestIncLock:
         for block in range(6):
             policy.before_block(block)
             policy.after_block(block)
-        assert device.mpu.locked_count() == 6
+        assert sum(device.mpu.lock_bits) == 6
         policy.on_end()
-        assert device.mpu.locked_count() == 0
+        assert sum(device.mpu.lock_bits) == 0
 
     def test_extended_holds_until_release(self):
         device = make_device()
@@ -134,9 +134,9 @@ class TestIncLock:
         for block in range(6):
             policy.before_block(block)
         assert policy.on_end() == 0
-        assert device.mpu.locked_count() == 6
+        assert sum(device.mpu.lock_bits) == 6
         policy.on_release()
-        assert device.mpu.locked_count() == 0
+        assert sum(device.mpu.lock_bits) == 0
 
 
 class TestAbort:
@@ -147,7 +147,7 @@ class TestAbort:
         policy.on_start()
         policy.after_block(0)
         policy.abort()
-        assert device.mpu.locked_count() == 0
+        assert sum(device.mpu.lock_bits) == 0
 
     def test_abort_before_reset_is_noop(self):
         DecLock().abort()
@@ -200,4 +200,4 @@ class TestEndToEndLockTrajectories:
     def test_inc_lock_ext_release_at_tr(self):
         device, record = self.run_with("inc-lock-ext", release_delay=2.0)
         assert record.t_release == pytest.approx(record.t_end + 2.0)
-        assert device.mpu.locked_count() == 0
+        assert sum(device.mpu.lock_bits) == 0

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.locking_math import (
     expected_block_delay,
     lock_exposure,
-    mean_delay_over_blocks,
 )
 from repro.errors import ParameterError
 from repro.ra.locking import make_policy
@@ -13,6 +12,15 @@ from repro.ra.measurement import MeasurementConfig, MeasurementProcess
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
 from repro.units import MiB
+
+
+def mean_delay_over_blocks(policy: str, n_blocks: int,
+                           block_time: float) -> float:
+    """Expected write delay averaged over a uniformly chosen block."""
+    return sum(
+        expected_block_delay(policy, n_blocks, position, block_time)
+        for position in range(n_blocks)
+    ) / n_blocks
 
 
 class TestLockExposure:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashes import HASH_ALGORITHMS, get_algorithm
 from repro.errors import ConfigurationError
-from repro.malware.observer import MeasurementObserver
 from repro.obs.core import Observability
 from repro.ra.locking import AllLock
 from repro.ra.measurement import (
@@ -22,6 +21,8 @@ from repro.ra.measurement import (
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
 from repro.sim.task import PeriodicTask
+
+from tests.observer import MeasurementObserver
 
 
 def run_measurement(device, config, nonce=b"n", counter=1, until=100.0):

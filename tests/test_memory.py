@@ -9,11 +9,12 @@ from repro.sim.memory import (
     Memory,
     MemoryImage,
     Region,
-    WriteRecord,
     benign_fill,
     content_fingerprint,
 )
 from repro.sim.mpu import FaultPolicy, MemoryProtectionUnit
+
+from tests.record_oracles import WriteRecord, write_log, writes_in
 
 
 def make_memory(block_count=8, block_size=16, **kwargs):
@@ -23,13 +24,13 @@ def make_memory(block_count=8, block_size=16, **kwargs):
 class TestGeometry:
     def test_sizes(self):
         memory = make_memory(8, 16)
-        assert memory.total_size == 128
-        assert memory.total_sim_size == 128
+        assert memory.block_count * memory.block_size == 128
+        assert memory.block_count * memory.sim_block_size == 128
 
     def test_sim_size_decoupled(self):
         memory = make_memory(8, 16, sim_block_size=1024)
-        assert memory.total_size == 128
-        assert memory.total_sim_size == 8 * 1024
+        assert memory.block_count * memory.block_size == 128
+        assert memory.block_count * memory.sim_block_size == 8 * 1024
 
     def test_sim_block_smaller_than_real_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -113,8 +114,8 @@ class TestWriteLog:
         memory.sim = sim
         sim.schedule(2.0, memory.write, 3, b"\xCD" * 16, "writer")
         sim.run()
-        assert len(memory.write_log) == 1
-        record = memory.write_log[0]
+        assert len(write_log(memory)) == 1
+        record = write_log(memory)[0]
         assert record.time == 2.0
         assert record.block == 3
         assert record.actor == "writer"
@@ -127,13 +128,13 @@ class TestWriteLog:
         for t in (1.0, 2.0, 3.0):
             sim.schedule(t, memory.write, 0, b"\x00" * 16, "w")
         sim.run()
-        assert len(memory.writes_in(1.5, 2.5)) == 1
+        assert len(writes_in(memory, 1.5, 2.5)) == 1
 
     def test_patch_logs_resulting_fingerprint(self):
         memory = make_memory()
         memory.patch(0, 0, b"\xFF", "w")
         expected = content_fingerprint(memory.read_block(0))
-        assert memory.write_log[-1].fingerprint == expected
+        assert write_log(memory)[-1].fingerprint == expected
 
 
 class TestWriteLogContents:
@@ -161,25 +162,25 @@ class TestWriteLogContents:
         memory.write(2, bytearray(b"\x33" * 16), "w")
         read_back(2)
 
-        assert [rec.block for rec in memory.write_log] == [2, 2, 5, 2]
-        assert "denied" not in [rec.actor for rec in memory.write_log]
-        assert [rec.fingerprint for rec in memory.write_log] == seen
+        assert [rec.block for rec in write_log(memory)] == [2, 2, 5, 2]
+        assert "denied" not in [rec.actor for rec in write_log(memory)]
+        assert [rec.fingerprint for rec in write_log(memory)] == seen
 
     def test_content_is_the_frozen_snapshot(self):
         memory = make_memory()
         payload = bytearray(b"\x44" * 16)
         memory.write(1, payload, "w")
         payload[0] = 0  # the caller's buffer is not the record's
-        record = memory.write_log[-1]
+        record = write_log(memory)[-1]
         assert record.content is memory.read_block(1)
         assert record.content == b"\x44" * 16
         memory.patch(1, 0, b"\x55", "p")
-        assert memory.write_log[-1].content is memory.read_block(1)
+        assert write_log(memory)[-1].content is memory.read_block(1)
         assert record.content == b"\x44" * 16
 
 
 class TestWriteLogView:
-    """``write_log``, built from the raw columns on each read, is the
+    """``write_log``, built from the raw columns, is the
     :class:`WriteRecord` sequence the memory used to append one per
     committed write: same fields, and each ``content`` the very snapshot
     ``read_block`` returned right after that write."""
@@ -220,11 +221,11 @@ class TestWriteLogView:
             sim.schedule_at(time, apply, op, block, offset, data)
         sim.run()
 
-        log = memory.write_log
+        log = write_log(memory)
         assert log == expected
         assert all(a.content is b.content for a, b in zip(log, expected))
         for low, high in ((0.0, 0.0), (0.25, 2.0), (0.0, time)):
-            assert memory.writes_in(low, high) == [
+            assert writes_in(memory, low, high) == [
                 rec for rec in expected if low <= rec.time <= high
             ]
 
@@ -253,7 +254,7 @@ class TestMpuIntegration:
         memory = self.make_locked()
         with pytest.raises(MemoryFault):
             memory.write(3, b"\x00" * 16, "t")
-        assert memory.write_log == []
+        assert write_log(memory) == []
 
     def test_try_write_returns_false_on_fault(self):
         memory = self.make_locked()
@@ -272,7 +273,7 @@ class TestMpuIntegration:
         before = memory.read_block(3)
         memory.write(3, b"\x11" * 16, "t")  # no exception
         assert memory.read_block(3) == before
-        assert memory.write_log == []
+        assert write_log(memory) == []
 
 
 class TestGenerations:
@@ -283,12 +284,12 @@ class TestGenerations:
         memory = make_memory(8, 32)
         assert memory.generations == [0] * 8
         memory.write(2, b"\xaa" * 32, actor="test")
-        assert memory.generation(2) == 1
+        assert memory.generations[2] == 1
         memory.patch(2, 4, b"\xbb\xbb", actor="test")
-        assert memory.generation(2) == 2
+        assert memory.generations[2] == 2
         memory.load_image(memory.snapshot())
         assert all(g >= 1 for g in memory.generations)
-        assert memory.generation(2) == 3
+        assert memory.generations[2] == 3
 
     def test_blocked_write_does_not_bump(self):
         memory = make_memory(8, 32)
@@ -296,9 +297,9 @@ class TestGenerations:
         memory.mpu.lock(3)
         with pytest.raises(MemoryFault):
             memory.write(3, b"\xcc" * 32, actor="malware")
-        assert memory.generation(3) == 0
+        assert memory.generations[3] == 0
         assert not memory.try_write(3, b"\xcc" * 32, actor="malware")
-        assert memory.generation(3) == 0
+        assert memory.generations[3] == 0
 
 
 class TestRegions:

@@ -78,7 +78,7 @@ class TestMemoryClockDefault:
 
         memory = Memory(4, 16)
         memory.write(0, b"\x00" * 16, "w")
-        assert memory.write_log[0].time == 0.0
+        assert memory.write_times == [0.0]
 
 
 class TestInterRoundGap:
@@ -104,17 +104,6 @@ class TestInterRoundGap:
         records = exchange.report.records
         for earlier, later in zip(records, records[1:]):
             assert later.t_start - earlier.t_end >= 0.5 - 1e-9
-
-
-class TestUpdateServiceGuards:
-    def test_needs_nic(self):
-        from repro.errors import ConfigurationError
-        from repro.ra.update import UpdateService
-
-        sim = Simulator()
-        device = Device(sim, block_count=4, block_size=16)
-        with pytest.raises(ConfigurationError):
-            UpdateService(device)
 
 
 class TestSwarmResultQueries:

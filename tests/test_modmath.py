@@ -7,7 +7,6 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.modmath import (
     bit_length_bytes,
     bytes_to_int,
-    crt_pair,
     egcd,
     generate_prime,
     int_to_bytes,
@@ -15,6 +14,15 @@ from repro.crypto.modmath import (
     modinv,
 )
 from repro.errors import ParameterError
+
+def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
+    """Solve ``x = r1 (mod m1), x = r2 (mod m2)`` for coprime moduli."""
+    g, p, _ = egcd(m1, m2)
+    if g != 1:
+        raise ParameterError("CRT moduli must be coprime")
+    diff = (r2 - r1) % m2
+    return (r1 + m1 * ((diff * p) % m2)) % (m1 * m2)
+
 
 CARMICHAEL_NUMBERS = [561, 1105, 1729, 2465, 2821, 6601, 8911]
 KNOWN_PRIMES = [2, 3, 5, 101, 7919, 104729, (1 << 61) - 1]

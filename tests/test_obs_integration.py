@@ -18,6 +18,8 @@ from repro.obs.core import NULL_OBS, Observability
 from repro.sim.engine import Simulator
 from repro.units import MiB
 
+from tests.conftest import children_of
+
 
 def spec(**overrides) -> RunSpec:
     fields = dict(
@@ -70,7 +72,7 @@ class TestAttestationSpans:
         obs = self.run_instrumented()
         mps = obs.spans.find(name="ra.measurement")
         assert len(mps) >= 1
-        blocks = obs.spans.children_of(mps[0])
+        blocks = children_of(obs.spans, mps[0])
         assert [b.name for b in blocks] == ["ra.block"] * 8
 
     def test_lock_hold_span_recorded(self):
@@ -86,7 +88,7 @@ class TestAttestationSpans:
 
     def test_no_open_spans_after_healthy_run(self):
         obs = self.run_instrumented()
-        assert obs.spans.open_spans() == []
+        assert list(obs.spans._stack) == []
 
     def test_identical_runs_identical_span_sets(self):
         first = [s.to_dict() for s in self.run_instrumented().spans]

@@ -24,10 +24,19 @@ from repro.obs.report import (
     exchange_records,
     exemplar_table,
     resolve_quantile,
-    trace_ids,
 )
 from repro.obs.spans import SpanTracker
 from repro.vserver.service import build_service_scenario, service_preset
+
+def traced_spans(spans):
+    """Every span carrying a ``trace_id`` arg."""
+    return [span for span in spans if span.args.get("trace_id")]
+
+
+def trace_ids(spans):
+    """Distinct trace ids present in a capture, sorted."""
+    return sorted({span.args["trace_id"] for span in traced_spans(spans)})
+
 
 GOLDEN_TIMELINE = Path(__file__).parent / "golden" / "causal_timeline.jsonl"
 GOLDEN_LEDGER = Path(__file__).parent / "golden" / "vserver_ledger.jsonl"

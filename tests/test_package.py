@@ -74,13 +74,9 @@ class TestErrorHierarchy:
     def test_catchable_as_base(self):
         with pytest.raises(errors.ReproError):
             raise errors.VerificationError("bad report")
-        with pytest.raises(errors.ProtocolError):
-            raise errors.ReplayError("again")
         with pytest.raises(errors.CryptoError):
             raise errors.SignatureError("no")
 
     def test_simulation_errors(self):
         with pytest.raises(errors.SimulationError):
             raise errors.SchedulingError("past")
-        with pytest.raises(errors.SimulationError):
-            raise errors.DeadlockError("stuck")

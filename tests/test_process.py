@@ -356,11 +356,11 @@ class TestLifecycleEdgeCases:
             yield Compute(1.0)
 
         proc = cpu.spawn("p", body)
-        assert not proc.alive  # NEW until its start event fires
+        assert proc.state is ProcState.NEW  # until its start event fires
         sim.run(until=0.5)
-        assert proc.alive
+        assert proc.state not in (ProcState.NEW, ProcState.DONE)
         sim.run()
-        assert not proc.alive
+        assert proc.state is ProcState.DONE
 
     def test_response_mean_no_samples(self):
         sim, cpu = make_cpu()
@@ -369,7 +369,7 @@ class TestLifecycleEdgeCases:
             yield Compute(1.0)
 
         proc = cpu.spawn("p", body, delay=5.0)
-        assert proc.response_mean == 0.0
+        assert proc.response_samples == 0
 
     def test_idle_fraction_zero_elapsed(self):
         _, cpu = make_cpu()

@@ -146,11 +146,11 @@ class TestLockingAutomata:
         policy = DecLock()
         policy.reset(device, order)
         policy.on_start()
-        counts = [device.mpu.locked_count()]
+        counts = [sum(device.mpu.lock_bits)]
         for block in order:
             policy.before_block(block)
             policy.after_block(block)
-            counts.append(device.mpu.locked_count())
+            counts.append(sum(device.mpu.lock_bits))
         policy.on_end()
         assert counts == sorted(counts, reverse=True)
         assert counts[0] == 6 and counts[-1] == 0
@@ -162,15 +162,15 @@ class TestLockingAutomata:
         policy = IncLock()
         policy.reset(device, order)
         policy.on_start()
-        counts = [device.mpu.locked_count()]
+        counts = [sum(device.mpu.lock_bits)]
         for block in order:
             policy.before_block(block)
             policy.after_block(block)
-            counts.append(device.mpu.locked_count())
+            counts.append(sum(device.mpu.lock_bits))
         assert counts == sorted(counts)
         assert counts[-1] == 6
         policy.on_end()
-        assert device.mpu.locked_count() == 0
+        assert sum(device.mpu.lock_bits) == 0
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -191,7 +191,7 @@ class TestLockingAutomata:
             policy.after_block(block)
         policy.on_end()
         policy.on_release()
-        assert device.mpu.locked_count() == 0
+        assert sum(device.mpu.lock_bits) == 0
 
 
 class TestQoAClassification:

@@ -22,7 +22,6 @@ class TestParameters:
     def test_derived_quantities(self):
         params = QoAParameters(t_m=2.0, t_c=10.0)
         assert params.measurements_per_collection == pytest.approx(5.0)
-        assert params.max_transient_window == 2.0
         assert params.worst_detection_latency == 12.0
 
     def test_detection_probability(self):

@@ -9,10 +9,15 @@ from repro.analysis.qoa_math import (
     detection_probability,
     expected_detection_latency,
     required_t_m,
-    undetected_window_fraction,
     worst_detection_latency,
 )
 from repro.errors import ParameterError
+
+
+def undetected_window_fraction(dwell: float, t_m: float) -> float:
+    """Fraction of infections that fit entirely between measurements
+    (Figure 5's 'Infection 1')."""
+    return 1.0 - detection_probability(dwell, t_m)
 
 
 class TestDetectionProbability:

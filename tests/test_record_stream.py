@@ -1,40 +1,45 @@
 """Record-stream pins for the canned fleet campaigns.
 
 The paper's evidence is the audit trail: the device ``Trace`` behind the
-Fig. 1/4/5 timelines and ``Memory.write_log`` behind the Fig. 4
+Fig. 1/4/5 timelines and the memory's write log behind the Fig. 4
 consistency check.  The fleet digests see only record *counts*
 (``trace_events``/``trace_dropped``), so these tests pin record
 *contents* on the benchmarked workload: one ``qoa`` run and one
 ``locking`` run that emits more records than the default cap.  A fleet
 run counts its trace records and keeps none, so the capture helper
-hands the scenario a :class:`~repro.sim.trace.Trace` ring with the
+hands the scenario a :class:`~tests.record_oracles.RingTrace` with the
 spec's cap that also feeds the executor's counter.  Each run is
 repeated with a cap large enough that nothing drops, and the sha256 of
 ``Trace.to_jsonl`` and of the write-log tuples
 ``(time, block, actor, fingerprint)`` must stay exactly as captured
-before the record path was optimised.  The malware payload is seeded
+before the record path was optimised.  The export then closed with a
+``trace.meta`` count line; the test appends that line before hashing,
+so the pins hash the same bytes.  The malware payload is seeded
 independently of ``PYTHONHASHSEED``, so the write-log hash is the same
 in every process.
 
 Three differentials back the count-only record path: over every
 seed-1 run of five canned campaigns, the counts a run reports equal
-those of ``Trace`` rings at several caps fed the same records, and a
-run whose CPU tallies the counting trace in place writes the same
+those of ``RingTrace`` rings at several caps fed the same records, and
+a run whose CPU tallies the counting trace in place writes the same
 result line as one whose every record is a ``record`` call; and over
-the ``locking`` pin run, ``Memory.write_log`` equals the
-``WriteRecord`` sequence that used to be appended one committed write
-at a time.
+the ``locking`` pin run, the write log read from the memory's columns
+equals the ``WriteRecord`` sequence that used to be appended one
+committed write at a time.
 """
 
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
 from repro.fleet import executor
 from repro.fleet.campaign import RunSpec, canned_campaign
-from repro.sim.memory import Memory, WriteRecord
-from repro.sim.trace import CountingTrace, Trace
+from repro.sim.memory import Memory
+from repro.sim.trace import CountingTrace
+
+from tests.record_oracles import RingTrace, WriteRecord, write_log
 
 #: campaign, selecting fields, retained/dropped at the default cap,
 #: records emitted, committed writes, to_jsonl sha256, write-log sha256
@@ -69,8 +74,17 @@ def pick(campaign: str, fields: dict) -> RunSpec:
     raise LookupError(f"no {campaign} spec with {fields}")
 
 
-class TeeTrace(Trace):
-    """A full :class:`Trace` that also passes each record to ``sink``."""
+def meta_line(emitted: int) -> bytes:
+    """The ``trace.meta`` line an uncapped export closed with when the
+    pins were captured."""
+    meta = {"kind": "trace.meta", "records": emitted, "dropped": 0,
+            "max_records": UNBOUNDED}
+    return (json.dumps(meta, sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
+
+
+class TeeTrace(RingTrace):
+    """A :class:`RingTrace` that also passes each record to ``sink``."""
 
     def __init__(self, sink, max_records=None):
         super().__init__(max_records)
@@ -83,7 +97,7 @@ class TeeTrace(Trace):
 
 def run_capturing_device(spec: RunSpec, monkeypatch):
     """``execute_run(spec)`` plus the device it built, whose ``trace``
-    is a :class:`Trace` ring of ``spec.trace_limit`` records."""
+    is a :class:`RingTrace` of ``spec.trace_limit`` records."""
     built = []
     real_build = executor.Scenario.build
 
@@ -104,7 +118,7 @@ def run_capturing_device(spec: RunSpec, monkeypatch):
 def write_log_sha256(memory) -> str:
     lines = "\n".join(
         f"{rec.time!r} {rec.block} {rec.actor} {rec.fingerprint.hex()}"
-        for rec in memory.write_log
+        for rec in write_log(memory)
     )
     return hashlib.sha256(lines.encode()).hexdigest()
 
@@ -125,7 +139,7 @@ class TestRecordStream:
         assert (result.trace_events, result.trace_dropped) == capped
         assert result.trace_events + result.trace_dropped == emitted
         assert (len(device.trace), device.trace.dropped) == capped
-        assert len(device.memory.write_log) == writes
+        assert len(device.memory.write_times) == writes
 
     def test_contents_uncapped(
         self, campaign, fields, capped, emitted, writes, trace_sha,
@@ -137,8 +151,9 @@ class TestRecordStream:
         assert (result.trace_events, result.trace_dropped) == (emitted, 0)
         path = tmp_path / "trace.jsonl"
         assert device.trace.to_jsonl(path) == emitted
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha
-        assert len(device.memory.write_log) == writes
+        exported = path.read_bytes() + meta_line(emitted)
+        assert hashlib.sha256(exported).hexdigest() == trace_sha
+        assert len(device.memory.write_times) == writes
         assert write_log_sha256(device.memory) == log_sha
 
 
@@ -148,12 +163,12 @@ CAPS = (1, 100, 4096, UNBOUNDED)
 
 class RingFanOut:
     """A device trace that passes each record to the executor's sink
-    and to one :class:`Trace` ring per cap.  It has only ``record``, so
+    and to one :class:`RingTrace` per cap.  It has only ``record``, so
     a run that asked its trace for anything else would fail here."""
 
     def __init__(self, sink):
         self.sink = sink
-        self.rings = {cap: Trace(cap) for cap in CAPS}
+        self.rings = {cap: RingTrace(cap) for cap in CAPS}
 
     def record(self, time, kind, source, **data):
         self.sink.record(time, kind, source, **data)
@@ -253,7 +268,7 @@ def test_write_log_view_matches_appended_records(monkeypatch):
     _result, device = run_capturing_device(
         pick(campaign, fields), monkeypatch
     )
-    log = device.memory.write_log
+    log = write_log(device.memory)
     assert len(log) == writes == len(appended)
     assert log == appended
     assert all(a.content is b.content for a, b in zip(log, appended))

@@ -13,11 +13,11 @@ import pytest
 
 from repro.core.tradeoff import ScenarioConfig
 from repro.errors import ConfigurationError
+from repro.perf import reference_store
 from repro.perf.reference_store import (
     AUDIT_LEN,
     ReferenceStore,
     raw_benign_fill,
-    set_reference_store,
 )
 from repro.ra.measurement import MeasurementConfig, MeasurementProcess
 from repro.scenario import Scenario
@@ -29,6 +29,13 @@ from repro.sim.memory import (
     benign_fill,
     content_fingerprint,
 )
+
+
+def set_reference_store(store: ReferenceStore) -> ReferenceStore:
+    """Swap the process-wide store; returns the previous one."""
+    previous = reference_store.REFERENCE_STORE
+    reference_store.REFERENCE_STORE = store
+    return previous
 
 
 @pytest.fixture

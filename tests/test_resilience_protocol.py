@@ -180,7 +180,7 @@ class TestResetRecovery:
 
         def probe(label):
             probes[label] = {
-                "locked": scenario.device.mpu.locked_count(),
+                "locked": sum(scenario.device.mpu.lock_bits),
                 "dedup": len(scenario.service._dedup),
             }
 

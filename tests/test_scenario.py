@@ -32,6 +32,8 @@ from repro.scenario import (
 from repro.sim import Trace
 from repro.units import MiB
 
+from tests.conftest import pending_count
+
 
 def small_config(**overrides) -> ScenarioConfig:
     fields = dict(block_count=8, sim_block_size=MiB, horizon=20.0)
@@ -157,7 +159,7 @@ class TestWiring:
 
     def test_injected_sim_trace_and_obs_are_honored(self):
         obs = Observability.enabled(spans=False, metrics=True)
-        trace = Trace(max_records=10)
+        trace = Trace()
         scenario = Scenario.build(
             mechanism="smart", obs=obs, trace=trace, config=small_config()
         )
@@ -349,9 +351,9 @@ class TestDrive:
         config = small_config(rounds=3, request_at=1.5)
         scenario = Scenario.build(mechanism=key, config=config)
         requested = record_calls(scenario, "driver", "request")
-        pending = scenario.sim.pending_count()
+        pending = pending_count(scenario.sim)
         scenario.drive()
-        assert scenario.sim.pending_count() == pending + 1
+        assert pending_count(scenario.sim) == pending + 1
         scenario.run()
         assert requested == [1.5]
         (exchange,) = scenario.driver.exchanges
@@ -374,9 +376,9 @@ class TestDrive:
         config = small_config(horizon=horizon, t_c=period)
         scenario = Scenario.build(mechanism=key, config=config)
         collected = record_calls(scenario, "collector", "collect")
-        pending = scenario.sim.pending_count()
+        pending = pending_count(scenario.sim)
         scenario.drive()
-        assert scenario.sim.pending_count() == pending + len(times)
+        assert pending_count(scenario.sim) == pending + len(times)
         scenario.run(until=times[-1] + 1.0)
         assert collected == times
         assert len(scenario.collector.collections) == len(times)
@@ -384,9 +386,9 @@ class TestDrive:
     @pytest.mark.parametrize("key", [*kinds("push"), "none"])
     def test_push_and_none_schedule_nothing(self, key):
         scenario = Scenario.build(mechanism=key, config=small_config())
-        pending = scenario.sim.pending_count()
+        pending = pending_count(scenario.sim)
         scenario.drive()
-        assert scenario.sim.pending_count() == pending
+        assert pending_count(scenario.sim) == pending
 
 
 class TestOutcome:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.malware.observer import MeasurementObserver
 from repro.malware.transient import TransientMalware
 from repro.ra.report import Verdict
 from repro.ra.seed import SeedMonitor, SeedService, trigger_schedule
@@ -11,6 +10,8 @@ from repro.ra.verifier import Verifier
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
 from repro.sim.network import Channel, DropAdversary, ReplayAdversary
+
+from tests.observer import MeasurementObserver
 
 
 def seed_rig(trigger_count=5, min_gap=2.0, max_gap=4.0, grace=1.0,

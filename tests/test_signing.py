@@ -67,7 +67,7 @@ class TestSignedProtocol:
         service = SmartAttestation(stack.device, signature=scheme)
         service.install()
         stack.verifier.enroll(
-            stack.device.name, signing=service.signing_identity.public()
+            stack.device.name, signing=service.signer.public()
         )
         if forge:
             # A MITM that re-signs with its own key: the MAC would
@@ -124,7 +124,7 @@ class TestSignedProtocol:
                                    signature="rsa4096")
         service.install()
         signed_stack.verifier.enroll(
-            signed_stack.device.name, signing=service.signing_identity.public()
+            signed_stack.device.name, signing=service.signer.public()
         )
         signed = signed_stack.driver.request(signed_stack.device.name)
         signed_stack.sim.run(until=60)

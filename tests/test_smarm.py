@@ -11,11 +11,58 @@ from repro.ra.smarm import (
     SmarmAttestation,
     escape_probability,
     escape_trial,
-    multi_round_escape_probability,
 )
 from repro.analysis.smarm_math import single_round_escape
 
 from tests.conftest import make_stack
+
+
+def multi_round_escape_probability(
+    n_blocks: int,
+    rounds: int,
+    trials: int = 2000,
+    seed: bytes = b"smarm-mc-rounds",
+) -> float:
+    """Monte-Carlo estimate that malware escapes ``rounds`` independent
+    measurements in a row."""
+    drbg = HmacDrbg(seed)
+    survived = 0
+    for _ in range(trials):
+        if all(escape_trial(n_blocks, drbg) for _ in range(rounds)):
+            survived += 1
+    return survived / trials
+
+
+def escape_trial_move_once(n_blocks: int, drbg: HmacDrbg) -> bool:
+    """The suboptimal single-move strategy, as a game.
+
+    Malware picks one random boundary (after ``j`` of ``n`` blocks are
+    measured) and one uniform destination, and relocates exactly once.
+    Validates :func:`repro.analysis.smarm_math.move_once_escape`
+    (~1/6 for large n, vs e^-1 for the per-block mover).
+    """
+    order = drbg.permutation(n_blocks)
+    position = drbg.randbelow(n_blocks)
+    move_after = drbg.randbelow(n_blocks)  # boundary index j
+    for step, measured_block in enumerate(order):
+        if step == move_after:
+            position = drbg.randbelow(n_blocks)
+        if position == measured_block:
+            return False
+    return True
+
+
+def move_once_escape_probability(
+    n_blocks: int,
+    trials: int = 2000,
+    seed: bytes = b"smarm-mc-once",
+) -> float:
+    """Monte-Carlo estimate for the single-move strategy."""
+    drbg = HmacDrbg(seed)
+    escapes = sum(
+        escape_trial_move_once(n_blocks, drbg) for _ in range(trials)
+    )
+    return escapes / trials
 
 
 class TestAbstractGame:
@@ -127,7 +174,6 @@ class TestFullStack:
 class TestMoveOnceValidation:
     def test_monte_carlo_matches_closed_form(self):
         from repro.analysis.smarm_math import move_once_escape
-        from repro.ra.smarm import move_once_escape_probability
 
         for n in (16, 64):
             mc = move_once_escape_probability(n, trials=4000)
@@ -137,7 +183,6 @@ class TestMoveOnceValidation:
 
     def test_single_move_clearly_suboptimal(self):
         from repro.analysis.smarm_math import single_round_escape
-        from repro.ra.smarm import move_once_escape_probability
 
         mc = move_once_escape_probability(64, trials=3000)
         assert mc < single_round_escape(64) - 0.1

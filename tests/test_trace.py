@@ -1,8 +1,10 @@
-"""Trace recording and querying."""
+"""Trace recording and querying, and the ring oracle of the tests."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.trace import Trace, TraceRecord
+
+from tests.record_oracles import RingTrace
 
 
 def populated():
@@ -65,15 +67,18 @@ class TestRendering:
 
 
 class TestRingBuffer:
+    """:class:`~tests.record_oracles.RingTrace`, the ring a fleet run's
+    counts describe."""
+
     def test_unbounded_by_default(self):
-        trace = Trace()
-        for index in range(1000):
-            trace.record(float(index), "tick", "src")
-        assert len(trace) == 1000
+        for trace in (Trace(), RingTrace()):
+            for index in range(1000):
+                trace.record(float(index), "tick", "src")
+            assert len(trace) == 1000
         assert trace.dropped == 0
 
     def test_bounded_keeps_newest(self):
-        trace = Trace(max_records=3)
+        trace = RingTrace(max_records=3)
         for index in range(10):
             trace.record(float(index), "tick", "src")
         assert len(trace) == 3
@@ -81,7 +86,7 @@ class TestRingBuffer:
         assert [r.time for r in trace] == [7.0, 8.0, 9.0]
 
     def test_bounded_queries_still_work(self):
-        trace = Trace(max_records=2)
+        trace = RingTrace(max_records=2)
         trace.record(1.0, "a", "src")
         trace.record(2.0, "b", "src")
         trace.record(3.0, "a", "src")
@@ -94,11 +99,11 @@ class TestRingBuffer:
         import pytest
 
         with pytest.raises(ValueError):
-            Trace(max_records=0)
+            RingTrace(max_records=0)
 
     def test_accounting_across_the_wrap(self):
         for cap in (1, 3, 4096):
-            trace = Trace(max_records=cap)
+            trace = RingTrace(max_records=cap)
             for emitted in range(1, 2 * cap + 6):
                 trace.record(float(emitted), "tick", "src", n=emitted)
                 assert len(trace) + trace.dropped == emitted
@@ -111,7 +116,7 @@ class TestRingBuffer:
         import pytest
 
         for cap in (None, 1, 3, 4096):
-            trace = Trace(max_records=cap)
+            trace = RingTrace(max_records=cap)
             assert trace.max_records == cap
             with pytest.raises(AttributeError):
                 trace.max_records = 2
@@ -127,31 +132,18 @@ class TestJsonlExport:
         path = tmp_path / "trace.jsonl"
         assert trace.to_jsonl(path) == 5
         lines = path.read_text().splitlines()
-        assert len(lines) == 6  # 5 data records + trailing meta
+        assert len(lines) == 5  # one line per record, nothing else
         rows = [json.loads(line) for line in lines]
         assert rows[0] == {
             "time": 1.0, "kind": "mp.start", "source": "smart", "data": {},
         }
-        assert rows[-2]["data"]["payload"] == "0102"  # bytes -> hex
-        assert rows[-2]["data"]["size"] == 2
-        assert rows[-1] == {
-            "kind": "trace.meta", "records": 5, "dropped": 0,
-            "max_records": None,
-        }
+        assert rows[-1]["data"]["payload"] == "0102"  # bytes -> hex
+        assert rows[-1]["data"]["size"] == 2
 
-    def test_meta_line_reports_ring_buffer_drops(self, tmp_path):
-        import json
-
-        trace = Trace(max_records=3)
-        for index in range(7):
-            trace.record(float(index), "tick", "src")
+    def test_empty_trace_writes_an_empty_file(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        assert trace.to_jsonl(path) == 3
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert rows[-1] == {
-            "kind": "trace.meta", "records": 3, "dropped": 4,
-            "max_records": 3,
-        }
+        assert Trace().to_jsonl(path) == 0
+        assert path.read_bytes() == b""
 
     def test_non_json_values_coerced(self, tmp_path):
         import json
@@ -195,22 +187,19 @@ records_strategy = st.lists(
 
 
 class TestColumnarDifferential:
-    """The columnar ``Trace`` against a plain list of ``TraceRecord``s
-    (a ring buffer when capped): every count, query, rendering and
+    """The columnar ``Trace`` (a ``RingTrace`` when capped) against a
+    plain list of ``TraceRecord``s: every count, query, rendering and
     exported byte must agree."""
 
     @staticmethod
-    def model_jsonl(records, dropped, cap) -> bytes:
+    def model_jsonl(records) -> bytes:
         import json
 
-        lines = [
+        return "".join(
             json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":"))
+            + "\n"
             for rec in records
-        ]
-        meta = {"kind": "trace.meta", "records": len(records),
-                "dropped": dropped, "max_records": cap}
-        lines.append(json.dumps(meta, sort_keys=True, separators=(",", ":")))
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        ).encode("utf-8")
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(
@@ -222,7 +211,7 @@ class TestColumnarDifferential:
     )
     def test_matches_list_model(self, tmp_path_factory, cap, emitted,
                                 window, kind, source):
-        trace = Trace(max_records=cap)
+        trace = Trace() if cap is None else RingTrace(max_records=cap)
         model = []
         for time, kind_, source_, data in emitted:
             trace.record(time, kind_, source_, **data)
@@ -231,7 +220,7 @@ class TestColumnarDifferential:
         model = model[dropped:]
 
         assert len(trace) == len(model)
-        assert trace.dropped == dropped
+        assert getattr(trace, "dropped", 0) == dropped
         assert list(trace) == model
         assert trace.records == model
         assert trace.filter(kind=kind, source=source) == [
@@ -256,4 +245,4 @@ class TestColumnarDifferential:
         )
         path = tmp_path_factory.getbasetemp() / "differential.jsonl"
         assert trace.to_jsonl(path) == len(model)
-        assert path.read_bytes() == self.model_jsonl(model, dropped, cap)
+        assert path.read_bytes() == self.model_jsonl(model)

@@ -1,51 +1,23 @@
-"""TyTAN per-process measurement vs single and colluding malware."""
+"""TyTAN per-process measurement: partitions, records, retransmission.
+
+The Section 3.1 claim (single-process malware caught in its own
+region, a colluding pair escaping) lives in
+``tests/paper/test_sec31_tytan.py``, whose rig these tests share.
+"""
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.malware.colluding import ColludingMalware
 from repro.malware.relocating import SelfRelocatingMalware
 from repro.ra.report import Verdict
-from repro.ra.tytan import (
-    ProcessPartition,
-    TytanAttestation,
-    install_partitions,
-)
-from repro.ra.service import OnDemandVerifier
-from repro.ra.verifier import Verifier
+from repro.ra.tytan import TytanAttestation
+from repro.resilience.retry import RetryPolicy
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
-from repro.sim.network import Channel
+from repro.sim.network import Channel, FilterVerdict
 
-
-def tytan_rig(block_count=16):
-    sim = Simulator()
-    device = Device(sim, block_count=block_count, block_size=32)
-    install_partitions(
-        device,
-        [
-            ProcessPartition("procA", 0, block_count // 2),
-            ProcessPartition("procB", block_count // 2,
-                             block_count - block_count // 2),
-        ],
-    )
-    channel = Channel(sim, latency=0.002)
-    device.attach_network(channel)
-    verifier = Verifier(sim)
-    verifier.enroll(device)
-    driver = OnDemandVerifier(verifier, channel)
-    service = TytanAttestation(device, regions=["procA", "procB"])
-    service.install()
-    return sim, device, verifier, driver, service
-
-
-def request_verdict(sim, driver, device_name, at=1.0, until=120.0):
-    exchanges = []
-    sim.schedule_at(
-        at, lambda: exchanges.append(driver.request(device_name))
-    )
-    sim.run(until=until)
-    assert exchanges and exchanges[0].result is not None
-    return exchanges[0]
+from tests.paper.test_sec31_tytan import request_verdict, tytan_rig
 
 
 class TestPartitions:
@@ -70,24 +42,20 @@ class TestPartitions:
         device = Device(sim, block_count=8, block_size=32)
         channel = Channel(sim)
         device.attach_network(channel)
-        from repro.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             TytanAttestation(device, regions=[])
 
+    def test_request_and_reply_are_traced(self):
+        """TyTAN runs the shared on-demand dispatcher, so a request
+        leaves the same ``ra.request``/``ra.reply`` records as SMART."""
+        sim, device, verifier, driver, service = tytan_rig()
+        request_verdict(sim, driver, device.name)
+        (reply,) = device.trace.filter(kind="ra.reply")
+        assert reply.data == {"records": 2, "signed": False}
+        assert len(device.trace.filter(kind="ra.request")) == 1
+
 
 class TestSingleProcessMalware:
-    def test_caught_in_own_region(self):
-        """Single-process malware cannot run while its own pages are
-        measured, so it is captured in place."""
-        sim, device, verifier, driver, service = tytan_rig()
-        malware = ColludingMalware(
-            device, target_block=2, infect_at=0.1,
-            isolation_violated=False,
-        )
-        exchange = request_verdict(sim, driver, device.name)
-        assert exchange.result.verdict is Verdict.COMPROMISED
-
     def test_relocating_within_own_region_caught(self):
         sim, device, verifier, driver, service = tytan_rig()
         malware = SelfRelocatingMalware(
@@ -100,10 +68,13 @@ class TestSingleProcessMalware:
 
 
 class TestColludingMalware:
+    """The single-target cases of the Section 3.1 sweep in
+    ``tests/paper/test_sec31_tytan.py``."""
+
     def test_colluding_pair_escapes(self):
         """Malware spread over colluding processes defeats per-process
-        measurement (Section 3.1) -- the partner moves the payload out
-        of whichever region is being measured."""
+        measurement: the partner moves the payload out of whichever
+        region is being measured."""
         sim, device, verifier, driver, service = tytan_rig()
         malware = ColludingMalware(
             device, target_block=2, infect_at=0.1,
@@ -123,3 +94,33 @@ class TestColludingMalware:
         request_verdict(sim, driver, device.name)
         moves = [r for r in malware.history if r.action == "relocate"]
         assert len(moves) >= 2  # out of procA, then out of procB
+
+
+def drop_first_report(channel):
+    """Drop the first ``att_report`` on ``channel``, deliver the rest."""
+    dropped = []
+
+    def verdict_of(message):
+        if message.kind == "att_report" and not dropped:
+            dropped.append(message)
+            return FilterVerdict.drop()
+        return FilterVerdict.deliver()
+
+    channel.add_filter(verdict_of)
+    return dropped
+
+
+class TestRetransmission:
+    """A lost report is answered on the retransmitted challenge: the
+    prover's dedup cache resends the settled report."""
+
+    def test_lost_report_is_resent(self):
+        sim, device, verifier, driver, service = tytan_rig(
+            retry=RetryPolicy(timeout=2.0, max_retries=3)
+        )
+        dropped = drop_first_report(driver.channel)
+        exchange = request_verdict(sim, driver, device.name)
+        assert len(dropped) == 1
+        assert (exchange.status, exchange.attempts) == ("verified", 2)
+        assert exchange.result.verdict is Verdict.HEALTHY
+        assert service.requests_handled == 1  # resent, not re-measured

@@ -7,12 +7,20 @@ from repro.units import (
     GiB,
     KiB,
     MiB,
-    format_rate,
     format_size,
     format_time,
-    mb_per_s,
     parse_size,
 )
+
+
+def mb_per_s(megabytes: float) -> float:
+    """Convert a throughput given in MiB/s to bytes/s (calibration helper)."""
+    return megabytes * MiB
+
+
+def format_rate(bytes_per_second: float) -> str:
+    """Render a throughput, e.g. ``format_rate(110 * MiB)`` -> ``'110.0MiB/s'``."""
+    return format_size(int(bytes_per_second)) + "/s"
 
 
 class TestParseSize:

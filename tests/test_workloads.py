@@ -88,7 +88,7 @@ class TestWriterWorkload:
             0.5, lambda: device.cpu.spawn("mp", mp.run, priority=5)
         )
         sim.run(until=3.0)
-        assert workload.total_write_faults() > 0
+        assert sum(t.stats().write_faults for t in workload.tasks) > 0
         assert workload.worst_response() > 0.02
 
     def test_no_lock_measurement_causes_no_faults(self):
@@ -103,7 +103,7 @@ class TestWriterWorkload:
             0.5, lambda: device.cpu.spawn("mp", mp.run, priority=5)
         )
         sim.run(until=3.0)
-        assert workload.total_write_faults() == 0
+        assert sum(t.stats().write_faults for t in workload.tasks) == 0
 
 
 class TestMetrics:

@@ -24,6 +24,8 @@ from repro.sim.mpu import FaultPolicy
 from repro.sim.process import Compute
 from repro.sim.task import PeriodicTask, write_with_retry
 
+from tests.record_oracles import write_log
+
 BLOCK_COUNT = 32  # 16 data blocks: room for 4 writers x 3 blocks
 
 
@@ -82,7 +84,7 @@ def run_writers(policy, fault_policy, writers, blocks_per_task, block_size,
         "trace": trace,
         "writes": [
             (w.time, w.block, w.actor, w.content)
-            for w in device.memory.write_log
+            for w in write_log(device.memory)
         ],
         "stats": [task.stats() for task in workload.tasks],
         "jobs": [list(task.jobs) for task in workload.tasks],
