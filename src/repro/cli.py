@@ -130,16 +130,9 @@ def add_fleet_arguments(fleet: argparse.ArgumentParser) -> None:
                      help="artifact output directory")
     run.add_argument(
         "--resume", action="store_true",
-        help="restore checkpointed shards / prior results for the "
-             "same plan and execute only what is missing",
-    )
-    run.add_argument(
-        "--incremental", action="store_true",
-        help=(
-            "reuse prior ok results whose run_id and source-tree "
-            "fingerprint both match (stricter than --resume, which "
-            "it subsumes)"
-        ),
+        help="restore checkpointed shards and reuse prior ok results "
+             "whose run_id and source-tree fingerprint both match; "
+             "execute only what is missing",
     )
     run.add_argument(
         "--keep-checkpoints", action="store_true",
@@ -247,7 +240,6 @@ def run_fleet(args: argparse.Namespace) -> str:
         shard_size=args.shard_size,
         retries=args.retries,
         resume=args.resume,
-        incremental=args.incremental,
         keep_checkpoints=args.keep_checkpoints,
     )
     report = fleet.run_pipeline(

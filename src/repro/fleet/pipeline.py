@@ -54,7 +54,6 @@ from repro.fleet.results import (
     CampaignSummary,
     StreamingAggregator,
     artifact_paths,
-    read_results_jsonl,
 )
 from repro.fleet.store import (
     RunResultStore,
@@ -70,12 +69,9 @@ class PipelineConfig:
 
     shard_size: int = 8
     retries: int = 1
-    #: reuse prior shard checkpoints and prior final artifacts for the
-    #: same plan (continuation after a kill; trusts run_ids)
+    #: restore prior shard checkpoints and reuse prior *ok* results,
+    #: both only under a matching source fingerprint
     resume: bool = False
-    #: reuse prior *ok* results only under a matching source
-    #: fingerprint (stricter than resume, which it subsumes)
-    incremental: bool = False
     #: keep the shards/ directory after a successful finalize
     #: (debugging aid; normally it is deleted)
     keep_checkpoints: bool = False
@@ -126,7 +122,7 @@ class PipelineReport:
 
 
 # ---------------------------------------------------------------------------
-# Prior-result discovery (resume / incremental)
+# Prior-result discovery (resume)
 # ---------------------------------------------------------------------------
 
 
@@ -134,36 +130,23 @@ def _prior_results(
     out_dir: Any,
     campaign: CampaignSpec,
     specs: Sequence[RunSpec],
-    config: PipelineConfig,
     fingerprint: str,
     emit: LogFn,
 ) -> Tuple[Dict[str, RunResult], int]:
     """Reusable prior results keyed by run_id, plus the cache-hit count.
 
-    ``--incremental`` consults the final-artifact store under the
-    fingerprint contract (reused results count as cache hits);
-    ``--resume`` trusts any prior final artifacts for the same run ids
-    (a continuation, not a cache -- hits are not counted).
+    The final-artifact store serves only prior ``ok`` results that the
+    current source tree wrote (:meth:`RunResultStore.cached`); reused
+    results count as cache hits.
     """
-    prior: Dict[str, RunResult] = {}
-    cache_hits = 0
-    if config.incremental:
-        store = RunResultStore(out_dir, campaign.name)
-        hits, pending = store.cached(specs, fingerprint)
-        for result in hits:
-            prior[result.run_id] = result
-        cache_hits = len(hits)
-        emit(
-            f"incremental: {len(hits)}/{len(specs)} cache hits "
-            f"({len(pending)} to run)"
-        )
-    elif config.resume:
-        paths = artifact_paths(out_dir, campaign.name)
-        if paths.runs.exists():
-            for result in read_results_jsonl(paths.runs):
-                if result.ok:
-                    prior[result.run_id] = result
-    return prior, cache_hits
+    hits, pending = RunResultStore(out_dir, campaign.name).cached(
+        specs, fingerprint
+    )
+    emit(
+        f"resume: {len(hits)}/{len(specs)} cache hits "
+        f"({len(pending)} to run)"
+    )
+    return {result.run_id: result for result in hits}, len(hits)
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +292,13 @@ def run_pipeline(
         config.shard_size,
         fingerprint,
     )
-    completed = (
-        checkpoints.completed_shards()
-        if (config.resume or config.incremental)
-        else {}
-    )
+    completed = checkpoints.completed_shards() if config.resume else {}
     checkpoints.open()
 
-    prior, cache_hits = _prior_results(
-        out_dir, campaign, specs, config, fingerprint, emit
+    prior, cache_hits = (
+        _prior_results(out_dir, campaign, specs, fingerprint, emit)
+        if config.resume
+        else ({}, 0)
     )
 
     # -- stages 3+4: execute and checkpoint -----------------------------

@@ -91,7 +91,7 @@ class GroupSummary:
     slo_alerts: int = 0
     #: runs whose SLO summary reported an unmet objective
     slo_violations: int = 0
-    #: runs served from the incremental artifact cache; volatile, so
+    #: runs served from the artifact cache; volatile, so
     #: excluded from the serialized summary (see :meth:`to_dict`)
     cache_hits: int = 0
 
@@ -216,7 +216,7 @@ class GroupSummary:
         # appear only when traced/SLO runs contributed, so untraced
         # campaigns keep their historical summary shape.  cache_hits
         # is volatile (depends on what happened to be in the artifact
-        # cache), so a full run and an incremental re-run serialize
+        # cache), so a full run and a resumed re-run serialize
         # identical summaries.
         data: Dict[str, Any] = {
             "mechanism": self.mechanism,
@@ -386,7 +386,7 @@ class CampaignManifest:
     created_at: float
     artifacts: Dict[str, str]
     #: fingerprint of the ``repro`` source tree that produced the
-    #: results -- the incremental cache refuses to reuse artifacts
+    #: results -- the artifact cache refuses to reuse artifacts
     #: written by different code (``""`` on manifests that predate it)
     code_fingerprint: str = ""
     #: how many of ``run_count`` were served from the artifact cache

@@ -5,7 +5,7 @@ Fleet runs are deterministic twice over: a :class:`~repro.fleet.campaign.RunSpec
 simulation, and ``runs.jsonl`` holds only the deterministic projection
 of each result.  Re-executing an unchanged spec with unchanged code
 therefore reproduces the exact line already on disk -- pure wall-clock
-waste at campaign scale.  ``repro fleet run --incremental`` short-cuts
+waste at campaign scale.  ``repro fleet run --resume`` short-cuts
 that: a prior artifact directory acts as a cache, and a planned run is
 *skipped* when
 
@@ -16,12 +16,12 @@ that: a prior artifact directory acts as a cache, and a planned run is
   model, mechanism logic, serialization -- busts the whole cache.
 
 Reused results are marked ``cache_hit=True``, which is *volatile*
-telemetry (excluded from ``runs.jsonl``): an incremental pass over an
+telemetry (excluded from ``runs.jsonl``): a resumed pass over an
 unchanged campaign rewrites byte-identical canonical artifacts.
 
-This is the deliberately conservative cousin of ``--resume``: resume
-trusts any prior artifacts for the same run ids; incremental also
-demands the code that wrote them is the code that would re-run them.
+Resume has this one rule for shard checkpoints and final artifacts
+alike: prior results are reused only when the code that wrote them is
+the code that would re-run them.
 """
 
 from __future__ import annotations

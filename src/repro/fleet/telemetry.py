@@ -24,7 +24,7 @@ from repro.apps.metrics import AvailabilityReport
 #: fields excluded from the deterministic projection.  ``cache_hit``
 #: is volatile by the same argument as wall clock: whether a run was
 #: served from a :class:`repro.fleet.store.RunResultStore` says
-#: nothing about the simulation, and an incremental re-run must emit
+#: nothing about the simulation, and a resumed re-run must emit
 #: a ``runs.jsonl`` byte-identical to the full run it skipped.
 VOLATILE_FIELDS = ("wall_clock", "attempts", "worker", "cache_hit")
 
@@ -253,7 +253,7 @@ class RunResult:
     wall_clock: float = 0.0  # volatile
     attempts: int = 1  # volatile
     worker: str = ""  # volatile
-    #: served from the incremental artifact cache instead of executed
+    #: served from the artifact cache instead of executed
     cache_hit: bool = False  # volatile
 
     # -- serialization --------------------------------------------------

@@ -375,7 +375,7 @@ def bench_trace_serialize(quick: bool, workdir: Path) -> Dict[str, Dict[str, Any
 def bench_fleet_incremental(
     quick: bool, workdir: Path
 ) -> Dict[str, Dict[str, Any]]:
-    """Full campaign run vs incremental re-run over unchanged code."""
+    """Full campaign run vs a resumed re-run over unchanged code."""
     from repro import fleet
 
     campaign = fleet.canned_campaign("faults", seed_count=1)
@@ -391,7 +391,7 @@ def bench_fleet_incremental(
     start = perf_time()
     report = fleet.run_pipeline(
         campaign, specs, out_dir=out_dir,
-        config=fleet.PipelineConfig(incremental=True),
+        config=fleet.PipelineConfig(resume=True),
     )
     incremental = perf_time() - start
 
@@ -537,7 +537,8 @@ def bench_verifier_batch(quick: bool) -> Dict[str, Dict[str, Any]]:
     of provers sharing one reference image, each shipping an
     ERASMUS-style history ring, so consecutive reports re-carry the
     same records.  Batch mode digests each unique record once, over
-    one joined traversal per device; serial recomputes every copy.
+    one joined traversal per shared reference (``expected_for``'s
+    batch memo); serial recomputes every copy.
     """
     from repro.ra.report import AttestationReport
     from repro.ra.verifier import Verifier

@@ -122,7 +122,9 @@ class SeedService:
 
         Reports are kept in RAM, which survives a brownout, so the
         fetch path also recovers reports generated before a reset."""
-        payload = message.payload or {}
+        payload = message.payload
+        if not isinstance(payload, dict):
+            return  # malformed: dropped
         counter = payload.get("counter")
         for report in self.reports_sent:
             if report.sent_counter == counter:
@@ -257,7 +259,9 @@ class SeedMonitor:
     def _on_message(self, message: Message) -> None:
         if message.kind != "seed_report":
             return
-        report: AttestationReport = message.payload
+        report = message.payload
+        if not isinstance(report, AttestationReport):
+            return  # malformed: carries no report
         if report.device != self.device_name:
             return
         if self.replay_defense == "counter":
@@ -308,7 +312,9 @@ class SeedMonitor:
         report was genuinely generated for, and only a slot we asked
         about), and staleness is expected by construction, so the
         clock defense is skipped too."""
-        payload = message.payload or {}
+        payload = message.payload
+        if not isinstance(payload, dict):
+            return  # malformed: dropped
         report = payload.get("report")
         if not isinstance(report, AttestationReport):
             return

@@ -131,7 +131,12 @@ class SoftwareAttestation:
                kinds=frozenset({"swatt_challenge"}))
 
     def _on_message(self, message: Message) -> None:
-        challenge = message.payload["challenge"]
+        payload = message.payload
+        challenge = (
+            payload.get("challenge") if isinstance(payload, dict) else None
+        )
+        if not isinstance(challenge, bytes):
+            return  # malformed: dropped before any measurement
         self._counter += 1
         device = self.device
 
@@ -224,7 +229,9 @@ class SoftwareVerifier:
         return nonce
 
     def _on_message(self, message: Message) -> None:
-        response: ChecksumResponse = message.payload
+        response = message.payload
+        if not isinstance(response, ChecksumResponse):
+            return  # malformed: dropped
         sent_at = self._sent_at.pop(response.challenge, None)
         if sent_at is None:
             return  # unsolicited

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hmac import Hmac, constant_time_equal
 from repro.errors import ConfigurationError
-from repro.ra.measurement import expected_digest, traversal_bytes
+from repro.ra.measurement import traversal_bytes
 from repro.ra.report import (
     AttestationReport,
     MeasurementRecord,
@@ -60,30 +60,6 @@ class DeviceProfile:
     #: public signing identity for non-repudiable reports (§2.4);
     #: None means MAC-only operation
     public_identity: Optional[object] = None
-    outstanding_nonce: Optional[bytes] = None
-    #: verification timing cost model hook (seconds per record verify)
-    verify_cost: float = 0.0
-
-
-@dataclass(frozen=True)
-class VerifyCostModel:
-    """Sim-time cost of verifying one report on the verifier host.
-
-    ``per_report`` is the fixed overhead (parse + MAC + bookkeeping),
-    ``per_record`` the marginal cost of each contained measurement
-    record; a per-device surcharge comes from
-    :attr:`DeviceProfile.verify_cost` (seconds per record).  The
-    default model everywhere is ``None`` -- zero cost, instantaneous
-    verdicts, byte-identical golden ledgers; services opt in via
-    config (e.g. the ``smoke-cost`` preset).
-    """
-
-    per_report: float = 0.0
-    per_record: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.per_report < 0 or self.per_record < 0:
-            raise ConfigurationError("verify costs must be >= 0")
 
 
 class Verifier:
@@ -96,10 +72,6 @@ class Verifier:
         self.trace = trace
         self.devices: Dict[str, DeviceProfile] = {}
         self.results: List[VerificationResult] = []
-        #: optional :class:`VerifyCostModel`; when set, callers that
-        #: schedule verdict delivery (the served verifier, drivers)
-        #: charge :meth:`verify_cost` sim-seconds per report
-        self.cost_model: Optional[VerifyCostModel] = None
         self._nonce_drbg = HmacDrbg(nonce_seed)
         self._seen_nonces: Dict[str, set] = {}
         # lazily resolved instrument handles (see repro.sim.network.
@@ -108,25 +80,13 @@ class Verifier:
         # creation order -- and snapshots -- unchanged
         self._verdict_counters: Dict[str, Any] = {}
         self._freshness_hist: Optional[Any] = None
-        #: batch-scoped expected-digest memo; set only inside
-        #: :meth:`verify_batch`, so one-by-one verification recomputes
-        #: every digest
+        #: batch-scoped memos, set only inside :meth:`verify_batch`, so
+        #: one-by-one verification recomputes every digest: expected
+        #: digests by :meth:`_memo_key`, and sequential traversal
+        #: buffers by ``(device, region, normalized)`` and by
+        #: ``(id(reference), measured blocks, zeroed blocks)``
         self._expected_memo: Optional[Dict[tuple, bytes]] = None
-
-    def verify_cost(self, report: AttestationReport) -> float:
-        """Sim-seconds this report costs under the active cost model.
-
-        0.0 without a model, so default paths schedule nothing extra
-        and existing event sequences are untouched.
-        """
-        model = self.cost_model
-        if model is None:
-            return 0.0
-        profile = self.devices.get(report.device)
-        per_record = model.per_record + (
-            profile.verify_cost if profile is not None else 0.0
-        )
-        return model.per_report + len(report.records) * per_record
+        self._traversal_memo: Optional[Dict[tuple, bytes]] = None
 
     # -- registry ---------------------------------------------------------
 
@@ -224,25 +184,23 @@ class Verifier:
     # -- challenges ---------------------------------------------------------
 
     def new_nonce(self, device_name: str, length: int = 16) -> bytes:
-        """A fresh challenge; recorded as the outstanding one."""
-        profile = self.profile(device_name)
-        nonce = self._nonce_drbg.generate(length)
-        profile.outstanding_nonce = nonce
-        return nonce
+        """A fresh challenge for an enrolled device."""
+        self.profile(device_name)
+        return self._nonce_drbg.generate(length)
 
     # -- verification ---------------------------------------------------------
 
     def _measured_blocks(
         self, profile: DeviceProfile, record: MeasurementRecord
-    ) -> List[int]:
+    ) -> Tuple[int, ...]:
         if not record.region:
-            return list(range(len(profile.reference)))
+            return tuple(range(len(profile.reference)))
         blocks = profile.region_map.get(record.region)
         if blocks is None:
             raise ConfigurationError(
                 f"record references unknown region {record.region!r}"
             )
-        return list(blocks)
+        return tuple(blocks)
 
     @staticmethod
     def _memo_key(record: MeasurementRecord) -> tuple:
@@ -258,6 +216,23 @@ class Verifier:
             record.data_copy,
         )
 
+    def _traversal(
+        self, profile: DeviceProfile, record: MeasurementRecord
+    ) -> bytes:
+        reference: Sequence[bytes] = profile.reference
+        if record.data_copy:
+            blocks = list(reference)
+            for block_index, content in record.data_copy:
+                blocks[block_index] = bytes(content)
+            reference = blocks
+        return traversal_bytes(
+            reference,
+            self._measured_blocks(profile, record),
+            "shuffled" if record.order_seed else "sequential",
+            record.order_seed,
+            profile.mutable_blocks if record.normalized else None,
+        )
+
     def expected_for(self, record: MeasurementRecord) -> bytes:
         """Digest MP should produce over the reference image.
 
@@ -266,7 +241,11 @@ class Verifier:
         region must still match the golden image exactly.
 
         Inside :meth:`verify_batch` each distinct record is digested
-        once: a hit returns the memoized digest, a miss stores it.
+        once: a hit returns the memoized digest, a miss stores it.  A
+        sequential record without a data copy also reuses the batch's
+        traversal buffer for its ``(device, region, normalized)``, and
+        devices enrolled under one shared reference share that buffer,
+        so the history re-ships of an epoch join each reference once.
         """
         memo = self._expected_memo
         if memo is not None:
@@ -275,26 +254,30 @@ class Verifier:
             if cached is not None:
                 return cached
         profile = self.profile(record.device)
-        order = "shuffled" if record.order_seed else "sequential"
-        reference = profile.reference
-        if record.data_copy:
-            blocks = list(reference)
-            for block_index, content in record.data_copy:
-                blocks[block_index] = bytes(content)
-            reference = tuple(blocks)
-        digest = expected_digest(
-            profile.key,
-            reference,
-            record.algorithm,
-            record.nonce,
-            record.counter,
-            self._measured_blocks(profile, record),
-            order,
-            record.order_seed,
-            normalized_blocks=(
-                profile.mutable_blocks if record.normalized else None
-            ),
-        )
+        traversals = self._traversal_memo
+        if traversals is None or record.order_seed or record.data_copy:
+            traversal = self._traversal(profile, record)
+        else:
+            group = (record.device, record.region, record.normalized)
+            traversal = traversals.get(group)
+            if traversal is None:
+                # keyed by the reference's identity: every profile in
+                # ``self.devices`` keeps its reference alive for the batch
+                shape = (
+                    id(profile.reference),
+                    self._measured_blocks(profile, record),
+                    profile.mutable_blocks if record.normalized else None,
+                )
+                traversal = traversals.get(shape)
+                if traversal is None:
+                    traversal = traversals[shape] = self._traversal(
+                        profile, record
+                    )
+                traversals[group] = traversal
+        mac = Hmac(profile.key, record.algorithm)
+        mac.update(record.nonce + record.counter.to_bytes(8, "big"))
+        mac.update(traversal)
+        digest = mac.digest()
         if memo is not None:
             memo[key] = digest
         return digest
@@ -437,64 +420,6 @@ class Verifier:
 
     # -- epoch batching -------------------------------------------------------
 
-    def _precompute_expected(
-        self, entries: Sequence[Tuple[AttestationReport, Dict]]
-    ) -> Dict[tuple, bytes]:
-        """Expected digests for the plain records in ``entries``.
-
-        Sequential-order records without a data copy are grouped per
-        ``(device, algorithm, region, normalized)``.  Each distinct
-        ``(reference, measured blocks, normalized blocks)`` is joined
-        once (:func:`traversal_bytes`) -- devices enrolled under one
-        shared reference tuple share the buffer -- and every distinct
-        member MAC takes ``nonce || counter`` and that buffer.  Every
-        other record is left to :meth:`expected_for`, which digests it
-        on first use and stores it in the same memo.
-        """
-        memo: Dict[tuple, bytes] = {}
-        groups: Dict[tuple, List[Tuple[tuple, MeasurementRecord]]] = {}
-        for report, _kwargs in entries:
-            if report.device not in self.devices:
-                continue  # verify_report finds it invalid at its turn
-            for record in report.records:
-                if (record.order_seed or record.data_copy
-                        or record.device != report.device):
-                    continue
-                key = self._memo_key(record)
-                if key in memo:
-                    continue
-                memo[key] = b""  # claimed; overwritten below
-                sig = (record.device, record.algorithm, record.region,
-                       record.normalized)
-                groups.setdefault(sig, []).append((key, record))
-        # keyed by the reference's identity: every profile in
-        # ``self.devices`` keeps its reference alive for this call
-        traversals: Dict[tuple, bytes] = {}
-        for sig, members in groups.items():
-            device, algorithm, _region, normalized = sig
-            profile = self.devices[device]
-            try:
-                blocks = tuple(
-                    self._measured_blocks(profile, members[0][1])
-                )
-            except ConfigurationError:
-                for key, _record in members:
-                    del memo[key]
-                continue
-            zeroed = profile.mutable_blocks if normalized else None
-            shape = (id(profile.reference), blocks, zeroed)
-            traversal = traversals.get(shape)
-            if traversal is None:
-                traversal = traversals[shape] = traversal_bytes(
-                    profile.reference, blocks, "sequential", b"", zeroed
-                )
-            for key, record in members:
-                mac = Hmac(profile.key, algorithm)
-                mac.update(record.nonce + record.counter.to_bytes(8, "big"))
-                mac.update(traversal)
-                memo[key] = mac.digest()
-        return memo
-
     def verify_batch(
         self, entries: Sequence[Tuple[AttestationReport, Dict]]
     ) -> List[VerificationResult]:
@@ -506,11 +431,12 @@ class Verifier:
         ``counter_stream``).  Verdicts, details and result-history
         side effects are byte-identical to calling
         :meth:`verify_report` once per entry in the same order -- the
-        batch only amortizes expected-digest recomputation through one
-        memo for the whole epoch (one traversal buffer per plain-record
-        group, each distinct record digested once).
+        batch only memoizes :meth:`expected_for` for the whole epoch
+        (each distinct record digested once, one traversal buffer per
+        shared reference).
         """
-        self._expected_memo = self._precompute_expected(entries)
+        self._expected_memo = {}
+        self._traversal_memo = {}
         try:
             return [
                 self.verify_report(report, **kwargs)
@@ -518,6 +444,7 @@ class Verifier:
             ]
         finally:
             self._expected_memo = None
+            self._traversal_memo = None
 
     # -- statistics -----------------------------------------------------------
 

@@ -21,7 +21,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import EventHandle, Simulator
-from repro.sim.interrupts import InterruptController
 from repro.sim.memory import Memory, Region
 from repro.sim.mpu import FaultPolicy, MemoryProtectionUnit
 from repro.sim.network import Channel, Endpoint
@@ -113,7 +112,6 @@ class Device:
         self.mpu = MemoryProtectionUnit(sim, block_count, policy=fault_policy)
         self.memory.mpu = self.mpu
         self.memory.sim = sim
-        self.irq = InterruptController(self.cpu)
         self.secure_timer = SecureTimer(sim, f"{name}.timer")
         self.timing = timing if timing is not None else OdroidXU4Model()
         if attestation_key is None:

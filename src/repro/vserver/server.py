@@ -15,8 +15,8 @@ nothing is dropped without a verdict, and the CI smoke job asserts
 that invariant (``unaccounted 0``).
 
 Determinism: admission, queue depth, drain times and verdicts depend
-only on sim time and arrival order.  ``verify_batch`` only amortizes
-expected-digest recomputation, so every verdict equals what
+only on sim time and arrival order.  ``verify_batch`` only memoizes
+the expected digests of the epoch, so every verdict equals what
 :meth:`~repro.ra.verifier.Verifier.verify_report` gives the same
 report in the same order.  The SLO taxonomy (``deferred-ok`` past the
 queue-latency SLO, ``rejected`` at admission) lands in the shared
@@ -36,7 +36,7 @@ from repro.ra.erasmus import COLLECT_STREAM
 from repro.ra.report import AttestationReport
 from repro.ra.seed import PUSH_STREAM
 from repro.ra.service import listen
-from repro.ra.verifier import Verifier, VerifyCostModel
+from repro.ra.verifier import Verifier
 from repro.resilience.outcome import (
     OUTCOME_DEFERRED_OK,
     OUTCOME_REJECTED,
@@ -70,10 +70,10 @@ class ServerConfig:
     tokens/second (0 disables the bucket), ``rate_burst`` the bucket
     capacity.  ``slo_queue_latency`` is the deferred-ok threshold.
 
-    ``verify_cost`` / ``verify_cost_record`` arm a
-    :class:`~repro.ra.verifier.VerifyCostModel`: each drained report's
-    verdict is delivered ``per_report + records * per_record``
-    sim-seconds after the drain start, cumulatively within the epoch
+    ``verify_cost`` / ``verify_cost_record`` are the sim-time cost of
+    verifying one report: each drained report's verdict is delivered
+    ``verify_cost + records * verify_cost_record`` sim-seconds after
+    the drain start, cumulatively within the epoch
     (one verifier core working through the batch), so
     ``vserver.stage.verify`` observes real values.  Both default to 0:
     verdicts stay instantaneous, ledger fields keep their exact seed
@@ -92,16 +92,19 @@ class ServerConfig:
     verify_cost_record: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.queue_capacity < 1:
+        # the comparisons also reject NaN; an infinite time or rate
+        # never lets the epoch train or the token bucket settle
+        if not self.queue_capacity >= 1:
             raise ConfigurationError("queue_capacity must be >= 1")
-        if self.epoch <= 0:
-            raise ConfigurationError("epoch must be positive")
-        if self.rate_limit < 0 or self.rate_burst <= 0:
-            raise ConfigurationError(
-                "rate_limit must be >= 0 and rate_burst > 0"
-            )
-        if self.verify_cost < 0 or self.verify_cost_record < 0:
-            raise ConfigurationError("verify costs must be >= 0")
+        for name in ("epoch", "rate_burst"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite"
+                )
+        for name in ("slo_queue_latency", "rate_limit", "verify_cost",
+                     "verify_cost_record"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be >= 0 and finite")
 
 
 class TokenBucket:
@@ -258,14 +261,6 @@ class VerifierServer:
         #: verdicts and the ledger are identical with it on or off.
         self.verify_wall_clock = None
         self.verify_wall_time = 0.0
-        if (
-            self.config.verify_cost > 0
-            or self.config.verify_cost_record > 0
-        ) and verifier.cost_model is None:
-            verifier.cost_model = VerifyCostModel(
-                per_report=self.config.verify_cost,
-                per_record=self.config.verify_cost_record,
-            )
         if endpoint is not None:
             listen(endpoint, self._on_message, kinds=SERVED_KINDS)
 
@@ -482,11 +477,14 @@ class VerifierServer:
             # verifier core working through the epoch's batch.
             # cost == 0 keeps the exact seed behavior: conclude
             # inline, no extra events.
+            per_report = self.config.verify_cost
+            per_record = self.config.verify_cost_record
             cumulative = 0.0
             epoch = self.epochs
             for item, result in zip(drained, results):
-                cost = self.verifier.verify_cost(item.report)
-                cumulative += cost
+                cumulative += (
+                    per_report + len(item.report.records) * per_record
+                )
                 if cumulative <= 0.0:
                     self._conclude(item, result, now)
                 else:

@@ -19,10 +19,12 @@ sweep service knobs like they sweep fault plans.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.hashes import HASH_ALGORITHMS
 from repro.errors import ConfigurationError
 from repro.obs.core import Observability
 from repro.obs.metrics import MetricsRegistry
@@ -75,18 +77,28 @@ class ServiceConfig:
     seed: str = "svc"
 
     def __post_init__(self) -> None:
-        if self.provers < 1 or self.cohorts < 1:
-            raise ConfigurationError("need >= 1 prover and >= 1 cohort")
+        # checked here, not at build time, so a campaign rejects a bad
+        # service= field when it is planned; the comparisons also
+        # reject NaN, and a finite horizon needs finite traffic times
+        for name in ("provers", "cohorts", "blocks", "block_size",
+                     "history"):
+            if not getattr(self, name) >= 1:
+                raise ConfigurationError(f"{name} must be >= 1")
         if self.cohorts > self.provers:
             raise ConfigurationError("more cohorts than provers")
-        if self.blocks < 1 or self.block_size < 1:
-            raise ConfigurationError("blocks and block_size must be >= 1")
         if not 0.0 <= self.compromised <= 1.0:
             raise ConfigurationError("compromised must be in [0, 1]")
-        if self.latency < 0 or self.poisson_gap < 0:
+        if self.algorithm not in HASH_ALGORITHMS:
             raise ConfigurationError(
-                "latency and poisson_gap must be >= 0"
+                f"algorithm must be one of {sorted(HASH_ALGORITHMS)}"
             )
+        if not 0 < self.horizon < math.inf:
+            raise ConfigurationError("horizon must be positive and finite")
+        for name in ("latency", "storms", "storm_at", "storm_window",
+                     "storm_gap", "poisson_gap", "poisson_until"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be >= 0 and finite")
+        self.server_config()  # the server's own fields
 
     def server_config(self) -> ServerConfig:
         return ServerConfig(

@@ -28,12 +28,14 @@ Measured on Python 3.11.7 (``docs/performance.md`` §13 and §14):
   drivers share one exchange class (a few hook calls per collection);
   184,174 once a run counts its trace records (no ring to build);
   147,052 once the CPU tallies that count in place (no call per
-  record) and a measured block yields one prebuilt ``Compute``.
+  record) and a measured block yields one prebuilt ``Compute``;
+  147,043 once a ``Device`` builds no interrupt controller.
 * ``locking``: 292,938 calls (36,617 per run) before a periodic job
   cost one wake; 174,634 (21,829 per run) after; 174,642 with the
   field-name mapping; 174,706 with the one exchange class and the
   prover's nonce-dedup object; 174,658 with the counted trace;
-  144,943 with the in-place tally and the prebuilt block command.
+  144,943 with the in-place tally and the prebuilt block command;
+  144,935 without the interrupt controller.
 
 Python 3.10.13 counts the same calls as 3.11.7; 3.12.1 counts 146,857
 and 144,863.
@@ -61,7 +63,8 @@ Measured on Python 3.11.7, the same under ``PYTHONHASHSEED`` 0, 1 and
   after.
 
 Since the CPU tallies its trace in place, 3.11.7 counts 11,103 and
-10,706.  Young-object counts differ by interpreter, so that budget is
+10,706; with no interrupt controller per ``Device``, 11,013 and
+10,682.  Young-object counts differ by interpreter, so that budget is
 keyed by ``major.minor``: 3.10.13 counts 11,763 and 11,543, 3.12.1
 counts 10,836 and 10,470.  An interpreter without its own count is
 held to 3.11's.
@@ -75,18 +78,18 @@ import repro
 from repro import fleet
 from repro.fleet.executor import execute_run
 
-#: 147,052 calls measured on Python 3.11.7, plus 5%
-CALL_BUDGET = 154_404
+#: 147,043 calls measured on Python 3.11.7, plus 5%
+CALL_BUDGET = 154_395
 
-#: 144,943 calls measured on Python 3.11.7, plus 5%
-LOCKING_CALL_BUDGET = 152_190
+#: 144,935 calls measured on Python 3.11.7, plus 5%
+LOCKING_CALL_BUDGET = 152_181
 
 #: young objects a qoa pass leaves, per interpreter: the count
 #: measured on 3.10.13, 3.11.7 and 3.12.1, plus 5%
-YOUNG_BUDGETS = {(3, 10): 12_351, (3, 11): 11_661, (3, 12): 11_377}
+YOUNG_BUDGETS = {(3, 10): 12_351, (3, 11): 11_563, (3, 12): 11_377}
 
 #: the same for a locking pass
-LOCKING_YOUNG_BUDGETS = {(3, 10): 12_120, (3, 11): 11_253, (3, 12): 10_993}
+LOCKING_YOUNG_BUDGETS = {(3, 10): 12_120, (3, 11): 11_216, (3, 12): 10_993}
 
 #: this interpreter's budgets (3.11's where it has none of its own)
 YOUNG_BUDGET = YOUNG_BUDGETS.get(sys.version_info[:2], YOUNG_BUDGETS[3, 11])

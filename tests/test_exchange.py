@@ -12,12 +12,14 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.tradeoff import ScenarioConfig
 from repro.errors import ConfigurationError
 from repro.fleet.campaign import RunSpec
 from repro.ra.erasmus import CollectorVerifier, ErasmusService
 from repro.ra.report import AttestationReport, Verdict
 from repro.ra.service import MAX_ROUNDS, OnDemandVerifier
 from repro.ra.smart import SmartAttestation
+from repro.ra.software import SoftwareAttestation, SoftwareVerifier
 from repro.ra.verifier import Verifier
 from repro.resilience import RetryPolicy
 from repro.scenario import Scenario
@@ -235,6 +237,54 @@ class TestMalformedFrames:
             runs.append(verdicts(scenario))
         assert runs[1] == runs[0]
         assert runs[1] and all(v is Verdict.HEALTHY for v, _ in runs[1])
+
+    @pytest.mark.parametrize("kind, to_prover, payload", [
+        ("seed_report", False, {"device": "prover"}),  # SeedMonitor
+        ("seed_fetch", True, [1]),  # SeedService
+        ("seed_fetch_reply", False, "junk"),  # SeedMonitor catch-up
+    ])
+    def test_seed_drops_a_malformed_frame(self, kind, to_prover, payload):
+        runs = []
+        for junk in (False, True):
+            scenario = Scenario.build("seed", config=ScenarioConfig(
+                horizon=20.0, seed_serve_fetch=True, seed_catch_up=True,
+            ))
+            if junk:
+                rogue = scenario.channel.make_endpoint("rogue")
+                to = scenario.device.name if to_prover else "vrf"
+                scenario.sim.schedule_at(0.5, rogue.send, to, kind, payload)
+            scenario.run()
+            runs.append((verdicts(scenario), scenario.service.fetches_served))
+        assert runs[1] == runs[0]
+        assert runs[1][0] and all(v is Verdict.HEALTHY for v, _ in runs[1][0])
+
+    @pytest.mark.parametrize("kind, to_prover, payload", [
+        ("swatt_challenge", True, {}),  # SoftwareAttestation
+        ("swatt_challenge", True, {"challenge": "text"}),
+        ("swatt_response", False, "junk"),  # SoftwareVerifier
+    ])
+    def test_swatt_drops_a_malformed_frame(self, kind, to_prover, payload):
+        sim = Simulator()
+        device = Device(sim, block_count=8, block_size=32)
+        channel = Channel(sim, latency=0.005)
+        device.attach_network(channel)
+        prover = SoftwareAttestation(device)
+        prover.install()
+        verifier = SoftwareVerifier(
+            channel, reference_blocks=list(device.memory.benign_image()),
+            honest_time=device.timing.hash_time(
+                "sha256",
+                device.memory.sim_block_size * device.block_count
+                * prover.iterations,
+            ),
+        )
+        rogue = channel.make_endpoint("rogue")
+        to = device.name if to_prover else verifier.endpoint.name
+        sim.schedule_at(0.5, rogue.send, to, kind, payload)
+        sim.schedule_at(1.0, verifier.challenge, device.name)
+        sim.run(until=5.0)
+        assert len(prover.responses) == 1
+        assert [v.accepted for v in verifier.verdicts] == [True]
 
 
 BAD_ROUNDS = ["many", 0, -1, True, 2.5, MAX_ROUNDS + 1]

@@ -1,7 +1,7 @@
 """Incremental fleet campaigns: fingerprinting, the result store, and
 byte-identical artifact reuse.
 
-``--incremental`` is only safe because three layers agree: the source
+``--resume`` reuse is only safe because three layers agree: the source
 fingerprint pins the code tree, ``RunResultStore.cached`` refuses
 anything but prior *ok* results under a matching fingerprint, and
 ``cache_hit`` stays volatile so reused results serialize exactly as
@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro import fleet
+from repro.fleet import pipeline as pipeline_module
 from repro.fleet.campaign import RunSpec
 from repro.fleet.results import (
     CampaignManifest,
@@ -171,7 +172,7 @@ class TestVolatility:
         assert "cache_hits" not in payload
 
 
-# -- end-to-end: real campaign, incremental rerun -------------------------
+# -- end-to-end: real campaign, resumed rerun -----------------------------
 
 
 class TestEndToEnd:
@@ -186,7 +187,7 @@ class TestEndToEnd:
 
         report2 = fleet.run_pipeline(
             campaign, specs, out_dir=tmp_path,
-            config=fleet.PipelineConfig(incremental=True),
+            config=fleet.PipelineConfig(resume=True),
         )
         assert report2.cache_hits == len(specs)
         assert report2.executed == 0
@@ -197,9 +198,32 @@ class TestEndToEnd:
         assert manifest.cache_hits == len(specs)
         assert manifest.code_fingerprint == fleet.source_fingerprint()
 
+    def test_resume_after_a_source_edit_executes_every_run(
+        self, tmp_path, monkeypatch
+    ):
+        """Results the old code wrote are not reused once the source
+        tree changes: the resumed pass executes every run and stamps
+        the new fingerprint only over results it produced."""
+        campaign = fleet.canned_campaign("faults", seed_count=1)
+        specs = campaign.plan()[:3]
+        fleet.run_pipeline(campaign, specs, out_dir=tmp_path)
+
+        monkeypatch.setattr(
+            pipeline_module, "source_fingerprint", lambda: "edited"
+        )
+        report = fleet.run_pipeline(
+            campaign, specs, out_dir=tmp_path,
+            config=fleet.PipelineConfig(resume=True),
+        )
+        assert report.executed == len(specs)
+        assert report.cache_hits == 0
+        assert read_manifest(report.paths.manifest).code_fingerprint == (
+            "edited"
+        )
+
     def test_manifest_always_carries_fingerprint(self, tmp_path):
-        """Plain (non-incremental) pipeline passes stamp the fingerprint
-        too, so any prior out-dir seeds a later --incremental pass."""
+        """Plain (non-resumed) pipeline passes stamp the fingerprint
+        too, so any prior out-dir seeds a later --resume pass."""
         campaign = fleet.canned_campaign("faults", seed_count=1)
         specs = campaign.plan()[:1]
         paths = fleet.run_pipeline(campaign, specs, out_dir=tmp_path).paths

@@ -226,7 +226,16 @@ class TestKillAndResume:
         assert report.executed == 0
         assert "0 runs" in report.summary_line()
         assert "nothing to do" in report.summary_line()
-        assert artifact_bytes(tmp_path, campaign.name) == before
+        # reused results are cache hits, volatile and manifest-only
+        after = artifact_bytes(tmp_path, campaign.name)
+        manifests = [
+            json.loads(artifacts.pop("manifest"))
+            for artifacts in (before, after)
+        ]
+        assert after == before
+        assert manifests[1].pop("cache_hits") == 4
+        assert manifests[0].pop("cache_hits") == 0
+        assert manifests[1] == manifests[0]
 
     def test_resumed_results_are_not_marked_cache_hits(self, tmp_path):
         # byte-identity demands it: an uninterrupted run has

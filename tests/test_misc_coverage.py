@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.ra.locking import make_policy
 from repro.ra.measurement import MeasurementConfig, MeasurementProcess
 from repro.ra.verifier import Verifier
@@ -53,8 +54,11 @@ class TestVerifierDetails:
         verifier = Verifier(sim)
         verifier.enroll(device)
         assert len(verifier.new_nonce(device.name, length=24)) == 24
-        profile = verifier.profile(device.name)
-        assert profile.outstanding_nonce is not None
+        assert verifier.new_nonce(device.name) != verifier.new_nonce(
+            device.name
+        )
+        with pytest.raises(ConfigurationError):
+            verifier.new_nonce("ghost")
 
     def test_trace_hook_records_verdicts(self):
         from repro.ra.report import AttestationReport

@@ -91,12 +91,22 @@ class TestTokenBucket:
 class TestServerConfig:
     @pytest.mark.parametrize("kwargs", [
         {"queue_capacity": 0},
+        {"queue_capacity": float("nan")},
         {"epoch": 0.0},
+        {"epoch": float("nan")},
+        {"epoch": float("inf")},
         {"rate_limit": -1.0},
+        {"rate_limit": float("nan")},
         {"rate_burst": 0.0},
+        {"rate_burst": float("nan")},
+        {"slo_queue_latency": -1.0},
+        {"slo_queue_latency": float("nan")},
+        {"verify_cost": float("nan")},
+        {"verify_cost_record": float("nan")},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        (name,) = kwargs
+        with pytest.raises(ConfigurationError, match=f"^{name} must"):
             ServerConfig(**kwargs)
 
 
@@ -288,6 +298,18 @@ class TestLoadGenerator:
             loadgen.schedule_poisson(0.0, 1.0, 0.0)
 
 
+#: every numeric ServiceConfig field, and whether 0 is in its domain
+SERVICE_NUMERIC_FIELDS = {
+    "provers": False, "cohorts": False, "blocks": False,
+    "block_size": False, "history": False, "compromised": True,
+    "epoch": False, "queue_capacity": False, "slo": True,
+    "rate_limit": True, "rate_burst": False, "verify_cost": True,
+    "verify_cost_record": True, "latency": True, "storms": True,
+    "storm_at": True, "storm_window": True, "storm_gap": True,
+    "poisson_gap": True, "poisson_until": True, "horizon": False,
+}
+
+
 class TestServiceConfig:
     def test_parse_preset_with_overrides(self):
         config = ServiceConfig.parse("preset=smoke;provers=100;epoch=0.5")
@@ -312,6 +334,7 @@ class TestServiceConfig:
         "compromised=1.5",
         "compromised=-0.1",
         "poisson_gap=-1",
+        "algorithm=md5",  # raised mid-run, at the first measurement
     ])
     def test_parse_rejects(self, text):
         with pytest.raises(ConfigurationError):
@@ -320,6 +343,23 @@ class TestServiceConfig:
     def test_population_validation(self):
         with pytest.raises(ConfigurationError):
             ServiceConfig(provers=2, cohorts=3)
+
+    @pytest.mark.parametrize("text", [
+        f"{name}={value}"
+        for name, zero_ok in SERVICE_NUMERIC_FIELDS.items()
+        for value in ("nan", "-1", *(() if zero_ok else ("0",)))
+    ])
+    def test_numeric_field_outside_its_domain(self, text):
+        """Rejected where it is written, naming the field -- not mid-run
+        with a SchedulingError, and not silently (``slo=nan`` defers
+        nothing) -- and so already when a campaign is planned."""
+        from repro.fleet.campaign import RunSpec
+
+        name = text.split("=")[0]
+        with pytest.raises(ConfigurationError, match=name):
+            ServiceConfig.parse(f"smoke;{text}")
+        with pytest.raises(ConfigurationError, match=name):
+            RunSpec(mechanism="vserver", service=f"smoke;{text}")
 
 
 class TestBuildService:

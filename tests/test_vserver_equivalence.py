@@ -500,26 +500,32 @@ class TestRecordOfAnotherDevice:
 
 
 class TestDigestOncePerBatch:
-    def test_each_distinct_record_digested_once(self, monkeypatch):
-        """Plain records are MACed once over their group's traversal;
-        shuffled and data-copy records go through ``expected_digest``
-        once each, however often the epoch re-ships them."""
-        calls = {"hmac": 0, "expected": 0}
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Count ``Hmac`` constructions and traversal joins the verifier
+        makes from here on."""
+        calls = {"hmac": 0, "traversal": 0}
         real_hmac = verifier_module.Hmac
-        real_expected = verifier_module.expected_digest
+        real_traversal = verifier_module.traversal_bytes
 
         def counting_hmac(*args, **kwargs):
             calls["hmac"] += 1
             return real_hmac(*args, **kwargs)
 
-        def counting_expected(*args, **kwargs):
-            calls["expected"] += 1
-            return real_expected(*args, **kwargs)
+        def counting_traversal(*args, **kwargs):
+            calls["traversal"] += 1
+            return real_traversal(*args, **kwargs)
 
         monkeypatch.setattr(verifier_module, "Hmac", counting_hmac)
         monkeypatch.setattr(
-            verifier_module, "expected_digest", counting_expected
+            verifier_module, "traversal_bytes", counting_traversal
         )
+        return calls
+
+    def test_each_distinct_record_digested_once(self, monkeypatch):
+        """Each distinct record is MACed once, however often the epoch
+        re-ships it; plain records join their group's traversal once,
+        shuffled and data-copy records join their own."""
         pool = [("pristine", "sha256"), ("normalized", "sha512"),
                 ("shuffled-normalized", "sha256"), ("data-copy", "blake2b")]
         reports = [
@@ -530,8 +536,41 @@ class TestDigestOncePerBatch:
             (1, [2, 3, 0], 2, False, False),
         ]
         entries = build_epoch(pool, reports)
-        results = mixed_verifier().verify_batch(entries)
+        verifier = mixed_verifier()
+        calls = self.count_calls(monkeypatch)
+        results = verifier.verify_batch(entries)
         assert {result.verdict.value for result in results} == {"healthy"}
-        # two devices x (pristine + normalized) plain records, and two
-        # devices x (shuffled + data-copy) lazily memoized ones
-        assert calls == {"hmac": 4, "expected": 4}
+        # two devices x four distinct records, 17 records shipped
+        assert sum(len(report.records) for report, _ in entries) == 17
+        assert calls == {"hmac": 8, "traversal": 8}
+
+    def test_shared_reference_joined_once(self, monkeypatch):
+        """Devices enrolled under one reference tuple share the batch's
+        traversal buffer: one join, one MAC per distinct record."""
+        _key, reference, _written = POPULATION["mix0"]
+        verifier = Verifier(Simulator(), name="shared")
+        entries = []
+        for index in range(3):
+            name = f"twin{index}"
+            key = bytes([index + 1]) * 32
+            verifier.enroll(name, key=key, reference=reference)
+            records = [
+                MeasurementRecord(
+                    device=name, mechanism="m", algorithm="sha256",
+                    nonce=b"n", counter=counter,
+                    digest=expected_digest(
+                        key, reference, "sha256", b"n", counter,
+                        range(BLOCKS), "sequential", b"",
+                    ),
+                    t_start=0.0, t_end=0.5, block_count=BLOCKS,
+                )
+                for counter in (1, 2)
+            ]
+            report = AttestationReport.authenticate(
+                key, name, records, sent_counter=1
+            )
+            entries += [(report, {}), (report, {})]
+        calls = self.count_calls(monkeypatch)
+        results = verifier.verify_batch(entries)
+        assert {result.verdict.value for result in results} == {"healthy"}
+        assert calls == {"hmac": 6, "traversal": 1}
