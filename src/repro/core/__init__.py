@@ -4,7 +4,8 @@ operation.
 * :mod:`repro.core.solution` -- the solution landscape as data:
   Table 1's feature matrix and Figure 3's taxonomy;
 * :mod:`repro.core.consistency` -- temporal-consistency semantics of
-  Figure 4, checked from write logs and measurement audit records;
+  Figure 4, checked from the write log and the log marks each
+  measurement records;
 * :mod:`repro.core.qoa` -- Quality of Attestation (T_M, T_C,
   freshness), Figure 5;
 * :mod:`repro.core.scheduler_policy` -- context-aware self-measurement

@@ -6,13 +6,15 @@ a write at A (before t_s) or D (after t_r) never matters; whether a
 write at B or C (inside the measurement) breaks consistency depends on
 the mechanism.
 
-The analyzer reconstructs any block's content identity at any past
-instant from the memory's write log (each committed write carries the
-block's contents after it) and compares with the fingerprints MP
-recorded when it snapshotted each block.  It reads the log's raw
-columns, fingerprints each logged write once, into a per-block
-timeline, and answers each probe with one bisection.  From that it
-derives:
+The memory's write log is the one source of content identity: each
+committed write carries the block's contents after it.  MP records,
+per block, only the log's length when it read the block (its *mark*).
+The contents MP digested are the block after the writes logged before
+the mark, so the mark, not the read time, places a write that lands
+at the very instant of a read; M's contents at instant t are the
+block after the writes logged at or before t.  The analyzer indexes
+each write's log position once, per block, and answers each query
+with one bisection.  From that it derives:
 
 * :meth:`ConsistencyAnalyzer.consistent_at` -- is the measurement
   consistent with M at t?
@@ -28,13 +30,13 @@ derives:
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.ra.report import MeasurementRecord
-from repro.sim.memory import Memory, content_fingerprint
+from repro.sim.memory import Memory
 
 
 class ConsistencyVerdict(enum.Enum):
@@ -63,68 +65,70 @@ class ConsistencyAnalyzer:
 
     def __init__(self, memory: Memory) -> None:
         self.memory = memory
-        self._benign = memory.reference_audits()
-        #: per block: commit times and content fingerprints of its
-        #: logged writes, in log order; extended from ``_indexed`` on
-        #: when the write log has grown since the last query
-        self._times: List[List[float]] = [
-            [] for _ in range(memory.block_count)
-        ]
-        self._fingerprints: List[List[bytes]] = [
+        self._benign = memory.benign_image()
+        #: per block: the log positions of its writes, in log order;
+        #: extended from ``_indexed`` on when the log has grown
+        self._writes: List[List[int]] = [
             [] for _ in range(memory.block_count)
         ]
         self._indexed = 0
 
     # -- content reconstruction -------------------------------------------
 
-    def _index_new_writes(self) -> None:
-        """Fingerprint each write the log gained since the last call,
-        once, into its block's timeline."""
-        memory = self.memory
-        start = self._indexed
-        for time, block, content in zip(
-            memory.write_times[start:],
-            memory.write_blocks[start:],
-            memory.write_contents[start:],
-        ):
-            self._times[block].append(time)
-            self._fingerprints[block].append(content_fingerprint(content))
-        self._indexed = len(memory.write_times)
+    def _block_writes(self, block_index: int) -> List[int]:
+        """Log positions of ``block_index``'s writes, after indexing,
+        once, each write the log gained since the last call."""
+        blocks = self.memory.write_blocks
+        for position in range(self._indexed, len(blocks)):
+            self._writes[blocks[position]].append(position)
+        self._indexed = len(blocks)
+        return self._writes[block_index]
 
-    def fingerprint_at(self, block_index: int, time: float) -> bytes:
-        """Content identity of ``block_index`` at instant ``time``.
+    def _content_after(
+        self, block_index: int, writes: List[int], count: int
+    ) -> bytes:
+        """The block after the first ``count`` of its ``writes`` (its
+        benign fill after none)."""
+        if count == 0:
+            return self._benign[block_index]
+        return self.memory.write_contents[writes[count - 1]]
+
+    def content_at(self, block_index: int, time: float) -> bytes:
+        """Contents of ``block_index`` at instant ``time``.
 
         The last committed write at or before ``time`` determines the
         content; with no prior write the block still holds its benign
         fill.  Log times are simulation times and never decrease, so
-        each block's timeline is sorted and one bisection finds that
-        write.  (Assumes memory was not re-flashed via ``load_image``
-        mid-run, which bypasses the log.)
+        one bisection over the block's writes finds that write.
+        (Assumes memory was not re-flashed via ``load_image`` mid-run,
+        which bypasses the log.)
         """
-        if self._indexed != len(self.memory.write_times):
-            self._index_new_writes()
-        position = bisect_right(self._times[block_index], time)
-        if position == 0:
-            return self._benign[block_index]
-        return self._fingerprints[block_index][position - 1]
+        writes = self._block_writes(block_index)
+        count = bisect_right(
+            writes, time, key=self.memory.write_times.__getitem__
+        )
+        return self._content_after(block_index, writes, count)
+
+    def measured_content(
+        self, record: MeasurementRecord, block_index: int
+    ) -> bytes:
+        """The contents MP read (and digested) from ``block_index``:
+        the block after the writes logged before the record's mark."""
+        writes = self._block_writes(block_index)
+        count = bisect_left(writes, record.audit_block_marks[block_index])
+        return self._content_after(block_index, writes, count)
 
     # -- consistency checks ---------------------------------------------------
-
-    def _measured_blocks(self, record: MeasurementRecord) -> List[int]:
-        return [
-            index
-            for index, t in enumerate(record.audit_block_times)
-            if t >= 0.0
-        ]
 
     def consistent_at(self, record: MeasurementRecord, time: float) -> bool:
         """True iff every measured block's digested content equals its
         content at instant ``time``."""
-        if not record.audit_block_hashes:
+        if not record.audit_block_marks:
             raise ConfigurationError("record carries no audit data")
-        for block_index in self._measured_blocks(record):
-            measured = record.audit_block_hashes[block_index]
-            if measured != self.fingerprint_at(block_index, time):
+        for block_index, mark in enumerate(record.audit_block_marks):
+            if mark >= 0 and self.measured_content(
+                record, block_index
+            ) != self.content_at(block_index, time):
                 return False
         return True
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
@@ -58,6 +59,20 @@ DEVICE_CLASSES: Dict[str, Dict[str, Any]] = {
         "block_size": 64,
         "sim_block_size": 4 * MiB,
     },
+}
+
+
+#: RunSpec's integer fields and the least value of each
+_INTEGER_FLOORS = {
+    "seed": 0, "block_count": 1, "block_size": 1, "malware_block": 0,
+    "writer_tasks": 0, "probe_count": 0, "trace_limit": 1,
+    "task_priority": -math.inf, "mp_priority": -math.inf,
+}
+#: RunSpec's real fields: True where it must be positive, else >= 0
+_REALS = {
+    "horizon": True, "t_m": True, "t_c": True, "task_period": True,
+    "request_at": False, "infect_at": False, "infect_jitter": False,
+    "dwell": False, "task_wcet": False, "timeout": False,
 }
 
 
@@ -178,20 +193,7 @@ class RunSpec:
                 f"unknown workload {self.workload!r}; "
                 f"known: {KNOWN_WORKLOADS}"
             )
-        for name in ("horizon", "t_m", "t_c"):
-            if not getattr(self, name) > 0:  # also rejects NaN
-                raise ConfigurationError(f"{name} must be positive")
-        if not (isinstance(self.probe_count, int) and self.probe_count >= 0):
-            raise ConfigurationError(
-                "probe_count must be an integer within [0, inf)"
-            )
-        check_rounds(self.rounds)
-        if not (isinstance(self.trace_limit, int) and self.trace_limit >= 1):
-            raise ConfigurationError(
-                "trace_limit must be an integer within [1, inf)"
-            )
-        if not self.timeout >= 0:  # also rejects NaN
-            raise ConfigurationError("timeout must be >= 0")
+        self._check_numbers()
         if self.faults:
             # Validate the DSL at plan time, not deep inside a worker.
             from repro.resilience.faults import FaultPlan
@@ -214,6 +216,31 @@ class RunSpec:
                 f"unknown device_class {self.device_class!r}; "
                 f"known: {sorted(DEVICE_CLASSES)}"
             )
+
+    def _check_numbers(self) -> None:
+        """Every numeric field in its domain, by comparisons that NaN
+        and inf fail, so a spec that cannot run (or end) fails here
+        rather than inside a worker."""
+        floors = dict(_INTEGER_FLOORS, sim_block_size=self.block_size)
+        for name, low in floors.items():
+            value = getattr(self, name)
+            integral = isinstance(value, int) and not isinstance(value, bool)
+            if not (integral and value >= low):
+                bound = f" >= {low}" if low > -math.inf else ""
+                raise ConfigurationError(f"{name} must be an integer{bound}")
+        if not self.malware_block < self.block_count:
+            raise ConfigurationError("malware_block must be < block_count")
+        check_rounds(self.rounds)
+        for name, positive in _REALS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(f"{name} must be a number")
+            if positive and not value > 0:
+                raise ConfigurationError(f"{name} must be positive")
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0")
+        if not self.task_wcet <= self.task_period:
+            raise ConfigurationError("task_wcet must be <= task_period")
 
     # -- identity -------------------------------------------------------
 

@@ -4,20 +4,15 @@ Every simulated prover boots from the same deterministic benign image
 (:func:`repro.sim.memory.benign_fill`), and the verifier's reference
 database is that image again.  Before this store existed, *each*
 ``Memory`` construction re-ran the per-byte PRNG loop for every block,
-every cold measurement re-hashed those same bytes for its audit
-fingerprints, and a thousand-prover fleet campaign paid all of it a
-thousand times over.
+and a thousand-prover fleet campaign paid it a thousand times over.
 
-:class:`ReferenceStore` interns benign block contents and their audit
-hashes once per process, keyed by ``(seed, block_size, block_index)``:
+:class:`ReferenceStore` interns benign block contents once per
+process, keyed by ``(seed, block_size, block_index)``:
 
 * :class:`repro.sim.memory.Memory` construction copies interned bytes
   into its mutable blocks instead of regenerating them, and hands out
   the interned objects themselves for ``benign_block`` /
   ``benign_image`` / ``dirty_blocks``;
-* the measurement process recognises still-benign content (an O(1)
-  identity check against the interned block in the common case) and
-  reuses the precomputed audit hash instead of re-hashing;
 * :meth:`repro.ra.verifier.Verifier.enroll` reference images share the
   interned blocks structurally (``bytes(b)`` of an exact ``bytes``
   returns the same object), so N identical enrolled provers hold one
@@ -31,25 +26,18 @@ Bounding
 --------
 Fleet campaigns sweep device seeds, so the store is a bounded LRU at
 *image* granularity: up to ``capacity`` distinct ``(seed, block_size)``
-images stay interned; evicting one drops all its blocks/audits at
-once.  Live ``Memory`` objects keep a direct reference to their image
-view, so eviction only ever frees images no device is using.
+images stay interned; evicting one drops all its blocks at once.
+Live ``Memory`` objects keep a direct reference to their image view,
+so eviction only ever frees images no device is using.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from collections import OrderedDict
 from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
-
-#: truncated audit-fingerprint length; must match
-#: :data:`repro.sim.memory.FINGERPRINT_LEN` (the import direction --
-#: ``sim.memory`` imports this module -- forbids sharing the constant;
-#: the equality is pinned by ``tests/test_reference_store.py``)
-AUDIT_LEN = 8
 
 #: default maximum number of distinct (seed, block_size) images interned
 DEFAULT_IMAGE_CAPACITY = 64
@@ -69,25 +57,21 @@ def raw_benign_fill(block_index: int, block_size: int, seed: int) -> bytes:
 
 
 class ReferenceImage:
-    """One interned benign image: lazy per-block contents and audits.
+    """One interned benign image: lazy per-block contents.
 
     Handed out by :meth:`ReferenceStore.image`; ``Memory`` keeps its
     view for the device's lifetime so per-block access is two dict
     lookups with no LRU traffic.
     """
 
-    __slots__ = ("seed", "block_size", "_blocks", "_audits", "_tuples",
-                 "_audit_tuples")
+    __slots__ = ("seed", "block_size", "_blocks", "_tuples")
 
     def __init__(self, seed: int, block_size: int) -> None:
         self.seed = seed
         self.block_size = block_size
         self._blocks: Dict[int, bytes] = {}
-        self._audits: Dict[int, bytes] = {}
         #: memoized per-block_count prefix tuples for image construction
         self._tuples: Dict[int, Tuple[bytes, ...]] = {}
-        #: the same, of the audit hashes (:meth:`audits`)
-        self._audit_tuples: Dict[int, Tuple[bytes, ...]] = {}
 
     def block(self, block_index: int) -> bytes:
         """Interned benign contents of one block (generated on first use)."""
@@ -98,19 +82,6 @@ class ReferenceImage:
             )
         return content
 
-    def audit(self, block_index: int) -> bytes:
-        """Precomputed audit hash of the block's benign contents.
-
-        Equals ``repro.sim.memory.content_fingerprint(self.block(i))``;
-        computed once per process instead of once per device traversal.
-        """
-        audit = self._audits.get(block_index)
-        if audit is None:
-            audit = self._audits[block_index] = hashlib.sha256(
-                self.block(block_index)
-            ).digest()[:AUDIT_LEN]
-        return audit
-
     def blocks(self, block_count: int) -> Tuple[bytes, ...]:
         """The first ``block_count`` interned blocks as one shared tuple."""
         cached = self._tuples.get(block_count)
@@ -118,17 +89,6 @@ class ReferenceImage:
             block = self.block
             cached = self._tuples[block_count] = tuple(
                 block(index) for index in range(block_count)
-            )
-        return cached
-
-    def audits(self, block_count: int) -> Tuple[bytes, ...]:
-        """Audit hashes of the first ``block_count`` blocks, one shared
-        tuple (the audit counterpart of :meth:`blocks`)."""
-        cached = self._audit_tuples.get(block_count)
-        if cached is None:
-            audit = self.audit
-            cached = self._audit_tuples[block_count] = tuple(
-                audit(index) for index in range(block_count)
             )
         return cached
 
@@ -178,20 +138,6 @@ class ReferenceStore:
         dropped = len(self._images)
         self._images.clear()
         return dropped
-
-    def stats(self) -> Dict[str, float]:
-        """Counters for telemetry / bench output."""
-        return {
-            "images": len(self._images),
-            "capacity": self.capacity,
-            "evictions": self.evictions,
-            "blocks": sum(
-                len(image._blocks) for image in self._images.values()
-            ),
-            "audits": sum(
-                len(image._audits) for image in self._images.values()
-            ),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -16,6 +16,9 @@ relative to the measurement timeline of Figure 4:
 ``Inc-Lock-Ext``      Inc-Lock, released at t_r instead of t_e
 ====================  =============================================
 
+The claims in this table are data in one place,
+:func:`repro.core.consistency.expected_consistency`.
+
 Policies drive the simulated MPU; each mutation returns the number of
 MPU operations performed so the measurement engine can charge the
 syscall time (HYDRA implements these as seL4 capability operations).
@@ -41,8 +44,6 @@ class LockingPolicy:
 
     #: canonical mechanism name, overridden by subclasses
     name = "no-lock"
-    #: whether the digest is consistent with full-memory states, and when
-    consistency = "none"
     #: does the policy keep a lock after t_e (needs an explicit release)?
     holds_after_end = False
 
@@ -126,7 +127,6 @@ class NoLock(LockingPolicy):
     """The strawman: memory is never locked (TrustLite-style)."""
 
     name = "no-lock"
-    consistency = "none"
 
 
 class AllLock(LockingPolicy):
@@ -140,9 +140,6 @@ class AllLock(LockingPolicy):
         super().__init__()
         self.extended = extended
         self.name = "all-lock-ext" if extended else "all-lock"
-        self.consistency = (
-            "interval [t_s, t_r]" if extended else "interval [t_s, t_e]"
-        )
         self.holds_after_end = extended
 
     def on_start(self) -> int:
@@ -174,7 +171,6 @@ class DecLock(LockingPolicy):
     """
 
     name = "dec-lock"
-    consistency = "instant t_s"
     _released = 0
 
     def reset(self, device: Device, order: Sequence[int]) -> None:
@@ -212,9 +208,6 @@ class IncLock(LockingPolicy):
         super().__init__()
         self.extended = extended
         self.name = "inc-lock-ext" if extended else "inc-lock"
-        self.consistency = (
-            "interval [t_e, t_r]" if extended else "instant t_e"
-        )
         self.holds_after_end = extended
 
     def before_block(self, block_index: int) -> int:

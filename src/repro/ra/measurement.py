@@ -34,7 +34,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hmac import Hmac, hmac_digest
 from repro.errors import ConfigurationError
 from repro.ra.locking import LockingPolicy, NoLock
-from repro.ra.report import MeasurementRecord, audit_hash
+from repro.ra.report import MeasurementRecord
 from repro.sim.device import Device
 from repro.sim.process import Atomic, Compute, Process
 
@@ -251,7 +251,7 @@ class MeasurementProcess:
         mac.update(self.nonce + self.counter.to_bytes(8, "big"))
 
         block_times = [-1.0] * device.block_count
-        block_hashes = [b""] * device.block_count
+        block_marks = [-1] * device.block_count
         # one command for every block: the CPU reads only its duration
         # and keeps no reference, as with a periodic job's task.compute
         block_compute = Compute(timing.hash_time(
@@ -285,8 +285,7 @@ class MeasurementProcess:
         memory = device.memory
         mac_update = mac.update
         read_block = memory.read_block
-        benign = memory.reference_blocks()
-        audits = memory.reference_audits()
+        write_log = memory.write_times
         before_block = _overridden(self.policy, "before_block")
         after_block = _overridden(self.policy, "after_block")
         region_name = config.region or ""
@@ -308,16 +307,9 @@ class MeasurementProcess:
                 if pre_ops:
                     yield Compute(self._lock_cost(pre_ops))
             content = read_block(block_index)
-            # Still-benign content (an identity check against the
-            # interned reference in the common case) reuses the
-            # precomputed reference audit; anything else is hashed.
-            reference = benign[block_index]
-            if content is reference or content == reference:
-                audit = audits[block_index]
-            else:
-                audit = audit_hash(content)
             block_times[block_index] = sim.now
-            block_hashes[block_index] = audit
+            # the write log up to here holds what was just read
+            block_marks[block_index] = len(write_log)
             mac_update(
                 mutable_content(block_index, content)
                 if mutable_lookup[block_index] else content
@@ -379,7 +371,7 @@ class MeasurementProcess:
             t_release=t_release,
             interruptions=proc.preemption_count - preemptions_before,
             audit_block_times=tuple(block_times),
-            audit_block_hashes=tuple(block_hashes),
+            audit_block_marks=tuple(block_marks),
         )
         device.trace.record(
             sim.now, "mp.end", self.mechanism,

@@ -9,10 +9,9 @@ collection returns many) and authenticates them with an HMAC under the
 shared attestation key, or optionally a digital signature.
 
 Records also carry *audit* fields -- per-block snapshot times and
-truncated content hashes -- that exist only for the simulation's
-consistency analysis (Figure 4).  They are excluded from the
-authenticated serialization, because a real prover would not ship
-them.
+write-log marks -- that exist only for the simulation's consistency
+analysis (Figure 4).  They are excluded from the authenticated
+serialization, because a real prover would not ship them.
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ from typing import List, Optional, Tuple
 
 from repro.crypto.hmac import constant_time_equal, hmac_digest
 from repro.errors import VerificationError
-# Re-exported: measurement.py and downstream tooling import the audit
-# hash helpers from the report layer, not from sim.memory directly.
-from repro.sim.memory import FINGERPRINT_LEN as AUDIT_HASH_LEN  # noqa: F401
-from repro.sim.memory import content_fingerprint as audit_hash  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -60,8 +55,10 @@ class MeasurementRecord:
     interruptions: int = 0
     #: audit-only: time each block was snapshotted, indexed by block id
     audit_block_times: Tuple[float, ...] = ()
-    #: audit-only: truncated hash of each measured block, by block id
-    audit_block_hashes: Tuple[bytes, ...] = ()
+    #: audit-only: length of the memory's write log when each block was
+    #: read, by block id (-1 = not measured); the Figure 4 analyzer
+    #: recovers the block's measured contents from the log up to it
+    audit_block_marks: Tuple[int, ...] = ()
 
     @property
     def duration(self) -> float:

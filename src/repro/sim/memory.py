@@ -23,15 +23,15 @@ Write log
 Every committed write appends its time, block, actor and the block's
 frozen contents after the write to four parallel columns
 (``write_times``, ``write_blocks``, ``write_actors``,
-``write_contents``) and builds no object.  The Figure 4 analyzer in
-:mod:`repro.core.consistency` indexes the columns directly.  The write
-itself hashes nothing; a content's fingerprint is computed when an
-auditor reads it.
+``write_contents``) and builds no object.  The log is the one source
+of content identity: a measurement notes only the log's length when it
+reads a block, and the Figure 4 analyzer in
+:mod:`repro.core.consistency` recovers contents from the columns.
+Nothing on the write or read path hashes.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -63,15 +63,6 @@ class Region:
 
     def __contains__(self, block_index: int) -> bool:
         return self.start <= block_index < self.end
-
-
-#: length of the truncated content fingerprint used for auditing
-FINGERPRINT_LEN = 8
-
-
-def content_fingerprint(content: bytes) -> bytes:
-    """Truncated SHA-256 identifying block contents in audit records."""
-    return hashlib.sha256(content).digest()[:FINGERPRINT_LEN]
 
 
 class MemoryImage:
@@ -110,13 +101,6 @@ class MemoryImage:
         blocks = list(self._blocks)
         blocks[block_index] = bytes(data)
         return MemoryImage(blocks)
-
-    def fingerprint(self) -> str:
-        """Content-addressed identity (SHA-256 over all blocks), for tests."""
-        h = hashlib.sha256()
-        for block in self._blocks:
-            h.update(block)
-        return h.hexdigest()
 
 
 class MemoryBlock:
@@ -184,7 +168,7 @@ class Memory:
         # The benign firmware image is interned process-wide: construction
         # copies the shared bytes into per-device mutable bytearrays, and
         # keeps the image view so benign_block/benign_image/dirty_blocks
-        # and audit-hash lookups never regenerate a byte.
+        # never regenerate a byte.
         self._reference = _reference_store.REFERENCE_STORE.image(
             seed, block_size
         )
@@ -358,25 +342,6 @@ class Memory:
         """Pristine contents of one block (interned, shared)."""
         self._check_index(block_index)
         return self._reference.block(block_index)
-
-    def reference_blocks(self) -> Tuple[bytes, ...]:
-        """The interned benign image as one shared tuple.
-
-        Every call returns the same tuple of the same interned ``bytes``
-        objects (shared across all devices with this ``seed`` /
-        ``block_size``); the measurement hot loop compares against it by
-        identity to recognise still-benign content.
-        """
-        return self._reference.blocks(self.block_count)
-
-    def reference_audits(self) -> Tuple[bytes, ...]:
-        """Audit hashes of :meth:`reference_blocks`, one shared tuple.
-
-        Entry ``i`` equals ``content_fingerprint(self.benign_block(i))``
-        without re-hashing; the measurement process and the Figure 4
-        analyzer read it for still-benign content.
-        """
-        return self._reference.audits(self.block_count)
 
     def dirty_blocks(self) -> List[int]:
         """Indices of blocks that differ from the benign image.

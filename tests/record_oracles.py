@@ -10,17 +10,25 @@ compare those against what the record path used to keep:
   ``(trace_events, trace_dropped)`` describes, and the one
   ``CountingTrace.ring_counts`` must agree with;
 * :func:`write_log` and :func:`writes_in` build one :class:`WriteRecord`
-  per committed write from a memory's columns.
+  per committed write from a memory's columns;
+* :func:`content_fingerprint` is the truncated SHA-256 the record pins
+  were captured with.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from repro.sim.memory import Memory, content_fingerprint
+from repro.sim.memory import Memory
 from repro.sim.trace import Trace
+
+
+def content_fingerprint(content: bytes) -> bytes:
+    """Truncated SHA-256 of one block's contents (8 bytes)."""
+    return hashlib.sha256(content).digest()[:8]
 
 
 class RingTrace(Trace):

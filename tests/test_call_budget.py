@@ -29,13 +29,15 @@ Measured on Python 3.11.7 (``docs/performance.md`` §13 and §14):
   184,174 once a run counts its trace records (no ring to build);
   147,052 once the CPU tallies that count in place (no call per
   record) and a measured block yields one prebuilt ``Compute``;
-  147,043 once a ``Device`` builds no interrupt controller.
+  147,043 once a ``Device`` builds no interrupt controller; 146,529
+  once a measured block records a write-log mark instead of an audit
+  hash.
 * ``locking``: 292,938 calls (36,617 per run) before a periodic job
   cost one wake; 174,634 (21,829 per run) after; 174,642 with the
   field-name mapping; 174,706 with the one exchange class and the
   prover's nonce-dedup object; 174,658 with the counted trace;
   144,943 with the in-place tally and the prebuilt block command;
-  144,935 without the interrupt controller.
+  144,935 without the interrupt controller; 144,855 with the mark.
 
 Python 3.10.13 counts the same calls as 3.11.7; 3.12.1 counts 146,857
 and 144,863.
@@ -78,11 +80,11 @@ import repro
 from repro import fleet
 from repro.fleet.executor import execute_run
 
-#: 147,043 calls measured on Python 3.11.7, plus 5%
-CALL_BUDGET = 154_395
+#: 146,529 calls measured on Python 3.11.7, plus 5%
+CALL_BUDGET = 153_855
 
-#: 144,935 calls measured on Python 3.11.7, plus 5%
-LOCKING_CALL_BUDGET = 152_181
+#: 144,855 calls measured on Python 3.11.7, plus 5%
+LOCKING_CALL_BUDGET = 152_097
 
 #: young objects a qoa pass leaves, per interpreter: the count
 #: measured on 3.10.13, 3.11.7 and 3.12.1, plus 5%
@@ -141,7 +143,7 @@ def warm_and_count(campaign, runs, count=count_calls):
     and ``count`` a second pass (by default, its calls)."""
     specs = fleet.canned_campaign(campaign, seed_count=1).plan()
     assert len(specs) == runs
-    for spec in specs:  # warm-up pass: interned images, audits, imports
+    for spec in specs:  # warm-up pass: interned images, imports
         execute_run(spec)
     return count(specs)
 

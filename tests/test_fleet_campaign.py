@@ -15,6 +15,9 @@ from repro.fleet import (
 )
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def small_campaign() -> CampaignSpec:
     return CampaignSpec(
         name="unit",
@@ -77,6 +80,47 @@ class TestRunSpec:
     def test_timeout_outside_bound_rejected(self, timeout):
         with pytest.raises(ConfigurationError, match="^timeout must"):
             RunSpec(timeout=timeout)
+
+    @pytest.mark.parametrize("name,value", [
+        *((name, INF) for name in ("horizon", "t_m", "t_c", "timeout")),
+        *((name, value)
+          for name in ("request_at", "infect_at", "infect_jitter", "dwell",
+                       "task_period", "task_wcet")
+          for value in (NAN, INF, -1.0)),
+        ("task_period", 0.0),
+        *((name, value)
+          for name in ("block_count", "block_size", "sim_block_size",
+                       "malware_block", "writer_tasks", "seed")
+          for value in (NAN, INF, -1, 1.5)),
+        ("block_count", 0),
+        ("block_size", 0),
+        *((name, value) for name in ("task_priority", "mp_priority")
+          for value in (NAN, INF, 1.5)),
+    ])
+    def test_numeric_field_outside_its_domain(self, name, value):
+        # a spec that cannot run is refused when it is built, naming
+        # the field, not mid-run in a worker (or never, for inf)
+        with pytest.raises(ConfigurationError, match=f"^{name} must"):
+            RunSpec(**{name: value})
+
+    @pytest.mark.parametrize("fields,name", [
+        ({"task_period": 0.1, "task_wcet": 0.2}, "task_wcet"),
+        ({"block_size": 32, "sim_block_size": 16}, "sim_block_size"),
+        ({"block_count": 8, "malware_block": 8}, "malware_block"),
+        ({"block_count": 8, "malware_block": 20}, "malware_block"),
+    ])
+    def test_fields_that_contradict_each_other(self, fields, name):
+        with pytest.raises(ConfigurationError, match=f"^{name} must"):
+            RunSpec(**fields)
+
+    def test_numeric_edges_accepted(self):
+        spec = RunSpec(
+            seed=0, request_at=0.0, infect_at=0.0, dwell=0.0,
+            task_period=0.1, task_wcet=0.1, writer_tasks=0,
+            block_count=8, block_size=32, sim_block_size=32,
+            malware_block=7, task_priority=-3,
+        )
+        assert (spec.task_wcet, spec.sim_block_size) == (0.1, 32)
 
     def test_limit_edges_accepted(self):
         spec = RunSpec(trace_limit=1, timeout=0.0)

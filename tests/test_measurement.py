@@ -169,7 +169,16 @@ class TestRecordContents:
         record = run_measurement(device, MeasurementConfig())
         assert len(record.audit_block_times) == device.block_count
         assert all(t >= 0 for t in record.audit_block_times)
-        assert all(h for h in record.audit_block_hashes)
+        assert len(record.audit_block_marks) == device.block_count
+        assert all(mark >= 0 for mark in record.audit_block_marks)
+        # a region-restricted run marks exactly the blocks it measured
+        device = make_device()
+        device.standard_layout()
+        record = run_measurement(device, MeasurementConfig(region="code"))
+        marked = [
+            i for i, mark in enumerate(record.audit_block_marks) if mark >= 0
+        ]
+        assert marked == list(device.memory.regions["code"].blocks())
 
     def test_audit_times_monotone_in_sequential_order(self):
         device = make_device()

@@ -1,5 +1,7 @@
 """Block memory: geometry, regions, writes, snapshots, audit log."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,11 +12,23 @@ from repro.sim.memory import (
     MemoryImage,
     Region,
     benign_fill,
-    content_fingerprint,
 )
 from repro.sim.mpu import FaultPolicy, MemoryProtectionUnit
 
-from tests.record_oracles import WriteRecord, write_log, writes_in
+from tests.record_oracles import (
+    WriteRecord,
+    content_fingerprint,
+    write_log,
+    writes_in,
+)
+
+
+def image_fingerprint(image: MemoryImage) -> str:
+    """Content-addressed identity of an image (SHA-256 over all blocks)."""
+    h = hashlib.sha256()
+    for block in image:
+        h.update(block)
+    return h.hexdigest()
 
 
 def make_memory(block_count=8, block_size=16, **kwargs):
@@ -372,7 +386,12 @@ class TestSnapshots:
 
     def test_fingerprint_stable(self):
         image = MemoryImage([b"ab", b"cd"])
-        assert image.fingerprint() == MemoryImage([b"ab", b"cd"]).fingerprint()
+        assert image_fingerprint(image) == image_fingerprint(
+            MemoryImage([b"ab", b"cd"])
+        )
+        assert image_fingerprint(image) != image_fingerprint(
+            MemoryImage([b"ab", b"ce"])
+        )
 
     @given(
         st.lists(st.binary(min_size=4, max_size=4), min_size=1, max_size=8),

@@ -1,8 +1,7 @@
 """ReferenceStore: byte identity and sharing.
 
-The cold-path layer is pure memoization: every byte and every audit
-hash the store hands out must equal what the uncached generators
-produce, the interned image must actually be *shared* (one copy per
+The cold-path layer is pure memoization: every byte the store hands
+out must equal what the uncached generator produces, the interned image must actually be *shared* (one copy per
 process, not per device), and none of it may leak across ``seed`` /
 ``block_size`` or show up in simulated time.
 """
@@ -14,21 +13,13 @@ import pytest
 from repro.core.tradeoff import ScenarioConfig
 from repro.errors import ConfigurationError
 from repro.perf import reference_store
-from repro.perf.reference_store import (
-    AUDIT_LEN,
-    ReferenceStore,
-    raw_benign_fill,
-)
+from repro.core.consistency import ConsistencyAnalyzer
+from repro.perf.reference_store import ReferenceStore, raw_benign_fill
 from repro.ra.measurement import MeasurementConfig, MeasurementProcess
 from repro.scenario import Scenario
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
-from repro.sim.memory import (
-    FINGERPRINT_LEN,
-    Memory,
-    benign_fill,
-    content_fingerprint,
-)
+from repro.sim.memory import Memory, benign_fill
 
 
 def set_reference_store(store: ReferenceStore) -> ReferenceStore:
@@ -64,17 +55,6 @@ class TestByteIdentity:
         # second call returns the interned object itself
         assert benign_fill(3, 32, seed=9) is first
 
-    def test_audit_matches_content_fingerprint(self, fresh_store):
-        image = fresh_store.image(7, 64)
-        for index in range(4):
-            assert image.audit(index) == \
-                content_fingerprint(image.block(index))
-
-    def test_audit_len_matches_memory_fingerprint_len(self):
-        # the import direction (sim.memory -> perf.reference_store)
-        # forbids sharing the constant; pin the equality instead
-        assert AUDIT_LEN == FINGERPRINT_LEN
-
 
 # -- isolation and bounding -----------------------------------------------
 
@@ -104,12 +84,15 @@ class TestIsolation:
 
     def test_lru_eviction_at_image_granularity(self):
         store = ReferenceStore(capacity=2)
-        store.image(1, 32)
-        store.image(2, 32)
+        first = store.image(1, 32)
+        second = store.image(2, 32)
         store.image(1, 32)  # refresh; (2, 32) is now LRU
-        store.image(3, 32)
+        third = store.image(3, 32)
         assert store.evictions == 1
-        assert store.stats()["images"] == 2
+        # the two most recent images stay interned, the LRU one is gone
+        assert store.image(3, 32) is third
+        assert store.image(1, 32) is first
+        assert store.image(2, 32) is not second
         # the evicted image regenerates correctly on re-request
         assert store.block(0, 32, seed=2) == raw_benign_fill(0, 32, 2)
 
@@ -127,7 +110,6 @@ class TestSharing:
 
     def test_devices_share_one_interned_tuple(self, fresh_store):
         first, second = self.make_memory(), self.make_memory()
-        assert first.reference_blocks() is second.reference_blocks()
         for index in range(16):
             assert first.benign_block(index) is second.benign_block(index)
             # pristine reads alias the interned bytes: zero-copy and
@@ -164,12 +146,13 @@ class TestSharing:
         # reference_store.py; sharing allocates none of them
         assert grown < image_bytes // 2
         assert all(
-            memory.reference_blocks() is memories[0].reference_blocks()
+            memory.benign_block(index) is memories[0].benign_block(index)
             for memory in memories
+            for index in range(128)
         )
 
 
-# -- the measurement step's interned audit reuse -------------------------
+# -- what the measurement step read ---------------------------------------
 
 
 def run_measurement(device, config=None, until=100.0):
@@ -183,24 +166,24 @@ def run_measurement(device, config=None, until=100.0):
 
 
 class TestMissPathGolden:
-    """A traversal reuses the interned audit for still-benign blocks and
-    hashes everything else; either way the record must match what an
-    independent hash of the measured content gives."""
+    """Clean blocks read as the interned benign contents and dirty ones
+    as their written contents; either way the analyzer must recover
+    exactly the content the traversal read."""
 
     def test_dirty_blocks_do_not_reuse_benign_audit(self):
         device = Device(Simulator(), block_count=24, block_size=32)
         device.memory.write(5, b"\xee" * 32, actor="malware")
         record = run_measurement(device)
         memory = device.memory
-        # the dirty block's audit is of the *measured* content, not the
-        # interned reference
-        assert record.audit_block_hashes[5] == \
-            content_fingerprint(memory.read_block(5))
-        assert record.audit_block_hashes[5] != memory.reference_audits()[5]
-        # every clean block's reused audit equals a fresh hash of it
-        assert record.audit_block_hashes == tuple(
-            content_fingerprint(block) for block in memory.snapshot()
-        )
+        analyzer = ConsistencyAnalyzer(memory)
+        # the dirty block's measured content is what was written, not
+        # the interned reference
+        assert analyzer.measured_content(record, 5) == memory.read_block(5)
+        assert analyzer.measured_content(record, 5) != memory.benign_block(5)
+        # every block's measured content equals the memory as it stands
+        assert tuple(
+            analyzer.measured_content(record, index) for index in range(24)
+        ) == tuple(memory.snapshot())
 
     def test_store_state_never_leaks_into_sim_time(self):
         """A warm process store and a cold one produce byte-identical

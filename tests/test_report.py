@@ -57,7 +57,7 @@ class TestCanonicalBytes:
         """Audit instrumentation is not part of the wire format."""
         audited = make_record(
             audit_block_times=(1.0,) * 16,
-            audit_block_hashes=(b"\x11" * 8,) * 16,
+            audit_block_marks=(3,) * 16,
             interruptions=5,
         )
         assert audited.canonical_bytes() == make_record().canonical_bytes()
